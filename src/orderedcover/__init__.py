@@ -27,9 +27,9 @@ from .geometry import (
     MultiIndex,
     OrderedIFS,
     Similarity,
-    apply_similarity,
     attractor_points,
     compose_part,
+    levels,
     lex_rank,
     lex_unrank,
     part_budget,
@@ -64,7 +64,6 @@ __all__ = [
     "MultiIndex",
     "OrderedIFS",
     "Similarity",
-    "apply_similarity",
     "attractor_points",
     "build_tagged_covering",
     "check_cs1_bounds",
@@ -73,6 +72,7 @@ __all__ = [
     "coverage_check",
     "fineness_schedule",
     "hbd_report",
+    "levels",
     "lex_rank",
     "lex_unrank",
     "normalize_tau",

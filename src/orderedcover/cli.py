@@ -142,41 +142,27 @@ def cmd_zoo_emit(args: argparse.Namespace) -> int:
 
 
 def _zoo_body(args: argparse.Namespace) -> dict:
-    name = args.name
-    if name in IFS_NAMES:
-        ifs = zoo_ifs(name)
+    parts = None
+    if args.name in IFS_NAMES:
+        ifs = zoo_ifs(args.name)
         body = _ifs_record(ifs)
         if args.m is not None:
             parts = resolution_covering(ifs, args.m, budget=args.budget)
-            body["covering"] = {
-                "m": args.m,
-                "parts": [
-                    {
-                        "index": list(p.index.entries),
-                        "corner": list(p.corner),
-                        "side": p.side,
-                    }
-                    for p in parts
-                ],
-            }
-        return body
-    curve = zoo_curve(name)
-    body = {
-        "kind": "curve",
-        "name": curve.name,
-        "holder_beta": curve.holder_beta,
-        "holder_rho": curve.holder_rho,
-    }
-    if args.m is not None:
-        parts = holder_dyadic_covering(curve, args.m)
+    else:
+        curve = zoo_curve(args.name)
+        body = {
+            "kind": "curve",
+            "name": curve.name,
+            "holder_beta": curve.holder_beta,
+            "holder_rho": curve.holder_rho,
+        }
+        if args.m is not None:
+            parts = holder_dyadic_covering(curve, args.m)
+    if parts is not None:
         body["covering"] = {
             "m": args.m,
             "parts": [
-                {
-                    "index": list(p.index.entries),
-                    "corner": list(p.corner),
-                    "side": p.side,
-                }
+                {"index": list(p.index.entries), "corner": list(p.corner), "side": p.side}
                 for p in parts
             ],
         }
@@ -403,24 +389,19 @@ def cmd_render(args: argparse.Namespace) -> int:
         if args.tau is not None or args.s is not None:
             _, cov, _ = _build_for_args(args)
             boxes = [(sq.tag[0], sq.tag[1], sq.side) for sq in cov.squares]
-            labels = [sq.k - 1 for sq in cov.squares]
-        elif args.name in IFS_NAMES:
-            ifs = zoo_ifs(args.name)
-            m = args.m if args.m is not None else 4
-            parts = resolution_covering(ifs, m, budget=args.budget)
-            boxes = [(p.corner[0], p.corner[1], p.side) for p in parts]
-            labels = list(range(len(parts)))
         else:
-            curve = zoo_curve(args.name)
-            m = args.m if args.m is not None else 6
-            parts = holder_dyadic_covering(curve, m)
+            if args.name in IFS_NAMES:
+                m = args.m if args.m is not None else 4
+                parts = resolution_covering(zoo_ifs(args.name), m, budget=args.budget)
+            else:
+                m = args.m if args.m is not None else 6
+                parts = holder_dyadic_covering(zoo_curve(args.name), m)
             boxes = [(p.corner[0], p.corner[1], p.side) for p in parts]
-            labels = list(range(len(parts)))
     except KeyError:
         return _fail(f"unknown zoo name {args.name!r}; known: {', '.join(zoo_names())}", 2)
     except (BudgetExceededError, ValueError) as exc:
         return _fail(str(exc))
-    _atomic_write(args.out, _svg_of_boxes(boxes, labels))
+    _atomic_write(args.out, _svg_of_boxes(boxes, list(range(len(boxes)))))
     return 0
 
 

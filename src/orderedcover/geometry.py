@@ -1,4 +1,4 @@
-"""Planar similarity maps, ordered multi-indices, and resolution coverings.
+"""Planar similarity maps, ordered multi-indices, and resolution levels.
 
 Conventions used throughout the package:
 
@@ -9,14 +9,19 @@ Conventions used throughout the package:
   anchored at the bottom-left corner of the tight bounding box, with side
   max(width, height). The bottom-left corner doubles as the part's tag.
 - Multi-indices are 1-based tuples over {1..r} ordered lexicographically.
+- A resolution is a ``Level``: arrays indexed by lexicographic rank, with
+  corners (r^m, 2), sides (r^m,) and the composed maps sim_w of every word
+  w. ``levels`` builds resolutions 0..m from the one before, one array
+  expression per level; ``compose_part`` is its single-word reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,10 +49,12 @@ def part_budget(override: int | None = None) -> int:
     return DEFAULT_PART_BUDGET
 
 
-def _check_budget(count: int, budget: int | None) -> None:
+def check_level_budget(r: int, m_max: int, budget: int | None = None) -> None:
+    """Refuse resolutions 0..m_max up front, naming the first level over budget."""
     limit = part_budget(budget)
-    if count > limit:
-        raise BudgetExceededError(f"{count} parts exceed budget {limit}")
+    for m in range(m_max + 1):
+        if r**m > limit:
+            raise BudgetExceededError(f"{r ** m} parts exceed budget {limit}")
 
 
 @dataclass(frozen=True)
@@ -92,10 +99,6 @@ class Similarity:
             reflect=self.reflect != other.reflect,
             shift=(float(shift[0]), float(shift[1])),
         )
-
-
-def apply_similarity(sim: Similarity, point: Sequence[float]) -> np.ndarray:
-    return sim.apply(np.asarray(point, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -234,67 +237,137 @@ def part_from_vertices(index: MultiIndex, vertices: np.ndarray, resolution: int)
 
 
 def compose_part(ifs: OrderedIFS, index: MultiIndex) -> CoveringPart:
-    """Bounding square of the image of the base under the composed map."""
+    """Bounding square of the base under sim_w = phi_{i_1} o ... o phi_{i_m}.
+
+    The single-word reference for ``levels``: the map is folded left to
+    right with Similarity.compose, so each new letter acts on the base first.
+    """
     if index.arity != ifs.r:
         raise InvalidIndexError(f"index arity {index.arity} != system arity {ifs.r}")
     vertices = ifs.base_vertices()
-    for i in reversed(index.entries):
-        vertices = ifs.maps[i - 1].apply(vertices)
+    if index.entries:
+        sim = functools.reduce(Similarity.compose, (ifs.maps[i - 1] for i in index.entries))
+        vertices = sim.apply(vertices)
     return part_from_vertices(index, vertices, index.length)
 
 
-_IDENTITY_LIKE = None  # sentinel for the empty composition
+def _images(ratio, angle, reflect, shift, points: np.ndarray) -> np.ndarray:
+    """Images (n, k, 2) of points (k, 2) under n maps given by parameter arrays.
 
-
-def _walk(ifs: OrderedIFS, depth: int, visit: Callable[[MultiIndex, np.ndarray], None]) -> None:
-    """Depth-first lexicographic walk over words of the given length.
-
-    Words extend on the right, so the composed map is built as
-    (current) o phi_j: the new letter acts on the base first.
+    Same arithmetic as Similarity.apply: ratio * R(angle) [* conj], then shift.
+    cos and sin come from math, as in Similarity.matrix, once per distinct angle.
     """
+    uniq, inv = np.unique(angle, return_inverse=True)
+    cos = np.array([math.cos(a) for a in uniq.tolist()])[inv][:, None]
+    sin = np.array([math.sin(a) for a in uniq.tolist()])[inv][:, None]
+    ratio, flip = ratio[:, None], reflect[:, None]
+    x, y = points[:, 0], points[:, 1]
+    px = ratio * cos * x + ratio * np.where(flip, sin, -sin) * y
+    py = ratio * sin * x + ratio * np.where(flip, -cos, cos) * y
+    return np.stack([px + shift[:, :1], py + shift[:, 1:]], axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class Level:
+    """Resolution m as arrays indexed by lexicographic rank.
+
+    corners (n, 2) and sides (n,) are the parts' bounding squares. ratio,
+    angle, reflect (n,) and shift (n, 2) are the composed maps sim_w, one
+    row per word; a level read from a part list has none.
+    """
+
+    m: int
+    r: int
+    corners: np.ndarray
+    sides: np.ndarray
+    ratio: np.ndarray | None = None
+    angle: np.ndarray | None = None
+    reflect: np.ndarray | None = None
+    shift: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.sides)
+
+    def index(self, rank: int) -> list[int]:
+        return list(lex_unrank(rank, self.m, self.r).entries)
+
+    def apply(self, points: np.ndarray) -> np.ndarray:
+        """Images (n, k, 2) of the points (k, 2) under every composed map."""
+        return _images(self.ratio, self.angle, self.reflect, self.shift, points)
+
+    def parts(self) -> list[CoveringPart]:
+        """List view: one CoveringPart per rank."""
+        return [
+            CoveringPart(lex_unrank(k, self.m, self.r), (x, y), side, self.m)
+            for k, ((x, y), side) in enumerate(zip(self.corners.tolist(), self.sides.tolist()))
+        ]
+
+    @classmethod
+    def of(cls, covering: "Level | Sequence[CoveringPart]") -> "Level":
+        """Arrays of a part list in lexicographic order; a Level passes through."""
+        if isinstance(covering, Level):
+            return covering
+        parts = list(covering)
+        ms = {p.resolution for p in parts}
+        if len(ms) != 1:
+            raise ValueError(f"covering mixes resolutions {sorted(ms)}")
+        if any(lex_rank(p.index) != k for k, p in enumerate(parts)):
+            raise ValueError("covering is not in lexicographic order")
+        corners = np.array([p.corner for p in parts], dtype=float)
+        return cls(ms.pop(), parts[0].index.arity, corners, np.array([p.side for p in parts]))
+
+
+def levels(ifs: OrderedIFS, m_max: int, budget: int | None = None) -> list[Level]:
+    """Resolutions 0..m_max, each built from the one before by array expressions.
+
+    Word w j means sim_w o phi_j, composed as Similarity.compose does:
+    ratios multiply, angles add (negated under a reflection), reflections
+    xor, and the new shift is sim_w(shift_j). Every level is checked
+    against the budget before level 0 is built.
+    """
+    if m_max < 0:
+        raise ValueError(f"resolution must be >= 0, got {m_max}")
+    check_level_budget(ifs.r, m_max, budget)
     base = ifs.base_vertices()
-
-    def rec(entries: tuple[int, ...], sim: Similarity | None) -> None:
-        if len(entries) == depth:
-            vertices = base if sim is None else sim.apply(base)
-            visit(MultiIndex(entries, ifs.r), vertices)
-            return
-        for j in range(1, ifs.r + 1):
-            step = ifs.maps[j - 1]
-            rec(entries + (j,), step if sim is None else sim.compose(step))
-
-    rec((), _IDENTITY_LIKE)
+    step_ratio, step_angle, step_reflect, step_shift = (
+        np.array([getattr(p, key) for p in ifs.maps])
+        for key in ("ratio", "angle", "reflect", "shift")
+    )
+    ratio, angle, reflect = np.ones(1), np.zeros(1), np.zeros(1, dtype=bool)
+    shift = np.zeros((1, 2))
+    out: list[Level] = []
+    for m in range(m_max + 1):
+        if m:
+            sign = np.where(reflect, -1.0, 1.0)[:, None]
+            shift = _images(ratio, angle, reflect, shift, step_shift).reshape(-1, 2)
+            angle = (angle[:, None] + sign * step_angle).ravel()
+            reflect = (reflect[:, None] != step_reflect).ravel()
+            ratio = (ratio[:, None] * step_ratio).ravel()
+        vertices = _images(ratio, angle, reflect, shift, base)
+        lo = vertices.min(axis=1)
+        sides = (vertices.max(axis=1) - lo).max(axis=1)
+        out.append(Level(m, ifs.r, lo, sides, ratio, angle, reflect, shift))
+    return out
 
 
 def resolution_covering(
     ifs: OrderedIFS, m: int, budget: int | None = None
 ) -> list[CoveringPart]:
-    """All r^m parts of resolution m, in lexicographic index order."""
-    if m < 0:
-        raise ValueError(f"resolution must be >= 0, got {m}")
-    _check_budget(ifs.r**m, budget)
-    parts: list[CoveringPart] = []
-    _walk(ifs, m, lambda idx, verts: parts.append(part_from_vertices(idx, verts, m)))
-    return parts
+    """List view of resolution m: all r^m parts, in lexicographic index order."""
+    return levels(ifs, m, budget)[-1].parts()
 
 
 def attractor_points(ifs: OrderedIFS, depth: int, budget: int | None = None) -> np.ndarray:
-    """One representative point per depth-level part (its box center).
+    """The fixed point of phi_1 under every composed map of the given depth.
 
-    Each point is within rho * ratio^depth of the attractor in the max norm.
+    One point per depth-level part, in rank order, each on the attractor up
+    to rounding.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    _check_budget(ifs.r**depth, budget)
-    points: list[np.ndarray] = []
-
-    def visit(_idx: MultiIndex, vertices: np.ndarray) -> None:
-        lo = vertices.min(axis=0)
-        span = vertices.max(axis=0) - lo
-        points.append(lo + span.max() / 2.0)
-
-    _walk(ifs, depth, visit)
-    return np.asarray(points)
+    first = ifs.maps[0]
+    fixed = np.linalg.solve(np.eye(2) - first.matrix(), np.asarray(first.shift))
+    return levels(ifs, depth, budget)[-1].apply(fixed[None])[:, 0]
 
 
 def iter_indices(length: int, arity: int) -> Iterator[MultiIndex]:

@@ -7,24 +7,23 @@ coverings (r^m parts each, lexicographic order) must satisfy:
   (ii)  each resolution-(m+1) part sits inside its length-m prefix part,
   (iii) parts (i, j-1, r) and (i, j, 1) intersect for consecutive j.
 
-Only the decision "at most gamma" is implemented; the infimum itself has no
-algorithm here.
+Each condition is one array expression over a rank-indexed ``Level``; part
+lists are turned into levels once, on entry. A counterexample is the first
+failing rank. Only the decision "at most gamma" is implemented; the infimum
+itself has no algorithm here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, Union
 
-from .geometry import (
-    CoveringPart,
-    GEOM_TOL,
-    OrderedIFS,
-    box_contains,
-    boxes_intersect,
-    lex_rank,
-    resolution_covering,
-)
+import numpy as np
+
+from . import geometry
+from .geometry import CoveringPart, GEOM_TOL, Level, OrderedIFS
+
+Covering = Union[Level, Sequence[CoveringPart]]
 
 
 @dataclass(frozen=True)
@@ -72,96 +71,66 @@ class HbdReport:
         }
 
 
-def _resolution_of(covering: Sequence[CoveringPart]) -> int:
-    ms = {p.resolution for p in covering}
-    if len(ms) != 1:
-        raise ValueError(f"covering mixes resolutions {sorted(ms)}")
-    return ms.pop()
+def _first(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
 def check_diameters(
-    covering: Sequence[CoveringPart], rho: float, c: float, tol: float = GEOM_TOL
+    covering: Covering, rho: float, c: float, tol: float = GEOM_TOL
 ) -> ConditionResult:
     """Condition (i): every side <= rho * c^m, c = r^(-1/gamma)."""
-    m = _resolution_of(covering)
-    bound = rho * c**m
-    for part in covering:
-        if part.side > bound + tol:
-            return ConditionResult(
-                "i",
-                m,
-                False,
-                {"index": list(part.index.entries), "side": part.side, "bound": bound},
-            )
-    return ConditionResult("i", m, True)
+    level = Level.of(covering)
+    bound = rho * c**level.m
+    k = _first(level.sides > bound + tol)
+    if k is not None:
+        cex = {"index": level.index(k), "side": float(level.sides[k]), "bound": bound}
+        return ConditionResult("i", level.m, False, cex)
+    return ConditionResult("i", level.m, True)
 
 
-def check_nesting(
-    parent: Sequence[CoveringPart], child: Sequence[CoveringPart], tol: float = GEOM_TOL
-) -> ConditionResult:
-    """Condition (ii): positional prefix parts contain their children."""
-    m = _resolution_of(parent)
-    if _resolution_of(child) != m + 1:
+def check_nesting(parent: Covering, child: Covering, tol: float = GEOM_TOL) -> ConditionResult:
+    """Condition (ii): the part at rank k // r contains the child at rank k."""
+    parent, child = Level.of(parent), Level.of(child)
+    if child.m != parent.m + 1:
         raise ValueError("child covering must be one resolution deeper")
-    if len(parent) == 0 or len(child) % len(parent) != 0:
+    if len(child) % len(parent) != 0:
         raise ValueError("child count must be r x parent count")
     r = len(child) // len(parent)
-    for pos, part in enumerate(child):
-        parent_part = parent[pos // r]
-        if part.index.entries[:-1] != parent_part.index.entries:
-            return ConditionResult(
-                "ii",
-                m + 1,
-                False,
-                {
-                    "index": list(part.index.entries),
-                    "expected_prefix": list(parent_part.index.entries),
-                    "reason": "wrong prefix",
-                },
-            )
-        if not box_contains(parent_part, part, tol):
-            return ConditionResult(
-                "ii",
-                m + 1,
-                False,
-                {
-                    "index": list(part.index.entries),
-                    "parent": list(parent_part.index.entries),
-                    "reason": "box escapes parent",
-                },
-            )
-    return ConditionResult("ii", m + 1, True)
+    lo = np.repeat(parent.corners, r, axis=0)
+    hi = np.repeat(parent.corners + parent.sides[:, None], r, axis=0)
+    inside = (child.corners >= lo - tol) & (child.corners + child.sides[:, None] <= hi + tol)
+    k = _first(~inside.all(axis=1))
+    if k is not None:
+        cex = {"index": child.index(k), "parent": parent.index(k // r)}
+        cex["reason"] = "box escapes parent"
+        return ConditionResult("ii", child.m, False, cex)
+    return ConditionResult("ii", child.m, True)
 
 
-def check_adjacency(
-    covering: Sequence[CoveringPart], r: int, tol: float = GEOM_TOL
-) -> ConditionResult:
+def check_adjacency(covering: Covering, r: int, tol: float = GEOM_TOL) -> ConditionResult:
     """Condition (iii): box of (i, j-1, r) meets box of (i, j, 1)."""
-    m = _resolution_of(covering)
+    level = Level.of(covering)
+    m = level.m
     if m < 2:
         raise ValueError("adjacency needs resolution >= 2")
-    if len(covering) != r**m:
-        raise ValueError(f"expected {r ** m} parts, got {len(covering)}")
-    for prefix_rank in range(r ** (m - 2)):
-        for j in range(2, r + 1):
-            # ranks of (prefix, j-1, r) and (prefix, j, 1)
-            rank_a = (prefix_rank * r + (j - 2)) * r + (r - 1)
-            rank_b = (prefix_rank * r + (j - 1)) * r
-            a, b = covering[rank_a], covering[rank_b]
-            if lex_rank(a.index) != rank_a or lex_rank(b.index) != rank_b:
-                raise ValueError("covering is not in lexicographic order")
-            if not boxes_intersect(a, b, tol):
-                return ConditionResult(
-                    "iii",
-                    m,
-                    False,
-                    {"left": list(a.index.entries), "right": list(b.index.entries)},
-                )
+    if len(level) != r**m:
+        raise ValueError(f"expected {r ** m} parts, got {len(level)}")
+    # (i, j-1) runs over the resolution-(m-1) ranks not ending in r; the
+    # rank of (i, j-1, r) is then a and that of (i, j, 1) is a + 1.
+    a = np.arange(r ** (m - 1)).reshape(-1, r)[:, :-1].ravel() * r + r - 1
+    lo, hi = level.corners, level.corners + level.sides[:, None]
+    meets = (lo[a] <= hi[a + 1] + tol) & (lo[a + 1] <= hi[a] + tol)
+    k = _first(~meets.all(axis=1))
+    if k is not None:
+        return ConditionResult(
+            "iii", m, False, {"left": level.index(a[k]), "right": level.index(a[k] + 1)}
+        )
     return ConditionResult("iii", m, True)
 
 
 def hbd_report(
-    source: OrderedIFS | Sequence[Sequence[CoveringPart]],
+    source: OrderedIFS | Sequence[Covering],
     gamma: float,
     rho: float,
     m_max: int,
@@ -171,16 +140,17 @@ def hbd_report(
 ) -> HbdReport:
     """Run all three checks for every resolution up to m_max.
 
-    source is either an ordered system (coverings are generated) or a
-    pre-built list of coverings indexed by resolution 0..m_max.
+    source is either an ordered system (its levels are generated, after the
+    budget check) or pre-built coverings for resolutions 0..m_max: levels,
+    or part lists in lexicographic order, turned into arrays once here.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     if isinstance(source, OrderedIFS):
-        coverings = [resolution_covering(source, m, budget) for m in range(m_max + 1)]
+        coverings = geometry.levels(source, m_max, budget)
         label = name or source.name
     else:
-        coverings = [list(cov) for cov in source]
+        coverings = [Level.of(cov) for cov in source]
         if len(coverings) < m_max + 1:
             raise ValueError("need coverings for every resolution 0..m_max")
         label = name or ""

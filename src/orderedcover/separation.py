@@ -19,12 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    MultiIndex,
-    OrderedIFS,
-    lex_rank,
-    resolution_covering,
-)
+from . import geometry
+from .geometry import MultiIndex, OrderedIFS, lex_rank
 from .tagging import TaggedCovering
 
 EXHAUSTIVE_PAIR_LIMIT = 10**4
@@ -98,11 +94,6 @@ def box_sup_distance(
     return per_axis.max(axis=1)
 
 
-def _pair_arrays(q: int) -> tuple[np.ndarray, np.ndarray]:
-    j, l = np.triu_indices(q, k=1)
-    return j, l
-
-
 def verify_separation(
     cov: TaggedCovering,
     D: float | None = None,
@@ -119,7 +110,7 @@ def verify_separation(
     sides = cov.sides()
     q = cov.q
     if q <= exhaustive_limit:
-        jj, ll = _pair_arrays(q)
+        jj, ll = np.triu_indices(q, k=1)
         mode = "exhaustive"
     else:
         rng = np.random.default_rng(seed)
@@ -191,11 +182,9 @@ def verify_jump_lemma(
     rho = ifs.rho if rho is None else rho
     r = ifs.r
     c = r ** (-1.0 / gamma)
-    parts = resolution_covering(ifs, m, budget)
-    tags = np.array([p.corner for p in parts])
-    q = len(parts)
-    jj, ll = _pair_arrays(q)
-    dist = np.abs(tags[jj] - tags[ll]).max(axis=1)
+    level = geometry.levels(ifs, m, budget)[-1]
+    jj, ll = np.triu_indices(len(level), k=1)
+    dist = np.abs(level.corners[jj] - level.corners[ll]).max(axis=1)
     gaps = (ll - jj).astype(float)
     checked = 0
     for n in range(0, m):
@@ -211,8 +200,8 @@ def verify_jump_lemma(
                 pairs_checked=checked,
                 passed=False,
                 counterexample={
-                    "j": list(parts[jj[b]].index.entries),
-                    "l": list(parts[ll[b]].index.entries),
+                    "j": level.index(jj[b]),
+                    "l": level.index(ll[b]),
                     "n": n,
                     "distance": float(dist[b]),
                     "gap": int(gaps[b]),

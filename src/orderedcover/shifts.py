@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .geometry import attractor_points
+from . import geometry
 from .tagging import BuilderParams, TaggedCovering, build_tagged_covering
 from .separation import verify_separation
 
@@ -886,7 +886,8 @@ def run_dynamics_experiment(
 
     u, cert = build_common_vector(scaled, fam, cfg, u0, vt, envelope)
     depth = min(cov_geo.s + t + 1, 12)
-    samples = attractor_points(ifs, depth, budget)
+    level = geometry.levels(ifs, depth, budget)[-1]
+    samples = level.corners + level.sides[:, None] / 2.0  # part box centres
     mapped = np.asarray(offset) + sigma * samples
     uni = verify_universality(u, scaled, fam, cfg, vt, mapped)
     cs2 = check_cs2_lipschitz(fam, interval, n_max=min(1000, L))

@@ -14,21 +14,12 @@ part corners, with t = r(r^s - 1)/(r - 1):
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
-from .geometry import (
-    BudgetExceededError,
-    CoveringPart,
-    MultiIndex,
-    OrderedIFS,
-    compose_part,
-    iter_indices,
-    part_budget,
-)
+from . import geometry
+from .geometry import BudgetExceededError, MultiIndex, OrderedIFS, lex_unrank, part_budget
 from .hbd import hbd_report
 
 _S_TOL = 1e-9
@@ -141,6 +132,18 @@ class FinenessGroup:
         }
 
 
+def _stage_counts(r: int, s: int, budget: int | None) -> tuple[int, int]:
+    """(t, q) for (r, s); refuses q over the part budget."""
+    if r < 2 or s < 1:
+        raise ValueError("need r >= 2 and s >= 1")
+    t = r * (r**s - 1) // (r - 1)
+    q = r**t
+    limit = part_budget(budget)
+    if q > limit:
+        raise BudgetExceededError(f"q = r^t = {q} exceeds budget {limit}")
+    return t, q
+
+
 def fineness_schedule(
     r: int, s: int, budget: int | None = None
 ) -> tuple[list[FinenessGroup], int, int]:
@@ -151,14 +154,7 @@ def fineness_schedule(
     Ordinals count groups within each (rank, fineness) class. The group count
     scales with q, so the part budget is enforced before anything is built.
     """
-    if r < 2 or s < 1:
-        raise ValueError("need r >= 2 and s >= 1")
-    assert (r**s - 1) % (r - 1) == 0
-    t = r * (r**s - 1) // (r - 1)
-    q = r**t
-    limit = part_budget(budget)
-    if q > limit:
-        raise BudgetExceededError(f"q = r^t = {q} exceeds budget {limit}")
+    t, q = _stage_counts(r, s, budget)
     groups: list[FinenessGroup] = [FinenessGroup(s, 1, 1, 1, 1)]
     ordinals: dict[tuple[int, int], int] = {}
     k = 2
@@ -311,44 +307,36 @@ def build_tagged_covering(
             "the separation bound needs the full constant (no recursive splitting here)"
         )
     s = params.s  # validates the exact side relation
-    groups, t, q = fineness_schedule(params.r, s, budget)
+    r, alpha = params.r, params.alpha
+    t, _ = _stage_counts(r, s, budget)
+    geometry.check_level_budget(r, s + t, budget)
+    groups, t, q = fineness_schedule(r, s, budget)
+    lv = geometry.levels(ifs, s + t, budget)
     if check_hbd:
-        report = hbd_report(ifs, params.gamma, params.rho, max(2, s + t), budget=budget)
+        report = hbd_report(lv, params.gamma, params.rho, s + t)
         if not report.passed:
             fail = report.first_failure()
             raise ValueError(f"system fails dimension condition {fail.condition} at m={fail.m}")
 
-    r, alpha = params.r, params.alpha
-    scale = params.tau / params.bigN**alpha  # = c^s rho
-
-    def side_of(k: int) -> float:
-        return params.tau / (k * params.bigN) ** alpha
-
-    first_index = MultiIndex((1,) * s, r)
-    first_part = compose_part(ifs, first_index)
-    squares = [
-        TaggedSquare(1, first_part.corner, scale, first_index, s, 0)
+    # Square 1 covers rank 0 at resolution s. Stage j pops the next (r-1)
+    # pending rank-(s+1) parts, rank r + (j-1)(r-1) onwards, and covers their
+    # resolution-(s+j) descendants: one contiguous rank range.
+    spans = [(0, s, 0, 1)] + [
+        (j, s + j, (r + (j - 1) * (r - 1)) * r ** (j - 1), (r - 1) * r ** (j - 1))
+        for j in range(1, t + 1)
     ]
-    if first_part.side > scale + _S_TOL:
-        raise AssertionError("rank-s part exceeds its covering square")
-
-    skip = first_index.entries
-    pending = deque(
-        idx for idx in iter_indices(s + 1, r) if idx.entries[: s] != skip
-    )
-    k = 2
-    for j in range(1, t + 1):
-        for _ in range(r - 1):
-            parent = pending.popleft()
-            for suffix in iter_indices(j - 1, r):
-                child = MultiIndex(parent.entries + suffix.entries, r)
-                part = compose_part(ifs, child)
-                side = side_of(k)
-                if part.side > side + _S_TOL:
-                    raise AssertionError(f"square {k} smaller than its covered part")
-                squares.append(TaggedSquare(k, part.corner, side, child, s + j, j))
-                k += 1
-    assert not pending and k == q + 1
+    squares: list[TaggedSquare] = []
+    for stage, m, first, count in spans:
+        k0 = len(squares) + 1
+        sides = [params.tau / (k * params.bigN) ** alpha for k in range(k0, k0 + count)]
+        if (lv[m].sides[first : first + count] > np.array(sides) + _S_TOL).any():
+            raise AssertionError(f"stage {stage} has a square smaller than its covered part")
+        corners = lv[m].corners[first : first + count].tolist()
+        squares.extend(
+            TaggedSquare(k0 + i, tuple(corner), side, lex_unrank(first + i, m, r), m, stage)
+            for i, (corner, side) in enumerate(zip(corners, sides))
+        )
+    assert len(squares) == q
 
     return TaggedCovering(
         fractal=ifs.name,

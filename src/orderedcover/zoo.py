@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import geometry
 from .geometry import (
     CoveringPart,
     MultiIndex,
@@ -206,18 +207,8 @@ def _chain_vertices(ifs: OrderedIFS, start: np.ndarray, end: np.ndarray, order: 
     returned polyline then visits the parts in covering order with segments
     of equal length ratio^order * |end - start|.
     """
-    points: list[np.ndarray] = []
-
-    def rec(sim: Similarity | None, depth: int) -> None:
-        if depth == 0:
-            points.append(start if sim is None else sim.apply(start))
-            return
-        for m in ifs.maps:
-            rec(m if sim is None else sim.compose(m), depth - 1)
-
-    rec(None, order)
-    points.append(end)
-    return np.asarray(points)
+    entries = geometry.levels(ifs, order)[-1].apply(start[None])[:, 0]
+    return np.vstack([entries, end])
 
 
 def arrowhead_pseudo(order: int) -> CurveEvaluator:

@@ -1,0 +1,67 @@
+"""CLI and library records against reference records kept in tests/data.
+
+The references were written by the per-part implementation that the
+rank-indexed level arrays replaced, with the commands listed in each file.
+Apart from the manifest's wall_time_s and versions, records agree exactly,
+except floats: to 1e-12 relative, or to 1e-15 absolute for coordinates that
+are zero in exact arithmetic. The reference computed tagged-square corners
+by applying maps to the base outside-in, the levels compose the maps first,
+and the two orders round such zeros to different specks below 3e-17.
+"""
+
+import contextlib
+import io
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from orderedcover.cli import main
+from orderedcover.hbd import hbd_report
+from orderedcover.zoo import gap_dust
+
+DATA = Path(__file__).parent / "data"
+CLI_CASES = (
+    "verify_hbd_koch_m5_gamma1.1356",
+    "zoo_emit_koch_m2",
+    "cover_build_sierpinski_s1",
+    "verify_jump_hilbert_square_m4",
+)
+
+
+def assert_same(got, want, path="record"):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            assert_same(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), path
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15), (path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+def without_run_details(output):
+    manifest = {k: v for k, v in output["manifest"].items() if k not in ("wall_time_s", "versions")}
+    return {**output, "manifest": manifest}
+
+
+@pytest.mark.parametrize("case", CLI_CASES)
+def test_cli_record_matches_reference(case):
+    ref = json.loads((DATA / f"{case}.json").read_text())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(ref["argv"])
+    assert code == ref["exit"]
+    assert_same(without_run_details(json.loads(out.getvalue())), without_run_details(ref["output"]))
+
+
+def test_gap_dust_report_matches_reference():
+    ref = json.loads((DATA / "hbd_report_gap_dust_m4.json").read_text())
+    dust = gap_dust()
+    assert_same(hbd_report(dust, dust.gamma, dust.rho, 4).to_record(), ref)

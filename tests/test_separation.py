@@ -95,6 +95,16 @@ def test_coverage_check_accepts_attractor_and_flags_outliers(gasket_cov):
     assert not coverage_check(gasket_cov, np.array([[5.0, 5.0]]))
 
 
+def test_three_stage_line_covers_its_attractor():
+    # q = 2^14: the deepest squares have side about 2^-17 and sit on the
+    # segment, so sample points must lie on it too
+    line = unit_interval()
+    cov = build_tagged_covering(line, BuilderParams.from_stage(line, 3, 1))
+    pts = attractor_points(line, min(cov.s + cov.t + 2, 10))
+    assert len(pts) == 2**10
+    assert coverage_check(cov, pts)
+
+
 def test_enumeration_count_is_rank_gap():
     j = MultiIndex((1, 1), 3)
     l = MultiIndex((1, 3), 3)

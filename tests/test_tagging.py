@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from orderedcover import geometry
 from orderedcover.geometry import BudgetExceededError, MultiIndex, compose_part
 from orderedcover.tagging import (
     BuilderParams,
@@ -141,6 +142,18 @@ def test_minkowski_stage_one_exceeds_budget():
     ifs = minkowski_sausage()
     with pytest.raises(BudgetExceededError):
         build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
+
+
+def test_deep_audit_is_refused_before_any_level_is_built(monkeypatch):
+    # r=3, s=2: q = 3^12 fits the budget, but the audit to s+t = 14 needs 3^13 parts
+    def no_levels(*args, **kwargs):
+        raise AssertionError("levels were built")
+
+    monkeypatch.delenv("HBD_COVER_BUDGET", raising=False)
+    monkeypatch.setattr(geometry, "levels", no_levels)
+    ifs = sierpinski_gasket()
+    with pytest.raises(BudgetExceededError, match="^1594323 parts exceed budget 1000000$"):
+        build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 2, 1))
 
 
 def test_unit_interval_two_stage_covering():
