@@ -53,7 +53,7 @@ def main() -> None:
 
     worked = BuilderParams.from_stage(ifs, s=1, bigN=1)
     cov = build_tagged_covering(ifs, worked)
-    print(f"the worked s = 1 stage builds q = {len(cov.squares)} squares "
+    print(f"the worked s = 1 stage builds q = {len(cov.sides)} squares "
           f"(proof-safe sampling regime: {worked.proof_safe})")
 
 

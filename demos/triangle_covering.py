@@ -19,19 +19,21 @@ def main() -> None:
     cov = build_tagged_covering(ifs, params)
 
     print(f"system: {ifs.name}, s = {params.s}, tau = {params.tau:.6f}, "
-          f"D = {params.D}, q = {len(cov.squares)}")
+          f"D = {params.D}, q = {cov.q}")
     print()
+    # The arrays hold tags and sides in k order; the record adds the
+    # covered part of each square.
     print("  k  part         side        tag")
-    for sq in cov.squares:
-        idx = ",".join(str(i) for i in sq.covered_index.entries)
-        marker = "  <- stage end" if sq.k in (3, 9, 27) else ""
-        print(f"{sq.k:>3}  ({idx:<7})  {sq.side:.8f}  "
-              f"({sq.tag[0]:+.6f}, {sq.tag[1]:+.6f}){marker}")
+    squares = cov.to_record()["squares"]
+    for k, ((x, y), side, sq) in enumerate(zip(cov.tags, cov.sides, squares), start=1):
+        idx = ",".join(str(i) for i in sq["covered_index"])
+        marker = "  <- stage end" if k in (3, 9, 27) else ""
+        print(f"{k:>3}  ({idx:<7})  {side:.8f}  ({x:+.6f}, {y:+.6f}){marker}")
 
     print()
     for j, k in enumerate((3, 9, 27), start=1):
         expect = params.c ** (params.s + j) * params.rho
-        got = cov.squares[k - 1].side
+        got = cov.sides[k - 1]
         print(f"stage {j} ends at k = {k}: side {got:.12f}, "
               f"part diameter {expect:.12f}, diff {abs(got - expect):.2e}")
 

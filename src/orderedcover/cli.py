@@ -346,6 +346,12 @@ def cmd_dyn(args: argparse.Namespace) -> int:
 # render
 
 
+def _num(value: float) -> str:
+    """Six decimals; a value that rounds to zero prints without a sign."""
+    text = f"{value:.6f}"
+    return "0.000000" if text == "-0.000000" else text
+
+
 def _svg_of_boxes(boxes: list[tuple[float, float, float]], labels: list[int]) -> str:
     """Boxes as (x, y, side) in math coordinates (y up); labels grade hue."""
     pieces = []
@@ -364,21 +370,21 @@ def _svg_of_boxes(boxes: list[tuple[float, float, float]], labels: list[int]) ->
     stroke = 0.002 * max(width, height)
     pieces.append(
         '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{x_lo:.6f} {y_lo:.6f} {width:.6f} {height:.6f}" '
+        f'viewBox="{_num(x_lo)} {_num(y_lo)} {_num(width)} {_num(height)}" '
         'width="800" height="800">'
     )
     pieces.append(
-        f'<rect x="{x_lo:.6f}" y="{y_lo:.6f}" width="{width:.6f}" '
-        f'height="{height:.6f}" fill="#ffffff"/>'
+        f'<rect x="{_num(x_lo)}" y="{_num(y_lo)}" width="{_num(width)}" '
+        f'height="{_num(height)}" fill="#ffffff"/>'
     )
     total = max(len(boxes), 1)
     for (x, y, side), label in zip(boxes, labels):
         hue = (330 * label) // total
         y_svg = y_lo + y_hi - y - side
         pieces.append(
-            f'<rect x="{x:.6f}" y="{y_svg:.6f}" width="{side:.6f}" height="{side:.6f}" '
+            f'<rect x="{_num(x)}" y="{_num(y_svg)}" width="{_num(side)}" height="{_num(side)}" '
             f'fill="hsl({hue},70%,55%)" fill-opacity="0.6" '
-            f'stroke="#222222" stroke-width="{stroke:.6f}"/>'
+            f'stroke="#222222" stroke-width="{_num(stroke)}"/>'
         )
     pieces.append("</svg>")
     return "\n".join(pieces) + "\n"
@@ -388,7 +394,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     try:
         if args.tau is not None or args.s is not None:
             _, cov, _ = _build_for_args(args)
-            boxes = [(sq.tag[0], sq.tag[1], sq.side) for sq in cov.squares]
+            boxes = [(x, y, side) for (x, y), side in zip(cov.tags.tolist(), cov.sides.tolist())]
         else:
             if args.name in IFS_NAMES:
                 m = args.m if args.m is not None else 4

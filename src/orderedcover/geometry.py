@@ -21,7 +21,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -369,21 +369,3 @@ def attractor_points(ifs: OrderedIFS, depth: int, budget: int | None = None) -> 
     fixed = np.linalg.solve(np.eye(2) - first.matrix(), np.asarray(first.shift))
     return levels(ifs, depth, budget)[-1].apply(fixed[None])[:, 0]
 
-
-def iter_indices(length: int, arity: int) -> Iterator[MultiIndex]:
-    """Lexicographic stream of all words of the given length."""
-    for rank in range(arity**length):
-        yield lex_unrank(rank, length, arity)
-
-
-def boxes_intersect(a: CoveringPart, b: CoveringPart, tol: float = GEOM_TOL) -> bool:
-    """Closed-box intersection test with tolerance inflation."""
-    a_lo, a_hi = a.box()
-    b_lo, b_hi = b.box()
-    return bool(((a_lo <= b_hi + tol) & (b_lo <= a_hi + tol)).all())
-
-
-def box_contains(outer: CoveringPart, inner: CoveringPart, tol: float = GEOM_TOL) -> bool:
-    o_lo, o_hi = outer.box()
-    i_lo, i_hi = inner.box()
-    return bool(((i_lo >= o_lo - tol) & (i_hi <= o_hi + tol)).all())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .geometry import MultiIndex, OrderedIFS, lex_rank
+from .geometry import OrderedIFS
 from .tagging import TaggedCovering
 
 EXHAUSTIVE_PAIR_LIMIT = 10**4
@@ -47,8 +47,7 @@ def verify_form(cov: TaggedCovering, rtol: float = 1e-12) -> FormReport:
     """Recompute tau/(kN)^alpha for every k and compare."""
     ks = np.arange(1, cov.q + 1, dtype=float)
     expected = cov.tau / (ks * cov.bigN) ** cov.alpha
-    sides = cov.sides()
-    rel = np.abs(sides - expected) / expected
+    rel = np.abs(cov.sides - expected) / expected
     worst = int(np.argmax(rel))
     passed = bool(rel[worst] <= rtol)
     return FormReport(
@@ -106,8 +105,7 @@ def verify_separation(
     """Check ||lambda - mu|| <= D((l-j)/l)^(1/gamma) over pairs of squares."""
     D = cov.D if D is None else D
     gamma = cov.gamma if gamma is None else gamma
-    tags = cov.tags()
-    sides = cov.sides()
+    tags, sides = cov.tags, cov.sides
     q = cov.q
     if q <= exhaustive_limit:
         jj, ll = np.triu_indices(q, k=1)
@@ -133,22 +131,11 @@ def verify_separation(
 
 def coverage_check(cov: TaggedCovering, points: np.ndarray, tol: float = 1e-9) -> bool:
     """Every sample point must land in at least one square."""
-    tags = cov.tags()
-    sides = cov.sides()
+    tags, sides = cov.tags, cov.sides
     pts = np.atleast_2d(points)
     lo_ok = pts[:, None, :] >= tags[None, :, :] - tol
     hi_ok = pts[:, None, :] <= (tags + sides[:, None])[None, :, :] + tol
     return bool((lo_ok & hi_ok).all(axis=2).any(axis=1).all())
-
-
-def enumeration_count(j: MultiIndex, l: MultiIndex) -> int:
-    """Number of enumeration steps from j to l: the lexicographic rank gap."""
-    if j.length != l.length or j.arity != l.arity:
-        raise ValueError("indices must share length and arity")
-    gap = lex_rank(l) - lex_rank(j)
-    if gap < 0:
-        raise ValueError("j must not come after l")
-    return gap
 
 
 @dataclass(frozen=True)

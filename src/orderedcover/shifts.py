@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -144,9 +144,6 @@ def plus_power_family(alpha: float) -> WeightFamily:
         return np.concatenate([[0.0], np.cumsum(increments)])
 
     return WeightFamily(f"plus-power:{alpha}", alpha, 1.0 / alpha, 1.0, alpha, table)
-
-
-FAMILY_NAMES = ("rolewicz", "power:<alpha>", "plus-power:<alpha>")
 
 
 def weight_family(name: str, alpha: float | None = None) -> WeightFamily:
@@ -615,19 +612,19 @@ class DynamicsConfig:
         }
 
 
-def tag_params(cov: TaggedCovering, d: int) -> list[tuple[float, ...]]:
-    """Per-square operator parameters: the tag, truncated to d coordinates."""
+def tag_params(cov: TaggedCovering, d: int) -> np.ndarray:
+    """Per-square operator parameters (q, d): the tags, truncated to d coordinates."""
     if d not in (1, 2):
         raise ValueError("tags provide at most two coordinates")
-    return [tuple(sq.tag[:d]) for sq in cov.squares]
+    return cov.tags[:, :d]
 
 
-def _check_in_interval(points: Iterable[Sequence[float]], interval: tuple[float, float]) -> None:
+def _check_in_interval(points: np.ndarray, interval: tuple[float, float]) -> None:
     a, b = interval
-    for p in points:
-        for coord in p:
-            if not a - 1e-12 <= coord <= b + 1e-12:
-                raise ValueError(f"parameter {p} escapes interval [{a}, {b}]")
+    inside = ((points >= a - 1e-12) & (points <= b + 1e-12)).all(axis=1)
+    if not inside.all():
+        p = tuple(points[np.argmin(inside)].tolist())
+        raise ValueError(f"parameter {p} escapes interval [{a}, {b}]")
 
 
 def build_common_vector(
@@ -660,11 +657,11 @@ def build_common_vector(
     return u, certificate
 
 
-def box_sample_points(sq, extra: np.ndarray | None = None) -> np.ndarray:
+def box_sample_points(tag: np.ndarray, side: float, extra: np.ndarray | None = None) -> np.ndarray:
     """Tag, corners, edge midpoints, center, two interior quarter points of
-    Gamma_k, plus any extras landing inside the box."""
-    x, y = sq.tag
-    s = sq.side
+    the square [tag, tag + side]^2, plus any extras landing inside it."""
+    x, y = tag
+    s = side
     pts = [
         (x, y),
         (x + s, y),
@@ -725,8 +722,8 @@ def verify_universality(
     worst_lambda: tuple[float, ...] = ()
     total = 0
     min_per_box = None
-    for i, sq in enumerate(cov.squares, start=1):
-        pts = box_sample_points(sq, attractor_samples)
+    for i, (tag, side) in enumerate(zip(cov.tags, cov.sides), start=1):
+        pts = box_sample_points(tag, side, attractor_samples)
         min_per_box = len(pts) if min_per_box is None else min(min_per_box, len(pts))
         for p in pts:
             lam = tuple(float(c) for c in p[: cfg.d])
@@ -831,8 +828,7 @@ def run_dynamics_experiment(
     cov_geo = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, s, 1), budget=budget)
     q, t = cov_geo.q, cov_geo.t
 
-    tags = cov_geo.tags()
-    sides = cov_geo.sides()
+    tags, sides = cov_geo.tags, cov_geo.sides
     lo = tags.min(axis=0)
     hi = (tags + sides[:, None]).max(axis=0)
     span = float((hi - lo).max())

@@ -9,17 +9,23 @@ part corners, with t = r(r^s - 1)/(r - 1):
   resolution-(s+j) descendants, one square per descendant, in lexicographic
   order. Sides shrink monotonically and land exactly on c^(s+j) rho at the
   stage ends k = r^j.
+
+A TaggedCovering holds the squares as two arrays in k order: cov.tags (q, 2),
+the bottom-left corners of the covered parts, and cov.sides (q,), the
+scheduled sides tau/(kN)^alpha. Each stage is one rank slice of a level, so
+the build concatenates slices of geometry.levels; the per-square index,
+stage and fineness groups appear only in to_record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import geometry
-from .geometry import BudgetExceededError, MultiIndex, OrderedIFS, lex_unrank, part_budget
+from .geometry import BudgetExceededError, OrderedIFS, lex_unrank, part_budget
 from .hbd import hbd_report
 
 _S_TOL = 1e-9
@@ -176,39 +182,27 @@ def fineness_schedule(
     return groups, t, q
 
 
-@dataclass(frozen=True)
-class TaggedSquare:
-    """Square Gamma_k = [x, x+side] x [y, y+side] tagged at a part corner."""
+def _stage_spans(r: int, s: int, t: int) -> list[tuple[int, int, int, int]]:
+    """(stage, resolution m, first rank, count) per stage, in k order.
 
-    k: int
-    tag: tuple[float, float]
-    side: float
-    covered_index: MultiIndex
-    rank: int
-    stage: int
-
-    def box(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.asarray(self.tag, dtype=float)
-        return lo, lo + self.side
-
-    def corners(self) -> np.ndarray:
-        lo, hi = self.box()
-        return np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
-
-    def to_record(self) -> dict:
-        return {
-            "k": self.k,
-            "tag": [self.tag[0], self.tag[1]],
-            "side": self.side,
-            "rank": self.rank,
-            "stage": self.stage,
-            "covered_index": list(self.covered_index.entries),
-        }
+    Square 1 covers rank 0 at resolution s. Stage j pops the next (r-1)
+    pending rank-(s+1) parts, rank r + (j-1)(r-1) onwards, and covers their
+    resolution-(s+j) descendants: one contiguous rank range.
+    """
+    return [(0, s, 0, 1)] + [
+        (j, s + j, (r + (j - 1) * (r - 1)) * r ** (j - 1), (r - 1) * r ** (j - 1))
+        for j in range(1, t + 1)
+    ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaggedCovering:
-    """The full output: q tagged squares plus schedule bookkeeping."""
+    """The q squares Gamma_k = [tag, tag + side]^2 plus schedule parameters.
+
+    Row k-1 of tags (q, 2) and sides (q,) is square k. The covered part,
+    stage and fineness groups of each square follow from (r, s, k); only
+    to_record spells them out.
+    """
 
     fractal: str
     tau: float
@@ -220,8 +214,8 @@ class TaggedCovering:
     s: int
     t: int
     q: int
-    squares: tuple[TaggedSquare, ...]
-    groups: tuple[FinenessGroup, ...] = field(repr=False)
+    tags: np.ndarray = field(repr=False)
+    sides: np.ndarray = field(repr=False)
 
     @property
     def alpha(self) -> float:
@@ -231,44 +225,37 @@ class TaggedCovering:
     def c(self) -> float:
         return self.r ** (-self.alpha)
 
-    def tags(self) -> np.ndarray:
-        return np.array([sq.tag for sq in self.squares])
-
-    def sides(self) -> np.ndarray:
-        return np.array([sq.side for sq in self.squares])
-
     def affine_scaled(self, sigma: float, offset: tuple[float, float]) -> "TaggedCovering":
         """Map every square by p -> offset + sigma * p; D and rho scale by sigma."""
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        off = np.asarray(offset, dtype=float)
-        squares = tuple(
-            TaggedSquare(
-                k=sq.k,
-                tag=(float(off[0] + sigma * sq.tag[0]), float(off[1] + sigma * sq.tag[1])),
-                side=sigma * sq.side,
-                covered_index=sq.covered_index,
-                rank=sq.rank,
-                stage=sq.stage,
-            )
-            for sq in self.squares
-        )
-        return TaggedCovering(
-            fractal=self.fractal,
+        return replace(
+            self,
             tau=sigma * self.tau,
-            bigN=self.bigN,
             D=sigma * self.D,
-            gamma=self.gamma,
-            r=self.r,
             rho=sigma * self.rho,
-            s=self.s,
-            t=self.t,
-            q=self.q,
-            squares=squares,
-            groups=self.groups,
+            tags=np.asarray(offset, dtype=float) + sigma * self.tags,
+            sides=sigma * self.sides,
         )
 
     def to_record(self) -> dict:
+        tags, sides = self.tags.tolist(), self.sides.tolist()
+        squares = []
+        for stage, m, first, count in _stage_spans(self.r, self.s, self.t):
+            for rank in range(first, first + count):
+                k = len(squares)
+                squares.append(
+                    {
+                        "k": k + 1,
+                        "tag": tags[k],
+                        "side": sides[k],
+                        "rank": m,
+                        "stage": stage,
+                        "covered_index": list(lex_unrank(rank, m, self.r).entries),
+                    }
+                )
+        # q passed the budget when this covering was built; do not refuse it now
+        groups, _, _ = fineness_schedule(self.r, self.s, budget=self.q)
         return {
             "fractal": self.fractal,
             "tau": self.tau,
@@ -280,8 +267,8 @@ class TaggedCovering:
             "s": self.s,
             "t": self.t,
             "q": self.q,
-            "squares": [sq.to_record() for sq in self.squares],
-            "groups": [g.to_record() for g in self.groups],
+            "squares": squares,
+            "groups": [g.to_record() for g in groups],
         }
 
 
@@ -308,9 +295,8 @@ def build_tagged_covering(
         )
     s = params.s  # validates the exact side relation
     r, alpha = params.r, params.alpha
-    t, _ = _stage_counts(r, s, budget)
+    t, q = _stage_counts(r, s, budget)
     geometry.check_level_budget(r, s + t, budget)
-    groups, t, q = fineness_schedule(r, s, budget)
     lv = geometry.levels(ifs, s + t, budget)
     if check_hbd:
         report = hbd_report(lv, params.gamma, params.rho, s + t)
@@ -318,25 +304,17 @@ def build_tagged_covering(
             fail = report.first_failure()
             raise ValueError(f"system fails dimension condition {fail.condition} at m={fail.m}")
 
-    # Square 1 covers rank 0 at resolution s. Stage j pops the next (r-1)
-    # pending rank-(s+1) parts, rank r + (j-1)(r-1) onwards, and covers their
-    # resolution-(s+j) descendants: one contiguous rank range.
-    spans = [(0, s, 0, 1)] + [
-        (j, s + j, (r + (j - 1) * (r - 1)) * r ** (j - 1), (r - 1) * r ** (j - 1))
-        for j in range(1, t + 1)
-    ]
-    squares: list[TaggedSquare] = []
-    for stage, m, first, count in spans:
-        k0 = len(squares) + 1
-        sides = [params.tau / (k * params.bigN) ** alpha for k in range(k0, k0 + count)]
-        if (lv[m].sides[first : first + count] > np.array(sides) + _S_TOL).any():
+    # Python's float pow, not numpy's: numpy may take a SIMD pow that rounds
+    # differently on some CPUs, and verify_form recomputes sides with it.
+    sides = np.array([params.tau / (k * params.bigN) ** alpha for k in range(1, q + 1)])
+    tags, k0 = [], 0
+    for stage, m, first, count in _stage_spans(r, s, t):
+        window = slice(first, first + count)
+        if (lv[m].sides[window] > sides[k0 : k0 + count] + _S_TOL).any():
             raise AssertionError(f"stage {stage} has a square smaller than its covered part")
-        corners = lv[m].corners[first : first + count].tolist()
-        squares.extend(
-            TaggedSquare(k0 + i, tuple(corner), side, lex_unrank(first + i, m, r), m, stage)
-            for i, (corner, side) in enumerate(zip(corners, sides))
-        )
-    assert len(squares) == q
+        tags.append(lv[m].corners[window])
+        k0 += count
+    assert k0 == q
 
     return TaggedCovering(
         fractal=ifs.name,
@@ -349,6 +327,6 @@ def build_tagged_covering(
         s=s,
         t=t,
         q=q,
-        squares=tuple(squares),
-        groups=tuple(groups),
+        tags=np.concatenate(tags),
+        sides=sides,
     )

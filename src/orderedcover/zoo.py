@@ -281,7 +281,7 @@ def holder_covering_family(
     return out
 
 
-IFS_NAMES = ("sierpinski", "hilbert-square", "koch", "minkowski")
+IFS_NAMES = ("sierpinski", "hilbert-square", "koch", "minkowski", "unit-interval", "gap-dust")
 
 
 def zoo_ifs(name: str) -> OrderedIFS:
@@ -291,6 +291,8 @@ def zoo_ifs(name: str) -> OrderedIFS:
         "hilbert-square": hilbert_square,
         "koch": koch_curve,
         "minkowski": minkowski_sausage,
+        "unit-interval": unit_interval,
+        "gap-dust": gap_dust,
     }
     if name not in registry:
         raise KeyError(name)
@@ -298,13 +300,15 @@ def zoo_ifs(name: str) -> OrderedIFS:
 
 
 def zoo_curve(name: str) -> CurveEvaluator:
-    """Look up a named curve evaluator ("holder-diag", "arrowhead-pseudo:<order>")."""
+    """Look up a named curve evaluator ("holder-diag", "<arrowhead|hilbert>-pseudo:<order>")."""
     if name == "holder-diag":
         return diagonal_curve()
     if name.startswith("arrowhead-pseudo:"):
         return arrowhead_pseudo(int(name.split(":", 1)[1]))
+    if name.startswith("hilbert-pseudo:"):
+        return hilbert_pseudo(int(name.split(":", 1)[1]))
     raise KeyError(name)
 
 
 def zoo_names() -> list[str]:
-    return list(IFS_NAMES) + ["holder-diag", "arrowhead-pseudo:<order>"]
+    return list(IFS_NAMES) + ["holder-diag", "arrowhead-pseudo:<order>", "hilbert-pseudo:<order>"]

@@ -77,10 +77,10 @@ def test_criterion_2_gasket_stage_one_covering():
     params = BuilderParams.from_stage(ifs, s=1, bigN=1, D=8.0 * ifs.rho)
     cov = build_tagged_covering(ifs, params)
     failures = []
-    if len(cov.squares) != 27:
-        failures.append(f"q = {len(cov.squares)} != 27")
+    if len(cov.sides) != 27:
+        failures.append(f"q = {len(cov.sides)} != 27")
     for j, k in enumerate((3, 9, 27), start=1):
-        side = cov.squares[k - 1].side
+        side = cov.sides[k - 1]
         expect = params.c ** (params.s + j) * params.rho
         if abs(side - expect) > 1e-12 * expect:
             failures.append(f"square {k} side off by {abs(side - expect):.2e}")
@@ -124,8 +124,8 @@ def test_criterion_3_pending_counts():
     ]
     for ifs, s, q_expect in builds:
         cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, s=s, bigN=1))
-        if len(cov.squares) != q_expect:
-            failures.append(f"{ifs.name} s={s}: built {len(cov.squares)} != {q_expect}")
+        if len(cov.tags) != q_expect:
+            failures.append(f"{ifs.name} s={s}: built {len(cov.tags)} != {q_expect}")
     _verdict(3, "pending-count schedule", not failures, "; ".join(failures))
     assert not failures
 

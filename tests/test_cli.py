@@ -167,3 +167,31 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["cover"])
     assert exc.value.code == 2
+
+
+def test_render_prints_no_negative_zero(tmp_path, capsys):
+    # square 12 of this covering has tag x = -1.4e-17, zero in exact arithmetic
+    out = tmp_path / "cov.svg"
+    assert main(["render", "--name", "hilbert-square", "--s", "1", "--out", str(out)]) == 0
+    svg = out.read_text()
+    assert "-0.000000" not in svg
+    assert 'x="0.000000"' in svg
+    capsys.readouterr()
+
+
+def test_line_and_dust_are_registered(capsys):
+    code, record, _ = run_json(capsys, ["cover", "verify", "--name", "unit-interval", "--s", "2"])
+    assert code == 0
+    assert record["record"]["q"] == 64
+    code, record, err = run_json(capsys, ["verify-hbd", "--name", "gap-dust", "--m", "4"])
+    assert code == 1
+    failed = [(c["condition"], c["m"]) for c in record["record"]["conditions"] if not c["pass"]]
+    assert failed[0] == ("iii", 2)
+    assert "condition (iii) m=2: FAIL" in err
+
+
+def test_hilbert_pseudo_curve_is_registered(capsys):
+    code, record, _ = run_json(capsys, ["zoo", "emit", "--name", "hilbert-pseudo:3", "--m", "2"])
+    assert code == 0
+    assert record["record"]["name"] == "hilbert-pseudo:3"
+    assert len(record["record"]["covering"]["parts"]) == 4

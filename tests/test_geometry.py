@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,16 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from orderedcover.geometry import (
     BudgetExceededError,
-    CoveringPart,
     InvalidIndexError,
     MultiIndex,
     OrderedIFS,
     Similarity,
     attractor_points,
-    box_contains,
-    boxes_intersect,
     compose_part,
-    iter_indices,
+    levels,
     lex_rank,
     lex_unrank,
     part_budget,
@@ -84,8 +82,8 @@ def test_lex_rank_roundtrip(arity, entries):
 
 
 def test_lex_rank_matches_tuple_order():
-    words = [idx.entries for idx in iter_indices(3, 3)]
-    assert words == sorted(words)
+    words = [lex_unrank(rank, 3, 3).entries for rank in range(27)]
+    assert words == sorted(words) == list(itertools.product((1, 2, 3), repeat=3))
     ranks = [lex_rank(MultiIndex(w, 3)) for w in words]
     assert ranks == list(range(27))
 
@@ -148,23 +146,6 @@ def test_attractor_points_stay_in_base_box():
         assert (pts >= lo - 1e-9).all() and (pts <= hi + 1e-9).all()
 
 
-def test_box_predicates():
-    a = CoveringPart(MultiIndex((1,), 2), (0.0, 0.0), 1.0, 1)
-    b = CoveringPart(MultiIndex((2,), 2), (1.0, 0.0), 1.0, 1)
-    c = CoveringPart(MultiIndex((2,), 2), (2.5, 0.0), 1.0, 1)
-    inner = CoveringPart(MultiIndex((1, 1), 2), (0.25, 0.25), 0.5, 2)
-    assert boxes_intersect(a, b)  # shared edge counts
-    assert not boxes_intersect(a, c)
-    assert box_contains(a, inner)
-    assert not box_contains(inner, a)
-
-
-def test_box_intersection_tolerance_covers_fp_gaps():
-    a = CoveringPart(MultiIndex((1,), 2), (0.0, 0.0), 1.0, 1)
-    shifted = CoveringPart(MultiIndex((2,), 2), (1.0 + 5e-10, 0.0), 1.0, 1)
-    assert boxes_intersect(a, shifted)
-
-
 def test_ifs_rejects_mixed_ratios():
     maps = (
         Similarity(0.5, 0.0, False, (0.0, 0.0)),
@@ -187,11 +168,13 @@ def test_ifs_rejects_escaping_maps():
 @settings(max_examples=10, deadline=None)
 def test_prefix_parts_contain_descendants(depth):
     ifs = sierpinski_gasket()
-    parts = resolution_covering(ifs, depth)
+    lv = levels(ifs, depth)
     if depth == 0:
-        assert len(parts) == 1
+        assert len(lv[0]) == 1
         return
-    parents = {p.index.entries: p for p in resolution_covering(ifs, depth - 1)}
-    for part in parts:
-        parent = parents[part.index.entries[:-1]]
-        assert box_contains(parent, part)
+    # the parent of rank k at resolution m is rank k // r at resolution m - 1
+    parent, child = lv[-2], lv[-1]
+    lo = np.repeat(parent.corners, ifs.r, axis=0)
+    hi = lo + np.repeat(parent.sides, ifs.r)[:, None]
+    assert (child.corners >= lo - 1e-9).all()
+    assert (child.corners + child.sides[:, None] <= hi + 1e-9).all()

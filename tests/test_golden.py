@@ -1,7 +1,9 @@
 """CLI and library records against reference records kept in tests/data.
 
-The references were written by the per-part implementation that the
-rank-indexed level arrays replaced, with the commands listed in each file.
+Each reference holds the command that wrote it. The cover-verify and dyn
+references were written by the per-square tagged covering that the tag and
+side arrays replaced; the others by the per-part implementation that the
+rank-indexed level arrays replaced.
 Apart from the manifest's wall_time_s and versions, records agree exactly,
 except floats: to 1e-12 relative, or to 1e-15 absolute for coordinates that
 are zero in exact arithmetic. The reference computed tagged-square corners
@@ -27,6 +29,8 @@ CLI_CASES = (
     "zoo_emit_koch_m2",
     "cover_build_sierpinski_s1",
     "verify_jump_hilbert_square_m4",
+    "cover_verify_hilbert_square_s1_seed0",
+    "dyn_sierpinski_plus_power_alpha0.5",
 )
 
 

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from orderedcover.geometry import MultiIndex
 from orderedcover.separation import (
     box_sup_distance,
     coverage_check,
-    enumeration_count,
     verify_form,
     verify_jump_lemma,
     verify_separation,
@@ -33,9 +31,9 @@ def test_form_is_exact_by_construction(gasket_cov):
 
 
 def test_form_detects_tampered_side(gasket_cov):
-    squares = list(gasket_cov.squares)
-    squares[4] = dataclasses.replace(squares[4], side=squares[4].side * 1.001)
-    broken = dataclasses.replace(gasket_cov, squares=tuple(squares))
+    sides = gasket_cov.sides.copy()
+    sides[4] *= 1.001
+    broken = dataclasses.replace(gasket_cov, sides=sides)
     report = verify_form(broken)
     assert not report.passed
     assert report.first_bad_k == 5
@@ -103,17 +101,6 @@ def test_three_stage_line_covers_its_attractor():
     pts = attractor_points(line, min(cov.s + cov.t + 2, 10))
     assert len(pts) == 2**10
     assert coverage_check(cov, pts)
-
-
-def test_enumeration_count_is_rank_gap():
-    j = MultiIndex((1, 1), 3)
-    l = MultiIndex((1, 3), 3)
-    assert enumeration_count(j, l) == 2
-    assert enumeration_count(j, j) == 0
-    with pytest.raises(ValueError):
-        enumeration_count(MultiIndex((1,), 3), l)
-    with pytest.raises(ValueError):
-        enumeration_count(l, j)
 
 
 @pytest.mark.parametrize(

@@ -98,7 +98,7 @@ def test_gasket_covering_index_assignment():
     ifs = sierpinski_gasket()
     cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
     assert cov.q == 27 and cov.t == 3
-    by_k = {sq.k: sq.covered_index.entries for sq in cov.squares}
+    by_k = {sq["k"]: tuple(sq["covered_index"]) for sq in cov.to_record()["squares"]}
     assert by_k[1] == (1,)
     assert by_k[2] == (2, 1)
     assert by_k[3] == (2, 2)
@@ -112,30 +112,32 @@ def test_gasket_covering_sides_and_stage_ends():
     ifs = sierpinski_gasket()
     cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
     alpha = cov.alpha
-    for sq in cov.squares:
-        assert sq.side == pytest.approx(cov.tau / (sq.k * cov.bigN) ** alpha, rel=1e-14)
+    for k, side in enumerate(cov.sides, start=1):
+        assert side == pytest.approx(cov.tau / (k * cov.bigN) ** alpha, rel=1e-14)
     for j, k in ((1, 3), (2, 9), (3, 27)):
-        assert cov.squares[k - 1].side == pytest.approx(cov.c ** (1 + j) * cov.rho, abs=1e-12)
+        assert cov.sides[k - 1] == pytest.approx(cov.c ** (1 + j) * cov.rho, abs=1e-12)
 
 
 def test_tags_are_part_corners():
     ifs = sierpinski_gasket()
     cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
-    for sq in cov.squares[::4]:
-        part = compose_part(ifs, sq.covered_index)
-        assert np.allclose(sq.tag, part.corner, atol=1e-12)
-        assert part.side <= sq.side + 1e-9
+    for sq in cov.to_record()["squares"][::4]:
+        part = compose_part(ifs, MultiIndex(tuple(sq["covered_index"]), ifs.r))
+        assert np.allclose(sq["tag"], part.corner, atol=1e-12)
+        assert np.array_equal(sq["tag"], cov.tags[sq["k"] - 1])
+        assert part.side <= sq["side"] + 1e-9
 
 
 def test_squares_contain_their_parts():
     ifs = hilbert_square()
     cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
     assert cov.q == 256
-    for sq in cov.squares[::17]:
-        part = compose_part(ifs, sq.covered_index)
+    for sq in cov.to_record()["squares"][::17]:
+        part = compose_part(ifs, MultiIndex(tuple(sq["covered_index"]), ifs.r))
         lo, hi = part.box()
-        assert (lo >= np.asarray(sq.tag) - 1e-12).all()
-        assert (hi <= np.asarray(sq.tag) + sq.side + 1e-12).all()
+        tag, side = cov.tags[sq["k"] - 1], cov.sides[sq["k"] - 1]
+        assert (lo >= tag - 1e-12).all()
+        assert (hi <= tag + side + 1e-12).all()
 
 
 def test_minkowski_stage_one_exceeds_budget():
@@ -160,8 +162,8 @@ def test_unit_interval_two_stage_covering():
     line = unit_interval()
     cov = build_tagged_covering(line, BuilderParams.from_stage(line, 2, 1))
     assert cov.q == 64 and cov.t == 6
-    assert cov.squares[0].side == pytest.approx(0.25)
-    assert cov.squares[-1].side == pytest.approx(0.25 / 64.0)
+    assert cov.sides[0] == pytest.approx(0.25)
+    assert cov.sides[-1] == pytest.approx(0.25 / 64.0)
 
 
 def test_builder_rejects_small_D():
@@ -186,9 +188,9 @@ def test_affine_scaling_preserves_schedule():
     assert scaled.tau == pytest.approx(0.01 * cov.tau)
     assert scaled.D == pytest.approx(0.01 * cov.D)
     alpha = scaled.alpha
-    for sq in scaled.squares:
-        assert sq.side == pytest.approx(scaled.tau / (sq.k * scaled.bigN) ** alpha, rel=1e-12)
-    assert np.allclose(scaled.tags(), 1.0 + 0.01 * cov.tags(), atol=1e-12)
+    for k, side in enumerate(scaled.sides, start=1):
+        assert side == pytest.approx(scaled.tau / (k * scaled.bigN) ** alpha, rel=1e-12)
+    assert np.allclose(scaled.tags, 1.0 + 0.01 * cov.tags, atol=1e-12)
 
 
 def test_covering_record_is_json_ready():
@@ -201,3 +203,12 @@ def test_covering_record_is_json_ready():
     assert '"q": 27' in text
     assert len(record["squares"]) == 27
     assert record["groups"][0]["rank"] == 1
+
+
+def test_record_of_a_built_covering_is_never_refused(monkeypatch):
+    # the record rebuilds the fineness groups; a budget lowered after the
+    # build must not refuse a covering that already exists
+    ifs = sierpinski_gasket()
+    cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
+    monkeypatch.setenv("HBD_COVER_BUDGET", "10")
+    assert len(cov.to_record()["groups"]) == len(fineness_schedule(3, 1, budget=27)[0])
