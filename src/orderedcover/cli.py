@@ -46,28 +46,6 @@ SCHEMA = "ordered-cover/1"
 # record plumbing
 
 
-def _manifest(command: str, seed: int | None, parameters: dict, wall_time_s: float) -> dict:
-    return {
-        "command": command,
-        "seed": seed,
-        "parameters": parameters,
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "orderedcover": __version__,
-        },
-        "wall_time_s": wall_time_s,
-    }
-
-
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-        return
-    _atomic_write(out, text)
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
@@ -92,6 +70,55 @@ def _params_of(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
 
 def _fail(message: str, code: int = 1) -> int:
     print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+class _UsageError(Exception):
+    """A bad option value; the command exits 2."""
+
+
+def _run(
+    args: argparse.Namespace,
+    command: str,
+    keys: tuple[str, ...],
+    body,
+    names: list[str],
+    errors: tuple[type[Exception], ...] = (BudgetExceededError,),
+    seed: int | None = None,
+) -> int:
+    """Emit the record of body() -> (record, exit code, stderr lines).
+
+    An unknown zoo name (KeyError, listed against ``names``) and a usage
+    error exit 2; ``errors`` exit 1 with their message.
+    """
+    t0 = time.perf_counter()
+    try:
+        body_record, code, notes = body()
+    except KeyError:
+        return _fail(f"unknown zoo name {args.name!r}; known: {', '.join(names)}", 2)
+    except _UsageError as exc:
+        return _fail(str(exc), 2)
+    except errors as exc:
+        return _fail(str(exc))
+    manifest = {
+        "command": command,
+        "seed": seed,
+        "parameters": _params_of(args, keys),
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "orderedcover": __version__,
+        },
+        "wall_time_s": time.perf_counter() - t0,
+    }
+    payload = {"schema": SCHEMA, "record": body_record, "manifest": manifest}
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        _atomic_write(args.out, text)
+    for note in notes:
+        print(note, file=sys.stderr)
     return code
 
 
@@ -120,25 +147,8 @@ def _ifs_record(ifs: OrderedIFS) -> dict:
 
 
 def cmd_zoo_emit(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    try:
-        body = _zoo_body(args)
-    except KeyError:
-        return _fail(f"unknown zoo name {args.name!r}; known: {', '.join(zoo_names())}", 2)
-    except BudgetExceededError as exc:
-        return _fail(str(exc))
-    record = {
-        "schema": SCHEMA,
-        "record": body,
-        "manifest": _manifest(
-            "zoo emit",
-            None,
-            _params_of(args, ("name", "m", "budget")),
-            time.perf_counter() - t0,
-        ),
-    }
-    _emit(record, args.out)
-    return 0
+    body = lambda: (_zoo_body(args), 0, [])
+    return _run(args, "zoo emit", ("name", "m", "budget"), body, zoo_names())
 
 
 def _zoo_body(args: argparse.Namespace) -> dict:
@@ -174,8 +184,7 @@ def _zoo_body(args: argparse.Namespace) -> dict:
 
 
 def cmd_verify_hbd(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    try:
+    def body() -> tuple:
         if args.name in IFS_NAMES:
             ifs = zoo_ifs(args.name)
             gamma = args.gamma if args.gamma is not None else ifs.gamma
@@ -187,25 +196,14 @@ def cmd_verify_hbd(args: argparse.Namespace) -> int:
             rho = args.rho if args.rho is not None else curve.holder_rho
             coverings = holder_covering_family(curve, args.m)
             report = hbd_report(coverings, gamma, rho, args.m, name=curve.name)
-    except KeyError:
-        return _fail(f"unknown zoo name {args.name!r}; known: {', '.join(zoo_names())}", 2)
-    except BudgetExceededError as exc:
-        return _fail(str(exc))
-    record = {
-        "schema": SCHEMA,
-        "record": report.to_record(),
-        "manifest": _manifest(
-            "verify-hbd",
-            None,
-            _params_of(args, ("name", "m", "gamma", "rho", "budget")),
-            time.perf_counter() - t0,
-        ),
-    }
-    _emit(record, args.out)
-    for cond in report.conditions:
-        status = "PASS" if cond.passed else "FAIL"
-        print(f"condition ({cond.condition}) m={cond.m}: {status}", file=sys.stderr)
-    return 0 if report.passed else 1
+        notes = [
+            f"condition ({c.condition}) m={c.m}: {'PASS' if c.passed else 'FAIL'}"
+            for c in report.conditions
+        ]
+        return report.to_record(), 0 if report.passed else 1, notes
+
+    keys = ("name", "m", "gamma", "rho", "budget")
+    return _run(args, "verify-hbd", keys, body, zoo_names())
 
 
 # ---------------------------------------------------------------------------
@@ -230,71 +228,44 @@ def _build_for_args(args: argparse.Namespace) -> tuple:
     return ifs, cov, normalized
 
 
+_COVER_KEYS = ("name", "tau", "bigN", "D", "s", "budget")
+
+
 def cmd_cover_build(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    try:
-        ifs, cov, normalized = _build_for_args(args)
-    except KeyError:
-        return _fail(f"unknown zoo name {args.name!r}; known: {', '.join(IFS_NAMES)}", 2)
-    except (BudgetExceededError, ValueError) as exc:
-        return _fail(str(exc))
-    body = cov.to_record()
-    if normalized is not None:
-        body["normalized"] = normalized
-    record = {
-        "schema": SCHEMA,
-        "record": body,
-        "manifest": _manifest(
-            "cover build",
-            None,
-            _params_of(args, ("name", "tau", "bigN", "D", "s", "budget")),
-            time.perf_counter() - t0,
-        ),
-    }
-    _emit(record, args.out)
-    return 0
+    def body() -> tuple:
+        _, cov, normalized = _build_for_args(args)
+        record = cov.to_record()
+        if normalized is not None:
+            record["normalized"] = normalized
+        return record, 0, []
+
+    errors = (BudgetExceededError, ValueError)
+    return _run(args, "cover build", _COVER_KEYS, body, IFS_NAMES, errors)
 
 
 def cmd_cover_verify(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    try:
+    def body() -> tuple:
         ifs, cov, _ = _build_for_args(args)
-    except KeyError:
-        return _fail(f"unknown zoo name {args.name!r}; known: {', '.join(IFS_NAMES)}", 2)
-    except (BudgetExceededError, ValueError) as exc:
-        return _fail(str(exc))
-    form = verify_form(cov)
-    sep = verify_separation(cov, seed=args.seed)
-    depth = min(cov.s + cov.t + 2, 10)
-    points = attractor_points(ifs, depth, budget=args.budget)
-    covered = coverage_check(cov, points)
-    checks = {
-        "form": form.passed,
-        "coverage": bool(covered),
-        "separation": sep.passed,
-    }
-    body = {
-        "fractal": cov.fractal,
-        "q": cov.q,
-        "checks": checks,
-        "form": form.to_record(),
-        "separation": sep.to_record(),
-        "coverage_points": int(len(points)),
-    }
-    record = {
-        "schema": SCHEMA,
-        "record": body,
-        "manifest": _manifest(
-            "cover verify",
-            args.seed,
-            _params_of(args, ("name", "tau", "bigN", "D", "s", "seed", "budget")),
-            time.perf_counter() - t0,
-        ),
-    }
-    _emit(record, args.out)
-    for key, ok in checks.items():
-        print(f"{key}: {'PASS' if ok else 'FAIL'}", file=sys.stderr)
-    return 0 if all(checks.values()) else 1
+        form = verify_form(cov)
+        sep = verify_separation(cov, seed=args.seed)
+        depth = min(cov.s + cov.t + 2, 10)
+        points = attractor_points(ifs, depth, budget=args.budget)
+        covered = coverage_check(cov, points)
+        checks = {"form": form.passed, "coverage": bool(covered), "separation": sep.passed}
+        record = {
+            "fractal": cov.fractal,
+            "q": cov.q,
+            "checks": checks,
+            "form": form.to_record(),
+            "separation": sep.to_record(),
+            "coverage_points": int(len(points)),
+        }
+        notes = [f"{key}: {'PASS' if ok else 'FAIL'}" for key, ok in checks.items()]
+        return record, 0 if all(checks.values()) else 1, notes
+
+    keys = ("name", "tau", "bigN", "D", "s", "seed", "budget")
+    errors = (BudgetExceededError, ValueError)
+    return _run(args, "cover verify", keys, body, IFS_NAMES, errors, args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -302,44 +273,25 @@ def cmd_cover_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_dyn(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    try:
+    def body() -> tuple:
         ifs = zoo_ifs(args.name)
-    except KeyError:
-        return _fail(f"unknown zoo name {args.name!r}; known: {', '.join(IFS_NAMES)}", 2)
-    try:
-        fam = weight_family(args.family, args.alpha)
-    except (KeyError, ValueError) as exc:
-        return _fail(str(exc), 2)
-    interval = tuple(args.interval)
-    try:
+        try:
+            fam = weight_family(args.family, args.alpha)
+        except (KeyError, ValueError) as exc:
+            raise _UsageError(str(exc)) from exc
+        s = args.s if args.s is not None else 1
         report = run_dynamics_experiment(
-            ifs,
-            fam,
-            interval=interval,
-            eta=args.eta,
-            s=args.s if args.s is not None else 1,
-            budget=args.budget,
+            ifs, fam, interval=tuple(args.interval), eta=args.eta, s=s, budget=args.budget
         )
-    except (ValueError, RuntimeError, BudgetExceededError) as exc:
-        return _fail(str(exc))
-    record = {
-        "schema": SCHEMA,
-        "record": report.to_record(),
-        "manifest": _manifest(
-            "dyn",
-            args.seed,
-            _params_of(args, ("name", "family", "alpha", "interval", "eta", "s", "seed", "budget")),
-            time.perf_counter() - t0,
-        ),
-    }
-    _emit(record, args.out)
-    print(
-        f"universality worst={report.universality.worst_error:.6f} "
-        f"bound={3 * args.eta:.6f}: {'PASS' if report.passed else 'FAIL'}",
-        file=sys.stderr,
-    )
-    return 0 if report.passed else 1
+        note = (
+            f"universality worst={report.universality.worst_error:.6f} "
+            f"bound={3 * args.eta:.6f}: {'PASS' if report.passed else 'FAIL'}"
+        )
+        return report.to_record(), 0 if report.passed else 1, [note]
+
+    keys = ("name", "family", "alpha", "interval", "eta", "s", "seed", "budget")
+    errors = (ValueError, RuntimeError, BudgetExceededError)
+    return _run(args, "dyn", keys, body, IFS_NAMES, errors, args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -495,30 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify_jump(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    try:
-        ifs = zoo_ifs(args.name)
-    except KeyError:
-        return _fail(f"unknown zoo name {args.name!r}; known: {', '.join(IFS_NAMES)}", 2)
-    try:
+    def body() -> tuple:
         report = verify_jump_lemma(
-            ifs, args.m, gamma=args.gamma, rho=args.rho, budget=args.budget
+            zoo_ifs(args.name), args.m, gamma=args.gamma, rho=args.rho, budget=args.budget
         )
-    except BudgetExceededError as exc:
-        return _fail(str(exc))
-    record = {
-        "schema": SCHEMA,
-        "record": report.to_record(),
-        "manifest": _manifest(
-            "verify-jump",
-            None,
-            _params_of(args, ("name", "m", "gamma", "rho", "budget")),
-            time.perf_counter() - t0,
-        ),
-    }
-    _emit(record, args.out)
-    print(f"jump m={args.m}: {'PASS' if report.passed else 'FAIL'}", file=sys.stderr)
-    return 0 if report.passed else 1
+        status = "PASS" if report.passed else "FAIL"
+        return report.to_record(), 0 if report.passed else 1, [f"jump m={args.m}: {status}"]
+
+    keys = ("name", "m", "gamma", "rho", "budget")
+    return _run(args, "verify-jump", keys, body, IFS_NAMES)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -120,12 +120,6 @@ class MultiIndex:
     def length(self) -> int:
         return len(self.entries)
 
-    def child(self, j: int) -> "MultiIndex":
-        return MultiIndex(self.entries + (j,), self.arity)
-
-    def prefix(self, length: int) -> "MultiIndex":
-        return MultiIndex(self.entries[:length], self.arity)
-
 
 def lex_rank(index: MultiIndex) -> int:
     """Position of the index in the lexicographic order of its length class.

@@ -26,6 +26,8 @@ from .tagging import BuilderParams, TaggedCovering, build_tagged_covering
 from .separation import verify_separation
 
 NEG_INF = float("-inf")
+# Rows (tags, sample points) or table columns per array block: bounds temporaries.
+_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +91,8 @@ class WeightFamily:
     alpha is the growth exponent; C0 certifies |f(x,n) - f(y,n)| <=
     C0 n^alpha |x - y| on the documented interval, C1/C2 certify
     w_1...w_n >= C1 exp(C2 n^alpha) there (defaults documented for [1, 2]).
-    log_products(x, n_max) returns the table [f(x, 0), ..., f(x, n_max)].
+    log_products(x, n_max) returns the table [f(x, 0), ..., f(x, n_max)], or
+    for a 1-d array of x one such row per x.
     """
 
     name: str
@@ -97,12 +100,7 @@ class WeightFamily:
     C0: float
     C1: float
     C2: float
-    log_products: Callable[[float, int], np.ndarray]
-
-    def f(self, x: float, n: int) -> float:
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        return float(self.log_products(x, n)[n])
+    log_products: Callable[[float | np.ndarray, int], np.ndarray]
 
     def weight(self, x: float, n: int) -> float:
         if n < 1:
@@ -114,8 +112,8 @@ class WeightFamily:
 def rolewicz_family() -> WeightFamily:
     """Constant weights e^x: f(x, n) = x n (the classical scalar multiple)."""
 
-    def table(x: float, n_max: int) -> np.ndarray:
-        return x * np.arange(n_max + 1, dtype=float)
+    def table(x: float | np.ndarray, n_max: int) -> np.ndarray:
+        return np.asarray(x, dtype=float)[..., None] * np.arange(n_max + 1, dtype=float)
 
     return WeightFamily("rolewicz", 1.0, 1.0, 1.0, 1.0, table)
 
@@ -125,8 +123,8 @@ def power_family(alpha: float) -> WeightFamily:
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
 
-    def table(x: float, n_max: int) -> np.ndarray:
-        return x * np.arange(n_max + 1, dtype=float) ** alpha
+    def table(x: float | np.ndarray, n_max: int) -> np.ndarray:
+        return np.asarray(x, dtype=float)[..., None] * np.arange(n_max + 1, dtype=float) ** alpha
 
     return WeightFamily(f"power:{alpha}", alpha, 1.0, 1.0, 1.0, table)
 
@@ -136,12 +134,12 @@ def plus_power_family(alpha: float) -> WeightFamily:
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
 
-    def table(x: float, n_max: int) -> np.ndarray:
-        if n_max == 0:
-            return np.zeros(1)
-        ks = np.arange(1, n_max + 1, dtype=float)
-        increments = np.log1p(x / ks ** (1.0 - alpha))
-        return np.concatenate([[0.0], np.cumsum(increments)])
+    def table(x: float | np.ndarray, n_max: int) -> np.ndarray:
+        x = np.asarray(x, dtype=float)[..., None]
+        out = np.zeros(x.shape[:-1] + (n_max + 1,))
+        increments = x / np.arange(1, n_max + 1, dtype=float) ** (1.0 - alpha)
+        np.cumsum(np.log1p(increments, out=increments), axis=-1, out=out[..., 1:])
+        return out
 
     return WeightFamily(f"plus-power:{alpha}", alpha, 1.0 / alpha, 1.0, alpha, table)
 
@@ -219,9 +217,6 @@ class FiniteVector:
     def support_max(self) -> int:
         nz = np.nonzero(self.sign != 0.0)[1]
         return int(nz.max()) if nz.size else -1
-
-    def max_abs(self) -> float:
-        return float(np.exp(self.logmag.max()))
 
     def plus(self, other: "FiniteVector") -> "FiniteVector":
         sign, logmag = slog_add(self.sign, self.logmag, other.sign, other.logmag)
@@ -354,20 +349,19 @@ def check_cs2_lipschitz(
     rng = np.random.default_rng(seed)
     extra = a + (b - a) * rng.random(extra_pairs)
     xs.extend(float(v) for v in extra)
-    xs = sorted(set(xs))
-    tables = np.stack([fam.log_products(x, n_max) for x in xs])
-    ns = np.arange(1, n_max + 1, dtype=float)
-    scale = ns**fam.alpha
+    xs = np.array(sorted(set(xs)))
+    tables = fam.log_products(xs, n_max)[:, 1:]
+    scale = np.arange(1, n_max + 1, dtype=float) ** fam.alpha
     measured = 0.0
     count = 0
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            gap = xs[j] - xs[i]
-            if gap < 1e-3:
-                continue
-            count += 1
-            ratios = np.abs(tables[j][1:] - tables[i][1:]) / (scale * gap)
-            measured = max(measured, float(ratios.max()))
+    for i in range(len(xs) - 1):
+        gaps = xs[i + 1 :] - xs[i]
+        j = i + 1 + int(np.searchsorted(gaps, 1e-3))  # gaps grow: rows j.. qualify
+        count += len(xs) - j
+        for c in range(0, n_max, _BLOCK):  # column blocks keep temporaries small
+            ratios = np.abs(tables[j:, c : c + _BLOCK] - tables[i, c : c + _BLOCK])
+            ratios /= scale[c : c + _BLOCK] * gaps[j - i - 1 :, None]
+            measured = max(measured, float(ratios.max(initial=0.0)))
     return CS2Report(
         family=fam.name,
         measured=measured,
@@ -376,6 +370,14 @@ def check_cs2_lipschitz(
         samples=count,
         passed=measured <= fam.C0 * (1.0 + rtol),
     )
+
+
+def _pow(base, exponent: float):
+    """base ** exponent by Python's float pow, elementwise over a 1-d array: numpy's
+    ``**`` picks a vector kernel by CPU, and its last bit may differ from machine to machine."""
+    if np.ndim(base) == 0:
+        return base**exponent
+    return np.fromiter((v**exponent for v in base.tolist()), float, len(base))
 
 
 def cs1_envelope_closed_form(
@@ -391,7 +393,7 @@ def cs1_envelope_closed_form(
     D n (k/(n+k))^alpha_g - a k, increasing in n. With alpha_g = 1 the
     n -> infinity limit (D - a) k exists; otherwise a finite horizon
     n <= horizon is required (the exponent pairing is then only
-    finite-range summable).
+    finite-range summable). The envelope takes an int or an int array of k.
     """
     a = interval[0]
     log_m = math.log(max_abs) if max_abs > 0 else NEG_INF
@@ -399,17 +401,52 @@ def cs1_envelope_closed_form(
         if abs(alpha_g - 1.0) > 1e-12:
             raise ValueError("infinite-horizon closed form needs alpha_g = 1")
 
-        def env(k: float) -> float:
+        def env(k):
             return (D - a) * k + log_m
 
         return env
 
     n_star = float(horizon)
 
-    def env(k: float) -> float:
-        return D * n_star * (k / (n_star + k)) ** alpha_g - a * k + log_m
+    def env(k):
+        return D * n_star * _pow(k / (n_star + k), alpha_g) - a * k + log_m
 
     return env
+
+
+def _generic_envelopes(
+    fam: WeightFamily,
+    interval: tuple[float, float],
+    support_max: int,
+    max_abs: float,
+    num_x: int = 17,
+    table_len: int = 20000,
+) -> Callable[[float], Callable[[float], float]]:
+    """D -> the cs1_envelope_generic envelope. The x-grid tables are reduced once to
+    the gain floor, min over x and l <= L of f(x, k+l) - f(x, l), kept with k^alpha."""
+    a, b = interval
+    L = support_max
+    floor = np.full(table_len + 1, np.inf)
+    for x in np.linspace(a, b, num_x):
+        row = fam.log_products(float(x), table_len + L)
+        for l in range(L + 1):
+            np.minimum(floor, row[l : l + table_len + 1] - row[l], out=floor)
+    k_alpha = np.fromiter((k**fam.alpha for k in range(table_len + 1)), float, table_len + 1)
+    log_size = math.log((L + 1) * (max_abs + 1.0))
+
+    def envelope(D: float) -> Callable[[float], float]:
+        prefactor = log_size + 2.0 * fam.C0 * D * L**fam.alpha
+
+        def env(k):
+            ki = np.asarray(k).astype(int)
+            if ki.max() > table_len:
+                raise ValueError(f"envelope table too short for k={ki.max()}")
+            out = prefactor + 2.0 * fam.C0 * D * k_alpha[ki] - floor[ki]
+            return out if ki.ndim else float(out)
+
+        return env
+
+    return envelope
 
 
 def cs1_envelope_generic(
@@ -426,22 +463,9 @@ def cs1_envelope_generic(
     log c_k = log((L+1)(M+1)) + 2 C0 D (L^alpha + k^alpha)
               - min over l <= L, x in I of (f(x, l+k) - f(x, l)).
     Valid for any shift count when fam.alpha <= the geometric exponent
-    used to form D's premise.
+    used to form D's premise. The envelope takes an int or an int array of k.
     """
-    a, b = interval
-    L = support_max
-    xs = np.linspace(a, b, num_x)
-    tables = np.stack([fam.log_products(float(x), table_len + L) for x in xs])
-    prefactor = math.log((L + 1) * (max_abs + 1.0)) + 2.0 * fam.C0 * D * L**fam.alpha
-
-    def env(k: float) -> float:
-        ki = int(k)
-        if ki > table_len:
-            raise ValueError(f"envelope table too short for k={ki}")
-        gains = tables[:, ki : ki + L + 1] - tables[:, 0 : L + 1]
-        return prefactor + 2.0 * fam.C0 * D * k**fam.alpha - float(gains.min())
-
-    return env
+    return _generic_envelopes(fam, interval, support_max, max_abs, num_x, table_len)(D)
 
 
 @dataclass(frozen=True)
@@ -468,31 +492,6 @@ class CS1Report:
             "tail_sums": self.tail_sums,
             "pass": self.passed,
         }
-
-
-def measured_shift_bound(
-    fam: WeightFamily,
-    x: float,
-    y: float,
-    n: int,
-    k: int,
-    ls: Sequence[int],
-    second_family: bool = False,
-) -> float:
-    """log ||T^n_x S^(n+k)_y e_l|| (or T^(n+k)_x S^n_y e_l) maximized over ls."""
-    top = max(ls) + n + k
-    tx = fam.log_products(x, top)
-    ty = fam.log_products(y, top)
-    best = NEG_INF
-    for l in ls:
-        if second_family:
-            if l < k:
-                continue
-            val = tx[l + n] - tx[l - k] - ty[l + n] + ty[l]
-        else:
-            val = tx[l + n + k] - tx[l + k] - ty[l + n + k] + ty[l]
-        best = max(best, float(val))
-    return best
 
 
 def check_cs1_bounds(
@@ -646,9 +645,30 @@ def build_common_vector(
         )
     params = tag_params(cov, cfg.d)
     _check_in_interval(params, cfg.interval)
+    # S^(iN) v_t is v_t moved to iN + supp, scaled by e^-(f(x, l+iN) - f(x, l))
+    supp = np.flatnonzero((vt.sign != 0.0).any(axis=0))
+    ns = np.arange(1, cov.q + 1) * cfg.bigN
+    w = np.empty((cov.q, cfg.d, len(supp)))
+    for lo in range(0, cov.q, _BLOCK):
+        lam, n = params[lo : lo + _BLOCK], ns[lo : lo + _BLOCK, None, None]
+        top = int(n.max()) + max(vt.support_max(), 0)
+        tab = fam.log_products(lam.ravel(), top).reshape(*lam.shape, -1)
+        w[lo : lo + _BLOCK] = np.take_along_axis(tab, n + supp, 2) - tab[..., supp]
+    cols = (ns[:, None] + supp).ravel()
+    add_sign = np.tile(vt.sign[:, supp], cov.q)
+    add_logmag = (vt.logmag[:, supp] - w).transpose(1, 0, 2).reshape(cfg.d, -1)
+    # Terms meeting at one coordinate are added in order of i: round r adds
+    # the r-th term at every coordinate that has one.
+    order = np.argsort(cols, kind="stable")
+    rank = np.empty_like(cols)
+    rank[order] = np.arange(cols.size) - np.searchsorted(cols[order], cols[order])
     u = u0.copy()
-    for i, lam in enumerate(params, start=1):
-        u = u.plus(product_apply(fam, lam, i * cfg.bigN, vt, "forward"))
+    for r in range(int(rank.max(initial=-1)) + 1):
+        at = rank == r
+        c = cols[at]
+        u.sign[:, c], u.logmag[:, c] = slog_add(
+            u.sign[:, c], u.logmag[:, c], add_sign[:, at], add_logmag[:, at]
+        )
     certificate: dict = {"measured_diff": u.minus(u0).norm()}
     if envelope is not None:
         certificate["envelope_sum"] = float(
@@ -657,29 +677,20 @@ def build_common_vector(
     return u, certificate
 
 
+# Tag, corners, edge midpoints, center and two interior quarter points, in sides.
+_BOX_OFFSETS = np.array(
+    [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0], [1, 0.5], [0.5, 1], [0, 0.5], [0.5, 0.5]]
+    + [[0.25, 0.25], [0.75, 0.75]]
+)
+
+
 def box_sample_points(tag: np.ndarray, side: float, extra: np.ndarray | None = None) -> np.ndarray:
     """Tag, corners, edge midpoints, center, two interior quarter points of
     the square [tag, tag + side]^2, plus any extras landing inside it."""
-    x, y = tag
-    s = side
-    pts = [
-        (x, y),
-        (x + s, y),
-        (x + s, y + s),
-        (x, y + s),
-        (x + s / 2.0, y),
-        (x + s, y + s / 2.0),
-        (x + s / 2.0, y + s),
-        (x, y + s / 2.0),
-        (x + s / 2.0, y + s / 2.0),
-        (x + s / 4.0, y + s / 4.0),
-        (x + 3.0 * s / 4.0, y + 3.0 * s / 4.0),
-    ]
-    out = np.asarray(pts)
+    lo = np.asarray(tag, dtype=float)
+    out = lo + side * _BOX_OFFSETS
     if extra is not None and len(extra):
-        lo = np.array([x, y])
-        hi = lo + s
-        inside = ((extra >= lo - 1e-12) & (extra <= hi + 1e-12)).all(axis=1)
+        inside = ((extra >= lo - 1e-12) & (extra <= lo + side + 1e-12)).all(axis=1)
         out = np.concatenate([out, extra[inside]])
     return out
 
@@ -708,6 +719,45 @@ class UniversalityReport:
         }
 
 
+def _box_errors(
+    u: FiniteVector, fam: WeightFamily, n: int, lam: np.ndarray, vt: FiniteVector
+) -> np.ndarray:
+    """||T^n_lambda u - v_t|| for every row lambda of lam (P, d), by blocks of rows.
+
+    Only u's nonzero coordinates minus n and v_t's support (with coordinate 0,
+    so no row is empty) can be nonzero. They take the elementwise steps of
+    product_apply(...).minus(vt), so sup-norm errors are bitwise the same.
+    """
+    src = np.flatnonzero((u.sign != 0.0).any(axis=0))
+    src = src[src >= n]
+    v_cols = np.union1d(np.flatnonzero((vt.sign != 0.0).any(axis=0)), [0])
+    v_src = np.minimum(v_cols + n, u.L)
+    v_in = v_cols + n <= u.L
+    u_sign = np.where(v_in, u.sign[:, v_src], 0.0)
+    u_logmag = np.where(v_in, u.logmag[:, v_src], NEG_INF)
+    on_v = np.isin(src - n, v_cols)
+    top = int(max(src.max(initial=0), v_src.max()))
+    out = []
+    for lo in range(0, len(lam), _BLOCK):
+        x = lam[lo : lo + _BLOCK]
+        tab = fam.log_products(x.ravel(), top).reshape(*x.shape, -1)
+        near = u_logmag + (np.take(tab, v_src, axis=2) - np.take(tab, v_cols, axis=2))
+        _, near = slog_add(u_sign, near, -vt.sign[:, v_cols], vt.logmag[:, v_cols])
+        shifted = np.take(tab, src, axis=2)
+        shifted -= np.take(tab, src - n, axis=2)
+        del tab
+        shifted += u.logmag[:, src]
+        shifted[..., on_v] = NEG_INF  # the difference with v_t is in near
+        if u.norm_kind == "sup":
+            log_norm = np.maximum(shifted.max(axis=(1, 2), initial=NEG_INF), near.max(axis=(1, 2)))
+        else:
+            p = float(u.norm_kind)
+            both = np.concatenate([shifted, near], axis=2)
+            log_norm = (logsumexp(p * both, axis=2) / p).max(axis=1)
+        out.extend(math.exp(v) for v in log_norm.tolist())
+    return np.array(out)
+
+
 def verify_universality(
     u: FiniteVector,
     cov: TaggedCovering,
@@ -725,12 +775,12 @@ def verify_universality(
     for i, (tag, side) in enumerate(zip(cov.tags, cov.sides), start=1):
         pts = box_sample_points(tag, side, attractor_samples)
         min_per_box = len(pts) if min_per_box is None else min(min_per_box, len(pts))
-        for p in pts:
-            lam = tuple(float(c) for c in p[: cfg.d])
-            err = product_apply(fam, lam, i * cfg.bigN, u, "backward").minus(vt).norm()
-            total += 1
-            if err > worst:
-                worst, worst_box, worst_lambda = err, i, lam
+        total += len(pts)
+        errs = _box_errors(u, fam, i * cfg.bigN, pts[:, : cfg.d], vt)
+        j = int(np.argmax(errs))
+        if errs[j] > worst:
+            worst, worst_box = float(errs[j]), i
+            worst_lambda = tuple(float(c) for c in pts[j, : cfg.d])
     return UniversalityReport(
         eta=cfg.eta,
         q=cov.q,
@@ -784,13 +834,28 @@ class DynamicsReport:
 
 
 def _envelope_tail(envelope: Callable[[float], float], start: int, stop: int = 20000) -> float:
-    total = 0.0
-    for k in range(start, stop + 1):
-        term = math.exp(envelope(k))
-        total += term
-        if term < 1e-18 and k > start + 10:
-            break
-    return total
+    """sum of e^envelope(k), k = start, start+1, ..., up to the first term below
+    1e-18 past start + 10, added in order. Logs come in blocks of doubling length;
+    exp is monotone, so math.exp decides only logs within 1e-9 of log(1e-18).
+    With no such term by stop, or a term past the float range, the tail is inf.
+    """
+    cut = math.log(1e-18)
+    logs, lo, size = [], start, 64
+    while lo <= stop:
+        ks = np.arange(lo, min(lo + size, stop + 1))
+        logs.append(envelope(ks))
+        near = np.flatnonzero((ks > start + 10) & (logs[-1] < cut + 1e-9)).tolist()
+        small = (m for m in near if logs[-1][m] < cut - 1e-9 or math.exp(logs[-1][m]) < 1e-18)
+        end = next(small, None)
+        if end is not None:
+            logs[-1] = logs[-1][: end + 1]
+            try:
+                terms = np.fromiter(map(math.exp, np.concatenate(logs).tolist()), float)
+            except OverflowError:
+                return math.inf
+            return float(np.cumsum(terms)[-1])
+        lo, size = lo + size, 2 * size
+    return math.inf
 
 
 def run_dynamics_experiment(
@@ -843,6 +908,8 @@ def run_dynamics_experiment(
     eps = math.log1p(cs2_budget * eta / max_abs_vt)
     ii = np.arange(1, q + 1, dtype=float)
 
+    if not constant_weights:
+        envelopes = _generic_envelopes(fam, interval, vt_support, max_abs_vt)
     chosen = None
     for step in range(1, max_steps + 1):
         N = step * kappa
@@ -857,9 +924,7 @@ def run_dynamics_experiment(
                 D_scaled, interval, alpha_g, horizon=q * N, max_abs=max_abs_vt
             )
         else:
-            envelope = cs1_envelope_generic(
-                fam, D_scaled, interval, vt_support, max_abs=max_abs_vt
-            )
+            envelope = envelopes(D_scaled)
         tail = _envelope_tail(envelope, N)
         if tail < tail_budget * eta and tail < eta:
             chosen = (N, sigma, D_scaled, envelope, tail)

@@ -303,11 +303,11 @@ def zoo_curve(name: str) -> CurveEvaluator:
     """Look up a named curve evaluator ("holder-diag", "<arrowhead|hilbert>-pseudo:<order>")."""
     if name == "holder-diag":
         return diagonal_curve()
-    if name.startswith("arrowhead-pseudo:"):
-        return arrowhead_pseudo(int(name.split(":", 1)[1]))
-    if name.startswith("hilbert-pseudo:"):
-        return hilbert_pseudo(int(name.split(":", 1)[1]))
-    raise KeyError(name)
+    family, _, order = name.partition(":")
+    builders = {"arrowhead-pseudo": arrowhead_pseudo, "hilbert-pseudo": hilbert_pseudo}
+    if family in builders and order.isdecimal() and int(order) >= 1:
+        return builders[family](int(order))
+    raise KeyError(name)  # also an order that is not a positive integer
 
 
 def zoo_names() -> list[str]:

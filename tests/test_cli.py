@@ -195,3 +195,27 @@ def test_hilbert_pseudo_curve_is_registered(capsys):
     assert code == 0
     assert record["record"]["name"] == "hilbert-pseudo:3"
     assert len(record["record"]["covering"]["parts"]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-hbd", "--name", "hilbert-pseudo:x", "--m", "3"],
+        ["verify-hbd", "--name", "hilbert-pseudo:0", "--m", "3"],
+        ["zoo", "emit", "--name", "arrowhead-pseudo:0"],
+        ["zoo", "emit", "--name", "arrowhead-pseudo:-2"],
+        ["render", "--name", "hilbert-pseudo:", "--out", "unused.svg"],
+    ],
+)
+def test_bad_curve_order_is_usage_error(argv, tmp_path, capsys):
+    argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "unknown zoo name" in err and "pseudo:<order>" in err
+
+
+def test_cover_verify_form_error_is_exactly_zero(capsys):
+    # sides and their check both use Python's float pow, whatever the CPU
+    code, record, _ = run_json(capsys, ["cover", "verify", "--name", "koch", "--s", "1"])
+    assert code == 0
+    assert record["record"]["form"]["max_rel_err"] == 0.0

@@ -1,9 +1,11 @@
 """CLI and library records against reference records kept in tests/data.
 
-Each reference holds the command that wrote it. The cover-verify and dyn
-references were written by the per-square tagged covering that the tag and
-side arrays replaced; the others by the per-part implementation that the
-rank-indexed level arrays replaced.
+Each reference holds the command that wrote it. The dyn references on
+hilbert-square and on the unit interval were written by the per-point shift
+sweep and the scalar envelope loop that the array shift layer replaced; the
+other cover-verify and dyn references by the per-square tagged covering that
+the tag and side arrays replaced; the others by the per-part implementation
+that the rank-indexed level arrays replaced.
 Apart from the manifest's wall_time_s and versions, records agree exactly,
 except floats: to 1e-12 relative, or to 1e-15 absolute for coordinates that
 are zero in exact arithmetic. The reference computed tagged-square corners
@@ -21,7 +23,8 @@ import pytest
 
 from orderedcover.cli import main
 from orderedcover.hbd import hbd_report
-from orderedcover.zoo import gap_dust
+from orderedcover.shifts import power_family, run_dynamics_experiment
+from orderedcover.zoo import gap_dust, unit_interval
 
 DATA = Path(__file__).parent / "data"
 CLI_CASES = (
@@ -31,6 +34,7 @@ CLI_CASES = (
     "verify_jump_hilbert_square_m4",
     "cover_verify_hilbert_square_s1_seed0",
     "dyn_sierpinski_plus_power_alpha0.5",
+    "dyn_hilbert_square_rolewicz_eta0.1",
 )
 
 
@@ -69,3 +73,9 @@ def test_gap_dust_report_matches_reference():
     ref = json.loads((DATA / "hbd_report_gap_dust_m4.json").read_text())
     dust = gap_dust()
     assert_same(hbd_report(dust, dust.gamma, dust.rho, 4).to_record(), ref)
+
+
+def test_unit_interval_power_dynamics_matches_reference():
+    ref = json.loads((DATA / "dynamics_unit_interval_power0.5_eta0.2.json").read_text())
+    report = run_dynamics_experiment(unit_interval(), power_family(0.5), eta=0.2)
+    assert_same(report.to_record(), ref)

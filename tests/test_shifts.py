@@ -15,7 +15,6 @@ from orderedcover.shifts import (
     cs1_envelope_generic,
     DynamicsConfig,
     forward_power,
-    measured_shift_bound,
     plus_power_family,
     power_family,
     product_apply,
@@ -197,17 +196,29 @@ def test_closed_form_envelope_limits():
         cs1_envelope_closed_form(0.5, (1.0, 2.0), alpha_g=0.7, horizon=None)
 
 
-def test_measured_shift_bound_matches_dense_ops():
-    fam = rolewicz_family()
-    x, y, n, k, l = 1.4, 1.1, 3, 2, 1
-    L = 12
-    e = np.zeros(L + 1)
-    e[l] = 1.0
-    staged = dense_forward(fam, y, n + k, e)
-    staged = dense_backward(fam, x, n, staged)
-    expected = math.log(np.abs(staged).max())
-    got = measured_shift_bound(fam, x, y, n, k, [l])
-    assert got == pytest.approx(expected, rel=1e-12)
+def test_cs1_bounds_match_dense_ops():
+    # Against a zero envelope the worst margin is the largest measured
+    # log ||T^n_x S^(n+k)_y e_l|| or log ||T^(n+k)_x S^n_y e_l|| of the grid.
+    fam = power_family(0.5)
+    (a, b), gamma, D, ls, k, n_max = (1.1, 1.4), 1.5, 0.2, (1, 3), 2, 3
+    report = check_cs1_bounds(
+        fam, gamma, D, (a, b), basis_ls=ls, kappa=k, k_max=k, n_max=n_max,
+        envelope=lambda _: 0.0, num_x=2,
+    )
+    alpha_g, L = 1.0 / gamma, 12
+    expected = -math.inf
+    for n in range(n_max + 1):
+        delta = D * k**alpha_g / (n + k) ** alpha_g
+        for x in (a, b):
+            for y in {max(x - delta, a), min(x + delta, b), x}:
+                for l in ls:
+                    e = np.zeros(L + 1)
+                    e[l] = 1.0
+                    staged = [dense_backward(fam, x, n, dense_forward(fam, y, n + k, e))]
+                    if l >= k:
+                        staged.append(dense_backward(fam, x, n + k, dense_forward(fam, y, n, e)))
+                    expected = max([expected] + [math.log(np.abs(v).max()) for v in staged])
+    assert report.worst_log_margin == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_cs1_bounds_rolewicz_under_closed_form():
