@@ -38,12 +38,12 @@ def main() -> None:
               f"part diameter {expect:.12f}, diff {abs(got - expect):.2e}")
 
     form = verify_form(cov)
-    sep = verify_separation(cov, seed=0)
+    sep = verify_separation(cov)
     covered = coverage_check(cov, attractor_points(ifs, 7))
     print()
     print(f"side schedule exact:   {form.passed} (max rel err {form.max_rel_err:.2e})")
     print(f"attractor covered:     {covered}")
-    print(f"separation (D = {params.D}): {sep.passed}, mode {sep.mode}, "
+    print(f"separation (D = {params.D}): {sep.passed}, "
           f"{sep.pairs_checked} pairs, worst ratio {sep.worst_ratio:.6f} "
           f"at pair {sep.worst_pair}")
 

@@ -247,7 +247,7 @@ def cmd_cover_verify(args: argparse.Namespace) -> int:
     def body() -> tuple:
         ifs, cov, _ = _build_for_args(args)
         form = verify_form(cov)
-        sep = verify_separation(cov, seed=args.seed)
+        sep = verify_separation(cov)
         depth = min(cov.s + cov.t + 2, 10)
         points = attractor_points(ifs, depth, budget=args.budget)
         covered = coverage_check(cov, points)
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bigN", type=int, default=1, help="index stride N")
         p.add_argument("--D", type=float, default=None, help="separation constant override")
         p.add_argument("--s", type=int, default=None, help="skip normalization, use this stage")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0)  # unused; bench jobs pass it to verify
         add_common(p)
         p.set_defaults(func=func)
 

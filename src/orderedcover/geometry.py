@@ -213,11 +213,6 @@ class CoveringPart:
         lo = np.asarray(self.corner, dtype=float)
         return lo, lo + self.side
 
-    def contains_points(self, points: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
-        lo, hi = self.box()
-        pts = np.atleast_2d(points)
-        return ((pts >= lo - tol) & (pts <= hi + tol)).all(axis=1)
-
 
 def part_from_vertices(index: MultiIndex, vertices: np.ndarray, resolution: int) -> CoveringPart:
     lo = vertices.min(axis=0)

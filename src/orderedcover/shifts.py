@@ -75,7 +75,8 @@ def logsumexp(values: np.ndarray, axis: int | None = None) -> np.ndarray | float
     values = np.asarray(values, dtype=float)
     hi = np.max(values, axis=axis, keepdims=True)
     hi = np.where(np.isneginf(hi), 0.0, hi)
-    out = np.log(np.sum(np.exp(values - hi), axis=axis, keepdims=True)) + hi
+    with np.errstate(divide="ignore"):  # an all -inf row sums to 0; its log, -inf, is right
+        out = np.log(np.sum(np.exp(values - hi), axis=axis, keepdims=True)) + hi
     out = np.where(np.isneginf(np.max(values, axis=axis, keepdims=True)), NEG_INF, out)
     return float(out) if axis is None else np.squeeze(out, axis=axis)
 

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orderedcover.separation import (
     box_sup_distance,
@@ -13,14 +13,20 @@ from orderedcover.separation import (
     verify_separation,
 )
 from orderedcover.tagging import BuilderParams, build_tagged_covering
-from orderedcover.zoo import hilbert_square, sierpinski_gasket, unit_interval
-from orderedcover.geometry import attractor_points
+from orderedcover.zoo import gap_dust, hilbert_square, sierpinski_gasket, unit_interval
+from orderedcover.geometry import attractor_points, levels
 
 
 @pytest.fixture(scope="module")
 def gasket_cov():
     ifs = sierpinski_gasket()
     return build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
+
+
+@pytest.fixture(scope="module")
+def line_s3_cov():
+    line = unit_interval()
+    return build_tagged_covering(line, BuilderParams.from_stage(line, 3, 1))
 
 
 def test_form_is_exact_by_construction(gasket_cov):
@@ -62,7 +68,6 @@ def test_box_sup_distance_matches_corner_enumeration(ax, ay, aside, bx, by, bsid
 def test_separation_exhaustive_on_small_covering(gasket_cov):
     report = verify_separation(gasket_cov)
     assert report.passed
-    assert report.mode == "exhaustive"
     assert report.pairs_checked == 27 * 26 // 2
     assert 0.0 < report.worst_ratio <= 1.0
     j, l = report.worst_pair
@@ -75,15 +80,54 @@ def test_separation_fails_under_tight_constant(gasket_cov):
     assert report.worst_ratio > 1.0
 
 
-def test_separation_sampled_mode_is_seeded():
-    ifs = hilbert_square()
-    cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
-    a = verify_separation(cov, seed=7, exhaustive_limit=100, sampled_pairs=20000)
-    b = verify_separation(cov, seed=7, exhaustive_limit=100, sampled_pairs=20000)
-    assert a.mode == "sampled"
-    assert a.passed and b.passed
-    assert a.worst_ratio == b.worst_ratio
-    assert a.worst_pair == b.worst_pair
+def separation_reference(tags, sides, D, gamma, tol=1e-9):
+    """Every pair at once, as verify_separation did before it streamed rows."""
+    jj, ll = np.triu_indices(len(sides), k=1)
+    sup = box_sup_distance(tags[jj], sides[jj], tags[ll], sides[ll])
+    bound = D * (((ll + 1).astype(float) - (jj + 1)) / (ll + 1)) ** (1.0 / gamma)
+    ratio = sup / bound
+    worst = int(np.argmax(ratio))
+    pair = (int(jj[worst]) + 1, int(ll[worst]) + 1)
+    return float(ratio[worst]), pair, bool(ratio[worst] <= 1.0 + tol), len(jj)
+
+
+grid_boxes = st.tuples(
+    st.integers(0, 2).map(float), st.integers(0, 2).map(float), st.sampled_from([0.5, 1.0])
+)
+free_boxes = st.tuples(box_vals, box_vals, box_sides)
+
+
+# the example ties the maximum within row 2, at (2, 3) and (2, 4), and
+# across rows, at (3, 4); the first in (j, l) order is the worst pair
+@example(
+    boxes=[(2.0, 1.0, 0.5), (1.0, 2.0, 1.0), (1.0, 1.0, 0.5), (0.0, 0.0, 1.0)], D=1.0, gamma=1.0
+)
+@given(
+    boxes=st.one_of(st.lists(grid_boxes, min_size=2, max_size=60),
+                    st.lists(free_boxes, min_size=2, max_size=60)),
+    D=st.sampled_from([0.5, 1.0, 3.0, 40.0]),
+    gamma=st.sampled_from([1.0, 2.0, 1.5849625007211563, 1.2618595071429148]),
+)
+@settings(max_examples=60, deadline=None)
+def test_separation_matches_all_pairs_reference(gasket_cov, boxes, D, gamma):
+    arr = np.array(boxes, dtype=float)
+    tags, sides = arr[:, :2].copy(), arr[:, 2].copy()
+    cov = dataclasses.replace(gasket_cov, q=len(sides), tags=tags, sides=sides)
+    report = verify_separation(cov, D=D, gamma=gamma)
+    ratio, pair, passed, pairs = separation_reference(tags, sides, D, gamma)
+    assert report.worst_ratio == ratio
+    assert report.worst_pair == pair
+    assert report.passed == passed
+    assert report.pairs_checked == pairs
+
+
+def test_separation_on_three_stage_line_checks_every_pair(line_s3_cov):
+    report = verify_separation(line_s3_cov)
+    assert report.q == 16384
+    assert report.pairs_checked == 134209536
+    assert report.worst_pair == (1, 16384)
+    assert report.worst_ratio == pytest.approx(0.12500762986022096, rel=1e-12)
+    assert report.passed
 
 
 def test_coverage_check_accepts_attractor_and_flags_outliers(gasket_cov):
@@ -93,14 +137,29 @@ def test_coverage_check_accepts_attractor_and_flags_outliers(gasket_cov):
     assert not coverage_check(gasket_cov, np.array([[5.0, 5.0]]))
 
 
-def test_three_stage_line_covers_its_attractor():
+def test_coverage_check_finds_an_outlier_past_the_first_block(gasket_cov):
+    pts = attractor_points(sierpinski_gasket(), 6)
+    assert len(pts) == 729
+    for at in (64, 127, 700, 729):
+        late = np.vstack([pts[:at], [[0.0, 2.0]], pts[at:]])
+        assert not coverage_check(gasket_cov, late)
+
+
+def test_coverage_check_allows_its_tolerance(gasket_cov):
+    right = gasket_cov.tags[:, 0] + gasket_cov.sides
+    k = int(np.argmax(right))
+    y = gasket_cov.tags[k, 1]
+    assert coverage_check(gasket_cov, np.array([[right[k] + 5e-10, y]]))
+    assert not coverage_check(gasket_cov, np.array([[right[k] + 5e-9, y]]))
+
+
+def test_three_stage_line_covers_its_attractor(line_s3_cov):
     # q = 2^14: the deepest squares have side about 2^-17 and sit on the
     # segment, so sample points must lie on it too
     line = unit_interval()
-    cov = build_tagged_covering(line, BuilderParams.from_stage(line, 3, 1))
-    pts = attractor_points(line, min(cov.s + cov.t + 2, 10))
+    pts = attractor_points(line, min(line_s3_cov.s + line_s3_cov.t + 2, 10))
     assert len(pts) == 2**10
-    assert coverage_check(cov, pts)
+    assert coverage_check(line_s3_cov, pts)
 
 
 @pytest.mark.parametrize(
@@ -119,3 +178,66 @@ def test_jump_lemma_record_shape():
     record = verify_jump_lemma(unit_interval(), 4).to_record()
     assert record["pass"] is True
     assert record["m"] == 4
+
+
+def jump_reference(ifs, m, gamma=None, rho=None):
+    """Every tag pair at once, n by n, as verify_jump_lemma did before it
+    streamed rows; returns the record."""
+    gamma = ifs.gamma if gamma is None else gamma
+    rho = ifs.rho if rho is None else rho
+    r = ifs.r
+    c = r ** (-1.0 / gamma)
+    level = levels(ifs, m)[-1]
+    jj, ll = np.triu_indices(len(level), k=1)
+    dist = np.abs(level.corners[jj] - level.corners[ll]).max(axis=1)
+    gaps = (ll - jj).astype(float)
+    checked = 0
+    for n in range(0, m):
+        required = (r ** (n - 1) + r - 2) / (r - 1)
+        threshold = c ** (m - n) * rho * (1.0 - 1e-9)
+        hit = dist >= threshold
+        checked += int(hit.sum())
+        bad = hit & (gaps < required)
+        if bad.any():
+            b = int(np.argmax(bad))
+            counterexample = {
+                "j": level.index(jj[b]),
+                "l": level.index(ll[b]),
+                "n": n,
+                "distance": float(dist[b]),
+                "gap": int(gaps[b]),
+                "required": required,
+            }
+            return {"m": m, "pairs_checked": checked, "pass": False,
+                    "counterexample": counterexample}
+    return {"m": m, "pairs_checked": checked, "pass": True}
+
+
+# gamma and rho as factors of the system's own; the last entry is the n of
+# the counterexample, None for a pass
+JUMP_CASES = [
+    *[(gap_dust, m, 1.0, 1.0, None if m < 3 else 2) for m in range(1, 7)],
+    (sierpinski_gasket, 4, 1.0, 1.0, None),
+    (sierpinski_gasket, 5, 0.6, 1.0, 2),
+    (sierpinski_gasket, 5, 0.8, 0.5, 3),
+    (sierpinski_gasket, 6, 0.9, 0.5, 4),
+    (hilbert_square, 4, 1.0, 1.0, None),
+    (hilbert_square, 4, 0.6, 0.2, 2),
+    (hilbert_square, 5, 0.8, 0.5, 3),
+    (unit_interval, 8, 1.0, 1.0, None),
+    (unit_interval, 5, 0.8, 0.5, 3),
+    (unit_interval, 6, 0.9, 0.5, 4),
+    (unit_interval, 6, 0.4, 0.05, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "case", JUMP_CASES, ids=lambda c: f"{c[0].__name__}-m{c[1]}-g{c[2]}-rho{c[3]}"
+)
+def test_jump_lemma_matches_all_pairs_reference(case):
+    make, m, gamma_factor, rho_factor, expected_n = case
+    ifs = make()
+    gamma, rho = ifs.gamma * gamma_factor, ifs.rho * rho_factor
+    record = verify_jump_lemma(ifs, m, gamma=gamma, rho=rho).to_record()
+    assert record == jump_reference(ifs, m, gamma=gamma, rho=rho)
+    assert record.get("counterexample", {}).get("n") == expected_n

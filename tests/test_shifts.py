@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,15 @@ def test_vector_roundtrip_and_norms():
     p2 = FiniteVector.from_values(values, norm_kind=2.0)
     expected = max(np.linalg.norm(values[0]), np.linalg.norm(values[1]))
     assert p2.norm() == pytest.approx(expected, rel=1e-12)
+
+
+def test_p_norm_of_a_zero_factor_warns_nothing():
+    values = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, -4.0]])
+    vec = FiniteVector.from_values(values, norm_kind=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert vec.norm() == pytest.approx(5.0, rel=1e-12)
+        assert FiniteVector.zeros(2, 3, norm_kind=2.0).log_norm() == -math.inf
 
 
 def test_vector_plus_minus_match_dense():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orderedcover.geometry import MultiIndex, compose_part, resolution_covering
+from orderedcover.geometry import GEOM_TOL, MultiIndex, compose_part, levels, resolution_covering
 from orderedcover.zoo import (
     arrowhead_pseudo,
     diagonal_curve,
@@ -167,11 +167,12 @@ def test_arrowhead_endpoints_and_vertex_count():
 def test_arrowhead_vertices_lie_on_gasket_parts():
     order = 3
     curve = arrowhead_pseudo(order)
-    ifs = sierpinski_gasket()
-    parts = resolution_covering(ifs, order)
-    vertices = curve(curve.breakpoints)
-    for v in vertices:
-        assert any(p.contains_points(v)[0] for p in parts)
+    level = levels(sierpinski_gasket(), order)[-1]
+    lo = level.corners - GEOM_TOL
+    hi = level.corners + level.sides[:, None] + GEOM_TOL
+    vertices = curve(curve.breakpoints)[:, None, :]
+    inside = ((vertices >= lo) & (vertices <= hi)).all(axis=2)
+    assert inside.any(axis=1).all()
 
 
 def test_hilbert_pseudo_endpoints():
