@@ -409,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bigN", type=int, default=1, help="index stride N")
         p.add_argument("--D", type=float, default=None, help="separation constant override")
         p.add_argument("--s", type=int, default=None, help="skip normalization, use this stage")
-        p.add_argument("--seed", type=int, default=0)  # unused; bench jobs pass it to verify
+        if verb == "verify":
+            p.add_argument("--seed", type=int, default=0)  # unused; bench jobs pass it
         add_common(p)
         p.set_defaults(func=func)
 

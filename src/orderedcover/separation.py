@@ -11,10 +11,15 @@ Three checks:
   apart are at least (r^(n-1) + r - 2)/(r - 1) positions apart in the
   lexicographic enumeration.
 
-Both pair audits are exhaustive: they stream the q(q-1)/2 pairs one rank
-row at a time, so they take O(q^2) time and O(q) memory: the 134,209,536
-pairs of the unit-interval s=3 covering (q = 16,384) take about 1.5 s on a
-2-core x86-64 VM.
+Both pair audits cover all q(q-1)/2 pairs in O(q) memory. The separation
+audit is certified by block bounds: whole pairs of 64-rank blocks are
+decided by their union boxes, and exact pairs are computed only where a
+bound cannot decide. On the unit-interval s=3 covering (q = 16,384,
+134,209,536 pairs) it computes 521 of the 32,896 block pairs and takes
+about 0.09 s, against 1.4 s for a scan of every pair (2-core x86-64 VM);
+the worst case remains O(q^2). The jump check streams the pairs one rank
+row at a time in O(q^2) time. Coverage tests the points 64 at a time
+against the squares of the rank blocks whose union box meets them.
 """
 
 from __future__ import annotations
@@ -106,6 +111,17 @@ def _sup_distance_rows(tags: np.ndarray, sides: np.ndarray):
         yield j, np.maximum(dx, dy)
 
 
+# Rank block size of the pair audits. The covering is rank-ordered, so the
+# squares of one block sit close together and their union box is small.
+_BLOCK = 64
+
+
+def _block_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block starts and the union box (lo, hi) of each block of _BLOCK ranks."""
+    starts = np.arange(0, len(lo), _BLOCK)
+    return starts, np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
+
+
 def verify_separation(
     cov: TaggedCovering,
     D: float | None = None,
@@ -116,18 +132,66 @@ def verify_separation(
     """Check ||lambda - mu|| <= D((l-j)/l)^(1/gamma) over every pair of squares.
 
     The worst pair is the first maximum of the ratio in (j, l) order.
+
+    Branch and bound over blocks of _BLOCK ranks: the pairs inside each
+    block are computed exactly and seed the worst ratio. The ratio over a
+    pair of blocks A < B is at most the sup distance of their union boxes
+    over the bound at the last rank of A and the first rank of B. A block
+    pair is computed exactly, as a tile, only if that bound reaches the
+    worst ratio times (1 - 1e-12); the slack keeps ties and absorbs the
+    bound's rounding. Each tile computes the ratio with the same
+    elementwise operations as box_sup_distance and the bound, so
+    worst_ratio is the exhaustive maximum bit for bit.
     """
     # seed is unused: the audit draws nothing; bench/jobs.py still passes it
     D = cov.D if D is None else D
     gamma = cov.gamma if gamma is None else gamma
-    ranks = np.arange(1, cov.q + 1, dtype=float)
+    x, y = np.ascontiguousarray(cov.tags[:, 0]), np.ascontiguousarray(cov.tags[:, 1])
+    hx, hy = x + cov.sides, y + cov.sides
     worst_ratio, worst_pair = -np.inf, (0, 0)
-    for j, sup in _sup_distance_rows(cov.tags, cov.sides):
-        ll = ranks[j + 1 :]
-        ratio = sup / (D * ((ll - (j + 1)) / ll) ** (1.0 / gamma))
-        i = int(np.argmax(ratio))
-        if ratio[i] > worst_ratio:
-            worst_ratio, worst_pair = float(ratio[i]), (j + 1, j + 2 + i)
+
+    def tile(j: np.ndarray, l: np.ndarray) -> None:
+        """Fold in the pairs (j, l) of two broadcasting index arrays, j < l."""
+        nonlocal worst_ratio, worst_pair
+        dx = np.maximum(hx[j] - x[l], hx[l] - x[j])
+        dy = np.maximum(hy[j] - y[l], hy[l] - y[j])
+        jj, ll = j + 1.0, l + 1.0
+        ratio = np.maximum(dx, dy) / (D * ((ll - jj) / ll) ** (1.0 / gamma))
+        i = int(np.argmax(ratio))  # row-major, so the first maximum in (j, l) order
+        j, l = np.broadcast_arrays(j, l)
+        pair = (int(j.flat[i]) + 1, int(l.flat[i]) + 1)
+        if ratio.flat[i] > worst_ratio or (ratio.flat[i] == worst_ratio and pair < worst_pair):
+            worst_ratio, worst_pair = float(ratio.flat[i]), pair
+
+    starts, blo, bhi = _block_boxes(cov.tags, np.stack([hx, hy], axis=1))
+    ends = np.append(starts[1:], cov.q)
+    inner = np.triu_indices(_BLOCK, k=1)
+    for a, b in zip(starts, ends):
+        keep = inner[1] < b - a
+        if keep.any():
+            tile(a + inner[0][keep], a + inner[1][keep])
+
+    def bounds(a: int) -> np.ndarray:
+        """Upper bounds of the ratio over the block pairs (a, a + 1), (a, a + 2), ..."""
+        sup = np.maximum(bhi[a] - blo[a + 1 :], bhi[a + 1 :] - blo[a]).max(axis=1)
+        l_min = starts[a + 1 :] + 1.0
+        return sup / (D * ((l_min - ends[a]) / l_min) ** (1.0 / gamma))
+
+    # Block rows go in descending order of their largest bound, and each row
+    # in descending bound order: the first tiles raise the worst ratio, and
+    # memory stays O(q / _BLOCK), where one vector of all block pairs would
+    # be O((q / _BLOCK)^2).
+    row_max = np.array([bounds(a).max() for a in range(len(starts) - 1)])
+    for a in np.argsort(-row_max, kind="stable"):
+        if row_max[a] < worst_ratio * (1.0 - 1e-12):
+            break
+        bound = bounds(a)
+        rows = np.arange(starts[a], ends[a])[:, None]
+        for i in np.argsort(-bound, kind="stable"):
+            if bound[i] < worst_ratio * (1.0 - 1e-12):
+                break
+            b = a + 1 + i
+            tile(rows, np.arange(starts[b], ends[b]))
     return SeparationReport(
         q=cov.q,
         pairs_checked=cov.q * (cov.q - 1) // 2,
@@ -140,14 +204,21 @@ def verify_separation(
 def coverage_check(cov: TaggedCovering, points: np.ndarray, tol: float = 1e-9) -> bool:
     """Every sample point must land in at least one square.
 
-    Points go 64 at a time against all q squares, so memory is O(q).
+    Points go 64 at a time, each block against the squares of the rank
+    blocks whose union box meets the points' bounding box: a square outside
+    that union box cannot hold any of the points. Memory is O(q).
     """
     lo = cov.tags - tol
     hi = cov.tags + cov.sides[:, None] + tol
+    _, blo, bhi = _block_boxes(lo, hi)
+    block_of = np.arange(cov.q) // _BLOCK
     pts = np.atleast_2d(points)
     for start in range(0, len(pts), 64):
-        block = pts[start : start + 64, None, :]
-        if not ((block >= lo) & (block <= hi)).all(axis=2).any(axis=1).all():
+        block = pts[start : start + 64]
+        near = ((bhi >= block.min(axis=0)) & (blo <= block.max(axis=0))).all(axis=1)
+        near = near[block_of]
+        inside = (block[:, None, :] >= lo[near]) & (block[:, None, :] <= hi[near])
+        if not inside.all(axis=2).any(axis=1).all():
             return False
     return True
 

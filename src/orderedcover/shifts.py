@@ -767,21 +767,34 @@ def verify_universality(
     vt: FiniteVector,
     attractor_samples: np.ndarray | None = None,
 ) -> UniversalityReport:
-    """Sweep ||T_{iN, lambda} u - v_t|| < 3 eta over samples of every box."""
+    """Sweep ||T_{iN, lambda} u - v_t|| < 3 eta over samples of every box.
+
+    The attractor samples are bucketed once per _BLOCK boxes: a box's
+    samples lie in the union of its block's widened boxes, so
+    box_sample_points filters only those, in their original order.
+    """
     worst = -1.0
     worst_box = 0
     worst_lambda: tuple[float, ...] = ()
     total = 0
     min_per_box = None
-    for i, (tag, side) in enumerate(zip(cov.tags, cov.sides), start=1):
-        pts = box_sample_points(tag, side, attractor_samples)
-        min_per_box = len(pts) if min_per_box is None else min(min_per_box, len(pts))
-        total += len(pts)
-        errs = _box_errors(u, fam, i * cfg.bigN, pts[:, : cfg.d], vt)
-        j = int(np.argmax(errs))
-        if errs[j] > worst:
-            worst, worst_box = float(errs[j]), i
-            worst_lambda = tuple(float(c) for c in pts[j, : cfg.d])
+    for start in range(0, cov.q, _BLOCK):
+        tags, sides = cov.tags[start : start + _BLOCK], cov.sides[start : start + _BLOCK]
+        near = attractor_samples
+        if near is not None:
+            # box_sample_points' own widened bounds, so no sample of a box is lost
+            lo = (tags - 1e-12).min(axis=0)
+            hi = (tags + sides[:, None] + 1e-12).max(axis=0)
+            near = near[((near >= lo) & (near <= hi)).all(axis=1)]
+        for i, (tag, side) in enumerate(zip(tags, sides), start=start + 1):
+            pts = box_sample_points(tag, side, near)
+            min_per_box = len(pts) if min_per_box is None else min(min_per_box, len(pts))
+            total += len(pts)
+            errs = _box_errors(u, fam, i * cfg.bigN, pts[:, : cfg.d], vt)
+            j = int(np.argmax(errs))
+            if errs[j] > worst:
+                worst, worst_box = float(errs[j]), i
+                worst_lambda = tuple(float(c) for c in pts[j, : cfg.d])
     return UniversalityReport(
         eta=cfg.eta,
         q=cov.q,

@@ -169,6 +169,15 @@ def test_usage_error_exits_two():
     assert exc.value.code == 2
 
 
+def test_only_cover_verify_takes_a_seed(capsys):
+    assert main(["cover", "verify", "--name", "sierpinski", "--s", "1", "--seed", "5"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", "build", "--name", "unit-interval", "--s", "1", "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
 def test_render_prints_no_negative_zero(tmp_path, capsys):
     # square 12 of this covering has tag x = -1.4e-17, zero in exact arithmetic
     out = tmp_path / "cov.svg"

@@ -13,7 +13,7 @@ from orderedcover.separation import (
     verify_separation,
 )
 from orderedcover.tagging import BuilderParams, build_tagged_covering
-from orderedcover.zoo import gap_dust, hilbert_square, sierpinski_gasket, unit_interval
+from orderedcover.zoo import gap_dust, hilbert_square, koch_curve, sierpinski_gasket, unit_interval
 from orderedcover.geometry import attractor_points, levels
 
 
@@ -121,12 +121,74 @@ def test_separation_matches_all_pairs_reference(gasket_cov, boxes, D, gamma):
     assert report.pairs_checked == pairs
 
 
+def layout(kind, q, rng):
+    """q boxes (tags, sides): a rank-ordered walk of shrinking squares, as
+    a covering lays them out; a coarse grid with many equal distances; free
+    floats; or q copies of one box."""
+    if kind == "walk":
+        tags = np.cumsum(rng.normal(scale=0.05, size=(q, 2)), axis=0)
+        return tags, 0.3 / np.arange(1, q + 1) ** rng.uniform(0.3, 1.0)
+    if kind == "grid":
+        return rng.integers(0, 3, size=(q, 2)).astype(float), rng.choice([0.5, 1.0], size=q)
+    if kind == "free":
+        return rng.uniform(-3.0, 3.0, size=(q, 2)), rng.uniform(0.01, 2.0, size=q)
+    return np.tile(rng.uniform(-3.0, 3.0, size=2), (q, 1)), np.full(q, rng.uniform(0.01, 2.0))
+
+
+# q runs past one 64-rank block, so whole block pairs are pruned by their
+# bounds; D = 1e-9 makes every pair fail. For q = 1025 copies of one box
+# the worst pair, (1024, 1025), straddles two blocks, and the bound of its
+# block pair equals its ratio exactly.
+@example(q=128, kind="walk", seed=0, D=1.0, gamma=1.0)
+@example(q=1025, kind="coincident", seed=0, D=1.0, gamma=1.0)
+@example(q=129, kind="coincident", seed=0, D=1e-9, gamma=2.0)
+@given(
+    q=st.integers(65, 400),
+    kind=st.sampled_from(["walk", "grid", "free", "coincident"]),
+    seed=st.integers(0, 2**32 - 1),
+    D=st.sampled_from([1e-9, 0.05, 1.0, 40.0]),
+    gamma=st.sampled_from([1.0, 2.0, 1.5849625007211563, 1.2618595071429148]),
+)
+@settings(max_examples=60, deadline=None)
+def test_separation_matches_all_pairs_reference_across_blocks(gasket_cov, q, kind, seed, D, gamma):
+    tags, sides = layout(kind, q, np.random.default_rng(seed))
+    cov = dataclasses.replace(gasket_cov, q=q, tags=tags, sides=sides)
+    report = verify_separation(cov, D=D, gamma=gamma)
+    ratio, pair, passed, pairs = separation_reference(tags, sides, D, gamma)
+    assert report.worst_ratio == ratio
+    assert report.worst_pair == pair
+    assert report.passed == passed
+    assert report.pairs_checked == pairs
+
+
+def test_separation_breaks_a_tie_across_blocks_by_rank_order(gasket_cov):
+    # Points (zero sides) with D = gamma = 1, so the ratio is sup l/(l - j).
+    # x gives row j = 1 the ratio exactly 1 against every l >= 129, and
+    # less below; y steps by 2^-7 between ranks 127 and 128, which gives
+    # (127, 128) exactly 1 too. That pair lies in a diagonal block, so it
+    # is found before (1, 129), which comes first in (j, l) order.
+    q = 200
+    ranks = np.arange(1, q + 1, dtype=float)
+    d = (ranks - 1.0) / ranks
+    x = np.where(ranks >= 129, 1.0 - d, 1.0 - d * (1.0 - 2.0**-8))
+    x[0] = 1.0
+    y = np.where(ranks >= 128, 2.0**-7, 0.0)
+    tags, sides = np.stack([x, y], axis=1), np.zeros(q)
+    ratio, pair, _, _ = separation_reference(tags, sides, 1.0, 1.0)
+    assert (ratio, pair) == (1.0, (1, 129))
+    sup = box_sup_distance(tags[[126]], sides[[126]], tags[[127]], sides[[127]])[0]
+    assert sup / ((128.0 - 127.0) / 128.0) == 1.0
+    cov = dataclasses.replace(gasket_cov, q=q, tags=tags, sides=sides)
+    report = verify_separation(cov, D=1.0, gamma=1.0)
+    assert (report.worst_ratio, report.worst_pair) == (1.0, (1, 129))
+
+
 def test_separation_on_three_stage_line_checks_every_pair(line_s3_cov):
     report = verify_separation(line_s3_cov)
     assert report.q == 16384
     assert report.pairs_checked == 134209536
     assert report.worst_pair == (1, 16384)
-    assert report.worst_ratio == pytest.approx(0.12500762986022096, rel=1e-12)
+    assert report.worst_ratio == 0.12500762986022096
     assert report.passed
 
 
@@ -151,6 +213,65 @@ def test_coverage_check_allows_its_tolerance(gasket_cov):
     y = gasket_cov.tags[k, 1]
     assert coverage_check(gasket_cov, np.array([[right[k] + 5e-10, y]]))
     assert not coverage_check(gasket_cov, np.array([[right[k] + 5e-9, y]]))
+
+
+def coverage_reference(cov, points, tol=1e-9):
+    """Every point against every square, 64 points at a time, as
+    coverage_check did before it pruned squares by their block's box."""
+    lo = cov.tags - tol
+    hi = cov.tags + cov.sides[:, None] + tol
+    pts = np.atleast_2d(points)
+    return all(
+        ((pts[i : i + 64, None] >= lo) & (pts[i : i + 64, None] <= hi)).all(axis=2).any(axis=1).all()
+        for i in range(0, len(pts), 64)
+    )
+
+
+@pytest.fixture(scope="module")
+def koch_cov():
+    koch = koch_curve()
+    return build_tagged_covering(koch, BuilderParams.from_stage(koch, 1, 1))
+
+
+@pytest.mark.parametrize("at", [0, 63, 64, 65, 960, 999])
+def test_coverage_check_matches_brute_force_at_block_edges(koch_cov, at):
+    # q = 256 squares in four rank blocks; 1000 points, the last block partial
+    pts = attractor_points(koch_curve(), 5)[:1000]
+    assert coverage_check(koch_cov, pts) and coverage_reference(koch_cov, pts)
+    # a hair up stays in the point's square; below the curve or far off leaves every square
+    for shift, covered in (([0.0, 0.001], True), ([0.0, -0.02], False), ([0.0, 5.0], False)):
+        moved = pts.copy()
+        moved[at] += shift
+        assert coverage_check(koch_cov, moved) == coverage_reference(koch_cov, moved) == covered
+
+
+def test_coverage_check_allows_its_tolerance_across_blocks(koch_cov):
+    right = koch_cov.tags[:, 0] + koch_cov.sides
+    k = int(np.argmax(right))
+    edge = np.array([[right[k] + 1e-9, koch_cov.tags[k, 1]]])  # exactly tol outside
+    beyond = np.array([[np.nextafter(edge[0, 0], np.inf), edge[0, 1]]])
+    assert coverage_check(koch_cov, edge) and coverage_reference(koch_cov, edge)
+    assert not coverage_check(koch_cov, beyond) and not coverage_reference(koch_cov, beyond)
+
+
+@example(q=1, kind="walk", seed=0, spread=0.1, n=3)
+@given(
+    q=st.integers(1, 300),
+    kind=st.sampled_from(["walk", "grid", "free", "coincident"]),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.sampled_from([0.0, 0.01, 0.1, 1.0]),
+    n=st.integers(1, 300),
+)
+@settings(max_examples=60, deadline=None)
+def test_coverage_check_matches_brute_force(gasket_cov, q, kind, seed, spread, n):
+    rng = np.random.default_rng(seed)
+    tags, sides = layout(kind, q, rng)
+    cov = dataclasses.replace(gasket_cov, q=q, tags=tags, sides=sides)
+    # points drawn inside the squares in rank order, then jittered
+    at = np.sort(rng.integers(0, q, size=n))
+    pts = tags[at] + sides[at, None] * rng.uniform(size=(n, 2))
+    pts += rng.normal(scale=spread, size=(n, 2)) * (rng.uniform(size=(n, 1)) < 0.05)
+    assert coverage_check(cov, pts) == coverage_reference(cov, pts)
 
 
 def test_three_stage_line_covers_its_attractor(line_s3_cov):

@@ -30,7 +30,8 @@ from orderedcover.shifts import (
     verify_universality,
 )
 from orderedcover.tagging import BuilderParams, build_tagged_covering
-from orderedcover.zoo import sierpinski_gasket, unit_interval
+from orderedcover.zoo import hilbert_square, sierpinski_gasket, unit_interval
+from orderedcover import shifts
 
 FAMILIES = [rolewicz_family(), power_family(0.5), plus_power_family(0.5)]
 
@@ -145,6 +146,36 @@ def test_sweep_matches_per_point_loop(case):
     assert_same_error(report.worst_error, worst, cfg.norm_kind)
     if cfg.norm_kind == "sup":
         assert (report.worst_box, report.worst_lambda) == (worst_box, worst_lambda)
+
+
+def test_sweep_gives_each_box_its_samples_in_order(monkeypatch):
+    # q = 256 boxes in four 64-box blocks; samples are the part centres, as
+    # run_dynamics_experiment draws them, plus the corners of every box
+    # widened by box_sample_points' 1e-12 and points just past them,
+    # shuffled so their order is not the boxes'
+    cov = _covering(hilbert_square())
+    lo, hi = cov.tags - 1e-12, cov.tags + cov.sides[:, None] + 1e-12
+    mixed = np.stack([lo[:, 0], hi[:, 1]], axis=1)
+    samples = np.concatenate(
+        [cov.tags + cov.sides[:, None] / 2, lo, hi, mixed, np.nextafter(hi, np.inf)]
+    )
+    samples = samples[np.random.default_rng(7).permutation(len(samples))]
+    seen = []
+
+    def record(u, fam, n, lam, vt):
+        seen.append(lam)
+        return np.zeros(len(lam))
+
+    monkeypatch.setattr(shifts, "_box_errors", record)
+    cfg = DynamicsConfig(d=2, interval=(1.0, 2.0), L=cov.q + 3, eta=0.1, kappa=1, bigN=1)
+    u = FiniteVector.zeros(2, cfg.L)
+    report = verify_universality(u, cov, rolewicz_family(), cfg, u, samples)
+    want = [box_sample_points(tag, side, samples) for tag, side in zip(cov.tags, cov.sides)]
+    assert len(seen) == cov.q
+    for got, pts in zip(seen, want):
+        assert np.array_equal(got, pts)
+    assert report.samples == sum(map(len, want))
+    assert report.min_samples_per_box == min(map(len, want)) > 11
 
 
 def scalar_tail(envelope, start, stop=20000):
