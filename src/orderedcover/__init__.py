@@ -2,15 +2,18 @@
 
 The package is organized around one pipeline:
 
-- ``geometry``: planar similarities, lexicographic multi-indices, box coverings.
-- ``zoo``: ready-made ordered systems (gasket, Hilbert square, Koch, sausage)
-  and Holder-curve dyadic coverings.
+- ``geometry``: planar similarities, lexicographic multi-indices, and the
+  rank-indexed resolution levels of an ordered system.
+- ``zoo``: ready-made ordered systems (gasket, Hilbert square, Koch, sausage,
+  unit interval, gap dust) and Holder curves, whose levels are the bounding
+  squares over dyadic parameter intervals.
 - ``hbd``: the three ordered-box-dimension conditions (diameter decay, nesting,
   consecutive-part adjacency) and their report.
 - ``tagging``: the tagged covering with side schedule tau/(kN)^(1/gamma) and its
   rank/fineness bookkeeping.
-- ``separation``: brute-force verification of the tagged covering's form, the
-  pairwise separation inequality, and the jump-counting bound.
+- ``separation``: audits of the tagged covering's form, its attractor
+  coverage and the pairwise separation inequality, block-pruned by rank-block
+  bounding boxes, and the exhaustive jump-counting check.
 - ``shifts``: weighted backward/forward shift powers on truncated sequence
   spaces, the summability/Lipschitz checks, and the common-vector experiment.
 - ``cli``: command-line front end (``orderedcover --help``).
@@ -22,7 +25,6 @@ __version__ = "0.1.0"
 
 from .geometry import (
     BudgetExceededError,
-    CoveringPart,
     InvalidIndexError,
     MultiIndex,
     OrderedIFS,
@@ -33,7 +35,6 @@ from .geometry import (
     lex_rank,
     lex_unrank,
     part_budget,
-    resolution_covering,
 )
 from .hbd import hbd_report
 from .separation import (
@@ -59,7 +60,6 @@ from .zoo import zoo_curve, zoo_ifs, zoo_names
 __all__ = [
     "BudgetExceededError",
     "BuilderParams",
-    "CoveringPart",
     "InvalidIndexError",
     "MultiIndex",
     "OrderedIFS",
@@ -77,7 +77,6 @@ __all__ = [
     "lex_unrank",
     "normalize_tau",
     "part_budget",
-    "resolution_covering",
     "run_dynamics_experiment",
     "verify_form",
     "verify_jump_lemma",

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Subcommands: zoo emit, verify-hbd, cover build, cover verify, dyn, render.
+Subcommands: zoo emit, verify-hbd, verify-jump, cover build, cover verify,
+dyn, render.
 Every JSON record carries schema "ordered-cover/1" and a manifest; reruns
 with the same arguments are byte-identical apart from wall_time_s. Exit
 status: 0 verified pass, 1 verified failure or infeasible build, 2 usage.
@@ -20,24 +21,13 @@ import numpy as np
 
 from . import __version__
 from .geometry import (
-    BUDGET_ENV_VAR,
-    BudgetExceededError,
-    OrderedIFS,
-    attractor_points,
-    resolution_covering,
+    BUDGET_ENV_VAR, BudgetExceededError, Level, OrderedIFS, attractor_points, levels
 )
 from .hbd import hbd_report
 from .separation import coverage_check, verify_form, verify_jump_lemma, verify_separation
 from .shifts import run_dynamics_experiment, weight_family
 from .tagging import BuilderParams, build_tagged_covering, normalize_tau
-from .zoo import (
-    IFS_NAMES,
-    holder_covering_family,
-    holder_dyadic_covering,
-    zoo_curve,
-    zoo_ifs,
-    zoo_names,
-)
+from .zoo import IFS_NAMES, CurveEvaluator, holder_levels, zoo_curve, zoo_ifs, zoo_names
 
 SCHEMA = "ordered-cover/1"
 
@@ -75,6 +65,23 @@ def _fail(message: str, code: int = 1) -> int:
 
 class _UsageError(Exception):
     """A bad option value; the command exits 2."""
+
+
+def _resolution(m: int, least: int = 0) -> int:
+    if m < least:
+        raise _UsageError(f"--m must be >= {least}, got {m}")
+    return m
+
+
+def _zoo_source(name: str) -> OrderedIFS | CurveEvaluator:
+    """The named system or curve; KeyError for an unknown name."""
+    return zoo_ifs(name) if name in IFS_NAMES else zoo_curve(name)
+
+
+def _level(source: OrderedIFS | CurveEvaluator, m: int, budget: int | None) -> Level:
+    """Resolution m of a system or a curve, after the budget check."""
+    build = levels if isinstance(source, OrderedIFS) else holder_levels
+    return build(source, _resolution(m), budget)[-1]
 
 
 def _run(
@@ -152,28 +159,24 @@ def cmd_zoo_emit(args: argparse.Namespace) -> int:
 
 
 def _zoo_body(args: argparse.Namespace) -> dict:
-    parts = None
-    if args.name in IFS_NAMES:
-        ifs = zoo_ifs(args.name)
-        body = _ifs_record(ifs)
-        if args.m is not None:
-            parts = resolution_covering(ifs, args.m, budget=args.budget)
+    source = _zoo_source(args.name)
+    if isinstance(source, OrderedIFS):
+        body = _ifs_record(source)
     else:
-        curve = zoo_curve(args.name)
         body = {
             "kind": "curve",
-            "name": curve.name,
-            "holder_beta": curve.holder_beta,
-            "holder_rho": curve.holder_rho,
+            "name": source.name,
+            "holder_beta": source.holder_beta,
+            "holder_rho": source.holder_rho,
         }
-        if args.m is not None:
-            parts = holder_dyadic_covering(curve, args.m)
-    if parts is not None:
+    if args.m is not None:
+        level = _level(source, args.m, args.budget)
+        sides = level.sides.tolist()
         body["covering"] = {
             "m": args.m,
             "parts": [
-                {"index": list(p.index.entries), "corner": list(p.corner), "side": p.side}
-                for p in parts
+                {"index": level.index(k), "corner": corner, "side": sides[k]}
+                for k, corner in enumerate(level.corners.tolist())
             ],
         }
     return body
@@ -185,17 +188,16 @@ def _zoo_body(args: argparse.Namespace) -> dict:
 
 def cmd_verify_hbd(args: argparse.Namespace) -> int:
     def body() -> tuple:
-        if args.name in IFS_NAMES:
-            ifs = zoo_ifs(args.name)
-            gamma = args.gamma if args.gamma is not None else ifs.gamma
-            rho = args.rho if args.rho is not None else ifs.rho
-            report = hbd_report(ifs, gamma, rho, args.m, budget=args.budget)
+        source = _zoo_source(args.name)
+        _resolution(args.m, least=1)
+        if isinstance(source, OrderedIFS):
+            gamma, rho, lv = source.gamma, source.rho, source
         else:
-            curve = zoo_curve(args.name)
-            gamma = args.gamma if args.gamma is not None else 1.0 / curve.holder_beta
-            rho = args.rho if args.rho is not None else curve.holder_rho
-            coverings = holder_covering_family(curve, args.m)
-            report = hbd_report(coverings, gamma, rho, args.m, name=curve.name)
+            gamma, rho = 1.0 / source.holder_beta, source.holder_rho
+            lv = holder_levels(source, args.m, args.budget)
+        gamma = args.gamma if args.gamma is not None else gamma
+        rho = args.rho if args.rho is not None else rho
+        report = hbd_report(lv, gamma, rho, args.m, name=source.name, budget=args.budget)
         notes = [
             f"condition ({c.condition}) m={c.m}: {'PASS' if c.passed else 'FAIL'}"
             for c in report.conditions
@@ -304,34 +306,24 @@ def _num(value: float) -> str:
     return "0.000000" if text == "-0.000000" else text
 
 
-def _svg_of_boxes(boxes: list[tuple[float, float, float]], labels: list[int]) -> str:
-    """Boxes as (x, y, side) in math coordinates (y up); labels grade hue."""
-    pieces = []
-    if boxes:
-        xs = [b[0] for b in boxes]
-        ys = [b[1] for b in boxes]
-        x_hi = max(b[0] + b[2] for b in boxes)
-        y_hi = max(b[1] + b[2] for b in boxes)
-        x_lo, y_lo = min(xs), min(ys)
-    else:
-        x_lo, y_lo, x_hi, y_hi = 0.0, 0.0, 1.0, 1.0
+def _svg_of_boxes(corners: np.ndarray, sides: np.ndarray) -> str:
+    """Squares (corner, side) in math coordinates (y up); rank grades hue."""
+    x_lo, y_lo = corners.min(axis=0).tolist()
+    x_hi, y_hi = (corners + sides[:, None]).max(axis=0).tolist()
     pad = 0.05 * max(x_hi - x_lo, y_hi - y_lo, 1e-9)
     x_lo, y_lo, x_hi, y_hi = x_lo - pad, y_lo - pad, x_hi + pad, y_hi + pad
     width = x_hi - x_lo
     height = y_hi - y_lo
     stroke = 0.002 * max(width, height)
-    pieces.append(
+    pieces = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_num(x_lo)} {_num(y_lo)} {_num(width)} {_num(height)}" '
-        'width="800" height="800">'
-    )
-    pieces.append(
+        'width="800" height="800">',
         f'<rect x="{_num(x_lo)}" y="{_num(y_lo)}" width="{_num(width)}" '
-        f'height="{_num(height)}" fill="#ffffff"/>'
-    )
-    total = max(len(boxes), 1)
-    for (x, y, side), label in zip(boxes, labels):
-        hue = (330 * label) // total
+        f'height="{_num(height)}" fill="#ffffff"/>',
+    ]
+    for label, ((x, y), side) in enumerate(zip(corners.tolist(), sides.tolist())):
+        hue = (330 * label) // len(sides)
         y_svg = y_lo + y_hi - y - side
         pieces.append(
             f'<rect x="{_num(x)}" y="{_num(y_svg)}" width="{_num(side)}" height="{_num(side)}" '
@@ -346,20 +338,19 @@ def cmd_render(args: argparse.Namespace) -> int:
     try:
         if args.tau is not None or args.s is not None:
             _, cov, _ = _build_for_args(args)
-            boxes = [(x, y, side) for (x, y), side in zip(cov.tags.tolist(), cov.sides.tolist())]
+            corners, sides = cov.tags, cov.sides
         else:
-            if args.name in IFS_NAMES:
-                m = args.m if args.m is not None else 4
-                parts = resolution_covering(zoo_ifs(args.name), m, budget=args.budget)
-            else:
-                m = args.m if args.m is not None else 6
-                parts = holder_dyadic_covering(zoo_curve(args.name), m)
-            boxes = [(p.corner[0], p.corner[1], p.side) for p in parts]
+            source = _zoo_source(args.name)
+            m = args.m if args.m is not None else 4 if isinstance(source, OrderedIFS) else 6
+            level = _level(source, m, args.budget)
+            corners, sides = level.corners, level.sides
     except KeyError:
         return _fail(f"unknown zoo name {args.name!r}; known: {', '.join(zoo_names())}", 2)
+    except _UsageError as exc:
+        return _fail(str(exc), 2)
     except (BudgetExceededError, ValueError) as exc:
         return _fail(str(exc))
-    _atomic_write(args.out, _svg_of_boxes(boxes, list(range(len(boxes)))))
+    _atomic_write(args.out, _svg_of_boxes(corners, sides))
     return 0
 
 
@@ -449,9 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_verify_jump(args: argparse.Namespace) -> int:
     def body() -> tuple:
-        report = verify_jump_lemma(
-            zoo_ifs(args.name), args.m, gamma=args.gamma, rho=args.rho, budget=args.budget
-        )
+        ifs, m = zoo_ifs(args.name), _resolution(args.m)
+        report = verify_jump_lemma(ifs, m, gamma=args.gamma, rho=args.rho, budget=args.budget)
         status = "PASS" if report.passed else "FAIL"
         return report.to_record(), 0 if report.passed else 1, [f"jump m={args.m}: {status}"]
 

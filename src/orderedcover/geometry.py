@@ -13,6 +13,7 @@ Conventions used throughout the package:
   corners (r^m, 2), sides (r^m,) and the composed maps sim_w of every word
   w. ``levels`` builds resolutions 0..m from the one before, one array
   expression per level; ``compose_part`` is its single-word reference.
+  Curve levels (``zoo.holder_levels``) carry the same arrays without maps.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -196,37 +196,8 @@ class OrderedIFS:
         return np.array([[x, y], [x + s, y], [x + s / 2.0, y + s * _TRIANGLE_HEIGHT]])
 
 
-@dataclass(frozen=True)
-class CoveringPart:
-    """Bounding square of one image phi_{i_1} o ... o phi_{i_m}(Lambda_0).
-
-    corner is the bottom-left point of the tight bounding box and serves as
-    the part's tag; side = max(width, height) of that box.
-    """
-
-    index: MultiIndex
-    corner: tuple[float, float]
-    side: float
-    resolution: int
-
-    def box(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.asarray(self.corner, dtype=float)
-        return lo, lo + self.side
-
-
-def part_from_vertices(index: MultiIndex, vertices: np.ndarray, resolution: int) -> CoveringPart:
-    lo = vertices.min(axis=0)
-    span = vertices.max(axis=0) - lo
-    return CoveringPart(
-        index=index,
-        corner=(float(lo[0]), float(lo[1])),
-        side=float(span.max()),
-        resolution=resolution,
-    )
-
-
-def compose_part(ifs: OrderedIFS, index: MultiIndex) -> CoveringPart:
-    """Bounding square of the base under sim_w = phi_{i_1} o ... o phi_{i_m}.
+def compose_part(ifs: OrderedIFS, index: MultiIndex) -> tuple[np.ndarray, float]:
+    """Bounding square (corner, side) of the base under phi_{i_1} o ... o phi_{i_m}.
 
     The single-word reference for ``levels``: the map is folded left to
     right with Similarity.compose, so each new letter acts on the base first.
@@ -237,7 +208,8 @@ def compose_part(ifs: OrderedIFS, index: MultiIndex) -> CoveringPart:
     if index.entries:
         sim = functools.reduce(Similarity.compose, (ifs.maps[i - 1] for i in index.entries))
         vertices = sim.apply(vertices)
-    return part_from_vertices(index, vertices, index.length)
+    lo = vertices.min(axis=0)
+    return lo, float((vertices.max(axis=0) - lo).max())
 
 
 def _images(ratio, angle, reflect, shift, points: np.ndarray) -> np.ndarray:
@@ -262,7 +234,7 @@ class Level:
 
     corners (n, 2) and sides (n,) are the parts' bounding squares. ratio,
     angle, reflect (n,) and shift (n, 2) are the composed maps sim_w, one
-    row per word; a level read from a part list has none.
+    row per word; a curve level (``zoo.holder_levels``) has none.
     """
 
     m: int
@@ -283,27 +255,6 @@ class Level:
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Images (n, k, 2) of the points (k, 2) under every composed map."""
         return _images(self.ratio, self.angle, self.reflect, self.shift, points)
-
-    def parts(self) -> list[CoveringPart]:
-        """List view: one CoveringPart per rank."""
-        return [
-            CoveringPart(lex_unrank(k, self.m, self.r), (x, y), side, self.m)
-            for k, ((x, y), side) in enumerate(zip(self.corners.tolist(), self.sides.tolist()))
-        ]
-
-    @classmethod
-    def of(cls, covering: "Level | Sequence[CoveringPart]") -> "Level":
-        """Arrays of a part list in lexicographic order; a Level passes through."""
-        if isinstance(covering, Level):
-            return covering
-        parts = list(covering)
-        ms = {p.resolution for p in parts}
-        if len(ms) != 1:
-            raise ValueError(f"covering mixes resolutions {sorted(ms)}")
-        if any(lex_rank(p.index) != k for k, p in enumerate(parts)):
-            raise ValueError("covering is not in lexicographic order")
-        corners = np.array([p.corner for p in parts], dtype=float)
-        return cls(ms.pop(), parts[0].index.arity, corners, np.array([p.side for p in parts]))
 
 
 def levels(ifs: OrderedIFS, m_max: int, budget: int | None = None) -> list[Level]:
@@ -337,13 +288,6 @@ def levels(ifs: OrderedIFS, m_max: int, budget: int | None = None) -> list[Level
         sides = (vertices.max(axis=1) - lo).max(axis=1)
         out.append(Level(m, ifs.r, lo, sides, ratio, angle, reflect, shift))
     return out
-
-
-def resolution_covering(
-    ifs: OrderedIFS, m: int, budget: int | None = None
-) -> list[CoveringPart]:
-    """List view of resolution m: all r^m parts, in lexicographic index order."""
-    return levels(ifs, m, budget)[-1].parts()
 
 
 def attractor_points(ifs: OrderedIFS, depth: int, budget: int | None = None) -> np.ndarray:

@@ -7,23 +7,20 @@ coverings (r^m parts each, lexicographic order) must satisfy:
   (ii)  each resolution-(m+1) part sits inside its length-m prefix part,
   (iii) parts (i, j-1, r) and (i, j, 1) intersect for consecutive j.
 
-Each condition is one array expression over a rank-indexed ``Level``; part
-lists are turned into levels once, on entry. A counterexample is the first
-failing rank. Only the decision "at most gamma" is implemented; the infimum
-itself has no algorithm here.
+Each condition is one array expression over a rank-indexed ``Level``. A
+counterexample is the first failing rank. Only the decision "at most gamma"
+is implemented; the infimum itself has no algorithm here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import geometry
-from .geometry import CoveringPart, GEOM_TOL, Level, OrderedIFS
-
-Covering = Union[Level, Sequence[CoveringPart]]
+from .geometry import GEOM_TOL, Level, OrderedIFS
 
 
 @dataclass(frozen=True)
@@ -76,11 +73,8 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def check_diameters(
-    covering: Covering, rho: float, c: float, tol: float = GEOM_TOL
-) -> ConditionResult:
+def check_diameters(level: Level, rho: float, c: float, tol: float = GEOM_TOL) -> ConditionResult:
     """Condition (i): every side <= rho * c^m, c = r^(-1/gamma)."""
-    level = Level.of(covering)
     bound = rho * c**level.m
     k = _first(level.sides > bound + tol)
     if k is not None:
@@ -89,14 +83,11 @@ def check_diameters(
     return ConditionResult("i", level.m, True)
 
 
-def check_nesting(parent: Covering, child: Covering, tol: float = GEOM_TOL) -> ConditionResult:
+def check_nesting(parent: Level, child: Level, tol: float = GEOM_TOL) -> ConditionResult:
     """Condition (ii): the part at rank k // r contains the child at rank k."""
-    parent, child = Level.of(parent), Level.of(child)
     if child.m != parent.m + 1:
-        raise ValueError("child covering must be one resolution deeper")
-    if len(child) % len(parent) != 0:
-        raise ValueError("child count must be r x parent count")
-    r = len(child) // len(parent)
+        raise ValueError("child level must be one resolution deeper")
+    r = child.r
     lo = np.repeat(parent.corners, r, axis=0)
     hi = np.repeat(parent.corners + parent.sides[:, None], r, axis=0)
     inside = (child.corners >= lo - tol) & (child.corners + child.sides[:, None] <= hi + tol)
@@ -108,10 +99,9 @@ def check_nesting(parent: Covering, child: Covering, tol: float = GEOM_TOL) -> C
     return ConditionResult("ii", child.m, True)
 
 
-def check_adjacency(covering: Covering, r: int, tol: float = GEOM_TOL) -> ConditionResult:
+def check_adjacency(level: Level, tol: float = GEOM_TOL) -> ConditionResult:
     """Condition (iii): box of (i, j-1, r) meets box of (i, j, 1)."""
-    level = Level.of(covering)
-    m = level.m
+    m, r = level.m, level.r
     if m < 2:
         raise ValueError("adjacency needs resolution >= 2")
     if len(level) != r**m:
@@ -130,7 +120,7 @@ def check_adjacency(covering: Covering, r: int, tol: float = GEOM_TOL) -> Condit
 
 
 def hbd_report(
-    source: OrderedIFS | Sequence[Covering],
+    source: OrderedIFS | Sequence[Level],
     gamma: float,
     rho: float,
     m_max: int,
@@ -141,8 +131,8 @@ def hbd_report(
     """Run all three checks for every resolution up to m_max.
 
     source is either an ordered system (its levels are generated, after the
-    budget check) or pre-built coverings for resolutions 0..m_max: levels,
-    or part lists in lexicographic order, turned into arrays once here.
+    budget check) or its levels for resolutions 0..m_max, such as the
+    bounding squares of a Holder curve from ``zoo.holder_levels``.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -150,12 +140,11 @@ def hbd_report(
         coverings = geometry.levels(source, m_max, budget)
         label = name or source.name
     else:
-        coverings = [Level.of(cov) for cov in source]
+        coverings = list(source)
         if len(coverings) < m_max + 1:
-            raise ValueError("need coverings for every resolution 0..m_max")
+            raise ValueError("need levels for every resolution 0..m_max")
         label = name or ""
-    r = len(coverings[1])
-    c = r ** (-1.0 / gamma)
+    c = coverings[0].r ** (-1.0 / gamma)
 
     results: list[ConditionResult] = []
     for m in range(m_max + 1):
@@ -163,5 +152,5 @@ def hbd_report(
     for m in range(m_max):
         results.append(check_nesting(coverings[m], coverings[m + 1], tol))
     for m in range(2, m_max + 1):
-        results.append(check_adjacency(coverings[m], r, tol))
+        results.append(check_adjacency(coverings[m], tol))
     return HbdReport(label, gamma, rho, m_max, tuple(results))

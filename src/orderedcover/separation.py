@@ -1,4 +1,4 @@
-"""Brute-force verification of the tagged covering's quantitative claims.
+"""Audits of the tagged covering's quantitative claims.
 
 Three checks:
 

@@ -1,9 +1,12 @@
-"""Ready-made ordered systems and Holder-curve dyadic coverings.
+"""Ready-made ordered systems and Holder curves with dyadic levels.
 
-The four planar systems are wired exactly as ordered iterated function
-systems whose lexicographic part order traces the classical curve orderings
+The planar systems are wired exactly as ordered iterated function systems
+whose lexicographic part order traces the classical curve orderings
 (arrowhead order on the gasket, pseudo-Hilbert order on the square, path
-order on the Koch curve and on the eight-edge sausage seed).
+order on the Koch curve and on the eight-edge sausage seed); the unit
+interval and a gap dust that fails adjacency on purpose complete the set.
+A Holder curve's resolution m is the level of bounding squares over its
+2^m dyadic parameter intervals (``holder_levels``).
 """
 
 from __future__ import annotations
@@ -15,13 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry
-from .geometry import (
-    CoveringPart,
-    MultiIndex,
-    OrderedIFS,
-    Similarity,
-    part_from_vertices,
-)
+from .geometry import Level, OrderedIFS, Similarity
 
 SQRT3 = math.sqrt(3.0)
 
@@ -239,45 +236,37 @@ def hilbert_pseudo(order: int) -> CurveEvaluator:
     return _polyline_evaluator(vertices, 0.5, 4.0, f"hilbert-pseudo:{order}")
 
 
-def _interval_samples(
-    curve: CurveEvaluator, lo: float, hi: float, samples: int
-) -> np.ndarray:
-    ts = np.linspace(lo, hi, samples)
-    if curve.breakpoints is not None:
-        bp = curve.breakpoints
-        inner = bp[(bp > lo) & (bp < hi)]
-        if inner.size:
-            ts = np.sort(np.concatenate([ts, inner]))
-    return curve(ts)
+_INTERVALS_PER_CHUNK = 4096
 
 
-def holder_dyadic_covering(
-    curve: CurveEvaluator, m: int, samples_per_interval: int = 64
-) -> list[CoveringPart]:
-    """Bounding squares of f over the 2^m dyadic intervals, in dyadic order.
+def holder_levels(curve: CurveEvaluator, m_max: int, budget: int | None = None) -> list[Level]:
+    """Bounding squares of f over the 2^m dyadic intervals, for m = 0..m_max.
 
-    Each part's side is at most rho * (2^-beta)^m by the Holder certificate.
+    Rank j of resolution m is the interval [j 2^-m, (j+1) 2^-m]: 64 equally
+    spaced samples (256 at m = 0), with the curve's breakpoints strictly
+    inside folded in, so polyline boxes come out exact. Each side is at most
+    rho * (2^-beta)^m by the Holder certificate. Every level is checked
+    against the budget before anything is sampled.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    parts: list[CoveringPart] = []
-    step = 0.5**m
-    for j in range(2**m):
-        entries = tuple((j >> (m - 1 - b)) % 2 + 1 for b in range(m))
-        pts = _interval_samples(curve, j * step, (j + 1) * step, samples_per_interval)
-        parts.append(part_from_vertices(MultiIndex(entries, 2), pts, m))
-    return parts
-
-
-def holder_covering_family(
-    curve: CurveEvaluator, m_max: int, samples_per_interval: int = 64
-) -> list[list[CoveringPart]]:
-    """Coverings for every resolution 0..m_max; resolution 0 is one box."""
-    pts = _interval_samples(curve, 0.0, 1.0, max(2, samples_per_interval) * 4)
-    root = part_from_vertices(MultiIndex((), 2), pts, 0)
-    out: list[list[CoveringPart]] = [[root]]
-    for m in range(1, m_max + 1):
-        out.append(holder_dyadic_covering(curve, m, samples_per_interval))
+    if m_max < 0:
+        raise ValueError(f"resolution must be >= 0, got {m_max}")
+    geometry.check_level_budget(2, m_max, budget)
+    bp = np.empty(0) if curve.breakpoints is None else curve.breakpoints
+    bp = bp[(bp > 0.0) & (bp < 1.0)]
+    bp_points = curve(bp)
+    out: list[Level] = []
+    for m in range(m_max + 1):
+        n, step = 2**m, 0.5**m
+        lo, hi = np.empty((n, 2)), np.empty((n, 2))
+        for first in range(0, n, _INTERVALS_PER_CHUNK):
+            j = np.arange(first, min(first + _INTERVALS_PER_CHUNK, n))
+            pts = curve(np.linspace(j * step, (j + 1) * step, 256 if m == 0 else 64, axis=-1))
+            lo[j], hi[j] = pts.min(axis=1), pts.max(axis=1)
+        # a breakpoint on an interval's left end repeats its first sample
+        owner = (bp * n).astype(np.intp)
+        np.minimum.at(lo, owner, bp_points)
+        np.maximum.at(hi, owner, bp_points)
+        out.append(Level(m, 2, lo, (hi - lo).max(axis=1)))
     return out
 
 

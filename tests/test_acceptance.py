@@ -231,9 +231,9 @@ def test_criterion_9_pseudo_arrowhead_holder_boxes():
     beta = math.log(2.0) / math.log(3.0)
     curve = zoo.arrowhead_pseudo(8)
     failures = []
-    for m in range(1, 11):
+    for m, level in enumerate(zoo.holder_levels(curve, 10)):
         bound = 4.0 * (2.0**-beta) ** m
-        worst = max(p.side for p in zoo.holder_dyadic_covering(curve, m))
+        worst = level.sides.max()
         if worst > bound * (1 + 1e-9):
             failures.append(f"m={m}: side {worst:.4e} > {bound:.4e}")
     _verdict(9, "pseudo-arrowhead box decay", not failures, "; ".join(failures))

@@ -228,3 +228,40 @@ def test_cover_verify_form_error_is_exactly_zero(capsys):
     code, record, _ = run_json(capsys, ["cover", "verify", "--name", "koch", "--s", "1"])
     assert code == 0
     assert record["record"]["form"]["max_rel_err"] == 0.0
+
+
+def test_curve_runs_honour_the_part_budget(capsys):
+    assert main(["verify-hbd", "--name", "holder-diag", "--m", "5", "--budget", "10"]) == 1
+    assert capsys.readouterr().err == "error: 16 parts exceed budget 10\n"
+    assert main(["zoo", "emit", "--name", "hilbert-pseudo:3", "--m", "4", "--budget", "10"]) == 1
+    assert "16 parts exceed budget 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, least",
+    [
+        (["zoo", "emit", "--name", "sierpinski", "--m", "-1"], 0),
+        (["zoo", "emit", "--name", "holder-diag", "--m", "-1"], 0),
+        (["verify-hbd", "--name", "koch", "--m", "0"], 1),
+        (["verify-hbd", "--name", "holder-diag", "--m", "0"], 1),
+        (["verify-jump", "--name", "sierpinski", "--m", "-1"], 0),
+        (["render", "--name", "hilbert-pseudo:4", "--m", "-1", "--out", "unused.svg"], 0),
+    ],
+)
+def test_bad_resolution_is_usage_error(argv, least, tmp_path, capsys):
+    argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
+    assert main(argv) == 2
+    m = argv[argv.index("--m") + 1]
+    assert capsys.readouterr().err == f"error: --m must be >= {least}, got {m}\n"
+    assert not (tmp_path / "unused.svg").exists()
+
+
+def test_curves_emit_their_resolution_zero_box(tmp_path, capsys):
+    code, record, _ = run_json(capsys, ["zoo", "emit", "--name", "holder-diag", "--m", "0"])
+    assert code == 0
+    assert record["record"]["covering"]["parts"] == [
+        {"index": [], "corner": [0.0, 0.0], "side": 1.0}
+    ]
+    out = tmp_path / "root.svg"
+    assert main(["render", "--name", "hilbert-pseudo:2", "--m", "0", "--out", str(out)]) == 0
+    assert out.read_bytes().count(b"<rect") == 1 + 1

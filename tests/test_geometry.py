@@ -17,7 +17,6 @@ from orderedcover.geometry import (
     lex_rank,
     lex_unrank,
     part_budget,
-    resolution_covering,
 )
 from orderedcover.zoo import sierpinski_gasket, unit_interval
 
@@ -96,35 +95,35 @@ def test_compose_part_applies_maps_outside_in():
     vertices = ifs.maps[2].apply(vertices)
     vertices = ifs.maps[0].apply(vertices)
     lo = vertices.min(axis=0)
-    part = compose_part(ifs, idx)
-    assert np.allclose(part.corner, lo, atol=1e-12)
-    assert math.isclose(part.side, float((vertices.max(axis=0) - lo).max()), rel_tol=1e-12)
+    corner, side = compose_part(ifs, idx)
+    assert np.allclose(corner, lo, atol=1e-12)
+    assert math.isclose(side, float((vertices.max(axis=0) - lo).max()), rel_tol=1e-12)
 
 
 def test_resolution_covering_counts_and_order():
     ifs = sierpinski_gasket()
     for m in range(4):
-        parts = resolution_covering(ifs, m)
-        assert len(parts) == 3**m
-        assert [p.index.entries for p in parts] == sorted(p.index.entries for p in parts)
-        assert all(p.resolution == m for p in parts)
+        level = levels(ifs, m)[-1]
+        assert len(level) == 3**m and level.m == m
+        words = [tuple(level.index(k)) for k in range(len(level))]
+        assert words == sorted(words) == list(itertools.product((1, 2, 3), repeat=m))
 
 
 def test_resolution_covering_agrees_with_compose_part():
     ifs = sierpinski_gasket()
-    parts = resolution_covering(ifs, 3)
-    for p in parts[::5]:
-        direct = compose_part(ifs, p.index)
-        assert np.allclose(p.corner, direct.corner, atol=1e-12)
-        assert math.isclose(p.side, direct.side, rel_tol=1e-12)
+    level = levels(ifs, 3)[-1]
+    for k in range(0, 27, 5):
+        corner, side = compose_part(ifs, lex_unrank(k, 3, 3))
+        assert np.allclose(level.corners[k], corner, atol=1e-12)
+        assert math.isclose(level.sides[k], side, rel_tol=1e-12)
 
 
 def test_budget_stops_large_enumerations():
     ifs = sierpinski_gasket()
     with pytest.raises(BudgetExceededError):
-        resolution_covering(ifs, 20)
+        levels(ifs, 20)
     with pytest.raises(BudgetExceededError):
-        resolution_covering(ifs, 3, budget=10)
+        levels(ifs, 3, budget=10)
 
 
 def test_budget_env_var_override(monkeypatch):
@@ -132,7 +131,7 @@ def test_budget_env_var_override(monkeypatch):
     assert part_budget() == 12
     ifs = sierpinski_gasket()
     with pytest.raises(BudgetExceededError):
-        resolution_covering(ifs, 3)
+        levels(ifs, 3)
     monkeypatch.delenv("HBD_COVER_BUDGET")
     assert part_budget() == 10**6
 

@@ -35,6 +35,9 @@ CLI_CASES = (
     "cover_verify_hilbert_square_s1_seed0",
     "dyn_sierpinski_plus_power_alpha0.5",
     "dyn_hilbert_square_rolewicz_eta0.1",
+    "zoo_emit_arrowhead_pseudo4_m5",
+    "verify_hbd_hilbert_pseudo6_m9",
+    "verify_hbd_holder_diag_m8",
 )
 
 

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from orderedcover.geometry import CoveringPart, MultiIndex
+from orderedcover.geometry import Level
 from orderedcover.hbd import (
     check_adjacency,
     check_diameters,
@@ -11,7 +12,7 @@ from orderedcover.zoo import (
     diagonal_curve,
     gap_dust,
     hilbert_square,
-    holder_covering_family,
+    holder_levels,
     koch_curve,
     minkowski_sausage,
     sierpinski_gasket,
@@ -58,50 +59,43 @@ def test_gap_dust_fails_adjacency_only():
 
 def test_prebuilt_coverings_give_same_verdict():
     curve = diagonal_curve()
-    family = holder_covering_family(curve, 4)
+    family = holder_levels(curve, 4)
     report = hbd_report(family, 1.0, curve.holder_rho, 4, name=curve.name)
     assert report.passed
     assert report.name == curve.name
 
 
+def level(m, xs, sides, r=2):
+    """A hand-built level: squares at (x, 0) in rank order."""
+    corners = np.stack([np.asarray(xs, dtype=float), np.zeros(len(xs))], axis=1)
+    return Level(m, r, corners, np.broadcast_to(np.asarray(sides, dtype=float), len(xs)))
+
+
 def test_diameter_check_flags_oversized_part():
-    big = CoveringPart(MultiIndex((1,), 2), (0.0, 0.0), 2.0, 1)
-    ok = CoveringPart(MultiIndex((2,), 2), (0.5, 0.0), 0.5, 1)
-    result = check_diameters([big, ok], rho=1.0, c=0.5)
+    result = check_diameters(level(1, [0.0, 0.5], [2.0, 0.5]), rho=1.0, c=0.5)
     assert not result.passed
     assert result.counterexample["index"] == [1]
 
 
 def test_nesting_check_flags_escaping_child():
-    parent = CoveringPart(MultiIndex((1,), 2), (0.0, 0.0), 1.0, 1)
-    child = CoveringPart(MultiIndex((1, 1), 2), (3.0, 0.0), 0.5, 2)
-    result = check_nesting([parent], [child])
+    # child (1, 1) at x = 3 escapes its parent [0, 1]; the other three sit inside theirs
+    parent = level(1, [0.0, 1.0], 1.0)
+    child = level(2, [3.0, 0.5, 1.0, 1.5], 0.5)
+    result = check_nesting(parent, child)
     assert not result.passed
+    assert result.counterexample["index"] == [1, 1]
 
 
 def test_adjacency_check_flags_gap():
     # two resolution-2 sibling blocks: children of 1 end at x=0.4,
     # children of 2 start at x=0.6
-    def part(entries, x):
-        return CoveringPart(MultiIndex(entries, 2), (x, 0.0), 0.2, 2)
-
-    covering = [
-        part((1, 1), 0.0),
-        part((1, 2), 0.2),
-        part((2, 1), 0.6),
-        part((2, 2), 0.8),
-    ]
-    result = check_adjacency(covering, 2)
+    result = check_adjacency(level(2, [0.0, 0.2, 0.6, 0.8], 0.2))
     assert not result.passed
     assert result.counterexample is not None
 
 
 def test_adjacency_check_accepts_touching_chain():
-    def part(entries, x):
-        return CoveringPart(MultiIndex(entries, 2), (x, 0.0), 0.25, 2)
-
-    covering = [part((1, 1), 0.0), part((1, 2), 0.25), part((2, 1), 0.5), part((2, 2), 0.75)]
-    assert check_adjacency(covering, 2).passed
+    assert check_adjacency(level(2, [0.0, 0.25, 0.5, 0.75], 0.25)).passed
 
 
 def test_report_record_shape():

@@ -1,4 +1,8 @@
-"""Rank-indexed level arrays against the single-word reference compose_part."""
+"""Rank-indexed level arrays against single-part references.
+
+System levels are checked against compose_part, curve levels against a
+per-interval sampling loop kept here.
+"""
 
 import functools
 
@@ -9,9 +13,7 @@ from hypothesis import given, settings, strategies as st
 from orderedcover import geometry
 from orderedcover.geometry import (
     BudgetExceededError,
-    CoveringPart,
     Level,
-    MultiIndex,
     attractor_points,
     compose_part,
     levels,
@@ -19,7 +21,12 @@ from orderedcover.geometry import (
 )
 from orderedcover.hbd import check_adjacency, hbd_report
 from orderedcover.zoo import (
+    CurveEvaluator,
+    arrowhead_pseudo,
+    diagonal_curve,
     gap_dust,
+    hilbert_pseudo,
+    holder_levels,
     hilbert_square,
     koch_curve,
     minkowski_sausage,
@@ -47,9 +54,9 @@ def ulps(a, b):
 def test_levels_match_compose_part(name, depth, data):
     ifs, lv = system_levels(name)
     rank = data.draw(st.integers(0, ifs.r**depth - 1))
-    part = compose_part(ifs, lex_unrank(rank, depth, ifs.r))
+    corner, side = compose_part(ifs, lex_unrank(rank, depth, ifs.r))
     got = np.array([*lv[depth].corners[rank], lv[depth].sides[rank]])
-    want = np.array([*part.corner, part.side])
+    want = np.array([*corner, side])
     # compose_part rounds through numpy's small matmul, which may fuse
     # multiply-adds; only the gasket's pi/3 rotations with reflections show it.
     assert ulps(got, want).max() <= (2 if name == "sierpinski" else 0)
@@ -63,9 +70,10 @@ def test_level_shapes_follow_rank_order(name):
         n = ifs.r**level.m
         assert len(level) == n
         assert level.corners.shape == (n, 2) and level.shift.shape == (n, 2)
-        parts = level.parts()
-        assert [p.index for p in parts] == [lex_unrank(k, level.m, ifs.r) for k in range(n)]
-        assert [p.corner for p in parts] == [tuple(c) for c in level.corners.tolist()]
+        assert level.sides.shape == (n,) and level.r == ifs.r
+        assert [level.index(k) for k in range(n)] == [
+            list(lex_unrank(k, level.m, ifs.r).entries) for k in range(n)
+        ]
 
 
 def test_levels_refuse_before_building(monkeypatch):
@@ -95,26 +103,63 @@ def test_attractor_points_of_the_line_are_dyadic_left_ends():
     assert np.array_equal(pts[:, 0], np.arange(32) / 32.0)
 
 
-def test_level_of_requires_lexicographic_order():
-    a = CoveringPart(MultiIndex((1,), 2), (0.0, 0.0), 0.5, 1)
-    b = CoveringPart(MultiIndex((2,), 2), (0.5, 0.0), 0.5, 1)
-    level = Level.of([a, b])
-    assert level.m == 1 and level.r == 2 and level.index(1) == [2]
-    assert Level.of(level) is level
-    with pytest.raises(ValueError, match="lexicographic"):
-        Level.of([b, a])
-    with pytest.raises(ValueError, match="mixes"):
-        Level.of([a, CoveringPart(MultiIndex((2, 1), 2), (0.5, 0.0), 0.25, 2)])
-
-
 def test_adjacency_reports_the_first_gap_in_rank_order():
     # r = 3, m = 2: consecutive pairs (1,3)-(2,1) at ranks 2-3 and (2,3)-(3,1)
     # at ranks 5-6; both have a gap, the first is reported
     xs = [0, 1, 2, 4, 5, 6, 8, 9, 10]
-    parts = [
-        CoveringPart(lex_unrank(k, 2, 3), (float(x), 0.0), 1.0 if k != 2 else 0.5, 2)
-        for k, x in enumerate(xs)
-    ]
-    result = check_adjacency(parts, 3)
+    corners = np.stack([np.array(xs, dtype=float), np.zeros(9)], axis=1)
+    sides = np.where(np.arange(9) == 2, 0.5, 1.0)
+    result = check_adjacency(Level(2, 3, corners, sides))
     assert not result.passed
     assert result.counterexample == {"left": [1, 3], "right": [2, 1]}
+
+
+def reference_holder_level(curve, m):
+    """Resolution m interval by interval: samples plus inner breakpoints."""
+    samples = 256 if m == 0 else 64
+    corners, sides = [], []
+    for j in range(2**m):
+        lo, hi = j * 0.5**m, (j + 1) * 0.5**m
+        ts = np.linspace(lo, hi, samples)
+        if curve.breakpoints is not None:
+            bp = curve.breakpoints
+            ts = np.sort(np.concatenate([ts, bp[(bp > lo) & (bp < hi)]]))
+        pts = curve(ts)
+        corner = pts.min(axis=0)
+        corners.append(corner)
+        sides.append((pts.max(axis=0) - corner).max())
+    return np.array(corners), np.array(sides)
+
+
+CURVES = {
+    "diag": lambda order: diagonal_curve(),
+    "arrowhead": arrowhead_pseudo,
+    "hilbert": hilbert_pseudo,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def curve_levels(family, order):
+    curve = CURVES[family](order)
+    return curve, holder_levels(curve, 8)
+
+
+@given(family=st.sampled_from(sorted(CURVES)), order=st.integers(1, 6), m=st.integers(0, 8))
+@settings(max_examples=40, deadline=None)
+def test_holder_levels_match_per_interval_reference(family, order, m):
+    curve, lv = curve_levels(family, order)
+    corners, sides = reference_holder_level(curve, m)
+    assert lv[m].m == m and lv[m].r == 2
+    assert lv[m].corners.tobytes() == corners.tobytes()
+    assert lv[m].sides.tobytes() == sides.tobytes()
+
+
+def test_holder_levels_refuse_before_sampling():
+    def no_samples(ts):
+        raise AssertionError("the curve was sampled")
+
+    curve = CurveEvaluator(no_samples, holder_beta=1.0, holder_rho=1.0)
+    with pytest.raises(BudgetExceededError, match="^1048576 parts exceed budget 1000000$"):
+        holder_levels(curve, 20)
+    with pytest.raises(BudgetExceededError, match="^16 parts exceed budget 10$"):
+        holder_levels(curve, 5, budget=10)

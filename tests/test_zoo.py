@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from orderedcover.geometry import GEOM_TOL, MultiIndex, compose_part, levels, resolution_covering
+from orderedcover.geometry import GEOM_TOL, MultiIndex, compose_part, levels
 from orderedcover.zoo import (
     arrowhead_pseudo,
     diagonal_curve,
     gap_dust,
     hilbert_pseudo,
     hilbert_square,
-    holder_covering_family,
-    holder_dyadic_covering,
+    holder_levels,
     koch_curve,
     minkowski_sausage,
     sierpinski_gasket,
@@ -56,25 +55,24 @@ def test_gasket_all_maps_send_triangle_to_point_up_halves():
 
 def test_gasket_part_sides_are_exact_dyadics():
     ifs = sierpinski_gasket()
-    for m in range(6):
-        for part in resolution_covering(ifs, m):
-            assert part.side == pytest.approx(0.5**m, rel=1e-14)
+    for level in levels(ifs, 5):
+        assert level.sides == pytest.approx(np.full(3**level.m, 0.5**level.m), rel=1e-14)
 
 
 def test_gasket_scales_with_side_length():
     ifs = sierpinski_gasket(side=2.0)
     assert ifs.rho == pytest.approx(2.0)
-    root = compose_part(ifs, MultiIndex((), 3))
-    assert root.side == pytest.approx(2.0)
+    _, side = compose_part(ifs, MultiIndex((), 3))
+    assert side == pytest.approx(2.0)
 
 
 def test_hilbert_maps_tile_the_four_quadrants():
     ifs = hilbert_square()
     quadrant_corners = [(-0.5, -0.5), (-0.5, 0.0), (0.0, 0.0), (0.0, -0.5)]
     for j, want in enumerate(quadrant_corners, start=1):
-        part = compose_part(ifs, MultiIndex((j,), 4))
-        assert np.allclose(part.corner, want, atol=1e-12)
-        assert part.side == pytest.approx(0.5, rel=1e-12)
+        corner, side = compose_part(ifs, MultiIndex((j,), 4))
+        assert np.allclose(corner, want, atol=1e-12)
+        assert side == pytest.approx(0.5, rel=1e-12)
 
 
 def test_hilbert_first_map_sends_entry_corner_to_itself():
@@ -93,15 +91,15 @@ def test_koch_level_one_boxes():
         ((0.5, 0.0), side_outer),
         ((2.0 / 3.0, 0.0), 1.0 / 3.0),
     ]
-    for j, (corner, side) in enumerate(expected, start=1):
-        part = compose_part(ifs, MultiIndex((j,), 4))
-        assert np.allclose(part.corner, corner, atol=1e-12)
-        assert part.side == pytest.approx(side, rel=1e-12)
+    for j, (want_corner, want_side) in enumerate(expected, start=1):
+        corner, side = compose_part(ifs, MultiIndex((j,), 4))
+        assert np.allclose(corner, want_corner, atol=1e-12)
+        assert side == pytest.approx(want_side, rel=1e-12)
 
 
 def test_koch_rho_matches_worst_box_inflation():
     ifs = koch_curve()
-    worst = max(p.side for p in resolution_covering(ifs, 1))
+    worst = levels(ifs, 1)[-1].sides.max()
     assert worst == pytest.approx(ifs.rho / 3.0, rel=1e-12)
 
 
@@ -109,10 +107,10 @@ def test_minkowski_images_stay_inside_base_box():
     ifs = minkowski_sausage()
     lo = np.asarray(ifs.corner)
     hi = lo + ifs.side
-    for part in resolution_covering(ifs, 1):
-        p_lo, p_hi = part.box()
-        assert (p_lo >= lo - 1e-12).all() and (p_hi <= hi + 1e-12).all()
-        assert part.side == pytest.approx(5.0 / 12.0, rel=1e-12)
+    level = levels(ifs, 1)[-1]
+    assert (level.corners >= lo - 1e-12).all()
+    assert (level.corners + level.sides[:, None] <= hi + 1e-12).all()
+    assert level.sides == pytest.approx(np.full(8, 5.0 / 12.0), rel=1e-12)
 
 
 def test_minkowski_has_eight_quarter_maps():
@@ -125,15 +123,14 @@ def test_minkowski_has_eight_quarter_maps():
 def test_interval_and_dust_helpers():
     line = unit_interval()
     assert line.r == 2 and line.gamma == pytest.approx(1.0)
-    parts = resolution_covering(line, 3)
-    corners = sorted(p.corner[0] for p in parts)
+    corners = sorted(levels(line, 3)[-1].corners[:, 0])
     assert corners == pytest.approx([k / 8.0 for k in range(8)])
 
     dust = gap_dust()
     assert dust.gamma == pytest.approx(0.5)
-    left, right = resolution_covering(dust, 1)
+    level = levels(dust, 1)[-1]
     # the two pieces leave a gap: consecutive parts cannot touch
-    assert left.corner[0] + left.side < right.corner[0] - 1e-6
+    assert level.corners[0, 0] + level.sides[0] < level.corners[1, 0] - 1e-6
 
 
 def test_zoo_lookup_and_unknown_name():
@@ -184,29 +181,26 @@ def test_hilbert_pseudo_endpoints():
 
 
 def test_dyadic_covering_has_exact_interval_boxes():
-    curve = diagonal_curve()
-    parts = holder_dyadic_covering(curve, 3)
-    assert len(parts) == 8
-    for j, part in enumerate(parts):
-        # the diagonal over [j/8, (j+1)/8] spans exactly a 1/8 box
-        assert np.allclose(part.corner, (j / 8.0, j / 8.0), atol=1e-12)
-        assert part.side == pytest.approx(1.0 / 8.0, rel=1e-12)
+    level = holder_levels(diagonal_curve(), 3)[-1]
+    assert len(level) == 8
+    # the diagonal over [j/8, (j+1)/8] spans exactly a 1/8 box
+    j = np.arange(8) / 8.0
+    assert np.allclose(level.corners, np.stack([j, j], axis=1), atol=1e-12)
+    assert level.sides == pytest.approx(np.full(8, 1.0 / 8.0), rel=1e-12)
 
 
 def test_dyadic_covering_sides_respect_holder_bound():
     curve = arrowhead_pseudo(6)
     beta, rho = curve.holder_beta, curve.holder_rho
-    for m in (2, 4, 6):
-        for part in holder_dyadic_covering(curve, m):
-            assert part.side <= rho * (2.0**-beta) ** m + 1e-9
+    for level in holder_levels(curve, 6)[2::2]:
+        assert (level.sides <= rho * (2.0**-beta) ** level.m + 1e-9).all()
 
 
 def test_covering_family_nests_by_prefix():
-    curve = diagonal_curve()
-    family = holder_covering_family(curve, 4)
-    assert len(family) == 5
-    assert len(family[0]) == 1
-    for m in range(1, 5):
-        assert len(family[m]) == 2**m
-        for part in family[m]:
-            assert part.index.length == m
+    family = holder_levels(diagonal_curve(), 4)
+    assert [(level.m, level.r, len(level)) for level in family] == [(m, 2, 2**m) for m in range(5)]
+    for parent, child in zip(family, family[1:]):
+        lo = np.repeat(parent.corners, 2, axis=0)
+        hi = lo + np.repeat(parent.sides, 2)[:, None]
+        assert (child.corners >= lo - GEOM_TOL).all()
+        assert (child.corners + child.sides[:, None] <= hi + GEOM_TOL).all()
