@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .hbd import hbd_report
 from .separation import coverage_check, verify_form, verify_jump_lemma, verify_separation
-from .shifts import run_dynamics_experiment, weight_family
+from .shifts import check_dynamics_inputs, run_dynamics_experiment, weight_family
 from .tagging import BuilderParams, build_tagged_covering, normalize_tau
 from .zoo import IFS_NAMES, CurveEvaluator, holder_levels, zoo_curve, zoo_ifs, zoo_names
 
@@ -279,6 +279,7 @@ def cmd_dyn(args: argparse.Namespace) -> int:
         ifs = zoo_ifs(args.name)
         try:
             fam = weight_family(args.family, args.alpha)
+            check_dynamics_inputs(tuple(args.interval), args.eta)
         except (KeyError, ValueError) as exc:
             raise _UsageError(str(exc)) from exc
         s = args.s if args.s is not None else 1

@@ -11,6 +11,10 @@ families, the d-fold product shifts T (backward) and S (forward, inverse
 weights, a right inverse of T), the Lipschitz and summability checks, the
 common-vector construction u = u_0 + sum_i S_{iN, lambda_i} v_t, and the
 3-eta universality sweep over a tagged covering.
+
+In every family f(x, n) rises in x, linearly or concavely, so both weight checks
+are exact at the interval's left end a, with no x sampled: the CS2 constant is
+max_n df/dx(a, n) / n^alpha, and the envelope's gain floor is read at x = a.
 """
 
 from __future__ import annotations
@@ -26,8 +30,12 @@ from .tagging import BuilderParams, TaggedCovering, build_tagged_covering
 from .separation import verify_separation
 
 NEG_INF = float("-inf")
-# Rows (tags, sample points) or table columns per array block: bounds temporaries.
+# Rows (tags, sample points, boxes) per array block: bounds temporaries.
 _BLOCK = 64
+TABLE_LEN = 20000  # the largest k a generic envelope takes
+# run_dynamics_experiment: the least truncation length, the shares of eta spent
+# on the CS2 step and on the envelope tail, and the most shift steps searched.
+L_MIN, CS2_BUDGET, TAIL_BUDGET, MAX_STEPS = 200, 0.8, 0.5, 100
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +101,8 @@ class WeightFamily:
     C0 n^alpha |x - y| on the documented interval, C1/C2 certify
     w_1...w_n >= C1 exp(C2 n^alpha) there (defaults documented for [1, 2]).
     log_products(x, n_max) returns the table [f(x, 0), ..., f(x, n_max)], or
-    for a 1-d array of x one such row per x.
+    for a 1-d array of x one such row per x; dlog_products(x, n_max) returns
+    [df/dx(x, 0), ..., df/dx(x, n_max)] for one x.
     """
 
     name: str
@@ -102,6 +111,7 @@ class WeightFamily:
     C1: float
     C2: float
     log_products: Callable[[float | np.ndarray, int], np.ndarray]
+    dlog_products: Callable[[float, int], np.ndarray]
 
     def weight(self, x: float, n: int) -> float:
         if n < 1:
@@ -116,7 +126,8 @@ def rolewicz_family() -> WeightFamily:
     def table(x: float | np.ndarray, n_max: int) -> np.ndarray:
         return np.asarray(x, dtype=float)[..., None] * np.arange(n_max + 1, dtype=float)
 
-    return WeightFamily("rolewicz", 1.0, 1.0, 1.0, 1.0, table)
+    slope = lambda x, n_max: np.arange(n_max + 1, dtype=float)
+    return WeightFamily("rolewicz", 1.0, 1.0, 1.0, 1.0, table, slope)
 
 
 def power_family(alpha: float) -> WeightFamily:
@@ -127,7 +138,8 @@ def power_family(alpha: float) -> WeightFamily:
     def table(x: float | np.ndarray, n_max: int) -> np.ndarray:
         return np.asarray(x, dtype=float)[..., None] * np.arange(n_max + 1, dtype=float) ** alpha
 
-    return WeightFamily(f"power:{alpha}", alpha, 1.0, 1.0, 1.0, table)
+    slope = lambda x, n_max: np.arange(n_max + 1, dtype=float) ** alpha
+    return WeightFamily(f"power:{alpha}", alpha, 1.0, 1.0, 1.0, table, slope)
 
 
 def plus_power_family(alpha: float) -> WeightFamily:
@@ -142,7 +154,11 @@ def plus_power_family(alpha: float) -> WeightFamily:
         np.cumsum(np.log1p(increments, out=increments), axis=-1, out=out[..., 1:])
         return out
 
-    return WeightFamily(f"plus-power:{alpha}", alpha, 1.0 / alpha, 1.0, alpha, table)
+    def slope(x: float, n_max: int) -> np.ndarray:
+        k = np.arange(1, n_max + 1, dtype=float)
+        return np.concatenate([[0.0], np.cumsum(1.0 / (k ** (1.0 - alpha) + x))])
+
+    return WeightFamily(f"plus-power:{alpha}", alpha, 1.0 / alpha, 1.0, alpha, table, slope)
 
 
 def weight_family(name: str, alpha: float | None = None) -> WeightFamily:
@@ -339,36 +355,21 @@ def check_cs2_lipschitz(
     fam: WeightFamily,
     interval: tuple[float, float],
     n_max: int = 1000,
-    num_x: int = 21,
-    extra_pairs: int = 200,
-    seed: int = 0,
     rtol: float = 1e-9,
 ) -> CS2Report:
-    """Measure sup |f(x,n) - f(y,n)| / (n^alpha |x - y|) against C0."""
+    """The exact sup of |f(x,n) - f(y,n)| / (n^alpha |x - y|) over x != y in [a, b] and
+    1 <= n <= n_max, against C0: f(., n) rises, linearly or concavely, so it is at x = y = a."""
     a, b = interval
-    xs = list(np.linspace(a, b, num_x))
-    rng = np.random.default_rng(seed)
-    extra = a + (b - a) * rng.random(extra_pairs)
-    xs.extend(float(v) for v in extra)
-    xs = np.array(sorted(set(xs)))
-    tables = fam.log_products(xs, n_max)[:, 1:]
-    scale = np.arange(1, n_max + 1, dtype=float) ** fam.alpha
-    measured = 0.0
-    count = 0
-    for i in range(len(xs) - 1):
-        gaps = xs[i + 1 :] - xs[i]
-        j = i + 1 + int(np.searchsorted(gaps, 1e-3))  # gaps grow: rows j.. qualify
-        count += len(xs) - j
-        for c in range(0, n_max, _BLOCK):  # column blocks keep temporaries small
-            ratios = np.abs(tables[j:, c : c + _BLOCK] - tables[i, c : c + _BLOCK])
-            ratios /= scale[c : c + _BLOCK] * gaps[j - i - 1 :, None]
-            measured = max(measured, float(ratios.max(initial=0.0)))
+    if not a < b:
+        raise ValueError(f"interval needs a < b, got [{a}, {b}]")
+    scale = np.arange(n_max + 1, dtype=float) ** fam.alpha
+    measured = float((fam.dlog_products(a, n_max)[1:] / scale[1:]).max(initial=0.0))
     return CS2Report(
         family=fam.name,
         measured=measured,
         certificate=fam.C0,
         n_max=n_max,
-        samples=count,
+        samples=n_max,
         passed=measured <= fam.C0 * (1.0 + rtol),
     )
 
@@ -415,24 +416,24 @@ def cs1_envelope_closed_form(
     return env
 
 
+def _gain_floor(fam: WeightFamily, a: float, L: int) -> np.ndarray:
+    """min over l <= L of f(a, k+l) - f(a, l) for k = 0..TABLE_LEN. Each gain is
+    a sum of log-weights, which increase in x: this is the floor over x >= a."""
+    row = fam.log_products(a, TABLE_LEN + L)
+    return np.min([row[l : l + TABLE_LEN + 1] - row[l] for l in range(L + 1)], axis=0)
+
+
 def _generic_envelopes(
     fam: WeightFamily,
     interval: tuple[float, float],
     support_max: int,
     max_abs: float,
-    num_x: int = 17,
-    table_len: int = 20000,
 ) -> Callable[[float], Callable[[float], float]]:
-    """D -> the cs1_envelope_generic envelope. The x-grid tables are reduced once to
-    the gain floor, min over x and l <= L of f(x, k+l) - f(x, l), kept with k^alpha."""
-    a, b = interval
+    """D -> the cs1_envelope_generic envelope. The gain floor at the interval's
+    left end is computed once and kept with k^alpha."""
     L = support_max
-    floor = np.full(table_len + 1, np.inf)
-    for x in np.linspace(a, b, num_x):
-        row = fam.log_products(float(x), table_len + L)
-        for l in range(L + 1):
-            np.minimum(floor, row[l : l + table_len + 1] - row[l], out=floor)
-    k_alpha = np.fromiter((k**fam.alpha for k in range(table_len + 1)), float, table_len + 1)
+    floor = _gain_floor(fam, interval[0], L)
+    k_alpha = np.fromiter((k**fam.alpha for k in range(TABLE_LEN + 1)), float, TABLE_LEN + 1)
     log_size = math.log((L + 1) * (max_abs + 1.0))
 
     def envelope(D: float) -> Callable[[float], float]:
@@ -440,7 +441,7 @@ def _generic_envelopes(
 
         def env(k):
             ki = np.asarray(k).astype(int)
-            if ki.max() > table_len:
+            if ki.max() > TABLE_LEN:
                 raise ValueError(f"envelope table too short for k={ki.max()}")
             out = prefactor + 2.0 * fam.C0 * D * k_alpha[ki] - floor[ki]
             return out if ki.ndim else float(out)
@@ -456,17 +457,16 @@ def cs1_envelope_generic(
     interval: tuple[float, float],
     support_max: int,
     max_abs: float = 1.0,
-    num_x: int = 17,
-    table_len: int = 20000,
 ) -> Callable[[float], float]:
     """log c_k from the Lipschitz-certificate template.
 
     log c_k = log((L+1)(M+1)) + 2 C0 D (L^alpha + k^alpha)
-              - min over l <= L, x in I of (f(x, l+k) - f(x, l)).
-    Valid for any shift count when fam.alpha <= the geometric exponent
-    used to form D's premise. The envelope takes an int or an int array of k.
+              - min over l <= L, x in I of (f(x, l+k) - f(x, l)),
+    the min taken at x = a. Valid for any shift count when fam.alpha <= the
+    geometric exponent used to form D's premise. The envelope takes an int or
+    an int array of k up to TABLE_LEN.
     """
-    return _generic_envelopes(fam, interval, support_max, max_abs, num_x, table_len)(D)
+    return _generic_envelopes(fam, interval, support_max, max_abs)(D)
 
 
 @dataclass(frozen=True)
@@ -872,6 +872,14 @@ def _envelope_tail(envelope: Callable[[float], float], start: int, stop: int = 2
     return math.inf
 
 
+def check_dynamics_inputs(interval: tuple[float, float], eta: float) -> None:
+    """Raise ValueError unless the interval [A, B] has 0 < A < B and eta > 0."""
+    if not 0 < interval[0] < interval[1]:
+        raise ValueError(f"interval needs 0 < A < B, got {list(interval)}")
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+
+
 def run_dynamics_experiment(
     ifs,
     fam: WeightFamily,
@@ -879,11 +887,6 @@ def run_dynamics_experiment(
     eta: float = 0.1,
     s: int = 1,
     d: int = 2,
-    L_min: int = 200,
-    norm_kind: str | float = "sup",
-    cs2_budget: float = 0.8,
-    tail_budget: float = 0.5,
-    max_steps: int = 100,
     budget: int | None = None,
 ) -> DynamicsReport:
     """Full pipeline: covering -> scaling -> N selection -> u -> 3 eta sweep.
@@ -891,8 +894,9 @@ def run_dynamics_experiment(
     The constant-weight family is allowed with any geometry through the
     finite-horizon closed-form envelope (exact for it); growth families
     require alpha <= 1/gamma, otherwise no summable bound exists and the
-    run is refused.
+    run is refused. Bad inputs (check_dynamics_inputs) are refused first.
     """
+    check_dynamics_inputs(interval, eta)
     alpha_g = 1.0 / ifs.gamma
     constant_weights = fam.name == "rolewicz"
     if not constant_weights and fam.alpha > alpha_g + 1e-12:
@@ -901,8 +905,6 @@ def run_dynamics_experiment(
             "no summable shift bound pairs this family with this covering"
         )
     a, b = interval
-    if a <= 0:
-        raise ValueError("interval must sit in the positive axis")
 
     cov_geo = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, s, 1), budget=budget)
     q, t = cov_geo.q, cov_geo.t
@@ -919,13 +921,13 @@ def run_dynamics_experiment(
     kappa = max(u0_support, vt_support) + 1
 
     c_pow_s_rho = float(ifs.rho * (ifs.r ** (-alpha_g)) ** s)
-    eps = math.log1p(cs2_budget * eta / max_abs_vt)
+    eps = math.log1p(CS2_BUDGET * eta / max_abs_vt)
     ii = np.arange(1, q + 1, dtype=float)
 
     if not constant_weights:
         envelopes = _generic_envelopes(fam, interval, vt_support, max_abs_vt)
     chosen = None
-    for step in range(1, max_steps + 1):
+    for step in range(1, MAX_STEPS + 1):
         N = step * kappa
         # worst CS2 exponent: C0 * max_i (iN)^alpha_w * side_i, sides sigma-scaled
         shape = (ii * N) ** fam.alpha * (c_pow_s_rho / ii**alpha_g)
@@ -940,7 +942,7 @@ def run_dynamics_experiment(
         else:
             envelope = envelopes(D_scaled)
         tail = _envelope_tail(envelope, N)
-        if tail < tail_budget * eta and tail < eta:
+        if tail < TAIL_BUDGET * eta and tail < eta:
             chosen = (N, sigma, D_scaled, envelope, tail)
             break
     if chosen is None:
@@ -951,12 +953,10 @@ def run_dynamics_experiment(
     scaled = cov_geo.affine_scaled(sigma, offset)
     sep = verify_separation(scaled)
 
-    L = max(L_min, q * N + vt_support + 1)
-    cfg = DynamicsConfig(
-        d=d, interval=interval, L=L, eta=eta, kappa=kappa, bigN=N, norm_kind=norm_kind
-    )
-    u0 = FiniteVector.basis(d, L, 0, 1.0, norm_kind)
-    vt = FiniteVector.zeros(d, L, norm_kind)
+    L = max(L_MIN, q * N + vt_support + 1)
+    cfg = DynamicsConfig(d=d, interval=interval, L=L, eta=eta, kappa=kappa, bigN=N)
+    u0 = FiniteVector.basis(d, L, 0, 1.0)
+    vt = FiniteVector.zeros(d, L)
     vt.sign[:, : vt_support + 1], vt.logmag[:, : vt_support + 1] = slog_from_values(vt_values)
 
     u, cert = build_common_vector(scaled, fam, cfg, u0, vt, envelope)

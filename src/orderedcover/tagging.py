@@ -281,7 +281,6 @@ def build_tagged_covering(
     ifs: OrderedIFS,
     params: BuilderParams,
     budget: int | None = None,
-    check_hbd: bool = True,
 ) -> TaggedCovering:
     """Run the construction; raises on bad parameters or budget overrun."""
     if params.r != ifs.r:
@@ -298,11 +297,10 @@ def build_tagged_covering(
     t, q = _stage_counts(r, s, budget)
     geometry.check_level_budget(r, s + t, budget)
     lv = geometry.levels(ifs, s + t, budget)
-    if check_hbd:
-        report = hbd_report(lv, params.gamma, params.rho, s + t)
-        if not report.passed:
-            fail = report.first_failure()
-            raise ValueError(f"system fails dimension condition {fail.condition} at m={fail.m}")
+    report = hbd_report(lv, params.gamma, params.rho, s + t)
+    if not report.passed:
+        fail = report.first_failure()
+        raise ValueError(f"system fails dimension condition {fail.condition} at m={fail.m}")
 
     # Python's float pow, not numpy's: numpy may take a SIMD pow that rounds
     # differently on some CPUs, and verify_form recomputes sides with it.

@@ -144,6 +144,18 @@ def test_dyn_rejects_unknown_family(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--eta", "0"], ["--eta", "-0.1"], ["--interval", "2", "1"], ["--interval", "1", "1"],
+     ["--interval", "0", "1"]],
+)
+def test_dyn_bad_eta_or_interval_is_usage_error(capsys, extra):
+    assert main(["dyn", "--name", "sierpinski", *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and ("0 < A < B" in err or "eta must be positive" in err)
+
+
 def test_render_is_deterministic(tmp_path, capsys):
     first = tmp_path / "a.svg"
     second = tmp_path / "b.svg"

@@ -5,7 +5,10 @@ hilbert-square and on the unit interval were written by the per-point shift
 sweep and the scalar envelope loop that the array shift layer replaced; the
 other cover-verify and dyn references by the per-square tagged covering that
 the tag and side arrays replaced; the others by the per-part implementation
-that the rank-indexed level arrays replaced.
+that the rank-indexed level arrays replaced. In the three dyn references,
+cs2.measured and cs2.samples were then rewritten by the exact left-end CS2
+check (df/dx at the interval's left end, one sample per n), which replaced
+the seeded pair scan; every other field is as the older code wrote it.
 Apart from the manifest's wall_time_s and versions, records agree exactly,
 except floats: to 1e-12 relative, or to 1e-15 absolute for coordinates that
 are zero in exact arithmetic. The reference computed tagged-square corners
@@ -76,6 +79,17 @@ def test_gap_dust_report_matches_reference():
     ref = json.loads((DATA / "hbd_report_gap_dust_m4.json").read_text())
     dust = gap_dust()
     assert_same(hbd_report(dust, dust.gamma, dust.rho, 4).to_record(), ref)
+
+
+def test_plus_power_cs2_reference_is_the_left_end_sup():
+    # sup over n <= 1000 of sum_(k <= n) 1/(k^(1/2) + 1) / n^(1/2): df/dx at x = 1
+    ref = json.loads((DATA / "dyn_sierpinski_plus_power_alpha0.5.json").read_text())
+    cs2 = ref["output"]["record"]["cs2"]
+    exact = max(
+        math.fsum(1.0 / (k**0.5 + 1.0) for k in range(1, n + 1)) / n**0.5 for n in range(1, 1001)
+    )
+    assert (cs2["n_max"], cs2["samples"]) == (1000, 1000)
+    assert cs2["measured"] == pytest.approx(exact, rel=1e-14)
 
 
 def test_unit_interval_power_dynamics_matches_reference():

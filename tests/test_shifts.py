@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderedcover import shifts
+
 from orderedcover.shifts import (
     FiniteVector,
     TruncationOverflowError,
@@ -185,16 +187,82 @@ def test_lipschitz_certificates_hold(fam):
     report = check_cs2_lipschitz(fam, (1.0, 2.0), n_max=400)
     assert report.passed
     assert report.measured <= fam.C0 * (1.0 + 1e-9)
+    assert report.samples == 400
 
 
 def test_power_family_lipschitz_constant_is_sharp():
     report = check_cs2_lipschitz(power_family(0.5), (1.0, 2.0), n_max=400)
-    assert report.measured == pytest.approx(1.0, abs=1e-12)
+    assert report.measured == 1.0
 
 
 def test_rolewicz_lipschitz_constant_is_sharp():
     report = check_cs2_lipschitz(rolewicz_family(), (1.0, 2.0), n_max=400)
-    assert report.measured == pytest.approx(1.0, abs=1e-12)
+    assert report.measured == 1.0
+
+
+def sampled_cs2(fam, interval, n_max):
+    """The sampled reference: every pair at least 1e-3 apart of a 21-point grid plus
+    200 seeded random points, max of |f(x,n) - f(y,n)| / (n^alpha |x - y|)."""
+    a, b = interval
+    xs = list(np.linspace(a, b, 21))
+    extra = a + (b - a) * np.random.default_rng(0).random(200)
+    xs = np.array(sorted(set(xs) | {float(v) for v in extra}))
+    tables = fam.log_products(xs, n_max)[:, 1:]
+    scale = np.arange(1, n_max + 1, dtype=float) ** fam.alpha
+    measured = 0.0
+    for i in range(len(xs) - 1):
+        gaps = xs[i + 1 :] - xs[i]
+        j = i + 1 + int(np.searchsorted(gaps, 1e-3))  # gaps grow: rows j.. qualify
+        ratios = np.abs(tables[j:] - tables[i]) / (scale * gaps[j - i - 1 :, None])
+        measured = max(measured, float(ratios.max(initial=0.0)))
+    return measured
+
+
+@st.composite
+def families(draw):
+    alpha = draw(st.floats(0.05, 1.0))
+    return draw(st.sampled_from([rolewicz_family(), power_family(alpha), plus_power_family(alpha)]))
+
+
+# b <= 3 keeps the sampled quotients' rounding below 1e-12 at gaps >= 1e-3
+@settings(max_examples=40, deadline=None)
+@given(fam=families(), a=st.floats(0.01, 2.0), width=st.floats(0.01, 1.0),
+       n_max=st.integers(1, 150))
+def test_exact_cs2_bounds_every_sampled_quotient(fam, a, width, n_max):
+    exact = check_cs2_lipschitz(fam, (a, a + width), n_max=n_max).measured
+    assert sampled_cs2(fam, (a, a + width), n_max) <= exact * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("fam", FAMILIES + [power_family(1.0), plus_power_family(0.2)],
+                         ids=lambda f: f.name)
+@pytest.mark.parametrize("x", [0.3, 1.7])
+def test_dlog_products_match_central_differences(fam, x):
+    h = 1e-5
+    diff = (fam.log_products(x + h, 300) - fam.log_products(x - h, 300)) / (2 * h)
+    np.testing.assert_allclose(fam.dlog_products(x, 300), diff, rtol=1e-7, atol=1e-9)
+
+
+def test_cs2_needs_an_interval_with_a_below_b():
+    for interval in ((1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="a < b"):
+            check_cs2_lipschitz(rolewicz_family(), interval)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [rolewicz_family()] + [power_family(al) for al in (0.3, 0.5, 1.0)]
+    + [plus_power_family(al) for al in (0.2, 0.5, 1.0)],
+    ids=lambda f: f.name,
+)
+@pytest.mark.parametrize("interval", [(1.0, 2.0), (0.3, 0.9), (1.5, 1.6)])
+def test_left_end_gain_floor_equals_grid_floor(fam, interval):
+    L, n = 2, shifts.TABLE_LEN
+    grid = np.full(n + 1, np.inf)
+    for x in np.linspace(*interval, 17):
+        row = fam.log_products(float(x), n + L)
+        for l in range(L + 1):
+            grid = np.minimum(grid, row[l : l + n + 1] - row[l])
+    assert np.array_equal(shifts._gain_floor(fam, interval[0], L), grid)
 
 
 def test_closed_form_envelope_limits():
@@ -285,6 +353,17 @@ def test_experiment_report_serializes(flagship):
 
     text = json.dumps(flagship.to_record())
     assert '"pass": true' in text
+
+
+@pytest.mark.parametrize(
+    "interval, eta",
+    [((2.0, 1.0), 0.1), ((1.0, 1.0), 0.1), ((0.0, 1.0), 0.1), ((1.0, 2.0), 0.0),
+     ((1.0, 2.0), -0.1), ((1.0, 2.0), math.nan)],
+)
+def test_bad_dynamics_inputs_are_refused_before_any_work(interval, eta):
+    # no system is given: the refusal comes before it is read
+    with pytest.raises(ValueError, match="0 < A < B|eta must be positive"):
+        run_dynamics_experiment(None, rolewicz_family(), interval=interval, eta=eta)
 
 
 def test_growth_family_beyond_exponent_is_refused():
