@@ -11,9 +11,11 @@ Conventions used throughout the package:
 - Multi-indices are 1-based tuples over {1..r} ordered lexicographically.
 - A resolution is a ``Level``: arrays indexed by lexicographic rank, with
   corners (r^m, 2), sides (r^m,) and the composed maps sim_w of every word
-  w. ``levels`` builds resolutions 0..m from the one before, one array
-  expression per level; ``compose_part`` is its single-word reference.
-  Curve levels (``zoo.holder_levels``) carry the same arrays without maps.
+  w. ``levels`` builds resolutions 0..m from the one before on separate x
+  and y columns: each base vertex and each step shift maps to a column
+  pair, and a part's box folds the vertex pairs with elementwise min and
+  max. ``compose_part`` is its single-word reference. Curve levels
+  (``zoo.holder_levels``) carry the same arrays without maps.
 """
 
 from __future__ import annotations
@@ -212,20 +214,29 @@ def compose_part(ifs: OrderedIFS, index: MultiIndex) -> tuple[np.ndarray, float]
     return lo, float((vertices.max(axis=0) - lo).max())
 
 
-def _images(ratio, angle, reflect, shift, points: np.ndarray) -> np.ndarray:
-    """Images (n, k, 2) of points (k, 2) under n maps given by parameter arrays.
+def _linear_parts(ratio: np.ndarray, angle: np.ndarray, reflect: np.ndarray) -> tuple:
+    """Entries (a, b, c, d) of the n linear parts ratio * R(angle) [* conj]:
+    each maps (x, y) to (a x + b y, c x + d y).
 
-    Same arithmetic as Similarity.apply: ratio * R(angle) [* conj], then shift.
-    cos and sin come from math, as in Similarity.matrix, once per distinct angle.
+    Same arithmetic as Similarity.matrix: cos and sin come from math, once
+    per distinct angle, and each entry is ratio times one of them.
     """
     uniq, inv = np.unique(angle, return_inverse=True)
-    cos = np.array([math.cos(a) for a in uniq.tolist()])[inv][:, None]
-    sin = np.array([math.sin(a) for a in uniq.tolist()])[inv][:, None]
-    ratio, flip = ratio[:, None], reflect[:, None]
-    x, y = points[:, 0], points[:, 1]
-    px = ratio * cos * x + ratio * np.where(flip, sin, -sin) * y
-    py = ratio * sin * x + ratio * np.where(flip, -cos, cos) * y
-    return np.stack([px + shift[:, :1], py + shift[:, 1:]], axis=-1)
+    cos = np.array([math.cos(a) for a in uniq.tolist()])[inv]
+    sin = np.array([math.sin(a) for a in uniq.tolist()])[inv]
+    return (
+        ratio * cos,
+        ratio * np.where(reflect, sin, -sin),
+        ratio * sin,
+        ratio * np.where(reflect, -cos, cos),
+    )
+
+
+def _images(linear: tuple, shift_x: np.ndarray, shift_y: np.ndarray, x: float, y: float):
+    """Columns (px, py) of the images of the point (x, y) under n maps given
+    by their linear parts and shift columns, as Similarity.apply rounds them."""
+    a, b, c, d = linear
+    return a * x + b * y + shift_x, c * x + d * y + shift_y
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +245,9 @@ class Level:
 
     corners (n, 2) and sides (n,) are the parts' bounding squares. ratio,
     angle, reflect (n,) and shift (n, 2) are the composed maps sim_w, one
-    row per word; a curve level (``zoo.holder_levels``) has none.
+    row per word; a curve level (``zoo.holder_levels``) has none. ``levels``
+    builds corners and shift as transposes of (2, n) arrays, so each
+    coordinate column is contiguous.
     """
 
     m: int
@@ -254,39 +267,46 @@ class Level:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Images (n, k, 2) of the points (k, 2) under every composed map."""
-        return _images(self.ratio, self.angle, self.reflect, self.shift, points)
+        linear = _linear_parts(self.ratio, self.angle, self.reflect)
+        sx, sy = self.shift[:, 0], self.shift[:, 1]
+        images = [np.stack(_images(linear, sx, sy, x, y), axis=-1) for x, y in points]
+        return np.stack(images, axis=1)
 
 
 def levels(ifs: OrderedIFS, m_max: int, budget: int | None = None) -> list[Level]:
-    """Resolutions 0..m_max, each built from the one before by array expressions.
+    """Resolutions 0..m_max, each built from the one before by column expressions.
 
     Word w j means sim_w o phi_j, composed as Similarity.compose does:
     ratios multiply, angles add (negated under a reflection), reflections
-    xor, and the new shift is sim_w(shift_j). Every level is checked
-    against the budget before level 0 is built.
+    xor, and the new shift is sim_w(shift_j). The linear parts of level m
+    serve both its base images and the shifts of level m + 1. A part's box
+    folds the base vertices' image columns with elementwise min and max.
+    Every level is checked against the budget before level 0 is built.
     """
     if m_max < 0:
         raise ValueError(f"resolution must be >= 0, got {m_max}")
     check_level_budget(ifs.r, m_max, budget)
-    base = ifs.base_vertices()
-    step_ratio, step_angle, step_reflect, step_shift = (
-        np.array([getattr(p, key) for p in ifs.maps])
-        for key in ("ratio", "angle", "reflect", "shift")
+    base = ifs.base_vertices().tolist()
+    step_ratio, step_angle, step_reflect = (
+        np.array([getattr(p, key) for p in ifs.maps]) for key in ("ratio", "angle", "reflect")
     )
     ratio, angle, reflect = np.ones(1), np.zeros(1), np.zeros(1, dtype=bool)
-    shift = np.zeros((1, 2))
+    shift = np.zeros((2, 1))
     out: list[Level] = []
     for m in range(m_max + 1):
         if m:
+            steps = [_images(linear, shift[0], shift[1], *p.shift) for p in ifs.maps]
+            shift = np.stack([np.stack(column, axis=1).ravel() for column in zip(*steps)])
             sign = np.where(reflect, -1.0, 1.0)[:, None]
-            shift = _images(ratio, angle, reflect, shift, step_shift).reshape(-1, 2)
             angle = (angle[:, None] + sign * step_angle).ravel()
             reflect = (reflect[:, None] != step_reflect).ravel()
             ratio = (ratio[:, None] * step_ratio).ravel()
-        vertices = _images(ratio, angle, reflect, shift, base)
-        lo = vertices.min(axis=1)
-        sides = (vertices.max(axis=1) - lo).max(axis=1)
-        out.append(Level(m, ifs.r, lo, sides, ratio, angle, reflect, shift))
+        linear = _linear_parts(ratio, angle, reflect)
+        xs, ys = zip(*[_images(linear, shift[0], shift[1], x, y) for x, y in base])
+        lo = np.stack([functools.reduce(np.minimum, xs), functools.reduce(np.minimum, ys)])
+        width = functools.reduce(np.maximum, xs) - lo[0]
+        height = functools.reduce(np.maximum, ys) - lo[1]
+        out.append(Level(m, ifs.r, lo.T, np.maximum(width, height), ratio, angle, reflect, shift.T))
     return out
 
 

@@ -7,7 +7,7 @@ coverings (r^m parts each, lexicographic order) must satisfy:
   (ii)  each resolution-(m+1) part sits inside its length-m prefix part,
   (iii) parts (i, j-1, r) and (i, j, 1) intersect for consecutive j.
 
-Each condition is one array expression over a rank-indexed ``Level``. A
+Each condition is a few column expressions over a rank-indexed ``Level``. A
 counterexample is the first failing rank. Only the decision "at most gamma"
 is implemented; the infimum itself has no algorithm here.
 """
@@ -87,11 +87,15 @@ def check_nesting(parent: Level, child: Level, tol: float = GEOM_TOL) -> Conditi
     """Condition (ii): the part at rank k // r contains the child at rank k."""
     if child.m != parent.m + 1:
         raise ValueError("child level must be one resolution deeper")
+    # child rank k = parent rank * r + j: a child column reshaped to (n / r, r)
+    # holds the children of parent i in row i
     r = child.r
-    lo = np.repeat(parent.corners, r, axis=0)
-    hi = np.repeat(parent.corners + parent.sides[:, None], r, axis=0)
-    inside = (child.corners >= lo - tol) & (child.corners + child.sides[:, None] <= hi + tol)
-    k = _first(~inside.all(axis=1))
+    inside = np.ones((len(parent), r), dtype=bool)
+    for axis in (0, 1):
+        lo, parent_lo = child.corners[:, axis], parent.corners[:, axis]
+        inside &= lo.reshape(-1, r) >= (parent_lo - tol)[:, None]
+        inside &= (lo + child.sides).reshape(-1, r) <= (parent_lo + parent.sides + tol)[:, None]
+    k = _first(~inside.ravel())
     if k is not None:
         cex = {"index": child.index(k), "parent": parent.index(k // r)}
         cex["reason"] = "box escapes parent"

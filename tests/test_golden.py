@@ -3,12 +3,17 @@
 Each reference holds the command that wrote it. The dyn references on
 hilbert-square and on the unit interval were written by the per-point shift
 sweep and the scalar envelope loop that the array shift layer replaced; the
-other cover-verify and dyn references by the per-square tagged covering that
-the tag and side arrays replaced; the others by the per-part implementation
-that the rank-indexed level arrays replaced. In the three dyn references,
-cs2.measured and cs2.samples were then rewritten by the exact left-end CS2
-check (df/dx at the interval's left end, one sample per n), which replaced
-the seeded pair scan; every other field is as the older code wrote it.
+cover-verify reference on the unit interval at s=3 by the level kernel that
+reduced (n, k, 2) vertex arrays over their short axes, which the column-wise
+kernel replaced; the other cover-verify and dyn references by the per-square
+tagged covering that the tag and side arrays replaced; the others by the
+per-part implementation that the rank-indexed level arrays replaced. In the
+three dyn references, cs2.measured and cs2.samples were then rewritten by the
+exact left-end CS2 check (df/dx at the interval's left end, one sample per
+n), which replaced the seeded pair scan. Where L exceeds 1000, cs2.n_max,
+cs2.samples and cs2.measured were rewritten once more when that check came to
+span the whole vector length L with Python's float pow; every other field is
+as the older code wrote it.
 Apart from the manifest's wall_time_s and versions, records agree exactly,
 except floats: to 1e-12 relative, or to 1e-15 absolute for coordinates that
 are zero in exact arithmetic. The reference computed tagged-square corners
@@ -36,6 +41,7 @@ CLI_CASES = (
     "cover_build_sierpinski_s1",
     "verify_jump_hilbert_square_m4",
     "cover_verify_hilbert_square_s1_seed0",
+    "cover_verify_unit_interval_s3",
     "dyn_sierpinski_plus_power_alpha0.5",
     "dyn_hilbert_square_rolewicz_eta0.1",
     "zoo_emit_arrowhead_pseudo4_m5",
@@ -82,13 +88,14 @@ def test_gap_dust_report_matches_reference():
 
 
 def test_plus_power_cs2_reference_is_the_left_end_sup():
-    # sup over n <= 1000 of sum_(k <= n) 1/(k^(1/2) + 1) / n^(1/2): df/dx at x = 1
+    # sup over n <= L of sum_(k <= n) 1/(k^(1/2) + 1) / n^(1/2): df/dx at x = 1
     ref = json.loads((DATA / "dyn_sierpinski_plus_power_alpha0.5.json").read_text())
-    cs2 = ref["output"]["record"]["cs2"]
+    record = ref["output"]["record"]
+    cs2, L = record["cs2"], record["config"]["L"]
     exact = max(
-        math.fsum(1.0 / (k**0.5 + 1.0) for k in range(1, n + 1)) / n**0.5 for n in range(1, 1001)
+        math.fsum(1.0 / (k**0.5 + 1.0) for k in range(1, n + 1)) / n**0.5 for n in range(1, L + 1)
     )
-    assert (cs2["n_max"], cs2["samples"]) == (1000, 1000)
+    assert (cs2["n_max"], cs2["samples"]) == (L, L) == (1380, 1380)
     assert cs2["measured"] == pytest.approx(exact, rel=1e-14)
 
 

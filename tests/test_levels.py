@@ -1,10 +1,13 @@
 """Rank-indexed level arrays against single-part references.
 
-System levels are checked against compose_part, curve levels against a
-per-interval sampling loop kept here.
+System levels are checked against compose_part and, bit for bit, against the
+(n, k, 2) vertex recursion kept here; curve levels against a per-interval
+sampling loop kept here. The nesting check is held to a reference that
+repeats each parent box r times.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -12,14 +15,17 @@ from hypothesis import given, settings, strategies as st
 
 from orderedcover import geometry
 from orderedcover.geometry import (
+    GEOM_TOL,
     BudgetExceededError,
     Level,
+    OrderedIFS,
+    Similarity,
     attractor_points,
     compose_part,
     levels,
     lex_unrank,
 )
-from orderedcover.hbd import check_adjacency, hbd_report
+from orderedcover.hbd import check_adjacency, check_nesting, hbd_report
 from orderedcover.zoo import (
     CurveEvaluator,
     arrowhead_pseudo,
@@ -114,6 +120,152 @@ def test_adjacency_reports_the_first_gap_in_rank_order():
     assert result.counterexample == {"left": [1, 3], "right": [2, 1]}
 
 
+def reference_images(ratio, angle, reflect, shift, points):
+    """Images (n, k, 2) of points (k, 2) under n maps, one (n, k) array
+    expression per coordinate: the kernel that column-wise levels replaced."""
+    uniq, inv = np.unique(angle, return_inverse=True)
+    cos = np.array([math.cos(a) for a in uniq.tolist()])[inv][:, None]
+    sin = np.array([math.sin(a) for a in uniq.tolist()])[inv][:, None]
+    ratio, flip = ratio[:, None], reflect[:, None]
+    x, y = points[:, 0], points[:, 1]
+    px = ratio * cos * x + ratio * np.where(flip, sin, -sin) * y
+    py = ratio * sin * x + ratio * np.where(flip, -cos, cos) * y
+    return np.stack([px + shift[:, :1], py + shift[:, 1:]], axis=-1)
+
+
+def reference_levels(ifs, m_max):
+    """Resolutions 0..m_max with each box reduced over the vertex axis."""
+    base = ifs.base_vertices()
+    step_ratio, step_angle, step_reflect, step_shift = (
+        np.array([getattr(p, key) for p in ifs.maps])
+        for key in ("ratio", "angle", "reflect", "shift")
+    )
+    ratio, angle, reflect = np.ones(1), np.zeros(1), np.zeros(1, dtype=bool)
+    shift = np.zeros((1, 2))
+    out = []
+    for m in range(m_max + 1):
+        if m:
+            sign = np.where(reflect, -1.0, 1.0)[:, None]
+            shift = reference_images(ratio, angle, reflect, shift, step_shift).reshape(-1, 2)
+            angle = (angle[:, None] + sign * step_angle).ravel()
+            reflect = (reflect[:, None] != step_reflect).ravel()
+            ratio = (ratio[:, None] * step_ratio).ravel()
+        vertices = reference_images(ratio, angle, reflect, shift, base)
+        lo = vertices.min(axis=1)
+        sides = (vertices.max(axis=1) - lo).max(axis=1)
+        out.append(Level(m, ifs.r, lo, sides, ratio, angle, reflect, shift))
+    return out
+
+
+def assert_same_bits(got, want):
+    assert (got.m, got.r) == (want.m, want.r)
+    for key in ("corners", "sides", "ratio", "angle", "reflect", "shift"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert a.shape == b.shape and a.dtype == b.dtype, key
+        assert a.tobytes() == b.tobytes(), key
+
+
+def assert_apply_same_bits(level, points):
+    want = reference_images(level.ratio, level.angle, level.reflect, level.shift, points)
+    assert level.apply(points).tobytes() == want.tobytes()
+
+
+# every zoo system as deep as 8, or as deep as the part budget allows
+ZOO_DEPTH = {name: 6 if name == "minkowski" else 8 for name in SYSTEMS}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_levels_match_vertex_reference_bit_for_bit(name):
+    ifs = SYSTEMS[name]()
+    got, want = levels(ifs, ZOO_DEPTH[name]), reference_levels(ifs, ZOO_DEPTH[name])
+    for level, ref in zip(got, want, strict=True):
+        assert_same_bits(level, ref)
+    points = np.vstack([ifs.base_vertices(), [[0.3, -0.7], [1e-3, 2.5]]])
+    assert_apply_same_bits(got[-1], points)
+
+
+@st.composite
+def random_systems(draw):
+    """An ordered system of r maps of one ratio, each moved to a drawn place
+    inside the base box; some angles repeat, as the zoo's do."""
+    r = draw(st.integers(2, 4))
+    ratio = draw(st.floats(0.1, 0.5))
+    shape = draw(st.sampled_from(["square", "triangle"]))
+    corner = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    side = draw(st.floats(0.5, 3.0))
+    angles = st.one_of(st.sampled_from([0.0, math.pi / 3, math.pi / 2, math.pi, -math.pi / 2]),
+                       st.floats(-7.0, 7.0))
+    fix_corner = Similarity(ratio, 0.0, False, tuple((1.0 - ratio) * np.asarray(corner)))
+    base = OrderedIFS((fix_corner,), shape, corner, side, 1.0, 1.0).base_vertices()
+    maps = []
+    for _ in range(r):
+        angle, reflect = draw(angles), draw(st.booleans())
+        image = Similarity(ratio, angle, reflect, (0.0, 0.0)).apply(base)
+        lo, hi = image.min(axis=0), image.max(axis=0)
+        room = side - (hi - lo)
+        u = np.array([draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))])
+        shift = np.asarray(corner) - lo + u * room
+        maps.append(Similarity(ratio, angle, reflect, (float(shift[0]), float(shift[1]))))
+    return OrderedIFS(tuple(maps), shape, corner, side, 1.0, 1.0)
+
+
+@given(ifs=random_systems(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_levels_of_drawn_systems_match_vertex_reference_bit_for_bit(ifs, data):
+    depth = data.draw(st.integers(0, {2: 9, 3: 6, 4: 5}[ifs.r]))
+    got, want = levels(ifs, depth), reference_levels(ifs, depth)
+    for level, ref in zip(got, want, strict=True):
+        assert_same_bits(level, ref)
+    xy = st.floats(-3.0, 3.0)
+    points = np.array(data.draw(st.lists(st.tuples(xy, xy), min_size=1, max_size=4)))
+    assert_apply_same_bits(got[-1], points)
+
+
+def reference_nesting(parent, child, tol=GEOM_TOL):
+    """First child rank whose box escapes its parent's, by repeating every
+    parent box r times; None if all are nested."""
+    r = child.r
+    lo = np.repeat(parent.corners, r, axis=0)
+    hi = np.repeat(parent.corners + parent.sides[:, None], r, axis=0)
+    inside = (child.corners >= lo - tol) & (child.corners + child.sides[:, None] <= hi + tol)
+    bad = np.flatnonzero(~inside.all(axis=1))
+    return int(bad[0]) if bad.size else None
+
+
+def assert_nesting_matches_reference(parent, child):
+    result, k = check_nesting(parent, child), reference_nesting(parent, child)
+    assert result.passed == (k is None)
+    if k is not None:
+        assert result.counterexample == {
+            "index": child.index(k), "parent": parent.index(k // child.r),
+            "reason": "box escapes parent",
+        }
+
+
+@given(name=st.sampled_from(sorted(SYSTEMS)), depth=st.integers(1, MAX_DEPTH), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_nesting_gives_the_reference_counterexample(name, depth, data):
+    ifs, lv = system_levels(name)
+    parent, child = lv[depth - 1], lv[depth]
+    assert_nesting_matches_reference(parent, child)
+    # force (ii) to fail: move or grow a few children, the first far enough to
+    # leave its parent, the others far or by a hair past the tolerance
+    corners, sides = child.corners.copy(), child.sides.copy()
+    far = 1.0 + parent.sides.max()
+    ranks = data.draw(st.lists(st.integers(0, len(child) - 1), min_size=1, max_size=3,
+                               unique=True))
+    for i, rank in enumerate(ranks):
+        size = far if i == 0 else data.draw(st.sampled_from([2e-9, far]))
+        push = data.draw(st.sampled_from([-1.0, 1.0])) * size
+        if data.draw(st.booleans()):
+            corners[rank, data.draw(st.sampled_from([0, 1]))] += push
+        else:
+            sides[rank] += size
+    forced = Level(child.m, child.r, corners, sides)
+    assert not check_nesting(parent, forced).passed
+    assert_nesting_matches_reference(parent, forced)
+
+
 def reference_holder_level(curve, m):
     """Resolution m interval by interval: samples plus inner breakpoints."""
     samples = 256 if m == 0 else 64
@@ -163,3 +315,10 @@ def test_holder_levels_refuse_before_sampling():
         holder_levels(curve, 20)
     with pytest.raises(BudgetExceededError, match="^16 parts exceed budget 10$"):
         holder_levels(curve, 5, budget=10)
+
+
+@pytest.mark.parametrize("family", sorted(CURVES))
+def test_nesting_of_curve_levels_matches_reference(family):
+    curve, lv = curve_levels(family, 3)
+    for parent, child in zip(lv, lv[1:]):
+        assert_nesting_matches_reference(parent, child)

@@ -274,6 +274,44 @@ def test_coverage_check_matches_brute_force(gasket_cov, q, kind, seed, spread, n
     assert coverage_check(cov, pts) == coverage_reference(cov, pts)
 
 
+@example(q=100, kind="walk", seed=0, n=130)
+@example(q=1, kind="coincident", seed=1, n=1)
+@given(
+    q=st.integers(1, 300).filter(lambda q: q % 64),
+    kind=st.sampled_from(["walk", "grid", "free", "coincident"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300).filter(lambda n: n % 64),
+)
+@settings(max_examples=60, deadline=None)
+def test_coverage_check_matches_brute_force_on_square_edges(gasket_cov, q, kind, seed, n):
+    # q and n are not multiples of 64: the last rank block and the last block
+    # of points are partial
+    rng = np.random.default_rng(seed)
+    tags, sides = layout(kind, q, rng)
+    cov = dataclasses.replace(gasket_cov, q=q, tags=tags, sides=sides)
+    lo, hi = tags - 1e-9, tags + sides[:, None] + 1e-9  # as coverage_check rounds them
+    at = rng.integers(0, q, size=n)
+    # every coordinate exactly on tag - tol or on tag + side + tol
+    upper = rng.uniform(size=(n, 2)) < 0.5
+    edge = np.where(upper, hi[at], lo[at])
+    assert coverage_check(cov, edge) and coverage_reference(cov, edge)
+    # one coordinate one step outward: out of the point's own square, maybe in another
+    step = edge.copy()
+    axis = rng.integers(0, 2, size=n)
+    rows = np.arange(n)
+    step[rows, axis] = np.nextafter(edge[rows, axis], np.where(upper[rows, axis], np.inf, -np.inf))
+    assert coverage_check(cov, step) == coverage_reference(cov, step)
+    # one point in the last, partial block just outside every square: past the
+    # largest hi or below the smallest lo on one axis, on an edge on the other
+    lost = edge.copy()
+    where, axis = 64 * (n // 64) + rng.integers(0, n % 64), rng.integers(0, 2)
+    if rng.uniform() < 0.5:
+        lost[where, axis] = np.nextafter(hi[:, axis].max(), np.inf)
+    else:
+        lost[where, axis] = np.nextafter(lo[:, axis].min(), -np.inf)
+    assert not coverage_check(cov, lost) and not coverage_reference(cov, lost)
+
+
 def test_three_stage_line_covers_its_attractor(line_s3_cov):
     # q = 2^14: the deepest squares have side about 2^-17 and sit on the
     # segment, so sample points must lie on it too

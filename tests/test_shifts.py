@@ -248,6 +248,24 @@ def test_cs2_needs_an_interval_with_a_below_b():
             check_cs2_lipschitz(rolewicz_family(), interval)
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_cs2_measured_is_python_pow_bit_for_bit(alpha):
+    # the same running sums and quotients in plain Python floats: no power
+    # goes through numpy, whose ** may round differently from CPU to CPU
+    n_max, a = 2000, 1.3
+    sums, total = [0.0], 0.0
+    for n in range(1, n_max + 1):
+        total += 1.0 / (n ** (1.0 - alpha) + a)
+        sums.append(total)
+    powers = [n**alpha for n in range(n_max + 1)]
+    assert plus_power_family(alpha).dlog_products(a, n_max).tolist() == sums
+    assert power_family(alpha).dlog_products(a, n_max).tolist() == powers
+    for n in range(1, n_max + 1, 37):
+        plus = max(sums[k] / powers[k] for k in range(1, n + 1))
+        assert check_cs2_lipschitz(plus_power_family(alpha), (a, 2.0), n).measured == plus
+        assert check_cs2_lipschitz(power_family(alpha), (a, 2.0), n).measured == 1.0
+
+
 @pytest.mark.parametrize(
     "fam",
     [rolewicz_family()] + [power_family(al) for al in (0.3, 0.5, 1.0)]
