@@ -15,10 +15,29 @@ common-vector construction u = u_0 + sum_i S_{iN, lambda_i} v_t, and the
 In every family f(x, n) rises in x, linearly or concavely, so both weight checks
 are exact at the interval's left end a, with no x sampled: the CS2 constant is
 max_n df/dx(a, n) / n^alpha, and the envelope's gain floor is read at x = a.
+
+Every family also has f(x, 0) = 0 and, for x >= 0, log-weights f(x, k) - f(x, k-1)
+that rise in x and do not rise in k. So for 0 <= x <= x_hi and c >= n
+
+    f(x, c) - f(x, c - n) <= f(x, n) <= f(x_hi, n),
+
+and the shifted coordinate c of T^n u is at most u_c e^(f(x_hi, n)). The sup-norm
+sweep evaluates f only at index arrays: the near terms (coordinates 0 and v_t's
+support), and each shifted column whose bound u_c + f(x_hi, n), plus a rounding
+margin, reaches the smallest near-term maximum among its box's samples, x_hi
+being the box's largest sample coordinate. No skipped column can be a sample's
+maximum, so the sup is exact.
+
+The N search tries steps N = kappa, 2 kappa, ... and takes the first whose
+envelope tail is below min(TAIL_BUDGET eta, eta). A step's tail is added in order
+and stops as soon as the running sum reaches that limit: the terms are
+nonnegative, so the full sum could not be below it. The chosen step's tail is
+summed in full.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,8 +49,10 @@ from .tagging import BuilderParams, TaggedCovering, build_tagged_covering
 from .separation import verify_separation
 
 NEG_INF = float("-inf")
-# Rows (tags, sample points, boxes) per array block: bounds temporaries.
+# Rows (tags, sample points, boxes) and columns of u per array block.
 _BLOCK = 64
+# Cells (rows x factors x columns) of a row-chunked temporary, unless one row is wider.
+_CELLS = 1 << 16
 TABLE_LEN = 20000  # the largest k a generic envelope takes
 # run_dynamics_experiment: the least truncation length, the shares of eta spent
 # on the CS2 step and on the envelope tail, and the most shift steps searched.
@@ -102,7 +123,8 @@ class WeightFamily:
     w_1...w_n >= C1 exp(C2 n^alpha) there (defaults documented for [1, 2]).
     log_products(x, n_max) returns the table [f(x, 0), ..., f(x, n_max)], or
     for a 1-d array of x one such row per x; dlog_products(x, n_max) returns
-    [df/dx(x, 0), ..., df/dx(x, n_max)] for one x.
+    [df/dx(x, 0), ..., df/dx(x, n_max)] for one x. A family linear in x,
+    f(x, n) = x g(n), also gives g_row(n_max) = [g(0), ..., g(n_max)].
     """
 
     name: str
@@ -112,6 +134,7 @@ class WeightFamily:
     C2: float
     log_products: Callable[[float | np.ndarray, int], np.ndarray]
     dlog_products: Callable[[float, int], np.ndarray]
+    g_row: Callable[[int], np.ndarray] | None = None
 
     def weight(self, x: float, n: int) -> float:
         if n < 1:
@@ -120,26 +143,28 @@ class WeightFamily:
         return math.exp(float(table[n] - table[n - 1]))
 
 
-def rolewicz_family() -> WeightFamily:
-    """Constant weights e^x: f(x, n) = x n (the classical scalar multiple)."""
+def _linear_family(name: str, alpha: float, g_row, slope) -> WeightFamily:
+    """f(x, n) = x g(n), C0 = C1 = C2 = 1."""
 
     def table(x: float | np.ndarray, n_max: int) -> np.ndarray:
-        return np.asarray(x, dtype=float)[..., None] * np.arange(n_max + 1, dtype=float)
+        return np.asarray(x, dtype=float)[..., None] * g_row(n_max)
 
-    slope = lambda x, n_max: np.arange(n_max + 1, dtype=float)
-    return WeightFamily("rolewicz", 1.0, 1.0, 1.0, 1.0, table, slope)
+    return WeightFamily(name, alpha, 1.0, 1.0, 1.0, table, slope, g_row)
+
+
+def rolewicz_family() -> WeightFamily:
+    """Constant weights e^x: f(x, n) = x n (the classical scalar multiple)."""
+    g_row = lambda n_max: np.arange(n_max + 1, dtype=float)
+    return _linear_family("rolewicz", 1.0, g_row, lambda x, n_max: g_row(n_max))
 
 
 def power_family(alpha: float) -> WeightFamily:
     """f(x, n) = x n^alpha: the exactly-C0=1 Lipschitz family."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
-
-    def table(x: float | np.ndarray, n_max: int) -> np.ndarray:
-        return np.asarray(x, dtype=float)[..., None] * np.arange(n_max + 1, dtype=float) ** alpha
-
+    g_row = lambda n_max: np.arange(n_max + 1, dtype=float) ** alpha
     slope = lambda x, n_max: _pow(np.arange(n_max + 1, dtype=float), alpha)
-    return WeightFamily(f"power:{alpha}", alpha, 1.0, 1.0, 1.0, table, slope)
+    return _linear_family(f"power:{alpha}", alpha, g_row, slope)
 
 
 def plus_power_family(alpha: float) -> WeightFamily:
@@ -163,6 +188,8 @@ def plus_power_family(alpha: float) -> WeightFamily:
 
 def weight_family(name: str, alpha: float | None = None) -> WeightFamily:
     if name == "rolewicz":
+        if alpha is not None:
+            raise ValueError("rolewicz weights take no alpha")
         return rolewicz_family()
     if name == "power":
         if alpha is None:
@@ -173,6 +200,32 @@ def weight_family(name: str, alpha: float | None = None) -> WeightFamily:
             raise ValueError("plus-power family needs alpha")
         return plus_power_family(alpha)
     raise KeyError(name)
+
+
+def _rows_per_chunk(cells_per_row: int) -> int:
+    return max(1, _CELLS // max(cells_per_row, 1))
+
+
+def _log_products_at(fam: WeightFamily, top: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """(x (R, d), int cols (R, K) in 0..top) -> f(x, cols) of shape (R, d, K), bit for
+    bit the entries of fam.log_products(x, top). A family linear in x gathers g_row(top),
+    computed once; plus-power cumulates a table per chunk of rows, out to the chunk's
+    largest column."""
+    if fam.g_row is not None:
+        g = fam.g_row(top)
+        return lambda x, cols: x[:, :, None] * g[cols][:, None, :]
+
+    def at(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        out = np.empty(x.shape + cols.shape[1:])
+        step = _rows_per_chunk(x.shape[1] * (int(cols.max(initial=0)) + 1))
+        for lo in range(0, len(x), step):
+            c = cols[lo : lo + step]
+            tab = fam.log_products(x[lo : lo + step].ravel(), int(c.max(initial=0)))
+            tab = tab.reshape(len(c), x.shape[1], -1)
+            out[lo : lo + step] = np.take_along_axis(tab, c[:, None], 2)
+        return out
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +478,14 @@ def _gain_floor(fam: WeightFamily, a: float, L: int) -> np.ndarray:
     return np.min([row[l : l + TABLE_LEN + 1] - row[l] for l in range(L + 1)], axis=0)
 
 
+@functools.lru_cache(maxsize=8)
+def _k_powers(alpha: float) -> np.ndarray:
+    """k^alpha for k = 0..TABLE_LEN by Python's float pow, kept per alpha, read-only."""
+    out = _pow(np.arange(TABLE_LEN + 1, dtype=float), alpha)
+    out.flags.writeable = False
+    return out
+
+
 def _generic_envelopes(
     fam: WeightFamily,
     interval: tuple[float, float],
@@ -435,7 +496,7 @@ def _generic_envelopes(
     left end is computed once and kept with k^alpha."""
     L = support_max
     floor = _gain_floor(fam, interval[0], L)
-    k_alpha = np.fromiter((k**fam.alpha for k in range(TABLE_LEN + 1)), float, TABLE_LEN + 1)
+    k_alpha = _k_powers(fam.alpha)
     log_size = math.log((L + 1) * (max_abs + 1.0))
 
     def envelope(D: float) -> Callable[[float], float]:
@@ -650,14 +711,11 @@ def build_common_vector(
     _check_in_interval(params, cfg.interval)
     # S^(iN) v_t is v_t moved to iN + supp, scaled by e^-(f(x, l+iN) - f(x, l))
     supp = np.flatnonzero((vt.sign != 0.0).any(axis=0))
-    ns = np.arange(1, cov.q + 1) * cfg.bigN
-    w = np.empty((cov.q, cfg.d, len(supp)))
-    for lo in range(0, cov.q, _BLOCK):
-        lam, n = params[lo : lo + _BLOCK], ns[lo : lo + _BLOCK, None, None]
-        top = int(n.max()) + max(vt.support_max(), 0)
-        tab = fam.log_products(lam.ravel(), top).reshape(*lam.shape, -1)
-        w[lo : lo + _BLOCK] = np.take_along_axis(tab, n + supp, 2) - tab[..., supp]
-    cols = (ns[:, None] + supp).ravel()
+    cols = np.arange(1, cov.q + 1)[:, None] * cfg.bigN + supp
+    at = _log_products_at(fam, int(cols.max(initial=0)))
+    f = at(params, np.concatenate([cols, np.broadcast_to(supp, cols.shape)], axis=1))
+    w = f[..., : len(supp)] - f[..., len(supp) :]
+    cols = cols.ravel()
     add_sign = np.tile(vt.sign[:, supp], cov.q)
     add_logmag = (vt.logmag[:, supp] - w).transpose(1, 0, 2).reshape(cfg.d, -1)
     # Terms meeting at one coordinate are added in order of i: round r adds
@@ -722,43 +780,121 @@ class UniversalityReport:
         }
 
 
-def _box_errors(
-    u: FiniteVector, fam: WeightFamily, n: int, lam: np.ndarray, vt: FiniteVector
-) -> np.ndarray:
-    """||T^n_lambda u - v_t|| for every row lambda of lam (P, d), by blocks of rows.
+def _block_samples(
+    tags: np.ndarray, sides: np.ndarray, extra: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """box_sample_points of every box of a block, box after box, and each box's count.
 
-    Only u's nonzero coordinates minus n and v_t's support (with coordinate 0,
-    so no row is empty) can be nonzero. They take the elementwise steps of
-    product_apply(...).minus(vt), so sup-norm errors are bitwise the same.
+    The extras are first cut to the union of the block's boxes, widened as
+    box_sample_points widens them, so no extra of a box is lost.
     """
-    src = np.flatnonzero((u.sign != 0.0).any(axis=0))
-    src = src[src >= n]
-    v_cols = np.union1d(np.flatnonzero((vt.sign != 0.0).any(axis=0)), [0])
-    v_src = np.minimum(v_cols + n, u.L)
-    v_in = v_cols + n <= u.L
-    u_sign = np.where(v_in, u.sign[:, v_src], 0.0)
-    u_logmag = np.where(v_in, u.logmag[:, v_src], NEG_INF)
-    on_v = np.isin(src - n, v_cols)
-    top = int(max(src.max(initial=0), v_src.max()))
-    out = []
-    for lo in range(0, len(lam), _BLOCK):
-        x = lam[lo : lo + _BLOCK]
-        tab = fam.log_products(x.ravel(), top).reshape(*x.shape, -1)
-        near = u_logmag + (np.take(tab, v_src, axis=2) - np.take(tab, v_cols, axis=2))
-        _, near = slog_add(u_sign, near, -vt.sign[:, v_cols], vt.logmag[:, v_cols])
-        shifted = np.take(tab, src, axis=2)
-        shifted -= np.take(tab, src - n, axis=2)
-        del tab
-        shifted += u.logmag[:, src]
-        shifted[..., on_v] = NEG_INF  # the difference with v_t is in near
-        if u.norm_kind == "sup":
-            log_norm = np.maximum(shifted.max(axis=(1, 2), initial=NEG_INF), near.max(axis=(1, 2)))
-        else:
-            p = float(u.norm_kind)
-            both = np.concatenate([shifted, near], axis=2)
-            log_norm = (logsumexp(p * both, axis=2) / p).max(axis=1)
-        out.extend(math.exp(v) for v in log_norm.tolist())
-    return np.array(out)
+    pts = (tags[:, None, :] + sides[:, None, None] * _BOX_OFFSETS).reshape(-1, tags.shape[1])
+    box = np.repeat(np.arange(len(tags)), len(_BOX_OFFSETS))
+    if extra is not None and len(extra):
+        lo, hi = tags - 1e-12, tags + sides[:, None] + 1e-12
+        extra = extra[((extra >= lo.min(axis=0)) & (extra <= hi.max(axis=0))).all(axis=1)]
+        b, e = np.nonzero(((extra >= lo[:, None]) & (extra <= hi[:, None])).all(axis=2))
+        order = np.argsort(np.concatenate([box, b]), kind="stable")  # a box's fixed points first
+        pts, box = np.concatenate([pts, extra[e]])[order], np.concatenate([box, b])[order]
+    return pts, np.bincount(box, minlength=len(tags))
+
+
+def _rounding_margin(top: int, scale: float) -> float:
+    """A bound on the rounding of u_c + f(x, c) - f(x, c - n) and of u_c + f(x_hi, n)
+    for columns up to top and logs up to scale in size: each f is a sum of at most
+    top terms, each rounded, and the differences and bounds round a few times more."""
+    return (3 * top + 32) * 2.0**-53 * scale
+
+
+class _ShiftErrors:
+    """log ||T^n_lambda u - v_t|| for sample rows lambda, a block of boxes at a time.
+
+    Coordinate l of T^n u - v_t is a near term when l is 0 or in v_t's support,
+    and the shifted term e^(f(x, c) - f(x, c - n)) u_c, c = l + n, otherwise.
+    Near terms are evaluated for every row; a shifted column only if its bound
+    (module docstring) reaches the smallest near-term maximum among the rows of
+    its box, so no skipped term can be a row's maximum and every sup-norm error
+    is exact. p-norms skip nothing. Both take the elementwise steps of
+    product_apply(...).minus(vt).
+    """
+
+    def __init__(self, u: FiniteVector, fam: WeightFamily, vt: FiniteVector) -> None:
+        self.u, self.vt, self.C0, self.alpha = u, vt, fam.C0, fam.alpha
+        self.at = _log_products_at(fam, u.L)
+        self.v_cols = np.union1d(np.flatnonzero((vt.sign != 0.0).any(axis=0)), [0])
+        blocks = -(-(u.L + 1) // _BLOCK)
+        self.ulog = np.full((u.d, blocks * _BLOCK), NEG_INF)
+        self.ulog[:, : u.L + 1] = np.where(u.sign != 0.0, u.logmag, NEG_INF)
+        self.block_max = self.ulog.reshape(u.d, blocks, _BLOCK).max(axis=2)
+        self.log_scale = 1.0 + float(np.abs(u.logmag[np.isfinite(u.logmag)]).max(initial=0.0))
+
+    def log_errors(self, lam: np.ndarray, ns: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Rows lam (R, d) at shifts ns (R,); box k's rows begin at starts[k]."""
+        u, vt, v, L = self.u, self.vt, self.v_cols, self.u.L
+        v_src = np.minimum(v + ns[:, None], L)
+        v_in = (v + ns[:, None] <= L)[:, None]
+        f = self.at(lam, np.concatenate([v_src, np.broadcast_to(v, v_src.shape)], axis=1))
+        u_sign = np.where(v_in, u.sign[:, v_src].transpose(1, 0, 2), 0.0)
+        near = np.where(v_in, u.logmag[:, v_src].transpose(1, 0, 2), NEG_INF)
+        near += f[..., : len(v)] - f[..., len(v) :]
+        _, near = slog_add(u_sign, near, -vt.sign[:, v], vt.logmag[:, v])
+        near_max = near.max(axis=(1, 2))
+
+        n = ns[starts]
+        sup = u.norm_kind == "sup"
+        prune = sup and lam.min() >= 0.0  # the bound holds for x >= 0
+        floor = np.minimum.reduceat(near_max, starts) if prune else np.full(len(n), NEG_INF)
+        # A shifted column lies below u_c + f(x_hi, n) + margin; past L there is none.
+        # Logs stay below scale: |f(x, n)| <= C0 n^alpha |x|, as f(0, n) = 0.
+        x_hi = np.maximum.reduceat(lam, starts, axis=0)
+        scale = self.log_scale + self.C0 * float(np.abs(lam).max()) * L**self.alpha
+        gain = self.at(x_hi, np.minimum(n, L)[:, None])[:, :, 0] + _rounding_margin(L, scale)
+        cand, real = self._candidates(n, gain, floor)
+
+        box = np.repeat(np.arange(len(n)), np.diff(np.append(starts, len(lam))))
+        k = cand.shape[1]
+        log_norm = np.empty(len(lam))
+        step = _rows_per_chunk(lam.shape[1] * (2 * k + len(v)))
+        for lo in range(0, len(lam), step):
+            rows = slice(lo, lo + step)
+            c, ok = cand[box[rows]], real[box[rows]]
+            f = self.at(lam[rows], np.concatenate([c, np.where(ok, c - ns[rows, None], 0)], axis=1))
+            shifted = f[..., :k]
+            shifted -= f[..., k:]
+            shifted += u.logmag[:, c].transpose(1, 0, 2)
+            shifted = np.where(ok[:, None], shifted, NEG_INF)
+            if sup:
+                shifted_max = shifted.max(axis=(1, 2), initial=NEG_INF)
+                log_norm[rows] = np.maximum(shifted_max, near_max[rows])
+            else:
+                p = float(u.norm_kind)
+                both = np.concatenate([shifted, near[rows]], axis=2)
+                log_norm[rows] = (logsumexp(p * both, axis=2) / p).max(axis=1)
+        return log_norm
+
+    def _candidates(
+        self, n: np.ndarray, gain: np.ndarray, floor: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per box, the nonzero columns c >= n, c - n off v_t's columns, with
+        u_c + gain >= floor in some factor: (boxes, K) columns, padded with 0,
+        and the mask of real ones. Columns come in 64-column blocks: first the
+        blocks whose maxima pass for the block of boxes, then for each box."""
+        blk = np.arange(n.min() // _BLOCK, self.block_max.shape[1])
+        bm = self.block_max[:, blk]
+        blk = blk[((bm + gain.max(axis=0)[:, None] >= floor.min()) & (bm > NEG_INF)).any(axis=0)]
+        bm = self.block_max[:, blk]
+        hit = ((bm + gain[:, :, None] >= floor[:, None, None]) & (bm > NEG_INF)).any(axis=1)
+        box, j = np.nonzero(hit & ((blk + 1) * _BLOCK > n[:, None]))
+        cols = blk[j, None] * _BLOCK + np.arange(_BLOCK)
+        vals = self.ulog[:, cols].transpose(1, 0, 2)
+        hit = ((vals + gain[box, :, None] >= floor[box, None, None]) & (vals > NEG_INF)).any(axis=1)
+        hit &= (cols >= n[box, None]) & ~np.isin(cols - n[box, None], self.v_cols)
+        pair, slot = np.nonzero(hit)
+        box, cols = box[pair], cols[pair, slot]
+        count = np.bincount(box, minlength=len(n))
+        cand = np.zeros((len(n), int(count.max(initial=0))), dtype=int)
+        cand[box, np.arange(len(box)) - (np.cumsum(count) - count)[box]] = cols
+        return cand, np.arange(cand.shape[1]) < count[:, None]
 
 
 def verify_universality(
@@ -771,37 +907,35 @@ def verify_universality(
 ) -> UniversalityReport:
     """Sweep ||T_{iN, lambda} u - v_t|| < 3 eta over samples of every box.
 
-    The attractor samples are bucketed once per _BLOCK boxes: a box's
-    samples lie in the union of its block's widened boxes, so
-    box_sample_points filters only those, in their original order.
+    Boxes go _BLOCK at a time: _block_samples gives each box its
+    box_sample_points, in order, and _ShiftErrors their errors.
     """
+    errors = _ShiftErrors(u, fam, vt)
     worst = -1.0
     worst_box = 0
     worst_lambda: tuple[float, ...] = ()
     total = 0
-    min_per_box = None
+    least = None
     for start in range(0, cov.q, _BLOCK):
         tags, sides = cov.tags[start : start + _BLOCK], cov.sides[start : start + _BLOCK]
-        near = attractor_samples
-        if near is not None:
-            # box_sample_points' own widened bounds, so no sample of a box is lost
-            lo = (tags - 1e-12).min(axis=0)
-            hi = (tags + sides[:, None] + 1e-12).max(axis=0)
-            near = near[((near >= lo) & (near <= hi)).all(axis=1)]
-        for i, (tag, side) in enumerate(zip(tags, sides), start=start + 1):
-            pts = box_sample_points(tag, side, near)
-            min_per_box = len(pts) if min_per_box is None else min(min_per_box, len(pts))
-            total += len(pts)
-            errs = _box_errors(u, fam, i * cfg.bigN, pts[:, : cfg.d], vt)
-            j = int(np.argmax(errs))
-            if errs[j] > worst:
-                worst, worst_box = float(errs[j]), i
-                worst_lambda = tuple(float(c) for c in pts[j, : cfg.d])
+        pts, counts = _block_samples(tags, sides, attractor_samples)
+        starts = np.cumsum(counts) - counts
+        lam = pts[:, : cfg.d]
+        ns = np.repeat(np.arange(start + 1, start + 1 + len(tags)) * cfg.bigN, counts)
+        errs = np.array([math.exp(v) for v in errors.log_errors(lam, ns, starts).tolist()])
+        box_worst = np.maximum.reduceat(errs, starts)
+        b = int(np.argmax(box_worst))
+        if box_worst[b] > worst:
+            j = starts[b] + int(np.argmax(errs[starts[b] : starts[b] + counts[b]]))
+            worst, worst_box = float(errs[j]), start + b + 1
+            worst_lambda = tuple(float(c) for c in lam[j])
+        total += int(counts.sum())
+        least = int(counts.min()) if least is None else min(least, int(counts.min()))
     return UniversalityReport(
         eta=cfg.eta,
         q=cov.q,
         samples=total,
-        min_samples_per_box=min_per_box or 0,
+        min_samples_per_box=least or 0,
         worst_error=worst,
         worst_box=worst_box,
         worst_lambda=worst_lambda,
@@ -849,27 +983,33 @@ class DynamicsReport:
         }
 
 
-def _envelope_tail(envelope: Callable[[float], float], start: int, stop: int = 20000) -> float:
+def _envelope_tail(
+    envelope: Callable[[float], float], start: int, stop: int = 20000, limit: float = math.inf
+) -> float:
     """sum of e^envelope(k), k = start, start+1, ..., up to the first term below
     1e-18 past start + 10, added in order. Logs come in blocks of doubling length;
     exp is monotone, so math.exp decides only logs within 1e-9 of log(1e-18).
     With no such term by stop, or a term past the float range, the tail is inf.
+    A running sum that reaches limit is returned at the end of its block: the
+    terms are nonnegative, so the whole tail would not be below limit either.
     """
     cut = math.log(1e-18)
-    logs, lo, size = [], start, 64
+    total, lo, size = 0.0, start, 64
     while lo <= stop:
         ks = np.arange(lo, min(lo + size, stop + 1))
-        logs.append(envelope(ks))
-        near = np.flatnonzero((ks > start + 10) & (logs[-1] < cut + 1e-9)).tolist()
-        small = (m for m in near if logs[-1][m] < cut - 1e-9 or math.exp(logs[-1][m]) < 1e-18)
+        logs = envelope(ks)
+        near = np.flatnonzero((ks > start + 10) & (logs < cut + 1e-9)).tolist()
+        small = (m for m in near if logs[m] < cut - 1e-9 or math.exp(logs[m]) < 1e-18)
         end = next(small, None)
         if end is not None:
-            logs[-1] = logs[-1][: end + 1]
-            try:
-                terms = np.fromiter(map(math.exp, np.concatenate(logs).tolist()), float)
-            except OverflowError:
-                return math.inf
-            return float(np.cumsum(terms)[-1])
+            logs = logs[: end + 1]
+        try:
+            terms = np.fromiter(map(math.exp, logs.tolist()), float)
+        except OverflowError:
+            return math.inf
+        total = float(np.cumsum(np.concatenate([[total], terms]))[-1])
+        if end is not None or total >= limit:
+            return total
         lo, size = lo + size, 2 * size
     return math.inf
 
@@ -943,7 +1083,7 @@ def run_dynamics_experiment(
             )
         else:
             envelope = envelopes(D_scaled)
-        tail = _envelope_tail(envelope, N)
+        tail = _envelope_tail(envelope, N, limit=min(TAIL_BUDGET * eta, eta))
         if tail < TAIL_BUDGET * eta and tail < eta:
             chosen = (N, sigma, D_scaled, envelope, tail)
             break

@@ -144,6 +144,13 @@ def test_dyn_rejects_unknown_family(capsys):
     capsys.readouterr()
 
 
+def test_dyn_refuses_alpha_for_rolewicz(capsys):
+    code = main(["dyn", "--name", "sierpinski", "--family", "rolewicz", "--alpha", "0.5"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: rolewicz weights take no alpha\n"
+
+
 @pytest.mark.parametrize(
     "extra",
     [["--eta", "0"], ["--eta", "-0.1"], ["--interval", "2", "1"], ["--interval", "1", "1"],

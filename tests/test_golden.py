@@ -14,6 +14,8 @@ n), which replaced the seeded pair scan. Where L exceeds 1000, cs2.n_max,
 cs2.samples and cs2.measured were rewritten once more when that check came to
 span the whole vector length L with Python's float pow; every other field is
 as the older code wrote it.
+The dyn reference on the unit interval at s=3 (q = 16,384) was written by the
+per-box dense sweep that the bound-pruned sweep replaced.
 Apart from the manifest's wall_time_s and versions, records agree exactly,
 except floats: to 1e-12 relative, or to 1e-15 absolute for coordinates that
 are zero in exact arithmetic. The reference computed tagged-square corners
@@ -44,6 +46,7 @@ CLI_CASES = (
     "cover_verify_unit_interval_s3",
     "dyn_sierpinski_plus_power_alpha0.5",
     "dyn_hilbert_square_rolewicz_eta0.1",
+    "dyn_unit_interval_s3",
     "zoo_emit_arrowhead_pseudo4_m5",
     "verify_hbd_hilbert_pseudo6_m9",
     "verify_hbd_holder_diag_m8",

@@ -3,7 +3,8 @@
 build_common_vector, the universality sweep and the envelope tail are array
 code; product_apply with the dense slog_add, and a scalar loop over the
 envelope, are the reference. Sup-norm results must match bitwise, p-norm
-results to 1e-12 relative.
+results to 1e-12 relative. The sweep skips shifted columns by a bound; the
+forced cases below make a skipped-looking column set the maximum.
 """
 
 import math
@@ -15,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 from orderedcover.shifts import (
     DynamicsConfig,
     FiniteVector,
-    _box_errors,
+    _ShiftErrors,
+    _block_samples,
     _envelope_tail,
+    _log_products_at,
     box_sample_points,
     build_common_vector,
     cs1_envelope_closed_form,
@@ -100,19 +103,31 @@ def test_common_vector_matches_dense_additions(case):
     assert np.array_equal(u.sign, want.sign)
 
 
+def sweep_errors(u, fam, vt, lam, ns, starts=(0,)):
+    """The sweep's errors for rows lam at shifts ns; box k's rows begin at starts[k]."""
+    log_norm = _ShiftErrors(u, fam, vt).log_errors(lam, np.asarray(ns), np.asarray(starts))
+    return [math.exp(v) for v in log_norm.tolist()]
+
+
 @settings(max_examples=40, deadline=None)
 @given(scenarios(), st.data())
 def test_box_errors_match_product_apply(case, data):
+    # a block of up to four boxes, each its own shift, one sweep call
     cov, fam, cfg, u0, vt = case
     u, _ = build_common_vector(cov, fam, cfg, u0, vt)
-    i = data.draw(st.integers(0, cov.q))  # shift 0 leaves u in place
-    extra = 1.0 + np.random.default_rng(i).random((data.draw(st.integers(0, 150)), 2))
-    lam = np.concatenate([box_sample_points(cov.tags[i - 1], cov.sides[i - 1]), extra])
-    lam = lam[:, : cfg.d]
-    got = _box_errors(u, fam, i * cfg.bigN, lam, vt)
+    boxes = data.draw(st.lists(st.integers(0, cov.q), min_size=1, max_size=4))  # 0 leaves u
+    lam, ns, starts = [], [], []
+    for i in boxes:
+        extra = 1.0 + np.random.default_rng(i).random((data.draw(st.integers(0, 150)), 2))
+        pts = np.concatenate([box_sample_points(cov.tags[i - 1], cov.sides[i - 1]), extra])
+        starts.append(sum(map(len, lam)))
+        lam.append(pts[:, : cfg.d])
+        ns += [i * cfg.bigN] * len(pts)
+    lam = np.concatenate(lam)
+    got = sweep_errors(u, fam, vt, lam, ns, starts)
     assert len(got) == len(lam)
-    for g, row in zip(got.tolist(), lam):
-        assert_same_error(g, reference_error(u, fam, row, i * cfg.bigN, vt), cfg.norm_kind)
+    for g, row, n in zip(got, lam, ns):
+        assert_same_error(g, reference_error(u, fam, row, n, vt), cfg.norm_kind)
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
@@ -124,7 +139,88 @@ def test_box_errors_at_the_truncation_edge(fam):
     lam = np.array([[1.2, 1.7], [1.9, 1.0]])
     for n in range(L - 3, L + 2):
         want = [reference_error(u, fam, row, n, vt) for row in lam]
-        assert _box_errors(u, fam, n, lam, vt).tolist() == want
+        assert sweep_errors(u, fam, vt, lam, [n, n]) == want
+
+
+LINEAR_IN_N = [rolewicz_family(), power_family(1.0), plus_power_family(1.0)]
+
+
+def rounded_up_column(fam, x, n):
+    """A column c whose computed f(x, c) - f(x, c - n) exceeds the computed
+    f(x, n) by at least two ulps, for a family whose log-weights are constant in k."""
+    table = fam.log_products(x, 5000)
+    for c in range(n + 1, 5001):
+        gap = table[c] - table[c - n]
+        if gap > np.nextafter(np.nextafter(table[n], np.inf), np.inf):
+            return c, float(table[n]), float(gap)
+    raise AssertionError("no column rounds above f(x, n)")
+
+
+@pytest.mark.parametrize("fam", LINEAR_IN_N, ids=lambda f: f.name)
+def test_a_shifted_column_at_the_bound_sets_the_maximum(fam, monkeypatch):
+    # v_t = e_0 and u_n = 0, so the near term is |-1| and its log, 0, is the floor.
+    # u_c = e^-m with f(x, n) < m < f(x, c) - f(x, c - n), as computed: the shifted
+    # term e^(gap - m) > 1 is the maximum, while u_c + f(x, n) < 0 lies below the
+    # floor. Only the rounding margin keeps column c.
+    x, n = 1.37, 5
+    c, bound, gap = rounded_up_column(fam, x, n)
+    L = c + 3
+    u = FiniteVector.zeros(1, L)
+    u.sign[0, c], u.logmag[0, c] = 1.0, -(bound + gap) / 2
+    vt = FiniteVector.basis(1, L, 0)
+    lam = np.array([[x]])
+    want = reference_error(u, fam, lam[0], n, vt)
+    assert want > 1.0
+    assert sweep_errors(u, fam, vt, lam, [n]) == [want]
+    monkeypatch.setattr(shifts, "_rounding_margin", lambda top, scale: 0.0)
+    assert sweep_errors(u, fam, vt, lam, [n]) == [1.0]
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
+def test_each_box_bound_is_read_at_its_top_row(fam):
+    # Box B has rows x = 1 and x = 2 at shift n = 70, and u_71 = e^-m with
+    # f(1, 70) < m < f(2, 71) - f(2, 1): the shifted term sets the maximum of the
+    # row x = 2, while a bound read at x = 1 would drop it. Box A, first in the
+    # block, has the smaller shift, 2, and the larger floor: its near term is
+    # about e^50. Its u_2 lies in the 64-column block before u_71.
+    n, n_a, L = 70, 2, 80
+    f = lambda x, k: float(fam.log_products(x, L)[k])
+    m = (f(1.0, n) + f(2.0, n + 1) - f(2.0, 1)) / 2
+    u = FiniteVector.zeros(1, L)
+    u.sign[0, [n + 1, n_a]] = 1.0
+    u.logmag[0, [n + 1, n_a]] = -m, 50.0 - f(1.0, n_a)
+    vt = FiniteVector.basis(1, L, 0)
+    lam, ns = np.array([[1.0], [1.0], [2.0]]), [n_a, n, n]
+    want = [reference_error(u, fam, row, k, vt) for row, k in zip(lam, ns)]
+    assert want[0] > want[2] > 1.0
+    assert sweep_errors(u, fam, vt, lam, ns, starts=(0, 1)) == want
+
+
+def test_negative_parameters_skip_no_column():
+    # at x = -1 the power weights rise in k: f(-1, 5) - f(-1, 1) = 1 - 5^(1/2) is
+    # above f(-1, 4) = -2, so u_5 = e^1.6 sets the maximum past the bound
+    fam, n = power_family(0.5), 4
+    u = FiniteVector.zeros(1, 8)
+    u.sign[0, 5], u.logmag[0, 5] = 1.0, 1.6
+    vt = FiniteVector.basis(1, 8, 0)
+    want = reference_error(u, fam, [-1.0], n, vt)
+    assert want > 1.0
+    assert sweep_errors(u, fam, vt, np.array([[-1.0]]), [n]) == [want]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FAMILIES + LINEAR_IN_N), st.data())
+def test_log_products_at_index_arrays_match_the_table(fam, data):
+    top = data.draw(st.integers(0, 3000))
+    rows, width = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 6))
+    x = np.array(data.draw(st.lists(st.floats(0.0, 3.0), min_size=2 * rows, max_size=2 * rows)))
+    x = x.reshape(rows, 2)
+    cols = np.array(data.draw(st.lists(st.integers(0, top), min_size=rows * width,
+                                       max_size=rows * width)), dtype=int).reshape(rows, width)
+    got = _log_products_at(fam, top)(x, cols)
+    for r in range(rows):
+        for j in range(2):
+            assert got[r, j].tolist() == fam.log_products(x[r, j], top)[cols[r]].tolist()
 
 
 @settings(max_examples=15, deadline=None)
@@ -162,20 +258,32 @@ def test_sweep_gives_each_box_its_samples_in_order(monkeypatch):
     samples = samples[np.random.default_rng(7).permutation(len(samples))]
     seen = []
 
-    def record(u, fam, n, lam, vt):
-        seen.append(lam)
+    def record(self, lam, ns, starts):
+        bounds = np.append(starts, len(lam))
+        seen.extend((lam[a:b], ns[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
         return np.zeros(len(lam))
 
-    monkeypatch.setattr(shifts, "_box_errors", record)
+    monkeypatch.setattr(shifts._ShiftErrors, "log_errors", record)
     cfg = DynamicsConfig(d=2, interval=(1.0, 2.0), L=cov.q + 3, eta=0.1, kappa=1, bigN=1)
     u = FiniteVector.zeros(2, cfg.L)
     report = verify_universality(u, cov, rolewicz_family(), cfg, u, samples)
     want = [box_sample_points(tag, side, samples) for tag, side in zip(cov.tags, cov.sides)]
     assert len(seen) == cov.q
-    for got, pts in zip(seen, want):
+    for i, ((got, ns), pts) in enumerate(zip(seen, want), start=1):
         assert np.array_equal(got, pts)
+        assert ns.tolist() == [i * cfg.bigN] * len(pts)
     assert report.samples == sum(map(len, want))
     assert report.min_samples_per_box == min(map(len, want)) > 11
+    # the batched sampler alone, block by block, and with no extras
+    for lo in range(0, cov.q, 64):
+        block = slice(lo, lo + 64)
+        pts, counts = _block_samples(cov.tags[block], cov.sides[block], samples)
+        assert np.array_equal(pts, np.concatenate(want[block]))
+        assert counts.tolist() == list(map(len, want[block]))
+    pts, counts = _block_samples(cov.tags[:3], cov.sides[:3], None)
+    bare = [box_sample_points(tag, side) for tag, side in zip(cov.tags[:3], cov.sides[:3])]
+    assert np.array_equal(pts, np.concatenate(bare))
+    assert counts.tolist() == [11, 11, 11]
 
 
 def scalar_tail(envelope, start, stop=20000):
@@ -209,6 +317,27 @@ def test_envelope_tail_matches_scalar_loop(env, start, span):
     ks = np.arange(start, start + 50)
     assert np.array_equal(env(ks), np.array([env(int(k)) for k in ks]))
     assert _envelope_tail(env, start, start + span) == scalar_tail(env, start, start + span)
+
+
+@settings(max_examples=30, deadline=None)
+@given(envelopes(), st.integers(1, 300), st.floats(1e-6, 10.0))
+def test_envelope_tail_stops_at_the_limit_only_when_it_fails(env, start, limit):
+    full = _envelope_tail(env, start)
+    got = _envelope_tail(env, start, limit=limit)
+    if full < limit:
+        assert got == full
+    else:
+        assert got >= limit
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
+def test_early_exit_n_search_picks_the_full_sum_step(fam, monkeypatch):
+    fast = run_dynamics_experiment(unit_interval(), fam, eta=0.2, d=1)
+    full_tail = _envelope_tail
+    monkeypatch.setattr(shifts, "_envelope_tail", lambda env, start, limit: full_tail(env, start))
+    full = run_dynamics_experiment(unit_interval(), fam, eta=0.2, d=1)
+    assert (fast.config.bigN, fast.envelope_tail) == (full.config.bigN, full.envelope_tail)
+    assert fast.to_record() == full.to_record()
 
 
 def test_envelope_tail_without_small_term_is_not_summable():

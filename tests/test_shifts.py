@@ -180,6 +180,8 @@ def test_weight_family_lookup():
         weight_family("geometric")
     with pytest.raises(ValueError):
         weight_family("power")
+    with pytest.raises(ValueError, match="rolewicz weights take no alpha"):
+        weight_family("rolewicz", 0.5)
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
