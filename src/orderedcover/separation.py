@@ -11,16 +11,21 @@ Three checks:
   apart are at least (r^(n-1) + r - 2)/(r - 1) positions apart in the
   lexicographic enumeration.
 
-Both pair audits cover all q(q-1)/2 pairs in O(q) memory. The separation
-audit is certified by block bounds: whole pairs of 64-rank blocks are
-decided by their union boxes, and exact pairs are computed only where a
-bound cannot decide. On the unit-interval s=3 covering (q = 16,384,
-134,209,536 pairs) it computes 521 of the 32,896 block pairs and takes
-about 0.09 s, against 1.4 s for a scan of every pair (2-core x86-64 VM);
-the worst case remains O(q^2). The jump check streams the pairs one rank
-row at a time in O(q^2) time. Coverage tests the points 64 at a time
-against the squares of the rank blocks whose union box meets them, as x
-and y columns of points against x and y columns of squares.
+Both pair audits cover all q(q-1)/2 pairs in O(q) memory and are
+certified by block bounds: pairs of rank blocks are decided by their
+union boxes, and exact pairs are computed only where a bound cannot
+decide. On the unit-interval s=3 covering (q = 16,384, 134,209,536
+pairs) the separation audit computes 521 of the 32,896 pairs of 64-rank
+blocks and takes about 0.09 s, against 1.4 s for a scan of every pair.
+The jump check counts premise hits from 64-rank row tiles against
+16-rank column blocks, and looks for bad pairs only in the band of short
+rank gaps. On the gasket at m = 9 (19,683 tags, 1.5e9 hits over 1.9e8
+pairs and 9 thresholds) it takes about 0.33 s, against 1.25 s for a
+scan of every pair row by row (2-core x86-64 VM). The worst case of both
+remains O(q^2), and the jump check refuses more than JUMP_PAIR_BUDGET
+pairs up front. Coverage tests the points 64 at a time against the
+squares of the rank blocks whose union box meets them, as x and y
+columns of points against x and y columns of squares.
 """
 
 from __future__ import annotations
@@ -84,42 +89,16 @@ class SeparationReport:
         }
 
 
-def box_sup_distance(
-    tags_a: np.ndarray, sides_a: np.ndarray, tags_b: np.ndarray, sides_b: np.ndarray
-) -> np.ndarray:
-    """sup over the two boxes of the max-norm distance, vectorized.
-
-    Per axis the farthest pair sits at interval endpoints, so the sup is
-    max(hi_a - lo_b, hi_b - lo_a) taken coordinate-wise, then the max norm
-    maximizes over axes. Equals the 16-corner-pair maximum.
-    """
-    hi_a = tags_a + sides_a[:, None]
-    hi_b = tags_b + sides_b[:, None]
-    per_axis = np.maximum(hi_a - tags_b, hi_b - tags_a)
-    return per_axis.max(axis=1)
-
-
-def _sup_distance_rows(tags: np.ndarray, sides: np.ndarray):
-    """Yield (j, row) for j = 0..q-2: row[i] is box_sup_distance of boxes j
-    and j + 1 + i, bit for bit. Separate contiguous x and y columns run
-    several times faster per row than (n, 2) rows reduced by max(axis=1)."""
-    x, y = np.ascontiguousarray(tags[:, 0]), np.ascontiguousarray(tags[:, 1])
-    hx, hy = x + sides, y + sides
-    for j in range(len(sides) - 1):
-        l = slice(j + 1, None)
-        dx = np.maximum(hx[j] - x[l], hx[l] - x[j])
-        dy = np.maximum(hy[j] - y[l], hy[l] - y[j])
-        yield j, np.maximum(dx, dy)
-
-
 # Rank block size of the pair audits. The covering is rank-ordered, so the
 # squares of one block sit close together and their union box is small.
 _BLOCK = 64
 
 
-def _block_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block starts and the union box (lo, hi) of each block of _BLOCK ranks."""
-    starts = np.arange(0, len(lo), _BLOCK)
+def _block_boxes(
+    lo: np.ndarray, hi: np.ndarray, size: int = _BLOCK
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block starts and the union box (lo, hi) of each block of size ranks."""
+    starts = np.arange(0, len(lo), size)
     return starts, np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
 
 
@@ -140,9 +119,10 @@ def verify_separation(
     over the bound at the last rank of A and the first rank of B. A block
     pair is computed exactly, as a tile, only if that bound reaches the
     worst ratio times (1 - 1e-12); the slack keeps ties and absorbs the
-    bound's rounding. Each tile computes the ratio with the same
-    elementwise operations as box_sup_distance and the bound, so
-    worst_ratio is the exhaustive maximum bit for bit.
+    bound's rounding. Each tile computes the sup distance of two squares
+    as max(hi_a - lo_b, hi_b - lo_a) per axis, the same elementwise
+    operations as the bound, so worst_ratio is the exhaustive maximum bit
+    for bit.
     """
     # seed is unused: the audit draws nothing; bench/jobs.py still passes it
     D = cov.D if D is None else D
@@ -231,6 +211,96 @@ def coverage_check(cov: TaggedCovering, points: np.ndarray, tol: float = 1e-9) -
     return True
 
 
+# Pair limit of the jump check, q = r^m <= 65,536 parts: the gasket at
+# m = 10 (1.7e9 pairs) and hilbert-square at m = 8 (2.1e9) fit, in 2 to
+# 6 s and under 60 MB peak RSS each on a 2-core x86-64 VM.
+JUMP_PAIR_BUDGET = 2**31
+
+# Rank tiles of the jump check: rows of _JUMP_ROWS ranks against later
+# column blocks of _JUMP_COLS ranks.
+_JUMP_ROWS, _JUMP_COLS = 64, 16
+
+
+def _jump_pass(
+    x: np.ndarray, y: np.ndarray, threshold: list[float], short: list[int]
+) -> tuple[list[int], list[tuple[int, int, float] | None]]:
+    """Premise hits and first short-gap hit of each threshold over all point pairs.
+
+    Over the pairs j < l of points (x_k, y_k), with distance
+    d = max(|x_j - x_l|, |y_j - y_l|): hits[n] counts the pairs with
+    d >= threshold[n], and first_bad[n] is the first of them in (j, l)
+    order with l - j <= short[n], as (j, l, d), or None.
+
+    Rows go _JUMP_ROWS ranks at a time. The union boxes of a row tile A and
+    of a later column block B bound every pair's distance per axis, between
+    blo_B - bhi_A (or blo_A - bhi_B) and bhi_B - blo_A (or bhi_A - blo_B).
+    Rounding is monotone, so the rounded bounds also bound every rounded
+    |x_j - x_l|: a block whose lower bound reaches threshold n hits it in
+    all its pairs, and one whose upper bound stays below misses it in all.
+    Such blocks are counted by size. Exact distances are computed only for
+    the blocks some threshold falls between the bounds of, and for the
+    tile's own pairs. First bad pairs are searched only in the band
+    l - j <= short[n], which stops after the last block whose upper bound
+    reaches threshold n. np.abs(x_j - x_l) is max(x_j - x_l, x_l - x_j)
+    bit for bit, so hits and distances match a scan of every pair exactly.
+    Memory is O(_JUMP_ROWS q).
+    """
+    q, t = len(x), np.asarray(threshold, dtype=float)[:, None]
+    hits, first_bad = np.zeros(len(threshold), dtype=np.int64), [None] * len(threshold)
+    starts, xlo, xhi = _block_boxes(x, x, _JUMP_COLS)
+    _, ylo, yhi = _block_boxes(y, y, _JUMP_COLS)
+    sizes = np.diff(starts, append=q)
+    band = max(short, default=0)
+    # row k of wx, wy holds the band's points k + 1 .. k + band; past the
+    # last rank it reads NaN, which hits no threshold
+    wx, wy = (
+        np.lib.stride_tricks.sliding_window_view(np.append(v[1:], np.full(band, np.nan)), band)
+        for v in (x, y)
+    )
+    below = np.tri(_JUMP_ROWS, dtype=bool)  # l <= j within a tile
+    for a in range(0, q, _JUMP_ROWS):
+        tx, ty = x[a : a + _JUMP_ROWS], y[a : a + _JUMP_ROWS]
+        rows, first = len(tx), -(-(a + len(tx)) // _JUMP_COLS)
+        bxlo, bxhi, bylo, byhi = (v[first:] for v in (xlo, xhi, ylo, yhi))
+        lo = np.maximum(
+            np.maximum(bxlo - tx.max(), tx.min() - bxhi),
+            np.maximum(bylo - ty.max(), ty.min() - byhi),
+        )
+        hi = np.maximum(
+            np.maximum(bxhi - tx.min(), tx.max() - bxlo),
+            np.maximum(byhi - ty.min(), ty.max() - bylo),
+        )
+        inside, reach = lo >= t, hi >= t
+        straddle = (reach & ~inside).any(axis=0)
+        hits += rows * (inside[:, ~straddle] @ sizes[first:][~straddle])
+        near = np.zeros(len(starts), dtype=bool)
+        near[a // _JUMP_COLS : first] = True
+        near[first:] = straddle
+        cols = np.flatnonzero(np.repeat(near, _JUMP_COLS)[:q])
+        d = np.maximum(np.abs(tx[:, None] - x[cols]), np.abs(ty[:, None] - y[cols]))
+        d[:, :rows][below[:rows, :rows]] = -np.inf  # cols start with the tile's own ranks
+        for n, tn in enumerate(threshold):
+            hits[n] += np.count_nonzero(d >= tn)
+        # the band of n ends at the last later block within short[n] that can hit n
+        width = {}
+        for n in (n for n in range(len(threshold)) if first_bad[n] is None and short[n] > 0):
+            ahead = np.flatnonzero(reach[n, : (a + rows - 1 + short[n]) // _JUMP_COLS + 1 - first])
+            last = (first + ahead[-1] + 1) * _JUMP_COLS - 1 if ahead.size else a
+            width[n] = min(short[n], max(rows - 1, last - a))
+        w = max(width.values(), default=0)
+        if w == 0:
+            continue
+        # row i, column g: the pair (a + i, a + i + 1 + g)
+        band_x, band_y = wx[a : a + rows, :w], wy[a : a + rows, :w]
+        d = np.maximum(np.abs(tx[:, None] - band_x), np.abs(ty[:, None] - band_y))
+        for n, wn in width.items():
+            hit = d[:, :wn] >= threshold[n]
+            if hit.any():
+                i, g = divmod(int(np.argmax(hit)), wn)
+                first_bad[n] = (a + i, a + i + 1 + g, float(d[i, g]))
+    return [int(h) for h in hits], first_bad
+
+
 @dataclass(frozen=True)
 class JumpReport:
     m: int
@@ -261,27 +331,24 @@ def verify_jump_lemma(
     The report is that of checking n = 0, 1, ... in turn up to the first n
     with a bad pair: pairs_checked sums the premise hits of those n, and the
     counterexample is the first bad pair of the last in (j, l) order. One
-    pass over the pairs gathers both for every n.
+    pass over the pairs, _jump_pass, gathers both for every n. More than
+    JUMP_PAIR_BUDGET pairs are refused with BudgetExceededError before any
+    level is built.
     """
     gamma = ifs.gamma if gamma is None else gamma
     rho = ifs.rho if rho is None else rho
     r = ifs.r
     c = r ** (-1.0 / gamma)
+    pairs = r**m * (r**m - 1) // 2
+    if pairs > JUMP_PAIR_BUDGET:
+        raise geometry.BudgetExceededError(f"{pairs} pairs exceed budget {JUMP_PAIR_BUDGET}")
     level = geometry.levels(ifs, m, budget)[-1]
     required = [(r ** (n - 1) + r - 2) / (r - 1) for n in range(m)]
     threshold = [c ** (m - n) * rho * (1.0 - 1e-9) for n in range(m)]
-    # the gaps l - j below required[n] are 1 .. short[n], the row's first short[n]
+    # the gaps l - j below required[n] are 1 .. short[n]
     short = [math.ceil(x) - 1 for x in required]
-    hits = [0] * m
-    first_bad: list[tuple[int, int, float] | None] = [None] * m
-    # tags are the boxes with zero sides: the sup distance is then |a - b| exactly
-    for j, dist in _sup_distance_rows(level.corners, np.zeros(len(level))):
-        for n in range(m):
-            hit = dist >= threshold[n]
-            hits[n] += int(np.count_nonzero(hit))
-            if first_bad[n] is None and hit[: short[n]].any():
-                i = int(np.argmax(hit[: short[n]]))
-                first_bad[n] = (j, j + 1 + i, float(dist[i]))
+    x, y = np.ascontiguousarray(level.corners[:, 0]), np.ascontiguousarray(level.corners[:, 1])
+    hits, first_bad = _jump_pass(x, y, threshold, short)
     bad_n = next((n for n in range(m) if first_bad[n] is not None), None)
     if bad_n is None:
         return JumpReport(m=m, pairs_checked=sum(hits), passed=True)

@@ -256,6 +256,19 @@ def test_curve_runs_honour_the_part_budget(capsys):
     assert "16 parts exceed budget 10" in capsys.readouterr().err
 
 
+def test_verify_jump_refuses_an_over_budget_pair_count(capsys, monkeypatch):
+    # 3^12 = 531,441 parts fit the part budget; their 1.4e11 pairs do not,
+    # and the refusal comes before any level is built
+    def no_levels(*args, **kwargs):
+        raise AssertionError("levels built before the pair budget check")
+
+    monkeypatch.setattr("orderedcover.geometry.levels", no_levels)
+    assert main(["verify-jump", "--name", "sierpinski", "--m", "12"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 141214502520 pairs exceed budget 2147483648\n"
+
+
 @pytest.mark.parametrize(
     "argv, least",
     [

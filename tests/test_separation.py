@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from orderedcover import geometry, separation
 from orderedcover.separation import (
-    box_sup_distance,
+    _jump_pass,
     coverage_check,
     verify_form,
     verify_jump_lemma,
@@ -14,7 +16,26 @@ from orderedcover.separation import (
 )
 from orderedcover.tagging import BuilderParams, build_tagged_covering
 from orderedcover.zoo import gap_dust, hilbert_square, koch_curve, sierpinski_gasket, unit_interval
-from orderedcover.geometry import attractor_points, levels
+from orderedcover.geometry import (
+    BudgetExceededError,
+    OrderedIFS,
+    Similarity,
+    attractor_points,
+    levels,
+)
+
+
+def box_sup_distance(tags_a, sides_a, tags_b, sides_b):
+    """sup over the two boxes of the max-norm distance, vectorized.
+
+    Per axis the farthest pair sits at interval endpoints, so the sup is
+    max(hi_a - lo_b, hi_b - lo_a) taken coordinate-wise, then the max norm
+    maximizes over axes. Equals the 16-corner-pair maximum.
+    """
+    hi_a = tags_a + sides_a[:, None]
+    hi_b = tags_b + sides_b[:, None]
+    per_axis = np.maximum(hi_a - tags_b, hi_b - tags_a)
+    return per_axis.max(axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -372,14 +393,32 @@ def jump_reference(ifs, m, gamma=None, rho=None):
     return {"m": m, "pairs_checked": checked, "pass": True}
 
 
+def a_paper():
+    """The A-paper rectangle [0, 1] x [0, sqrt 2]: two maps of ratio 2^(-1/2)
+    turn it by +-pi/2 onto its lower and upper halves. Consecutive parts
+    stop overlapping from m = 5, though (i)-(iii) pass to m = 14."""
+    ratio = 2.0**-0.5
+    maps = (
+        Similarity(ratio, math.pi / 2.0, False, (1.0, 0.0)),
+        Similarity(ratio, -math.pi / 2.0, False, (0.0, math.sqrt(2.0))),
+    )
+    return OrderedIFS(
+        maps=maps, shape="square", corner=(0.0, 0.0), side=math.sqrt(2.0),
+        gamma=2.0, rho=math.sqrt(2.0), name="a-paper",
+    )
+
+
 # gamma and rho as factors of the system's own; the last entry is the n of
-# the counterexample, None for a pass
+# the counterexample, None for a pass. The gasket at m = 7 has q = 2187:
+# 35 row tiles of 64 ranks, the last one partial.
 JUMP_CASES = [
     *[(gap_dust, m, 1.0, 1.0, None if m < 3 else 2) for m in range(1, 7)],
     (sierpinski_gasket, 4, 1.0, 1.0, None),
     (sierpinski_gasket, 5, 0.6, 1.0, 2),
     (sierpinski_gasket, 5, 0.8, 0.5, 3),
     (sierpinski_gasket, 6, 0.9, 0.5, 4),
+    (sierpinski_gasket, 7, 1.0, 1.0, None),
+    (a_paper, 6, 1.0, 1.0, 2),
     (hilbert_square, 4, 1.0, 1.0, None),
     (hilbert_square, 4, 0.6, 0.2, 2),
     (hilbert_square, 5, 0.8, 0.5, 3),
@@ -400,3 +439,100 @@ def test_jump_lemma_matches_all_pairs_reference(case):
     record = verify_jump_lemma(ifs, m, gamma=gamma, rho=rho).to_record()
     assert record == jump_reference(ifs, m, gamma=gamma, rho=rho)
     assert record.get("counterexample", {}).get("n") == expected_n
+
+
+def test_jump_lemma_fails_on_the_a_paper_rectangle():
+    record = verify_jump_lemma(a_paper(), 6).to_record()
+    assert record["counterexample"] == {
+        "j": [1, 2, 2, 2, 2, 2],
+        "l": [2, 1, 1, 1, 1, 1],
+        "n": 2,
+        "distance": 0.5303300858899105,
+        "gap": 1,
+        "required": 2.0,
+    }
+
+
+def jump_pass_reference(x, y, threshold, short):
+    """Every pair at once: the premise hits of each threshold, and its first
+    hit in (j, l) order with l - j <= short, as (j, l, distance)."""
+    jj, ll = np.triu_indices(len(x), k=1)
+    dist = np.maximum(np.abs(x[jj] - x[ll]), np.abs(y[jj] - y[ll]))
+    hits, first_bad = [], []
+    for t, s in zip(threshold, short):
+        hit = dist >= t
+        hits.append(int(hit.sum()))
+        bad = np.flatnonzero(hit & (ll - jj <= s))
+        first_bad.append(
+            None if bad.size == 0 else (int(jj[bad[0]]), int(ll[bad[0]]), float(dist[bad[0]]))
+        )
+    return hits, first_bad
+
+
+# q = 1 is a single tile with no pair; 16 a single column block; 65 and 300
+# end in a partial tile and a partial block; 130 and 300 plant a bad pair.
+@example(q=1, kind="walk", seed=0, count=2, plant=False)
+@example(q=16, kind="grid", seed=1, count=3, plant=False)
+@example(q=65, kind="walk", seed=2, count=4, plant=False)
+@example(q=130, kind="walk", seed=2, count=4, plant=True)
+@example(q=300, kind="coincident", seed=3, count=1, plant=True)
+@given(
+    q=st.integers(1, 300),
+    kind=st.sampled_from(["walk", "grid", "free", "coincident"]),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 6),
+    plant=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_jump_pass_matches_all_pairs_reference(q, kind, seed, count, plant):
+    rng = np.random.default_rng(seed)
+    tags = layout(kind, q, rng)[0]
+    x, y = np.ascontiguousarray(tags[:, 0]), np.ascontiguousarray(tags[:, 1])
+    jj, ll = np.triu_indices(q, k=1)
+    dist = np.maximum(np.abs(x[jj] - x[ll]), np.abs(y[jj] - y[ll]))
+    # thresholds on some pair's distance, so ties with the bounds occur, or free
+    on_pair = dist.size and rng.uniform() < 0.7
+    threshold = [float(rng.choice(dist) if on_pair else rng.uniform(0.0, 4.0)) for _ in range(count)]
+    short = [int(rng.choice([0, 1, 2, 17, 63, 64, 65, 200])) for _ in range(count)]
+    if plant and q > 65:
+        # one point far off among near ones: every pair within gap s of it
+        # hits, and the first of them is (p - s, p), at j >= 64
+        p = int(rng.integers(65, q))
+        s = int(rng.integers(1, p - 63))
+        x, y = x * 1e-3, y * 1e-3
+        x[p] += 10.0
+        threshold.append(float(max(abs(x[p - s] - x[p]), abs(y[p - s] - y[p]))))
+        short.append(s)
+        expected = jump_pass_reference(x, y, threshold, short)
+        assert expected[1][-1][:2] == (p - s, p)
+    assert _jump_pass(x, y, threshold, short) == jump_pass_reference(x, y, threshold, short)
+
+
+@pytest.mark.parametrize("j, s", [(63, 100), (63, 64), (127, 65), (64, 1), (191, 108)])
+def test_jump_pass_finds_a_far_point_at_the_end_of_the_band(j, s):
+    # every point at the origin but p = j + s, so the bad pairs are (i, p)
+    # for p - s <= i < p; the first, (j, p), pairs the last row of a tile
+    # with the last column block its band reaches
+    q = 300
+    x, y = np.zeros(q), np.zeros(q)
+    x[j + s] = 1.0
+    expected = ([q - 1], [(j, j + s, 1.0)])
+    assert _jump_pass(x, y, [0.5], [s]) == jump_pass_reference(x, y, [0.5], [s]) == expected
+
+
+def test_jump_lemma_refuses_an_over_budget_pair_count(monkeypatch):
+    def no_levels(*args, **kwargs):
+        raise AssertionError("levels built before the pair budget check")
+
+    # q = 16 points make 120 pairs: at the limit they run, one more pair is refused
+    monkeypatch.setattr(separation, "JUMP_PAIR_BUDGET", 120)
+    assert verify_jump_lemma(unit_interval(), 4).pairs_checked > 0
+    monkeypatch.setattr(separation, "JUMP_PAIR_BUDGET", 119)
+    monkeypatch.setattr(geometry, "levels", no_levels)
+    with pytest.raises(BudgetExceededError, match="120 pairs exceed budget 119"):
+        verify_jump_lemma(unit_interval(), 4)
+    monkeypatch.undo()
+    monkeypatch.setattr(geometry, "levels", no_levels)
+    # the gasket at m = 11 is inside the part budget but past 2^31 pairs
+    with pytest.raises(BudgetExceededError, match="15690441231 pairs exceed budget 2147483648"):
+        verify_jump_lemma(sierpinski_gasket(), 11)
