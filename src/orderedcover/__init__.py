@@ -44,7 +44,6 @@ from .separation import (
     verify_separation,
 )
 from .shifts import (
-    check_cs1_bounds,
     check_cs2_lipschitz,
     run_dynamics_experiment,
     weight_family,
@@ -66,7 +65,6 @@ __all__ = [
     "Similarity",
     "attractor_points",
     "build_tagged_covering",
-    "check_cs1_bounds",
     "check_cs2_lipschitz",
     "compose_part",
     "coverage_check",

@@ -10,23 +10,25 @@ The module covers the whole operator side of the pipeline: the weight
 families, the d-fold product shifts T (backward) and S (forward, inverse
 weights, a right inverse of T), the Lipschitz and summability checks, the
 common-vector construction u = u_0 + sum_i S_{iN, lambda_i} v_t, and the
-3-eta universality sweep over a tagged covering.
+3-eta universality certificate over a tagged covering. Norms are sup norms.
 
 In every family f(x, n) rises in x, linearly or concavely, so both weight checks
 are exact at the interval's left end a, with no x sampled: the CS2 constant is
 max_n df/dx(a, n) / n^alpha, and the envelope's gain floor is read at x = a.
 
 Every family also has f(x, 0) = 0 and, for x >= 0, log-weights f(x, k) - f(x, k-1)
-that rise in x and do not rise in k. So for 0 <= x <= x_hi and c >= n
+that rise in x and do not rise in k. So coordinate l of factor k of T^n_lambda u - v_t,
+u_(l+n) e^(f(lambda_k, l+n) - f(lambda_k, l)) - v_l, is monotone in lambda_k alone:
+over a box [tag, tag + side]^d in x >= 0 the sup-norm error peaks at the corner tag
+or the corner tag + side, in every d. And for 0 <= x <= x_hi and c >= n
 
     f(x, c) - f(x, c - n) <= f(x, n) <= f(x_hi, n),
 
-and the shifted coordinate c of T^n u is at most u_c e^(f(x_hi, n)). The sup-norm
-sweep evaluates f only at index arrays: the near terms (coordinates 0 and v_t's
-support), and each shifted column whose bound u_c + f(x_hi, n), plus a rounding
-margin, reaches the smallest near-term maximum among its box's samples, x_hi
-being the box's largest sample coordinate. No skipped column can be a sample's
-maximum, so the sup is exact.
+so the shifted coordinate c of T^n u is at most u_c e^(f(x_hi, n)). The error
+evaluates f only at index arrays: the near terms (coordinates 0 and v_t's support),
+and each shifted column whose bound u_c + f(x_hi, n), plus a rounding margin,
+reaches the smallest near-term maximum among its box's rows, x_hi being the box's
+upper corner. No skipped column can be a row's maximum, so the sup is exact.
 
 The N search tries steps N = kappa, 2 kappa, ... and takes the first whose
 envelope tail is below min(TAIL_BUDGET eta, eta). A step's tail is added in order
@@ -44,12 +46,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import geometry
 from .tagging import BuilderParams, TaggedCovering, build_tagged_covering
 from .separation import verify_separation
 
 NEG_INF = float("-inf")
-# Rows (tags, sample points, boxes) and columns of u per array block.
+# Rows (tags, boxes) and columns of u per array block.
 _BLOCK = 64
 # Cells (rows x factors x columns) of a row-chunked temporary, unless one row is wider.
 _CELLS = 1 << 16
@@ -98,16 +99,6 @@ def slog_add(
     sign = np.where(np.isneginf(a1) & np.isneginf(a2), 0.0, sign)
     mag = np.where(sign == 0.0, NEG_INF, mag)
     return sign, mag
-
-
-def logsumexp(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    values = np.asarray(values, dtype=float)
-    hi = np.max(values, axis=axis, keepdims=True)
-    hi = np.where(np.isneginf(hi), 0.0, hi)
-    with np.errstate(divide="ignore"):  # an all -inf row sums to 0; its log, -inf, is right
-        out = np.log(np.sum(np.exp(values - hi), axis=axis, keepdims=True)) + hi
-    out = np.where(np.isneginf(np.max(values, axis=axis, keepdims=True)), NEG_INF, out)
-    return float(out) if axis is None else np.squeeze(out, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +225,11 @@ def _log_products_at(fam: WeightFamily, top: int) -> Callable[[np.ndarray, np.nd
 
 @dataclass
 class FiniteVector:
-    """d-fold vector on coordinates 0..L in (sign, logmag) form.
-
-    The d-fold norm is the max over factors; each factor norm is the sup
-    norm by default, or a p-sum when norm_kind is a number.
-    """
+    """d-fold vector on coordinates 0..L in (sign, logmag) form, normed by its
+    largest magnitude (the max over factors of the factors' sup norms)."""
 
     sign: np.ndarray
     logmag: np.ndarray
-    norm_kind: str | float = "sup"
 
     def __post_init__(self) -> None:
         self.sign = np.atleast_2d(np.asarray(self.sign, dtype=float))
@@ -259,14 +246,12 @@ class FiniteVector:
         return self.sign.shape[1] - 1
 
     @classmethod
-    def zeros(cls, d: int, L: int, norm_kind: str | float = "sup") -> "FiniteVector":
-        return cls(np.zeros((d, L + 1)), np.full((d, L + 1), NEG_INF), norm_kind)
+    def zeros(cls, d: int, L: int) -> "FiniteVector":
+        return cls(np.zeros((d, L + 1)), np.full((d, L + 1), NEG_INF))
 
     @classmethod
-    def basis(
-        cls, d: int, L: int, position: int, value: float = 1.0, norm_kind: str | float = "sup"
-    ) -> "FiniteVector":
-        out = cls.zeros(d, L, norm_kind)
+    def basis(cls, d: int, L: int, position: int, value: float = 1.0) -> "FiniteVector":
+        out = cls.zeros(d, L)
         if not 0 <= position <= L:
             raise ValueError("basis position outside 0..L")
         out.sign[:, position] = math.copysign(1.0, value) if value else 0.0
@@ -274,34 +259,27 @@ class FiniteVector:
         return out
 
     @classmethod
-    def from_values(cls, values: np.ndarray, norm_kind: str | float = "sup") -> "FiniteVector":
-        sign, logmag = slog_from_values(np.atleast_2d(values))
-        return cls(sign, logmag, norm_kind)
+    def from_values(cls, values: np.ndarray) -> "FiniteVector":
+        return cls(*slog_from_values(np.atleast_2d(values)))
 
     def to_values(self) -> np.ndarray:
         return slog_to_values(self.sign, self.logmag)
 
     def copy(self) -> "FiniteVector":
-        return FiniteVector(self.sign.copy(), self.logmag.copy(), self.norm_kind)
+        return FiniteVector(self.sign.copy(), self.logmag.copy())
 
     def support_max(self) -> int:
         nz = np.nonzero(self.sign != 0.0)[1]
         return int(nz.max()) if nz.size else -1
 
     def plus(self, other: "FiniteVector") -> "FiniteVector":
-        sign, logmag = slog_add(self.sign, self.logmag, other.sign, other.logmag)
-        return FiniteVector(sign, logmag, self.norm_kind)
+        return FiniteVector(*slog_add(self.sign, self.logmag, other.sign, other.logmag))
 
     def minus(self, other: "FiniteVector") -> "FiniteVector":
-        sign, logmag = slog_add(self.sign, self.logmag, -other.sign, other.logmag)
-        return FiniteVector(sign, logmag, self.norm_kind)
+        return FiniteVector(*slog_add(self.sign, self.logmag, -other.sign, other.logmag))
 
     def log_norm(self) -> float:
-        if self.norm_kind == "sup":
-            return float(self.logmag.max())
-        p = float(self.norm_kind)
-        per_factor = logsumexp(p * self.logmag, axis=1) / p
-        return float(np.max(per_factor))
+        return float(self.logmag.max())
 
     def norm(self) -> float:
         return math.exp(self.log_norm())
@@ -377,7 +355,7 @@ def product_apply(
         s, a = op(fam, float(lam[j]), n, (u.sign[j], u.logmag[j]))
         signs.append(s)
         logmags.append(a)
-    return FiniteVector(np.stack(signs), np.stack(logmags), u.norm_kind)
+    return FiniteVector(np.stack(signs), np.stack(logmags))
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +470,11 @@ def _generic_envelopes(
     support_max: int,
     max_abs: float,
 ) -> Callable[[float], Callable[[float], float]]:
-    """D -> the cs1_envelope_generic envelope. The gain floor at the interval's
-    left end is computed once and kept with k^alpha."""
+    """D -> log c_k = log((L+1)(M+1)) + 2 C0 D (L^alpha + k^alpha) - min over l <= L,
+    x in I of (f(x, l+k) - f(x, l)), for L = support_max, M = max_abs and an int or
+    int array of k up to TABLE_LEN; valid for any shift count when fam.alpha <= the
+    geometric exponent of D's premise. The min, the gain floor at x = a, is computed
+    once and kept with k^alpha."""
     L = support_max
     floor = _gain_floor(fam, interval[0], L)
     k_alpha = _k_powers(fam.alpha)
@@ -514,132 +495,8 @@ def _generic_envelopes(
     return envelope
 
 
-def cs1_envelope_generic(
-    fam: WeightFamily,
-    D: float,
-    interval: tuple[float, float],
-    support_max: int,
-    max_abs: float = 1.0,
-) -> Callable[[float], float]:
-    """log c_k from the Lipschitz-certificate template.
-
-    log c_k = log((L+1)(M+1)) + 2 C0 D (L^alpha + k^alpha)
-              - min over l <= L, x in I of (f(x, l+k) - f(x, l)),
-    the min taken at x = a. Valid for any shift count when fam.alpha <= the
-    geometric exponent used to form D's premise. The envelope takes an int or
-    an int array of k up to TABLE_LEN.
-    """
-    return _generic_envelopes(fam, interval, support_max, max_abs)(D)
-
-
-@dataclass(frozen=True)
-class CS1Report:
-    family: str
-    D: float
-    kappa: int
-    k_max: int
-    n_max: int
-    worst_log_margin: float
-    ratio_margin: float
-    tail_sums: dict
-    passed: bool
-
-    def to_record(self) -> dict:
-        return {
-            "family": self.family,
-            "D": self.D,
-            "kappa": self.kappa,
-            "k_max": self.k_max,
-            "n_max": self.n_max,
-            "worst_log_margin": self.worst_log_margin,
-            "ratio_margin": self.ratio_margin,
-            "tail_sums": self.tail_sums,
-            "pass": self.passed,
-        }
-
-
-def check_cs1_bounds(
-    fam: WeightFamily,
-    gamma: float,
-    D: float,
-    interval: tuple[float, float],
-    basis_ls: Sequence[int] = (0,),
-    kappa: int = 1,
-    k_max: int = 50,
-    n_max: int = 50,
-    envelope: Callable[[float], float] | None = None,
-    num_x: int = 9,
-    rtol: float = 1e-9,
-) -> CS1Report:
-    """Measure both shift families over the admissible (lambda, mu) grid.
-
-    Admissible means ||lambda - mu|| <= D k^(1/gamma) / (n+k)^(1/gamma); the
-    grid walks x over the interval and pushes y to both clipped extremes.
-    Every measurement must stay below the envelope's log c_k, and the
-    envelope itself must decay (ratio test margin reported).
-    """
-    a, b = interval
-    alpha_g = 1.0 / gamma
-    if envelope is None:
-        envelope = cs1_envelope_generic(fam, D, interval, max(basis_ls))
-    L_top = max(basis_ls) + n_max + k_max
-    xs = np.linspace(a, b, num_x)
-    tables = {float(x): fam.log_products(float(x), L_top) for x in xs}
-
-    def table_for(y: float) -> np.ndarray:
-        if y not in tables:
-            tables[y] = fam.log_products(y, L_top)
-        return tables[y]
-
-    ls = np.asarray(sorted(basis_ls))
-    worst = NEG_INF
-    passed = True
-    for k in range(kappa, k_max + 1):
-        log_ck = envelope(k)
-        for n in range(0, n_max + 1):
-            delta = D * k**alpha_g / (n + k) ** alpha_g
-            for x in xs:
-                x = float(x)
-                tx = tables[x]
-                for y in {max(x - delta, a), min(x + delta, b), x}:
-                    ty = table_for(float(y))
-                    vals = tx[ls + n + k] - tx[ls + k] - ty[ls + n + k] + ty[ls]
-                    ok2 = ls >= k
-                    if ok2.any():
-                        l2 = ls[ok2]
-                        vals2 = tx[l2 + n] - tx[l2 - k] - ty[l2 + n] + ty[l2]
-                        margin2 = float(vals2.max()) - log_ck
-                        worst = max(worst, margin2)
-                    margin = float(vals.max()) - log_ck
-                    worst = max(worst, margin)
-    if worst > math.log1p(rtol):
-        passed = False
-
-    env_logs = np.array([envelope(k) for k in range(kappa, 4 * k_max + 1)])
-    ratios = np.exp(np.diff(env_logs))
-    window = ratios[len(ratios) // 2 :]
-    ratio_margin = float(1.0 - window.max())
-    tail_sums = {}
-    for start in (kappa, k_max):
-        mask = np.arange(kappa, 4 * k_max + 1) >= start
-        tail_sums[str(start)] = float(np.exp(env_logs[mask]).sum())
-    if ratio_margin <= 0.0:
-        passed = False
-    return CS1Report(
-        family=fam.name,
-        D=D,
-        kappa=kappa,
-        k_max=k_max,
-        n_max=n_max,
-        worst_log_margin=float(worst),
-        ratio_margin=ratio_margin,
-        tail_sums=tail_sums,
-        passed=passed,
-    )
-
-
 # ---------------------------------------------------------------------------
-# common-vector construction and universality sweep
+# common-vector construction and universality certificate
 
 
 @dataclass(frozen=True)
@@ -653,7 +510,6 @@ class DynamicsConfig:
     eta: float
     kappa: int
     bigN: int
-    norm_kind: str | float = "sup"
 
     def __post_init__(self) -> None:
         if self.eta <= 0:
@@ -671,7 +527,6 @@ class DynamicsConfig:
             "eta": self.eta,
             "kappa": self.kappa,
             "bigN": self.bigN,
-            "norm_kind": self.norm_kind,
         }
 
 
@@ -696,13 +551,8 @@ def build_common_vector(
     cfg: DynamicsConfig,
     u0: FiniteVector,
     vt: FiniteVector,
-    envelope: Callable[[float], float] | None = None,
-) -> tuple[FiniteVector, dict]:
-    """u = u_0 + sum_{i=1..q} S_{iN, lambda_i} v_t, with a tail certificate.
-
-    The certificate pairs the measured ||u - u_0|| with the envelope sum
-    sum_i c_(iN) when an envelope is supplied.
-    """
+) -> FiniteVector:
+    """u = u_0 + sum_{i=1..q} S_{iN, lambda_i} v_t."""
     if cfg.L < cov.q * cfg.bigN + max(vt.support_max(), 0):
         raise TruncationOverflowError(
             f"L={cfg.L} cannot hold q*N={cov.q * cfg.bigN} plus the target support"
@@ -730,38 +580,18 @@ def build_common_vector(
         u.sign[:, c], u.logmag[:, c] = slog_add(
             u.sign[:, c], u.logmag[:, c], add_sign[:, at], add_logmag[:, at]
         )
-    certificate: dict = {"measured_diff": u.minus(u0).norm()}
-    if envelope is not None:
-        certificate["envelope_sum"] = float(
-            sum(math.exp(envelope(i * cfg.bigN)) for i in range(1, cov.q + 1))
-        )
-    return u, certificate
-
-
-# Tag, corners, edge midpoints, center and two interior quarter points, in sides.
-_BOX_OFFSETS = np.array(
-    [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0], [1, 0.5], [0.5, 1], [0, 0.5], [0.5, 0.5]]
-    + [[0.25, 0.25], [0.75, 0.75]]
-)
-
-
-def box_sample_points(tag: np.ndarray, side: float, extra: np.ndarray | None = None) -> np.ndarray:
-    """Tag, corners, edge midpoints, center, two interior quarter points of
-    the square [tag, tag + side]^2, plus any extras landing inside it."""
-    lo = np.asarray(tag, dtype=float)
-    out = lo + side * _BOX_OFFSETS
-    if extra is not None and len(extra):
-        inside = ((extra >= lo - 1e-12) & (extra <= lo + side + 1e-12)).all(axis=1)
-        out = np.concatenate([out, extra[inside]])
-    return out
+    return u
 
 
 @dataclass(frozen=True)
 class UniversalityReport:
+    """The two-corner certificate: samples counts corners, two per box; it passes
+    when the largest corner error, worst_error, times e^rounding_margin is below 3 eta."""
+
     eta: float
     q: int
     samples: int
-    min_samples_per_box: int
+    rounding_margin: float
     worst_error: float
     worst_box: int
     worst_lambda: tuple[float, ...]
@@ -772,31 +602,12 @@ class UniversalityReport:
             "eta": self.eta,
             "q": self.q,
             "samples": self.samples,
-            "min_samples_per_box": self.min_samples_per_box,
+            "rounding_margin": self.rounding_margin,
             "worst_error": self.worst_error,
             "worst_box": self.worst_box,
             "worst_lambda": list(self.worst_lambda),
             "pass": self.passed,
         }
-
-
-def _block_samples(
-    tags: np.ndarray, sides: np.ndarray, extra: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """box_sample_points of every box of a block, box after box, and each box's count.
-
-    The extras are first cut to the union of the block's boxes, widened as
-    box_sample_points widens them, so no extra of a box is lost.
-    """
-    pts = (tags[:, None, :] + sides[:, None, None] * _BOX_OFFSETS).reshape(-1, tags.shape[1])
-    box = np.repeat(np.arange(len(tags)), len(_BOX_OFFSETS))
-    if extra is not None and len(extra):
-        lo, hi = tags - 1e-12, tags + sides[:, None] + 1e-12
-        extra = extra[((extra >= lo.min(axis=0)) & (extra <= hi.max(axis=0))).all(axis=1)]
-        b, e = np.nonzero(((extra >= lo[:, None]) & (extra <= hi[:, None])).all(axis=2))
-        order = np.argsort(np.concatenate([box, b]), kind="stable")  # a box's fixed points first
-        pts, box = np.concatenate([pts, extra[e]])[order], np.concatenate([box, b])[order]
-    return pts, np.bincount(box, minlength=len(tags))
 
 
 def _rounding_margin(top: int, scale: float) -> float:
@@ -807,15 +618,15 @@ def _rounding_margin(top: int, scale: float) -> float:
 
 
 class _ShiftErrors:
-    """log ||T^n_lambda u - v_t|| for sample rows lambda, a block of boxes at a time.
+    """log ||T^n_lambda u - v_t|| for rows lambda, a block of boxes at a time.
 
     Coordinate l of T^n u - v_t is a near term when l is 0 or in v_t's support,
     and the shifted term e^(f(x, c) - f(x, c - n)) u_c, c = l + n, otherwise.
     Near terms are evaluated for every row; a shifted column only if its bound
     (module docstring) reaches the smallest near-term maximum among the rows of
-    its box, so no skipped term can be a row's maximum and every sup-norm error
-    is exact. p-norms skip nothing. Both take the elementwise steps of
-    product_apply(...).minus(vt).
+    its box, so no skipped term can be a row's maximum and every error is exact.
+    Rows with a coordinate below 0 skip nothing. The steps are the elementwise
+    steps of product_apply(...).minus(vt).
     """
 
     def __init__(self, u: FiniteVector, fam: WeightFamily, vt: FiniteVector) -> None:
@@ -827,6 +638,11 @@ class _ShiftErrors:
         self.ulog[:, : u.L + 1] = np.where(u.sign != 0.0, u.logmag, NEG_INF)
         self.block_max = self.ulog.reshape(u.d, blocks, _BLOCK).max(axis=2)
         self.log_scale = 1.0 + float(np.abs(u.logmag[np.isfinite(u.logmag)]).max(initial=0.0))
+
+    def margin(self, x_max: float) -> float:
+        """_rounding_margin for coordinates up to x_max in size: logs stay below the
+        scale, as |f(x, n)| <= C0 n^alpha |x| with f(0, n) = 0."""
+        return _rounding_margin(self.u.L, self.log_scale + self.C0 * x_max * self.u.L**self.alpha)
 
     def log_errors(self, lam: np.ndarray, ns: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """Rows lam (R, d) at shifts ns (R,); box k's rows begin at starts[k]."""
@@ -841,14 +657,12 @@ class _ShiftErrors:
         near_max = near.max(axis=(1, 2))
 
         n = ns[starts]
-        sup = u.norm_kind == "sup"
-        prune = sup and lam.min() >= 0.0  # the bound holds for x >= 0
+        prune = lam.min() >= 0.0  # the bound holds for x >= 0
         floor = np.minimum.reduceat(near_max, starts) if prune else np.full(len(n), NEG_INF)
         # A shifted column lies below u_c + f(x_hi, n) + margin; past L there is none.
-        # Logs stay below scale: |f(x, n)| <= C0 n^alpha |x|, as f(0, n) = 0.
         x_hi = np.maximum.reduceat(lam, starts, axis=0)
-        scale = self.log_scale + self.C0 * float(np.abs(lam).max()) * L**self.alpha
-        gain = self.at(x_hi, np.minimum(n, L)[:, None])[:, :, 0] + _rounding_margin(L, scale)
+        margin = self.margin(float(np.abs(lam).max()))
+        gain = self.at(x_hi, np.minimum(n, L)[:, None])[:, :, 0] + margin
         cand, real = self._candidates(n, gain, floor)
 
         box = np.repeat(np.arange(len(n)), np.diff(np.append(starts, len(lam))))
@@ -863,13 +677,7 @@ class _ShiftErrors:
             shifted -= f[..., k:]
             shifted += u.logmag[:, c].transpose(1, 0, 2)
             shifted = np.where(ok[:, None], shifted, NEG_INF)
-            if sup:
-                shifted_max = shifted.max(axis=(1, 2), initial=NEG_INF)
-                log_norm[rows] = np.maximum(shifted_max, near_max[rows])
-            else:
-                p = float(u.norm_kind)
-                both = np.concatenate([shifted, near[rows]], axis=2)
-                log_norm[rows] = (logsumexp(p * both, axis=2) / p).max(axis=1)
+            log_norm[rows] = np.maximum(shifted.max(axis=(1, 2), initial=NEG_INF), near_max[rows])
         return log_norm
 
     def _candidates(
@@ -898,48 +706,40 @@ class _ShiftErrors:
 
 
 def verify_universality(
-    u: FiniteVector,
-    cov: TaggedCovering,
-    fam: WeightFamily,
-    cfg: DynamicsConfig,
-    vt: FiniteVector,
-    attractor_samples: np.ndarray | None = None,
+    u: FiniteVector, cov: TaggedCovering, fam: WeightFamily, cfg: DynamicsConfig, vt: FiniteVector
 ) -> UniversalityReport:
-    """Sweep ||T_{iN, lambda} u - v_t|| < 3 eta over samples of every box.
+    """Certify ||T_{iN, lambda} u - v_t|| < 3 eta over every box [tag, tag + side]^d.
 
-    Boxes go _BLOCK at a time: _block_samples gives each box its
-    box_sample_points, in order, and _ShiftErrors their errors.
+    Over a box in lambda >= 0 the error peaks at the corner tag or the corner
+    tag + side (module docstring), so those two are its only rows; _ShiftErrors
+    takes them _BLOCK boxes at a time. The run passes when the worst corner error
+    times e^margin is below 3 eta, margin bounding the rounding of its logs. A box
+    reaching below 0 is refused.
     """
+    lo = tag_params(cov, cfg.d)
+    if lo.min() < 0.0:
+        b = int(np.argmin(lo.min(axis=1)))
+        raise ValueError(f"box {b + 1} at {tuple(lo[b].tolist())} reaches below 0")
+    corners = np.stack([lo, lo + cov.sides[:, None]], axis=1).reshape(-1, cfg.d)
+    ns = np.repeat(np.arange(1, cov.q + 1) * cfg.bigN, 2)
     errors = _ShiftErrors(u, fam, vt)
-    worst = -1.0
-    worst_box = 0
-    worst_lambda: tuple[float, ...] = ()
-    total = 0
-    least = None
-    for start in range(0, cov.q, _BLOCK):
-        tags, sides = cov.tags[start : start + _BLOCK], cov.sides[start : start + _BLOCK]
-        pts, counts = _block_samples(tags, sides, attractor_samples)
-        starts = np.cumsum(counts) - counts
-        lam = pts[:, : cfg.d]
-        ns = np.repeat(np.arange(start + 1, start + 1 + len(tags)) * cfg.bigN, counts)
-        errs = np.array([math.exp(v) for v in errors.log_errors(lam, ns, starts).tolist()])
-        box_worst = np.maximum.reduceat(errs, starts)
-        b = int(np.argmax(box_worst))
-        if box_worst[b] > worst:
-            j = starts[b] + int(np.argmax(errs[starts[b] : starts[b] + counts[b]]))
-            worst, worst_box = float(errs[j]), start + b + 1
-            worst_lambda = tuple(float(c) for c in lam[j])
-        total += int(counts.sum())
-        least = int(counts.min()) if least is None else min(least, int(counts.min()))
+    logs = []
+    for r in range(0, len(corners), 2 * _BLOCK):
+        rows = slice(r, r + 2 * _BLOCK)
+        starts = np.arange(0, len(ns[rows]), 2)
+        logs += errors.log_errors(corners[rows], ns[rows], starts).tolist()
+    errs = [math.exp(v) for v in logs]
+    j = int(np.argmax(errs))
+    margin = errors.margin(float(corners.max()))
     return UniversalityReport(
         eta=cfg.eta,
         q=cov.q,
-        samples=total,
-        min_samples_per_box=least or 0,
-        worst_error=worst,
-        worst_box=worst_box,
-        worst_lambda=worst_lambda,
-        passed=worst < 3.0 * cfg.eta,
+        samples=len(errs),
+        rounding_margin=margin,
+        worst_error=errs[j],
+        worst_box=j // 2 + 1,
+        worst_lambda=tuple(corners[j].tolist()),
+        passed=errs[j] * math.exp(margin) < 3.0 * cfg.eta,
     )
 
 
@@ -989,9 +789,9 @@ def _envelope_tail(
     """sum of e^envelope(k), k = start, start+1, ..., up to the first term below
     1e-18 past start + 10, added in order. Logs come in blocks of doubling length;
     exp is monotone, so math.exp decides only logs within 1e-9 of log(1e-18).
-    With no such term by stop, or a term past the float range, the tail is inf.
-    A running sum that reaches limit is returned at the end of its block: the
-    terms are nonnegative, so the whole tail would not be below limit either.
+    With no such term by stop, or a term or a sum past the float range, the tail
+    is inf. A running sum that reaches limit is returned at the end of its block:
+    the terms are nonnegative, so the whole tail would not be below limit either.
     """
     cut = math.log(1e-18)
     total, lo, size = 0.0, start, 64
@@ -1007,7 +807,8 @@ def _envelope_tail(
             terms = np.fromiter(map(math.exp, logs.tolist()), float)
         except OverflowError:
             return math.inf
-        total = float(np.cumsum(np.concatenate([[total], terms]))[-1])
+        with np.errstate(over="ignore"):
+            total = float(np.cumsum(np.concatenate([[total], terms]))[-1])
         if end is not None or total >= limit:
             return total
         lo, size = lo + size, 2 * size
@@ -1031,7 +832,7 @@ def run_dynamics_experiment(
     d: int = 2,
     budget: int | None = None,
 ) -> DynamicsReport:
-    """Full pipeline: covering -> scaling -> N selection -> u -> 3 eta sweep.
+    """Full pipeline: covering -> scaling -> N selection -> u -> 3 eta certificate.
 
     The constant-weight family is allowed with any geometry through the
     finite-horizon closed-form envelope (exact for it); growth families
@@ -1049,7 +850,7 @@ def run_dynamics_experiment(
     a, b = interval
 
     cov_geo = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, s, 1), budget=budget)
-    q, t = cov_geo.q, cov_geo.t
+    q = cov_geo.q
 
     tags, sides = cov_geo.tags, cov_geo.sides
     lo = tags.min(axis=0)
@@ -1068,7 +869,6 @@ def run_dynamics_experiment(
 
     if not constant_weights:
         envelopes = _generic_envelopes(fam, interval, vt_support, max_abs_vt)
-    chosen = None
     for step in range(1, MAX_STEPS + 1):
         N = step * kappa
         # worst CS2 exponent: C0 * max_i (iN)^alpha_w * side_i, sides sigma-scaled
@@ -1085,11 +885,9 @@ def run_dynamics_experiment(
             envelope = envelopes(D_scaled)
         tail = _envelope_tail(envelope, N, limit=min(TAIL_BUDGET * eta, eta))
         if tail < TAIL_BUDGET * eta and tail < eta:
-            chosen = (N, sigma, D_scaled, envelope, tail)
             break
-    if chosen is None:
+    else:
         raise RuntimeError("no shift step gave a summable tail within the search range")
-    N, sigma, D_scaled, envelope, tail = chosen
 
     offset = (a - sigma * lo[0], a - sigma * lo[1])
     scaled = cov_geo.affine_scaled(sigma, offset)
@@ -1101,21 +899,12 @@ def run_dynamics_experiment(
     vt = FiniteVector.zeros(d, L)
     vt.sign[:, : vt_support + 1], vt.logmag[:, : vt_support + 1] = slog_from_values(vt_values)
 
-    u, cert = build_common_vector(scaled, fam, cfg, u0, vt, envelope)
-    depth = min(cov_geo.s + t + 1, 12)
-    level = geometry.levels(ifs, depth, budget)[-1]
-    samples = level.corners + level.sides[:, None] / 2.0  # part box centres
-    mapped = np.asarray(offset) + sigma * samples
-    uni = verify_universality(u, scaled, fam, cfg, vt, mapped)
+    u = build_common_vector(scaled, fam, cfg, u0, vt)
+    u_minus_u0 = u.minus(u0).norm()
+    uni = verify_universality(u, scaled, fam, cfg, vt)
     cs2 = check_cs2_lipschitz(fam, interval, n_max=L)
 
-    passed = (
-        uni.passed
-        and cert["measured_diff"] < eta
-        and sep.passed
-        and cs2.passed
-        and tail < eta
-    )
+    passed = uni.passed and u_minus_u0 < eta and sep.passed and cs2.passed and tail < eta
     return DynamicsReport(
         config=cfg,
         family=fam.name,
@@ -1125,7 +914,7 @@ def run_dynamics_experiment(
         offset=(float(offset[0]), float(offset[1])),
         D_scaled=D_scaled,
         envelope_tail=tail,
-        u_minus_u0=cert["measured_diff"],
+        u_minus_u0=u_minus_u0,
         universality=uni,
         cs2=cs2,
         separation_ratio=sep.worst_ratio,

@@ -21,7 +21,6 @@ from orderedcover.separation import (
     verify_separation,
 )
 from orderedcover.shifts import (
-    check_cs1_bounds,
     check_cs2_lipschitz,
     cs1_envelope_closed_form,
     power_family,
@@ -34,6 +33,9 @@ from orderedcover.tagging import (
     fineness_schedule,
     pending_after_stage,
 )
+
+from cs1_reference import check_cs1_bounds
+
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -186,8 +188,8 @@ def test_criterion_6_dynamics_accuracy():
         failures.append(f"|u - u0| = {rep.u_minus_u0:.4f} >= eta")
     if not rep.universality.worst_error < 3 * eta:
         failures.append(f"worst error {rep.universality.worst_error:.4f} >= 3 eta")
-    if rep.universality.min_samples_per_box < 10:
-        failures.append(f"min samples {rep.universality.min_samples_per_box} < 10")
+    if rep.universality.samples != 2 * rep.q:
+        failures.append(f"{rep.universality.samples} corners checked, not 2q = {2 * rep.q}")
     if wall >= 30.0:
         failures.append(f"wall {wall:.2f}s >= 30s")
     _verdict(6, "dynamics accuracy", not failures, "; ".join(failures) or f"{wall:.2f}s")

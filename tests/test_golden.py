@@ -16,6 +16,11 @@ span the whole vector length L with Python's float pow; every other field is
 as the older code wrote it.
 The dyn reference on the unit interval at s=3 (q = 16,384) was written by the
 per-box dense sweep that the bound-pruned sweep replaced.
+In the four dyn references, the universality block and the config were then
+edited by hand when the two-corner certificate replaced the sampled sweep:
+samples became 2q, min_samples_per_box and config.norm_kind went,
+worst_lambda became the corner tag + side that now holds the maximum, and
+rounding_margin was added; worst_error and worst_box are the sampled sweep's.
 Apart from the manifest's wall_time_s and versions, records agree exactly,
 except floats: to 1e-12 relative, or to 1e-15 absolute for coordinates that
 are zero in exact arithmetic. The reference computed tagged-square corners

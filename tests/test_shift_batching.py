@@ -2,9 +2,10 @@
 
 build_common_vector, the universality sweep and the envelope tail are array
 code; product_apply with the dense slog_add, and a scalar loop over the
-envelope, are the reference. Sup-norm results must match bitwise, p-norm
-results to 1e-12 relative. The sweep skips shifted columns by a bound; the
-forced cases below make a skipped-looking column set the maximum.
+envelope, are the reference, and results must match bitwise. The sweep skips
+shifted columns by a bound; the forced cases below make a skipped-looking
+column set the maximum. The universality certificate reads each box at its two
+corners; the property tests check that no point of the box has a larger error.
 """
 
 import math
@@ -17,13 +18,10 @@ from orderedcover.shifts import (
     DynamicsConfig,
     FiniteVector,
     _ShiftErrors,
-    _block_samples,
     _envelope_tail,
     _log_products_at,
-    box_sample_points,
     build_common_vector,
     cs1_envelope_closed_form,
-    cs1_envelope_generic,
     plus_power_family,
     power_family,
     product_apply,
@@ -35,6 +33,8 @@ from orderedcover.shifts import (
 from orderedcover.tagging import BuilderParams, build_tagged_covering
 from orderedcover.zoo import hilbert_square, sierpinski_gasket, unit_interval
 from orderedcover import shifts
+
+from cs1_reference import cs1_envelope_generic
 
 FAMILIES = [rolewicz_family(), power_family(0.5), plus_power_family(0.5)]
 
@@ -57,22 +57,19 @@ values = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False).map(
 
 @st.composite
 def scenarios(draw):
-    """A covering, family, d, norm, step N and sparse u0 and v_t on 0..L."""
+    """A covering, family, d, step N and sparse u0 and v_t on 0..L."""
     cov = COVERINGS[draw(st.sampled_from(sorted(COVERINGS)))]
     fam = draw(st.sampled_from(FAMILIES))
     d = draw(st.sampled_from([1, 2]))
-    norm_kind = draw(st.sampled_from(["sup", 2.0]))
     bigN = draw(st.integers(1, 4))  # below 3 the terms S^(iN) v_t overlap
     L = cov.q * bigN + 2 + draw(st.integers(0, 5))
-    cfg = DynamicsConfig(d=d, interval=(1.0, 2.0), L=L, eta=0.1, kappa=1, bigN=bigN,
-                         norm_kind=norm_kind)
+    cfg = DynamicsConfig(d=d, interval=(1.0, 2.0), L=L, eta=0.1, kappa=1, bigN=bigN)
     u0 = np.zeros((d, L + 1))
     u0[:, 0] = draw(st.lists(values, min_size=d, max_size=d))
     u0[:, draw(st.integers(1, L))] = draw(st.lists(values, min_size=d, max_size=d))
     vt = np.zeros((d, L + 1))
     vt[:, :3] = np.reshape(draw(st.lists(values, min_size=3 * d, max_size=3 * d)), (d, 3))
-    return (cov, fam, cfg, FiniteVector.from_values(u0, norm_kind),
-            FiniteVector.from_values(vt, norm_kind))
+    return cov, fam, cfg, FiniteVector.from_values(u0), FiniteVector.from_values(vt)
 
 
 def reference_common_vector(cov, fam, cfg, u0, vt):
@@ -86,18 +83,11 @@ def reference_error(u, fam, lam, n, vt):
     return product_apply(fam, tuple(float(c) for c in lam), n, u, "backward").minus(vt).norm()
 
 
-def assert_same_error(got, want, norm_kind):
-    if norm_kind == "sup":
-        assert got == want
-    else:
-        assert got == pytest.approx(want, rel=1e-12)
-
-
 @settings(max_examples=40, deadline=None)
 @given(scenarios())
 def test_common_vector_matches_dense_additions(case):
     cov, fam, cfg, u0, vt = case
-    u, _ = build_common_vector(cov, fam, cfg, u0, vt)
+    u = build_common_vector(cov, fam, cfg, u0, vt)
     want = reference_common_vector(cov, fam, cfg, u0, vt)
     assert np.array_equal(u.logmag, want.logmag)
     assert np.array_equal(u.sign, want.sign)
@@ -114,12 +104,13 @@ def sweep_errors(u, fam, vt, lam, ns, starts=(0,)):
 def test_box_errors_match_product_apply(case, data):
     # a block of up to four boxes, each its own shift, one sweep call
     cov, fam, cfg, u0, vt = case
-    u, _ = build_common_vector(cov, fam, cfg, u0, vt)
+    u = build_common_vector(cov, fam, cfg, u0, vt)
     boxes = data.draw(st.lists(st.integers(0, cov.q), min_size=1, max_size=4))  # 0 leaves u
     lam, ns, starts = [], [], []
     for i in boxes:
+        tag, side = cov.tags[i - 1], cov.sides[i - 1]
         extra = 1.0 + np.random.default_rng(i).random((data.draw(st.integers(0, 150)), 2))
-        pts = np.concatenate([box_sample_points(cov.tags[i - 1], cov.sides[i - 1]), extra])
+        pts = np.concatenate([[tag, tag + side], extra])
         starts.append(sum(map(len, lam)))
         lam.append(pts[:, : cfg.d])
         ns += [i * cfg.bigN] * len(pts)
@@ -127,7 +118,7 @@ def test_box_errors_match_product_apply(case, data):
     got = sweep_errors(u, fam, vt, lam, ns, starts)
     assert len(got) == len(lam)
     for g, row, n in zip(got, lam, ns):
-        assert_same_error(g, reference_error(u, fam, row, n, vt), cfg.norm_kind)
+        assert g == reference_error(u, fam, row, n, vt)
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
@@ -223,67 +214,94 @@ def test_log_products_at_index_arrays_match_the_table(fam, data):
             assert got[r, j].tolist() == fam.log_products(x[r, j], top)[cols[r]].tolist()
 
 
+def corner_rows(cov, cfg):
+    """Both corners of every box, tag first, at their shifts, and each box's first row."""
+    lo = cov.tags[:, : cfg.d]
+    corners = np.stack([lo, lo + cov.sides[:, None]], axis=1).reshape(-1, cfg.d)
+    return corners, np.repeat(np.arange(1, cov.q + 1) * cfg.bigN, 2), np.arange(0, 2 * cov.q, 2)
+
+
 @settings(max_examples=15, deadline=None)
 @given(scenarios())
 def test_sweep_matches_per_point_loop(case):
+    # the reference loop over both corners of every box, in order; the first maximum wins
     cov, fam, cfg, u0, vt = case
-    u, _ = build_common_vector(cov, fam, cfg, u0, vt)
-    samples = 1.0 + 0.99 * np.random.default_rng(cov.q).random((300, 2))
-    report = verify_universality(u, cov, fam, cfg, vt, samples)
-    worst, worst_box, worst_lambda, total = -1.0, 0, (), 0
+    u = build_common_vector(cov, fam, cfg, u0, vt)
+    report = verify_universality(u, cov, fam, cfg, vt)
+    worst, worst_box, worst_lambda = -1.0, 0, ()
     for i, (tag, side) in enumerate(zip(cov.tags, cov.sides), start=1):
-        for p in box_sample_points(tag, side, samples):
+        for p in (tag, tag + side):
             lam = tuple(float(c) for c in p[: cfg.d])
             err = reference_error(u, fam, lam, i * cfg.bigN, vt)
-            total += 1
             if err > worst:
                 worst, worst_box, worst_lambda = err, i, lam
-    assert report.samples == total
-    assert_same_error(report.worst_error, worst, cfg.norm_kind)
-    if cfg.norm_kind == "sup":
-        assert (report.worst_box, report.worst_lambda) == (worst_box, worst_lambda)
-
-
-def test_sweep_gives_each_box_its_samples_in_order(monkeypatch):
-    # q = 256 boxes in four 64-box blocks; samples are the part centres, as
-    # run_dynamics_experiment draws them, plus the corners of every box
-    # widened by box_sample_points' 1e-12 and points just past them,
-    # shuffled so their order is not the boxes'
-    cov = _covering(hilbert_square())
-    lo, hi = cov.tags - 1e-12, cov.tags + cov.sides[:, None] + 1e-12
-    mixed = np.stack([lo[:, 0], hi[:, 1]], axis=1)
-    samples = np.concatenate(
-        [cov.tags + cov.sides[:, None] / 2, lo, hi, mixed, np.nextafter(hi, np.inf)]
+    assert report.samples == 2 * cov.q
+    assert (report.worst_error, report.worst_box, report.worst_lambda) == (
+        worst, worst_box, worst_lambda
     )
-    samples = samples[np.random.default_rng(7).permutation(len(samples))]
+    corners, _, _ = corner_rows(cov, cfg)
+    assert report.rounding_margin == _ShiftErrors(u, fam, vt).margin(float(corners.max()))
+    assert report.passed == (worst * math.exp(report.rounding_margin) < 3 * cfg.eta)
+
+
+# The sampled sweep's fixed points per box, in sides from the tag: tag, corners,
+# edge midpoints, centre and two interior quarter points.
+OLD_STENCIL = np.array(
+    [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0], [1, 0.5], [0.5, 1], [0, 0.5], [0.5, 0.5]]
+    + [[0.25, 0.25], [0.75, 0.75]]
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(scenarios(), st.integers(0, 2**32 - 1))
+def test_corners_bound_every_point_of_their_box(case, seed):
+    # The larger corner error, raised by the rounding margin, bounds the reference
+    # error at random points of the box, and it is the old stencil's maximum exactly.
+    cov, fam, cfg, u0, vt = case
+    u = build_common_vector(cov, fam, cfg, u0, vt)
+    corners, ns, starts = corner_rows(cov, cfg)
+    got = sweep_errors(u, fam, vt, corners, ns, starts)
+    slack = math.exp(_ShiftErrors(u, fam, vt).margin(float(corners.max())))
+    rng = np.random.default_rng(seed)
+    for i, (tag, side) in enumerate(zip(cov.tags, cov.sides), start=1):
+        corner_max, n = max(got[2 * i - 2 : 2 * i]), i * cfg.bigN
+        for p in tag[: cfg.d] + side * rng.random((4, cfg.d)):
+            assert reference_error(u, fam, p, n, vt) <= corner_max * slack
+        stencil = (tag + side * OLD_STENCIL)[:, : cfg.d]
+        assert max(reference_error(u, fam, p, n, vt) for p in stencil) == corner_max
+
+
+def test_sweep_takes_every_box_corner_in_order(monkeypatch):
+    # q = 256 boxes in four 64-box blocks, two rows per box
+    cov = _covering(hilbert_square())
     seen = []
 
     def record(self, lam, ns, starts):
-        bounds = np.append(starts, len(lam))
-        seen.extend((lam[a:b], ns[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+        seen.append((lam, ns, starts))
         return np.zeros(len(lam))
 
     monkeypatch.setattr(shifts._ShiftErrors, "log_errors", record)
     cfg = DynamicsConfig(d=2, interval=(1.0, 2.0), L=cov.q + 3, eta=0.1, kappa=1, bigN=1)
     u = FiniteVector.zeros(2, cfg.L)
-    report = verify_universality(u, cov, rolewicz_family(), cfg, u, samples)
-    want = [box_sample_points(tag, side, samples) for tag, side in zip(cov.tags, cov.sides)]
-    assert len(seen) == cov.q
-    for i, ((got, ns), pts) in enumerate(zip(seen, want), start=1):
-        assert np.array_equal(got, pts)
-        assert ns.tolist() == [i * cfg.bigN] * len(pts)
-    assert report.samples == sum(map(len, want))
-    assert report.min_samples_per_box == min(map(len, want)) > 11
-    # the batched sampler alone, block by block, and with no extras
-    for lo in range(0, cov.q, 64):
-        block = slice(lo, lo + 64)
-        pts, counts = _block_samples(cov.tags[block], cov.sides[block], samples)
-        assert np.array_equal(pts, np.concatenate(want[block]))
-        assert counts.tolist() == list(map(len, want[block]))
-    pts, counts = _block_samples(cov.tags[:3], cov.sides[:3], None)
-    bare = [box_sample_points(tag, side) for tag, side in zip(cov.tags[:3], cov.sides[:3])]
-    assert np.array_equal(pts, np.concatenate(bare))
-    assert counts.tolist() == [11, 11, 11]
+    report = verify_universality(u, cov, rolewicz_family(), cfg, u)
+    assert [len(lam) for lam, _, _ in seen] == [128] * 4
+    assert all(starts.tolist() == list(range(0, 128, 2)) for _, _, starts in seen)
+    lam, ns = np.concatenate([s[0] for s in seen]), np.concatenate([s[1] for s in seen])
+    assert np.array_equal(lam[0::2], cov.tags)
+    assert np.array_equal(lam[1::2], cov.tags + cov.sides[:, None])
+    assert ns.tolist() == [i for i in range(1, cov.q + 1) for _ in range(2)]
+    assert (report.samples, report.worst_box, report.worst_lambda) == (512, 1, tuple(cov.tags[0]))
+
+
+def test_a_box_below_zero_is_refused():
+    # the corners bound a box's error only where every weight rises in lambda
+    cov = COVERINGS["unit-interval"]
+    cfg = DynamicsConfig(d=1, interval=(1.0, 2.0), L=cov.q + 3, eta=0.1, kappa=1, bigN=1)
+    u = FiniteVector.basis(1, cfg.L, 0)
+    low = cov.affine_scaled(1.0, (-1.5, 0.0))
+    assert low.tags[:, 0].min() < 0.0 < low.tags[:, 0].max()
+    with pytest.raises(ValueError, match="reaches below 0"):
+        verify_universality(u, low, rolewicz_family(), cfg, u)
 
 
 def scalar_tail(envelope, start, stop=20000):
@@ -350,6 +368,14 @@ def test_envelope_tail_without_small_term_is_not_summable():
 
 def test_envelope_tail_with_overflowing_term_is_not_summable():
     assert _envelope_tail(cs1_envelope_closed_form(800.0, (1.0, 2.0)), 1) == math.inf
+
+
+def test_envelope_tail_whose_sum_overflows_is_not_summable():
+    # every term is below the float range, the peak log is 709.19, but the sum is past it
+    h = 3000
+    env = cs1_envelope_closed_form((1 + math.sqrt(708.5 / h)) ** 2, (1.0, 2.0), 1.0, h, 2.0)
+    assert max(env(np.arange(1, h))) < math.log(np.finfo(float).max)
+    assert _envelope_tail(env, 1, h) == scalar_tail(env, 1, h) == math.inf
 
 
 def test_n_search_moves_past_an_overflowing_step():
