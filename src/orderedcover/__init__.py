@@ -30,7 +30,6 @@ from .geometry import (
     OrderedIFS,
     Similarity,
     attractor_points,
-    compose_part,
     levels,
     lex_rank,
     lex_unrank,
@@ -66,7 +65,6 @@ __all__ = [
     "attractor_points",
     "build_tagged_covering",
     "check_cs2_lipschitz",
-    "compose_part",
     "coverage_check",
     "fineness_schedule",
     "hbd_report",

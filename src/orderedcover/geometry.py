@@ -9,18 +9,16 @@ Conventions used throughout the package:
   anchored at the bottom-left corner of the tight bounding box, with side
   max(width, height). The bottom-left corner doubles as the part's tag.
 - Multi-indices are 1-based tuples over {1..r} ordered lexicographically.
-- A resolution is a ``Level``: arrays indexed by lexicographic rank, with
-  corners (r^m, 2), sides (r^m,) and the composed maps sim_w of every word
-  w. ``levels`` builds resolutions 0..m from the one before on separate x
-  and y columns: each base vertex and each step shift maps to a column
-  pair, and a part's box folds the vertex pairs with elementwise min and
-  max. ``compose_part`` is its single-word reference. Curve levels
-  (``zoo.holder_levels``) carry the same arrays without maps.
+- A resolution is a ``Level``: the parts' bounding squares as corners
+  (r^m, 2) and sides (r^m,), indexed by lexicographic rank. ``levels``
+  builds resolution m from resolution m - 1 by applying phi_1..phi_r to
+  its vertex images (the Hutchinson recursion), on separate x and y
+  arrays, and takes each part's box as the min and max over its
+  vertices. Curve levels (``zoo.holder_levels``) are the same type.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -89,18 +87,6 @@ class Similarity:
         """Apply to one point (2,) or a stack of points (..., 2)."""
         pts = np.asarray(points, dtype=float)
         return pts @ self.matrix().T + np.asarray(self.shift)
-
-    def compose(self, other: "Similarity") -> "Similarity":
-        """self after other: (self.compose(other)).apply(p) = self.apply(other.apply(p))."""
-        sign = -1.0 if self.reflect else 1.0
-        angle = self.angle + sign * other.angle
-        shift = self.apply(np.asarray(other.shift, dtype=float))
-        return Similarity(
-            ratio=self.ratio * other.ratio,
-            angle=angle,
-            reflect=self.reflect != other.reflect,
-            shift=(float(shift[0]), float(shift[1])),
-        )
 
 
 @dataclass(frozen=True)
@@ -198,55 +184,14 @@ class OrderedIFS:
         return np.array([[x, y], [x + s, y], [x + s / 2.0, y + s * _TRIANGLE_HEIGHT]])
 
 
-def compose_part(ifs: OrderedIFS, index: MultiIndex) -> tuple[np.ndarray, float]:
-    """Bounding square (corner, side) of the base under phi_{i_1} o ... o phi_{i_m}.
-
-    The single-word reference for ``levels``: the map is folded left to
-    right with Similarity.compose, so each new letter acts on the base first.
-    """
-    if index.arity != ifs.r:
-        raise InvalidIndexError(f"index arity {index.arity} != system arity {ifs.r}")
-    vertices = ifs.base_vertices()
-    if index.entries:
-        sim = functools.reduce(Similarity.compose, (ifs.maps[i - 1] for i in index.entries))
-        vertices = sim.apply(vertices)
-    lo = vertices.min(axis=0)
-    return lo, float((vertices.max(axis=0) - lo).max())
-
-
-def _linear_parts(ratio: np.ndarray, angle: np.ndarray, reflect: np.ndarray) -> tuple:
-    """Entries (a, b, c, d) of the n linear parts ratio * R(angle) [* conj]:
-    each maps (x, y) to (a x + b y, c x + d y).
-
-    Same arithmetic as Similarity.matrix: cos and sin come from math, once
-    per distinct angle, and each entry is ratio times one of them.
-    """
-    uniq, inv = np.unique(angle, return_inverse=True)
-    cos = np.array([math.cos(a) for a in uniq.tolist()])[inv]
-    sin = np.array([math.sin(a) for a in uniq.tolist()])[inv]
-    return (
-        ratio * cos,
-        ratio * np.where(reflect, sin, -sin),
-        ratio * sin,
-        ratio * np.where(reflect, -cos, cos),
-    )
-
-
-def _images(linear: tuple, shift_x: np.ndarray, shift_y: np.ndarray, x: float, y: float):
-    """Columns (px, py) of the images of the point (x, y) under n maps given
-    by their linear parts and shift columns, as Similarity.apply rounds them."""
-    a, b, c, d = linear
-    return a * x + b * y + shift_x, c * x + d * y + shift_y
-
-
 @dataclass(frozen=True, eq=False)
 class Level:
     """Resolution m as arrays indexed by lexicographic rank.
 
-    corners (n, 2) and sides (n,) are the parts' bounding squares. ratio,
-    angle, reflect (n,) and shift (n, 2) are the composed maps sim_w, one
-    row per word; a curve level (``zoo.holder_levels``) has none. ``levels``
-    builds corners and shift as transposes of (2, n) arrays, so each
+    corners (n, 2) and sides (n,) are the parts' bounding squares. For a
+    system, part w is the base set's image under sim_w; for a curve
+    (``zoo.holder_levels``), the curve over a dyadic parameter interval.
+    ``levels`` builds corners as the transpose of a (2, n) array, so each
     coordinate column is contiguous.
     """
 
@@ -254,10 +199,6 @@ class Level:
     r: int
     corners: np.ndarray
     sides: np.ndarray
-    ratio: np.ndarray | None = None
-    angle: np.ndarray | None = None
-    reflect: np.ndarray | None = None
-    shift: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.sides)
@@ -265,53 +206,56 @@ class Level:
     def index(self, rank: int) -> list[int]:
         return list(lex_unrank(rank, self.m, self.r).entries)
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Images (n, k, 2) of the points (k, 2) under every composed map."""
-        linear = _linear_parts(self.ratio, self.angle, self.reflect)
-        sx, sy = self.shift[:, 0], self.shift[:, 1]
-        images = [np.stack(_images(linear, sx, sy, x, y), axis=-1) for x, y in points]
-        return np.stack(images, axis=1)
+
+def _image_columns(ifs: OrderedIFS, points: np.ndarray, m_max: int):
+    """Yield, for m = 0..m_max, the x and y columns (k, r^m) of the images of
+    the points (k, 2) under every word of length m, in rank order.
+
+    Word j w maps p to phi_j(sim_w(p)), so resolution m is phi_1..phi_r
+    applied to resolution m - 1 and concatenated in that order, which is
+    rank order. Each map acts as a x + b y + t with the entries of
+    Similarity.matrix().
+    """
+    steps = [(*sim.matrix().ravel().tolist(), *sim.shift) for sim in ifs.maps]
+    x, y = np.asarray(points, dtype=float).T[:, :, None]
+    yield x, y
+    for _ in range(m_max):
+        # x is built before y, so only one coordinate's r pieces are alive at once
+        x, y = (
+            np.concatenate([a * x + b * y + tx for a, b, _, _, tx, _ in steps], axis=1),
+            np.concatenate([c * x + d * y + ty for _, _, c, d, _, ty in steps], axis=1),
+        )
+        yield x, y
 
 
 def levels(ifs: OrderedIFS, m_max: int, budget: int | None = None) -> list[Level]:
-    """Resolutions 0..m_max, each built from the one before by column expressions.
-
-    Word w j means sim_w o phi_j, composed as Similarity.compose does:
-    ratios multiply, angles add (negated under a reflection), reflections
-    xor, and the new shift is sim_w(shift_j). The linear parts of level m
-    serve both its base images and the shifts of level m + 1. A part's box
-    folds the base vertices' image columns with elementwise min and max.
-    Every level is checked against the budget before level 0 is built.
-    """
+    """Resolutions 0..m_max, each part the bounding square of its base
+    vertices' images. Every level is checked against the budget before
+    level 0 is built."""
     if m_max < 0:
         raise ValueError(f"resolution must be >= 0, got {m_max}")
     check_level_budget(ifs.r, m_max, budget)
-    base = ifs.base_vertices().tolist()
-    step_ratio, step_angle, step_reflect = (
-        np.array([getattr(p, key) for p in ifs.maps]) for key in ("ratio", "angle", "reflect")
-    )
-    ratio, angle, reflect = np.ones(1), np.zeros(1), np.zeros(1, dtype=bool)
-    shift = np.zeros((2, 1))
     out: list[Level] = []
-    for m in range(m_max + 1):
-        if m:
-            steps = [_images(linear, shift[0], shift[1], *p.shift) for p in ifs.maps]
-            shift = np.stack([np.stack(column, axis=1).ravel() for column in zip(*steps)])
-            sign = np.where(reflect, -1.0, 1.0)[:, None]
-            angle = (angle[:, None] + sign * step_angle).ravel()
-            reflect = (reflect[:, None] != step_reflect).ravel()
-            ratio = (ratio[:, None] * step_ratio).ravel()
-        linear = _linear_parts(ratio, angle, reflect)
-        xs, ys = zip(*[_images(linear, shift[0], shift[1], x, y) for x, y in base])
-        lo = np.stack([functools.reduce(np.minimum, xs), functools.reduce(np.minimum, ys)])
-        width = functools.reduce(np.maximum, xs) - lo[0]
-        height = functools.reduce(np.maximum, ys) - lo[1]
-        out.append(Level(m, ifs.r, lo.T, np.maximum(width, height), ratio, angle, reflect, shift.T))
+    for m, (x, y) in enumerate(_image_columns(ifs, ifs.base_vertices(), m_max)):
+        lo = np.stack([x.min(axis=0), y.min(axis=0)])
+        sides = np.maximum(x.max(axis=0) - lo[0], y.max(axis=0) - lo[1])
+        out.append(Level(m, ifs.r, lo.T, sides))
     return out
 
 
+def images_under_words(
+    ifs: OrderedIFS, point: np.ndarray, m: int, budget: int | None = None
+) -> np.ndarray:
+    """Images (r^m, 2) of one point under every word of length m, in rank
+    order, after the budget check."""
+    check_level_budget(ifs.r, m, budget)
+    for x, y in _image_columns(ifs, [point], m):
+        pass
+    return np.stack([x[0], y[0]], axis=1)
+
+
 def attractor_points(ifs: OrderedIFS, depth: int, budget: int | None = None) -> np.ndarray:
-    """The fixed point of phi_1 under every composed map of the given depth.
+    """The fixed point of phi_1 under every word of the given depth.
 
     One point per depth-level part, in rank order, each on the attractor up
     to rounding.
@@ -320,5 +264,4 @@ def attractor_points(ifs: OrderedIFS, depth: int, budget: int | None = None) -> 
         raise ValueError(f"depth must be >= 1, got {depth}")
     first = ifs.maps[0]
     fixed = np.linalg.solve(np.eye(2) - first.matrix(), np.asarray(first.shift))
-    return levels(ifs, depth, budget)[-1].apply(fixed[None])[:, 0]
-
+    return images_under_words(ifs, fixed, depth, budget)

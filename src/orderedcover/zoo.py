@@ -5,8 +5,9 @@ whose lexicographic part order traces the classical curve orderings
 (arrowhead order on the gasket, pseudo-Hilbert order on the square, path
 order on the Koch curve and on the eight-edge sausage seed); the unit
 interval and a gap dust that fails adjacency on purpose complete the set.
-A Holder curve's resolution m is the level of bounding squares over its
-2^m dyadic parameter intervals (``holder_levels``).
+A Holder curve is linear between its breakpoints; its resolution m is the
+level of exact bounding squares over its 2^m dyadic parameter intervals
+(``holder_levels``).
 """
 
 from __future__ import annotations
@@ -155,18 +156,18 @@ def gap_dust() -> OrderedIFS:
 
 @dataclass(frozen=True)
 class CurveEvaluator:
-    """A curve f: [0,1] -> R^2 with a Holder certificate.
+    """A piecewise linear curve f: [0,1] -> R^2 with a Holder certificate.
 
     holder_beta/holder_rho certify ||f(x)-f(y)||_inf <= rho |x-y|^beta.
-    breakpoints, when given, are the parameter values where a piecewise
-    linear curve bends; bounding boxes over intervals then come out exact.
+    f is linear between consecutive breakpoints, so its bounding box over
+    an interval is that of the interval's ends and its inner breakpoints.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     holder_beta: float
     holder_rho: float
+    breakpoints: np.ndarray = field(repr=False)
     name: str = ""
-    breakpoints: np.ndarray | None = field(default=None, repr=False)
 
     def __call__(self, ts: np.ndarray) -> np.ndarray:
         return self.eval(np.asarray(ts, dtype=float))
@@ -178,7 +179,8 @@ def diagonal_curve() -> CurveEvaluator:
     def f(ts: np.ndarray) -> np.ndarray:
         return np.stack([ts, ts], axis=-1)
 
-    return CurveEvaluator(f, holder_beta=1.0, holder_rho=1.0, name="holder-diag")
+    ends = np.array([0.0, 1.0])
+    return CurveEvaluator(f, holder_beta=1.0, holder_rho=1.0, breakpoints=ends, name="holder-diag")
 
 
 def _polyline_evaluator(
@@ -204,8 +206,7 @@ def _chain_vertices(ifs: OrderedIFS, start: np.ndarray, end: np.ndarray, order: 
     returned polyline then visits the parts in covering order with segments
     of equal length ratio^order * |end - start|.
     """
-    entries = geometry.levels(ifs, order)[-1].apply(start[None])[:, 0]
-    return np.vstack([entries, end])
+    return np.vstack([geometry.images_under_words(ifs, start, order), end])
 
 
 def arrowhead_pseudo(order: int) -> CurveEvaluator:
@@ -236,36 +237,32 @@ def hilbert_pseudo(order: int) -> CurveEvaluator:
     return _polyline_evaluator(vertices, 0.5, 4.0, f"hilbert-pseudo:{order}")
 
 
-_INTERVALS_PER_CHUNK = 4096
-
-
 def holder_levels(curve: CurveEvaluator, m_max: int, budget: int | None = None) -> list[Level]:
     """Bounding squares of f over the 2^m dyadic intervals, for m = 0..m_max.
 
-    Rank j of resolution m is the interval [j 2^-m, (j+1) 2^-m]: 64 equally
-    spaced samples (256 at m = 0), with the curve's breakpoints strictly
-    inside folded in, so polyline boxes come out exact. Each side is at most
+    Rank j of resolution m is the interval [j 2^-m, (j+1) 2^-m]. f is
+    linear between breakpoints, so its box there is exactly that of the two
+    ends and the breakpoints strictly inside. Each side is at most
     rho * (2^-beta)^m by the Holder certificate. Every level is checked
-    against the budget before anything is sampled.
+    against the budget before the curve is evaluated.
     """
     if m_max < 0:
         raise ValueError(f"resolution must be >= 0, got {m_max}")
     geometry.check_level_budget(2, m_max, budget)
-    bp = np.empty(0) if curve.breakpoints is None else curve.breakpoints
-    bp = bp[(bp > 0.0) & (bp < 1.0)]
+    bp = np.sort(curve.breakpoints[(curve.breakpoints > 0.0) & (curve.breakpoints < 1.0)])
     bp_points = curve(bp)
     out: list[Level] = []
     for m in range(m_max + 1):
-        n, step = 2**m, 0.5**m
-        lo, hi = np.empty((n, 2)), np.empty((n, 2))
-        for first in range(0, n, _INTERVALS_PER_CHUNK):
-            j = np.arange(first, min(first + _INTERVALS_PER_CHUNK, n))
-            pts = curve(np.linspace(j * step, (j + 1) * step, 256 if m == 0 else 64, axis=-1))
-            lo[j], hi[j] = pts.min(axis=1), pts.max(axis=1)
-        # a breakpoint on an interval's left end repeats its first sample
+        n = 2**m
+        ends = curve(np.arange(n + 1) * 0.5**m)
+        lo, hi = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
+        # fold each run of breakpoints into its interval; one on an
+        # interval's left end repeats that end
         owner = (bp * n).astype(np.intp)
-        np.minimum.at(lo, owner, bp_points)
-        np.maximum.at(hi, owner, bp_points)
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        rows = owner[first]
+        lo[rows] = np.minimum(lo[rows], np.minimum.reduceat(bp_points, first))
+        hi[rows] = np.maximum(hi[rows], np.maximum.reduceat(bp_points, first))
         out.append(Level(m, 2, lo, (hi - lo).max(axis=1)))
     return out
 

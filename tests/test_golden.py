@@ -24,8 +24,9 @@ rounding_margin was added; worst_error and worst_box are the sampled sweep's.
 Apart from the manifest's wall_time_s and versions, records agree exactly,
 except floats: to 1e-12 relative, or to 1e-15 absolute for coordinates that
 are zero in exact arithmetic. The reference computed tagged-square corners
-by applying maps to the base outside-in, the levels compose the maps first,
-and the two orders round such zeros to different specks below 3e-17.
+by applying the maps to the base through Similarity.apply, a small matrix
+product; the levels apply each map as a x + b y + t, and the two round such
+zeros to different specks below 3e-17.
 """
 
 import contextlib

@@ -1,9 +1,10 @@
 """Rank-indexed level arrays against single-part references.
 
 System levels are checked against compose_part and, bit for bit, against the
-(n, k, 2) vertex recursion kept here; curve levels against a per-interval
-sampling loop kept here. The nesting check is held to a reference that
-repeats each parent box r times.
+(n, k, 2) vertex recursion of geometry_reference; so are the point images
+behind attractor_points and the pseudo curves. Curve levels are checked
+against a per-interval loop kept here. The nesting check is held to a
+reference that repeats each parent box r times.
 """
 
 import functools
@@ -21,7 +22,7 @@ from orderedcover.geometry import (
     OrderedIFS,
     Similarity,
     attractor_points,
-    compose_part,
+    images_under_words,
     levels,
     lex_unrank,
 )
@@ -40,6 +41,8 @@ from orderedcover.zoo import (
     unit_interval,
 )
 
+from geometry_reference import compose_part, reference_images, reference_levels
+
 MAKERS = (sierpinski_gasket, hilbert_square, koch_curve, minkowski_sausage, unit_interval, gap_dust)
 SYSTEMS = {make().name: make for make in MAKERS}
 MAX_DEPTH = 6
@@ -51,10 +54,6 @@ def system_levels(name):
     return ifs, levels(ifs, MAX_DEPTH)
 
 
-def ulps(a, b):
-    return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
-
-
 @given(name=st.sampled_from(sorted(SYSTEMS)), depth=st.integers(0, MAX_DEPTH), data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_levels_match_compose_part(name, depth, data):
@@ -64,8 +63,8 @@ def test_levels_match_compose_part(name, depth, data):
     got = np.array([*lv[depth].corners[rank], lv[depth].sides[rank]])
     want = np.array([*corner, side])
     # compose_part rounds through numpy's small matmul, which may fuse
-    # multiply-adds; only the gasket's pi/3 rotations with reflections show it.
-    assert ulps(got, want).max() <= (2 if name == "sierpinski" else 0)
+    # multiply-adds where the levels round each product on its own
+    assert np.abs(got - want).max() <= 1e-15
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -75,7 +74,7 @@ def test_level_shapes_follow_rank_order(name):
     for level in lv[:4]:
         n = ifs.r**level.m
         assert len(level) == n
-        assert level.corners.shape == (n, 2) and level.shift.shape == (n, 2)
+        assert level.corners.shape == (n, 2)
         assert level.sides.shape == (n,) and level.r == ifs.r
         assert [level.index(k) for k in range(n)] == [
             list(lex_unrank(k, level.m, ifs.r).entries) for k in range(n)
@@ -86,9 +85,11 @@ def test_levels_refuse_before_building(monkeypatch):
     def no_images(*args):
         raise AssertionError("a level was built")
 
-    monkeypatch.setattr(geometry, "_images", no_images)
+    monkeypatch.setattr(geometry, "_image_columns", no_images)
     with pytest.raises(BudgetExceededError, match="^243 parts exceed budget 100$"):
         levels(sierpinski_gasket(), 7, budget=100)
+    with pytest.raises(BudgetExceededError, match="^243 parts exceed budget 100$"):
+        attractor_points(sierpinski_gasket(), 7, budget=100)
     with pytest.raises(BudgetExceededError, match="^1024 parts exceed budget 1000$"):
         hbd_report(koch_curve(), 1.2, 1.4, 6, budget=1000)
 
@@ -109,6 +110,29 @@ def test_attractor_points_of_the_line_are_dyadic_left_ends():
     assert np.array_equal(pts[:, 0], np.arange(32) / 32.0)
 
 
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_attractor_points_follow_the_vertex_reference_bit_for_bit(name):
+    ifs = SYSTEMS[name]()
+    first = ifs.maps[0]
+    fixed = np.linalg.solve(np.eye(2) - first.matrix(), np.asarray(first.shift))
+    want = reference_images(ifs, fixed[None], 5)[:, 0]
+    assert attractor_points(ifs, 5).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2, 5])
+def test_pseudo_curve_vertices_follow_the_vertex_reference_bit_for_bit(order):
+    gasket = sierpinski_gasket()
+    a, b = gasket.base_vertices()[:2]
+    cases = (
+        (arrowhead_pseudo, gasket, a, b),
+        (hilbert_pseudo, hilbert_square(), np.array([-0.5, -0.5]), np.array([0.5, -0.5])),
+    )
+    for make, ifs, start, end in cases:
+        curve = make(order)
+        want = np.vstack([reference_images(ifs, start[None], order)[:, 0], end])
+        assert curve(curve.breakpoints).tobytes() == want.tobytes()
+
+
 def test_adjacency_reports_the_first_gap_in_rank_order():
     # r = 3, m = 2: consecutive pairs (1,3)-(2,1) at ranks 2-3 and (2,3)-(3,1)
     # at ranks 5-6; both have a gap, the first is reported
@@ -120,54 +144,18 @@ def test_adjacency_reports_the_first_gap_in_rank_order():
     assert result.counterexample == {"left": [1, 3], "right": [2, 1]}
 
 
-def reference_images(ratio, angle, reflect, shift, points):
-    """Images (n, k, 2) of points (k, 2) under n maps, one (n, k) array
-    expression per coordinate: the kernel that column-wise levels replaced."""
-    uniq, inv = np.unique(angle, return_inverse=True)
-    cos = np.array([math.cos(a) for a in uniq.tolist()])[inv][:, None]
-    sin = np.array([math.sin(a) for a in uniq.tolist()])[inv][:, None]
-    ratio, flip = ratio[:, None], reflect[:, None]
-    x, y = points[:, 0], points[:, 1]
-    px = ratio * cos * x + ratio * np.where(flip, sin, -sin) * y
-    py = ratio * sin * x + ratio * np.where(flip, -cos, cos) * y
-    return np.stack([px + shift[:, :1], py + shift[:, 1:]], axis=-1)
-
-
-def reference_levels(ifs, m_max):
-    """Resolutions 0..m_max with each box reduced over the vertex axis."""
-    base = ifs.base_vertices()
-    step_ratio, step_angle, step_reflect, step_shift = (
-        np.array([getattr(p, key) for p in ifs.maps])
-        for key in ("ratio", "angle", "reflect", "shift")
-    )
-    ratio, angle, reflect = np.ones(1), np.zeros(1), np.zeros(1, dtype=bool)
-    shift = np.zeros((1, 2))
-    out = []
-    for m in range(m_max + 1):
-        if m:
-            sign = np.where(reflect, -1.0, 1.0)[:, None]
-            shift = reference_images(ratio, angle, reflect, shift, step_shift).reshape(-1, 2)
-            angle = (angle[:, None] + sign * step_angle).ravel()
-            reflect = (reflect[:, None] != step_reflect).ravel()
-            ratio = (ratio[:, None] * step_ratio).ravel()
-        vertices = reference_images(ratio, angle, reflect, shift, base)
-        lo = vertices.min(axis=1)
-        sides = (vertices.max(axis=1) - lo).max(axis=1)
-        out.append(Level(m, ifs.r, lo, sides, ratio, angle, reflect, shift))
-    return out
-
-
 def assert_same_bits(got, want):
     assert (got.m, got.r) == (want.m, want.r)
-    for key in ("corners", "sides", "ratio", "angle", "reflect", "shift"):
+    for key in ("corners", "sides"):
         a, b = getattr(got, key), getattr(want, key)
         assert a.shape == b.shape and a.dtype == b.dtype, key
         assert a.tobytes() == b.tobytes(), key
 
 
-def assert_apply_same_bits(level, points):
-    want = reference_images(level.ratio, level.angle, level.reflect, level.shift, points)
-    assert level.apply(points).tobytes() == want.tobytes()
+def assert_images_same_bits(ifs, points, m):
+    want = reference_images(ifs, points, m)
+    for k, point in enumerate(points):
+        assert images_under_words(ifs, point, m).tobytes() == want[:, k].tobytes()
 
 
 # every zoo system as deep as 8, or as deep as the part budget allows
@@ -181,7 +169,7 @@ def test_levels_match_vertex_reference_bit_for_bit(name):
     for level, ref in zip(got, want, strict=True):
         assert_same_bits(level, ref)
     points = np.vstack([ifs.base_vertices(), [[0.3, -0.7], [1e-3, 2.5]]])
-    assert_apply_same_bits(got[-1], points)
+    assert_images_same_bits(ifs, points, ZOO_DEPTH[name])
 
 
 @st.composite
@@ -218,7 +206,7 @@ def test_levels_of_drawn_systems_match_vertex_reference_bit_for_bit(ifs, data):
         assert_same_bits(level, ref)
     xy = st.floats(-3.0, 3.0)
     points = np.array(data.draw(st.lists(st.tuples(xy, xy), min_size=1, max_size=4)))
-    assert_apply_same_bits(got[-1], points)
+    assert_images_same_bits(ifs, points, depth)
 
 
 def reference_nesting(parent, child, tol=GEOM_TOL):
@@ -267,16 +255,12 @@ def test_nesting_gives_the_reference_counterexample(name, depth, data):
 
 
 def reference_holder_level(curve, m):
-    """Resolution m interval by interval: samples plus inner breakpoints."""
-    samples = 256 if m == 0 else 64
+    """Resolution m interval by interval: both ends plus inner breakpoints."""
+    bp = curve.breakpoints
     corners, sides = [], []
     for j in range(2**m):
         lo, hi = j * 0.5**m, (j + 1) * 0.5**m
-        ts = np.linspace(lo, hi, samples)
-        if curve.breakpoints is not None:
-            bp = curve.breakpoints
-            ts = np.sort(np.concatenate([ts, bp[(bp > lo) & (bp < hi)]]))
-        pts = curve(ts)
+        pts = curve(np.concatenate([[lo, hi], bp[(bp > lo) & (bp < hi)]]))
         corner = pts.min(axis=0)
         corners.append(corner)
         sides.append((pts.max(axis=0) - corner).max())
@@ -304,13 +288,19 @@ def test_holder_levels_match_per_interval_reference(family, order, m):
     assert lv[m].m == m and lv[m].r == 2
     assert lv[m].corners.tobytes() == corners.tobytes()
     assert lv[m].sides.tobytes() == sides.tobytes()
+    # the curve between the breakpoints stays in the boxes, up to rounding
+    j = np.arange(2**m)
+    pts = curve(np.linspace(j * 0.5**m, (j + 1) * 0.5**m, 64, axis=-1))
+    assert (pts >= lv[m].corners[:, None] - 1e-15).all()
+    assert (pts <= (lv[m].corners + lv[m].sides[:, None])[:, None] + 1e-15).all()
 
 
 def test_holder_levels_refuse_before_sampling():
     def no_samples(ts):
         raise AssertionError("the curve was sampled")
 
-    curve = CurveEvaluator(no_samples, holder_beta=1.0, holder_rho=1.0)
+    curve = CurveEvaluator(no_samples, holder_beta=1.0, holder_rho=1.0,
+                           breakpoints=np.array([0.0, 0.5, 1.0]))
     with pytest.raises(BudgetExceededError, match="^1048576 parts exceed budget 1000000$"):
         holder_levels(curve, 20)
     with pytest.raises(BudgetExceededError, match="^16 parts exceed budget 10$"):

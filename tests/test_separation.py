@@ -447,7 +447,7 @@ def test_jump_lemma_fails_on_the_a_paper_rectangle():
         "j": [1, 2, 2, 2, 2, 2],
         "l": [2, 1, 1, 1, 1, 1],
         "n": 2,
-        "distance": 0.5303300858899105,
+        "distance": 0.5303300858899106,
         "gap": 1,
         "required": 2.0,
     }

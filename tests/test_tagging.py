@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orderedcover import geometry
-from orderedcover.geometry import BudgetExceededError, MultiIndex, compose_part
+from orderedcover.geometry import BudgetExceededError, MultiIndex
 from orderedcover.tagging import (
     BuilderParams,
     build_tagged_covering,
@@ -13,6 +13,8 @@ from orderedcover.tagging import (
     pending_after_stage,
 )
 from orderedcover.zoo import hilbert_square, minkowski_sausage, sierpinski_gasket, unit_interval
+
+from geometry_reference import compose_part
 
 # (r, s) -> (t, q), from t = r(r^s - 1)/(r - 1), q = r^t
 SCHEDULE_TABLE = {

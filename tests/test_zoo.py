@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orderedcover.geometry import GEOM_TOL, MultiIndex, compose_part, levels
+from orderedcover.geometry import GEOM_TOL, MultiIndex, levels
 from orderedcover.zoo import (
     arrowhead_pseudo,
     diagonal_curve,
@@ -19,6 +19,8 @@ from orderedcover.zoo import (
     zoo_ifs,
     zoo_names,
 )
+
+from geometry_reference import compose_part
 
 SQRT3 = math.sqrt(3.0)
 
