@@ -110,16 +110,17 @@ def check_adjacency(level: Level, tol: float = GEOM_TOL) -> ConditionResult:
         raise ValueError("adjacency needs resolution >= 2")
     if len(level) != r**m:
         raise ValueError(f"expected {r ** m} parts, got {len(level)}")
-    # (i, j-1) runs over the resolution-(m-1) ranks not ending in r; the
-    # rank of (i, j-1, r) is then a and that of (i, j, 1) is a + 1.
-    a = np.arange(r ** (m - 1)).reshape(-1, r)[:, :-1].ravel() * r + r - 1
-    lo, hi = level.corners, level.corners + level.sides[:, None]
-    meets = (lo[a] <= hi[a + 1] + tol) & (lo[a + 1] <= hi[a] + tol)
-    k = _first(~meets.all(axis=1))
+    # reshaped to (r^(m-2), r, r), rank (i, j, k) sits at [i, j, k]: the pairs
+    # (i, j-1, r) and (i, j, 1) are the views [:, :-1, -1] and [:, 1:, 0]
+    lo, side = level.corners.reshape(-1, r, r, 2), level.sides.reshape(-1, r, r, 1)
+    left, right = lo[:, :-1, -1], lo[:, 1:, 0]
+    meets = (left <= right + side[:, 1:, 0] + tol) & (right <= left + side[:, :-1, -1] + tol)
+    k = _first(~meets.all(axis=-1).ravel())
     if k is not None:
-        return ConditionResult(
-            "iii", m, False, {"left": level.index(a[k]), "right": level.index(a[k] + 1)}
-        )
+        i, j = divmod(k, r - 1)
+        a = (i * r + j) * r + r - 1
+        cex = {"left": level.index(a), "right": level.index(a + 1)}
+        return ConditionResult("iii", m, False, cex)
     return ConditionResult("iii", m, True)
 
 

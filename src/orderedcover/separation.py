@@ -11,21 +11,23 @@ Three checks:
   apart are at least (r^(n-1) + r - 2)/(r - 1) positions apart in the
   lexicographic enumeration.
 
-Both pair audits cover all q(q-1)/2 pairs in O(q) memory and are
-certified by block bounds: pairs of rank blocks are decided by their
-union boxes, and exact pairs are computed only where a bound cannot
-decide. On the unit-interval s=3 covering (q = 16,384, 134,209,536
-pairs) the separation audit computes 521 of the 32,896 pairs of 64-rank
-blocks and takes about 0.09 s, against 1.4 s for a scan of every pair.
-The jump check counts premise hits from 64-rank row tiles against
-16-rank column blocks, and looks for bad pairs only in the band of short
-rank gaps. On the gasket at m = 9 (19,683 tags, 1.5e9 hits over 1.9e8
-pairs and 9 thresholds) it takes about 0.33 s, against 1.25 s for a
-scan of every pair row by row (2-core x86-64 VM). The worst case of both
-remains O(q^2), and the jump check refuses more than JUMP_PAIR_BUDGET
-pairs up front. Coverage tests the points 64 at a time against the
-squares of the rank blocks whose union box meets them, as x and y
-columns of points against x and y columns of squares.
+Both pair audits cover all q(q-1)/2 pairs in O(q) memory: an exact band
+of short rank gaps and, beyond it, pairs of rank blocks decided by their
+union boxes, computed exactly only where a bound cannot decide
+(two-point correlation; Moore et al., 2001). Separation computes every
+pair up to rank gap 16, so its block bounds, the diagonal included,
+assume a gap of 17 or more. On the unit-interval s=3 covering
+(q = 16,384, 134,209,536 pairs) that is the band and 12 of 32,896 pairs
+of 64-rank blocks: about 6 ms, against 50 ms without the band and 1.4 s
+for every pair. The jump check counts premise hits from 64-rank row
+tiles against 16-rank column blocks, and looks for bad pairs only in the
+band of short rank gaps. On the gasket at m = 9 (19,683 tags, 1.5e9 hits
+over 1.9e8 pairs and 9 thresholds) it takes about 0.33 s, against 1.25 s
+for a scan of every pair row by row (2-core x86-64 VM). The worst case
+of both remains O(q^2), and the jump check refuses more than
+JUMP_PAIR_BUDGET pairs up front. Coverage tests the points 64 at a time
+against the squares of the rank blocks whose union box meets them, as x
+and y columns of points against x and y columns of squares.
 """
 
 from __future__ import annotations
@@ -92,6 +94,9 @@ class SeparationReport:
 # Rank block size of the pair audits. The covering is rank-ordered, so the
 # squares of one block sit close together and their union box is small.
 _BLOCK = 64
+# Rank gap of the separation audit's exact band: pairs with l - j <= _BAND
+# are computed exactly, and block bounds assume a gap of at least _BAND + 1.
+_BAND = 16
 
 
 def _block_boxes(
@@ -111,68 +116,77 @@ def verify_separation(
 ) -> SeparationReport:
     """Check ||lambda - mu|| <= D((l-j)/l)^(1/gamma) over every pair of squares.
 
-    The worst pair is the first maximum of the ratio in (j, l) order.
+    The worst pair is the least (j, l) among the pairs of maximal ratio.
 
-    Branch and bound over blocks of _BLOCK ranks: the pairs inside each
-    block are computed exactly and seed the worst ratio. The ratio over a
-    pair of blocks A < B is at most the sup distance of their union boxes
-    over the bound at the last rank of A and the first rank of B. A block
-    pair is computed exactly, as a tile, only if that bound reaches the
-    worst ratio times (1 - 1e-12); the slack keeps ties and absorbs the
-    bound's rounding. Each tile computes the sup distance of two squares
-    as max(hi_a - lo_b, hi_b - lo_a) per axis, the same elementwise
-    operations as the bound, so worst_ratio is the exhaustive maximum bit
-    for bit.
+    Three array passes: every pair with l - j <= _BAND exactly; a bound on
+    every pair of _BLOCK-rank blocks A <= B, the diagonal included, from
+    the sup distance of their union boxes and the least (l - j)/l of their
+    pairs past the band; and tiles of block pairs exactly, in descending
+    bound order, while the bound reaches the worst ratio times (1 - 1e-12),
+    a slack that keeps ties and absorbs the bound's rounding. Every sup
+    distance is max(hi_j - lo_l, hi_l - lo_j) per axis, so worst_ratio is
+    the exhaustive maximum bit for bit. Memory is O(q + 2^14) plus the
+    list of undecided block pairs.
     """
     # seed is unused: the audit draws nothing; bench/jobs.py still passes it
     D = cov.D if D is None else D
     gamma = cov.gamma if gamma is None else gamma
-    x, y = np.ascontiguousarray(cov.tags[:, 0]), np.ascontiguousarray(cov.tags[:, 1])
-    hx, hy = x + cov.sides, y + cov.sides
+    columns = np.concatenate([cov.tags.T, cov.tags.T + cov.sides])  # lo x, lo y, hi x, hi y
     worst_ratio, worst_pair = -np.inf, (0, 0)
 
-    def tile(j: np.ndarray, l: np.ndarray) -> None:
-        """Fold in the pairs (j, l) of two broadcasting index arrays, j < l."""
+    def ratio(jj, ll, box_j, box_l):
+        """The ratios of boxes (lo x, lo y, hi x, hi y) at the 1-based ranks jj < ll."""
+        (xj, yj, hxj, hyj), (xl, yl, hxl, hyl) = box_j, box_l
+        sup = np.maximum(np.maximum(hxj - xl, hxl - xj), np.maximum(hyj - yl, hyl - yj))
+        return sup / (D * ((ll - jj) / ll) ** (1.0 / gamma))
+
+    def fold(value, pair):
         nonlocal worst_ratio, worst_pair
-        dx = np.maximum(hx[j] - x[l], hx[l] - x[j])
-        dy = np.maximum(hy[j] - y[l], hy[l] - y[j])
-        jj, ll = j + 1.0, l + 1.0
-        ratio = np.maximum(dx, dy) / (D * ((ll - jj) / ll) ** (1.0 / gamma))
-        i = int(np.argmax(ratio))  # row-major, so the first maximum in (j, l) order
-        j, l = np.broadcast_arrays(j, l)
-        pair = (int(j.flat[i]) + 1, int(l.flat[i]) + 1)
-        if ratio.flat[i] > worst_ratio or (ratio.flat[i] == worst_ratio and pair < worst_pair):
-            worst_ratio, worst_pair = float(ratio.flat[i]), pair
+        if value > worst_ratio or (value == worst_ratio and pair < worst_pair):
+            worst_ratio, worst_pair = float(value), pair
 
-    starts, blo, bhi = _block_boxes(cov.tags, np.stack([hx, hy], axis=1))
+    # The band, in row steps: row g - 1 of the window holds the ranks g + 1 ..
+    # g + q; past the last rank lo = +inf and hi = -inf, so those pairs give -inf
+    pad = np.repeat([[np.inf], [np.inf], [-np.inf], [-np.inf]], _BAND, axis=1)
+    padded = np.concatenate([columns[:, 1:], pad], axis=1)
+    window = np.lib.stride_tricks.sliding_window_view(padded, cov.q, axis=1)
+    step = 2**14 // _BAND
+    for a in range(0, cov.q, step):
+        jj = np.arange(a + 1.0, min(a + step, cov.q) + 1.0)
+        ll = jj + np.arange(1.0, _BAND + 1.0)[:, None]
+        near = ratio(jj, ll, columns[:, a : a + step], window[:, :, a : a + step])
+        i, g = divmod(int(np.argmax(near.T)), _BAND)  # the first maximum in (j, l) order
+        fold(near[g, i], (a + i + 1, a + i + g + 2))
+
+    # The bounds: past the band l - j >= _BAND + 1, so (l - j)/l is least
+    # at the last such j of A and then the first such l of B
+    starts, blo, bhi = _block_boxes(columns[:2].T, columns[2:].T)
     ends = np.append(starts[1:], cov.q)
-    inner = np.triu_indices(_BLOCK, k=1)
-    for a, b in zip(starts, ends):
-        keep = inner[1] < b - a
-        if keep.any():
-            tile(a + inner[0][keep], a + inner[1][keep])
+    blocks = np.concatenate([blo.T, bhi.T])
+    bounds, pairs = [], []
+    step = max(1, 2**14 // len(starts))
+    for a0 in range(0, len(starts), step):
+        a, b = np.arange(a0, min(a0 + step, len(starts)))[:, None], slice(a0, None)
+        jj = np.minimum(ends[a], ends[b] - _BAND - 1).astype(float)
+        ll = np.maximum(starts[b] + 1.0, jj + _BAND + 1)
+        bound = ratio(jj, ll, blocks[:, a], blocks[:, b])
+        keep = (jj >= starts[a] + 1) & (bound >= worst_ratio * (1.0 - 1e-12))
+        bounds.append(bound[keep])
+        pairs.append(np.argwhere(keep) + [a0, a0])
 
-    def bounds(a: int) -> np.ndarray:
-        """Upper bounds of the ratio over the block pairs (a, a + 1), (a, a + 2), ..."""
-        sup = np.maximum(bhi[a] - blo[a + 1 :], bhi[a + 1 :] - blo[a]).max(axis=1)
-        l_min = starts[a + 1 :] + 1.0
-        return sup / (D * ((l_min - ends[a]) / l_min) ** (1.0 / gamma))
-
-    # Block rows go in descending order of their largest bound, and each row
-    # in descending bound order: the first tiles raise the worst ratio, and
-    # memory stays O(q / _BLOCK), where one vector of all block pairs would
-    # be O((q / _BLOCK)^2).
-    row_max = np.array([bounds(a).max() for a in range(len(starts) - 1)])
-    for a in np.argsort(-row_max, kind="stable"):
-        if row_max[a] < worst_ratio * (1.0 - 1e-12):
+    # The tiles, in descending bound order; on the diagonal jj is clipped
+    # below ll, so that no pair l <= j divides by zero, and gives -inf
+    bound, pairs = np.concatenate(bounds), np.concatenate(pairs)
+    for n in np.argsort(-bound):
+        if bound[n] < worst_ratio * (1.0 - 1e-12):
             break
-        bound = bounds(a)
-        rows = np.arange(starts[a], ends[a])[:, None]
-        for i in np.argsort(-bound, kind="stable"):
-            if bound[i] < worst_ratio * (1.0 - 1e-12):
-                break
-            b = a + 1 + i
-            tile(rows, np.arange(starts[b], ends[b]))
+        j, l = (slice(starts[k], ends[k]) for k in pairs[n])
+        jj = np.arange(j.start + 1.0, j.stop + 1.0)[:, None]
+        ll = np.arange(l.start + 1.0, l.stop + 1.0)
+        tile = ratio(np.minimum(jj, ll - 1.0), ll, columns[:, j, None], columns[:, l])
+        tile[jj >= ll] = -np.inf
+        i, k = divmod(int(np.argmax(tile)), len(ll))  # the first maximum in (j, l) order
+        fold(tile[i, k], (int(jj[i, 0]), int(ll[k])))
     return SeparationReport(
         q=cov.q,
         pairs_checked=cov.q * (cov.q - 1) // 2,

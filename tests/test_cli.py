@@ -211,6 +211,9 @@ def test_line_and_dust_are_registered(capsys):
     code, record, _ = run_json(capsys, ["cover", "verify", "--name", "unit-interval", "--s", "2"])
     assert code == 0
     assert record["record"]["q"] == 64
+    # a single rank block: the worst pair, at gap 63, lies in its diagonal block pair
+    assert record["record"]["separation"]["worst_pair"] == [1, 64]
+    assert record["record"]["separation"]["worst_ratio"] == 0.12698412698412698  # 8/63
     code, record, err = run_json(capsys, ["verify-hbd", "--name", "gap-dust", "--m", "4"])
     assert code == 1
     failed = [(c["condition"], c["m"]) for c in record["record"]["conditions"] if not c["pass"]]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orderedcover.geometry import Level
+from orderedcover.geometry import GEOM_TOL, Level, levels
 from orderedcover.hbd import (
     check_adjacency,
     check_diameters,
@@ -96,6 +97,58 @@ def test_adjacency_check_flags_gap():
 
 def test_adjacency_check_accepts_touching_chain():
     assert check_adjacency(level(2, [0.0, 0.25, 0.5, 0.75], 0.25)).passed
+
+
+def adjacency_reference(level, tol=GEOM_TOL):
+    """Condition (iii) by rank arithmetic, as check_adjacency did before it
+    read strided views: (i, j-1) runs over the resolution-(m-1) ranks not
+    ending in r, and the ranks of (i, j-1, r) and (i, j, 1) are a and a + 1.
+    Returns (passed, counterexample)."""
+    m, r = level.m, level.r
+    a = np.arange(r ** (m - 1)).reshape(-1, r)[:, :-1].ravel() * r + r - 1
+    lo, hi = level.corners, level.corners + level.sides[:, None]
+    meets = (lo[a] <= hi[a + 1] + tol) & (lo[a + 1] <= hi[a] + tol)
+    bad = np.flatnonzero(~meets.all(axis=1))
+    if bad.size == 0:
+        return True, None
+    return False, {"left": level.index(a[bad[0]]), "right": level.index(a[bad[0]] + 1)}
+
+
+@given(
+    r=st.sampled_from([2, 3, 4, 8]),
+    m=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    gap=st.sampled_from([0.0, 0.5 * GEOM_TOL, 2.0 * GEOM_TOL, 0.25]),
+    moved=st.integers(0, 6),
+)
+@settings(max_examples=80, deadline=None)
+def test_adjacency_matches_rank_arithmetic_reference(r, m, seed, gap, moved):
+    rng = np.random.default_rng(seed)
+    n = r**m
+    # a chain of touching unit squares, x = rank, with contiguous columns as
+    # levels builds them
+    corners, sides = np.stack([np.arange(n, dtype=float), np.zeros(n)]).T, np.ones(n)
+    # a gap at one consecutive pair, half the time a pair (i, j-1, r), (i, j, 1)
+    # that the condition compares: every later square moves right
+    if rng.uniform() < 0.5:
+        k = (int(rng.integers(0, r ** (m - 2))) * r + int(rng.integers(0, r - 1))) * r + r - 1
+    else:
+        k = int(rng.integers(0, n - 1))
+    corners[k + 1 :, 0] += gap
+    # parts drawn across several parents, each moved anywhere nearby and resized
+    at = rng.integers(0, n, size=moved)
+    corners[at] += rng.uniform(-2.0, 2.0, size=(moved, 2))
+    sides[at] = rng.uniform(0.1, 3.0, size=moved)
+    level = Level(m, r, corners, sides)
+    result = check_adjacency(level)
+    assert (result.passed, result.counterexample) == adjacency_reference(level)
+
+
+@pytest.mark.parametrize("ifs", [*SYSTEMS, gap_dust(), unit_interval()], ids=lambda s: s.name)
+def test_adjacency_matches_rank_arithmetic_reference_on_zoo_levels(ifs):
+    for level in levels(ifs, 3 if ifs.r == 8 else 5)[2:]:
+        result = check_adjacency(level)
+        assert (result.passed, result.counterexample) == adjacency_reference(level)
 
 
 def test_report_record_shape():

@@ -118,10 +118,14 @@ grid_boxes = st.tuples(
 free_boxes = st.tuples(box_vals, box_vals, box_sides)
 
 
-# the example ties the maximum within row 2, at (2, 3) and (2, 4), and
-# across rows, at (3, 4); the first in (j, l) order is the worst pair
+# the first example ties the maximum within row 2, at (2, 3) and (2, 4),
+# and across rows, at (3, 4); the second ties it at gaps 2 and 1, at (2, 4)
+# and (3, 4). The first in (j, l) order is the worst pair.
 @example(
     boxes=[(2.0, 1.0, 0.5), (1.0, 2.0, 1.0), (1.0, 1.0, 0.5), (0.0, 0.0, 1.0)], D=1.0, gamma=1.0
+)
+@example(
+    boxes=[(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], D=1.0, gamma=1.0
 )
 @given(
     boxes=st.one_of(st.lists(grid_boxes, min_size=2, max_size=60),
@@ -145,7 +149,20 @@ def test_separation_matches_all_pairs_reference(gasket_cov, boxes, D, gamma):
 def layout(kind, q, rng):
     """q boxes (tags, sides): a rank-ordered walk of shrinking squares, as
     a covering lays them out; a coarse grid with many equal distances; free
-    floats; or q copies of one box."""
+    floats; an outlier; or q copies of one box.
+
+    The outlier is one square displaced 10 away from a tight walk, reached
+    by a straight ramp from a square 17 to 63 ranks earlier in the same
+    64-rank block; the squares after it stay there. A square displaced on
+    its own makes its worst pair at gap 1, where the ratio's bound is
+    least; on the ramp the worst pair spans the whole ramp, past the exact
+    band, inside one diagonal block pair."""
+    if kind == "outlier":
+        g = min(int(rng.integers(17, 64)), q - 1)
+        p = int(rng.choice([p for p in range(q - g) if p // 64 == (p + g) // 64]))
+        tags = np.cumsum(rng.normal(scale=1e-3, size=(q, 2)), axis=0)
+        tags[:, 0] += 10.0 * np.clip((np.arange(q) - p) / max(g, 1), 0.0, 1.0)
+        return tags, rng.uniform(0.0, 1e-3, size=q)
     if kind == "walk":
         tags = np.cumsum(rng.normal(scale=0.05, size=(q, 2)), axis=0)
         return tags, 0.3 / np.arange(1, q + 1) ** rng.uniform(0.3, 1.0)
@@ -158,14 +175,16 @@ def layout(kind, q, rng):
 
 # q runs past one 64-rank block, so whole block pairs are pruned by their
 # bounds; D = 1e-9 makes every pair fail. For q = 1025 copies of one box
-# the worst pair, (1024, 1025), straddles two blocks, and the bound of its
-# block pair equals its ratio exactly.
+# the worst pair, (1024, 1025), straddles two blocks. The outlier example
+# ends in a block of _BAND + 2 = 18 ranks and ramps across all of it: its
+# worst pair, (65, 82), is the only pair of that block past the band.
 @example(q=128, kind="walk", seed=0, D=1.0, gamma=1.0)
 @example(q=1025, kind="coincident", seed=0, D=1.0, gamma=1.0)
 @example(q=129, kind="coincident", seed=0, D=1e-9, gamma=2.0)
+@example(q=82, kind="outlier", seed=316, D=1.0, gamma=1.2618595071429148)
 @given(
     q=st.integers(65, 400),
-    kind=st.sampled_from(["walk", "grid", "free", "coincident"]),
+    kind=st.sampled_from(["walk", "grid", "free", "outlier", "coincident"]),
     seed=st.integers(0, 2**32 - 1),
     D=st.sampled_from([1e-9, 0.05, 1.0, 40.0]),
     gamma=st.sampled_from([1.0, 2.0, 1.5849625007211563, 1.2618595071429148]),
@@ -182,12 +201,18 @@ def test_separation_matches_all_pairs_reference_across_blocks(gasket_cov, q, kin
     assert report.pairs_checked == pairs
 
 
+def test_outlier_example_sits_at_the_band_edge():
+    tags, sides = layout("outlier", 82, np.random.default_rng(316))
+    _, pair, _, _ = separation_reference(tags, sides, 1.0, 1.2618595071429148)
+    assert pair == (65, 65 + separation._BAND + 1)
+
+
 def test_separation_breaks_a_tie_across_blocks_by_rank_order(gasket_cov):
     # Points (zero sides) with D = gamma = 1, so the ratio is sup l/(l - j).
     # x gives row j = 1 the ratio exactly 1 against every l >= 129, and
     # less below; y steps by 2^-7 between ranks 127 and 128, which gives
-    # (127, 128) exactly 1 too. That pair lies in a diagonal block, so it
-    # is found before (1, 129), which comes first in (j, l) order.
+    # (127, 128) exactly 1 too. That pair lies in the exact band, so it is
+    # found before (1, 129), which comes first in (j, l) order.
     q = 200
     ranks = np.arange(1, q + 1, dtype=float)
     d = (ranks - 1.0) / ranks
