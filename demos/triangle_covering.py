@@ -8,8 +8,7 @@ stages, so their sides coincide exactly with the part diameters c^(1+j).
 """
 
 from orderedcover import zoo
-from orderedcover.geometry import attractor_points
-from orderedcover.separation import coverage_check, verify_form, verify_separation
+from orderedcover.separation import verify_coverage, verify_form, verify_separation
 from orderedcover.tagging import BuilderParams, build_tagged_covering
 
 
@@ -39,10 +38,12 @@ def main() -> None:
 
     form = verify_form(cov)
     sep = verify_separation(cov)
-    covered = coverage_check(cov, attractor_points(ifs, 7))
+    coverage = verify_coverage(ifs, cov)
     print()
     print(f"side schedule exact:   {form.passed} (max rel err {form.max_rel_err:.2e})")
-    print(f"attractor covered:     {covered}")
+    print(f"attractor covered:     {coverage.passed} (maps keep the triangle: "
+          f"{coverage.base_inside}, complete prefix code: {coverage.prefix_code}, "
+          f"worst fill {coverage.worst_fill:.6f})")
     print(f"separation (D = {params.D}): {sep.passed}, "
           f"{sep.pairs_checked} pairs, worst ratio {sep.worst_ratio:.6f} "
           f"at pair {sep.worst_pair}")

@@ -12,8 +12,9 @@ The package is organized around one pipeline:
 - ``tagging``: the tagged covering with side schedule tau/(kN)^(1/gamma) and its
   rank/fineness bookkeeping.
 - ``separation``: audits of the tagged covering's form, its attractor
-  coverage and the pairwise separation inequality, block-pruned by rank-block
-  bounding boxes, and the exhaustive jump-counting check.
+  coverage by containment and the pairwise separation inequality,
+  block-pruned by rank-block bounding boxes, and the exhaustive
+  jump-counting check.
 - ``shifts``: weighted backward/forward shift powers on truncated sequence
   spaces, the summability/Lipschitz checks, and the common-vector experiment.
 - ``cli``: command-line front end (``orderedcover --help``).
@@ -38,6 +39,7 @@ from .geometry import (
 from .hbd import hbd_report
 from .separation import (
     coverage_check,
+    verify_coverage,
     verify_form,
     verify_jump_lemma,
     verify_separation,
@@ -74,6 +76,7 @@ __all__ = [
     "normalize_tau",
     "part_budget",
     "run_dynamics_experiment",
+    "verify_coverage",
     "verify_form",
     "verify_jump_lemma",
     "verify_separation",

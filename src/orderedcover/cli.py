@@ -20,11 +20,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .geometry import (
-    BUDGET_ENV_VAR, BudgetExceededError, Level, OrderedIFS, attractor_points, levels
-)
+from .geometry import BUDGET_ENV_VAR, BudgetExceededError, Level, OrderedIFS, levels
 from .hbd import hbd_report
-from .separation import coverage_check, verify_form, verify_jump_lemma, verify_separation
+from .separation import verify_coverage, verify_form, verify_jump_lemma, verify_separation
 from .shifts import check_dynamics_inputs, run_dynamics_experiment, weight_family
 from .tagging import BuilderParams, build_tagged_covering, normalize_tau
 from .zoo import IFS_NAMES, CurveEvaluator, holder_levels, zoo_curve, zoo_ifs, zoo_names
@@ -249,18 +247,16 @@ def cmd_cover_verify(args: argparse.Namespace) -> int:
     def body() -> tuple:
         ifs, cov, _ = _build_for_args(args)
         form = verify_form(cov)
+        coverage = verify_coverage(ifs, cov)
         sep = verify_separation(cov)
-        depth = min(cov.s + cov.t + 2, 10)
-        points = attractor_points(ifs, depth, budget=args.budget)
-        covered = coverage_check(cov, points)
-        checks = {"form": form.passed, "coverage": bool(covered), "separation": sep.passed}
+        checks = {"form": form.passed, "coverage": coverage.passed, "separation": sep.passed}
         record = {
             "fractal": cov.fractal,
             "q": cov.q,
             "checks": checks,
             "form": form.to_record(),
             "separation": sep.to_record(),
-            "coverage_points": int(len(points)),
+            "coverage": coverage.to_record(),
         }
         notes = [f"{key}: {'PASS' if ok else 'FAIL'}" for key, ok in checks.items()]
         return record, 0 if all(checks.values()) else 1, notes

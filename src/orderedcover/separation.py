@@ -1,8 +1,14 @@
 """Audits of the tagged covering's quantitative claims.
 
-Three checks:
+Four checks, none by sampling:
 
 - verify_form: every square side equals tau/(kN)^(1/gamma).
+- verify_coverage: the squares cover the attractor, by containment. Every
+  map sends the base set into itself, the covered words form a complete
+  prefix code, and every covered part's box, recomputed from the system,
+  lies inside its square; then the attractor, the union of its covered
+  parts, lies in the union of the squares (Hutchinson, 1981). It reads no
+  attractor point.
 - verify_separation: for every pair j < l and all points lambda in Gamma_j,
   mu in Gamma_l, the max-norm distance stays below D((l-j)/l)^(1/gamma).
   The supremum over two boxes is attained at corners under the max norm, so
@@ -25,11 +31,11 @@ band of short rank gaps. On the gasket at m = 9 (19,683 tags, 1.5e9 hits
 over 1.9e8 pairs and 9 thresholds) it takes about 0.33 s, against 1.25 s
 for a scan of every pair row by row (2-core x86-64 VM). The worst case
 of both remains O(q^2), and the jump check refuses more than
-JUMP_PAIR_BUDGET pairs up front. Coverage tests the points 64 at a time
-against the squares of the rank blocks whose union box meets them, as x
-and y columns of points against x and y columns of squares.
-"""
+JUMP_PAIR_BUDGET pairs up front.
 
+coverage_check, which tests sample points against the squares, is the
+sampled reference that verify_coverage replaced; no verdict rests on it.
+"""
 from __future__ import annotations
 
 import math
@@ -37,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
-from .geometry import OrderedIFS
+from . import geometry, tagging
+from .geometry import GEOM_TOL, OrderedIFS
 from .tagging import TaggedCovering
 
 
@@ -61,7 +67,8 @@ class FormReport:
 def verify_form(cov: TaggedCovering, rtol: float = 1e-12) -> FormReport:
     """Recompute tau/(kN)^alpha for every k, with Python's float pow as the
     build does (numpy's ``**`` rounds by CPU), and compare."""
-    expected = np.array([cov.tau / (k * cov.bigN) ** cov.alpha for k in range(1, cov.q + 1)])
+    tau, bigN, alpha = cov.tau, cov.bigN, cov.alpha
+    expected = np.array([tau / (k * bigN) ** alpha for k in range(1, cov.q + 1)])
     rel = np.abs(cov.sides - expected) / expected
     worst = int(np.argmax(rel))
     passed = bool(rel[worst] <= rtol)
@@ -70,6 +77,90 @@ def verify_form(cov: TaggedCovering, rtol: float = 1e-12) -> FormReport:
         q=cov.q,
         max_rel_err=float(rel[worst]),
         first_bad_k=None if passed else int(np.argmax(rel > rtol)) + 1,
+    )
+
+
+@dataclass(frozen=True)
+class CoverageReport:
+    passed: bool
+    base_inside: bool
+    prefix_code: bool
+    worst_fill: float | None  # None when (b) fails: (c) needs its words
+
+    def to_record(self) -> dict:
+        return {
+            "pass": self.passed,
+            "base_inside": self.base_inside,
+            "prefix_code": self.prefix_code,
+            "worst_fill": self.worst_fill,
+        }
+
+
+def verify_coverage(ifs: OrderedIFS, cov: TaggedCovering) -> CoverageReport:
+    """Show that the squares cover the attractor of ifs from three facts.
+
+    (a) base_inside: each map's vertex images lie in the base set B, a
+    convex polygon with counter-clockwise vertices, within GEOM_TOL of the
+    inner side of each edge. Then every map sends B into B, and the
+    attractor A lies in B.
+    (b) prefix_code: the rank ranges of the covered words, lifted to
+    resolution s + t in Python ints, are nonempty, tile [0, r^(s+t))
+    exactly in k order, and number q words: they form a complete prefix
+    code, an integer Kraft sum of 1. Then A is the union of the covered
+    parts sim_w(A), each inside sim_w(B).
+    (c) each covered part's box lies in its square [tag, tag + side]^2,
+    with the build's slack tagging._S_TOL. The boxes are recomputed from
+    ifs, not read from the covering: the vertex images of each stage's
+    words, one rank slice of a level. sim_w(B) is the hull of its vertex
+    images, so it lies in that box.
+
+    worst_fill, the largest part side over square side, says how tight the
+    squares are; a built covering's tags are its parts' corners, so there
+    (c) comes down to part side <= side + tol. It is None when (b) fails,
+    as (c) is then not tried. Like the build, (c) generates every level
+    up to s + t: O(r^(s+t)) time.
+    """
+    if ifs.r != cov.r:
+        raise ValueError(f"covering has r={cov.r} but system has r={ifs.r}")
+    vertices = ifs.base_vertices()
+    edges = np.roll(vertices, -1, axis=0) - vertices
+    inward = np.stack([-edges[:, 1], edges[:, 0]], axis=1) / np.hypot(*edges.T)[:, None]
+    images = np.concatenate([sim.apply(vertices) for sim in ifs.maps])
+    depth = ((images[:, None] - vertices) * inward).sum(axis=2)  # (image, edge)
+    base_inside = bool((depth >= -GEOM_TOL).all())
+
+    r, m_max = cov.r, cov.s + cov.t
+    spans = tagging._stage_spans(r, cov.s, cov.t)
+    end, prefix_code = 0, sum(count for *_, count in spans) == cov.q
+    for _, m, first, count in spans:
+        lift = r ** (m_max - m)
+        prefix_code = prefix_code and count > 0 and first * lift == end
+        end = (first + count) * lift
+    prefix_code = prefix_code and end == r**m_max
+    if not prefix_code:
+        return CoverageReport(False, base_inside, False, None)
+
+    boxes = [None] * len(spans)  # per stage: lo x, lo y, hi x, hi y of its parts
+    for level, (x, y) in enumerate(geometry._image_columns(ifs, vertices, m_max)):
+        for i, (_, m, first, count) in enumerate(spans):
+            if m == level:
+                xs, ys = x[:, first : first + count], y[:, first : first + count]
+                boxes[i] = np.stack([xs.min(0), ys.min(0), xs.max(0), ys.max(0)])
+    lo_x, lo_y, hi_x, hi_y = np.concatenate(boxes, axis=1)
+    tag_x, tag_y = cov.tags.T
+    tol = tagging._S_TOL
+    contained = bool(
+        (lo_x >= tag_x - tol).all()
+        and (lo_y >= tag_y - tol).all()
+        and (hi_x <= tag_x + cov.sides + tol).all()
+        and (hi_y <= tag_y + cov.sides + tol).all()
+    )
+    part_sides = np.maximum(hi_x - lo_x, hi_y - lo_y)  # as geometry.levels
+    return CoverageReport(
+        passed=base_inside and contained,
+        base_inside=base_inside,
+        prefix_code=True,
+        worst_fill=float((part_sides / cov.sides).max()),
     )
 
 
@@ -199,10 +290,11 @@ def verify_separation(
 def coverage_check(cov: TaggedCovering, points: np.ndarray, tol: float = 1e-9) -> bool:
     """Every sample point must land in at least one square.
 
-    Points go 64 at a time, each block against the squares of the rank
-    blocks whose union box meets the points' bounding box: a square outside
-    that union box cannot hold any of the points. Points and squares are
-    tested as separate x and y columns. Memory is O(q).
+    The sampled reference of verify_coverage. Points go 64 at a time, each
+    block against the squares of the rank blocks whose union box meets the
+    points' bounding box: a square outside that union box cannot hold any
+    of the points. Points and squares are tested as separate x and y
+    columns. Memory is O(q).
     """
     pts = np.atleast_2d(points)
     columns = []  # per axis: square lo and hi, their block union lo and hi, the points

@@ -110,7 +110,16 @@ def test_cover_verify_passes_and_reports(capsys):
         "coverage": True,
         "separation": True,
     }
-    assert "separation: PASS" in err
+    # coverage is shown by containment; no attractor point is sampled
+    assert "coverage_points" not in record["record"]
+    # stage-end squares are exactly as large as their parts
+    assert record["record"]["coverage"] == {
+        "pass": True,
+        "base_inside": True,
+        "prefix_code": True,
+        "worst_fill": 1.0,
+    }
+    assert "coverage: PASS" in err and "separation: PASS" in err
 
 
 def test_budget_env_var_limits_cli(capsys, monkeypatch):

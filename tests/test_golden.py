@@ -21,6 +21,9 @@ edited by hand when the two-corner certificate replaced the sampled sweep:
 samples became 2q, min_samples_per_box and config.norm_kind went,
 worst_lambda became the corner tag + side that now holds the maximum, and
 rounding_margin was added; worst_error and worst_box are the sampled sweep's.
+In the two cover-verify references, the sampled check's coverage_points
+count was then replaced by hand with the coverage block of the containment
+audit (pass, base_inside, prefix_code, worst_fill).
 Apart from the manifest's wall_time_s and versions, records agree exactly,
 except floats: to 1e-12 relative, or to 1e-15 absolute for coordinates that
 are zero in exact arithmetic. The reference computed tagged-square corners

@@ -1,21 +1,32 @@
 import dataclasses
+import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orderedcover import geometry, separation
+from orderedcover import geometry, separation, tagging
 from orderedcover.separation import (
     _jump_pass,
     coverage_check,
+    verify_coverage,
     verify_form,
     verify_jump_lemma,
     verify_separation,
 )
 from orderedcover.tagging import BuilderParams, build_tagged_covering
-from orderedcover.zoo import gap_dust, hilbert_square, koch_curve, sierpinski_gasket, unit_interval
+from orderedcover.zoo import (
+    IFS_NAMES,
+    gap_dust,
+    hilbert_square,
+    koch_curve,
+    sierpinski_gasket,
+    unit_interval,
+    zoo_ifs,
+)
 from orderedcover.geometry import (
     BudgetExceededError,
     OrderedIFS,
@@ -365,6 +376,214 @@ def test_three_stage_line_covers_its_attractor(line_s3_cov):
     pts = attractor_points(line, min(line_s3_cov.s + line_s3_cov.t + 2, 10))
     assert len(pts) == 2**10
     assert coverage_check(line_s3_cov, pts)
+
+
+# The zoo coverings that build: minkowski (q = 8^8) is over the part
+# budget at s = 1 and the gap dust fails condition (iii).
+ZOO_COVERINGS = [
+    ("sierpinski", 1),
+    ("hilbert-square", 1),
+    ("koch", 1),
+    ("unit-interval", 1),
+    ("unit-interval", 2),
+    ("unit-interval", 3),
+]
+
+
+@functools.lru_cache
+def zoo_covering(name, s):
+    ifs = zoo_ifs(name)
+    return ifs, build_tagged_covering(ifs, BuilderParams.from_stage(ifs, s, 1))
+
+
+def part_sides(ifs, cov):
+    """The covered parts' sides in k order, sliced from geometry.levels."""
+    lv = geometry.levels(ifs, cov.s + cov.t)
+    spans = tagging._stage_spans(cov.r, cov.s, cov.t)
+    return np.concatenate([lv[m].sides[first : first + count] for _, m, first, count in spans])
+
+
+def test_zoo_coverings_list_every_system_that_builds_at_s1():
+    with pytest.raises(BudgetExceededError):
+        zoo_covering("minkowski", 1)
+    with pytest.raises(ValueError, match="fails dimension condition iii"):
+        zoo_covering("gap-dust", 1)
+    assert {name for name, _ in ZOO_COVERINGS} | {"minkowski", "gap-dust"} == set(IFS_NAMES)
+
+
+@pytest.mark.parametrize("name,s", ZOO_COVERINGS)
+def test_coverage_audit_agrees_with_the_sampled_reference(name, s):
+    ifs, cov = zoo_covering(name, s)
+    report = verify_coverage(ifs, cov)
+    assert (report.passed, report.base_inside, report.prefix_code) == (True, True, True)
+    assert 0.0 < report.worst_fill <= 1.0 + 1e-9
+    assert coverage_check(cov, attractor_points(ifs, min(cov.s + cov.t + 2, 10)))
+
+
+def test_coverage_record_names_the_three_facts(gasket_cov):
+    gasket = sierpinski_gasket()
+    record = verify_coverage(gasket, gasket_cov).to_record()
+    assert sorted(record) == ["base_inside", "pass", "prefix_code", "worst_fill"]
+    assert record["worst_fill"] == float(np.max(part_sides(gasket, gasket_cov) / gasket_cov.sides))
+
+
+def test_coverage_audit_refuses_a_covering_of_another_arity(gasket_cov):
+    with pytest.raises(ValueError, match="r=3"):
+        verify_coverage(unit_interval(), gasket_cov)
+
+
+@given(
+    ratio=st.floats(0.05, 0.5),
+    angle=st.floats(-math.pi, math.pi),
+    reflect=st.booleans(),
+    right=st.booleans(),
+    at=st.integers(0, 2),
+)
+@settings(max_examples=40, deadline=None)
+def test_coverage_audit_fails_a_map_that_leaves_the_triangle(
+    gasket_cov, ratio, angle, reflect, right, at
+):
+    # The bad image's box sits in a top corner of the base box, where the
+    # triangle does not reach: its leftmost (or rightmost) vertex lies on the
+    # box's side at least 1 - ratio above the base, outside the triangle.
+    # The other two maps shrink the triangle towards its bottom vertices.
+    gasket = sierpinski_gasket()
+    vertices = gasket.base_vertices()
+    (x0, y0), side = gasket.corner, gasket.side
+    image = Similarity(ratio, angle, reflect, (0.0, 0.0)).apply(vertices)
+    x = x0 + side - image[:, 0].max() if right else x0 - image[:, 0].min()
+    bad = Similarity(ratio, angle, reflect, (x, y0 + side - image[:, 1].max()))
+    inner = [Similarity(ratio, 0.0, False, (1.0 - ratio) * v) for v in vertices[:2]]
+    maps = tuple(inner[:at] + [bad] + inner[at:])
+    # the box test of OrderedIFS accepts the system
+    ifs = OrderedIFS(maps, "triangle", gasket.corner, side, gasket.gamma, gasket.rho)
+    report = verify_coverage(ifs, gasket_cov)
+    assert not report.base_inside and not report.passed
+    assert report.prefix_code
+
+
+def test_coverage_audit_allows_geom_tol_on_the_square_base(gasket_cov):
+    # OrderedIFS refuses a map that leaves the square by more than GEOM_TOL;
+    # the audit keeps the same slack, so one within it passes both. The
+    # gasket's squares do not hold this system's parts.
+    maps = (Similarity(0.5, 0.0, False, (0.0, 0.0)),) * 2 + (
+        Similarity(0.5, 0.0, False, (0.5 + 0.5e-9, 0.5)),
+    )
+    ifs = OrderedIFS(maps, "square", (0.0, 0.0), 1.0, 1.0, 1.0)
+    report = verify_coverage(ifs, gasket_cov)
+    assert report.base_inside and report.prefix_code and not report.passed
+
+
+@pytest.mark.parametrize("name,other", [("hilbert-square", "koch"), ("koch", "hilbert-square")])
+def test_coverage_audit_fails_a_covering_of_another_system(name, other):
+    # the same arity and stage, so the same words: only the parts differ
+    ifs, _ = zoo_covering(name, 1)
+    _, cov = zoo_covering(other, 1)
+    report = verify_coverage(ifs, cov)
+    assert report.base_inside and report.prefix_code and not report.passed
+
+
+@given(
+    axis=st.integers(0, 1),
+    shift=st.floats(2.0 * tagging._S_TOL, 5.0),
+    sign=st.sampled_from([-1, 1]),
+)
+@settings(max_examples=40, deadline=None)
+def test_coverage_audit_fails_squares_moved_off_their_parts(axis, shift, sign):
+    # hilbert-square's parts fill their squares: moved up or right past the
+    # slack, a square leaves its part's corner outside, moved down or left
+    # its part's top or right edge; sigma = 1 only translates
+    ifs, cov = zoo_covering("hilbert-square", 1)
+    offset = [0.0, 0.0]
+    offset[axis] = sign * shift
+    report = verify_coverage(ifs, cov.affine_scaled(1.0, tuple(offset)))
+    assert report.base_inside and report.prefix_code and not report.passed
+    assert verify_coverage(ifs, cov.affine_scaled(1.0, (0.5 * tagging._S_TOL,) * 2)).passed
+
+
+@pytest.mark.parametrize("name,s", [("sierpinski", 1), ("hilbert-square", 1), ("unit-interval", 2)])
+def test_coverage_audit_fails_a_build_with_an_off_by_one_window(name, s):
+    # the build's last stage slices its parts one rank early; its squares
+    # still pass the build's own side check, so only the audit sees it
+    ifs, cov = zoo_covering(name, s)
+    spans = tagging._stage_spans(cov.r, cov.s, cov.t)
+    stage, m, first, count = spans[-1]
+    early = spans[:-1] + [(stage, m, first - 1, count)]
+    with mock.patch.object(tagging, "_stage_spans", lambda r, s, t: early):
+        bad = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, s, 1))
+    report = verify_coverage(ifs, bad)
+    assert report.base_inside and report.prefix_code and not report.passed
+
+
+@given(
+    data=st.data(),
+    name_s=st.sampled_from([("sierpinski", 1), ("unit-interval", 2)]),
+    mutation=st.sampled_from(["drop", "repeat", "widen", "shift", "coarsen", "overrun"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_coverage_audit_fails_when_a_stage_is_dropped(data, name_s, mutation):
+    ifs, cov = zoo_covering(*name_s)
+    spans = tagging._stage_spans(cov.r, cov.s, cov.t)
+    # shift moves a stage that has a successor; coarsen needs a stage j >= 2,
+    # whose first rank and count are multiples of r
+    lowest = 2 if mutation == "coarsen" else 0
+    highest = len(spans) - (2 if mutation == "shift" else 1)
+    k = data.draw(st.integers(lowest, highest))
+    stage, m, first, count = spans[k]
+    changed = {
+        "drop": [],
+        "repeat": [spans[k]] * 2,
+        "widen": [(stage, m, first, count + 1)],  # overlaps the next stage, or leaves the tree
+        "shift": [(stage, m, first + 1, count)],  # as many words, a gap and an overlap
+        "coarsen": [(stage, m - 1, first // cov.r, count // cov.r)],  # the same range, fewer words
+        # one word too many, repaid by a range of count -1: the ends still
+        # chain and the counts still sum to q
+        "overrun": [(stage, m, first, count + 1), (stage, m, first + count + 1, -1)],
+    }[mutation]
+    bad = spans[:k] + changed + spans[k + 1 :]
+    with mock.patch.object(tagging, "_stage_spans", lambda r, s, t: bad):
+        report = verify_coverage(ifs, cov)
+    assert not report.prefix_code and not report.passed
+    assert report.base_inside
+    assert verify_coverage(ifs, cov).passed
+
+
+def test_coverage_audit_fails_a_covering_that_stops_a_stage_early(gasket_cov):
+    # the last stage's words and squares are gone: the rest still tile a
+    # prefix of the tree and number q, but leave its end uncovered
+    spans = tagging._stage_spans(3, 1, 3)
+    q = gasket_cov.q - spans[-1][3]
+    rows = slice(0, q)
+    cut = dataclasses.replace(
+        gasket_cov,
+        q=q,
+        tags=gasket_cov.tags[rows],
+        sides=gasket_cov.sides[rows],
+    )
+    with mock.patch.object(tagging, "_stage_spans", lambda r, s, t: spans[:-1]):
+        report = verify_coverage(sierpinski_gasket(), cut)
+    assert not report.prefix_code and not report.passed
+
+
+@given(k=st.integers(0, 26), shrink=st.floats(0.5, 0.99))
+@settings(max_examples=40, deadline=None)
+def test_coverage_audit_fails_a_square_smaller_than_its_part(gasket_cov, k, shrink):
+    gasket = sierpinski_gasket()
+    parts = part_sides(gasket, gasket_cov)
+    sides = gasket_cov.sides.copy()
+    sides[k] = parts[k] * shrink
+    report = verify_coverage(gasket, dataclasses.replace(gasket_cov, sides=sides))
+    assert not report.passed
+    assert report.base_inside and report.prefix_code
+    assert report.worst_fill == parts[k] / sides[k] > 1.0
+
+
+def test_coverage_audit_allows_the_builds_tolerance(gasket_cov):
+    gasket = sierpinski_gasket()
+    parts = part_sides(gasket, gasket_cov)
+    for slack, passed in ((0.5, True), (2.0, False)):
+        cov = dataclasses.replace(gasket_cov, sides=parts - slack * tagging._S_TOL)
+        assert verify_coverage(gasket, cov).passed is passed
 
 
 @pytest.mark.parametrize(
