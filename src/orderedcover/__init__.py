@@ -31,6 +31,7 @@ from .geometry import (
     OrderedIFS,
     Similarity,
     attractor_points,
+    iter_levels,
     levels,
     lex_rank,
     lex_unrank,
@@ -70,6 +71,7 @@ __all__ = [
     "coverage_check",
     "fineness_schedule",
     "hbd_report",
+    "iter_levels",
     "levels",
     "lex_rank",
     "lex_unrank",

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .geometry import BUDGET_ENV_VAR, BudgetExceededError, Level, OrderedIFS, levels
+from .geometry import BUDGET_ENV_VAR, BudgetExceededError, Level, OrderedIFS, iter_levels
 from .hbd import hbd_report
 from .separation import verify_coverage, verify_form, verify_jump_lemma, verify_separation
 from .shifts import check_dynamics_inputs, run_dynamics_experiment, weight_family
@@ -78,8 +78,10 @@ def _zoo_source(name: str) -> OrderedIFS | CurveEvaluator:
 
 def _level(source: OrderedIFS | CurveEvaluator, m: int, budget: int | None) -> Level:
     """Resolution m of a system or a curve, after the budget check."""
-    build = levels if isinstance(source, OrderedIFS) else holder_levels
-    return build(source, _resolution(m), budget)[-1]
+    build = iter_levels if isinstance(source, OrderedIFS) else holder_levels
+    for level in build(source, _resolution(m), budget):
+        pass
+    return level
 
 
 def _run(

@@ -10,11 +10,14 @@ Conventions used throughout the package:
   max(width, height). The bottom-left corner doubles as the part's tag.
 - Multi-indices are 1-based tuples over {1..r} ordered lexicographically.
 - A resolution is a ``Level``: the parts' bounding squares as corners
-  (r^m, 2) and sides (r^m,), indexed by lexicographic rank. ``levels``
-  builds resolution m from resolution m - 1 by applying phi_1..phi_r to
-  its vertex images (the Hutchinson recursion), on separate x and y
-  arrays, and takes each part's box as the min and max over its
-  vertices. Curve levels (``zoo.holder_levels``) are the same type.
+  (r^m, 2) and sides (r^m,), indexed by lexicographic rank.
+  ``iter_levels`` yields resolutions 0..m_max in turn, building
+  resolution m from resolution m - 1 by applying phi_1..phi_r to its
+  vertex images (the Hutchinson recursion), on separate x and y arrays,
+  and taking each part's box as the min and max over its vertices. The
+  last resolution's vertex images are never held whole, so a caller that
+  keeps one level at a time needs about two levels' memory. ``levels``
+  is the list. Curve levels (``zoo.holder_levels``) are the same type.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -191,8 +196,8 @@ class Level:
     corners (n, 2) and sides (n,) are the parts' bounding squares. For a
     system, part w is the base set's image under sim_w; for a curve
     (``zoo.holder_levels``), the curve over a dyadic parameter interval.
-    ``levels`` builds corners as the transpose of a (2, n) array, so each
-    coordinate column is contiguous.
+    ``iter_levels`` builds corners as the transpose of the lo rows of a
+    (4, n) box array, so each coordinate column is contiguous.
     """
 
     m: int
@@ -207,51 +212,102 @@ class Level:
         return list(lex_unrank(rank, self.m, self.r).entries)
 
 
-def _image_columns(ifs: OrderedIFS, points: np.ndarray, m_max: int):
-    """Yield, for m = 0..m_max, the x and y columns (k, r^m) of the images of
-    the points (k, 2) under every word of length m, in rank order.
+def _pow(base, exponent: float):
+    """base ** exponent by Python's float pow (libm), elementwise over a 1-d array:
+    numpy's ``**`` picks a vector kernel by CPU, and its last bit may differ from
+    machine to machine."""
+    if np.ndim(base) == 0:
+        return base**exponent
+    return np.fromiter(map(pow, base.tolist(), repeat(exponent)), float, len(base))
+
+
+# Parent parts per block when the last level's images are reduced to boxes.
+_BLOCK_PARTS = 8192
+
+
+def _boxes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows lo x, lo y, hi x, hi y of the columns of x and y (k, n)."""
+    return np.stack([x.min(axis=0), y.min(axis=0), x.max(axis=0), y.max(axis=0)])
+
+
+def _part_boxes(ifs: OrderedIFS, points: np.ndarray, m_max: int):
+    """Yield, for m = 0..m_max, the boxes (4, r^m) of the images of the
+    points (k, 2) under every word of length m: rows lo x, lo y, hi x, hi y,
+    columns in rank order.
 
     Word j w maps p to phi_j(sim_w(p)), so resolution m is phi_1..phi_r
-    applied to resolution m - 1 and concatenated in that order, which is
-    rank order. Each map acts as a x + b y + t with the entries of
-    Similarity.matrix().
+    applied to the images at resolution m - 1 and concatenated in that
+    order, which is rank order. Each map acts as a x + b y + t with the
+    entries of Similarity.matrix(). Levels below m_max are built whole.
+    The last holds (r - 1)/r of all parts; its images are reduced to boxes
+    one map and one block of _BLOCK_PARTS parent parts at a time, in small
+    scratch buffers with the same operations in the same order, and are
+    never held whole.
     """
     steps = [(*sim.matrix().ravel().tolist(), *sim.shift) for sim in ifs.maps]
     x, y = np.asarray(points, dtype=float).T[:, :, None]
-    yield x, y
-    for _ in range(m_max):
+    yield _boxes(x, y)
+    if m_max == 0:
+        return
+    for _ in range(m_max - 1):
         # x is built before y, so only one coordinate's r pieces are alive at once
         x, y = (
             np.concatenate([a * x + b * y + tx for a, b, _, _, tx, _ in steps], axis=1),
             np.concatenate([c * x + d * y + ty for _, _, c, d, _, ty in steps], axis=1),
         )
-        yield x, y
+        yield _boxes(x, y)
+    k, n = x.shape
+    out = np.empty((4, len(steps) * n))
+    width = min(n, _BLOCK_PARTS)
+    image, term = np.empty((k, width)), np.empty((k, width))
+    for j, (a, b, c, d, tx, ty) in enumerate(steps):
+        for start in range(0, n, width):
+            stop = min(start + width, n)
+            xs, ys, cols = x[:, start:stop], y[:, start:stop], slice(j * n + start, j * n + stop)
+            u, v = image[:, : stop - start], term[:, : stop - start]
+            for row, (cx, cy, t) in enumerate(((a, b, tx), (c, d, ty))):
+                np.add(np.multiply(xs, cx, out=u), np.multiply(ys, cy, out=v), out=u)
+                u += t
+                u.min(axis=0, out=out[row, cols])
+                u.max(axis=0, out=out[row + 2, cols])
+    del x, y, xs, ys  # the images: only the boxes are yielded
+    yield out
 
 
-def levels(ifs: OrderedIFS, m_max: int, budget: int | None = None) -> list[Level]:
-    """Resolutions 0..m_max, each part the bounding square of its base
-    vertices' images. Every level is checked against the budget before
-    level 0 is built."""
+def _level(m: int, r: int, boxes: np.ndarray) -> Level:
+    """The Level of boxes (4, n); the sides are written over the hi rows."""
+    lo, hi = boxes[:2], boxes[2:]
+    np.subtract(hi, lo, out=hi)
+    return Level(m, r, lo.T, np.maximum(hi[0], hi[1], out=hi[0]))
+
+
+def iter_levels(ifs: OrderedIFS, m_max: int, budget: int | None = None) -> Iterator[Level]:
+    """Resolutions 0..m_max in turn, each part the bounding square of its
+    base vertices' images. Every level is checked against the budget before
+    this returns, and a level is built only when the next one is asked for:
+    a caller that keeps one level at a time holds at most the boxes of two
+    levels and the vertex images of the one before the last."""
     if m_max < 0:
         raise ValueError(f"resolution must be >= 0, got {m_max}")
     check_level_budget(ifs.r, m_max, budget)
-    out: list[Level] = []
-    for m, (x, y) in enumerate(_image_columns(ifs, ifs.base_vertices(), m_max)):
-        lo = np.stack([x.min(axis=0), y.min(axis=0)])
-        sides = np.maximum(x.max(axis=0) - lo[0], y.max(axis=0) - lo[1])
-        out.append(Level(m, ifs.r, lo.T, sides))
-    return out
+    boxes = _part_boxes(ifs, ifs.base_vertices(), m_max)
+    return (_level(m, ifs.r, b) for m, b in enumerate(boxes))
+
+
+def levels(ifs: OrderedIFS, m_max: int, budget: int | None = None) -> list[Level]:
+    """Resolutions 0..m_max as a list; see iter_levels."""
+    return list(iter_levels(ifs, m_max, budget))
 
 
 def images_under_words(
     ifs: OrderedIFS, point: np.ndarray, m: int, budget: int | None = None
 ) -> np.ndarray:
     """Images (r^m, 2) of one point under every word of length m, in rank
-    order, after the budget check."""
+    order, after the budget check: the boxes of one vertex."""
     check_level_budget(ifs.r, m, budget)
-    for x, y in _image_columns(ifs, [point], m):
+    for boxes in _part_boxes(ifs, [point], m):
         pass
-    return np.stack([x[0], y[0]], axis=1)
+    return np.stack(boxes[:2], axis=1)
 
 
 def attractor_points(ifs: OrderedIFS, depth: int, budget: int | None = None) -> np.ndarray:

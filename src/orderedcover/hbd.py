@@ -15,7 +15,8 @@ is implemented; the infimum itself has no algorithm here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
@@ -125,7 +126,7 @@ def check_adjacency(level: Level, tol: float = GEOM_TOL) -> ConditionResult:
 
 
 def hbd_report(
-    source: OrderedIFS | Sequence[Level],
+    source: OrderedIFS | Iterable[Level],
     gamma: float,
     rho: float,
     m_max: int,
@@ -135,27 +136,28 @@ def hbd_report(
 ) -> HbdReport:
     """Run all three checks for every resolution up to m_max.
 
-    source is either an ordered system (its levels are generated, after the
-    budget check) or its levels for resolutions 0..m_max, such as the
-    bounding squares of a Holder curve from ``zoo.holder_levels``.
+    source is either an ordered system (its levels are generated one at a
+    time, after the budget check) or any iterable of its levels for
+    resolutions 0..m_max in order, such as a list from
+    ``zoo.holder_levels`` or the stream of ``geometry.iter_levels``. Only
+    the level before the current one is kept.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     if isinstance(source, OrderedIFS):
-        coverings = geometry.levels(source, m_max, budget)
-        label = name or source.name
+        source, label = geometry.iter_levels(source, m_max, budget), name or source.name
     else:
-        coverings = list(source)
-        if len(coverings) < m_max + 1:
-            raise ValueError("need levels for every resolution 0..m_max")
         label = name or ""
-    c = coverings[0].r ** (-1.0 / gamma)
-
-    results: list[ConditionResult] = []
-    for m in range(m_max + 1):
-        results.append(check_diameters(coverings[m], rho, c, tol))
-    for m in range(m_max):
-        results.append(check_nesting(coverings[m], coverings[m + 1], tol))
-    for m in range(2, m_max + 1):
-        results.append(check_adjacency(coverings[m], tol))
-    return HbdReport(label, gamma, rho, m_max, tuple(results))
+    diameters, nesting, adjacency = [], [], []
+    for m, level in enumerate(islice(source, m_max + 1)):
+        if m == 0:
+            c = level.r ** (-1.0 / gamma)
+        else:
+            nesting.append(check_nesting(parent, level, tol))
+        diameters.append(check_diameters(level, rho, c, tol))
+        if m >= 2:
+            adjacency.append(check_adjacency(level, tol))
+        parent = level
+    if len(diameters) < m_max + 1:
+        raise ValueError("need levels for every resolution 0..m_max")
+    return HbdReport(label, gamma, rho, m_max, tuple(diameters + nesting + adjacency))

@@ -68,7 +68,7 @@ def verify_form(cov: TaggedCovering, rtol: float = 1e-12) -> FormReport:
     """Recompute tau/(kN)^alpha for every k, with Python's float pow as the
     build does (numpy's ``**`` rounds by CPU), and compare."""
     tau, bigN, alpha = cov.tau, cov.bigN, cov.alpha
-    expected = np.array([tau / (k * bigN) ** alpha for k in range(1, cov.q + 1)])
+    expected = tau / geometry._pow(np.arange(1, cov.q + 1, dtype=float) * bigN, alpha)
     rel = np.abs(cov.sides - expected) / expected
     worst = int(np.argmax(rel))
     passed = bool(rel[worst] <= rtol)
@@ -118,7 +118,7 @@ def verify_coverage(ifs: OrderedIFS, cov: TaggedCovering) -> CoverageReport:
     squares are; a built covering's tags are its parts' corners, so there
     (c) comes down to part side <= side + tol. It is None when (b) fails,
     as (c) is then not tried. Like the build, (c) generates every level
-    up to s + t: O(r^(s+t)) time.
+    up to s + t, O(r^(s+t)) time, but keeps only the stages' boxes.
     """
     if ifs.r != cov.r:
         raise ValueError(f"covering has r={cov.r} but system has r={ifs.r}")
@@ -140,13 +140,12 @@ def verify_coverage(ifs: OrderedIFS, cov: TaggedCovering) -> CoverageReport:
     if not prefix_code:
         return CoverageReport(False, base_inside, False, None)
 
-    boxes = [None] * len(spans)  # per stage: lo x, lo y, hi x, hi y of its parts
-    for level, (x, y) in enumerate(geometry._image_columns(ifs, vertices, m_max)):
-        for i, (_, m, first, count) in enumerate(spans):
+    kept = []  # per stage: lo x, lo y, hi x, hi y of its parts
+    for level, boxes in enumerate(geometry._part_boxes(ifs, vertices, m_max)):
+        for _, m, first, count in spans:
             if m == level:
-                xs, ys = x[:, first : first + count], y[:, first : first + count]
-                boxes[i] = np.stack([xs.min(0), ys.min(0), xs.max(0), ys.max(0)])
-    lo_x, lo_y, hi_x, hi_y = np.concatenate(boxes, axis=1)
+                kept.append(boxes[:, first : first + count].copy())
+    lo_x, lo_y, hi_x, hi_y = np.concatenate(kept, axis=1)
     tag_x, tag_y = cov.tags.T
     tol = tagging._S_TOL
     contained = bool(
@@ -448,7 +447,8 @@ def verify_jump_lemma(
     pairs = r**m * (r**m - 1) // 2
     if pairs > JUMP_PAIR_BUDGET:
         raise geometry.BudgetExceededError(f"{pairs} pairs exceed budget {JUMP_PAIR_BUDGET}")
-    level = geometry.levels(ifs, m, budget)[-1]
+    for level in geometry.iter_levels(ifs, m, budget):
+        pass
     required = [(r ** (n - 1) + r - 2) / (r - 1) for n in range(m)]
     threshold = [c ** (m - n) * rho * (1.0 - 1e-9) for n in range(m)]
     # the gaps l - j below required[n] are 1 .. short[n]

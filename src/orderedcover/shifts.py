@@ -46,6 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .geometry import _pow
 from .tagging import BuilderParams, TaggedCovering, build_tagged_covering
 from .separation import verify_separation
 
@@ -405,14 +406,6 @@ def check_cs2_lipschitz(
         samples=n_max,
         passed=measured <= fam.C0 * (1.0 + rtol),
     )
-
-
-def _pow(base, exponent: float):
-    """base ** exponent by Python's float pow, elementwise over a 1-d array: numpy's
-    ``**`` picks a vector kernel by CPU, and its last bit may differ from machine to machine."""
-    if np.ndim(base) == 0:
-        return base**exponent
-    return np.fromiter((v**exponent for v in base.tolist()), float, len(base))
 
 
 def cs1_envelope_closed_form(

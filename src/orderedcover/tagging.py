@@ -13,8 +13,9 @@ part corners, with t = r(r^s - 1)/(r - 1):
 A TaggedCovering holds the squares as two arrays in k order: cov.tags (q, 2),
 the bottom-left corners of the covered parts, and cov.sides (q,), the
 scheduled sides tau/(kN)^alpha. Each stage is one rank slice of a level, so
-the build concatenates slices of geometry.levels; the per-square index,
-stage and fineness groups appear only in to_record.
+the build copies one slice from each level of geometry.iter_levels as
+hbd_report checks the stream, and keeps no whole level; the per-square
+index, stage and fineness groups appear only in to_record.
 """
 
 from __future__ import annotations
@@ -295,22 +296,28 @@ def build_tagged_covering(
     s = params.s  # validates the exact side relation
     r, alpha = params.r, params.alpha
     t, q = _stage_counts(r, s, budget)
-    geometry.check_level_budget(r, s + t, budget)
-    lv = geometry.levels(ifs, s + t, budget)
-    report = hbd_report(lv, params.gamma, params.rho, s + t)
+    spans = _stage_spans(r, s, t)
+    parts = []  # per stage, copies of its parts' corners and sides
+
+    def keep_stages(levels):
+        for level in levels:
+            if level.m >= s:  # stage level.m - s is one rank slice of this level
+                _, _, first, count = spans[level.m - s]
+                window = slice(first, first + count)
+                parts.append((level.corners[window].copy(), level.sides[window].copy()))
+            yield level
+
+    lv = geometry.iter_levels(ifs, s + t, budget)
+    report = hbd_report(keep_stages(lv), params.gamma, params.rho, s + t)
     if not report.passed:
         fail = report.first_failure()
         raise ValueError(f"system fails dimension condition {fail.condition} at m={fail.m}")
 
-    # Python's float pow, not numpy's: numpy may take a SIMD pow that rounds
-    # differently on some CPUs, and verify_form recomputes sides with it.
-    sides = np.array([params.tau / (k * params.bigN) ** alpha for k in range(1, q + 1)])
-    tags, k0 = [], 0
-    for stage, m, first, count in _stage_spans(r, s, t):
-        window = slice(first, first + count)
-        if (lv[m].sides[window] > sides[k0 : k0 + count] + _S_TOL).any():
+    sides = params.tau / geometry._pow(np.arange(1, q + 1, dtype=float) * params.bigN, alpha)
+    k0 = 0
+    for (stage, *_, count), (_, part_sides) in zip(spans, parts, strict=True):
+        if (part_sides > sides[k0 : k0 + count] + _S_TOL).any():
             raise AssertionError(f"stage {stage} has a square smaller than its covered part")
-        tags.append(lv[m].corners[window])
         k0 += count
     assert k0 == q
 
@@ -325,6 +332,6 @@ def build_tagged_covering(
         s=s,
         t=t,
         q=q,
-        tags=np.concatenate(tags),
+        tags=np.concatenate([corners for corners, _ in parts]),
         sides=sides,
     )

@@ -1,4 +1,4 @@
-"""Single-part and vertex-array references for the rank-indexed levels."""
+"""Single-part, vertex-array and whole-level references for the rank-indexed levels."""
 
 import numpy as np
 
@@ -46,4 +46,26 @@ def reference_levels(ifs: OrderedIFS, m_max: int) -> list[Level]:
         vertices = reference_images(ifs, ifs.base_vertices(), m)
         lo = vertices.min(axis=1)
         out.append(Level(m, ifs.r, lo, (vertices.max(axis=1) - lo).max(axis=1)))
+    return out
+
+
+def whole_level_boxes(ifs: OrderedIFS, points: np.ndarray, m_max: int) -> list[np.ndarray]:
+    """Boxes (4, r^m) for m = 0..m_max: rows lo x, lo y, hi x, hi y of the
+    images of the points (k, 2) under every word of length m, in rank order.
+
+    Every level is built whole as x and y columns (k, r^m): phi_1..phi_r
+    applied to the previous level as a x + b y + t, with the entries of
+    Similarity.matrix(), and concatenated in map order. A box is the min
+    and max of its column.
+    """
+    steps = [(*sim.matrix().ravel().tolist(), *sim.shift) for sim in ifs.maps]
+    x, y = np.asarray(points, dtype=float).T[:, :, None]
+    out = []
+    for m in range(m_max + 1):
+        if m:
+            x, y = (
+                np.concatenate([a * x + b * y + tx for a, b, _, _, tx, _ in steps], axis=1),
+                np.concatenate([c * x + d * y + ty for _, _, c, d, _, ty in steps], axis=1),
+            )
+        out.append(np.stack([x.min(axis=0), y.min(axis=0), x.max(axis=0), y.max(axis=0)]))
     return out

@@ -274,7 +274,7 @@ def test_verify_jump_refuses_an_over_budget_pair_count(capsys, monkeypatch):
     def no_levels(*args, **kwargs):
         raise AssertionError("levels built before the pair budget check")
 
-    monkeypatch.setattr("orderedcover.geometry.levels", no_levels)
+    monkeypatch.setattr("orderedcover.geometry._part_boxes", no_levels)
     assert main(["verify-jump", "--name", "sierpinski", "--m", "12"]) == 1
     out, err = capsys.readouterr()
     assert out == ""

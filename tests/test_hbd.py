@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderedcover.geometry import GEOM_TOL, Level, levels
+from orderedcover.geometry import GEOM_TOL, Level, iter_levels, levels
 from orderedcover.hbd import (
     check_adjacency,
     check_diameters,
@@ -18,6 +18,8 @@ from orderedcover.zoo import (
     minkowski_sausage,
     sierpinski_gasket,
     unit_interval,
+    zoo_curve,
+    zoo_ifs,
 )
 
 SYSTEMS = [sierpinski_gasket(), hilbert_square(), koch_curve(), minkowski_sausage()]
@@ -163,3 +165,24 @@ def test_report_record_shape():
 def test_low_m_max_rejected():
     with pytest.raises(ValueError):
         hbd_report(sierpinski_gasket(), 1.0, 1.0, 0)
+
+
+@pytest.mark.parametrize(
+    "name, deflate, m",
+    [("gap-dust", 1.0, 6), ("koch", 0.9, 6), ("arrowhead-pseudo:6", 1.0, 6)],
+)
+def test_report_is_the_same_over_a_stream_and_a_list(name, deflate, m):
+    if name.startswith("arrowhead"):
+        curve = zoo_curve(name)
+        gamma, rho = deflate / curve.holder_beta, curve.holder_rho
+        listed = holder_levels(curve, m)
+        sources = [listed, iter(holder_levels(curve, m))]
+    else:
+        ifs = zoo_ifs(name)
+        gamma, rho = deflate * ifs.gamma, ifs.rho
+        listed = levels(ifs, m)
+        sources = [listed, iter_levels(ifs, m), ifs]
+    records = [hbd_report(src, gamma, rho, m, name=name).to_record() for src in sources]
+    assert not records[0]["pass"]
+    assert all(record == records[0] for record in records)
+

@@ -2,13 +2,18 @@
 
 System levels are checked against compose_part and, bit for bit, against the
 (n, k, 2) vertex recursion of geometry_reference; so are the point images
-behind attractor_points and the pseudo curves. Curve levels are checked
-against a per-interval loop kept here. The nesting check is held to a
-reference that repeats each parent box r times.
+behind attractor_points and the pseudo curves. The streamed boxes, whose
+last level is reduced block by block, are checked bit for bit against the
+whole-level recursion. Curve levels are checked against a per-interval loop
+kept here. The nesting check is held to a reference that repeats each
+parent box r times. Two memory bounds hold the streamed pipeline to about
+two levels at a time.
 """
 
 import functools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from orderedcover.geometry import (
     lex_unrank,
 )
 from orderedcover.hbd import check_adjacency, check_nesting, hbd_report
+from orderedcover.tagging import BuilderParams, build_tagged_covering
 from orderedcover.zoo import (
     CurveEvaluator,
     arrowhead_pseudo,
@@ -41,7 +47,7 @@ from orderedcover.zoo import (
     unit_interval,
 )
 
-from geometry_reference import compose_part, reference_images, reference_levels
+from geometry_reference import compose_part, reference_images, reference_levels, whole_level_boxes
 
 MAKERS = (sierpinski_gasket, hilbert_square, koch_curve, minkowski_sausage, unit_interval, gap_dust)
 SYSTEMS = {make().name: make for make in MAKERS}
@@ -85,7 +91,7 @@ def test_levels_refuse_before_building(monkeypatch):
     def no_images(*args):
         raise AssertionError("a level was built")
 
-    monkeypatch.setattr(geometry, "_image_columns", no_images)
+    monkeypatch.setattr(geometry, "_part_boxes", no_images)
     with pytest.raises(BudgetExceededError, match="^243 parts exceed budget 100$"):
         levels(sierpinski_gasket(), 7, budget=100)
     with pytest.raises(BudgetExceededError, match="^243 parts exceed budget 100$"):
@@ -158,6 +164,16 @@ def assert_images_same_bits(ifs, points, m):
         assert images_under_words(ifs, point, m).tobytes() == want[:, k].tobytes()
 
 
+def assert_boxes_same_bits(ifs, points, m):
+    """Streamed boxes equal the whole-level ones byte for byte, so every zero
+    has the reference's sign too."""
+    got = list(geometry._part_boxes(ifs, points, m))
+    want = whole_level_boxes(ifs, points, m)
+    assert len(got) == len(want) == m + 1
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # every zoo system as deep as 8, or as deep as the part budget allows
 ZOO_DEPTH = {name: 6 if name == "minkowski" else 8 for name in SYSTEMS}
 
@@ -170,6 +186,16 @@ def test_levels_match_vertex_reference_bit_for_bit(name):
         assert_same_bits(level, ref)
     points = np.vstack([ifs.base_vertices(), [[0.3, -0.7], [1e-3, 2.5]]])
     assert_images_same_bits(ifs, points, ZOO_DEPTH[name])
+    assert_boxes_same_bits(ifs, ifs.base_vertices(), ZOO_DEPTH[name])
+    assert_boxes_same_bits(ifs, points, ZOO_DEPTH[name])
+
+
+@pytest.mark.parametrize("m", [15, 16, 17])
+def test_last_level_over_several_blocks_matches_whole_level_bit_for_bit(m):
+    # the last level's parents number 2^(m-1): 2, 4 and 8 blocks per map
+    ifs = unit_interval()
+    assert 2 ** (m - 1) >= 2 * geometry._BLOCK_PARTS
+    assert_boxes_same_bits(ifs, ifs.base_vertices(), m)
 
 
 @st.composite
@@ -201,12 +227,17 @@ def random_systems(draw):
 @settings(max_examples=60, deadline=None)
 def test_levels_of_drawn_systems_match_vertex_reference_bit_for_bit(ifs, data):
     depth = data.draw(st.integers(0, {2: 9, 3: 6, 4: 5}[ifs.r]))
-    got, want = levels(ifs, depth), reference_levels(ifs, depth)
-    for level, ref in zip(got, want, strict=True):
-        assert_same_bits(level, ref)
+    # small blocks split the last level into many, the last one ragged
+    block = data.draw(st.sampled_from([1, 3, 7, geometry._BLOCK_PARTS]))
     xy = st.floats(-3.0, 3.0)
     points = np.array(data.draw(st.lists(st.tuples(xy, xy), min_size=1, max_size=4)))
-    assert_images_same_bits(ifs, points, depth)
+    with mock.patch.object(geometry, "_BLOCK_PARTS", block):
+        got, want = levels(ifs, depth), reference_levels(ifs, depth)
+        for level, ref in zip(got, want, strict=True):
+            assert_same_bits(level, ref)
+        assert_images_same_bits(ifs, points, depth)
+        assert_boxes_same_bits(ifs, ifs.base_vertices(), depth)
+        assert_boxes_same_bits(ifs, points, depth)
 
 
 def reference_nesting(parent, child, tol=GEOM_TOL):
@@ -312,3 +343,29 @@ def test_nesting_of_curve_levels_matches_reference(family):
     curve, lv = curve_levels(family, 3)
     for parent, child in zip(lv, lv[1:]):
         assert_nesting_matches_reference(parent, child)
+
+
+def peak_traced_mb(run) -> float:
+    """Most memory traced during run(), above the level at its start."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_tagged_build_keeps_no_whole_level():
+    # s = 3: levels 0..17, 262,143 parts in all, of which the q = 16,384
+    # squares keep one stage slice per level
+    ifs = unit_interval()
+    params = BuilderParams.from_stage(ifs, 3, 1)
+    assert peak_traced_mb(lambda: build_tagged_covering(ifs, params)) <= 12.0
+
+
+def test_report_at_524288_parts_holds_about_two_levels():
+    # level 19 of the line has 524,288 parts, 16 MB of boxes; the vertex
+    # images of level 18 are another 16 MB, and all 20 levels hold twice that
+    assert peak_traced_mb(lambda: hbd_report(unit_interval(), 1.0, 1.0, 19)) <= 45.0

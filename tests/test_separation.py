@@ -772,11 +772,11 @@ def test_jump_lemma_refuses_an_over_budget_pair_count(monkeypatch):
     monkeypatch.setattr(separation, "JUMP_PAIR_BUDGET", 120)
     assert verify_jump_lemma(unit_interval(), 4).pairs_checked > 0
     monkeypatch.setattr(separation, "JUMP_PAIR_BUDGET", 119)
-    monkeypatch.setattr(geometry, "levels", no_levels)
+    monkeypatch.setattr(geometry, "_part_boxes", no_levels)
     with pytest.raises(BudgetExceededError, match="120 pairs exceed budget 119"):
         verify_jump_lemma(unit_interval(), 4)
     monkeypatch.undo()
-    monkeypatch.setattr(geometry, "levels", no_levels)
+    monkeypatch.setattr(geometry, "_part_boxes", no_levels)
     # the gasket at m = 11 is inside the part budget but past 2^31 pairs
     with pytest.raises(BudgetExceededError, match="15690441231 pairs exceed budget 2147483648"):
         verify_jump_lemma(sierpinski_gasket(), 11)

@@ -154,7 +154,7 @@ def test_deep_audit_is_refused_before_any_level_is_built(monkeypatch):
         raise AssertionError("levels were built")
 
     monkeypatch.delenv("HBD_COVER_BUDGET", raising=False)
-    monkeypatch.setattr(geometry, "levels", no_levels)
+    monkeypatch.setattr(geometry, "_part_boxes", no_levels)
     ifs = sierpinski_gasket()
     with pytest.raises(BudgetExceededError, match="^1594323 parts exceed budget 1000000$"):
         build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 2, 1))
