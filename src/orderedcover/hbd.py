@@ -138,8 +138,8 @@ def hbd_report(
 
     source is either an ordered system (its levels are generated one at a
     time, after the budget check) or any iterable of its levels for
-    resolutions 0..m_max in order, such as a list from
-    ``zoo.holder_levels`` or the stream of ``geometry.iter_levels``. Only
+    resolutions 0..m_max in order, such as the stream of
+    ``zoo.holder_levels`` or of ``geometry.iter_levels``. Only
     the level before the current one is kept.
     """
     if m_max < 1:

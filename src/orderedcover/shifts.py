@@ -11,6 +11,8 @@ families, the d-fold product shifts T (backward) and S (forward, inverse
 weights, a right inverse of T), the Lipschitz and summability checks, the
 common-vector construction u = u_0 + sum_i S_{iN, lambda_i} v_t, and the
 3-eta universality certificate over a tagged covering. Norms are sup norms.
+Vectors keep only their nonzero columns: u has at most 1 + q |supp v_t| of
+them, so a run holds O(q kappa) numbers however long the truncation L is.
 
 In every family f(x, n) rises in x, linearly or concavely, so both weight checks
 are exact at the interval's left end a, with no x sampled: the CS2 constant is
@@ -30,35 +32,56 @@ and each shifted column whose bound u_c + f(x_hi, n), plus a rounding margin,
 reaches the smallest near-term maximum among its box's rows, x_hi being the box's
 upper corner. No skipped column can be a row's maximum, so the sup is exact.
 
-The N search tries steps N = kappa, 2 kappa, ... and takes the first whose
-envelope tail is below min(TAIL_BUDGET eta, eta). A step's tail is added in order
-and stops as soon as the running sum reaches that limit: the terms are
-nonnegative, so the full sum could not be below it. The chosen step's tail is
-summed in full.
+The N search takes the least step N = step kappa whose envelope tail is below
+min(TAIL_BUDGET eta, eta). Its pass falls monotonically with N: sigma is
+min(sigma_cs2, 0.99 sigma_fit) with sigma_cs2 proportional to N^-alpha, so D = sigma D_geo
+does not rise with N. A growth envelope rises with D and its tail starts at k = N, so
+the tail, a sum of fewer and no larger nonnegative terms, does not rise either. A
+constant-weight envelope has horizon qN; where sigma_cs2 binds, D qN is constant and
+(k / (qN + k))^alpha_g falls, so the tail falls too. Where sigma_fit binds, D is fixed and
+the horizon grows, so those steps (small N, constant weights only) are tried in turn;
+from the first step past them the search gallops (1, 2, 4, ... steps on) and bisects.
+
+A tail is a certified upper bound: the head is summed in order up to the first term
+below 1e-18 past start + 10 (at most HEAD_TERMS terms), and past the head's end K the
+envelope's remainder is added. It rests on env(k) <= A - B m^beta for m = k + delta,
+delta >= 0, with B > 0 and M = K + delta:
+
+    sum_{k >= K} e^env(k) <= e^(A - B M^beta) + e^A (1/beta) B^(-1/beta) Gamma(1/beta, B M^beta),
+
+the first term plus the integral of the decreasing bound, and Gamma(s, z) <= z^(s-1)
+e^-z / (1 - (s-1)/z) for z > s - 1 (integrate by parts once). beta is alpha for the growth
+families and 1 (a geometric series) for constant weights. Head plus remainder does not
+rise with K, so a probe stops once its head reaches the limit (fail) or head plus
+remainder falls below it (pass), on the side of the limit the whole tail is on.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import _pow
+from .geometry import BudgetExceededError, _pow
 from .tagging import BuilderParams, TaggedCovering, build_tagged_covering
 from .separation import verify_separation
 
 NEG_INF = float("-inf")
-# Rows (tags, boxes) and columns of u per array block.
+# Rows (tags, boxes) and entries of u per array block.
 _BLOCK = 64
 # Cells (rows x factors x columns) of a row-chunked temporary, unless one row is wider.
 _CELLS = 1 << 16
-TABLE_LEN = 20000  # the largest k a generic envelope takes
-# run_dynamics_experiment: the least truncation length, the shares of eta spent
-# on the CS2 step and on the envelope tail, and the most shift steps searched.
-L_MIN, CS2_BUDGET, TAIL_BUDGET, MAX_STEPS = 200, 0.8, 0.5, 100
+# run_dynamics_experiment: the least truncation length, and the shares of eta spent
+# on the CS2 step and on the envelope tail.
+L_MIN, CS2_BUDGET, TAIL_BUDGET = 200, 0.8, 0.5
+# The most envelope terms a tail sums before it adds the remainder bound.
+HEAD_TERMS = 1 << 22
+# plus-power has no closed-form f(x, n): its cumulative log-weights cost rows x factors x
+# columns cells, the rows being the q terms of u and the 2q box corners. A run needing
+# more is refused. The largest allowed run takes about 15 s on a 2-core x86-64 VM.
+CUMULATIVE_BUDGET = 2**28
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +139,7 @@ class WeightFamily:
     log_products(x, n_max) returns the table [f(x, 0), ..., f(x, n_max)], or
     for a 1-d array of x one such row per x; dlog_products(x, n_max) returns
     [df/dx(x, 0), ..., df/dx(x, n_max)] for one x. A family linear in x,
-    f(x, n) = x g(n), also gives g_row(n_max) = [g(0), ..., g(n_max)].
+    f(x, n) = x n^alpha, also gives g(n) = n^alpha at an int array of n.
     """
 
     name: str
@@ -126,7 +149,7 @@ class WeightFamily:
     C2: float
     log_products: Callable[[float | np.ndarray, int], np.ndarray]
     dlog_products: Callable[[float, int], np.ndarray]
-    g_row: Callable[[int], np.ndarray] | None = None
+    g: Callable[[np.ndarray], np.ndarray] | None = None
 
     def weight(self, x: float, n: int) -> float:
         if n < 1:
@@ -135,28 +158,27 @@ class WeightFamily:
         return math.exp(float(table[n] - table[n - 1]))
 
 
-def _linear_family(name: str, alpha: float, g_row, slope) -> WeightFamily:
-    """f(x, n) = x g(n), C0 = C1 = C2 = 1."""
+def _linear_family(name: str, alpha: float, slope) -> WeightFamily:
+    """f(x, n) = x n^alpha, C0 = C1 = C2 = 1."""
+    g = lambda n: np.asarray(n, dtype=float) ** alpha
 
     def table(x: float | np.ndarray, n_max: int) -> np.ndarray:
-        return np.asarray(x, dtype=float)[..., None] * g_row(n_max)
+        return np.asarray(x, dtype=float)[..., None] * g(np.arange(n_max + 1))
 
-    return WeightFamily(name, alpha, 1.0, 1.0, 1.0, table, slope, g_row)
+    return WeightFamily(name, alpha, 1.0, 1.0, 1.0, table, slope, g)
 
 
 def rolewicz_family() -> WeightFamily:
     """Constant weights e^x: f(x, n) = x n (the classical scalar multiple)."""
-    g_row = lambda n_max: np.arange(n_max + 1, dtype=float)
-    return _linear_family("rolewicz", 1.0, g_row, lambda x, n_max: g_row(n_max))
+    return _linear_family("rolewicz", 1.0, lambda x, n_max: np.arange(n_max + 1, dtype=float))
 
 
 def power_family(alpha: float) -> WeightFamily:
     """f(x, n) = x n^alpha: the exactly-C0=1 Lipschitz family."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
-    g_row = lambda n_max: np.arange(n_max + 1, dtype=float) ** alpha
     slope = lambda x, n_max: _pow(np.arange(n_max + 1, dtype=float), alpha)
-    return _linear_family(f"power:{alpha}", alpha, g_row, slope)
+    return _linear_family(f"power:{alpha}", alpha, slope)
 
 
 def plus_power_family(alpha: float) -> WeightFamily:
@@ -198,14 +220,13 @@ def _rows_per_chunk(cells_per_row: int) -> int:
     return max(1, _CELLS // max(cells_per_row, 1))
 
 
-def _log_products_at(fam: WeightFamily, top: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """(x (R, d), int cols (R, K) in 0..top) -> f(x, cols) of shape (R, d, K), bit for
-    bit the entries of fam.log_products(x, top). A family linear in x gathers g_row(top),
-    computed once; plus-power cumulates a table per chunk of rows, out to the chunk's
-    largest column."""
-    if fam.g_row is not None:
-        g = fam.g_row(top)
-        return lambda x, cols: x[:, :, None] * g[cols][:, None, :]
+def _log_products_at(fam: WeightFamily) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """(x (R, d), int cols (R, K)) -> f(x, cols) of shape (R, d, K), bit for bit the
+    entries of fam.log_products(x, cols.max()). A family linear in x evaluates g at
+    the columns only; plus-power cumulates a table per chunk of rows, out to the
+    chunk's largest column."""
+    if fam.g is not None:
+        return lambda x, cols: x[:, :, None] * fam.g(cols)[:, None, :]
 
     def at(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
         out = np.empty(x.shape + cols.shape[1:])
@@ -226,64 +247,94 @@ def _log_products_at(fam: WeightFamily, top: int) -> Callable[[np.ndarray, np.nd
 
 @dataclass
 class FiniteVector:
-    """d-fold vector on coordinates 0..L in (sign, logmag) form, normed by its
-    largest magnitude (the max over factors of the factors' sup norms)."""
+    """d-fold vector on coordinates 0..L, kept as its nonzero columns: cols (n,)
+    ascending and distinct, sign and logmag (d, n), a factor that is zero at a
+    column holding (0, -inf). Normed by its largest magnitude (the max over
+    factors of the factors' sup norms)."""
 
+    cols: np.ndarray
     sign: np.ndarray
     logmag: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.sign = np.atleast_2d(np.asarray(self.sign, dtype=float))
-        self.logmag = np.atleast_2d(np.asarray(self.logmag, dtype=float))
-        if self.sign.shape != self.logmag.shape:
-            raise ValueError("sign/logmag shape mismatch")
+    L: int
 
     @property
     def d(self) -> int:
         return self.sign.shape[0]
 
-    @property
-    def L(self) -> int:
-        return self.sign.shape[1] - 1
-
     @classmethod
     def zeros(cls, d: int, L: int) -> "FiniteVector":
-        return cls(np.zeros((d, L + 1)), np.full((d, L + 1), NEG_INF))
+        return cls(np.zeros(0, dtype=int), np.zeros((d, 0)), np.zeros((d, 0)), L)
 
     @classmethod
     def basis(cls, d: int, L: int, position: int, value: float = 1.0) -> "FiniteVector":
-        out = cls.zeros(d, L)
         if not 0 <= position <= L:
             raise ValueError("basis position outside 0..L")
-        out.sign[:, position] = math.copysign(1.0, value) if value else 0.0
-        out.logmag[:, position] = math.log(abs(value)) if value else NEG_INF
-        return out
+        return cls(np.array([position]), *slog_from_values(np.full((d, 1), float(value))), L)
+
+    @classmethod
+    def from_dense(cls, sign: np.ndarray, logmag: np.ndarray) -> "FiniteVector":
+        sign, logmag = np.atleast_2d(sign), np.atleast_2d(logmag)
+        cols = np.flatnonzero((sign != 0.0).any(axis=0))
+        return cls(cols, sign[:, cols], logmag[:, cols], sign.shape[1] - 1)
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "FiniteVector":
-        return cls(*slog_from_values(np.atleast_2d(values)))
+        return cls.from_dense(*slog_from_values(np.atleast_2d(values)))
+
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """sign and logmag on every coordinate 0..L, (d, L + 1) each."""
+        sign, logmag = np.zeros((self.d, self.L + 1)), np.full((self.d, self.L + 1), NEG_INF)
+        sign[:, self.cols], logmag[:, self.cols] = self.sign, self.logmag
+        return sign, logmag
 
     def to_values(self) -> np.ndarray:
-        return slog_to_values(self.sign, self.logmag)
+        return slog_to_values(*self.dense())
 
-    def copy(self) -> "FiniteVector":
-        return FiniteVector(self.sign.copy(), self.logmag.copy())
+    def at(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sign and logmag at an int array of columns, (d,) + cols.shape each."""
+        if not len(self.cols):
+            return np.zeros((self.d,) + cols.shape), np.full((self.d,) + cols.shape, NEG_INF)
+        i = np.minimum(np.searchsorted(self.cols, cols), len(self.cols) - 1)
+        hit = self.cols[i] == cols
+        return np.where(hit, self.sign[:, i], 0.0), np.where(hit, self.logmag[:, i], NEG_INF)
 
     def support_max(self) -> int:
-        nz = np.nonzero(self.sign != 0.0)[1]
+        nz = self.cols[(self.sign != 0.0).any(axis=0)]
         return int(nz.max()) if nz.size else -1
 
     def plus(self, other: "FiniteVector") -> "FiniteVector":
-        return FiniteVector(*slog_add(self.sign, self.logmag, other.sign, other.logmag))
+        return _summed(self, other.cols, other.sign, other.logmag)
 
     def minus(self, other: "FiniteVector") -> "FiniteVector":
-        return FiniteVector(*slog_add(self.sign, self.logmag, -other.sign, other.logmag))
+        return _summed(self, other.cols, -other.sign, other.logmag)
 
     def log_norm(self) -> float:
-        return float(self.logmag.max())
+        return float(self.logmag.max(initial=NEG_INF))
 
     def norm(self) -> float:
         return math.exp(self.log_norm())
+
+
+def _summed(
+    u: FiniteVector, cols: np.ndarray, sign: np.ndarray, logmag: np.ndarray
+) -> FiniteVector:
+    """u plus the entries (cols, sign, logmag), in order: entries meeting at one column
+    are added after u's, one round per rank within the column."""
+    cols = np.concatenate([u.cols, cols])
+    sign = np.concatenate([u.sign, sign], axis=1)
+    logmag = np.concatenate([u.logmag, logmag], axis=1)
+    order = np.argsort(cols, kind="stable")
+    cols, sign, logmag = cols[order], sign[:, order], logmag[:, order]
+    starts = np.diff(cols, prepend=-1) != 0
+    first, inverse = np.flatnonzero(starts), np.cumsum(starts) - 1
+    out_cols, out_sign, out_logmag = cols[first], sign[:, first], logmag[:, first]
+    rank = np.arange(len(cols)) - first[inverse]
+    for r in range(1, int(rank.max(initial=0)) + 1):
+        at, c = rank == r, inverse[rank == r]
+        out_sign[:, c], out_logmag[:, c] = slog_add(
+            out_sign[:, c], out_logmag[:, c], sign[:, at], logmag[:, at]
+        )
+    return FiniteVector(out_cols, out_sign, out_logmag, u.L)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +402,9 @@ def product_apply(
     if direction not in ("backward", "forward"):
         raise ValueError("direction must be 'backward' or 'forward'")
     op = backward_power if direction == "backward" else forward_power
-    signs, logmags = [], []
-    for j in range(u.d):
-        s, a = op(fam, float(lam[j]), n, (u.sign[j], u.logmag[j]))
-        signs.append(s)
-        logmags.append(a)
-    return FiniteVector(np.stack(signs), np.stack(logmags))
+    sign, logmag = u.dense()
+    out = [op(fam, float(lam[j]), n, (sign[j], logmag[j])) for j in range(u.d)]
+    return FiniteVector.from_dense(np.stack([s for s, _ in out]), np.stack([a for _, a in out]))
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +439,16 @@ def check_cs2_lipschitz(
 ) -> CS2Report:
     """The exact sup of |f(x,n) - f(y,n)| / (n^alpha |x - y|) over x != y in [a, b] and
     1 <= n <= n_max, against C0: f(., n) rises, linearly or concavely, so it is at x = y = a.
-    The scale n^alpha and the families' slopes take Python's float pow (_pow), so the
-    measured sup is the same on every CPU."""
+    For f = x n^alpha the quotient is 1 at every n. Otherwise the scale n^alpha and the
+    slopes take Python's float pow (_pow), so the measured sup is the same on every CPU."""
     a, b = interval
     if not a < b:
         raise ValueError(f"interval needs a < b, got [{a}, {b}]")
-    scale = _pow(np.arange(n_max + 1, dtype=float), fam.alpha)
-    measured = float((fam.dlog_products(a, n_max)[1:] / scale[1:]).max(initial=0.0))
+    if fam.g is not None:
+        measured = 1.0 if n_max >= 1 else 0.0
+    else:
+        scale = _pow(np.arange(n_max + 1, dtype=float), fam.alpha)
+        measured = float((fam.dlog_products(a, n_max)[1:] / scale[1:]).max(initial=0.0))
     return CS2Report(
         family=fam.name,
         measured=measured,
@@ -406,6 +457,18 @@ def check_cs2_lipschitz(
         samples=n_max,
         passed=measured <= fam.C0 * (1.0 + rtol),
     )
+
+
+def _tail_bound(log_first: float, B: float, beta: float, M: float) -> float:
+    """sum over m >= M of e^(A - B m^beta), given log_first = A - B M^beta: at most
+    e^log_first (1 + M^(1-beta) / (beta B (1 - (1/beta - 1) / z))), z = B M^beta, the
+    module docstring's bound; inf unless B > 0 and z > 1/beta - 1."""
+    z = B * M**beta
+    if not (B > 0.0 and z > 1.0 / beta - 1.0):
+        return math.inf
+    ratio = M ** (1.0 - beta) / (beta * B * (1.0 - (1.0 / beta - 1.0) / z))
+    log_sum = log_first + math.log1p(ratio)
+    return math.exp(log_sum) if log_sum < 709.0 else math.inf
 
 
 def cs1_envelope_closed_form(
@@ -422,6 +485,9 @@ def cs1_envelope_closed_form(
     n -> infinity limit (D - a) k exists; otherwise a finite horizon
     n <= horizon is required (the exponent pairing is then only
     finite-range summable). The envelope takes an int or an int array of k.
+    Its remainder(K, env(K)) bounds the sum of e^env(k) over k >= K: D n (k/(n+k))^alpha_g
+    is concave in k for alpha_g <= 1, so past K env lies below its tangent at K,
+    a geometric series.
     """
     a = interval[0]
     log_m = math.log(max_abs) if max_abs > 0 else NEG_INF
@@ -432,29 +498,37 @@ def cs1_envelope_closed_form(
         def env(k):
             return (D - a) * k + log_m
 
+        env.remainder = lambda K, log_K: _tail_bound(log_K, a - D, 1.0, K)
         return env
-
+    if alpha_g > 1.0:
+        raise ValueError("the finite-horizon tail bound needs alpha_g <= 1")
     n_star = float(horizon)
 
     def env(k):
         return D * n_star * _pow(k / (n_star + k), alpha_g) - a * k + log_m
 
+    def remainder(K: int, log_K: float) -> float:
+        slope = alpha_g * D * n_star**2 * (K / (n_star + K)) ** alpha_g / (K * (n_star + K))
+        return _tail_bound(log_K, a - slope, 1.0, K)
+
+    env.remainder = remainder
     return env
 
 
-def _gain_floor(fam: WeightFamily, a: float, L: int) -> np.ndarray:
-    """min over l <= L of f(a, k+l) - f(a, l) for k = 0..TABLE_LEN. Each gain is
-    a sum of log-weights, which increase in x: this is the floor over x >= a."""
-    row = fam.log_products(a, TABLE_LEN + L)
-    return np.min([row[l : l + TABLE_LEN + 1] - row[l] for l in range(L + 1)], axis=0)
-
-
-@functools.lru_cache(maxsize=8)
-def _k_powers(alpha: float) -> np.ndarray:
-    """k^alpha for k = 0..TABLE_LEN by Python's float pow, kept per alpha, read-only."""
-    out = _pow(np.arange(TABLE_LEN + 1, dtype=float), alpha)
-    out.flags.writeable = False
-    return out
+def _gain_floor(fam: WeightFamily, a: float, L: int, k: np.ndarray) -> np.ndarray:
+    """min over l <= L of f(a, k+l) - f(a, l) at an int array k. Each gain is a sum of
+    log-weights, which rise in x, so this is the floor over x >= a; they do not rise in
+    n, so in exact arithmetic the min is the gain at l = L. Taking the least of the L + 1
+    computed gains keeps the floor at the least rounded one."""
+    top = int(k.max(initial=0)) + L
+    if fam.g is None:
+        lo, row = 0, fam.log_products(a, top)
+        base = row[: L + 1]
+    else:
+        # f(a, .) once per column from the least k on, as the tail asks for runs of k
+        lo = int(k.min(initial=top))
+        row, base = a * fam.g(np.arange(lo, top + 1)), a * fam.g(np.arange(L + 1))
+    return np.min([row[k - lo + l] - base[l] for l in range(L + 1)], axis=0)
 
 
 def _generic_envelopes(
@@ -465,24 +539,39 @@ def _generic_envelopes(
 ) -> Callable[[float], Callable[[float], float]]:
     """D -> log c_k = log((L+1)(M+1)) + 2 C0 D (L^alpha + k^alpha) - min over l <= L,
     x in I of (f(x, l+k) - f(x, l)), for L = support_max, M = max_abs and an int or
-    int array of k up to TABLE_LEN; valid for any shift count when fam.alpha <= the
-    geometric exponent of D's premise. The min, the gain floor at x = a, is computed
-    once and kept with k^alpha."""
-    L = support_max
-    floor = _gain_floor(fam, interval[0], L)
-    k_alpha = _k_powers(fam.alpha)
+    int array of k; valid for any shift count when fam.alpha <= the geometric exponent
+    of D's premise.
+
+    remainder(K, env(K)) bounds the terms from K on. Past K the floor F rises at least as
+    s ((k + L + delta)^alpha - (K + L + delta)^alpha): exactly, with s = a and delta = 0,
+    for f = x n^alpha; for plus-power with delta = 1 and s = a / (alpha (1 + a M^(alpha-1))),
+    M = K + L + 1, since each log-weight log(1 + z) >= z / (1 + z) >= s alpha j^(alpha-1)
+    for j >= M, and a sum of the decreasing j^(alpha-1) is at least its integral. With
+    k^alpha <= (k + L + delta)^alpha that is env(k) <= A - (s - 2 C0 D) m^alpha for
+    m = k + L + delta, the module docstring's bound with beta = alpha.
+    """
+    a, L, alpha, C0 = interval[0], support_max, fam.alpha, fam.C0
     log_size = math.log((L + 1) * (max_abs + 1.0))
 
     def envelope(D: float) -> Callable[[float], float]:
-        prefactor = log_size + 2.0 * fam.C0 * D * L**fam.alpha
+        prefactor = log_size + 2.0 * C0 * D * L**alpha
 
         def env(k):
             ki = np.asarray(k).astype(int)
-            if ki.max() > TABLE_LEN:
-                raise ValueError(f"envelope table too short for k={ki.max()}")
-            out = prefactor + 2.0 * fam.C0 * D * k_alpha[ki] - floor[ki]
-            return out if ki.ndim else float(out)
+            k1 = ki.reshape(-1)
+            out = prefactor + 2.0 * C0 * D * k1.astype(float) ** alpha - _gain_floor(fam, a, L, k1)
+            return out.reshape(ki.shape) if ki.ndim else float(out[0])
 
+        def remainder(K: int, log_K: float) -> float:
+            if fam.g is not None:
+                M, s = K + L, a
+            else:
+                M = K + L + 1
+                s = a / (alpha * (1.0 + a * M ** (alpha - 1.0)))
+            log_first = log_K + 2.0 * C0 * D * (M**alpha - K**alpha)
+            return _tail_bound(log_first, s - 2.0 * C0 * D, alpha, M)
+
+        env.remainder = remainder
         return env
 
     return envelope
@@ -545,35 +634,22 @@ def build_common_vector(
     u0: FiniteVector,
     vt: FiniteVector,
 ) -> FiniteVector:
-    """u = u_0 + sum_{i=1..q} S_{iN, lambda_i} v_t."""
+    """u = u_0 + sum_{i=1..q} S_{iN, lambda_i} v_t, as at most u_0's entries plus
+    q |supp v_t| more: S^(iN) v_t is v_t moved to iN + supp, scaled by
+    e^-(f(x, l+iN) - f(x, l)). Terms meeting at one column are added in order of i."""
     if cfg.L < cov.q * cfg.bigN + max(vt.support_max(), 0):
         raise TruncationOverflowError(
             f"L={cfg.L} cannot hold q*N={cov.q * cfg.bigN} plus the target support"
         )
     params = tag_params(cov, cfg.d)
     _check_in_interval(params, cfg.interval)
-    # S^(iN) v_t is v_t moved to iN + supp, scaled by e^-(f(x, l+iN) - f(x, l))
-    supp = np.flatnonzero((vt.sign != 0.0).any(axis=0))
+    supp = vt.cols
     cols = np.arange(1, cov.q + 1)[:, None] * cfg.bigN + supp
-    at = _log_products_at(fam, int(cols.max(initial=0)))
+    at = _log_products_at(fam)
     f = at(params, np.concatenate([cols, np.broadcast_to(supp, cols.shape)], axis=1))
     w = f[..., : len(supp)] - f[..., len(supp) :]
-    cols = cols.ravel()
-    add_sign = np.tile(vt.sign[:, supp], cov.q)
-    add_logmag = (vt.logmag[:, supp] - w).transpose(1, 0, 2).reshape(cfg.d, -1)
-    # Terms meeting at one coordinate are added in order of i: round r adds
-    # the r-th term at every coordinate that has one.
-    order = np.argsort(cols, kind="stable")
-    rank = np.empty_like(cols)
-    rank[order] = np.arange(cols.size) - np.searchsorted(cols[order], cols[order])
-    u = u0.copy()
-    for r in range(int(rank.max(initial=-1)) + 1):
-        at = rank == r
-        c = cols[at]
-        u.sign[:, c], u.logmag[:, c] = slog_add(
-            u.sign[:, c], u.logmag[:, c], add_sign[:, at], add_logmag[:, at]
-        )
-    return u
+    add_logmag = (vt.logmag - w).transpose(1, 0, 2).reshape(cfg.d, -1)
+    return _summed(u0, cols.ravel(), np.tile(vt.sign, cov.q), add_logmag)
 
 
 @dataclass(frozen=True)
@@ -615,21 +691,24 @@ class _ShiftErrors:
 
     Coordinate l of T^n u - v_t is a near term when l is 0 or in v_t's support,
     and the shifted term e^(f(x, c) - f(x, c - n)) u_c, c = l + n, otherwise.
-    Near terms are evaluated for every row; a shifted column only if its bound
+    Near terms are evaluated for every row; a shifted entry of u only if its bound
     (module docstring) reaches the smallest near-term maximum among the rows of
     its box, so no skipped term can be a row's maximum and every error is exact.
-    Rows with a coordinate below 0 skip nothing. The steps are the elementwise
-    steps of product_apply(...).minus(vt).
+    Rows with a coordinate below 0 skip nothing. u's entries are read in blocks
+    of _BLOCK. The steps are the elementwise steps of product_apply(...).minus(vt).
     """
 
     def __init__(self, u: FiniteVector, fam: WeightFamily, vt: FiniteVector) -> None:
         self.u, self.vt, self.C0, self.alpha = u, vt, fam.C0, fam.alpha
-        self.at = _log_products_at(fam, u.L)
-        self.v_cols = np.union1d(np.flatnonzero((vt.sign != 0.0).any(axis=0)), [0])
-        blocks = -(-(u.L + 1) // _BLOCK)
+        self.at = _log_products_at(fam)
+        self.v_cols = np.union1d(vt.cols[(vt.sign != 0.0).any(axis=0)], [0])
+        n, blocks = len(u.cols), -(-len(u.cols) // _BLOCK)
+        self.cols = np.full(blocks * _BLOCK, u.L + 1)
+        self.cols[:n] = u.cols
         self.ulog = np.full((u.d, blocks * _BLOCK), NEG_INF)
-        self.ulog[:, : u.L + 1] = np.where(u.sign != 0.0, u.logmag, NEG_INF)
+        self.ulog[:, :n] = np.where(u.sign != 0.0, u.logmag, NEG_INF)
         self.block_max = self.ulog.reshape(u.d, blocks, _BLOCK).max(axis=2)
+        self.block_end = self.cols[_BLOCK - 1 :: _BLOCK]
         self.log_scale = 1.0 + float(np.abs(u.logmag[np.isfinite(u.logmag)]).max(initial=0.0))
 
     def margin(self, x_max: float) -> float:
@@ -639,14 +718,14 @@ class _ShiftErrors:
 
     def log_errors(self, lam: np.ndarray, ns: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """Rows lam (R, d) at shifts ns (R,); box k's rows begin at starts[k]."""
-        u, vt, v, L = self.u, self.vt, self.v_cols, self.u.L
-        v_src = np.minimum(v + ns[:, None], L)
-        v_in = (v + ns[:, None] <= L)[:, None]
-        f = self.at(lam, np.concatenate([v_src, np.broadcast_to(v, v_src.shape)], axis=1))
-        u_sign = np.where(v_in, u.sign[:, v_src].transpose(1, 0, 2), 0.0)
-        near = np.where(v_in, u.logmag[:, v_src].transpose(1, 0, 2), NEG_INF)
+        u, v, L = self.u, self.v_cols, self.u.L
+        v_src = v + ns[:, None]
+        near_cols = np.concatenate([np.minimum(v_src, L), np.broadcast_to(v, v_src.shape)], axis=1)
+        f = self.at(lam, near_cols)
+        u_sign, near = (a.transpose(1, 0, 2) for a in u.at(v_src))
         near += f[..., : len(v)] - f[..., len(v) :]
-        _, near = slog_add(u_sign, near, -vt.sign[:, v], vt.logmag[:, v])
+        v_sign, v_logmag = self.vt.at(v)
+        _, near = slog_add(u_sign, near, -v_sign, v_logmag)
         near_max = near.max(axis=(1, 2))
 
         n = ns[starts]
@@ -664,11 +743,12 @@ class _ShiftErrors:
         step = _rows_per_chunk(lam.shape[1] * (2 * k + len(v)))
         for lo in range(0, len(lam), step):
             rows = slice(lo, lo + step)
-            c, ok = cand[box[rows]], real[box[rows]]
+            e, ok = cand[box[rows]], real[box[rows]]
+            c = self.cols[e]
             f = self.at(lam[rows], np.concatenate([c, np.where(ok, c - ns[rows, None], 0)], axis=1))
             shifted = f[..., :k]
             shifted -= f[..., k:]
-            shifted += u.logmag[:, c].transpose(1, 0, 2)
+            shifted += self.ulog[:, e].transpose(1, 0, 2)
             shifted = np.where(ok[:, None], shifted, NEG_INF)
             log_norm[rows] = np.maximum(shifted.max(axis=(1, 2), initial=NEG_INF), near_max[rows])
         return log_norm
@@ -676,25 +756,25 @@ class _ShiftErrors:
     def _candidates(
         self, n: np.ndarray, gain: np.ndarray, floor: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per box, the nonzero columns c >= n, c - n off v_t's columns, with
-        u_c + gain >= floor in some factor: (boxes, K) columns, padded with 0,
-        and the mask of real ones. Columns come in 64-column blocks: first the
+        """Per box, the entries of u at columns c >= n, c - n off v_t's columns, with
+        u_c + gain >= floor in some factor: (boxes, K) entry indices, padded with 0,
+        and the mask of real ones. Entries come in blocks of _BLOCK: first the
         blocks whose maxima pass for the block of boxes, then for each box."""
-        blk = np.arange(n.min() // _BLOCK, self.block_max.shape[1])
+        blk = np.arange(np.searchsorted(self.cols, n.min()) // _BLOCK, self.block_max.shape[1])
         bm = self.block_max[:, blk]
         blk = blk[((bm + gain.max(axis=0)[:, None] >= floor.min()) & (bm > NEG_INF)).any(axis=0)]
         bm = self.block_max[:, blk]
         hit = ((bm + gain[:, :, None] >= floor[:, None, None]) & (bm > NEG_INF)).any(axis=1)
-        box, j = np.nonzero(hit & ((blk + 1) * _BLOCK > n[:, None]))
-        cols = blk[j, None] * _BLOCK + np.arange(_BLOCK)
-        vals = self.ulog[:, cols].transpose(1, 0, 2)
+        box, j = np.nonzero(hit & (self.block_end[blk] >= n[:, None]))
+        entries = blk[j, None] * _BLOCK + np.arange(_BLOCK)
+        cols, vals = self.cols[entries], self.ulog[:, entries].transpose(1, 0, 2)
         hit = ((vals + gain[box, :, None] >= floor[box, None, None]) & (vals > NEG_INF)).any(axis=1)
         hit &= (cols >= n[box, None]) & ~np.isin(cols - n[box, None], self.v_cols)
         pair, slot = np.nonzero(hit)
-        box, cols = box[pair], cols[pair, slot]
+        box, entries = box[pair], entries[pair, slot]
         count = np.bincount(box, minlength=len(n))
         cand = np.zeros((len(n), int(count.max(initial=0))), dtype=int)
-        cand[box, np.arange(len(box)) - (np.cumsum(count) - count)[box]] = cols
+        cand[box, np.arange(len(box)) - (np.cumsum(count) - count)[box]] = entries
         return cand, np.arange(cand.shape[1]) < count[:, None]
 
 
@@ -777,35 +857,56 @@ class DynamicsReport:
 
 
 def _envelope_tail(
-    envelope: Callable[[float], float], start: int, stop: int = 20000, limit: float = math.inf
+    envelope: Callable[[float], float], start: int, limit: float = math.inf
 ) -> float:
-    """sum of e^envelope(k), k = start, start+1, ..., up to the first term below
-    1e-18 past start + 10, added in order. Logs come in blocks of doubling length;
-    exp is monotone, so math.exp decides only logs within 1e-9 of log(1e-18).
-    With no such term by stop, or a term or a sum past the float range, the tail
-    is inf. A running sum that reaches limit is returned at the end of its block:
-    the terms are nonnegative, so the whole tail would not be below limit either.
+    """A certified upper bound on the sum of e^envelope(k) over k >= start: the head,
+    added in order up to the first term below 1e-18 past start + 10 or HEAD_TERMS
+    terms, plus envelope.remainder at the first k past it. Logs come in blocks of
+    doubling length, at most _CELLS, each with the log of the k after it for the
+    remainder. A term or a sum past the float range gives inf.
+
+    A probe with a limit returns early, on the side of the limit the whole bound is
+    on: the head once it reaches the limit, or head plus remainder once that falls
+    below it (module docstring).
     """
-    cut = math.log(1e-18)
     total, lo, size = 0.0, start, 64
-    while lo <= stop:
-        ks = np.arange(lo, min(lo + size, stop + 1))
+    while True:
+        ks = np.arange(lo, min(lo + size, start + HEAD_TERMS) + 1)
         logs = envelope(ks)
-        near = np.flatnonzero((ks > start + 10) & (logs < cut + 1e-9)).tolist()
-        small = (m for m in near if logs[m] < cut - 1e-9 or math.exp(logs[m]) < 1e-18)
-        end = next(small, None)
-        if end is not None:
-            logs = logs[: end + 1]
-        try:
-            terms = np.fromiter(map(math.exp, logs.tolist()), float)
-        except OverflowError:
-            return math.inf
+        with np.errstate(over="ignore"):
+            terms = np.exp(logs[:-1])
+        small = np.flatnonzero((ks[:-1] > start + 10) & (terms < 1e-18))
+        if small.size:
+            terms = terms[: small[0] + 1]
         with np.errstate(over="ignore"):
             total = float(np.cumsum(np.concatenate([[total], terms]))[-1])
-        if end is not None or total >= limit:
+        lo += len(terms)
+        if total >= limit:
             return total
-        lo, size = lo + size, 2 * size
-    return math.inf
+        done = small.size > 0 or lo == start + HEAD_TERMS
+        if done or limit < math.inf:
+            bound = total + envelope.remainder(lo, float(logs[len(terms)]))
+            if done or bound < limit:
+                return bound
+        size = min(2 * size, _CELLS)
+
+
+def _least_step(passes: Callable[[int], bool], first: int, top: int) -> int | None:
+    """The least step in 1..top at which passes holds, or None. Steps below first are
+    tried in turn; from first on passes is monotone, so the probes gallop (the 1st,
+    2nd, 4th, 8th, ... step from first) and then bisect."""
+    for step in range(1, first):
+        if passes(step):
+            return step
+    fail, ok = first - 1, first
+    while not passes(ok):
+        if ok == top:
+            return None
+        fail, ok = ok, min(2 * ok - first + 1, top)
+    while ok - fail > 1:
+        mid = (fail + ok) // 2
+        fail, ok = (fail, mid) if passes(mid) else (mid, ok)
+    return ok
 
 
 def check_dynamics_inputs(interval: tuple[float, float], eta: float) -> None:
@@ -859,16 +960,17 @@ def run_dynamics_experiment(
     c_pow_s_rho = float(ifs.rho * (ifs.r ** (-alpha_g)) ** s)
     eps = math.log1p(CS2_BUDGET * eta / max_abs_vt)
     ii = np.arange(1, q + 1, dtype=float)
-
+    sigma_fit = (b - a) / span
     if not constant_weights:
         envelopes = _generic_envelopes(fam, interval, vt_support, max_abs_vt)
-    for step in range(1, MAX_STEPS + 1):
-        N = step * kappa
+
+    def sigma_cs2(N: int) -> float:
         # worst CS2 exponent: C0 * max_i (iN)^alpha_w * side_i, sides sigma-scaled
         shape = (ii * N) ** fam.alpha * (c_pow_s_rho / ii**alpha_g)
-        sigma_cs2 = eps / (fam.C0 * float(shape.max()))
-        sigma_fit = (b - a) / span
-        sigma = min(sigma_cs2, 0.99 * sigma_fit)
+        return eps / (fam.C0 * float(shape.max()))
+
+    def scaled_envelope(N: int) -> tuple[float, float, Callable[[float], float]]:
+        sigma = min(sigma_cs2(N), 0.99 * sigma_fit)
         D_scaled = sigma * cov_geo.D
         if constant_weights:
             envelope = cs1_envelope_closed_form(
@@ -876,11 +978,29 @@ def run_dynamics_experiment(
             )
         else:
             envelope = envelopes(D_scaled)
-        tail = _envelope_tail(envelope, N, limit=min(TAIL_BUDGET * eta, eta))
-        if tail < TAIL_BUDGET * eta and tail < eta:
-            break
-    else:
-        raise RuntimeError("no shift step gave a summable tail within the search range")
+        return sigma, D_scaled, envelope
+
+    limit = min(TAIL_BUDGET * eta, eta)
+
+    def passes(step: int) -> bool:
+        return _envelope_tail(scaled_envelope(kappa * step)[2], kappa * step, limit) < limit
+
+    # Columns stay below 2^53, where float64 holds every integer; plus-power's stay within
+    # CUMULATIVE_BUDGET cells. Constant weights try the steps where sigma_fit binds in turn.
+    columns = 2**53 if fam.g is not None else CUMULATIVE_BUDGET // (3 * q * d)
+    top = (columns - kappa) // (q * kappa)
+    first = math.ceil(sigma_cs2(kappa) / (0.99 * sigma_fit)) if constant_weights else 1
+    step = _least_step(passes, max(1, min(first, top)), top) if top >= 1 else None
+    if step is None and fam.g is None:
+        cells = 3 * q * d * (q * (top + 1) * kappa + kappa)
+        raise BudgetExceededError(
+            f"{cells} cumulative log-weight cells exceed budget {CUMULATIVE_BUDGET}"
+        )
+    if step is None:
+        raise RuntimeError("no shift step below 2^53 columns gave a summable tail")
+    N = step * kappa
+    sigma, D_scaled, envelope = scaled_envelope(N)
+    tail = _envelope_tail(envelope, N)
 
     offset = (a - sigma * lo[0], a - sigma * lo[1])
     scaled = cov_geo.affine_scaled(sigma, offset)
@@ -889,8 +1009,7 @@ def run_dynamics_experiment(
     L = max(L_MIN, q * N + vt_support + 1)
     cfg = DynamicsConfig(d=d, interval=interval, L=L, eta=eta, kappa=kappa, bigN=N)
     u0 = FiniteVector.basis(d, L, 0, 1.0)
-    vt = FiniteVector.zeros(d, L)
-    vt.sign[:, : vt_support + 1], vt.logmag[:, : vt_support + 1] = slog_from_values(vt_values)
+    vt = FiniteVector(np.arange(vt_support + 1), *slog_from_values(vt_values), L)
 
     u = build_common_vector(scaled, fam, cfg, u0, vt)
     u_minus_u0 = u.minus(u0).norm()

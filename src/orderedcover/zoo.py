@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -237,34 +237,39 @@ def hilbert_pseudo(order: int) -> CurveEvaluator:
     return _polyline_evaluator(vertices, 0.5, 4.0, f"hilbert-pseudo:{order}")
 
 
-def holder_levels(curve: CurveEvaluator, m_max: int, budget: int | None = None) -> list[Level]:
-    """Bounding squares of f over the 2^m dyadic intervals, for m = 0..m_max.
+def holder_levels(curve: CurveEvaluator, m_max: int, budget: int | None = None) -> Iterator[Level]:
+    """Bounding squares of f over the 2^m dyadic intervals, for m = 0..m_max in turn.
 
     Rank j of resolution m is the interval [j 2^-m, (j+1) 2^-m]. f is
     linear between breakpoints, so its box there is exactly that of the two
     ends and the breakpoints strictly inside. Each side is at most
     rho * (2^-beta)^m by the Holder certificate. Every level is checked
-    against the budget before the curve is evaluated.
+    against the budget before this returns, and, as geometry.iter_levels
+    does, a level is evaluated only when the next one is asked for.
     """
     if m_max < 0:
         raise ValueError(f"resolution must be >= 0, got {m_max}")
     geometry.check_level_budget(2, m_max, budget)
     bp = np.sort(curve.breakpoints[(curve.breakpoints > 0.0) & (curve.breakpoints < 1.0)])
     bp_points = curve(bp)
-    out: list[Level] = []
-    for m in range(m_max + 1):
-        n = 2**m
-        ends = curve(np.arange(n + 1) * 0.5**m)
-        lo, hi = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
-        # fold each run of breakpoints into its interval; one on an
-        # interval's left end repeats that end
-        owner = (bp * n).astype(np.intp)
-        first = np.flatnonzero(np.diff(owner, prepend=-1))
-        rows = owner[first]
-        lo[rows] = np.minimum(lo[rows], np.minimum.reduceat(bp_points, first))
-        hi[rows] = np.maximum(hi[rows], np.maximum.reduceat(bp_points, first))
-        out.append(Level(m, 2, lo, (hi - lo).max(axis=1)))
-    return out
+    return (_holder_level(curve, bp, bp_points, m) for m in range(m_max + 1))
+
+
+def _holder_level(curve: CurveEvaluator, bp: np.ndarray, bp_points: np.ndarray, m: int) -> Level:
+    n = 2**m
+    ends = curve(np.arange(n + 1) * 0.5**m)
+    lo, hi = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
+    # fold each run of breakpoints into its interval; one on an
+    # interval's left end repeats that end
+    owner = (bp * n).astype(np.intp)
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    rows = owner[first]
+    lo[rows] = np.minimum(lo[rows], np.minimum.reduceat(bp_points, first))
+    hi[rows] = np.maximum(hi[rows], np.maximum.reduceat(bp_points, first))
+    # drop the end points before the sides are formed in hi's place: at most three
+    # arrays of the level's size are live at once
+    del ends
+    return Level(m, 2, lo, np.subtract(hi, lo, out=hi).max(axis=1))
 
 
 IFS_NAMES = ("sierpinski", "hilbert-square", "koch", "minkowski", "unit-interval", "gap-dust")

@@ -29,7 +29,8 @@ def cs1_envelope_generic(
               - min over l <= L, x in I of (f(x, l+k) - f(x, l)),
     the min taken at x = a. Valid for any shift count when fam.alpha <= the
     geometric exponent used to form D's premise. The envelope takes an int or
-    an int array of k up to TABLE_LEN.
+    an int array of k, and its remainder(K, env(K)) bounds the sum of its terms
+    from K on.
     """
     return _generic_envelopes(fam, interval, support_max, max_abs)(D)
 

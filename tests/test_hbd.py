@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,7 +177,7 @@ def test_report_is_the_same_over_a_stream_and_a_list(name, deflate, m):
     if name.startswith("arrowhead"):
         curve = zoo_curve(name)
         gamma, rho = deflate / curve.holder_beta, curve.holder_rho
-        listed = holder_levels(curve, m)
+        listed = list(holder_levels(curve, m))
         sources = [listed, iter(holder_levels(curve, m))]
     else:
         ifs = zoo_ifs(name)
@@ -186,3 +188,21 @@ def test_report_is_the_same_over_a_stream_and_a_list(name, deflate, m):
     assert not records[0]["pass"]
     assert all(record == records[0] for record in records)
 
+
+
+def test_curve_levels_stream_through_the_report():
+    # The list holds every level at once; the stream only the parent of the level being
+    # built. Levels 0..m-2 (corners and sides, 24 bytes a part) are what the stream saves.
+    curve, m = diagonal_curve(), 19
+
+    def peak(source) -> int:
+        tracemalloc.start()
+        try:
+            assert hbd_report(source(), 1.0, curve.holder_rho, m).passed
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    streamed = peak(lambda: holder_levels(curve, m))
+    listed = peak(lambda: list(holder_levels(curve, m)))
+    assert streamed <= listed - 0.9 * 24 * (2 ** (m - 1) - 1)

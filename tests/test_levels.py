@@ -308,7 +308,7 @@ CURVES = {
 @functools.lru_cache(maxsize=None)
 def curve_levels(family, order):
     curve = CURVES[family](order)
-    return curve, holder_levels(curve, 8)
+    return curve, list(holder_levels(curve, 8))
 
 
 @given(family=st.sampled_from(sorted(CURVES)), order=st.integers(1, 6), m=st.integers(0, 8))

@@ -1,14 +1,19 @@
 """The array shift layer against its reference path.
 
-build_common_vector, the universality sweep and the envelope tail are array
-code; product_apply with the dense slog_add, and a scalar loop over the
-envelope, are the reference, and results must match bitwise. The sweep skips
-shifted columns by a bound; the forced cases below make a skipped-looking
-column set the maximum. The universality certificate reads each box at its two
-corners; the property tests check that no point of the box has a larger error.
+build_common_vector and the universality sweep read the vectors' nonzero
+entries; product_apply with the dense slog_add on every coordinate is the
+reference, and results must match bitwise. The sweep skips shifted entries by a
+bound; the forced cases below make a skipped-looking column set the maximum.
+The universality certificate reads each box at its two corners; the property
+tests check that no point of the box has a larger error. The envelope tail is
+a certified bound, checked against brute-force sums, and the galloping N search
+against a search through every step.
 """
 
+import functools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,11 +32,13 @@ from orderedcover.shifts import (
     product_apply,
     rolewicz_family,
     run_dynamics_experiment,
+    slog_add,
     tag_params,
     verify_universality,
+    weight_family,
 )
 from orderedcover.tagging import BuilderParams, build_tagged_covering
-from orderedcover.zoo import hilbert_square, sierpinski_gasket, unit_interval
+from orderedcover.zoo import hilbert_square, koch_curve, sierpinski_gasket, unit_interval, zoo_ifs
 from orderedcover import shifts
 
 from cs1_reference import cs1_envelope_generic
@@ -73,14 +80,24 @@ def scenarios(draw):
 
 
 def reference_common_vector(cov, fam, cfg, u0, vt):
-    u = u0.copy()
+    """Dense (sign, logmag) of u, adding each S^(iN) v_t on every coordinate."""
+    sign, logmag = u0.dense()
     for i, lam in enumerate(tag_params(cov, cfg.d), start=1):
-        u = u.plus(product_apply(fam, lam, i * cfg.bigN, vt, "forward"))
-    return u
+        term = product_apply(fam, lam, i * cfg.bigN, vt, "forward")
+        sign, logmag = slog_add(sign, logmag, *term.dense())
+    return sign, logmag
 
 
 def reference_error(u, fam, lam, n, vt):
-    return product_apply(fam, tuple(float(c) for c in lam), n, u, "backward").minus(vt).norm()
+    sign, logmag = product_apply(fam, tuple(float(c) for c in lam), n, u, "backward").dense()
+    v_sign, v_logmag = vt.dense()
+    return math.exp(slog_add(sign, logmag, -v_sign, v_logmag)[1].max())
+
+
+def sparse(L, entries):
+    """A one-factor vector on 0..L with the given {column: log magnitude}, all positive."""
+    cols = np.array(sorted(entries))
+    return FiniteVector(cols, np.ones((1, len(cols))), np.array([[entries[c] for c in cols]]), L)
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,9 +105,11 @@ def reference_error(u, fam, lam, n, vt):
 def test_common_vector_matches_dense_additions(case):
     cov, fam, cfg, u0, vt = case
     u = build_common_vector(cov, fam, cfg, u0, vt)
-    want = reference_common_vector(cov, fam, cfg, u0, vt)
-    assert np.array_equal(u.logmag, want.logmag)
-    assert np.array_equal(u.sign, want.sign)
+    sign, logmag = u.dense()
+    want_sign, want_logmag = reference_common_vector(cov, fam, cfg, u0, vt)
+    assert np.array_equal(logmag, want_logmag)
+    assert np.array_equal(sign, want_sign)
+    assert len(u.cols) <= len(u0.cols) + cov.q * len(vt.cols)
 
 
 def sweep_errors(u, fam, vt, lam, ns, starts=(0,)):
@@ -156,8 +175,7 @@ def test_a_shifted_column_at_the_bound_sets_the_maximum(fam, monkeypatch):
     x, n = 1.37, 5
     c, bound, gap = rounded_up_column(fam, x, n)
     L = c + 3
-    u = FiniteVector.zeros(1, L)
-    u.sign[0, c], u.logmag[0, c] = 1.0, -(bound + gap) / 2
+    u = sparse(L, {c: -(bound + gap) / 2})
     vt = FiniteVector.basis(1, L, 0)
     lam = np.array([[x]])
     want = reference_error(u, fam, lam[0], n, vt)
@@ -177,9 +195,7 @@ def test_each_box_bound_is_read_at_its_top_row(fam):
     n, n_a, L = 70, 2, 80
     f = lambda x, k: float(fam.log_products(x, L)[k])
     m = (f(1.0, n) + f(2.0, n + 1) - f(2.0, 1)) / 2
-    u = FiniteVector.zeros(1, L)
-    u.sign[0, [n + 1, n_a]] = 1.0
-    u.logmag[0, [n + 1, n_a]] = -m, 50.0 - f(1.0, n_a)
+    u = sparse(L, {n + 1: -m, n_a: 50.0 - f(1.0, n_a)})
     vt = FiniteVector.basis(1, L, 0)
     lam, ns = np.array([[1.0], [1.0], [2.0]]), [n_a, n, n]
     want = [reference_error(u, fam, row, k, vt) for row, k in zip(lam, ns)]
@@ -191,8 +207,7 @@ def test_negative_parameters_skip_no_column():
     # at x = -1 the power weights rise in k: f(-1, 5) - f(-1, 1) = 1 - 5^(1/2) is
     # above f(-1, 4) = -2, so u_5 = e^1.6 sets the maximum past the bound
     fam, n = power_family(0.5), 4
-    u = FiniteVector.zeros(1, 8)
-    u.sign[0, 5], u.logmag[0, 5] = 1.0, 1.6
+    u = sparse(8, {5: 1.6})
     vt = FiniteVector.basis(1, 8, 0)
     want = reference_error(u, fam, [-1.0], n, vt)
     assert want > 1.0
@@ -208,7 +223,7 @@ def test_log_products_at_index_arrays_match_the_table(fam, data):
     x = x.reshape(rows, 2)
     cols = np.array(data.draw(st.lists(st.integers(0, top), min_size=rows * width,
                                        max_size=rows * width)), dtype=int).reshape(rows, width)
-    got = _log_products_at(fam, top)(x, cols)
+    got = _log_products_at(fam)(x, cols)
     for r in range(rows):
         for j in range(2):
             assert got[r, j].tolist() == fam.log_products(x[r, j], top)[cols[r]].tolist()
@@ -304,19 +319,10 @@ def test_a_box_below_zero_is_refused():
         verify_universality(u, low, rolewicz_family(), cfg, u)
 
 
-def scalar_tail(envelope, start, stop=20000):
-    """The scalar loop: sum in order, stop after a term below 1e-18 past
-    start + 10; no such term by stop, or an overflowing term, gives inf."""
-    total = 0.0
-    for k in range(start, stop + 1):
-        try:
-            term = math.exp(envelope(k))
-        except OverflowError:
-            return math.inf
-        total += term
-        if term < 1e-18 and k > start + 10:
-            return total
-    return math.inf
+def brute_tail(envelope, start, count=10**6):
+    """The first count terms from start, added in order; inf past the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.cumsum(np.exp(envelope(np.arange(start, start + count))))[-1])
 
 
 @st.composite
@@ -329,30 +335,63 @@ def envelopes(draw):
     return cs1_envelope_generic(draw(st.sampled_from(FAMILIES[1:])), D / 10, (1.0, 2.0), 2)
 
 
-@settings(max_examples=30, deadline=None)
-@given(envelopes(), st.integers(1, 300), st.integers(20, 3000))
-def test_envelope_tail_matches_scalar_loop(env, start, span):
+@settings(max_examples=15, deadline=None)
+@given(envelopes(), st.integers(1, 300))
+def test_certified_tail_bounds_a_million_term_sum(env, start):
     ks = np.arange(start, start + 50)
     assert np.array_equal(env(ks), np.array([env(int(k)) for k in ks]))
-    assert _envelope_tail(env, start, start + span) == scalar_tail(env, start, start + span)
+    assert _envelope_tail(env, start) >= brute_tail(env, start)
+
+
+@settings(max_examples=40, deadline=None)
+@given(envelopes(), st.integers(1, 3000))
+def test_the_remainder_alone_bounds_the_terms_from_any_k(env, K):
+    # not only past a term below 1e-18: the bound holds wherever the head would stop
+    assert env.remainder(K, float(env(K))) >= brute_tail(env, K, 10**5)
+
+
+def golden_envelopes():
+    """(envelope, N, recorded tail) of the four dyn references."""
+    out = []
+    for name in ("dyn_hilbert_square_rolewicz_eta0.1", "dyn_unit_interval_s3",
+                 "dyn_sierpinski_plus_power_alpha0.5", "dynamics_unit_interval_power0.5_eta0.2"):
+        ref = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+        record = ref["output"]["record"] if "output" in ref else ref
+        ifs = zoo_ifs(record["fractal"])
+        N, D = record["config"]["bigN"], record["D_scaled"]
+        if record["family"] == "rolewicz":
+            env = cs1_envelope_closed_form(D, (1.0, 2.0), 1.0 / ifs.gamma, record["q"] * N)
+        else:
+            name, alpha = record["family"].split(":")
+            fam = weight_family(name, float(alpha))
+            env = cs1_envelope_generic(fam, D, (1.0, 2.0), 2)
+        out.append((env, N, record["envelope_tail"]))
+    return out
+
+
+@pytest.mark.parametrize("case", golden_envelopes(), ids=lambda c: f"N{c[1]}")
+def test_certified_tail_is_the_reference_sum_on_the_golden_envelopes(case):
+    env, N, recorded = case
+    tail, brute = _envelope_tail(env, N), brute_tail(env, N)
+    assert brute <= tail <= brute * (1 + 1e-12)
+    assert tail == pytest.approx(recorded, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(envelopes(), st.integers(1, 300), st.floats(1e-6, 10.0))
-def test_envelope_tail_stops_at_the_limit_only_when_it_fails(env, start, limit):
+def test_early_exits_agree_with_the_full_tail(env, start, limit):
     full = _envelope_tail(env, start)
     got = _envelope_tail(env, start, limit=limit)
-    if full < limit:
-        assert got == full
-    else:
-        assert got >= limit
+    assert (got < limit) == (full < limit)
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
 def test_early_exit_n_search_picks_the_full_sum_step(fam, monkeypatch):
     fast = run_dynamics_experiment(unit_interval(), fam, eta=0.2, d=1)
     full_tail = _envelope_tail
-    monkeypatch.setattr(shifts, "_envelope_tail", lambda env, start, limit: full_tail(env, start))
+    monkeypatch.setattr(
+        shifts, "_envelope_tail", lambda env, start, limit=math.inf: full_tail(env, start)
+    )
     full = run_dynamics_experiment(unit_interval(), fam, eta=0.2, d=1)
     assert (fast.config.bigN, fast.envelope_tail) == (full.config.bigN, full.envelope_tail)
     assert fast.to_record() == full.to_record()
@@ -360,10 +399,10 @@ def test_early_exit_n_search_picks_the_full_sum_step(fam, monkeypatch):
 
 def test_envelope_tail_without_small_term_is_not_summable():
     constant = cs1_envelope_closed_form(1.0, (1.0, 2.0))  # log c_k = 0 for every k
-    assert _envelope_tail(constant, 1) == math.inf  # the partial sum would read 20000
+    assert _envelope_tail(constant, 1) == math.inf
     decaying = cs1_envelope_closed_form(0.5, (1.0, 2.0))  # log c_k = -k/2
-    assert _envelope_tail(decaying, 5) == pytest.approx(sum(math.exp(-k / 2) for k in range(5, 84)))
-    assert _envelope_tail(decaying, 5, stop=60) == math.inf  # the first term below 1e-18 is k=83
+    head = sum(math.exp(-k / 2) for k in range(5, 84))  # the first term below 1e-18 is k=83
+    assert _envelope_tail(decaying, 5) == pytest.approx(head, rel=1e-15)
 
 
 def test_envelope_tail_with_overflowing_term_is_not_summable():
@@ -375,9 +414,60 @@ def test_envelope_tail_whose_sum_overflows_is_not_summable():
     h = 3000
     env = cs1_envelope_closed_form((1 + math.sqrt(708.5 / h)) ** 2, (1.0, 2.0), 1.0, h, 2.0)
     assert max(env(np.arange(1, h))) < math.log(np.finfo(float).max)
-    assert _envelope_tail(env, 1, h) == scalar_tail(env, 1, h) == math.inf
+    assert _envelope_tail(env, 1) == brute_tail(env, 1, h) == math.inf
 
 
 def test_n_search_moves_past_an_overflowing_step():
     report = run_dynamics_experiment(unit_interval(), plus_power_family(1.0), eta=0.1, d=1)
     assert report.passed and math.isfinite(report.envelope_tail)
+
+
+def test_the_tail_bound_survives_a_forwarding_wrapper(monkeypatch):
+    # A wrapper in the style of functools.wraps around each closed-form envelope, as a
+    # tracer installs, keeps what the tail reads besides env(k).
+    closed_form = shifts.cs1_envelope_closed_form
+
+    def wrapped(*args, **kwargs):
+        env = closed_form(*args, **kwargs)
+
+        @functools.wraps(env)
+        def forward(k):
+            return env(k)
+
+        return forward
+
+    plain = run_dynamics_experiment(hilbert_square(), rolewicz_family()).to_record()
+    monkeypatch.setattr(shifts, "cs1_envelope_closed_form", wrapped)
+    assert run_dynamics_experiment(hilbert_square(), rolewicz_family()).to_record() == plain
+
+
+ZOO = [sierpinski_gasket(), hilbert_square(), koch_curve(), unit_interval()]
+
+
+class Searched(Exception):
+    """Raised once both searches have run, to skip the rest of the experiment."""
+
+
+@pytest.mark.parametrize("ifs", ZOO, ids=lambda s: s.name)
+def test_galloping_finds_the_least_passing_step(ifs, monkeypatch):
+    gallop, found = shifts._least_step, []
+
+    def both(passes, first, top):
+        linear = next((step for step in range(1, top + 1) if passes(step)), None)
+        found.append((gallop(passes, first, top), linear))
+        raise Searched
+
+    monkeypatch.setattr(shifts, "_least_step", both)
+    for fam in FAMILIES:
+        for eta in (0.02, 0.05, 0.1, 0.2, 0.5):
+            with pytest.raises(Searched):
+                run_dynamics_experiment(ifs, fam, eta=eta)
+    assert len(found) == 15 and all(got == want for got, want in found)
+
+
+@pytest.mark.parametrize("ifs", ZOO, ids=lambda s: s.name)
+def test_power_weights_pass_for_every_alpha_up_to_the_exponent(ifs):
+    top = 1.0 / ifs.gamma
+    for alpha in [*np.arange(0.25, top - 1e-9, 0.05), top]:
+        report = run_dynamics_experiment(ifs, power_family(float(alpha)))
+        assert report.passed, (ifs.name, alpha)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from orderedcover.shifts import (
     weight_family,
 )
 from orderedcover.tagging import BuilderParams, build_tagged_covering
-from orderedcover.zoo import sierpinski_gasket, unit_interval
+from orderedcover.geometry import BudgetExceededError
+from orderedcover.zoo import hilbert_square, sierpinski_gasket, unit_interval
 
 from cs1_reference import check_cs1_bounds, cs1_envelope_generic
 
@@ -263,13 +265,13 @@ def test_cs2_measured_is_python_pow_bit_for_bit(alpha):
 )
 @pytest.mark.parametrize("interval", [(1.0, 2.0), (0.3, 0.9), (1.5, 1.6)])
 def test_left_end_gain_floor_equals_grid_floor(fam, interval):
-    L, n = 2, shifts.TABLE_LEN
+    L, n = 2, 20000
     grid = np.full(n + 1, np.inf)
     for x in np.linspace(*interval, 17):
         row = fam.log_products(float(x), n + L)
         for l in range(L + 1):
             grid = np.minimum(grid, row[l : l + n + 1] - row[l])
-    assert np.array_equal(shifts._gain_floor(fam, interval[0], L), grid)
+    assert np.array_equal(shifts._gain_floor(fam, interval[0], L, np.arange(n + 1)), grid)
 
 
 def test_closed_form_envelope_limits():
@@ -376,6 +378,19 @@ def test_growth_family_beyond_exponent_is_refused():
     ifs = sierpinski_gasket()
     with pytest.raises(ValueError, match="1/gamma"):
         run_dynamics_experiment(ifs, power_family(0.9))
+
+
+def test_plus_power_past_the_cell_budget_is_refused_before_it_allocates():
+    # hilbert-square at alpha = 0.2 needs more than CUMULATIVE_BUDGET cells of
+    # cumulative log-weights (8 bytes each): the search stops at the budget's step
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="cumulative log-weight cells exceed budget"):
+            run_dynamics_experiment(hilbert_square(), plus_power_family(0.2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * shifts.CUMULATIVE_BUDGET / 100
 
 
 def test_single_factor_run_on_the_line():

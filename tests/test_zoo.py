@@ -183,7 +183,7 @@ def test_hilbert_pseudo_endpoints():
 
 
 def test_dyadic_covering_has_exact_interval_boxes():
-    level = holder_levels(diagonal_curve(), 3)[-1]
+    level = list(holder_levels(diagonal_curve(), 3))[-1]
     assert len(level) == 8
     # the diagonal over [j/8, (j+1)/8] spans exactly a 1/8 box
     j = np.arange(8) / 8.0
@@ -194,12 +194,12 @@ def test_dyadic_covering_has_exact_interval_boxes():
 def test_dyadic_covering_sides_respect_holder_bound():
     curve = arrowhead_pseudo(6)
     beta, rho = curve.holder_beta, curve.holder_rho
-    for level in holder_levels(curve, 6)[2::2]:
+    for level in list(holder_levels(curve, 6))[2::2]:
         assert (level.sides <= rho * (2.0**-beta) ** level.m + 1e-9).all()
 
 
 def test_covering_family_nests_by_prefix():
-    family = holder_levels(diagonal_curve(), 4)
+    family = list(holder_levels(diagonal_curve(), 4))
     assert [(level.m, level.r, len(level)) for level in family] == [(m, 2, 2**m) for m in range(5)]
     for parent, child in zip(family, family[1:]):
         lo = np.repeat(parent.corners, 2, axis=0)
