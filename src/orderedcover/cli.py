@@ -10,6 +10,7 @@ status: 0 verified pass, 1 verified failure or infeasible build, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -20,7 +21,15 @@ import time
 import numpy as np
 
 from . import __version__
-from .geometry import BUDGET_ENV_VAR, BudgetExceededError, Level, OrderedIFS, iter_levels
+from .geometry import (
+    BUDGET_ENV_VAR,
+    BudgetExceededError,
+    Level,
+    OrderedIFS,
+    check_exponents,
+    iter_levels,
+    part_budget,
+)
 from .hbd import hbd_report
 from .separation import verify_coverage, verify_form, verify_jump_lemma, verify_separation
 from .shifts import check_dynamics_inputs, run_dynamics_experiment, weight_family
@@ -69,6 +78,17 @@ def _resolution(m: int, least: int = 0) -> int:
     if m < least:
         raise _UsageError(f"--m must be >= {least}, got {m}")
     return m
+
+
+def _exponents(args: argparse.Namespace, gamma: float, rho: float) -> tuple[float, float]:
+    """--gamma and --rho over the given defaults; usage error unless finite and > 0."""
+    gamma = gamma if args.gamma is None else args.gamma
+    rho = rho if args.rho is None else args.rho
+    try:
+        check_exponents(gamma, rho)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    return gamma, rho
 
 
 def _zoo_source(name: str) -> OrderedIFS | CurveEvaluator:
@@ -191,12 +211,11 @@ def cmd_verify_hbd(args: argparse.Namespace) -> int:
         source = _zoo_source(args.name)
         _resolution(args.m, least=1)
         if isinstance(source, OrderedIFS):
-            gamma, rho, lv = source.gamma, source.rho, source
+            gamma, rho = _exponents(args, source.gamma, source.rho)
+            lv = source
         else:
-            gamma, rho = 1.0 / source.holder_beta, source.holder_rho
+            gamma, rho = _exponents(args, 1.0 / source.holder_beta, source.holder_rho)
             lv = holder_levels(source, args.m, args.budget)
-        gamma = args.gamma if args.gamma is not None else gamma
-        rho = args.rho if args.rho is not None else rho
         report = hbd_report(lv, gamma, rho, args.m, name=source.name, budget=args.budget)
         notes = [
             f"condition ({c.condition}) m={c.m}: {'PASS' if c.passed else 'FAIL'}"
@@ -357,22 +376,26 @@ def cmd_render(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    Every ``main`` call shares the one parser, so it must not be mutated:
+    no argument, default or subparser is added after it is built. Each
+    subcommand names its cmd_* function, which ``main`` looks up per call,
+    so a later rebinding of that function (a test's patch, a tracer) is seen.
+    """
     parser = argparse.ArgumentParser(
         prog="orderedcover",
         description="Ordered coverings of self-similar sets and weighted shift experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, budget: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="write the JSON record here (atomic)")
-        if budget:
-            p.add_argument(
-                "--budget",
-                type=int,
-                default=None,
-                help=f"part budget override (also {BUDGET_ENV_VAR})",
-            )
+        p.add_argument(
+            "--budget", type=int, default=None, help=f"part budget override (also {BUDGET_ENV_VAR})"
+        )
 
     zoo = sub.add_parser("zoo", help="emit zoo system descriptions")
     zoo_sub = zoo.add_subparsers(dest="zoo_command", required=True)
@@ -380,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     emit.add_argument("--name", required=True)
     emit.add_argument("--m", type=int, default=None, help="covering resolution to include")
     add_common(emit)
-    emit.set_defaults(func=cmd_zoo_emit)
+    emit.set_defaults(handler="cmd_zoo_emit")
 
     hbd = sub.add_parser("verify-hbd", help="check the ordered-covering conditions")
     hbd.add_argument("--name", required=True)
@@ -388,11 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     hbd.add_argument("--gamma", type=float, default=None, help="candidate dimension exponent")
     hbd.add_argument("--rho", type=float, default=None)
     add_common(hbd)
-    hbd.set_defaults(func=cmd_verify_hbd)
+    hbd.set_defaults(handler="cmd_verify_hbd")
 
     cover = sub.add_parser("cover", help="tagged covering construction")
     cover_sub = cover.add_subparsers(dest="cover_command", required=True)
-    for verb, func in (("build", cmd_cover_build), ("verify", cmd_cover_verify)):
+    for verb in ("build", "verify"):
         p = cover_sub.add_parser(verb)
         p.add_argument("--name", required=True)
         p.add_argument("--tau", type=float, default=None, help="coarsest allowed side")
@@ -402,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         if verb == "verify":
             p.add_argument("--seed", type=int, default=0)  # unused; bench jobs pass it
         add_common(p)
-        p.set_defaults(func=func)
+        p.set_defaults(handler=f"cmd_cover_{verb}")
 
     dyn = sub.add_parser("dyn", help="run the universality experiment end to end")
     dyn.add_argument("--name", required=True)
@@ -413,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     dyn.add_argument("--s", type=int, default=None)
     dyn.add_argument("--seed", type=int, default=0)
     add_common(dyn)
-    dyn.set_defaults(func=cmd_dyn)
+    dyn.set_defaults(handler="cmd_dyn")
 
     render = sub.add_parser("render", help="deterministic SVG of a covering")
     render.add_argument("--name", required=True)
@@ -424,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--s", type=int, default=None)
     render.add_argument("--out", required=True)
     render.add_argument("--budget", type=int, default=None)
-    render.set_defaults(func=cmd_render)
+    render.set_defaults(handler="cmd_render")
 
     jump = sub.add_parser("verify-jump", help="index gap lower bound from distances")
     jump.add_argument("--name", required=True)
@@ -432,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     jump.add_argument("--gamma", type=float, default=None)
     jump.add_argument("--rho", type=float, default=None)
     add_common(jump)
-    jump.set_defaults(func=cmd_verify_jump)
+    jump.set_defaults(handler="cmd_verify_jump")
 
     return parser
 
@@ -440,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_verify_jump(args: argparse.Namespace) -> int:
     def body() -> tuple:
         ifs, m = zoo_ifs(args.name), _resolution(args.m)
-        report = verify_jump_lemma(ifs, m, gamma=args.gamma, rho=args.rho, budget=args.budget)
+        gamma, rho = _exponents(args, ifs.gamma, ifs.rho)
+        report = verify_jump_lemma(ifs, m, gamma=gamma, rho=rho, budget=args.budget)
         status = "PASS" if report.passed else "FAIL"
         return report.to_record(), 0 if report.passed else 1, [f"jump m={args.m}: {status}"]
 
@@ -449,9 +473,16 @@ def cmd_verify_jump(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command; may be called repeatedly in one process.
+
+    A malformed HBD_COVER_BUDGET is a usage error, refused before any work.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        part_budget(args.budget)
+    except ValueError as exc:
+        return _fail(str(exc), 2)
+    return globals()[args.handler](args)
 
 
 if __name__ == "__main__":

@@ -45,13 +45,26 @@ class InvalidIndexError(ValueError):
 
 
 def part_budget(override: int | None = None) -> int:
-    """Active part budget: explicit override, else env var, else default."""
+    """Active part budget: explicit override, else env var, else default.
+
+    A value of the env var that is not an integer raises ValueError naming it.
+    """
     if override is not None:
         return int(override)
     env = os.environ.get(BUDGET_ENV_VAR)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
     return DEFAULT_PART_BUDGET
+
+
+def check_exponents(gamma: float, rho: float) -> None:
+    """Raise ValueError unless the exponent gamma and constant rho are finite and > 0."""
+    for label, value in (("gamma", gamma), ("rho", rho)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{label} must be finite and > 0, got {value}")
 
 
 def check_level_budget(r: int, m_max: int, budget: int | None = None) -> None:

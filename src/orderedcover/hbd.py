@@ -140,10 +140,12 @@ def hbd_report(
     time, after the budget check) or any iterable of its levels for
     resolutions 0..m_max in order, such as the stream of
     ``zoo.holder_levels`` or of ``geometry.iter_levels``. Only
-    the level before the current one is kept.
+    the level before the current one is kept. gamma and rho must be finite
+    and > 0 (ValueError).
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    geometry.check_exponents(gamma, rho)
     if isinstance(source, OrderedIFS):
         source, label = geometry.iter_levels(source, m_max, budget), name or source.name
     else:

@@ -438,10 +438,11 @@ def verify_jump_lemma(
     counterexample is the first bad pair of the last in (j, l) order. One
     pass over the pairs, _jump_pass, gathers both for every n. More than
     JUMP_PAIR_BUDGET pairs are refused with BudgetExceededError before any
-    level is built.
+    level is built. gamma and rho must be finite and > 0 (ValueError).
     """
     gamma = ifs.gamma if gamma is None else gamma
     rho = ifs.rho if rho is None else rho
+    geometry.check_exponents(gamma, rho)
     r = ifs.r
     c = r ** (-1.0 / gamma)
     pairs = r**m * (r**m - 1) // 2

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from orderedcover.cli import main
+from orderedcover.cli import build_parser, main
 
 
 def run_json(capsys, argv):
@@ -46,9 +46,38 @@ def test_unknown_name_is_usage_error(capsys):
 
 
 def test_reruns_are_identical_apart_from_wall_time(capsys):
-    _, first, _ = run_json(capsys, ["cover", "build", "--name", "sierpinski", "--s", "1"])
-    _, second, _ = run_json(capsys, ["cover", "build", "--name", "sierpinski", "--s", "1"])
-    assert strip_wall_time(first) == strip_wall_time(second)
+    # the parser is shared: a usage error and an unknown name in between leave no trace
+    for argv in (
+        ["cover", "build", "--name", "sierpinski", "--s", "1"],
+        ["verify-hbd", "--name", "koch", "--m", "3", "--gamma", "1.3"],
+        ["dyn", "--name", "sierpinski"],
+    ):
+        _, first, _ = run_json(capsys, argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["cover"])
+        assert exc.value.code == 2
+        assert main(["zoo", "emit", "--name", "dragon"]) == 2
+        capsys.readouterr()
+        _, second, _ = run_json(capsys, argv)
+        assert strip_wall_time(first) == strip_wall_time(second)
+
+
+def test_the_parser_is_built_once(monkeypatch):
+    assert build_parser() is build_parser()
+    # the shared parser still dispatches to the command bound at call time
+    monkeypatch.setattr("orderedcover.cli.cmd_verify_hbd", lambda args: 7)
+    assert main(["verify-hbd", "--name", "koch", "--m", "3"]) == 7
+
+
+def test_help_prints_the_same_text_each_time(capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: orderedcover")
 
 
 def test_verify_hbd_pass_and_fail(tmp_path, capsys):
@@ -129,11 +158,53 @@ def test_budget_env_var_limits_cli(capsys, monkeypatch):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zoo", "emit", "--name", "koch", "--m", "2"],
+        ["verify-hbd", "--name", "koch", "--m", "3"],
+        ["verify-hbd", "--name", "holder-diag", "--m", "3"],
+        ["verify-jump", "--name", "koch", "--m", "2"],
+        ["cover", "build", "--name", "koch", "--s", "1"],
+        ["cover", "verify", "--name", "koch", "--s", "1"],
+        ["dyn", "--name", "sierpinski"],
+        ["render", "--name", "koch", "--m", "2", "--out", "unused.svg"],
+    ],
+)
+def test_malformed_budget_env_var_is_usage_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HBD_COVER_BUDGET", "abc")
+    argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: HBD_COVER_BUDGET must be an integer, got 'abc'\n")
+    assert not (tmp_path / "unused.svg").exists()
+
+
 def test_budget_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("HBD_COVER_BUDGET", "10")
     code = main(["zoo", "emit", "--name", "sierpinski", "--m", "4", "--budget", "100"])
     capsys.readouterr()
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-hbd", "--name", "koch", "--m", "3", "--gamma", "nan"],
+        ["verify-hbd", "--name", "koch", "--m", "3", "--gamma", "inf"],
+        ["verify-hbd", "--name", "koch", "--m", "3", "--gamma", "-1"],
+        ["verify-hbd", "--name", "koch", "--m", "3", "--gamma", "0"],
+        ["verify-hbd", "--name", "koch", "--m", "3", "--rho", "inf"],
+        ["verify-hbd", "--name", "holder-diag", "--m", "3", "--gamma", "0"],
+        ["verify-jump", "--name", "koch", "--m", "4", "--gamma", "-1"],
+        ["verify-jump", "--name", "koch", "--m", "4", "--gamma", "0"],
+        ["verify-jump", "--name", "koch", "--m", "4", "--rho", "nan"],
+    ],
+)
+def test_meaningless_exponent_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    flag = argv[-2][2:]
+    assert (out, err) == ("", f"error: {flag} must be finite and > 0, got {float(argv[-1])}\n")
 
 
 def test_dyn_runs_and_refuses(tmp_path, capsys):

@@ -118,6 +118,14 @@ def test_budget_env_var_override(monkeypatch):
     assert part_budget() == 10**6
 
 
+@pytest.mark.parametrize("value", ["abc", "1e6", "10.5"])
+def test_malformed_budget_env_var_is_named(monkeypatch, value):
+    monkeypatch.setenv("HBD_COVER_BUDGET", value)
+    with pytest.raises(ValueError, match=f"HBD_COVER_BUDGET must be an integer, got '{value}'"):
+        part_budget()
+    assert part_budget(100) == 100
+
+
 def test_attractor_points_stay_in_base_box():
     for ifs in (sierpinski_gasket(), unit_interval()):
         pts = attractor_points(ifs, 5)

@@ -170,6 +170,20 @@ def test_low_m_max_rejected():
 
 
 @pytest.mark.parametrize(
+    "gamma, rho",
+    [(float("nan"), None), (float("inf"), None), (-1.0, None), (0.0, None),
+     (None, float("inf")), (None, float("nan")), (None, 0.0), (None, -2.0)],
+)
+def test_meaningless_exponent_is_rejected(gamma, rho):
+    # nan, inf and -1 used to pass every condition; 0 divided by zero
+    ifs = koch_curve()
+    gamma = ifs.gamma if gamma is None else gamma
+    rho = ifs.rho if rho is None else rho
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        hbd_report(ifs, gamma, rho, 3)
+
+
+@pytest.mark.parametrize(
     "name, deflate, m",
     [("gap-dust", 1.0, 6), ("koch", 0.9, 6), ("arrowhead-pseudo:6", 1.0, 6)],
 )

@@ -598,6 +598,17 @@ def test_jump_lemma_holds_on_zoo_systems(make, m):
     assert report.pairs_checked > 0
 
 
+@pytest.mark.parametrize(
+    "gamma, rho",
+    [(float("nan"), None), (float("inf"), None), (-1.0, None), (0.0, None),
+     (None, float("inf")), (None, -1.0)],
+)
+def test_jump_lemma_rejects_a_meaningless_exponent(gamma, rho):
+    # gamma = -1 used to pass; gamma = 0 divided by zero
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        verify_jump_lemma(koch_curve(), 4, gamma=gamma, rho=rho)
+
+
 def test_jump_lemma_record_shape():
     record = verify_jump_lemma(unit_interval(), 4).to_record()
     assert record["pass"] is True
