@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import platform
 import sys
@@ -26,7 +27,7 @@ from .geometry import (
     BudgetExceededError,
     Level,
     OrderedIFS,
-    check_exponents,
+    check_positive,
     iter_levels,
     part_budget,
 )
@@ -74,10 +75,10 @@ class _UsageError(Exception):
     """A bad option value; the command exits 2."""
 
 
-def _resolution(m: int, least: int = 0) -> int:
-    if m < least:
-        raise _UsageError(f"--m must be >= {least}, got {m}")
-    return m
+def _at_least(flag: str, value: int, least: int) -> int:
+    if value < least:
+        raise _UsageError(f"--{flag} must be >= {least}, got {value}")
+    return value
 
 
 def _exponents(args: argparse.Namespace, gamma: float, rho: float) -> tuple[float, float]:
@@ -85,7 +86,7 @@ def _exponents(args: argparse.Namespace, gamma: float, rho: float) -> tuple[floa
     gamma = gamma if args.gamma is None else args.gamma
     rho = rho if args.rho is None else args.rho
     try:
-        check_exponents(gamma, rho)
+        check_positive(gamma=gamma, rho=rho)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     return gamma, rho
@@ -99,7 +100,7 @@ def _zoo_source(name: str) -> OrderedIFS | CurveEvaluator:
 def _level(source: OrderedIFS | CurveEvaluator, m: int, budget: int | None) -> Level:
     """Resolution m of a system or a curve, after the budget check."""
     build = iter_levels if isinstance(source, OrderedIFS) else holder_levels
-    for level in build(source, _resolution(m), budget):
+    for level in build(source, _at_least("m", m, 0), budget):
         pass
     return level
 
@@ -113,7 +114,8 @@ def _run(
     errors: tuple[type[Exception], ...] = (BudgetExceededError,),
     seed: int | None = None,
 ) -> int:
-    """Emit the record of body() -> (record, exit code, stderr lines).
+    """Emit the record of body() -> (record, exit code, stderr lines); a body
+    that writes its own output (render) returns no record.
 
     An unknown zoo name (KeyError, listed against ``names``) and a usage
     error exit 2; ``errors`` exit 1 with their message.
@@ -127,6 +129,8 @@ def _run(
         return _fail(str(exc), 2)
     except errors as exc:
         return _fail(str(exc))
+    if body_record is None:
+        return code
     manifest = {
         "command": command,
         "seed": seed,
@@ -161,15 +165,7 @@ def _ifs_record(ifs: OrderedIFS) -> dict:
         "gamma": ifs.gamma,
         "rho": ifs.rho,
         "base": {"shape": ifs.shape, "corner": list(ifs.corner), "side": ifs.side},
-        "maps": [
-            {
-                "ratio": m.ratio,
-                "angle": m.angle,
-                "reflect": m.reflect,
-                "shift": list(m.shift),
-            }
-            for m in ifs.maps
-        ],
+        "maps": [m.to_record() for m in ifs.maps],
     }
 
 
@@ -209,7 +205,7 @@ def _zoo_body(args: argparse.Namespace) -> dict:
 def cmd_verify_hbd(args: argparse.Namespace) -> int:
     def body() -> tuple:
         source = _zoo_source(args.name)
-        _resolution(args.m, least=1)
+        _at_least("m", args.m, 1)
         if isinstance(source, OrderedIFS):
             gamma, rho = _exponents(args, source.gamma, source.rho)
             lv = source
@@ -233,6 +229,13 @@ def cmd_verify_hbd(args: argparse.Namespace) -> int:
 
 def _build_for_args(args: argparse.Namespace) -> tuple:
     ifs = zoo_ifs(args.name)
+    for flag in ("tau", "D"):
+        value = getattr(args, flag)
+        if value is not None and not 0 < value < math.inf:
+            raise _UsageError(f"--{flag} must be finite and > 0, got {value}")
+    _at_least("bigN", args.bigN, 1)
+    if args.s is not None:
+        _at_least("s", args.s, 1)
     c = ifs.r ** (-1.0 / ifs.gamma)
     alpha = 1.0 / ifs.gamma
     normalized = None
@@ -299,7 +302,7 @@ def cmd_dyn(args: argparse.Namespace) -> int:
             check_dynamics_inputs(tuple(args.interval), args.eta)
         except (KeyError, ValueError) as exc:
             raise _UsageError(str(exc)) from exc
-        s = args.s if args.s is not None else 1
+        s = 1 if args.s is None else _at_least("s", args.s, 1)
         report = run_dynamics_experiment(
             ifs, fam, interval=tuple(args.interval), eta=args.eta, s=s, budget=args.budget
         )
@@ -353,7 +356,7 @@ def _svg_of_boxes(corners: np.ndarray, sides: np.ndarray) -> str:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    try:
+    def body() -> tuple:
         if args.tau is not None or args.s is not None:
             _, cov, _ = _build_for_args(args)
             corners, sides = cov.tags, cov.sides
@@ -362,14 +365,11 @@ def cmd_render(args: argparse.Namespace) -> int:
             m = args.m if args.m is not None else 4 if isinstance(source, OrderedIFS) else 6
             level = _level(source, m, args.budget)
             corners, sides = level.corners, level.sides
-    except KeyError:
-        return _fail(f"unknown zoo name {args.name!r}; known: {', '.join(zoo_names())}", 2)
-    except _UsageError as exc:
-        return _fail(str(exc), 2)
-    except (BudgetExceededError, ValueError) as exc:
-        return _fail(str(exc))
-    _atomic_write(args.out, _svg_of_boxes(corners, sides))
-    return 0
+        _atomic_write(args.out, _svg_of_boxes(corners, sides))
+        return None, 0, []
+
+    errors = (BudgetExceededError, ValueError)
+    return _run(args, "render", (), body, zoo_names(), errors)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_verify_jump(args: argparse.Namespace) -> int:
     def body() -> tuple:
-        ifs, m = zoo_ifs(args.name), _resolution(args.m)
+        ifs, m = zoo_ifs(args.name), _at_least("m", args.m, 0)
         gamma, rho = _exponents(args, ifs.gamma, ifs.rho)
         report = verify_jump_lemma(ifs, m, gamma=gamma, rho=rho, budget=args.budget)
         status = "PASS" if report.passed else "FAIL"
@@ -475,7 +475,8 @@ def cmd_verify_jump(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; may be called repeatedly in one process.
 
-    A malformed HBD_COVER_BUDGET is a usage error, refused before any work.
+    A --budget or HBD_COVER_BUDGET that part_budget refuses is a usage
+    error, refused before any work.
     """
     args = build_parser().parse_args(argv)
     try:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Iterator
 
@@ -47,24 +47,54 @@ class InvalidIndexError(ValueError):
 def part_budget(override: int | None = None) -> int:
     """Active part budget: explicit override, else env var, else default.
 
-    A value of the env var that is not an integer raises ValueError naming it.
+    A value of the env var that is not an integer, and a budget below 1,
+    raise ValueError naming where the budget came from.
     """
     if override is not None:
-        return int(override)
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
+        budget, source = int(override), "budget"
+    else:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        if not env:
+            return DEFAULT_PART_BUDGET
         try:
-            return int(env)
+            budget, source = int(env), BUDGET_ENV_VAR
         except ValueError:
             raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_PART_BUDGET
+    if budget < 1:
+        raise ValueError(f"{source} must be >= 1, got {budget}")
+    return budget
 
 
-def check_exponents(gamma: float, rho: float) -> None:
-    """Raise ValueError unless the exponent gamma and constant rho are finite and > 0."""
-    for label, value in (("gamma", gamma), ("rho", rho)):
-        if not (math.isfinite(value) and value > 0):
+def check_positive(**values: float) -> None:
+    """Raise ValueError naming the first of the values that is not finite and > 0."""
+    for label, value in values.items():
+        if not 0 < value < math.inf:
             raise ValueError(f"{label} must be finite and > 0, got {value}")
+
+
+class Record:
+    """Base of the report dataclasses: to_record() is the JSON record of the fields.
+
+    Each field goes in under its own name, except that ``passed`` becomes
+    "pass"; tuples become lists and a nested Record its own record. A field
+    whose default is None is left out while it is None.
+    """
+
+    def to_record(self) -> dict:
+        rec = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (value is None and f.default is None):
+                rec["pass" if f.name == "passed" else f.name] = _record_value(value)
+        return rec
+
+
+def _record_value(value):
+    if isinstance(value, Record):
+        return value.to_record()
+    if isinstance(value, tuple):
+        return [_record_value(v) for v in value]
+    return value
 
 
 def check_level_budget(r: int, m_max: int, budget: int | None = None) -> None:
@@ -76,7 +106,7 @@ def check_level_budget(r: int, m_max: int, budget: int | None = None) -> None:
 
 
 @dataclass(frozen=True)
-class Similarity:
+class Similarity(Record):
     """Planar similarity p -> shift + ratio * R(angle) @ (reflect ? conj(p) : p).
 
     conj is the vertical reflection (x, y) -> (x, -y), applied before the

@@ -21,11 +21,11 @@ from typing import Iterable
 import numpy as np
 
 from . import geometry
-from .geometry import GEOM_TOL, Level, OrderedIFS
+from .geometry import GEOM_TOL, Level, OrderedIFS, Record
 
 
 @dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(Record):
     """Outcome of one condition at one resolution."""
 
     condition: str
@@ -33,15 +33,9 @@ class ConditionResult:
     passed: bool
     counterexample: dict | None = None
 
-    def to_record(self) -> dict:
-        rec = {"condition": self.condition, "m": self.m, "pass": self.passed}
-        if self.counterexample is not None:
-            rec["counterexample"] = self.counterexample
-        return rec
-
 
 @dataclass(frozen=True)
-class HbdReport:
+class HbdReport(Record):
     name: str
     gamma: float
     rho: float
@@ -59,14 +53,7 @@ class HbdReport:
         return None
 
     def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "gamma": self.gamma,
-            "rho": self.rho,
-            "max_resolution": self.max_resolution,
-            "pass": self.passed,
-            "conditions": [c.to_record() for c in self.conditions],
-        }
+        return {**super().to_record(), "pass": self.passed}
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -74,17 +61,17 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def check_diameters(level: Level, rho: float, c: float, tol: float = GEOM_TOL) -> ConditionResult:
+def check_diameters(level: Level, rho: float, c: float) -> ConditionResult:
     """Condition (i): every side <= rho * c^m, c = r^(-1/gamma)."""
     bound = rho * c**level.m
-    k = _first(level.sides > bound + tol)
+    k = _first(level.sides > bound + GEOM_TOL)
     if k is not None:
         cex = {"index": level.index(k), "side": float(level.sides[k]), "bound": bound}
         return ConditionResult("i", level.m, False, cex)
     return ConditionResult("i", level.m, True)
 
 
-def check_nesting(parent: Level, child: Level, tol: float = GEOM_TOL) -> ConditionResult:
+def check_nesting(parent: Level, child: Level) -> ConditionResult:
     """Condition (ii): the part at rank k // r contains the child at rank k."""
     if child.m != parent.m + 1:
         raise ValueError("child level must be one resolution deeper")
@@ -94,8 +81,10 @@ def check_nesting(parent: Level, child: Level, tol: float = GEOM_TOL) -> Conditi
     inside = np.ones((len(parent), r), dtype=bool)
     for axis in (0, 1):
         lo, parent_lo = child.corners[:, axis], parent.corners[:, axis]
-        inside &= lo.reshape(-1, r) >= (parent_lo - tol)[:, None]
-        inside &= (lo + child.sides).reshape(-1, r) <= (parent_lo + parent.sides + tol)[:, None]
+        inside &= lo.reshape(-1, r) >= (parent_lo - GEOM_TOL)[:, None]
+        inside &= (lo + child.sides).reshape(-1, r) <= (
+            parent_lo + parent.sides + GEOM_TOL
+        )[:, None]
     k = _first(~inside.ravel())
     if k is not None:
         cex = {"index": child.index(k), "parent": parent.index(k // r)}
@@ -104,7 +93,7 @@ def check_nesting(parent: Level, child: Level, tol: float = GEOM_TOL) -> Conditi
     return ConditionResult("ii", child.m, True)
 
 
-def check_adjacency(level: Level, tol: float = GEOM_TOL) -> ConditionResult:
+def check_adjacency(level: Level) -> ConditionResult:
     """Condition (iii): box of (i, j-1, r) meets box of (i, j, 1)."""
     m, r = level.m, level.r
     if m < 2:
@@ -115,7 +104,9 @@ def check_adjacency(level: Level, tol: float = GEOM_TOL) -> ConditionResult:
     # (i, j-1, r) and (i, j, 1) are the views [:, :-1, -1] and [:, 1:, 0]
     lo, side = level.corners.reshape(-1, r, r, 2), level.sides.reshape(-1, r, r, 1)
     left, right = lo[:, :-1, -1], lo[:, 1:, 0]
-    meets = (left <= right + side[:, 1:, 0] + tol) & (right <= left + side[:, :-1, -1] + tol)
+    meets = (left <= right + side[:, 1:, 0] + GEOM_TOL) & (
+        right <= left + side[:, :-1, -1] + GEOM_TOL
+    )
     k = _first(~meets.all(axis=-1).ravel())
     if k is not None:
         i, j = divmod(k, r - 1)
@@ -132,7 +123,6 @@ def hbd_report(
     m_max: int,
     name: str | None = None,
     budget: int | None = None,
-    tol: float = GEOM_TOL,
 ) -> HbdReport:
     """Run all three checks for every resolution up to m_max.
 
@@ -145,7 +135,7 @@ def hbd_report(
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    geometry.check_exponents(gamma, rho)
+    geometry.check_positive(gamma=gamma, rho=rho)
     if isinstance(source, OrderedIFS):
         source, label = geometry.iter_levels(source, m_max, budget), name or source.name
     else:
@@ -155,10 +145,10 @@ def hbd_report(
         if m == 0:
             c = level.r ** (-1.0 / gamma)
         else:
-            nesting.append(check_nesting(parent, level, tol))
-        diameters.append(check_diameters(level, rho, c, tol))
+            nesting.append(check_nesting(parent, level))
+        diameters.append(check_diameters(level, rho, c))
         if m >= 2:
-            adjacency.append(check_adjacency(level, tol))
+            adjacency.append(check_adjacency(level))
         parent = level
     if len(diameters) < m_max + 1:
         raise ValueError("need levels for every resolution 0..m_max")

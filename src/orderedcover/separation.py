@@ -44,56 +44,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, tagging
-from .geometry import GEOM_TOL, OrderedIFS
+from .geometry import GEOM_TOL, OrderedIFS, Record
 from .tagging import TaggedCovering
 
 
 @dataclass(frozen=True)
-class FormReport:
+class FormReport(Record):
     passed: bool
     q: int
     max_rel_err: float
-    first_bad_k: int | None = None
-
-    def to_record(self) -> dict:
-        return {
-            "pass": self.passed,
-            "q": self.q,
-            "max_rel_err": self.max_rel_err,
-            "first_bad_k": self.first_bad_k,
-        }
+    first_bad_k: int | None
 
 
-def verify_form(cov: TaggedCovering, rtol: float = 1e-12) -> FormReport:
+def verify_form(cov: TaggedCovering) -> FormReport:
     """Recompute tau/(kN)^alpha for every k, with Python's float pow as the
-    build does (numpy's ``**`` rounds by CPU), and compare."""
+    build does (numpy's ``**`` rounds by CPU), and compare to a relative 1e-12."""
     tau, bigN, alpha = cov.tau, cov.bigN, cov.alpha
     expected = tau / geometry._pow(np.arange(1, cov.q + 1, dtype=float) * bigN, alpha)
     rel = np.abs(cov.sides - expected) / expected
     worst = int(np.argmax(rel))
-    passed = bool(rel[worst] <= rtol)
+    passed = bool(rel[worst] <= 1e-12)
     return FormReport(
         passed=passed,
         q=cov.q,
         max_rel_err=float(rel[worst]),
-        first_bad_k=None if passed else int(np.argmax(rel > rtol)) + 1,
+        first_bad_k=None if passed else int(np.argmax(rel > 1e-12)) + 1,
     )
 
 
 @dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(Record):
     passed: bool
     base_inside: bool
     prefix_code: bool
     worst_fill: float | None  # None when (b) fails: (c) needs its words
-
-    def to_record(self) -> dict:
-        return {
-            "pass": self.passed,
-            "base_inside": self.base_inside,
-            "prefix_code": self.prefix_code,
-            "worst_fill": self.worst_fill,
-        }
 
 
 def verify_coverage(ifs: OrderedIFS, cov: TaggedCovering) -> CoverageReport:
@@ -164,21 +148,12 @@ def verify_coverage(ifs: OrderedIFS, cov: TaggedCovering) -> CoverageReport:
 
 
 @dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(Record):
     q: int
     pairs_checked: int
     worst_ratio: float
     worst_pair: tuple[int, int]
     passed: bool
-
-    def to_record(self) -> dict:
-        return {
-            "q": self.q,
-            "pairs_checked": self.pairs_checked,
-            "worst_ratio": self.worst_ratio,
-            "worst_pair": list(self.worst_pair),
-            "pass": self.passed,
-        }
 
 
 # Rank block size of the pair audits. The covering is rank-ordered, so the
@@ -202,7 +177,6 @@ def verify_separation(
     D: float | None = None,
     gamma: float | None = None,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> SeparationReport:
     """Check ||lambda - mu|| <= D((l-j)/l)^(1/gamma) over every pair of squares.
 
@@ -282,12 +256,12 @@ def verify_separation(
         pairs_checked=cov.q * (cov.q - 1) // 2,
         worst_ratio=worst_ratio,
         worst_pair=worst_pair,
-        passed=bool(worst_ratio <= 1.0 + tol),
+        passed=bool(worst_ratio <= 1.0 + GEOM_TOL),
     )
 
 
-def coverage_check(cov: TaggedCovering, points: np.ndarray, tol: float = 1e-9) -> bool:
-    """Every sample point must land in at least one square.
+def coverage_check(cov: TaggedCovering, points: np.ndarray) -> bool:
+    """Every sample point must land in at least one square, up to GEOM_TOL.
 
     The sampled reference of verify_coverage. Points go 64 at a time, each
     block against the squares of the rank blocks whose union box meets the
@@ -298,7 +272,7 @@ def coverage_check(cov: TaggedCovering, points: np.ndarray, tol: float = 1e-9) -
     pts = np.atleast_2d(points)
     columns = []  # per axis: square lo and hi, their block union lo and hi, the points
     for axis in (0, 1):
-        lo, hi = cov.tags[:, axis] - tol, cov.tags[:, axis] + cov.sides + tol
+        lo, hi = cov.tags[:, axis] - GEOM_TOL, cov.tags[:, axis] + cov.sides + GEOM_TOL
         _, blo, bhi = _block_boxes(lo, hi)
         columns.append((lo, hi, blo, bhi, np.ascontiguousarray(pts[:, axis])))
     for start in range(0, len(pts), 64):
@@ -407,17 +381,11 @@ def _jump_pass(
 
 
 @dataclass(frozen=True)
-class JumpReport:
+class JumpReport(Record):
     m: int
     pairs_checked: int
     passed: bool
     counterexample: dict | None = None
-
-    def to_record(self) -> dict:
-        rec = {"m": self.m, "pairs_checked": self.pairs_checked, "pass": self.passed}
-        if self.counterexample is not None:
-            rec["counterexample"] = self.counterexample
-        return rec
 
 
 def verify_jump_lemma(
@@ -442,7 +410,7 @@ def verify_jump_lemma(
     """
     gamma = ifs.gamma if gamma is None else gamma
     rho = ifs.rho if rho is None else rho
-    geometry.check_exponents(gamma, rho)
+    geometry.check_positive(gamma=gamma, rho=rho)
     r = ifs.r
     c = r ** (-1.0 / gamma)
     pairs = r**m * (r**m - 1) // 2

@@ -64,7 +64,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import BudgetExceededError, _pow
+from .geometry import BudgetExceededError, Record, _pow
 from .tagging import BuilderParams, TaggedCovering, build_tagged_covering
 from .separation import verify_separation
 
@@ -413,7 +413,7 @@ def product_apply(
 
 
 @dataclass(frozen=True)
-class CS2Report:
+class CS2Report(Record):
     family: str
     measured: float
     certificate: float
@@ -421,25 +421,13 @@ class CS2Report:
     samples: int
     passed: bool
 
-    def to_record(self) -> dict:
-        return {
-            "family": self.family,
-            "measured": self.measured,
-            "certificate": self.certificate,
-            "n_max": self.n_max,
-            "samples": self.samples,
-            "pass": self.passed,
-        }
-
 
 def check_cs2_lipschitz(
-    fam: WeightFamily,
-    interval: tuple[float, float],
-    n_max: int = 1000,
-    rtol: float = 1e-9,
+    fam: WeightFamily, interval: tuple[float, float], n_max: int = 1000
 ) -> CS2Report:
     """The exact sup of |f(x,n) - f(y,n)| / (n^alpha |x - y|) over x != y in [a, b] and
-    1 <= n <= n_max, against C0: f(., n) rises, linearly or concavely, so it is at x = y = a.
+    1 <= n <= n_max, against C0 (1 + 1e-9): f(., n) rises, linearly or concavely, so it is
+    at x = y = a.
     For f = x n^alpha the quotient is 1 at every n. Otherwise the scale n^alpha and the
     slopes take Python's float pow (_pow), so the measured sup is the same on every CPU."""
     a, b = interval
@@ -456,7 +444,7 @@ def check_cs2_lipschitz(
         certificate=fam.C0,
         n_max=n_max,
         samples=n_max,
-        passed=measured <= fam.C0 * (1.0 + rtol),
+        passed=measured <= fam.C0 * (1.0 + 1e-9),
     )
 
 
@@ -586,7 +574,7 @@ def _generic_envelopes(
 
 
 @dataclass(frozen=True)
-class DynamicsConfig:
+class DynamicsConfig(Record):
     """Experiment shape: d factors on coordinates 0..L, parameters in
     interval^d, target accuracy eta, shift step bigN (a multiple of kappa)."""
 
@@ -604,16 +592,6 @@ class DynamicsConfig:
             raise ValueError("d, L, kappa, bigN must be >= 1")
         if self.bigN % self.kappa != 0:
             raise ValueError("bigN must be a multiple of kappa")
-
-    def to_record(self) -> dict:
-        return {
-            "d": self.d,
-            "interval": [self.interval[0], self.interval[1]],
-            "L": self.L,
-            "eta": self.eta,
-            "kappa": self.kappa,
-            "bigN": self.bigN,
-        }
 
 
 def tag_params(cov: TaggedCovering, d: int) -> np.ndarray:
@@ -657,7 +635,7 @@ def build_common_vector(
 
 
 @dataclass(frozen=True)
-class UniversalityReport:
+class UniversalityReport(Record):
     """The two-corner certificate: samples counts corners, two per box; it passes
     when the largest corner error, worst_error, times e^rounding_margin is below 3 eta."""
 
@@ -669,18 +647,6 @@ class UniversalityReport:
     worst_box: int
     worst_lambda: tuple[float, ...]
     passed: bool
-
-    def to_record(self) -> dict:
-        return {
-            "eta": self.eta,
-            "q": self.q,
-            "samples": self.samples,
-            "rounding_margin": self.rounding_margin,
-            "worst_error": self.worst_error,
-            "worst_box": self.worst_box,
-            "worst_lambda": list(self.worst_lambda),
-            "pass": self.passed,
-        }
 
 
 def _rounding_margin(top: int, scale: float) -> float:
@@ -825,7 +791,7 @@ def verify_universality(
 
 
 @dataclass(frozen=True)
-class DynamicsReport:
+class DynamicsReport(Record):
     config: DynamicsConfig
     family: str
     fractal: str
@@ -840,24 +806,6 @@ class DynamicsReport:
     separation_ratio: float
     certificate: str
     passed: bool
-
-    def to_record(self) -> dict:
-        return {
-            "config": self.config.to_record(),
-            "family": self.family,
-            "fractal": self.fractal,
-            "q": self.q,
-            "sigma": self.sigma,
-            "offset": list(self.offset),
-            "D_scaled": self.D_scaled,
-            "envelope_tail": self.envelope_tail,
-            "u_minus_u0": self.u_minus_u0,
-            "universality": self.universality.to_record(),
-            "cs2": self.cs2.to_record(),
-            "separation_ratio": self.separation_ratio,
-            "certificate": self.certificate,
-            "pass": self.passed,
-        }
 
 
 def _envelope_tail(
@@ -914,11 +862,12 @@ def _least_step(passes: Callable[[int], bool], first: int, top: int) -> int | No
 
 
 def check_dynamics_inputs(interval: tuple[float, float], eta: float) -> None:
-    """Raise ValueError unless the interval [A, B] has 0 < A < B and eta > 0."""
-    if not 0 < interval[0] < interval[1]:
-        raise ValueError(f"interval needs 0 < A < B, got {list(interval)}")
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    """Raise ValueError unless the interval [A, B] has 0 < A < B < inf and eta is
+    finite and > 0 (a nan fails every comparison)."""
+    if not 0 < interval[0] < interval[1] < math.inf:
+        raise ValueError(f"interval needs 0 < A < B < inf, got {list(interval)}")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
 def run_dynamics_experiment(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry
-from .geometry import BudgetExceededError, OrderedIFS, lex_unrank, part_budget
+from .geometry import BudgetExceededError, OrderedIFS, Record, lex_unrank, part_budget
 from .hbd import hbd_report
 
 _S_TOL = 1e-9
@@ -51,8 +51,7 @@ class BuilderParams:
     rho: float
 
     def __post_init__(self) -> None:
-        if self.tau <= 0 or self.rho <= 0 or self.D <= 0 or self.gamma <= 0:
-            raise ValueError("tau, rho, D, gamma must be positive")
+        geometry.check_positive(tau=self.tau, rho=self.rho, D=self.D, gamma=self.gamma)
         if self.bigN < 1 or self.r < 2:
             raise ValueError("bigN >= 1 and r >= 2 required")
 
@@ -103,10 +102,10 @@ def normalize_tau(
 ) -> tuple[int, float]:
     """Smallest s with c^s rho <= tau/N^alpha and 3(r-1)^alpha c^s <= 1.
 
-    Returns (s, tau') with tau' = c^s rho N^alpha <= tau.
+    Returns (s, tau') with tau' = c^s rho N^alpha <= tau. tau and rho must
+    be finite and > 0 (ValueError): with a nan no s would ever be found.
     """
-    if tau <= 0 or rho <= 0:
-        raise ValueError("tau and rho must be positive")
+    geometry.check_positive(tau=tau, rho=rho)
     target = tau / bigN**alpha
     margin = 3.0 * (r - 1) ** alpha
     s = 0
@@ -116,7 +115,7 @@ def normalize_tau(
 
 
 @dataclass(frozen=True)
-class FinenessGroup:
+class FinenessGroup(Record):
     """Contiguous k-span of squares covering one rank-`rank` subdivision part."""
 
     rank: int
@@ -128,15 +127,6 @@ class FinenessGroup:
     @property
     def span(self) -> int:
         return self.k_to - self.k_from + 1
-
-    def to_record(self) -> dict:
-        return {
-            "rank": self.rank,
-            "fineness": self.fineness,
-            "ordinal": self.ordinal,
-            "k_from": self.k_from,
-            "k_to": self.k_to,
-        }
 
 
 def _stage_counts(r: int, s: int, budget: int | None) -> tuple[int, int]:

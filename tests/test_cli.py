@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,19 +161,20 @@ def test_budget_env_var_limits_cli(capsys, monkeypatch):
     assert "budget" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["zoo", "emit", "--name", "koch", "--m", "2"],
-        ["verify-hbd", "--name", "koch", "--m", "3"],
-        ["verify-hbd", "--name", "holder-diag", "--m", "3"],
-        ["verify-jump", "--name", "koch", "--m", "2"],
-        ["cover", "build", "--name", "koch", "--s", "1"],
-        ["cover", "verify", "--name", "koch", "--s", "1"],
-        ["dyn", "--name", "sierpinski"],
-        ["render", "--name", "koch", "--m", "2", "--out", "unused.svg"],
-    ],
-)
+# one short run of every subcommand
+SUBCOMMANDS = [
+    ["zoo", "emit", "--name", "koch", "--m", "2"],
+    ["verify-hbd", "--name", "koch", "--m", "3"],
+    ["verify-hbd", "--name", "holder-diag", "--m", "3"],
+    ["verify-jump", "--name", "koch", "--m", "2"],
+    ["cover", "build", "--name", "koch", "--s", "1"],
+    ["cover", "verify", "--name", "koch", "--s", "1"],
+    ["dyn", "--name", "sierpinski"],
+    ["render", "--name", "koch", "--m", "2", "--out", "unused.svg"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS)
 def test_malformed_budget_env_var_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HBD_COVER_BUDGET", "abc")
     argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
@@ -234,7 +238,8 @@ def test_dyn_refuses_alpha_for_rolewicz(capsys):
 @pytest.mark.parametrize(
     "extra",
     [["--eta", "0"], ["--eta", "-0.1"], ["--interval", "2", "1"], ["--interval", "1", "1"],
-     ["--interval", "0", "1"]],
+     ["--interval", "0", "1"], ["--interval", "1", "inf"], ["--interval", "inf", "inf"],
+     ["--interval", "nan", "2"], ["--eta", "inf"], ["--eta", "nan"]],
 )
 def test_dyn_bad_eta_or_interval_is_usage_error(capsys, extra):
     assert main(["dyn", "--name", "sierpinski", *extra]) == 2
@@ -380,3 +385,62 @@ def test_curves_emit_their_resolution_zero_box(tmp_path, capsys):
     out = tmp_path / "root.svg"
     assert main(["render", "--name", "hilbert-pseudo:2", "--m", "0", "--out", str(out)]) == 0
     assert out.read_bytes().count(b"<rect") == 1 + 1
+
+
+@pytest.mark.parametrize(
+    "command", [["cover", "build"], ["cover", "verify"], ["render", "--out", "unused.svg"]]
+)
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--tau", "0"], "--tau must be finite and > 0, got 0.0"),
+        (["--tau", "inf"], "--tau must be finite and > 0, got inf"),
+        (["--s", "1", "--bigN", "0"], "--bigN must be >= 1, got 0"),
+        (["--s", "1", "--D", "-1"], "--D must be finite and > 0, got -1.0"),
+        (["--s", "1", "--D", "nan"], "--D must be finite and > 0, got nan"),
+        (["--s", "0"], "--s must be >= 1, got 0"),
+    ],
+)
+def test_bad_cover_option_is_usage_error_naming_the_flag(
+    command, options, message, tmp_path, capsys
+):
+    argv = [*command, "--name", "sierpinski", *options]
+    argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "unused.svg").exists()
+
+
+def test_dyn_stage_below_one_is_usage_error(capsys):
+    assert main(["dyn", "--name", "sierpinski", "--s", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --s must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS)
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_usage_error(argv, budget, tmp_path, capsys, monkeypatch):
+    argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
+    assert main([*argv, "--budget", budget]) == 2
+    assert capsys.readouterr() == ("", f"error: budget must be >= 1, got {budget}\n")
+    monkeypatch.setenv("HBD_COVER_BUDGET", budget)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: HBD_COVER_BUDGET must be >= 1, got {budget}\n")
+    assert not (tmp_path / "unused.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["cover", "build", "--tau", "nan"], ["render", "--tau", "nan", "--out", "unused.svg"]]
+)
+def test_nan_tau_is_usage_error_in_a_bounded_time(argv, tmp_path):
+    # a nan tau once sent the stage search into an endless loop: run in a child
+    # process, so that a hang fails the test instead of stalling the suite
+    argv = [*argv, "--name", "sierpinski"]
+    argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "orderedcover.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    error = "error: --tau must be finite and > 0, got nan\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
+    assert not (tmp_path / "unused.svg").exists()

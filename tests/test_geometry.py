@@ -1,15 +1,21 @@
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orderedcover
 from orderedcover.geometry import (
     BudgetExceededError,
     InvalidIndexError,
     MultiIndex,
     OrderedIFS,
+    Record,
     Similarity,
     attractor_points,
     levels,
@@ -167,3 +173,56 @@ def test_prefix_parts_contain_descendants(depth):
     hi = lo + np.repeat(parent.sides, ifs.r)[:, None]
     assert (child.corners >= lo - 1e-9).all()
     assert (child.corners + child.sides[:, None] <= hi + 1e-9).all()
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_budget_below_one_is_refused_and_named(monkeypatch, value):
+    with pytest.raises(ValueError, match=f"budget must be >= 1, got {value}"):
+        part_budget(int(value))
+    monkeypatch.setenv("HBD_COVER_BUDGET", value)
+    with pytest.raises(ValueError, match=f"HBD_COVER_BUDGET must be >= 1, got {value}"):
+        part_budget()
+
+
+@dataclass(frozen=True)
+class _Inner(Record):
+    passed: bool
+
+
+@dataclass(frozen=True)
+class _Outer(Record):
+    pair: tuple[int, int]
+    inner: _Inner
+    inners: tuple[_Inner, ...]
+    kept: float | None
+    dropped: dict | None = None
+
+
+def test_a_record_is_its_fields():
+    inner = _Inner(True)
+    outer = _Outer((1, 2), inner, (inner, _Inner(False)), None)
+    assert outer.to_record() == {
+        "pair": [1, 2],
+        "inner": {"pass": True},
+        "inners": [{"pass": True}, {"pass": False}],
+        "kept": None,
+    }
+    assert replace(outer, dropped={"a": 1}).to_record()["dropped"] == {"a": 1}
+    assert Similarity(0.5, 0.25, True, (1, 2)).to_record() == {
+        "ratio": 0.5, "angle": 0.25, "reflect": True, "shift": [1.0, 2.0]
+    }
+
+
+def test_the_record_format_lives_in_one_place():
+    # every report's record comes from Record; only the covering, whose squares
+    # and groups are derived, and HbdReport's one-line pass property add to it
+    own = {}
+    for module in pkgutil.iter_modules(orderedcover.__path__):
+        mod = importlib.import_module(f"orderedcover.{module.name}")
+        for cls in vars(mod).values():
+            if isinstance(cls, type) and cls.__module__ == mod.__name__:
+                if "to_record" in vars(cls) and cls is not Record:
+                    lines = inspect.getsource(cls.to_record).splitlines()
+                    own[cls.__name__] = [line.strip() for line in lines]
+    assert sorted(own) == ["HbdReport", "TaggedCovering"]
+    assert own["HbdReport"][1:] == ['return {**super().to_record(), "pass": self.passed}']

@@ -366,7 +366,9 @@ def test_experiment_report_serializes(flagship):
 @pytest.mark.parametrize(
     "interval, eta",
     [((2.0, 1.0), 0.1), ((1.0, 1.0), 0.1), ((0.0, 1.0), 0.1), ((1.0, 2.0), 0.0),
-     ((1.0, 2.0), -0.1), ((1.0, 2.0), math.nan)],
+     ((1.0, 2.0), -0.1), ((1.0, 2.0), math.nan), ((1.0, math.inf), 0.1),
+     ((math.inf, math.inf), 0.1), ((math.nan, 2.0), 0.1), ((1.0, math.nan), 0.1),
+     ((1.0, 2.0), math.inf)],
 )
 def test_bad_dynamics_inputs_are_refused_before_any_work(interval, eta):
     # no system is given: the refusal comes before it is read

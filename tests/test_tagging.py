@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,3 +218,29 @@ def test_record_of_a_built_covering_is_never_refused(monkeypatch):
     cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
     monkeypatch.setenv("HBD_COVER_BUDGET", "10")
     assert len(cov.to_record()["groups"]) == len(fineness_schedule(3, 1, budget=27)[0])
+
+
+@pytest.mark.parametrize(
+    "tau, rho, bad",
+    [("inf", "1.0", "tau"), ("0.0", "1.0", "tau"), ("-1.0", "1.0", "tau"), ("nan", "1.0", "tau"),
+     ("0.5", "0.0", "rho"), ("0.5", "inf", "rho"), ("0.5", "nan", "rho")],
+)
+def test_normalize_tau_refuses_values_that_are_not_finite_and_positive(tau, rho, bad):
+    # the stage search once looped forever on a nan tau or rho and on an infinite
+    # rho: a child process turns such a hang into a failure, not a stalled suite
+    code = "import sys, orderedcover.tagging as t; tau, rho = map(float, sys.argv[1:]); " \
+        "t.normalize_tau(tau, 1, rho, 0.5, 2, 1.0)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, tau, rho], capture_output=True, text=True, timeout=10, env=env
+    )
+    value = {"tau": tau, "rho": rho}[bad]
+    assert proc.stderr.endswith(f"ValueError: {bad} must be finite and > 0, got {value}\n")
+
+
+@pytest.mark.parametrize("field", ["tau", "D", "gamma", "rho"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_builder_params_refuse_values_that_are_not_finite_and_positive(field, value):
+    given = {"tau": 0.5, "bigN": 1, "D": 8.0, "gamma": 1.5, "r": 3, "rho": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite and > 0, got {value}"):
+        BuilderParams(**given)
