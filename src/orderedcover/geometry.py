@@ -22,9 +22,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import Iterator
 
@@ -82,11 +83,19 @@ class Record:
 
     def to_record(self) -> dict:
         rec = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (value is None and f.default is None):
-                rec["pass" if f.name == "passed" else f.name] = _record_value(value)
+        for key, name, optional in _record_plan(type(self)):
+            value = getattr(self, name)
+            if not (value is None and optional):
+                rec[key] = _record_value(value)
         return rec
+
+
+@functools.cache
+def _record_plan(cls: type) -> tuple[tuple[str, str, bool], ...]:
+    """(key, field name, default is None) for each field of a Record class."""
+    return tuple(
+        ("pass" if f.name == "passed" else f.name, f.name, f.default is None) for f in fields(cls)
+    )
 
 
 def _record_value(value):
@@ -110,7 +119,8 @@ class Similarity(Record):
     """Planar similarity p -> shift + ratio * R(angle) @ (reflect ? conj(p) : p).
 
     conj is the vertical reflection (x, y) -> (x, -y), applied before the
-    rotation. ratio must lie strictly in (0, 1): these are contractions.
+    rotation. ratio must lie strictly in (0, 1): these are contractions. The
+    angle and the shift must be finite.
     """
 
     ratio: float
@@ -121,7 +131,12 @@ class Similarity(Record):
     def __post_init__(self) -> None:
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"ratio must be in (0,1), got {self.ratio}")
-        object.__setattr__(self, "shift", (float(self.shift[0]), float(self.shift[1])))
+        if not math.isfinite(self.angle):
+            raise ValueError(f"angle must be finite, got {self.angle}")
+        shift = (float(self.shift[0]), float(self.shift[1]))
+        if not (math.isfinite(shift[0]) and math.isfinite(shift[1])):
+            raise ValueError(f"shift must be finite, got {shift}")
+        object.__setattr__(self, "shift", shift)
 
     def matrix(self) -> np.ndarray:
         """Linear part as a 2x2 array."""
@@ -190,6 +205,10 @@ class OrderedIFS:
     (shape "square") or the equilateral triangle on the bottom edge of that
     square (shape "triangle"). gamma is a dimension certificate (diameters
     decay like rho * r^(-m/gamma)); rho absorbs bounding-box inflation.
+
+    coefficients (r, 6), read-only, holds each map's a, b, c, d, tx, ty: the
+    entries of Similarity.matrix() and the shift, so that map k sends (x, y)
+    to (a x + b y + tx, c x + d y + ty).
     """
 
     maps: tuple[Similarity, ...]
@@ -199,6 +218,7 @@ class OrderedIFS:
     gamma: float
     rho: float
     name: str = ""
+    coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.shape not in ("square", "triangle"):
@@ -208,13 +228,18 @@ class OrderedIFS:
         ratios = [m.ratio for m in self.maps]
         if max(ratios) - min(ratios) > 1e-12:
             raise ValueError("maps must share one contraction ratio")
-        base_box_lo = np.asarray(self.corner, dtype=float)
-        base_box_hi = base_box_lo + self.side
-        for k, sim in enumerate(self.maps):
-            img = sim.apply(self.base_vertices())
-            lo, hi = img.min(axis=0), img.max(axis=0)
-            if (lo < base_box_lo - GEOM_TOL).any() or (hi > base_box_hi + GEOM_TOL).any():
-                raise ValueError(f"map {k + 1} does not keep the base inside its box")
+        table = np.array([(*sim.matrix().ravel().tolist(), *sim.shift) for sim in self.maps])
+        table.flags.writeable = False
+        object.__setattr__(self, "coefficients", table)
+        # the base vertices' images under every map as a x + b y + tx and
+        # c x + d y + ty, rows x and y, (2, r, k)
+        coef = table.T[:, :, None]
+        x, y = self.base_vertices().T
+        images = coef[[0, 2]] * x + coef[[1, 3]] * y + coef[4:]
+        lo = np.asarray(self.corner, dtype=float)[:, None, None]
+        kept = ((images >= lo - GEOM_TOL) & (images <= lo + self.side + GEOM_TOL)).all(axis=(0, 2))
+        if not kept.all():
+            raise ValueError(f"map {int(kept.argmin()) + 1} does not keep the base inside its box")
 
     @property
     def r(self) -> int:
@@ -270,7 +295,7 @@ _BLOCK_PARTS = 8192
 
 def _boxes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rows lo x, lo y, hi x, hi y of the columns of x and y (k, n)."""
-    return np.stack([x.min(axis=0), y.min(axis=0), x.max(axis=0), y.max(axis=0)])
+    return np.array([x.min(axis=0), y.min(axis=0), x.max(axis=0), y.max(axis=0)])
 
 
 def _part_boxes(ifs: OrderedIFS, points: np.ndarray, m_max: int):
@@ -280,14 +305,14 @@ def _part_boxes(ifs: OrderedIFS, points: np.ndarray, m_max: int):
 
     Word j w maps p to phi_j(sim_w(p)), so resolution m is phi_1..phi_r
     applied to the images at resolution m - 1 and concatenated in that
-    order, which is rank order. Each map acts as a x + b y + t with the
-    entries of Similarity.matrix(). Levels below m_max are built whole.
+    order, which is rank order. Each map acts as a x + b y + t with its row
+    of ifs.coefficients. Levels below m_max are built whole.
     The last holds (r - 1)/r of all parts; its images are reduced to boxes
     one map and one block of _BLOCK_PARTS parent parts at a time, in small
     scratch buffers with the same operations in the same order, and are
     never held whole.
     """
-    steps = [(*sim.matrix().ravel().tolist(), *sim.shift) for sim in ifs.maps]
+    steps = ifs.coefficients.tolist()
     x, y = np.asarray(points, dtype=float).T[:, :, None]
     yield _boxes(x, y)
     if m_max == 0:

@@ -7,9 +7,11 @@ coverings (r^m parts each, lexicographic order) must satisfy:
   (ii)  each resolution-(m+1) part sits inside its length-m prefix part,
   (iii) parts (i, j-1, r) and (i, j, 1) intersect for consecutive j.
 
-Each condition is a few column expressions over a rank-indexed ``Level``. A
-counterexample is the first failing rank. Only the decision "at most gamma"
-is implemented; the infimum itself has no algorithm here.
+Each condition is one expression over both coordinates of a rank-indexed
+``Level`` at once: ``level.corners.T`` is the (2, n) pair of lo rows. A
+comparison with nan fails. A counterexample is the first failing rank. Only
+the decision "at most gamma" is implemented; the infimum itself has no
+algorithm here.
 """
 
 from __future__ import annotations
@@ -56,15 +58,24 @@ class HbdReport(Record):
         return {**super().to_record(), "pass": self.passed}
 
 
-def _first(mask: np.ndarray) -> int | None:
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
+def _first_false(ok: np.ndarray) -> int | None:
+    """Flat index of the first False in the mask, or None if it holds throughout."""
+    k = int(ok.argmin())
+    return None if ok.flat[k] else k
+
+
+# Children per block of the nesting check: half the level, clamped to
+# [_NESTING_MIN, _NESTING_MAX]. Both coordinates of half a level take about
+# the scratch of one coordinate of the whole level, so from 2 * _NESTING_MIN
+# children on the check needs no more memory than one that takes the level
+# one coordinate at a time.
+_NESTING_MIN, _NESTING_MAX = 4096, 16384
 
 
 def check_diameters(level: Level, rho: float, c: float) -> ConditionResult:
-    """Condition (i): every side <= rho * c^m, c = r^(-1/gamma)."""
+    """Condition (i): every side <= rho * c^m, c = r^(-1/gamma). A nan side fails."""
     bound = rho * c**level.m
-    k = _first(level.sides > bound + GEOM_TOL)
+    k = _first_false(level.sides <= bound + GEOM_TOL)
     if k is not None:
         cex = {"index": level.index(k), "side": float(level.sides[k]), "bound": bound}
         return ConditionResult("i", level.m, False, cex)
@@ -75,21 +86,25 @@ def check_nesting(parent: Level, child: Level) -> ConditionResult:
     """Condition (ii): the part at rank k // r contains the child at rank k."""
     if child.m != parent.m + 1:
         raise ValueError("child level must be one resolution deeper")
-    # child rank k = parent rank * r + j: a child column reshaped to (n / r, r)
-    # holds the children of parent i in row i
+    # child rank k = parent rank * r + j: the lo rows (2, n) reshaped to
+    # (2, n / r, r) hold the children of parent i at [:, i]
     r = child.r
-    inside = np.ones((len(parent), r), dtype=bool)
-    for axis in (0, 1):
-        lo, parent_lo = child.corners[:, axis], parent.corners[:, axis]
-        inside &= lo.reshape(-1, r) >= (parent_lo - GEOM_TOL)[:, None]
-        inside &= (lo + child.sides).reshape(-1, r) <= (
-            parent_lo + parent.sides + GEOM_TOL
-        )[:, None]
-    k = _first(~inside.ravel())
-    if k is not None:
-        cex = {"index": child.index(k), "parent": parent.index(k // r)}
-        cex["reason"] = "box escapes parent"
-        return ConditionResult("ii", child.m, False, cex)
+    lo, side = child.corners.T.reshape(2, -1, r), child.sides.reshape(-1, r)
+    parent_lo, parent_side = parent.corners.T[:, :, None], parent.sides[:, None]
+    children = min(max(-(-len(child) // 2), _NESTING_MIN), _NESTING_MAX)
+    step = -(-children // r)  # parents per block
+    for start in range(0, len(parent), step):
+        rows = slice(start, start + step)
+        lo_b, parent_lo_b = lo[:, rows], parent_lo[:, rows]
+        high = parent_lo_b + parent_side[rows] + GEOM_TOL
+        inside = lo_b >= parent_lo_b - GEOM_TOL
+        inside &= lo_b + side[rows] <= high
+        k = _first_false(inside[0] & inside[1])
+        if k is not None:
+            k += start * r
+            cex = {"index": child.index(k), "parent": parent.index(k // r)}
+            cex["reason"] = "box escapes parent"
+            return ConditionResult("ii", child.m, False, cex)
     return ConditionResult("ii", child.m, True)
 
 
@@ -100,14 +115,15 @@ def check_adjacency(level: Level) -> ConditionResult:
         raise ValueError("adjacency needs resolution >= 2")
     if len(level) != r**m:
         raise ValueError(f"expected {r ** m} parts, got {len(level)}")
-    # reshaped to (r^(m-2), r, r), rank (i, j, k) sits at [i, j, k]: the pairs
-    # (i, j-1, r) and (i, j, 1) are the views [:, :-1, -1] and [:, 1:, 0]
-    lo, side = level.corners.reshape(-1, r, r, 2), level.sides.reshape(-1, r, r, 1)
-    left, right = lo[:, :-1, -1], lo[:, 1:, 0]
+    # the lo rows (2, n) reshaped to (2, r^(m-2), r, r) hold rank (i, j, k) at
+    # [:, i, j, k]: the pairs (i, j-1, r) and (i, j, 1) are the views
+    # [..., :-1, -1] and [..., 1:, 0]
+    lo, side = level.corners.T.reshape(2, -1, r, r), level.sides.reshape(-1, r, r)
+    left, right = lo[..., :-1, -1], lo[..., 1:, 0]
     meets = (left <= right + side[:, 1:, 0] + GEOM_TOL) & (
         right <= left + side[:, :-1, -1] + GEOM_TOL
     )
-    k = _first(~meets.all(axis=-1).ravel())
+    k = _first_false(meets[0] & meets[1])
     if k is not None:
         i, j = divmod(k, r - 1)
         a = (i * r + j) * r + r - 1

@@ -190,11 +190,13 @@ def verify_separation(
     a slack that keeps ties and absorbs the bound's rounding. Every sup
     distance is max(hi_j - lo_l, hi_l - lo_j) per axis, so worst_ratio is
     the exhaustive maximum bit for bit. Memory is O(q + 2^14) plus the
-    list of undecided block pairs.
+    list of undecided block pairs. D and gamma must be finite and > 0
+    (ValueError).
     """
     # seed is unused: the audit draws nothing; bench/jobs.py still passes it
     D = cov.D if D is None else D
     gamma = cov.gamma if gamma is None else gamma
+    geometry.check_positive(D=D, gamma=gamma)
     columns = np.concatenate([cov.tags.T, cov.tags.T + cov.sides])  # lo x, lo y, hi x, hi y
     worst_ratio, worst_pair = -np.inf, (0, 0)
 

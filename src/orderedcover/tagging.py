@@ -263,11 +263,6 @@ class TaggedCovering:
         }
 
 
-def pending_after_stage(r: int, s: int, j: int) -> int:
-    """Rank-(s+1) parts still uncovered once stage j is done."""
-    return r * (r**s - 1) - j * (r - 1)
-
-
 def build_tagged_covering(
     ifs: OrderedIFS,
     params: BuilderParams,

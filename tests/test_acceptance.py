@@ -31,10 +31,10 @@ from orderedcover.tagging import (
     BuilderParams,
     build_tagged_covering,
     fineness_schedule,
-    pending_after_stage,
 )
 
 from cs1_reference import check_cs1_bounds
+from tagging_reference import pending_after_stage
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:

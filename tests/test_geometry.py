@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import orderedcover
 from orderedcover.geometry import (
+    GEOM_TOL,
     BudgetExceededError,
     InvalidIndexError,
     MultiIndex,
@@ -23,7 +24,7 @@ from orderedcover.geometry import (
     lex_unrank,
     part_budget,
 )
-from orderedcover.zoo import sierpinski_gasket, unit_interval
+from orderedcover.zoo import IFS_NAMES, sierpinski_gasket, unit_interval, zoo_ifs
 
 from geometry_reference import compose_part
 
@@ -46,6 +47,17 @@ def test_ratio_bounds_enforced():
         Similarity(1.0, 0.0, False, (0.0, 0.0))
     with pytest.raises(ValueError):
         Similarity(0.0, 0.0, False, (0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "angle, shift, named",
+    [(math.nan, (0.0, 0.0), "angle"), (-math.inf, (0.0, 0.0), "angle"),
+     (0.0, (math.nan, 0.0), "shift"), (0.3, (0.0, math.inf), "shift")],
+)
+def test_similarity_refuses_a_non_finite_angle_or_shift(angle, shift, named):
+    # a nan map's images are nan, and no comparison of them is ever True
+    with pytest.raises(ValueError, match=f"^{named} must be finite"):
+        Similarity(0.5, angle, False, shift)
 
 
 def test_multi_index_rejects_out_of_range_entries():
@@ -157,6 +169,42 @@ def test_ifs_rejects_escaping_maps():
     )
     with pytest.raises(ValueError):
         OrderedIFS(maps, "square", (0.0, 0.0), 1.0, 1.0, 1.0)
+
+
+def test_ifs_names_the_first_map_that_leaves_the_base():
+    inside = Similarity(0.5, 0.0, False, (0.0, 0.0))
+    right, below = Similarity(0.5, 0.0, False, (0.9, 0.0)), Similarity(0.5, 0.0, False, (0.0, -0.9))
+    with pytest.raises(ValueError, match="^map 2 does not keep the base inside its box$"):
+        OrderedIFS((inside, right, below), "square", (0.0, 0.0), 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="^map 3 does not keep the base inside its box$"):
+        OrderedIFS((inside, inside, below), "square", (0.0, 0.0), 1.0, 1.0, 1.0)
+    # a nan base corner puts nan in every image, which no box holds
+    with pytest.raises(ValueError, match="^map 1 does not keep the base inside its box$"):
+        OrderedIFS((inside, inside), "square", (math.nan, 0.0), 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "edge, reach, outward", [(1.0 + GEOM_TOL, 0.5, math.inf), (-GEOM_TOL, 0.0, -math.inf)]
+)
+def test_ifs_allows_geom_tol_and_not_one_ulp_more(edge, reach, outward):
+    # shifted by t, the second map sends x = 1 to 0.5 + t and x = 0 to t:
+    # t = edge - reach puts an image exactly on the edge of the base box plus
+    # GEOM_TOL, and t = nextafter(edge) - reach one ulp past it
+    inside = Similarity(0.5, 0.0, False, (0.0, 0.0))
+    on = Similarity(0.5, 0.0, False, (edge - reach, 0.0))
+    OrderedIFS((inside, on), "square", (0.0, 0.0), 1.0, 1.0, 1.0)
+    past = Similarity(0.5, 0.0, False, (math.nextafter(edge, outward) - reach, 0.0))
+    with pytest.raises(ValueError, match="^map 2 does not keep the base inside its box$"):
+        OrderedIFS((inside, past), "square", (0.0, 0.0), 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("name", IFS_NAMES)
+def test_coefficient_table_is_each_maps_matrix_and_shift_bit_for_bit(name):
+    ifs = zoo_ifs(name)
+    want = np.array([[*sim.matrix().ravel(), *sim.shift] for sim in ifs.maps])
+    assert ifs.coefficients.shape == (ifs.r, 6)
+    assert ifs.coefficients.tobytes() == want.tobytes()
+    assert not ifs.coefficients.flags.writeable
 
 
 @given(depth=st.integers(min_value=0, max_value=4))

@@ -91,6 +91,13 @@ def test_nesting_check_flags_escaping_child():
     assert result.counterexample["index"] == [1, 1]
 
 
+def test_diameter_check_fails_a_nan_side():
+    # a nan side compares False with any bound, so (i) must ask side <= bound
+    result = check_diameters(level(1, [0.0, 0.5], [0.5, np.nan]), rho=1.0, c=0.5)
+    assert not result.passed
+    assert result.counterexample["index"] == [2]
+
+
 def test_adjacency_check_flags_gap():
     # two resolution-2 sibling blocks: children of 1 end at x=0.4,
     # children of 2 start at x=0.6

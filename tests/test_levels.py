@@ -6,8 +6,10 @@ behind attractor_points and the pseudo curves. The streamed boxes, whose
 last level is reduced block by block, are checked bit for bit against the
 whole-level recursion. Curve levels are checked against a per-interval loop
 kept here. The nesting check is held to a reference that repeats each
-parent box r times. Two memory bounds hold the streamed pipeline to about
-two levels at a time.
+parent box r times, and all three condition checks to per-part loops kept
+here, on levels edited to hold nan and boxes exactly at the tolerance's
+edge. Two memory bounds hold the streamed pipeline to about two levels at
+a time.
 """
 
 import functools
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderedcover import geometry
+from orderedcover import geometry, hbd
 from orderedcover.geometry import (
     GEOM_TOL,
     BudgetExceededError,
@@ -31,7 +33,13 @@ from orderedcover.geometry import (
     levels,
     lex_unrank,
 )
-from orderedcover.hbd import check_adjacency, check_nesting, hbd_report
+from orderedcover.hbd import (
+    ConditionResult,
+    check_adjacency,
+    check_diameters,
+    check_nesting,
+    hbd_report,
+)
 from orderedcover.tagging import BuilderParams, build_tagged_covering
 from orderedcover.zoo import (
     CurveEvaluator,
@@ -343,6 +351,138 @@ def test_nesting_of_curve_levels_matches_reference(family):
     curve, lv = curve_levels(family, 3)
     for parent, child in zip(lv, lv[1:]):
         assert_nesting_matches_reference(parent, child)
+
+
+def diameters_loop(level, rho, c):
+    """Condition (i) part by part: the first side not <= rho c^m + GEOM_TOL."""
+    bound = rho * c**level.m
+    for k, side in enumerate(level.sides.tolist()):
+        if not side <= bound + GEOM_TOL:
+            cex = {"index": level.index(k), "side": side, "bound": bound}
+            return ConditionResult("i", level.m, False, cex)
+    return ConditionResult("i", level.m, True)
+
+
+def nesting_loop(parent, child):
+    """Condition (ii) part by part and axis by axis."""
+    lo, side = child.corners.tolist(), child.sides.tolist()
+    parent_lo, parent_side = parent.corners.tolist(), parent.sides.tolist()
+    for k in range(len(child)):
+        i = k // child.r
+        for axis in (0, 1):
+            if not (
+                lo[k][axis] >= parent_lo[i][axis] - GEOM_TOL
+                and lo[k][axis] + side[k] <= parent_lo[i][axis] + parent_side[i] + GEOM_TOL
+            ):
+                cex = {"index": child.index(k), "parent": parent.index(i)}
+                cex["reason"] = "box escapes parent"
+                return ConditionResult("ii", child.m, False, cex)
+    return ConditionResult("ii", child.m, True)
+
+
+def adjacency_loop(level):
+    """Condition (iii) pair by pair: ranks a and a + 1 where a ends in r and
+    its next-to-last entry is not r, that is (i, j-1, r) and (i, j, 1)."""
+    r, lo, side = level.r, level.corners.tolist(), level.sides.tolist()
+    for a in range(r - 1, len(level) - 1, r):
+        if (a // r) % r == r - 1:
+            continue
+        for axis in (0, 1):
+            if not (
+                lo[a][axis] <= lo[a + 1][axis] + side[a + 1] + GEOM_TOL
+                and lo[a + 1][axis] <= lo[a][axis] + side[a] + GEOM_TOL
+            ):
+                cex = {"left": level.index(a), "right": level.index(a + 1)}
+                return ConditionResult("iii", level.m, False, cex)
+    return ConditionResult("iii", level.m, True)
+
+
+def _past(x, ulps, direction):
+    for _ in range(ulps):
+        x = math.nextafter(x, direction)
+    return x
+
+
+def reach(lo, parent, i, axis):
+    """The side that puts lo + side exactly on the parent's hi end plus
+    GEOM_TOL on that axis, when one of the three floats nearest it does."""
+    edge = float(parent.corners[i, axis] + parent.sides[i] + GEOM_TOL)
+    near = edge - float(lo)
+    tries = (near, math.nextafter(near, -math.inf), math.nextafter(near, math.inf))
+    return next((side for side in tries if lo + side == edge), near)
+
+
+def edit_level(level, data, parent, bound):
+    """A copy of the level, in the same memory layout, with up to four parts
+    edited: a nan corner or side, a side at the diameter bound plus
+    GEOM_TOL, a corner at its parent's minus GEOM_TOL, a hi end at its
+    parent's plus GEOM_TOL, or one part of a pair that condition (iii)
+    compares moved to the other's hi end plus GEOM_TOL; each edge exact or
+    one ulp past it."""
+    corners, sides = np.array(level.corners, order="K"), level.sides.copy()
+    m, r, n = level.m, level.r, len(level)
+    kinds = ["nan corner", "nan side", "side at bound"]
+    kinds += ["parent lo", "parent hi"] if parent is not None else []
+    kinds += ["pair", "pair reversed"] if m >= 2 else []
+    for _ in range(data.draw(st.integers(0, 4))):
+        kind, axis = data.draw(st.sampled_from(kinds)), data.draw(st.integers(0, 1))
+        k, ulps = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 1))
+        if kind == "nan corner":
+            corners[k, axis] = math.nan
+        elif kind == "nan side":
+            sides[k] = math.nan
+        elif kind == "side at bound":
+            sides[k] = _past(bound + GEOM_TOL, ulps, math.inf)
+        elif kind == "parent lo":
+            corners[k, axis] = _past(parent.corners[k // r, axis] - GEOM_TOL, ulps, -math.inf)
+        elif kind == "parent hi":  # on the axis with less room, so only it touches
+            side = min(reach(corners[k, ax], parent, k // r, ax) for ax in (0, 1))
+            sides[k] = _past(side, ulps, math.inf)
+        else:  # a = (i, j-1, r) for a drawn i and j, and a + 1 = (i, j, 1)
+            i, j = data.draw(st.integers(0, r ** (m - 2) - 1)), data.draw(st.integers(0, r - 2))
+            a = (i * r + j) * r + r - 1
+            left, right = (a, a + 1) if kind == "pair" else (a + 1, a)
+            edge = float(corners[left, axis] + sides[left] + GEOM_TOL)
+            corners[right, axis] = _past(edge, ulps, math.inf)
+    return Level(m, r, corners, sides)
+
+
+def assert_conditions_match_loops(parent, child, data):
+    c = data.draw(st.sampled_from([0.5, 1.0 / 3.0, 0.7]))
+    rho = data.draw(st.sampled_from([0.5, 1.0])) * float(child.sides.max()) / c**child.m
+    parent = edit_level(parent, data, None, rho * c**parent.m)
+    child = edit_level(child, data, parent, rho * c**child.m)
+    # small blocks split the nesting check into many, the last one ragged
+    blocks = [(1, 1), (1, 5), (4, 16), (hbd._NESTING_MIN, hbd._NESTING_MAX)]
+    least, most = data.draw(st.sampled_from(blocks))
+    with mock.patch.multiple(hbd, _NESTING_MIN=least, _NESTING_MAX=most):
+        nesting = check_nesting(parent, child)
+    pairs = [
+        (check_diameters(parent, rho, c), diameters_loop(parent, rho, c)),
+        (check_diameters(child, rho, c), diameters_loop(child, rho, c)),
+        (nesting, nesting_loop(parent, child)),
+        (check_adjacency(child), adjacency_loop(child)),
+    ]
+    if parent.m >= 2:
+        pairs.append((check_adjacency(parent), adjacency_loop(parent)))
+    for got, want in pairs:
+        assert repr(got) == repr(want)  # a nan side equals a nan; -0.0 differs from 0.0
+
+
+@given(ifs=random_systems(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_conditions_match_per_part_loops_on_drawn_systems(ifs, data):
+    m = data.draw(st.integers(2, {2: 6, 3: 4, 4: 3}[ifs.r]))
+    lv = levels(ifs, m)
+    assert_conditions_match_loops(lv[m - 1], lv[m], data)
+
+
+@given(family=st.sampled_from(sorted(CURVES)), order=st.integers(1, 4), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_conditions_match_per_part_loops_on_curve_levels(family, order, data):
+    _, lv = curve_levels(family, order)
+    m = data.draw(st.integers(2, 8))
+    assert_conditions_match_loops(lv[m - 1], lv[m], data)
 
 
 def peak_traced_mb(run) -> float:

@@ -106,6 +106,18 @@ def test_separation_exhaustive_on_small_covering(gasket_cov):
     assert 1 <= j < l <= 27
 
 
+@pytest.mark.parametrize(
+    "D, gamma",
+    [(math.nan, None), (None, math.nan), (math.inf, None), (None, math.inf), (0.0, None),
+     (None, -1.0)],
+)
+def test_separation_refuses_a_meaningless_bound(gasket_cov, D, gamma):
+    # with a nan D or gamma every ratio is nan and none folds into the
+    # maximum, so the audit would pass with worst_ratio -inf at (0, 0)
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        verify_separation(gasket_cov, D=D, gamma=gamma)
+
+
 def test_separation_fails_under_tight_constant(gasket_cov):
     report = verify_separation(gasket_cov, D=0.5)
     assert not report.passed

@@ -14,11 +14,11 @@ from orderedcover.tagging import (
     build_tagged_covering,
     fineness_schedule,
     normalize_tau,
-    pending_after_stage,
 )
 from orderedcover.zoo import hilbert_square, minkowski_sausage, sierpinski_gasket, unit_interval
 
 from geometry_reference import compose_part
+from tagging_reference import pending_after_stage
 
 # (r, s) -> (t, q), from t = r(r^s - 1)/(r - 1), q = r^t
 SCHEDULE_TABLE = {
