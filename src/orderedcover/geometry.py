@@ -223,8 +223,7 @@ class OrderedIFS:
     def __post_init__(self) -> None:
         if self.shape not in ("square", "triangle"):
             raise ValueError(f"unknown base shape {self.shape!r}")
-        if self.side <= 0 or self.gamma <= 0 or self.rho <= 0:
-            raise ValueError("side, gamma, rho must be positive")
+        check_positive(side=self.side, gamma=self.gamma, rho=self.rho)
         ratios = [m.ratio for m in self.maps]
         if max(ratios) - min(ratios) > 1e-12:
             raise ValueError("maps must share one contraction ratio")

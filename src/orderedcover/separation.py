@@ -17,21 +17,23 @@ Four checks, none by sampling:
   apart are at least (r^(n-1) + r - 2)/(r - 1) positions apart in the
   lexicographic enumeration.
 
-Both pair audits cover all q(q-1)/2 pairs in O(q) memory: an exact band
-of short rank gaps and, beyond it, pairs of rank blocks decided by their
-union boxes, computed exactly only where a bound cannot decide
-(two-point correlation; Moore et al., 2001). Separation computes every
-pair up to rank gap 16, so its block bounds, the diagonal included,
-assume a gap of 17 or more. On the unit-interval s=3 covering
-(q = 16,384, 134,209,536 pairs) that is the band and 12 of 32,896 pairs
-of 64-rank blocks: about 6 ms, against 50 ms without the band and 1.4 s
-for every pair. The jump check counts premise hits from 64-rank row
-tiles against 16-rank column blocks, and looks for bad pairs only in the
-band of short rank gaps. On the gasket at m = 9 (19,683 tags, 1.5e9 hits
-over 1.9e8 pairs and 9 thresholds) it takes about 0.33 s, against 1.25 s
-for a scan of every pair row by row (2-core x86-64 VM). The worst case
-of both remains O(q^2), and the jump check refuses more than
-JUMP_PAIR_BUDGET pairs up front.
+The separation audit covers all q(q-1)/2 pairs in O(q) memory: an exact
+band of short rank gaps and, beyond it, pairs of rank blocks decided by
+their union boxes, computed exactly only where a bound cannot decide
+(two-point correlation; Moore et al., 2001). It computes every pair up
+to rank gap 16, so its block bounds, the diagonal included, assume a gap
+of 17 or more. On the unit-interval s=3 covering (q = 16,384,
+134,209,536 pairs) that is the band and 12 of 32,896 pairs of 64-rank
+blocks: about 6 ms, against 50 ms without the band and 1.4 s for every
+pair. Its worst case remains O(q^2).
+
+The jump lemma fails only on a pair closer in rank than it requires, so
+the jump check reads only that band of short rank gaps, in 64-rank row
+tiles that skip the 16-rank column blocks whose union box cannot reach a
+threshold. On the gasket at m = 9 (19,683 tags, 1.9e8 pairs, 2.1e7 of
+them in the band) it computes 1.2e6 distances in about 0.03 s (2-core
+x86-64 VM). It refuses a band of more than JUMP_PAIR_BUDGET pairs up
+front.
 
 coverage_check, which tests sample points against the squares, is the
 sampled reference that verify_coverage replaced; no verdict rests on it.
@@ -292,9 +294,12 @@ def coverage_check(cov: TaggedCovering, points: np.ndarray) -> bool:
     return True
 
 
-# Pair limit of the jump check, q = r^m <= 65,536 parts: the gasket at
-# m = 10 (1.7e9 pairs) and hilbert-square at m = 8 (2.1e9) fit, in 2 to
-# 6 s and under 60 MB peak RSS each on a 2-core x86-64 VM.
+# Limit on the jump check's band pairs, b q - b(b + 1)/2 with
+# b = min(max(short), q - 1): every pair the band could compare before a
+# block bound prunes it. The gasket at m = 11 (1.7e9 band pairs) and
+# hilbert-square at m = 9 (1.4e9) fit, in under 1 s and 50 MB peak RSS end
+# to end each on a 2-core x86-64 VM. It also keeps b below 2^16, so one
+# row tile of band distances stays under 32 MB.
 JUMP_PAIR_BUDGET = 2**31
 
 # Rank tiles of the jump check: rows of _JUMP_ROWS ranks against later
@@ -304,33 +309,29 @@ _JUMP_ROWS, _JUMP_COLS = 64, 16
 
 def _jump_pass(
     x: np.ndarray, y: np.ndarray, threshold: list[float], short: list[int]
-) -> tuple[list[int], list[tuple[int, int, float] | None]]:
-    """Premise hits and first short-gap hit of each threshold over all point pairs.
+) -> tuple[list[tuple[int, int, float] | None], int]:
+    """First short-gap premise hit of each threshold, and the pairs compared.
 
     Over the pairs j < l of points (x_k, y_k), with distance
-    d = max(|x_j - x_l|, |y_j - y_l|): hits[n] counts the pairs with
-    d >= threshold[n], and first_bad[n] is the first of them in (j, l)
-    order with l - j <= short[n], as (j, l, d), or None.
+    d = max(|x_j - x_l|, |y_j - y_l|): first_bad[n] is the first pair in
+    (j, l) order with l - j <= short[n] and d >= threshold[n], as (j, l, d),
+    or None. compared counts the pairs l < len(x) whose distance was
+    computed; the NaN padding past the last rank is not counted.
 
-    Rows go _JUMP_ROWS ranks at a time. The union boxes of a row tile A and
-    of a later column block B bound every pair's distance per axis, between
-    blo_B - bhi_A (or blo_A - bhi_B) and bhi_B - blo_A (or bhi_A - blo_B).
-    Rounding is monotone, so the rounded bounds also bound every rounded
-    |x_j - x_l|: a block whose lower bound reaches threshold n hits it in
-    all its pairs, and one whose upper bound stays below misses it in all.
-    Such blocks are counted by size. Exact distances are computed only for
-    the blocks some threshold falls between the bounds of, and for the
-    tile's own pairs. First bad pairs are searched only in the band
-    l - j <= short[n], which stops after the last block whose upper bound
-    reaches threshold n. np.abs(x_j - x_l) is max(x_j - x_l, x_l - x_j)
-    bit for bit, so hits and distances match a scan of every pair exactly.
-    Memory is O(_JUMP_ROWS q).
+    Rows go _JUMP_ROWS ranks at a time, against their band l - j <= short[n].
+    The union boxes of a row tile A and of a later column block B bound
+    every pair's distance per axis by bhi_B - blo_A (or bhi_A - blo_B), and
+    rounding is monotone, so a block whose bound stays below threshold n
+    misses it in all its pairs. The band of n stops after the last block
+    within short[n] whose bound reaches threshold n; only the blocks within
+    max(short) of the tile are bounded. np.abs(x_j - x_l) is
+    max(x_j - x_l, x_l - x_j) bit for bit, so distances match a scan of
+    every pair exactly. Memory is O(q + _JUMP_ROWS max(short)).
     """
     q, t = len(x), np.asarray(threshold, dtype=float)[:, None]
-    hits, first_bad = np.zeros(len(threshold), dtype=np.int64), [None] * len(threshold)
-    starts, xlo, xhi = _block_boxes(x, x, _JUMP_COLS)
+    first_bad, compared = [None] * len(threshold), 0
+    _, xlo, xhi = _block_boxes(x, x, _JUMP_COLS)
     _, ylo, yhi = _block_boxes(y, y, _JUMP_COLS)
-    sizes = np.diff(starts, append=q)
     band = max(short, default=0)
     # row k of wx, wy holds the band's points k + 1 .. k + band; past the
     # last rank it reads NaN, which hits no threshold
@@ -338,30 +339,17 @@ def _jump_pass(
         np.lib.stride_tricks.sliding_window_view(np.append(v[1:], np.full(band, np.nan)), band)
         for v in (x, y)
     )
-    below = np.tri(_JUMP_ROWS, dtype=bool)  # l <= j within a tile
     for a in range(0, q, _JUMP_ROWS):
         tx, ty = x[a : a + _JUMP_ROWS], y[a : a + _JUMP_ROWS]
         rows, first = len(tx), -(-(a + len(tx)) // _JUMP_COLS)
-        bxlo, bxhi, bylo, byhi = (v[first:] for v in (xlo, xhi, ylo, yhi))
-        lo = np.maximum(
-            np.maximum(bxlo - tx.max(), tx.min() - bxhi),
-            np.maximum(bylo - ty.max(), ty.min() - byhi),
-        )
+        # the later blocks within max(short) of the tile's last row
+        stop = (a + rows - 1 + band) // _JUMP_COLS + 1
+        bxlo, bxhi, bylo, byhi = (v[first:stop] for v in (xlo, xhi, ylo, yhi))
         hi = np.maximum(
             np.maximum(bxhi - tx.min(), tx.max() - bxlo),
             np.maximum(byhi - ty.min(), ty.max() - bylo),
         )
-        inside, reach = lo >= t, hi >= t
-        straddle = (reach & ~inside).any(axis=0)
-        hits += rows * (inside[:, ~straddle] @ sizes[first:][~straddle])
-        near = np.zeros(len(starts), dtype=bool)
-        near[a // _JUMP_COLS : first] = True
-        near[first:] = straddle
-        cols = np.flatnonzero(np.repeat(near, _JUMP_COLS)[:q])
-        d = np.maximum(np.abs(tx[:, None] - x[cols]), np.abs(ty[:, None] - y[cols]))
-        d[:, :rows][below[:rows, :rows]] = -np.inf  # cols start with the tile's own ranks
-        for n, tn in enumerate(threshold):
-            hits[n] += np.count_nonzero(d >= tn)
+        reach = hi >= t
         # the band of n ends at the last later block within short[n] that can hit n
         width = {}
         for n in (n for n in range(len(threshold)) if first_bad[n] is None and short[n] > 0):
@@ -371,7 +359,8 @@ def _jump_pass(
         w = max(width.values(), default=0)
         if w == 0:
             continue
-        # row i, column g: the pair (a + i, a + i + 1 + g)
+        # row i, column g: the pair (a + i, a + i + 1 + g), real while it is < q
+        compared += int(np.minimum(w, q - 1 - np.arange(a, a + rows)).sum())
         band_x, band_y = wx[a : a + rows, :w], wy[a : a + rows, :w]
         d = np.maximum(np.abs(tx[:, None] - band_x), np.abs(ty[:, None] - band_y))
         for n, wn in width.items():
@@ -379,7 +368,7 @@ def _jump_pass(
             if hit.any():
                 i, g = divmod(int(np.argmax(hit)), wn)
                 first_bad[n] = (a + i, a + i + 1 + g, float(d[i, g]))
-    return [int(h) for h in hits], first_bad
+    return first_bad, compared
 
 
 @dataclass(frozen=True)
@@ -397,42 +386,48 @@ def verify_jump_lemma(
     rho: float | None = None,
     budget: int | None = None,
 ) -> JumpReport:
-    """Exhaustive jump-count check on all tag pairs at resolution m.
+    """Check the jump lemma on the tags of resolution m, from its short-gap band.
 
-    Premise threshold c^(m-n) rho uses a hair of slack (1 - 1e-9) so pairs
-    sitting exactly on the threshold are not lost to rounding; the counting
-    conclusion is discrete and unaffected.
+    For each n < m, tags at least c^(m-n) rho apart must be at least
+    required[n] = (r^(n-1) + r - 2)/(r - 1) ranks apart, so a counterexample
+    is a pair with l - j <= short[n], the largest gap below required[n], and
+    the verdict needs no pair past that band. The premise threshold keeps a
+    hair of slack (1 - 1e-9), so pairs sitting exactly on it are not lost to
+    rounding; the conclusion is discrete and unaffected.
 
     The report is that of checking n = 0, 1, ... in turn up to the first n
-    with a bad pair: pairs_checked sums the premise hits of those n, and the
-    counterexample is the first bad pair of the last in (j, l) order. One
-    pass over the pairs, _jump_pass, gathers both for every n. More than
-    JUMP_PAIR_BUDGET pairs are refused with BudgetExceededError before any
-    level is built. gamma and rho must be finite and > 0 (ValueError).
+    with a bad pair, whose first bad pair in (j, l) order is the
+    counterexample. One pass over the band, _jump_pass, finds the first bad
+    pair of every n; pairs_checked counts the pairs whose distance it
+    computed. A band of more than JUMP_PAIR_BUDGET pairs is refused with
+    BudgetExceededError before any level is built. gamma and rho must be
+    finite and > 0 (ValueError).
     """
     gamma = ifs.gamma if gamma is None else gamma
     rho = ifs.rho if rho is None else rho
     geometry.check_positive(gamma=gamma, rho=rho)
-    r = ifs.r
+    r, q = ifs.r, ifs.r**m
     c = r ** (-1.0 / gamma)
-    pairs = r**m * (r**m - 1) // 2
-    if pairs > JUMP_PAIR_BUDGET:
-        raise geometry.BudgetExceededError(f"{pairs} pairs exceed budget {JUMP_PAIR_BUDGET}")
-    for level in geometry.iter_levels(ifs, m, budget):
-        pass
     required = [(r ** (n - 1) + r - 2) / (r - 1) for n in range(m)]
     threshold = [c ** (m - n) * rho * (1.0 - 1e-9) for n in range(m)]
     # the gaps l - j below required[n] are 1 .. short[n]
     short = [math.ceil(x) - 1 for x in required]
+    # the pairs j < l < q with l - j <= b (short[n] < required[n] <= r^n, so b < q)
+    b = max(short, default=0)
+    pairs = b * q - b * (b + 1) // 2
+    if pairs > JUMP_PAIR_BUDGET:
+        raise geometry.BudgetExceededError(f"{pairs} band pairs exceed budget {JUMP_PAIR_BUDGET}")
+    for level in geometry.iter_levels(ifs, m, budget):
+        pass
     x, y = np.ascontiguousarray(level.corners[:, 0]), np.ascontiguousarray(level.corners[:, 1])
-    hits, first_bad = _jump_pass(x, y, threshold, short)
+    first_bad, compared = _jump_pass(x, y, threshold, short)
     bad_n = next((n for n in range(m) if first_bad[n] is not None), None)
     if bad_n is None:
-        return JumpReport(m=m, pairs_checked=sum(hits), passed=True)
+        return JumpReport(m=m, pairs_checked=compared, passed=True)
     j, l, distance = first_bad[bad_n]
     return JumpReport(
         m=m,
-        pairs_checked=sum(hits[: bad_n + 1]),
+        pairs_checked=compared,
         passed=False,
         counterexample={
             "j": level.index(j),

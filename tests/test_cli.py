@@ -345,8 +345,8 @@ def test_curve_runs_honour_the_part_budget(capsys):
 
 
 def test_verify_jump_refuses_an_over_budget_pair_count(capsys, monkeypatch):
-    # 3^12 = 531,441 parts fit the part budget; their 1.4e11 pairs do not,
-    # and the refusal comes before any level is built
+    # 3^12 = 531,441 parts fit the part budget; the 1.5e10 pairs of their
+    # short-gap band do not, and the refusal comes before any level is built
     def no_levels(*args, **kwargs):
         raise AssertionError("levels built before the pair budget check")
 
@@ -354,7 +354,7 @@ def test_verify_jump_refuses_an_over_budget_pair_count(capsys, monkeypatch):
     assert main(["verify-jump", "--name", "sierpinski", "--m", "12"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: 141214502520 pairs exceed budget 2147483648\n"
+    assert err == "error: 15254416034 band pairs exceed budget 2147483648\n"
 
 
 @pytest.mark.parametrize(

@@ -183,6 +183,15 @@ def test_ifs_names_the_first_map_that_leaves_the_base():
         OrderedIFS((inside, inside), "square", (math.nan, 0.0), 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("label", ["side", "gamma", "rho"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_ifs_rejects_a_nan_or_infinite_side_gamma_or_rho(label, value):
+    # an infinite gamma or a nan rho used to build; a nan side was refused
+    # as a map leaving the base, which names the wrong cause
+    with pytest.raises(ValueError, match=f"^{label} must be finite and > 0, got {value}$"):
+        replace(sierpinski_gasket(), **{label: value})
+
+
 @pytest.mark.parametrize(
     "edge, reach, outward", [(1.0 + GEOM_TOL, 0.5, math.inf), (-GEOM_TOL, 0.0, -math.inf)]
 )

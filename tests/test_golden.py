@@ -24,6 +24,9 @@ rounding_margin was added; worst_error and worst_box are the sampled sweep's.
 In the two cover-verify references, the sampled check's coverage_points
 count was then replaced by hand with the coverage block of the containment
 audit (pass, base_inside, prefix_code, worst_fill).
+In the verify-jump reference, pairs_checked was then rewritten from 107,958
+premise hits over every pair to 1,265, the pairs of the short-gap band that
+the jump check compares once it stopped counting hits.
 Apart from the manifest's wall_time_s and versions, records agree exactly,
 except floats: to 1e-12 relative, or to 1e-15 absolute for coordinates that
 are zero in exact arithmetic. The reference computed tagged-square corners

@@ -604,10 +604,11 @@ def test_coverage_audit_allows_the_builds_tolerance(gasket_cov):
     ids=["gasket", "interval"],
 )
 def test_jump_lemma_holds_on_zoo_systems(make, m):
-    report = verify_jump_lemma(make(), m)
+    ifs = make()
+    report = verify_jump_lemma(ifs, m)
     assert report.passed
     assert report.counterexample is None
-    assert report.pairs_checked > 0
+    assert 0 < report.pairs_checked <= jump_band_pairs(ifs.r, m)
 
 
 @pytest.mark.parametrize(
@@ -627,9 +628,22 @@ def test_jump_lemma_record_shape():
     assert record["m"] == 4
 
 
+def band_pairs(q, short):
+    """The pairs j < l < q with l - j <= max(short): at most the pairs the
+    jump check compares."""
+    b = min(max(short, default=0), max(q - 1, 0))
+    return b * q - b * (b + 1) // 2
+
+
+def jump_band_pairs(r, m):
+    """band_pairs of the r^m tags of resolution m, whose short gaps are those
+    below (r^(n-1) + r - 2)/(r - 1) for n < m."""
+    return band_pairs(r**m, [math.ceil((r ** (n - 1) + r - 2) / (r - 1)) - 1 for n in range(m)])
+
+
 def jump_reference(ifs, m, gamma=None, rho=None):
     """Every tag pair at once, n by n, as verify_jump_lemma did before it
-    streamed rows; returns the record."""
+    streamed rows; returns the record without pairs_checked."""
     gamma = ifs.gamma if gamma is None else gamma
     rho = ifs.rho if rho is None else rho
     r = ifs.r
@@ -638,13 +652,10 @@ def jump_reference(ifs, m, gamma=None, rho=None):
     jj, ll = np.triu_indices(len(level), k=1)
     dist = np.abs(level.corners[jj] - level.corners[ll]).max(axis=1)
     gaps = (ll - jj).astype(float)
-    checked = 0
     for n in range(0, m):
         required = (r ** (n - 1) + r - 2) / (r - 1)
         threshold = c ** (m - n) * rho * (1.0 - 1e-9)
-        hit = dist >= threshold
-        checked += int(hit.sum())
-        bad = hit & (gaps < required)
+        bad = (dist >= threshold) & (gaps < required)
         if bad.any():
             b = int(np.argmax(bad))
             counterexample = {
@@ -655,9 +666,8 @@ def jump_reference(ifs, m, gamma=None, rho=None):
                 "gap": int(gaps[b]),
                 "required": required,
             }
-            return {"m": m, "pairs_checked": checked, "pass": False,
-                    "counterexample": counterexample}
-    return {"m": m, "pairs_checked": checked, "pass": True}
+            return {"m": m, "pass": False, "counterexample": counterexample}
+    return {"m": m, "pass": True}
 
 
 def a_paper():
@@ -704,8 +714,18 @@ def test_jump_lemma_matches_all_pairs_reference(case):
     ifs = make()
     gamma, rho = ifs.gamma * gamma_factor, ifs.rho * rho_factor
     record = verify_jump_lemma(ifs, m, gamma=gamma, rho=rho).to_record()
+    pairs_checked = record.pop("pairs_checked")
     assert record == jump_reference(ifs, m, gamma=gamma, rho=rho)
     assert record.get("counterexample", {}).get("n") == expected_n
+    pairs = jump_band_pairs(ifs.r, m)
+    assert 0 < pairs_checked <= pairs if pairs else pairs_checked == 0
+
+
+def test_jump_lemma_holds_on_the_gasket_at_m_11():
+    # 177,147 tags: 1.57e10 pairs, of which the band holds 1.69e9
+    report = verify_jump_lemma(sierpinski_gasket(), 11)
+    assert report.passed
+    assert 0 < report.pairs_checked <= jump_band_pairs(3, 11) == 1_694_876_066
 
 
 def test_jump_lemma_fails_on_the_a_paper_rectangle():
@@ -721,19 +741,28 @@ def test_jump_lemma_fails_on_the_a_paper_rectangle():
 
 
 def jump_pass_reference(x, y, threshold, short):
-    """Every pair at once: the premise hits of each threshold, and its first
-    hit in (j, l) order with l - j <= short, as (j, l, distance)."""
+    """Every pair at once: the first premise hit of each threshold in (j, l)
+    order with l - j <= short, as (j, l, distance)."""
     jj, ll = np.triu_indices(len(x), k=1)
     dist = np.maximum(np.abs(x[jj] - x[ll]), np.abs(y[jj] - y[ll]))
-    hits, first_bad = [], []
+    first_bad = []
     for t, s in zip(threshold, short):
-        hit = dist >= t
-        hits.append(int(hit.sum()))
-        bad = np.flatnonzero(hit & (ll - jj <= s))
+        bad = np.flatnonzero((dist >= t) & (ll - jj <= s))
         first_bad.append(
             None if bad.size == 0 else (int(jj[bad[0]]), int(ll[bad[0]]), float(dist[bad[0]]))
         )
-    return hits, first_bad
+    return first_bad
+
+
+def check_jump_pass(x, y, threshold, short):
+    """_jump_pass's first bad pairs, checked against the reference, and its
+    count of compared pairs against the band's: at least one pair when the
+    band holds any, and never a padded one past the last rank."""
+    first_bad, compared = _jump_pass(x, y, threshold, short)
+    assert first_bad == jump_pass_reference(x, y, threshold, short)
+    pairs = band_pairs(len(x), short)
+    assert 0 < compared <= pairs if pairs else compared == 0
+    return first_bad
 
 
 # q = 1 is a single tile with no pair; 16 a single column block; 65 and 300
@@ -770,36 +799,40 @@ def test_jump_pass_matches_all_pairs_reference(q, kind, seed, count, plant):
         x[p] += 10.0
         threshold.append(float(max(abs(x[p - s] - x[p]), abs(y[p - s] - y[p]))))
         short.append(s)
-        expected = jump_pass_reference(x, y, threshold, short)
-        assert expected[1][-1][:2] == (p - s, p)
-    assert _jump_pass(x, y, threshold, short) == jump_pass_reference(x, y, threshold, short)
+        assert jump_pass_reference(x, y, threshold, short)[-1][:2] == (p - s, p)
+    check_jump_pass(x, y, threshold, short)
 
 
 @pytest.mark.parametrize("j, s", [(63, 100), (63, 64), (127, 65), (64, 1), (191, 108)])
-def test_jump_pass_finds_a_far_point_at_the_end_of_the_band(j, s):
-    # every point at the origin but p = j + s, so the bad pairs are (i, p)
-    # for p - s <= i < p; the first, (j, p), pairs the last row of a tile
-    # with the last column block its band reaches
+@pytest.mark.parametrize("axis, sign", [(0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0)])
+@pytest.mark.parametrize("threshold", [0.5, 1.0])
+def test_jump_pass_finds_a_far_point_at_the_end_of_the_band(j, s, axis, sign, threshold):
+    # every point at the origin but p = j + s, one unit off along either
+    # axis in either direction, so the bad pairs are (i, p) for
+    # p - s <= i < p; the first, (j, p), pairs the last row of a tile with
+    # the last column block its band reaches. A threshold of 1 ties the
+    # block bound.
     q = 300
-    x, y = np.zeros(q), np.zeros(q)
-    x[j + s] = 1.0
-    expected = ([q - 1], [(j, j + s, 1.0)])
-    assert _jump_pass(x, y, [0.5], [s]) == jump_pass_reference(x, y, [0.5], [s]) == expected
+    points = np.zeros((2, q))
+    points[axis, j + s] = sign
+    assert check_jump_pass(*points, [threshold], [s]) == [(j, j + s, 1.0)]
 
 
 def test_jump_lemma_refuses_an_over_budget_pair_count(monkeypatch):
     def no_levels(*args, **kwargs):
         raise AssertionError("levels built before the pair budget check")
 
-    # q = 16 points make 120 pairs: at the limit they run, one more pair is refused
-    monkeypatch.setattr(separation, "JUMP_PAIR_BUDGET", 120)
+    # q = 16 tags with gaps up to b = 3 make 3 * 16 - 6 = 42 band pairs: at
+    # the limit they run, one pair less is refused
+    assert jump_band_pairs(2, 4) == 42
+    monkeypatch.setattr(separation, "JUMP_PAIR_BUDGET", 42)
     assert verify_jump_lemma(unit_interval(), 4).pairs_checked > 0
-    monkeypatch.setattr(separation, "JUMP_PAIR_BUDGET", 119)
+    monkeypatch.setattr(separation, "JUMP_PAIR_BUDGET", 41)
     monkeypatch.setattr(geometry, "_part_boxes", no_levels)
-    with pytest.raises(BudgetExceededError, match="120 pairs exceed budget 119"):
+    with pytest.raises(BudgetExceededError, match="^42 band pairs exceed budget 41$"):
         verify_jump_lemma(unit_interval(), 4)
     monkeypatch.undo()
     monkeypatch.setattr(geometry, "_part_boxes", no_levels)
-    # the gasket at m = 11 is inside the part budget but past 2^31 pairs
-    with pytest.raises(BudgetExceededError, match="15690441231 pairs exceed budget 2147483648"):
-        verify_jump_lemma(sierpinski_gasket(), 11)
+    # the gasket at m = 12 is inside the part budget but its band is past 2^31 pairs
+    with pytest.raises(BudgetExceededError, match="^15254416034 band pairs exceed budget 2147483648$"):
+        verify_jump_lemma(sierpinski_gasket(), 12)
