@@ -8,6 +8,7 @@ stages, so their sides coincide exactly with the part diameters c^(1+j).
 """
 
 from orderedcover import zoo
+from orderedcover.geometry import lex_unrank
 from orderedcover.separation import verify_coverage, verify_form, verify_separation
 from orderedcover.tagging import BuilderParams, build_tagged_covering
 
@@ -20,12 +21,17 @@ def main() -> None:
     print(f"system: {ifs.name}, s = {params.s}, tau = {params.tau:.6f}, "
           f"D = {params.D}, q = {cov.q}")
     print()
-    # The arrays hold tags and sides in k order; the record adds the
-    # covered part of each square.
+    # The arrays hold tags and sides in k order; the record's stage spans
+    # [stage, m, first, count] give the covered part of each square: the
+    # words of ranks first .. first + count - 1 at resolution m.
     print("  k  part         side        tag")
-    squares = cov.to_record()["squares"]
-    for k, ((x, y), side, sq) in enumerate(zip(cov.tags, cov.sides, squares), start=1):
-        idx = ",".join(str(i) for i in sq["covered_index"])
+    words = [
+        lex_unrank(rank, m, cov.r)
+        for _, m, first, count in cov.to_record()["stages"]
+        for rank in range(first, first + count)
+    ]
+    for k, ((x, y), side, word) in enumerate(zip(cov.tags, cov.sides, words), start=1):
+        idx = ",".join(str(i) for i in word)
         marker = "  <- stage end" if k in (3, 9, 27) else ""
         print(f"{k:>3}  ({idx:<7})  {side:.8f}  ({x:+.6f}, {y:+.6f}){marker}")
 

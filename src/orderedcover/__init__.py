@@ -2,7 +2,7 @@
 
 The package is organized around one pipeline:
 
-- ``geometry``: planar similarities, lexicographic multi-indices, and the
+- ``geometry``: planar similarities, lexicographic ranks and words, and the
   rank-indexed resolution levels of an ordered system.
 - ``zoo``: ready-made ordered systems (gasket, Hilbert square, Koch, sausage,
   unit interval, gap dust) and Holder curves, whose levels are the bounding
@@ -10,7 +10,7 @@ The package is organized around one pipeline:
 - ``hbd``: the three ordered-box-dimension conditions (diameter decay, nesting,
   consecutive-part adjacency) and their report.
 - ``tagging``: the tagged covering with side schedule tau/(kN)^(1/gamma) and its
-  rank/fineness bookkeeping.
+  stage spans.
 - ``separation``: audits of the tagged covering's form, its attractor
   coverage by containment and the pairwise separation inequality,
   block-pruned by rank-block bounding boxes, and the exhaustive
@@ -27,13 +27,11 @@ __version__ = "0.1.0"
 from .geometry import (
     BudgetExceededError,
     InvalidIndexError,
-    MultiIndex,
     OrderedIFS,
     Similarity,
     attractor_points,
     iter_levels,
     levels,
-    lex_rank,
     lex_unrank,
     part_budget,
 )
@@ -53,7 +51,6 @@ from .shifts import (
 from .tagging import (
     BuilderParams,
     build_tagged_covering,
-    fineness_schedule,
     normalize_tau,
 )
 from .zoo import zoo_curve, zoo_ifs, zoo_names
@@ -62,18 +59,15 @@ __all__ = [
     "BudgetExceededError",
     "BuilderParams",
     "InvalidIndexError",
-    "MultiIndex",
     "OrderedIFS",
     "Similarity",
     "attractor_points",
     "build_tagged_covering",
     "check_cs2_lipschitz",
     "coverage_check",
-    "fineness_schedule",
     "hbd_report",
     "iter_levels",
     "levels",
-    "lex_rank",
     "lex_unrank",
     "normalize_tau",
     "part_budget",

@@ -2,9 +2,13 @@
 
 Subcommands: zoo emit, verify-hbd, verify-jump, cover build, cover verify,
 dyn, render.
-Every JSON record carries schema "ordered-cover/1" and a manifest; reruns
-with the same arguments are byte-identical apart from wall_time_s. Exit
-status: 0 verified pass, 1 verified failure or infeasible build, 2 usage.
+Every JSON record carries schema "ordered-cover/2" and a manifest, and is
+written on one line with sorted keys by json's C encoder; reruns with the
+same arguments are byte-identical apart from wall_time_s. Large outputs are
+columns: a tagged covering's tags, sides and stage spans, and a zoo level's
+corners and sides, whose part k has the word lex_unrank(k, m, r) (r = 2 for
+a curve). Exit status: 0 verified pass, 1 verified failure or infeasible
+build, 2 usage.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .shifts import check_dynamics_inputs, run_dynamics_experiment, weight_famil
 from .tagging import BuilderParams, build_tagged_covering, normalize_tau
 from .zoo import IFS_NAMES, CurveEvaluator, holder_levels, zoo_curve, zoo_ifs, zoo_names
 
-SCHEMA = "ordered-cover/1"
+SCHEMA = "ordered-cover/2"
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +147,7 @@ def _run(
         "wall_time_s": time.perf_counter() - t0,
     }
     payload = {"schema": SCHEMA, "record": body_record, "manifest": manifest}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -187,13 +191,10 @@ def _zoo_body(args: argparse.Namespace) -> dict:
         }
     if args.m is not None:
         level = _level(source, args.m, args.budget)
-        sides = level.sides.tolist()
         body["covering"] = {
             "m": args.m,
-            "parts": [
-                {"index": level.index(k), "corner": corner, "side": sides[k]}
-                for k, corner in enumerate(level.corners.tolist())
-            ],
+            "corners": level.corners.tolist(),
+            "sides": level.sides.tolist(),
         }
     return body
 

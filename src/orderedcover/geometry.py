@@ -1,4 +1,4 @@
-"""Planar similarity maps, ordered multi-indices, and resolution levels.
+"""Planar similarity maps, lexicographic ranks, and resolution levels.
 
 Conventions used throughout the package:
 
@@ -8,7 +8,9 @@ Conventions used throughout the package:
 - A covering part is the axis-aligned bounding *square* of the true image,
   anchored at the bottom-left corner of the tight bounding box, with side
   max(width, height). The bottom-left corner doubles as the part's tag.
-- Multi-indices are 1-based tuples over {1..r} ordered lexicographically.
+- A part's multi-index is a 1-based word over {1..r}; words of one length
+  are ordered lexicographically, and ``lex_unrank`` turns a rank into its
+  word as a list.
 - A resolution is a ``Level``: the parts' bounding squares as corners
   (r^m, 2) and sides (r^m,), indexed by lexicographic rank.
   ``iter_levels`` yields resolutions 0..m_max in turn, building
@@ -42,7 +44,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class InvalidIndexError(ValueError):
-    """A multi-index entry falls outside {1..arity}."""
+    """A rank falls outside 0..arity^length - 1."""
 
 
 def part_budget(override: int | None = None) -> int:
@@ -152,46 +154,16 @@ class Similarity(Record):
         return pts @ self.matrix().T + np.asarray(self.shift)
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Finite word (i_1, ..., i_m) over the alphabet {1..arity}."""
-
-    entries: tuple[int, ...]
-    arity: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(int(i) for i in self.entries))
-        if self.arity < 1:
-            raise InvalidIndexError(f"arity must be >= 1, got {self.arity}")
-        for i in self.entries:
-            if not 1 <= i <= self.arity:
-                raise InvalidIndexError(f"entry {i} outside 1..{self.arity}")
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
-
-def lex_rank(index: MultiIndex) -> int:
-    """Position of the index in the lexicographic order of its length class.
-
-    rank = sum_j (i_j - 1) * r^(m - j), a bijection onto {0, ..., r^m - 1}.
-    """
-    rank = 0
-    for i in index.entries:
-        rank = rank * index.arity + (i - 1)
-    return rank
-
-
-def lex_unrank(rank: int, length: int, arity: int) -> MultiIndex:
-    """Inverse of lex_rank for the given word length."""
+def lex_unrank(rank: int, length: int, arity: int) -> list[int]:
+    """The word (i_1, ..., i_length) over {1..arity} at this lexicographic rank,
+    rank = sum_j (i_j - 1) * arity^(length - j)."""
     if not 0 <= rank < arity**length:
         raise InvalidIndexError(f"rank {rank} outside 0..{arity**length - 1}")
-    entries = []
+    word = []
     for _ in range(length):
-        entries.append(rank % arity + 1)
-        rank //= arity
-    return MultiIndex(tuple(reversed(entries)), arity)
+        rank, digit = divmod(rank, arity)
+        word.append(digit + 1)
+    return word[::-1]
 
 
 _TRIANGLE_HEIGHT = math.sqrt(3.0) / 2.0
@@ -276,7 +248,7 @@ class Level:
         return len(self.sides)
 
     def index(self, rank: int) -> list[int]:
-        return list(lex_unrank(rank, self.m, self.r).entries)
+        return lex_unrank(rank, self.m, self.r)
 
 
 def _pow(base, exponent: float):

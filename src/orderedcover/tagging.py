@@ -14,8 +14,9 @@ A TaggedCovering holds the squares as two arrays in k order: cov.tags (q, 2),
 the bottom-left corners of the covered parts, and cov.sides (q,), the
 scheduled sides tau/(kN)^alpha. Each stage is one rank slice of a level, so
 the build copies one slice from each level of geometry.iter_levels as
-hbd_report checks the stream, and keeps no whole level; the per-square
-index, stage and fineness groups appear only in to_record.
+hbd_report checks the stream, and keeps no whole level. Each square's covered
+word, stage and fineness groups follow from (r, s, k); the record writes the
+stage spans they are read from, not a row per square.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry
-from .geometry import BudgetExceededError, OrderedIFS, Record, lex_unrank, part_budget
+from .geometry import BudgetExceededError, OrderedIFS, part_budget
 from .hbd import hbd_report
 
 _S_TOL = 1e-9
@@ -114,21 +115,6 @@ def normalize_tau(
     return s, c**s * rho * bigN**alpha
 
 
-@dataclass(frozen=True)
-class FinenessGroup(Record):
-    """Contiguous k-span of squares covering one rank-`rank` subdivision part."""
-
-    rank: int
-    fineness: int
-    ordinal: int
-    k_from: int
-    k_to: int
-
-    @property
-    def span(self) -> int:
-        return self.k_to - self.k_from + 1
-
-
 def _stage_counts(r: int, s: int, budget: int | None) -> tuple[int, int]:
     """(t, q) for (r, s); refuses q over the part budget."""
     if r < 2 or s < 1:
@@ -139,38 +125,6 @@ def _stage_counts(r: int, s: int, budget: int | None) -> tuple[int, int]:
     if q > limit:
         raise BudgetExceededError(f"q = r^t = {q} exceeds budget {limit}")
     return t, q
-
-
-def fineness_schedule(
-    r: int, s: int, budget: int | None = None
-) -> tuple[list[FinenessGroup], int, int]:
-    """Group bookkeeping for (r, s): returns (groups, t, q).
-
-    Stage j contributes, for each of its (r-1) rank-(s+1) parts, one group of
-    fineness r^(j-1) plus sub-groups at each deeper rank down to fineness 1.
-    Ordinals count groups within each (rank, fineness) class. The group count
-    scales with q, so the part budget is enforced before anything is built.
-    """
-    t, q = _stage_counts(r, s, budget)
-    groups: list[FinenessGroup] = [FinenessGroup(s, 1, 1, 1, 1)]
-    ordinals: dict[tuple[int, int], int] = {}
-    k = 2
-    for j in range(1, t + 1):
-        for _ in range(r - 1):
-            for sub in range(1, j + 1):  # rank s+sub, fineness r^(j-sub)
-                fineness = r ** (j - sub)
-                rank = s + sub
-                n_blocks = r ** (sub - 1)
-                for b in range(n_blocks):
-                    key = (rank, fineness)
-                    ordinals[key] = ordinals.get(key, 0) + 1
-                    k_from = k + b * fineness
-                    groups.append(
-                        FinenessGroup(rank, fineness, ordinals[key], k_from, k_from + fineness - 1)
-                    )
-            k += r ** (j - 1)
-    assert k == q + 1
-    return groups, t, q
 
 
 def _stage_spans(r: int, s: int, t: int) -> list[tuple[int, int, int, int]]:
@@ -191,8 +145,8 @@ class TaggedCovering:
     """The q squares Gamma_k = [tag, tag + side]^2 plus schedule parameters.
 
     Row k-1 of tags (q, 2) and sides (q,) is square k. The covered part,
-    stage and fineness groups of each square follow from (r, s, k); only
-    to_record spells them out.
+    stage and fineness groups of each square follow from (r, s, k);
+    to_record writes the stage spans they are read from, beside the arrays.
     """
 
     fractal: str
@@ -230,23 +184,9 @@ class TaggedCovering:
         )
 
     def to_record(self) -> dict:
-        tags, sides = self.tags.tolist(), self.sides.tolist()
-        squares = []
-        for stage, m, first, count in _stage_spans(self.r, self.s, self.t):
-            for rank in range(first, first + count):
-                k = len(squares)
-                squares.append(
-                    {
-                        "k": k + 1,
-                        "tag": tags[k],
-                        "side": sides[k],
-                        "rank": m,
-                        "stage": stage,
-                        "covered_index": list(lex_unrank(rank, m, self.r).entries),
-                    }
-                )
-        # q passed the budget when this covering was built; do not refuse it now
-        groups, _, _ = fineness_schedule(self.r, self.s, budget=self.q)
+        """The parameters, tags (q, 2), sides (q,) and the stage spans as
+        [stage, m, first, count] rows: the square at offset i of a stage
+        covers the part with word lex_unrank(first + i, m, r)."""
         return {
             "fractal": self.fractal,
             "tau": self.tau,
@@ -258,8 +198,9 @@ class TaggedCovering:
             "s": self.s,
             "t": self.t,
             "q": self.q,
-            "squares": squares,
-            "groups": [g.to_record() for g in groups],
+            "tags": self.tags.tolist(),
+            "sides": self.sides.tolist(),
+            "stages": [list(span) for span in _stage_spans(self.r, self.s, self.t)],
         }
 
 

@@ -1,8 +1,43 @@
-"""Single-part, vertex-array and whole-level references for the rank-indexed levels."""
+"""Multi-index, single-part, vertex-array and whole-level references for the
+rank-indexed levels."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from orderedcover.geometry import InvalidIndexError, Level, MultiIndex, OrderedIFS
+from orderedcover.geometry import InvalidIndexError, Level, OrderedIFS
+
+
+@dataclass(frozen=True)
+class MultiIndex:
+    """Finite word (i_1, ..., i_m) over the alphabet {1..arity}."""
+
+    entries: tuple[int, ...]
+    arity: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(int(i) for i in self.entries))
+        if self.arity < 1:
+            raise InvalidIndexError(f"arity must be >= 1, got {self.arity}")
+        for i in self.entries:
+            if not 1 <= i <= self.arity:
+                raise InvalidIndexError(f"entry {i} outside 1..{self.arity}")
+
+    @property
+    def length(self) -> int:
+        return len(self.entries)
+
+
+def lex_rank(index: MultiIndex) -> int:
+    """Position of the index in the lexicographic order of its length class.
+
+    rank = sum_j (i_j - 1) * r^(m - j), a bijection onto {0, ..., r^m - 1};
+    geometry.lex_unrank is its inverse.
+    """
+    rank = 0
+    for i in index.entries:
+        rank = rank * index.arity + (i - 1)
+    return rank
 
 
 def compose_part(ifs: OrderedIFS, index: MultiIndex) -> tuple[np.ndarray, float]:

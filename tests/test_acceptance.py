@@ -27,14 +27,10 @@ from orderedcover.shifts import (
     rolewicz_family,
     run_dynamics_experiment,
 )
-from orderedcover.tagging import (
-    BuilderParams,
-    build_tagged_covering,
-    fineness_schedule,
-)
+from orderedcover.tagging import BuilderParams, build_tagged_covering
 
 from cs1_reference import check_cs1_bounds
-from tagging_reference import pending_after_stage
+from tagging_reference import fineness_schedule, pending_after_stage
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:

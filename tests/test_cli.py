@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from orderedcover.cli import build_parser, main
+from orderedcover.geometry import lex_unrank
 
 
 def run_json(capsys, argv):
@@ -26,11 +27,11 @@ def strip_wall_time(record):
 def test_zoo_emit_record_shape(capsys):
     code, record, _ = run_json(capsys, ["zoo", "emit", "--name", "sierpinski", "--m", "2"])
     assert code == 0
-    assert record["schema"] == "ordered-cover/1"
+    assert record["schema"] == "ordered-cover/2"
     body = record["record"]
     assert body["kind"] == "ifs"
     assert len(body["maps"]) == 3
-    assert len(body["covering"]["parts"]) == 9
+    assert len(body["covering"]["corners"]) == len(body["covering"]["sides"]) == 9
     assert record["manifest"]["command"] == "zoo emit"
 
 
@@ -38,7 +39,8 @@ def test_zoo_emit_curve(capsys):
     code, record, _ = run_json(capsys, ["zoo", "emit", "--name", "arrowhead-pseudo:4", "--m", "3"])
     assert code == 0
     assert record["record"]["kind"] == "curve"
-    assert len(record["record"]["covering"]["parts"]) == 8
+    assert len(record["record"]["covering"]["corners"]) == 8
+    assert len(record["record"]["covering"]["sides"]) == 8
 
 
 def test_unknown_name_is_usage_error(capsys):
@@ -172,6 +174,24 @@ SUBCOMMANDS = [
     ["dyn", "--name", "sierpinski"],
     ["render", "--name", "koch", "--m", "2", "--out", "unused.svg"],
 ]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in SUBCOMMANDS if argv[0] != "render"])
+def test_records_are_one_line_of_compact_sorted_json(argv, tmp_path, capsys):
+    # the same text on stdout and in an --out file
+    def compact(text):
+        return json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+    main(argv)
+    out = capsys.readouterr().out
+    assert out == compact(out)
+    target = tmp_path / "rec.json"
+    main([*argv, "--out", str(target)])
+    assert capsys.readouterr().out == ""
+    text = target.read_text()
+    assert text == compact(text)
+    assert text.count("\n") == 1
+    assert strip_wall_time(json.loads(text)) == strip_wall_time(json.loads(out))
 
 
 @pytest.mark.parametrize("argv", SUBCOMMANDS)
@@ -310,7 +330,8 @@ def test_hilbert_pseudo_curve_is_registered(capsys):
     code, record, _ = run_json(capsys, ["zoo", "emit", "--name", "hilbert-pseudo:3", "--m", "2"])
     assert code == 0
     assert record["record"]["name"] == "hilbert-pseudo:3"
-    assert len(record["record"]["covering"]["parts"]) == 4
+    assert len(record["record"]["covering"]["corners"]) == 4
+    assert len(record["record"]["covering"]["sides"]) == 4
 
 
 @pytest.mark.parametrize(
@@ -379,9 +400,9 @@ def test_bad_resolution_is_usage_error(argv, least, tmp_path, capsys):
 def test_curves_emit_their_resolution_zero_box(tmp_path, capsys):
     code, record, _ = run_json(capsys, ["zoo", "emit", "--name", "holder-diag", "--m", "0"])
     assert code == 0
-    assert record["record"]["covering"]["parts"] == [
-        {"index": [], "corner": [0.0, 0.0], "side": 1.0}
-    ]
+    covering = record["record"]["covering"]
+    assert covering == {"m": 0, "corners": [[0.0, 0.0]], "sides": [1.0]}
+    assert lex_unrank(0, covering["m"], 2) == []  # the one part's word is empty
     out = tmp_path / "root.svg"
     assert main(["render", "--name", "hilbert-pseudo:2", "--m", "0", "--out", str(out)]) == 0
     assert out.read_bytes().count(b"<rect") == 1 + 1

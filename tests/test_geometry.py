@@ -14,19 +14,17 @@ from orderedcover.geometry import (
     GEOM_TOL,
     BudgetExceededError,
     InvalidIndexError,
-    MultiIndex,
     OrderedIFS,
     Record,
     Similarity,
     attractor_points,
     levels,
-    lex_rank,
     lex_unrank,
     part_budget,
 )
 from orderedcover.zoo import IFS_NAMES, sierpinski_gasket, unit_interval, zoo_ifs
 
-from geometry_reference import compose_part
+from geometry_reference import MultiIndex, compose_part, lex_rank
 
 
 def test_rotation_moves_unit_vector():
@@ -77,11 +75,11 @@ def test_lex_rank_roundtrip(arity, entries):
     idx = MultiIndex(entries, arity)
     rank = lex_rank(idx)
     assert 0 <= rank < arity ** len(entries)
-    assert lex_unrank(rank, len(entries), arity) == idx
+    assert lex_unrank(rank, len(entries), arity) == list(idx.entries)
 
 
 def test_lex_rank_matches_tuple_order():
-    words = [lex_unrank(rank, 3, 3).entries for rank in range(27)]
+    words = [tuple(lex_unrank(rank, 3, 3)) for rank in range(27)]
     assert words == sorted(words) == list(itertools.product((1, 2, 3), repeat=3))
     ranks = [lex_rank(MultiIndex(w, 3)) for w in words]
     assert ranks == list(range(27))
@@ -113,7 +111,7 @@ def test_resolution_covering_agrees_with_compose_part():
     ifs = sierpinski_gasket()
     level = levels(ifs, 3)[-1]
     for k in range(0, 27, 5):
-        corner, side = compose_part(ifs, lex_unrank(k, 3, 3))
+        corner, side = compose_part(ifs, MultiIndex(lex_unrank(k, 3, 3), 3))
         assert np.allclose(level.corners[k], corner, atol=1e-12)
         assert math.isclose(level.sides[k], side, rel_tol=1e-12)
 
@@ -271,8 +269,8 @@ def test_a_record_is_its_fields():
 
 
 def test_the_record_format_lives_in_one_place():
-    # every report's record comes from Record; only the covering, whose squares
-    # and groups are derived, and HbdReport's one-line pass property add to it
+    # every report's record comes from Record; only the covering, whose stage
+    # spans are derived, and HbdReport's one-line pass property add to it
     own = {}
     for module in pkgutil.iter_modules(orderedcover.__path__):
         mod = importlib.import_module(f"orderedcover.{module.name}")

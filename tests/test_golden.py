@@ -27,6 +27,13 @@ audit (pass, base_inside, prefix_code, worst_fill).
 In the verify-jump reference, pairs_checked was then rewritten from 107,958
 premise hits over every pair to 1,265, the pairs of the short-gap band that
 the jump check compares once it stopped counting hits.
+When records moved to the ordered-cover/2 columns, output.schema changed from
+ordered-cover/1 to ordered-cover/2 in every CLI reference. In the cover-build
+reference, squares and groups were replaced by tags, sides and stages, and in
+the two zoo-emit references covering.parts by covering.corners and
+covering.sides, each column holding the floats the old rows held. The three
+ordered-cover/1 files are kept as *_v1.json, and a test rebuilds their rows
+from the columns.
 Apart from the manifest's wall_time_s and versions, records agree exactly,
 except floats: to 1e-12 relative, or to 1e-15 absolute for coordinates that
 are zero in exact arithmetic. The reference computed tagged-square corners
@@ -44,9 +51,12 @@ from pathlib import Path
 import pytest
 
 from orderedcover.cli import main
+from orderedcover.geometry import lex_unrank
 from orderedcover.hbd import hbd_report
 from orderedcover.shifts import power_family, run_dynamics_experiment
 from orderedcover.zoo import gap_dust, unit_interval
+
+from tagging_reference import fineness_schedule, squares_of
 
 DATA = Path(__file__).parent / "data"
 CLI_CASES = (
@@ -81,19 +91,61 @@ def assert_same(got, want, path="record"):
         assert type(got) is type(want) and got == want, (path, got, want)
 
 
+V1_CASES = ("cover_build_sierpinski_s1", "zoo_emit_koch_m2", "zoo_emit_arrowhead_pseudo4_m5")
+
+
 def without_run_details(output):
     manifest = {k: v for k, v in output["manifest"].items() if k not in ("wall_time_s", "versions")}
     return {**output, "manifest": manifest}
 
 
-@pytest.mark.parametrize("case", CLI_CASES)
-def test_cli_record_matches_reference(case):
-    ref = json.loads((DATA / f"{case}.json").read_text())
+def run_reference(ref):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(ref["argv"])
     assert code == ref["exit"]
-    assert_same(without_run_details(json.loads(out.getvalue())), without_run_details(ref["output"]))
+    return json.loads(out.getvalue())
+
+
+def v1_view(output):
+    """The ordered-cover/1 form of an ordered-cover/2 output: a covering's
+    squares and groups, and a zoo covering's parts, rebuilt from the columns."""
+    record = dict(output["record"])
+    if "stages" in record:
+        record["squares"] = squares_of(record)
+        groups, _, _ = fineness_schedule(record["r"], record["s"], budget=record["q"])
+        record["groups"] = [g.to_record() for g in groups]
+        for key in ("tags", "sides", "stages"):
+            del record[key]
+    if "covering" in record:
+        m, corners, sides = (record["covering"][key] for key in ("m", "corners", "sides"))
+        r = record.get("r", 2)  # a curve's levels are dyadic
+        record["covering"] = {
+            "m": m,
+            "parts": [
+                {"index": lex_unrank(k, m, r), "corner": corner, "side": side}
+                for k, (corner, side) in enumerate(zip(corners, sides, strict=True))
+            ],
+        }
+    return {**output, "schema": "ordered-cover/1", "record": record}
+
+
+@pytest.mark.parametrize("case", CLI_CASES)
+def test_cli_record_matches_reference(case):
+    ref = json.loads((DATA / f"{case}.json").read_text())
+    got = run_reference(ref)
+    assert_same(without_run_details(got), without_run_details(ref["output"]))
+
+
+@pytest.mark.parametrize("case", V1_CASES)
+def test_v1_rows_rebuilt_from_the_columns_match_the_v1_reference(case):
+    ref = json.loads((DATA / f"{case}_v1.json").read_text())
+    got = run_reference(ref)
+    assert got["schema"] == "ordered-cover/2"
+    want = without_run_details(ref["output"])
+    assert_same(without_run_details(v1_view(got)), want)
+    v2 = json.loads((DATA / f"{case}.json").read_text())
+    assert_same(without_run_details(v1_view(v2["output"])), want)
 
 
 def test_gap_dust_report_matches_reference():

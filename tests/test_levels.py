@@ -55,7 +55,13 @@ from orderedcover.zoo import (
     unit_interval,
 )
 
-from geometry_reference import compose_part, reference_images, reference_levels, whole_level_boxes
+from geometry_reference import (
+    MultiIndex,
+    compose_part,
+    reference_images,
+    reference_levels,
+    whole_level_boxes,
+)
 
 MAKERS = (sierpinski_gasket, hilbert_square, koch_curve, minkowski_sausage, unit_interval, gap_dust)
 SYSTEMS = {make().name: make for make in MAKERS}
@@ -73,7 +79,7 @@ def system_levels(name):
 def test_levels_match_compose_part(name, depth, data):
     ifs, lv = system_levels(name)
     rank = data.draw(st.integers(0, ifs.r**depth - 1))
-    corner, side = compose_part(ifs, lex_unrank(rank, depth, ifs.r))
+    corner, side = compose_part(ifs, MultiIndex(lex_unrank(rank, depth, ifs.r), ifs.r))
     got = np.array([*lv[depth].corners[rank], lv[depth].sides[rank]])
     want = np.array([*corner, side])
     # compose_part rounds through numpy's small matmul, which may fuse
@@ -91,7 +97,7 @@ def test_level_shapes_follow_rank_order(name):
         assert level.corners.shape == (n, 2)
         assert level.sides.shape == (n,) and level.r == ifs.r
         assert [level.index(k) for k in range(n)] == [
-            list(lex_unrank(k, level.m, ifs.r).entries) for k in range(n)
+            lex_unrank(k, level.m, ifs.r) for k in range(n)
         ]
 
 

@@ -8,17 +8,12 @@ import numpy as np
 import pytest
 
 from orderedcover import geometry
-from orderedcover.geometry import BudgetExceededError, MultiIndex
-from orderedcover.tagging import (
-    BuilderParams,
-    build_tagged_covering,
-    fineness_schedule,
-    normalize_tau,
-)
+from orderedcover.geometry import BudgetExceededError
+from orderedcover.tagging import BuilderParams, build_tagged_covering, normalize_tau
 from orderedcover.zoo import hilbert_square, minkowski_sausage, sierpinski_gasket, unit_interval
 
-from geometry_reference import compose_part
-from tagging_reference import pending_after_stage
+from geometry_reference import MultiIndex, compose_part
+from tagging_reference import fineness_schedule, pending_after_stage, squares_of
 
 # (r, s) -> (t, q), from t = r(r^s - 1)/(r - 1), q = r^t
 SCHEDULE_TABLE = {
@@ -104,7 +99,7 @@ def test_gasket_covering_index_assignment():
     ifs = sierpinski_gasket()
     cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
     assert cov.q == 27 and cov.t == 3
-    by_k = {sq["k"]: tuple(sq["covered_index"]) for sq in cov.to_record()["squares"]}
+    by_k = {sq["k"]: tuple(sq["covered_index"]) for sq in squares_of(cov.to_record())}
     assert by_k[1] == (1,)
     assert by_k[2] == (2, 1)
     assert by_k[3] == (2, 2)
@@ -127,7 +122,7 @@ def test_gasket_covering_sides_and_stage_ends():
 def test_tags_are_part_corners():
     ifs = sierpinski_gasket()
     cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
-    for sq in cov.to_record()["squares"][::4]:
+    for sq in squares_of(cov.to_record())[::4]:
         corner, part_side = compose_part(ifs, MultiIndex(tuple(sq["covered_index"]), ifs.r))
         assert np.allclose(sq["tag"], corner, atol=1e-12)
         assert np.array_equal(sq["tag"], cov.tags[sq["k"] - 1])
@@ -138,7 +133,7 @@ def test_squares_contain_their_parts():
     ifs = hilbert_square()
     cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
     assert cov.q == 256
-    for sq in cov.to_record()["squares"][::17]:
+    for sq in squares_of(cov.to_record())[::17]:
         lo, part_side = compose_part(ifs, MultiIndex(tuple(sq["covered_index"]), ifs.r))
         hi = lo + part_side
         tag, side = cov.tags[sq["k"] - 1], cov.sides[sq["k"] - 1]
@@ -207,17 +202,24 @@ def test_covering_record_is_json_ready():
     record = cov.to_record()
     text = json.dumps(record)
     assert '"q": 27' in text
-    assert len(record["squares"]) == 27
-    assert record["groups"][0]["rank"] == 1
+    assert len(record["tags"]) == len(record["sides"]) == 27
+    # Gamma_1 is stage 0: rank 0 of resolution s = 1, the first fineness group's rank
+    assert record["stages"][0] == [0, 1, 0, 1]
+    assert fineness_schedule(record["r"], record["s"])[0][0].rank == 1
 
 
 def test_record_of_a_built_covering_is_never_refused(monkeypatch):
-    # the record rebuilds the fineness groups; a budget lowered after the
-    # build must not refuse a covering that already exists
+    # a budget lowered after the build must not refuse the record of a
+    # covering that already exists
     ifs = sierpinski_gasket()
     cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
     monkeypatch.setenv("HBD_COVER_BUDGET", "10")
-    assert len(cov.to_record()["groups"]) == len(fineness_schedule(3, 1, budget=27)[0])
+    record = cov.to_record()
+    assert sum(count for *_, count in record["stages"]) == len(record["sides"]) == 27
+    assert len(squares_of(record)) == 27
+    # the groups follow from the record's (r, s), at the budget its q passed
+    groups, _, q = fineness_schedule(record["r"], record["s"], budget=record["q"])
+    assert q == 27 and groups[-1].k_to == q
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orderedcover.geometry import GEOM_TOL, MultiIndex, levels
+from orderedcover.geometry import GEOM_TOL, levels
 from orderedcover.zoo import (
     arrowhead_pseudo,
     diagonal_curve,
@@ -20,7 +20,7 @@ from orderedcover.zoo import (
     zoo_names,
 )
 
-from geometry_reference import compose_part
+from geometry_reference import MultiIndex, compose_part
 
 SQRT3 = math.sqrt(3.0)
 
