@@ -2,20 +2,18 @@
 """Show how a requested box size is snapped to the nearest feasible schedule."""
 
 from orderedcover import zoo
-from orderedcover.tagging import (
-    BudgetExceededError,
-    BuilderParams,
-    build_tagged_covering,
-    normalize_tau,
-)
+from orderedcover.tagging import BudgetExceededError, BuilderParams, build_tagged_covering
 
 
 def main() -> None:
     ifs = zoo.sierpinski_gasket()
     tau_req, bigN = 0.6, 10
     alpha = 1.0 / ifs.gamma
+    c, r = ifs.r ** (-alpha), ifs.r
 
-    s, tau = normalize_tau(tau_req, bigN, ifs.rho, ifs.ratio, ifs.r, alpha)
+    params = BuilderParams.from_tau(ifs, tau_req, bigN)
+    s = params.s
+    tau = c**s * ifs.rho * bigN**alpha  # the covering's tau, as the builder computes it
     print(f"requested tau = {tau_req}, N = {bigN}")
     print(f"normalized:    s = {s}, tau' = {tau!r}")
     print()
@@ -23,7 +21,6 @@ def main() -> None:
     # The two constraints that pick s: the stage depth must make the
     # first square fit under tau/N^alpha, and the close-pair slack
     # 3 (r-1)^alpha c^s must drop below 1.
-    c, r = ifs.ratio, ifs.r
     for cand in range(1, s + 2):
         fit = c**cand * ifs.rho <= tau_req / bigN**alpha
         slack = 3.0 * (r - 1) ** alpha * c**cand
@@ -31,10 +28,8 @@ def main() -> None:
               f"slack 3(r-1)^a c^s = {slack:.4f} {'< 1' if slack < 1 else '>= 1'}")
     print()
 
-    params = BuilderParams.from_stage(ifs, s=s, bigN=bigN)
-
     def side(k: int) -> float:
-        return params.tau / (k * params.bigN) ** params.alpha
+        return tau / (k * bigN) ** alpha
 
     print("first scheduled sides tau'/(kN)^alpha:")
     for k in range(1, 6):
@@ -51,10 +46,9 @@ def main() -> None:
         print(f"building at s = {s} is refused: {exc}")
     print()
 
-    worked = BuilderParams.from_stage(ifs, s=1, bigN=1)
-    cov = build_tagged_covering(ifs, worked)
+    cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, s=1, bigN=1))
     print(f"the worked s = 1 stage builds q = {len(cov.sides)} squares "
-          f"(proof-safe sampling regime: {worked.proof_safe})")
+          f"(proof-safe sampling regime: {cov.proof_safe})")
 
 
 if __name__ == "__main__":

@@ -15,11 +15,10 @@ from orderedcover.tagging import BuilderParams, build_tagged_covering
 
 def main() -> None:
     ifs = zoo.sierpinski_gasket()
-    params = BuilderParams.from_stage(ifs, s=1, bigN=1, D=8.0)
-    cov = build_tagged_covering(ifs, params)
+    cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, s=1, bigN=1, D=8.0))
 
-    print(f"system: {ifs.name}, s = {params.s}, tau = {params.tau:.6f}, "
-          f"D = {params.D}, q = {cov.q}")
+    print(f"system: {ifs.name}, s = {cov.s}, tau = {cov.tau:.6f}, "
+          f"D = {cov.D}, q = {cov.q}")
     print()
     # The arrays hold tags and sides in k order; the record's stage spans
     # [stage, m, first, count] give the covered part of each square: the
@@ -37,7 +36,7 @@ def main() -> None:
 
     print()
     for j, k in enumerate((3, 9, 27), start=1):
-        expect = params.c ** (params.s + j) * params.rho
+        expect = cov.c ** (cov.s + j) * cov.rho
         got = cov.sides[k - 1]
         print(f"stage {j} ends at k = {k}: side {got:.12f}, "
               f"part diameter {expect:.12f}, diff {abs(got - expect):.2e}")
@@ -50,7 +49,7 @@ def main() -> None:
     print(f"attractor covered:     {coverage.passed} (maps keep the triangle: "
           f"{coverage.base_inside}, complete prefix code: {coverage.prefix_code}, "
           f"worst fill {coverage.worst_fill:.6f})")
-    print(f"separation (D = {params.D}): {sep.passed}, "
+    print(f"separation (D = {cov.D}): {sep.passed}, "
           f"{sep.pairs_checked} pairs, worst ratio {sep.worst_ratio:.6f} "
           f"at pair {sep.worst_pair}")
 

@@ -48,11 +48,7 @@ from .shifts import (
     run_dynamics_experiment,
     weight_family,
 )
-from .tagging import (
-    BuilderParams,
-    build_tagged_covering,
-    normalize_tau,
-)
+from .tagging import BuilderParams, build_tagged_covering
 from .zoo import zoo_curve, zoo_ifs, zoo_names
 
 __all__ = [
@@ -69,7 +65,6 @@ __all__ = [
     "iter_levels",
     "levels",
     "lex_unrank",
-    "normalize_tau",
     "part_budget",
     "run_dynamics_experiment",
     "verify_coverage",

@@ -38,7 +38,7 @@ from .geometry import (
 from .hbd import hbd_report
 from .separation import verify_coverage, verify_form, verify_jump_lemma, verify_separation
 from .shifts import check_dynamics_inputs, run_dynamics_experiment, weight_family
-from .tagging import BuilderParams, build_tagged_covering, normalize_tau
+from .tagging import BuilderParams, build_tagged_covering
 from .zoo import IFS_NAMES, CurveEvaluator, holder_levels, zoo_curve, zoo_ifs, zoo_names
 
 SCHEMA = "ordered-cover/2"
@@ -61,13 +61,14 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _params_of(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
-    out = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            out[key] = list(value) if isinstance(value, tuple) else value
-    return out
+def _params_of(args: argparse.Namespace) -> dict:
+    """Every parsed option but --out, tuples as lists; an unset one is left out."""
+    skip = ("out", "handler", "command", "zoo_command", "cover_command")
+    return {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in vars(args).items()
+        if key not in skip and value is not None
+    }
 
 
 def _fail(message: str, code: int = 1) -> int:
@@ -112,14 +113,13 @@ def _level(source: OrderedIFS | CurveEvaluator, m: int, budget: int | None) -> L
 def _run(
     args: argparse.Namespace,
     command: str,
-    keys: tuple[str, ...],
     body,
     names: list[str],
     errors: tuple[type[Exception], ...] = (BudgetExceededError,),
-    seed: int | None = None,
 ) -> int:
     """Emit the record of body() -> (record, exit code, stderr lines); a body
-    that writes its own output (render) returns no record.
+    that writes its own output (render) returns no record. The manifest
+    records every parsed option but --out, and the --seed if there is one.
 
     An unknown zoo name (KeyError, listed against ``names``) and a usage
     error exit 2; ``errors`` exit 1 with their message.
@@ -137,8 +137,8 @@ def _run(
         return code
     manifest = {
         "command": command,
-        "seed": seed,
-        "parameters": _params_of(args, keys),
+        "seed": getattr(args, "seed", None),
+        "parameters": _params_of(args),
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -175,7 +175,7 @@ def _ifs_record(ifs: OrderedIFS) -> dict:
 
 def cmd_zoo_emit(args: argparse.Namespace) -> int:
     body = lambda: (_zoo_body(args), 0, [])
-    return _run(args, "zoo emit", ("name", "m", "budget"), body, zoo_names())
+    return _run(args, "zoo emit", body, zoo_names())
 
 
 def _zoo_body(args: argparse.Namespace) -> dict:
@@ -186,6 +186,7 @@ def _zoo_body(args: argparse.Namespace) -> dict:
         body = {
             "kind": "curve",
             "name": source.name,
+            "r": 2,  # a curve's levels are dyadic
             "holder_beta": source.holder_beta,
             "holder_rho": source.holder_rho,
         }
@@ -220,8 +221,7 @@ def cmd_verify_hbd(args: argparse.Namespace) -> int:
         ]
         return report.to_record(), 0 if report.passed else 1, notes
 
-    keys = ("name", "m", "gamma", "rho", "budget")
-    return _run(args, "verify-hbd", keys, body, zoo_names())
+    return _run(args, "verify-hbd", body, zoo_names())
 
 
 # ---------------------------------------------------------------------------
@@ -236,24 +236,15 @@ def _build_for_args(args: argparse.Namespace) -> tuple:
             raise _UsageError(f"--{flag} must be finite and > 0, got {value}")
     _at_least("bigN", args.bigN, 1)
     if args.s is not None:
-        _at_least("s", args.s, 1)
-    c = ifs.r ** (-1.0 / ifs.gamma)
-    alpha = 1.0 / ifs.gamma
-    normalized = None
-    if args.s is not None:
-        params = BuilderParams.from_stage(ifs, args.s, args.bigN, D=args.D)
+        params = BuilderParams.from_stage(ifs, _at_least("s", args.s, 1), args.bigN, D=args.D)
+    elif args.tau is None:
+        raise ValueError("cover needs --tau or --s")
     else:
-        if args.tau is None:
-            raise ValueError("cover needs --tau or --s")
-        s, tau_prime = normalize_tau(args.tau, args.bigN, ifs.rho, c, ifs.r, alpha)
-        normalized = {"tau_requested": args.tau, "s": s, "tau": tau_prime}
-        D = args.D if args.D is not None else ifs.rho / c**3
-        params = BuilderParams(tau_prime, args.bigN, D, ifs.gamma, ifs.r, ifs.rho)
+        params = BuilderParams.from_tau(ifs, args.tau, args.bigN, D=args.D)
     cov = build_tagged_covering(ifs, params, budget=args.budget)
-    return ifs, cov, normalized
-
-
-_COVER_KEYS = ("name", "tau", "bigN", "D", "s", "budget")
+    if args.s is not None:
+        return ifs, cov, None
+    return ifs, cov, {"tau_requested": args.tau, "s": cov.s, "tau": cov.tau}
 
 
 def cmd_cover_build(args: argparse.Namespace) -> int:
@@ -265,7 +256,7 @@ def cmd_cover_build(args: argparse.Namespace) -> int:
         return record, 0, []
 
     errors = (BudgetExceededError, ValueError)
-    return _run(args, "cover build", _COVER_KEYS, body, IFS_NAMES, errors)
+    return _run(args, "cover build", body, IFS_NAMES, errors)
 
 
 def cmd_cover_verify(args: argparse.Namespace) -> int:
@@ -286,9 +277,8 @@ def cmd_cover_verify(args: argparse.Namespace) -> int:
         notes = [f"{key}: {'PASS' if ok else 'FAIL'}" for key, ok in checks.items()]
         return record, 0 if all(checks.values()) else 1, notes
 
-    keys = ("name", "tau", "bigN", "D", "s", "seed", "budget")
     errors = (BudgetExceededError, ValueError)
-    return _run(args, "cover verify", keys, body, IFS_NAMES, errors, args.seed)
+    return _run(args, "cover verify", body, IFS_NAMES, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +303,8 @@ def cmd_dyn(args: argparse.Namespace) -> int:
         )
         return report.to_record(), 0 if report.passed else 1, [note]
 
-    keys = ("name", "family", "alpha", "interval", "eta", "s", "seed", "budget")
     errors = (ValueError, RuntimeError, BudgetExceededError)
-    return _run(args, "dyn", keys, body, IFS_NAMES, errors, args.seed)
+    return _run(args, "dyn", body, IFS_NAMES, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +359,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         return None, 0, []
 
     errors = (BudgetExceededError, ValueError)
-    return _run(args, "render", (), body, zoo_names(), errors)
+    return _run(args, "render", body, zoo_names(), errors)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +458,7 @@ def cmd_verify_jump(args: argparse.Namespace) -> int:
         status = "PASS" if report.passed else "FAIL"
         return report.to_record(), 0 if report.passed else 1, [f"jump m={args.m}: {status}"]
 
-    keys = ("name", "m", "gamma", "rho", "budget")
-    return _run(args, "verify-jump", keys, body, IFS_NAMES)
+    return _run(args, "verify-jump", body, IFS_NAMES)
 
 
 def main(argv: list[str] | None = None) -> int:

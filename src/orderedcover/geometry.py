@@ -79,8 +79,9 @@ class Record:
     """Base of the report dataclasses: to_record() is the JSON record of the fields.
 
     Each field goes in under its own name, except that ``passed`` becomes
-    "pass"; tuples become lists and a nested Record its own record. A field
-    whose default is None is left out while it is None.
+    "pass"; tuples become lists, arrays their tolist() and a nested Record
+    its own record. A field whose default is None is left out while it is
+    None.
     """
 
     def to_record(self) -> dict:
@@ -105,6 +106,8 @@ def _record_value(value):
         return value.to_record()
     if isinstance(value, tuple):
         return [_record_value(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     return value
 
 

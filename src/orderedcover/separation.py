@@ -174,12 +174,7 @@ def _block_boxes(
     return starts, np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
 
 
-def verify_separation(
-    cov: TaggedCovering,
-    D: float | None = None,
-    gamma: float | None = None,
-    seed: int = 0,
-) -> SeparationReport:
+def verify_separation(cov: TaggedCovering, seed: int = 0) -> SeparationReport:
     """Check ||lambda - mu|| <= D((l-j)/l)^(1/gamma) over every pair of squares.
 
     The worst pair is the least (j, l) among the pairs of maximal ratio.
@@ -192,12 +187,12 @@ def verify_separation(
     a slack that keeps ties and absorbs the bound's rounding. Every sup
     distance is max(hi_j - lo_l, hi_l - lo_j) per axis, so worst_ratio is
     the exhaustive maximum bit for bit. Memory is O(q + 2^14) plus the
-    list of undecided block pairs. D and gamma must be finite and > 0
-    (ValueError).
+    list of undecided block pairs. cov.D and cov.gamma must be finite and
+    > 0 (ValueError): a covering made by dataclasses.replace skips the
+    builder's checks.
     """
     # seed is unused: the audit draws nothing; bench/jobs.py still passes it
-    D = cov.D if D is None else D
-    gamma = cov.gamma if gamma is None else gamma
+    D, gamma = cov.D, cov.gamma
     geometry.check_positive(D=D, gamma=gamma)
     columns = np.concatenate([cov.tags.T, cov.tags.T + cov.sides])  # lo x, lo y, hi x, hi y
     worst_ratio, worst_pair = -np.inf, (0, 0)

@@ -910,17 +910,15 @@ def run_dynamics_experiment(
     vt_support = vt_values.shape[1] - 1
     kappa = max(u0_support, vt_support) + 1
 
-    c_pow_s_rho = float(ifs.rho * (ifs.r ** (-alpha_g)) ** s)
     eps = math.log1p(CS2_BUDGET * eta / max_abs_vt)
     ii = np.arange(1, q + 1, dtype=float)
-    side = c_pow_s_rho / ii**alpha_g  # box i's side over sigma
     sigma_fit = (b - a) / span
     if not constant_weights:
         envelopes = _generic_envelopes(fam, interval, vt_support, max_abs_vt)
 
     def sigma_cs2(N: int) -> float:
         # worst CS2 exponent: C0 * max_i (iN)^alpha_w * side_i, sides sigma-scaled
-        return eps / (fam.C0 * float(((ii * N) ** fam.alpha * side).max()))
+        return eps / (fam.C0 * float(((ii * N) ** fam.alpha * sides).max()))
 
     def scaled_envelope(N: int) -> tuple[float, float, Callable[[float], float]]:
         sigma = min(sigma_cs2(N), 0.99 * sigma_fit)

@@ -1,5 +1,10 @@
 """Constructive tagged covering with side schedule tau/(kN)^(1/gamma).
 
+The system's (r, gamma, rho) fix c = r^(-1/gamma); the builder chooses only
+the stage s, the index stride N and the separation constant D
+(BuilderParams). build_tagged_covering turns them into tau = c^s rho N^alpha,
+alpha = 1/gamma, and the sides, and is the only place that does.
+
 The construction covers the attractor by q = r^t squares Gamma_k anchored at
 part corners, with t = r(r^s - 1)/(r - 1):
 
@@ -21,13 +26,12 @@ stage spans they are read from, not a row per square.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import geometry
-from .geometry import BudgetExceededError, OrderedIFS, part_budget
+from .geometry import BudgetExceededError, OrderedIFS, Record, part_budget
 from .hbd import hbd_report
 
 _S_TOL = 1e-9
@@ -35,84 +39,53 @@ _S_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BuilderParams:
-    """Normalized construction parameters.
+    """What the builder chooses: the stage s, the index stride N and the
+    separation constant D. The system's (r, gamma, rho) fix the rest: c =
+    r^(-1/gamma) and the side schedule tau/(kN)^(1/gamma) with tau = c^s rho
+    N^(1/gamma), which build_tagged_covering computes.
 
-    tau and bigN must satisfy tau/N^alpha = c^s rho for an integer s >= 1;
-    use normalize_tau (or from_stage) to produce such a pair. proof_safe
-    additionally demands the safe-margin inequality 3(r-1)^alpha c^s <= 1
-    and D >= rho/c^3; the construction itself only needs the exact side
-    relation, and the worked small-q examples run with proof_safe False.
+    from_stage takes s; from_tau snaps a requested tau down to the smallest
+    feasible stage. s and bigN must be >= 1, D finite and > 0 (ValueError).
     """
 
-    tau: float
+    s: int
     bigN: int
     D: float
-    gamma: float
-    r: int
-    rho: float
 
     def __post_init__(self) -> None:
-        geometry.check_positive(tau=self.tau, rho=self.rho, D=self.D, gamma=self.gamma)
-        if self.bigN < 1 or self.r < 2:
-            raise ValueError("bigN >= 1 and r >= 2 required")
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 / self.gamma
-
-    @property
-    def c(self) -> float:
-        return self.r ** (-self.alpha)
-
-    @property
-    def s(self) -> int:
-        """Integer s with tau/N^alpha = c^s rho; raises if none exists."""
-        ratio = self.tau / self.bigN**self.alpha / self.rho
-        s = math.log(ratio) / math.log(self.c)
-        s_int = round(s)
-        if s_int < 1 or abs(s - s_int) > 1e-6:
-            raise ValueError(
-                f"tau/N^alpha = {ratio * self.rho!r} is not c^s rho for integer s >= 1; "
-                "apply normalize_tau first"
-            )
-        return s_int
-
-    @property
-    def proof_safe(self) -> bool:
-        margin_ok = 3.0 * (self.r - 1) ** self.alpha * self.c**self.s <= 1.0 + _S_TOL
-        d_ok = self.D >= self.rho / self.c**3 - _S_TOL
-        return margin_ok and d_ok
+        if self.s < 1 or self.bigN < 1:
+            raise ValueError(f"s >= 1 and bigN >= 1 required, got s={self.s}, bigN={self.bigN}")
+        geometry.check_positive(D=self.D)
 
     @classmethod
     def from_stage(
         cls, ifs: OrderedIFS, s: int, bigN: int, D: float | None = None
     ) -> "BuilderParams":
-        """Exact parameters for a chosen subdivision depth s."""
-        if s < 1:
-            raise ValueError("s must be >= 1")
+        """Stage s of the system; D defaults to rho/c^3."""
+        if D is None:
+            D = ifs.rho / (ifs.r ** (-1.0 / ifs.gamma)) ** 3
+        return cls(s=s, bigN=bigN, D=D)
+
+    @classmethod
+    def from_tau(
+        cls, ifs: OrderedIFS, tau: float, bigN: int, D: float | None = None
+    ) -> "BuilderParams":
+        """The smallest stage s with c^s rho <= tau/N^alpha and the safe margin
+        3(r-1)^alpha c^s <= 1, so the covering's tau = c^s rho N^alpha is at
+        most tau. tau must be finite and > 0 and bigN >= 1 (ValueError): with
+        a nan no s would ever be found.
+        """
+        geometry.check_positive(tau=tau)
+        if bigN < 1:
+            raise ValueError(f"bigN >= 1 required, got {bigN}")
         alpha = 1.0 / ifs.gamma
         c = ifs.r ** (-alpha)
-        tau = c**s * ifs.rho * bigN**alpha
-        if D is None:
-            D = ifs.rho / c**3
-        return cls(tau=tau, bigN=bigN, D=D, gamma=ifs.gamma, r=ifs.r, rho=ifs.rho)
-
-
-def normalize_tau(
-    tau: float, bigN: int, rho: float, c: float, r: int, alpha: float
-) -> tuple[int, float]:
-    """Smallest s with c^s rho <= tau/N^alpha and 3(r-1)^alpha c^s <= 1.
-
-    Returns (s, tau') with tau' = c^s rho N^alpha <= tau. tau and rho must
-    be finite and > 0 (ValueError): with a nan no s would ever be found.
-    """
-    geometry.check_positive(tau=tau, rho=rho)
-    target = tau / bigN**alpha
-    margin = 3.0 * (r - 1) ** alpha
-    s = 0
-    while not (c**s * rho <= target * (1.0 + _S_TOL) and margin * c**s <= 1.0 + _S_TOL):
-        s += 1
-    return s, c**s * rho * bigN**alpha
+        target = tau / bigN**alpha
+        margin = 3.0 * (ifs.r - 1) ** alpha
+        s = 1  # s = 0 never passes: the margin is at least 3
+        while not (c**s * ifs.rho <= target * (1.0 + _S_TOL) and margin * c**s <= 1.0 + _S_TOL):
+            s += 1
+        return cls.from_stage(ifs, s, bigN, D)
 
 
 def _stage_counts(r: int, s: int, budget: int | None) -> tuple[int, int]:
@@ -141,7 +114,7 @@ def _stage_spans(r: int, s: int, t: int) -> list[tuple[int, int, int, int]]:
 
 
 @dataclass(frozen=True, eq=False)
-class TaggedCovering:
+class TaggedCovering(Record):
     """The q squares Gamma_k = [tag, tag + side]^2 plus schedule parameters.
 
     Row k-1 of tags (q, 2) and sides (q,) is square k. The covered part,
@@ -170,6 +143,15 @@ class TaggedCovering:
     def c(self) -> float:
         return self.r ** (-self.alpha)
 
+    @property
+    def proof_safe(self) -> bool:
+        """The safe margin 3(r-1)^alpha c^s <= 1 and D >= rho/c^3. The
+        construction only needs the exact side relation, and the worked
+        small-q examples run with proof_safe False."""
+        margin_ok = 3.0 * (self.r - 1) ** self.alpha * self.c**self.s <= 1.0 + _S_TOL
+        d_ok = self.D >= self.rho / self.c**3 - _S_TOL
+        return margin_ok and d_ok
+
     def affine_scaled(self, sigma: float, offset: tuple[float, float]) -> "TaggedCovering":
         """Map every square by p -> offset + sigma * p; D and rho scale by sigma."""
         if sigma <= 0:
@@ -184,24 +166,11 @@ class TaggedCovering:
         )
 
     def to_record(self) -> dict:
-        """The parameters, tags (q, 2), sides (q,) and the stage spans as
-        [stage, m, first, count] rows: the square at offset i of a stage
+        """The fields, tags (q, 2) and sides (q,) as lists, and the stage spans
+        as [stage, m, first, count] rows: the square at offset i of a stage
         covers the part with word lex_unrank(first + i, m, r)."""
-        return {
-            "fractal": self.fractal,
-            "tau": self.tau,
-            "bigN": self.bigN,
-            "D": self.D,
-            "gamma": self.gamma,
-            "r": self.r,
-            "rho": self.rho,
-            "s": self.s,
-            "t": self.t,
-            "q": self.q,
-            "tags": self.tags.tolist(),
-            "sides": self.sides.tolist(),
-            "stages": [list(span) for span in _stage_spans(self.r, self.s, self.t)],
-        }
+        stages = [list(span) for span in _stage_spans(self.r, self.s, self.t)]
+        return {**super().to_record(), "stages": stages}
 
 
 def build_tagged_covering(
@@ -210,17 +179,16 @@ def build_tagged_covering(
     budget: int | None = None,
 ) -> TaggedCovering:
     """Run the construction; raises on bad parameters or budget overrun."""
-    if params.r != ifs.r:
-        raise ValueError(f"params.r={params.r} but system has r={ifs.r}")
-    if abs(params.gamma - ifs.gamma) > 1e-12 or abs(params.rho - ifs.rho) > 1e-12:
-        raise ValueError("params gamma/rho must match the system")
-    if params.D < params.rho / params.c**3 - _S_TOL:
+    alpha = 1.0 / ifs.gamma
+    c = ifs.r ** (-alpha)
+    s, bigN = params.s, params.bigN
+    tau = c**s * ifs.rho * bigN**alpha
+    if params.D < ifs.rho / c**3 - _S_TOL:
         raise ValueError(
-            f"D={params.D} below rho/c^3={params.rho / params.c ** 3}; "
+            f"D={params.D} below rho/c^3={ifs.rho / c ** 3}; "
             "the separation bound needs the full constant (no recursive splitting here)"
         )
-    s = params.s  # validates the exact side relation
-    r, alpha = params.r, params.alpha
+    r = ifs.r
     t, q = _stage_counts(r, s, budget)
     spans = _stage_spans(r, s, t)
     parts = []  # per stage, copies of its parts' corners and sides
@@ -234,12 +202,12 @@ def build_tagged_covering(
             yield level
 
     lv = geometry.iter_levels(ifs, s + t, budget)
-    report = hbd_report(keep_stages(lv), params.gamma, params.rho, s + t)
+    report = hbd_report(keep_stages(lv), ifs.gamma, ifs.rho, s + t)
     if not report.passed:
         fail = report.first_failure()
         raise ValueError(f"system fails dimension condition {fail.condition} at m={fail.m}")
 
-    sides = params.tau / geometry._pow(np.arange(1, q + 1, dtype=float) * params.bigN, alpha)
+    sides = tau / geometry._pow(np.arange(1, q + 1, dtype=float) * bigN, alpha)
     k0 = 0
     for (stage, *_, count), (_, part_sides) in zip(spans, parts, strict=True):
         if (part_sides > sides[k0 : k0 + count] + _S_TOL).any():
@@ -249,12 +217,12 @@ def build_tagged_covering(
 
     return TaggedCovering(
         fractal=ifs.name,
-        tau=params.tau,
-        bigN=params.bigN,
+        tau=tau,
+        bigN=bigN,
         D=params.D,
-        gamma=params.gamma,
-        r=params.r,
-        rho=params.rho,
+        gamma=ifs.gamma,
+        r=r,
+        rho=ifs.rho,
         s=s,
         t=t,
         q=q,

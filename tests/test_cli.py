@@ -41,6 +41,7 @@ def test_zoo_emit_curve(capsys):
     assert record["record"]["kind"] == "curve"
     assert len(record["record"]["covering"]["corners"]) == 8
     assert len(record["record"]["covering"]["sides"]) == 8
+    assert record["record"]["r"] == 2
 
 
 def test_unknown_name_is_usage_error(capsys):
@@ -132,6 +133,31 @@ def test_cover_build_normalizes_tau(capsys):
     assert main(["cover", "build", "--name", "sierpinski", "--tau", "0.6", "--bigN", "10"]) == 1
     err = capsys.readouterr().err
     assert "budget" in err
+
+    argv = ["cover", "build", "--name", "unit-interval", "--tau", "0.3", "--bigN", "2"]
+    code, record, _ = run_json(capsys, argv)
+    assert code == 0
+    body = record["record"]
+    assert body["normalized"] == {"tau_requested": 0.3, "s": 3, "tau": 0.25}
+    assert (body["s"], body["tau"], body["q"]) == (3, 0.25, 16384)
+    # the manifest holds the parsed options but --out; an unset one is left out
+    assert record["manifest"]["parameters"] == {"name": "unit-interval", "tau": 0.3, "bigN": 2}
+    assert record["manifest"]["seed"] is None
+
+
+def test_manifest_seed_and_parameters_come_from_the_parsed_options(capsys, tmp_path):
+    out = tmp_path / "verify.json"
+    argv = ["cover", "verify", "--name", "sierpinski", "--s", "1", "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    manifest = json.loads(out.read_text())["manifest"]
+    assert manifest["seed"] == 3
+    assert manifest["parameters"] == {"name": "sierpinski", "bigN": 1, "s": 1, "seed": 3}
+    _, record, _ = run_json(capsys, ["dyn", "--name", "sierpinski", "--budget", "100000"])
+    assert record["manifest"]["seed"] == 0
+    assert record["manifest"]["parameters"] == {
+        "name": "sierpinski", "family": "rolewicz", "interval": [1.0, 2.0], "eta": 0.1,
+        "seed": 0, "budget": 100000,
+    }
 
 
 def test_cover_verify_passes_and_reports(capsys):

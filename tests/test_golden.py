@@ -33,7 +33,8 @@ reference, squares and groups were replaced by tags, sides and stages, and in
 the two zoo-emit references covering.parts by covering.corners and
 covering.sides, each column holding the floats the old rows held. The three
 ordered-cover/1 files are kept as *_v1.json, and a test rebuilds their rows
-from the columns.
+from the columns. When a curve's record came to carry its arity, "r": 2 was
+added to the arrowhead zoo-emit reference; its *_v1.json copy has no "r".
 Apart from the manifest's wall_time_s and versions, records agree exactly,
 except floats: to 1e-12 relative, or to 1e-15 absolute for coordinates that
 are zero in exact arithmetic. The reference computed tagged-square corners
@@ -119,7 +120,9 @@ def v1_view(output):
             del record[key]
     if "covering" in record:
         m, corners, sides = (record["covering"][key] for key in ("m", "corners", "sides"))
-        r = record.get("r", 2)  # a curve's levels are dyadic
+        r = record["r"]
+        if record["kind"] == "curve":
+            del record["r"]  # ordered-cover/1 curve records carried no arity
         record["covering"] = {
             "m": m,
             "parts": [

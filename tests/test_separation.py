@@ -113,13 +113,15 @@ def test_separation_exhaustive_on_small_covering(gasket_cov):
 )
 def test_separation_refuses_a_meaningless_bound(gasket_cov, D, gamma):
     # with a nan D or gamma every ratio is nan and none folds into the
-    # maximum, so the audit would pass with worst_ratio -inf at (0, 0)
+    # maximum, so the audit would pass with worst_ratio -inf at (0, 0);
+    # dataclasses.replace skips the builder's checks
+    given = {key: value for key, value in (("D", D), ("gamma", gamma)) if value is not None}
     with pytest.raises(ValueError, match="must be finite and > 0"):
-        verify_separation(gasket_cov, D=D, gamma=gamma)
+        verify_separation(dataclasses.replace(gasket_cov, **given))
 
 
 def test_separation_fails_under_tight_constant(gasket_cov):
-    report = verify_separation(gasket_cov, D=0.5)
+    report = verify_separation(dataclasses.replace(gasket_cov, D=0.5))
     assert not report.passed
     assert report.worst_ratio > 1.0
 
@@ -160,8 +162,8 @@ free_boxes = st.tuples(box_vals, box_vals, box_sides)
 def test_separation_matches_all_pairs_reference(gasket_cov, boxes, D, gamma):
     arr = np.array(boxes, dtype=float)
     tags, sides = arr[:, :2].copy(), arr[:, 2].copy()
-    cov = dataclasses.replace(gasket_cov, q=len(sides), tags=tags, sides=sides)
-    report = verify_separation(cov, D=D, gamma=gamma)
+    cov = dataclasses.replace(gasket_cov, q=len(sides), tags=tags, sides=sides, D=D, gamma=gamma)
+    report = verify_separation(cov)
     ratio, pair, passed, pairs = separation_reference(tags, sides, D, gamma)
     assert report.worst_ratio == ratio
     assert report.worst_pair == pair
@@ -215,8 +217,8 @@ def layout(kind, q, rng):
 @settings(max_examples=60, deadline=None)
 def test_separation_matches_all_pairs_reference_across_blocks(gasket_cov, q, kind, seed, D, gamma):
     tags, sides = layout(kind, q, np.random.default_rng(seed))
-    cov = dataclasses.replace(gasket_cov, q=q, tags=tags, sides=sides)
-    report = verify_separation(cov, D=D, gamma=gamma)
+    cov = dataclasses.replace(gasket_cov, q=q, tags=tags, sides=sides, D=D, gamma=gamma)
+    report = verify_separation(cov)
     ratio, pair, passed, pairs = separation_reference(tags, sides, D, gamma)
     assert report.worst_ratio == ratio
     assert report.worst_pair == pair
@@ -247,8 +249,8 @@ def test_separation_breaks_a_tie_across_blocks_by_rank_order(gasket_cov):
     assert (ratio, pair) == (1.0, (1, 129))
     sup = box_sup_distance(tags[[126]], sides[[126]], tags[[127]], sides[[127]])[0]
     assert sup / ((128.0 - 127.0) / 128.0) == 1.0
-    cov = dataclasses.replace(gasket_cov, q=q, tags=tags, sides=sides)
-    report = verify_separation(cov, D=1.0, gamma=1.0)
+    cov = dataclasses.replace(gasket_cov, q=q, tags=tags, sides=sides, D=1.0, gamma=1.0)
+    report = verify_separation(cov)
     assert (report.worst_ratio, report.worst_pair) == (1.0, (1, 129))
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from orderedcover import geometry
 from orderedcover.geometry import BudgetExceededError
-from orderedcover.tagging import BuilderParams, build_tagged_covering, normalize_tau
+from orderedcover.tagging import BuilderParams, build_tagged_covering
 from orderedcover.zoo import hilbert_square, minkowski_sausage, sierpinski_gasket, unit_interval
 
 from geometry_reference import MultiIndex, compose_part
@@ -60,39 +60,61 @@ def test_pending_counts_drop_linearly():
 def test_builder_params_from_stage():
     ifs = sierpinski_gasket()
     params = BuilderParams.from_stage(ifs, 1, 1)
-    assert params.s == 1
-    assert params.tau == pytest.approx(0.5, rel=1e-12)
+    assert (params.s, params.bigN) == (1, 1)
     assert params.D == pytest.approx(8.0, rel=1e-12)
-    assert not params.proof_safe
-    deep = BuilderParams.from_stage(ifs, 3, 10)
-    assert deep.s == 3
+    cov = build_tagged_covering(ifs, params)
+    assert cov.tau == pytest.approx(0.5, rel=1e-12)
+    assert BuilderParams.from_stage(ifs, 3, 10, D=2.0) == BuilderParams(s=3, bigN=10, D=2.0)
+
+
+def test_proof_safe_needs_the_margin_of_stage_two_on_the_line():
+    # 3 (r - 1)^alpha c^s is 1.5 at s = 1 and 0.75 at s = 2; D defaults to rho/c^3
+    line = unit_interval()
+    shallow, deep = (build_tagged_covering(line, BuilderParams.from_stage(line, s, 1)) for s in (1, 2))
+    assert not shallow.proof_safe
     assert deep.proof_safe
+    assert deep.affine_scaled(0.01, (1.0, 1.0)).proof_safe
 
 
-def test_builder_params_reject_off_schedule_tau():
+def test_from_tau_frozen_values():
     ifs = sierpinski_gasket()
-    with pytest.raises(ValueError, match="normalize_tau"):
-        BuilderParams(0.6, 10, 8.0, ifs.gamma, 3, 1.0).s
-
-
-def test_normalize_tau_frozen_values():
-    ifs = sierpinski_gasket()
-    c = 3.0 ** (-1.0 / ifs.gamma)
-    alpha = 1.0 / ifs.gamma
-    s, tau_prime = normalize_tau(0.6, 10, 1.0, c, 3, alpha)
-    assert s == 3
-    assert tau_prime == pytest.approx(0.5343671676756369, abs=1e-15)
-    assert tau_prime <= 0.6
-    # smaller stage violates the safety margin 3(r-1)^alpha c^s <= 1
+    alpha, c = 1.0 / ifs.gamma, ifs.r ** (-1.0 / ifs.gamma)
+    assert BuilderParams.from_tau(ifs, 0.6, 10) == BuilderParams.from_stage(ifs, 3, 10)
+    # both c^s rho <= tau/N^alpha and the safety margin 3(r-1)^alpha c^s <= 1 hold from s = 3
+    assert c**2 * ifs.rho > 0.6 / 10**alpha
+    assert c**3 * ifs.rho <= 0.6 / 10**alpha
     assert 3.0 * 2.0**alpha * c**2 > 1.0
     assert 3.0 * 2.0**alpha * c**3 <= 1.0
+    with pytest.raises(BudgetExceededError, match="q = r\\^t = 4052555153018976267 exceeds"):
+        build_tagged_covering(ifs, BuilderParams.from_tau(ifs, 0.6, 10))
 
 
-def test_normalize_tau_keeps_side_schedule_below_request():
+@pytest.mark.parametrize(
+    "tau, bigN, s", [(1.0, 1, 2), (0.3, 1, 2), (0.2, 1, 3), (0.6, 2, 2), (0.3, 2, 3), (0.4, 3, 3)]
+)
+def test_from_tau_builds_the_covering_of_its_stage(tau, bigN, s):
+    # the smallest s with c^s rho <= tau/N (alpha = 1, c = 1/2) and 3 c^s <= 1
     line = unit_interval()
-    s, tau_prime = normalize_tau(0.3, 2, line.rho, 0.5, 2, 1.0)
-    assert 0.5**s * line.rho <= 0.3 / 2.0
-    assert tau_prime == pytest.approx(0.5**s * line.rho * 2.0)
+    params = BuilderParams.from_tau(line, tau, bigN)
+    assert params == BuilderParams.from_stage(line, s, bigN)
+    assert 0.5**s * line.rho <= tau / bigN and 3.0 * 0.5**s <= 1.0
+    assert not (0.5 ** (s - 1) * line.rho <= tau / bigN and 3.0 * 0.5 ** (s - 1) <= 1.0)
+    cov = build_tagged_covering(line, params)
+    same = build_tagged_covering(line, BuilderParams.from_stage(line, s, bigN))
+    assert cov.s == s and cov.tau <= tau
+    assert cov.tau == 0.5**s * line.rho * bigN
+    assert cov.to_record() == same.to_record()
+    assert cov.tags.tobytes() == same.tags.tobytes()
+    assert cov.sides.tobytes() == same.sides.tobytes()
+
+
+@pytest.mark.parametrize("tau, bigN", [(0.6, 10), (1.0, 1), (0.05, 3)])
+def test_from_tau_on_the_gasket_is_from_stage(tau, bigN):
+    ifs = sierpinski_gasket()
+    params = BuilderParams.from_tau(ifs, tau, bigN)
+    assert params == BuilderParams.from_stage(ifs, params.s, bigN)
+    alpha, c = 1.0 / ifs.gamma, ifs.r ** (-1.0 / ifs.gamma)
+    assert c**params.s * ifs.rho * bigN**alpha <= tau
 
 
 def test_gasket_covering_index_assignment():
@@ -174,14 +196,6 @@ def test_builder_rejects_small_D():
         build_tagged_covering(ifs, params)
 
 
-def test_builder_rejects_mismatched_system():
-    ifs = sierpinski_gasket()
-    line = unit_interval()
-    params = BuilderParams.from_stage(ifs, 1, 1)
-    with pytest.raises(ValueError):
-        build_tagged_covering(line, params)
-
-
 def test_affine_scaling_preserves_schedule():
     ifs = sierpinski_gasket()
     cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
@@ -222,27 +236,38 @@ def test_record_of_a_built_covering_is_never_refused(monkeypatch):
     assert q == 27 and groups[-1].k_to == q
 
 
-@pytest.mark.parametrize(
-    "tau, rho, bad",
-    [("inf", "1.0", "tau"), ("0.0", "1.0", "tau"), ("-1.0", "1.0", "tau"), ("nan", "1.0", "tau"),
-     ("0.5", "0.0", "rho"), ("0.5", "inf", "rho"), ("0.5", "nan", "rho")],
-)
-def test_normalize_tau_refuses_values_that_are_not_finite_and_positive(tau, rho, bad):
-    # the stage search once looped forever on a nan tau or rho and on an infinite
-    # rho: a child process turns such a hang into a failure, not a stalled suite
-    code = "import sys, orderedcover.tagging as t; tau, rho = map(float, sys.argv[1:]); " \
-        "t.normalize_tau(tau, 1, rho, 0.5, 2, 1.0)"
+@pytest.mark.parametrize("tau", ["inf", "0.0", "-1.0", "nan"])
+def test_from_tau_refuses_values_that_are_not_finite_and_positive(tau):
+    # the stage search once looped forever on a nan tau: a child process
+    # turns such a hang into a failure, not a stalled suite
+    code = "import sys; from orderedcover import tagging, zoo; " \
+        "tagging.BuilderParams.from_tau(zoo.unit_interval(), float(sys.argv[1]), 1)"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", code, tau, rho], capture_output=True, text=True, timeout=10, env=env
+        [sys.executable, "-c", code, tau], capture_output=True, text=True, timeout=10, env=env
     )
-    value = {"tau": tau, "rho": rho}[bad]
-    assert proc.stderr.endswith(f"ValueError: {bad} must be finite and > 0, got {value}\n")
+    assert proc.stderr.endswith(f"ValueError: tau must be finite and > 0, got {tau}\n")
 
 
-@pytest.mark.parametrize("field", ["tau", "D", "gamma", "rho"])
+@pytest.mark.parametrize("make", ["from_stage", "from_tau", "init"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
-def test_builder_params_refuse_values_that_are_not_finite_and_positive(field, value):
-    given = {"tau": 0.5, "bigN": 1, "D": 8.0, "gamma": 1.5, "r": 3, "rho": 1.0, field: value}
-    with pytest.raises(ValueError, match=f"{field} must be finite and > 0, got {value}"):
-        BuilderParams(**given)
+def test_builder_params_refuse_a_D_that_is_not_finite_and_positive(make, value):
+    ifs = sierpinski_gasket()
+    build = {
+        "from_stage": lambda: BuilderParams.from_stage(ifs, 1, 1, D=value),
+        "from_tau": lambda: BuilderParams.from_tau(ifs, 0.5, 1, D=value),
+        "init": lambda: BuilderParams(s=1, bigN=1, D=value),
+    }[make]
+    with pytest.raises(ValueError, match=f"D must be finite and > 0, got {value}"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda ifs: BuilderParams.from_stage(ifs, 0, 1), lambda ifs: BuilderParams.from_stage(ifs, 1, 0),
+     lambda ifs: BuilderParams.from_tau(ifs, 0.5, 0), lambda ifs: BuilderParams(-1, 1, 8.0)],
+    ids=["from_stage-s0", "from_stage-bigN0", "from_tau-bigN0", "init-s-1"],
+)
+def test_builder_params_refuse_a_stage_or_stride_below_one(make):
+    with pytest.raises(ValueError, match="bigN >= 1 required"):
+        make(sierpinski_gasket())
