@@ -238,7 +238,7 @@ def _build_for_args(args: argparse.Namespace) -> tuple:
     if args.s is not None:
         params = BuilderParams.from_stage(ifs, _at_least("s", args.s, 1), args.bigN, D=args.D)
     elif args.tau is None:
-        raise ValueError("cover needs --tau or --s")
+        raise _UsageError("cover needs --tau or --s")
     else:
         params = BuilderParams.from_tau(ifs, args.tau, args.bigN, D=args.D)
     cov = build_tagged_covering(ifs, params, budget=args.budget)
@@ -346,8 +346,10 @@ def _svg_of_boxes(corners: np.ndarray, sides: np.ndarray) -> str:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    covering = args.tau is not None or args.s is not None
+
     def body() -> tuple:
-        if args.tau is not None or args.s is not None:
+        if covering:
             _, cov, _ = _build_for_args(args)
             corners, sides = cov.tags, cov.sides
         else:
@@ -359,7 +361,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         return None, 0, []
 
     errors = (BudgetExceededError, ValueError)
-    return _run(args, "render", body, zoo_names(), errors)
+    return _run(args, "render", body, IFS_NAMES if covering else zoo_names(), errors)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
 """Weighted shift powers on truncated sequence spaces, in log coordinates.
 
-Everything is carried as (sign, log magnitude) pairs: the experiments push
+Every vector is nonnegative and carried as log magnitudes: the experiments push
 shift powers up to a few hundred with weights like e^(x n), whose direct
-evaluation overflows doubles. Signed addition goes through a stable
-log-sum-exp; the backward/forward powers are exact index shifts plus
-additions of cumulative log-weight differences.
+evaluation overflows doubles. The backward/forward powers are exact index
+shifts plus additions of cumulative log-weight differences; the one
+subtraction, T^n u - v_t at the near coordinates, is log |e^a - e^b|.
 
 The module covers the whole operator side of the pipeline: the weight
 families, the d-fold product shifts T (backward) and S (forward, inverse
 weights, a right inverse of T), the Lipschitz and summability checks, the
 common-vector construction u = u_0 + sum_i S_{iN, lambda_i} v_t, and the
 3-eta universality certificate over a tagged covering. Norms are sup norms.
-Vectors keep only their nonzero columns: u has at most 1 + q |supp v_t| of
-them, so a run holds O(q kappa) numbers however long the truncation L is.
+Vectors keep only their nonzero columns. With u_0 and v_t below column N the
+terms of u fill disjoint blocks iN + supp v_t, so u is placed, not summed: it
+has at most 1 + q |supp v_t| columns, and a run holds O(q kappa) numbers
+however long the truncation L is.
 
 In every family f(x, n) rises in x, linearly or concavely, so both weight checks
 are exact at the interval's left end a, with no x sampled: the CS2 constant is
@@ -86,47 +88,6 @@ CUMULATIVE_BUDGET = 2**28
 
 
 # ---------------------------------------------------------------------------
-# signed log-domain primitives
-
-
-def slog_from_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    values = np.asarray(values, dtype=float)
-    sign = np.sign(values)
-    with np.errstate(divide="ignore"):
-        logmag = np.where(sign == 0.0, NEG_INF, np.log(np.abs(np.where(sign == 0.0, 1.0, values))))
-    return sign, logmag
-
-
-def slog_to_values(sign: np.ndarray, logmag: np.ndarray) -> np.ndarray:
-    return sign * np.exp(logmag)
-
-
-def slog_add(
-    s1: np.ndarray, a1: np.ndarray, s2: np.ndarray, a2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise (s1 e^a1) + (s2 e^a2) back in (sign, logmag) form."""
-    s1, a1 = np.asarray(s1, dtype=float), np.asarray(a1, dtype=float)
-    s2, a2 = np.asarray(s2, dtype=float), np.asarray(a2, dtype=float)
-    hi = np.maximum(a1, a2)
-    lo = np.minimum(a1, a2)
-    first_is_hi = a1 >= a2
-    hi_sign = np.where(first_is_hi, s1, s2)
-    lo_sign = np.where(first_is_hi, s2, s1)
-    with np.errstate(invalid="ignore"):
-        diff = np.where(np.isneginf(hi), NEG_INF, lo - hi)
-    same = hi_sign * lo_sign >= 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mag_same = hi + np.log1p(np.exp(diff))
-        mag_opp = hi + np.log1p(-np.exp(diff))
-    mag = np.where(same, mag_same, mag_opp)
-    sign = np.where(np.isneginf(mag), 0.0, np.where(hi_sign != 0.0, hi_sign, lo_sign))
-    # exact cancellation and zero operands
-    sign = np.where(np.isneginf(a1) & np.isneginf(a2), 0.0, sign)
-    mag = np.where(sign == 0.0, NEG_INF, mag)
-    return sign, mag
-
-
-# ---------------------------------------------------------------------------
 # weight families
 
 
@@ -135,8 +96,7 @@ class WeightFamily:
     """Cumulative log-weight function f(x, n) = log(w_1(x) ... w_n(x)).
 
     alpha is the growth exponent; C0 certifies |f(x,n) - f(y,n)| <=
-    C0 n^alpha |x - y| on the documented interval, C1/C2 certify
-    w_1...w_n >= C1 exp(C2 n^alpha) there (defaults documented for [1, 2]).
+    C0 n^alpha |x - y| for x, y >= 0.
     log_products(x, n_max) returns the table [f(x, 0), ..., f(x, n_max)], or
     for a 1-d array of x one such row per x; dlog_products(x, n_max) returns
     [df/dx(x, 0), ..., df/dx(x, n_max)] for one x. A family linear in x,
@@ -146,8 +106,6 @@ class WeightFamily:
     name: str
     alpha: float
     C0: float
-    C1: float
-    C2: float
     log_products: Callable[[float | np.ndarray, int], np.ndarray]
     dlog_products: Callable[[float, int], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray] | None = None
@@ -160,13 +118,13 @@ class WeightFamily:
 
 
 def _linear_family(name: str, alpha: float, slope) -> WeightFamily:
-    """f(x, n) = x n^alpha, C0 = C1 = C2 = 1."""
+    """f(x, n) = x n^alpha, C0 = 1."""
     g = lambda n: np.asarray(n, dtype=float) ** alpha
 
     def table(x: float | np.ndarray, n_max: int) -> np.ndarray:
         return np.asarray(x, dtype=float)[..., None] * g(np.arange(n_max + 1))
 
-    return WeightFamily(name, alpha, 1.0, 1.0, 1.0, table, slope, g)
+    return WeightFamily(name, alpha, 1.0, table, slope, g)
 
 
 def rolewicz_family() -> WeightFamily:
@@ -198,7 +156,7 @@ def plus_power_family(alpha: float) -> WeightFamily:
         k = np.arange(1, n_max + 1, dtype=float)
         return np.concatenate([[0.0], np.cumsum(1.0 / (_pow(k, 1.0 - alpha) + x))])
 
-    return WeightFamily(f"plus-power:{alpha}", alpha, 1.0 / alpha, 1.0, alpha, table, slope)
+    return WeightFamily(f"plus-power:{alpha}", alpha, 1.0 / alpha, table, slope)
 
 
 def weight_family(name: str, alpha: float | None = None) -> WeightFamily:
@@ -248,94 +206,57 @@ def _log_products_at(fam: WeightFamily) -> Callable[[np.ndarray, np.ndarray], np
 
 @dataclass
 class FiniteVector:
-    """d-fold vector on coordinates 0..L, kept as its nonzero columns: cols (n,)
-    ascending and distinct, sign and logmag (d, n), a factor that is zero at a
-    column holding (0, -inf). Normed by its largest magnitude (the max over
+    """Nonnegative d-fold vector on coordinates 0..L, kept as its nonzero columns:
+    cols (n,) ascending and distinct, and logmag (d, n), the entries' logs, -inf for
+    a factor that is zero at a column. Normed by its largest entry (the max over
     factors of the factors' sup norms)."""
 
     cols: np.ndarray
-    sign: np.ndarray
     logmag: np.ndarray
     L: int
 
     @property
     def d(self) -> int:
-        return self.sign.shape[0]
-
-    @classmethod
-    def zeros(cls, d: int, L: int) -> "FiniteVector":
-        return cls(np.zeros(0, dtype=int), np.zeros((d, 0)), np.zeros((d, 0)), L)
+        return self.logmag.shape[0]
 
     @classmethod
     def basis(cls, d: int, L: int, position: int, value: float = 1.0) -> "FiniteVector":
         if not 0 <= position <= L:
             raise ValueError("basis position outside 0..L")
-        return cls(np.array([position]), *slog_from_values(np.full((d, 1), float(value))), L)
+        if not value > 0.0:
+            raise ValueError(f"basis value must be > 0, got {value}")
+        return cls(np.array([position]), np.full((d, 1), np.log(float(value))), L)
 
     @classmethod
-    def from_dense(cls, sign: np.ndarray, logmag: np.ndarray) -> "FiniteVector":
-        sign, logmag = np.atleast_2d(sign), np.atleast_2d(logmag)
-        cols = np.flatnonzero((sign != 0.0).any(axis=0))
-        return cls(cols, sign[:, cols], logmag[:, cols], sign.shape[1] - 1)
+    def from_dense(cls, logmag: np.ndarray) -> "FiniteVector":
+        logmag = np.atleast_2d(logmag)
+        cols = np.flatnonzero((logmag > NEG_INF).any(axis=0))
+        return cls(cols, logmag[:, cols], logmag.shape[1] - 1)
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "FiniteVector":
-        return cls.from_dense(*slog_from_values(np.atleast_2d(values)))
+        values = np.atleast_2d(np.asarray(values, dtype=float))
+        if not (values >= 0.0).all():
+            raise ValueError("vector entries must be >= 0")
+        with np.errstate(divide="ignore"):
+            return cls.from_dense(np.log(values))
 
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """sign and logmag on every coordinate 0..L, (d, L + 1) each."""
-        sign, logmag = np.zeros((self.d, self.L + 1)), np.full((self.d, self.L + 1), NEG_INF)
-        sign[:, self.cols], logmag[:, self.cols] = self.sign, self.logmag
-        return sign, logmag
+    def dense(self) -> np.ndarray:
+        """logmag on every coordinate 0..L, (d, L + 1)."""
+        logmag = np.full((self.d, self.L + 1), NEG_INF)
+        logmag[:, self.cols] = self.logmag
+        return logmag
 
-    def to_values(self) -> np.ndarray:
-        return slog_to_values(*self.dense())
-
-    def at(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sign and logmag at an int array of columns, (d,) + cols.shape each."""
+    def at(self, cols: np.ndarray) -> np.ndarray:
+        """logmag at an int array of columns, (d,) + cols.shape."""
         if not len(self.cols):
-            return np.zeros((self.d,) + cols.shape), np.full((self.d,) + cols.shape, NEG_INF)
+            return np.full((self.d,) + cols.shape, NEG_INF)
         i = np.minimum(np.searchsorted(self.cols, cols), len(self.cols) - 1)
-        hit = self.cols[i] == cols
-        return np.where(hit, self.sign[:, i], 0.0), np.where(hit, self.logmag[:, i], NEG_INF)
+        return np.where(self.cols[i] == cols, self.logmag[:, i], NEG_INF)
 
     def support_max(self) -> int:
-        nz = self.cols[(self.sign != 0.0).any(axis=0)]
+        nz = self.cols[(self.logmag > NEG_INF).any(axis=0)]
         return int(nz.max()) if nz.size else -1
-
-    def plus(self, other: "FiniteVector") -> "FiniteVector":
-        return _summed(self, other.cols, other.sign, other.logmag)
-
-    def minus(self, other: "FiniteVector") -> "FiniteVector":
-        return _summed(self, other.cols, -other.sign, other.logmag)
-
-    def log_norm(self) -> float:
-        return float(self.logmag.max(initial=NEG_INF))
-
-    def norm(self) -> float:
-        return math.exp(self.log_norm())
-
-
-def _summed(
-    u: FiniteVector, cols: np.ndarray, sign: np.ndarray, logmag: np.ndarray
-) -> FiniteVector:
-    """u plus the entries (cols, sign, logmag), in order: entries meeting at one column
-    are added after u's, one round per rank within the column."""
-    cols = np.concatenate([u.cols, cols])
-    sign = np.concatenate([u.sign, sign], axis=1)
-    logmag = np.concatenate([u.logmag, logmag], axis=1)
-    order = np.argsort(cols, kind="stable")
-    cols, sign, logmag = cols[order], sign[:, order], logmag[:, order]
-    starts = np.diff(cols, prepend=-1) != 0
-    first, inverse = np.flatnonzero(starts), np.cumsum(starts) - 1
-    out_cols, out_sign, out_logmag = cols[first], sign[:, first], logmag[:, first]
-    rank = np.arange(len(cols)) - first[inverse]
-    for r in range(1, int(rank.max(initial=0)) + 1):
-        at, c = rank == r, inverse[rank == r]
-        out_sign[:, c], out_logmag[:, c] = slog_add(
-            out_sign[:, c], out_logmag[:, c], sign[:, at], logmag[:, at]
-        )
-    return FiniteVector(out_cols, out_sign, out_logmag, u.L)
 
 
 # ---------------------------------------------------------------------------
@@ -348,46 +269,35 @@ def _weight_diffs(fam: WeightFamily, x: float, n: int, L: int) -> np.ndarray:
     return table[n : L + 1] - table[0 : L + 1 - n]
 
 
-def backward_power(
-    fam: WeightFamily, x: float, n: int, factor: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(B^n u)_l = e^(f(x,l+n) - f(x,l)) u_(l+n); coordinates past L-n vanish."""
-    sign, logmag = factor
-    L = len(sign) - 1
+def backward_power(fam: WeightFamily, x: float, n: int, logmag: np.ndarray) -> np.ndarray:
+    """(B^n u)_l = e^(f(x,l+n) - f(x,l)) u_(l+n) on one factor's log magnitudes;
+    coordinates past L-n vanish."""
+    L = len(logmag) - 1
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        return sign.copy(), logmag.copy()
+        return logmag.copy()
     if n > L:
-        return np.zeros(L + 1), np.full(L + 1, NEG_INF)
-    w = _weight_diffs(fam, x, n, L)
-    out_sign = np.concatenate([sign[n:], np.zeros(n)])
-    out_logmag = np.concatenate([logmag[n:] + w, np.full(n, NEG_INF)])
-    return out_sign, out_logmag
+        return np.full(L + 1, NEG_INF)
+    return np.concatenate([logmag[n:] + _weight_diffs(fam, x, n, L), np.full(n, NEG_INF)])
 
 
 class TruncationOverflowError(RuntimeError):
     """A forward power would push support past the truncation length."""
 
 
-def forward_power(
-    fam: WeightFamily, x: float, n: int, factor: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+def forward_power(fam: WeightFamily, x: float, n: int, logmag: np.ndarray) -> np.ndarray:
     """(F^n u)_(l+n) = e^(-(f(x,l+n) - f(x,l))) u_l, weights inverted."""
-    sign, logmag = factor
-    L = len(sign) - 1
+    L = len(logmag) - 1
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        return sign.copy(), logmag.copy()
-    if n > L or (sign[L - n + 1 :] != 0.0).any():
+        return logmag.copy()
+    if n > L or (logmag[L - n + 1 :] > NEG_INF).any():
         raise TruncationOverflowError(
             f"support would exceed L={L} after a forward power of {n}"
         )
-    w = _weight_diffs(fam, x, n, L)
-    out_sign = np.concatenate([np.zeros(n), sign[: L - n + 1]])
-    out_logmag = np.concatenate([np.full(n, NEG_INF), logmag[: L - n + 1] - w])
-    return out_sign, out_logmag
+    return np.concatenate([np.full(n, NEG_INF), logmag[: L - n + 1] - _weight_diffs(fam, x, n, L)])
 
 
 def product_apply(
@@ -403,9 +313,8 @@ def product_apply(
     if direction not in ("backward", "forward"):
         raise ValueError("direction must be 'backward' or 'forward'")
     op = backward_power if direction == "backward" else forward_power
-    sign, logmag = u.dense()
-    out = [op(fam, float(lam[j]), n, (sign[j], logmag[j])) for j in range(u.d)]
-    return FiniteVector.from_dense(np.stack([s for s, _ in out]), np.stack([a for _, a in out]))
+    rows = [op(fam, float(x), n, row) for x, row in zip(lam, u.dense())]
+    return FiniteVector.from_dense(np.stack(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +525,12 @@ def build_common_vector(
     u0: FiniteVector,
     vt: FiniteVector,
 ) -> FiniteVector:
-    """u = u_0 + sum_{i=1..q} S_{iN, lambda_i} v_t, as at most u_0's entries plus
-    q |supp v_t| more: S^(iN) v_t is v_t moved to iN + supp, scaled by
-    e^-(f(x, l+iN) - f(x, l)). Terms meeting at one column are added in order of i."""
+    """u = u_0 + sum_{i=1..q} S_{iN, lambda_i} v_t: u_0's entries, then q |supp v_t|
+    more. S^(iN) v_t is v_t moved to iN + supp, scaled by e^-(f(x, l+iN) - f(x, l)).
+    A u_0 or v_t reaching column N is refused; below it no two terms meet, so each
+    entry is placed, in column order, and none is added."""
+    if max(u0.cols.max(initial=-1), vt.cols.max(initial=-1)) >= cfg.bigN:
+        raise ValueError(f"u_0 and v_t must lie below column N={cfg.bigN}")
     if cfg.L < cov.q * cfg.bigN + max(vt.support_max(), 0):
         raise TruncationOverflowError(
             f"L={cfg.L} cannot hold q*N={cov.q * cfg.bigN} plus the target support"
@@ -631,7 +543,8 @@ def build_common_vector(
     f = at(params, np.concatenate([cols, np.broadcast_to(supp, cols.shape)], axis=1))
     w = f[..., : len(supp)] - f[..., len(supp) :]
     add_logmag = (vt.logmag - w).transpose(1, 0, 2).reshape(cfg.d, -1)
-    return _summed(u0, cols.ravel(), np.tile(vt.sign, cov.q), add_logmag)
+    logmag = np.concatenate([u0.logmag, add_logmag], axis=1)
+    return FiniteVector(np.concatenate([u0.cols, cols.ravel()]), logmag, cfg.L)
 
 
 @dataclass(frozen=True)
@@ -656,6 +569,14 @@ def _rounding_margin(top: int, scale: float) -> float:
     return (3 * top + 32) * 2.0**-53 * scale
 
 
+def _log_abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log |e^a - e^b| elementwise: -inf where a = b, two -inf operands included, and
+    the other operand where one is -inf."""
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.isneginf(hi), NEG_INF, hi + np.log1p(-np.exp(lo - hi)))
+
+
 class _ShiftErrors:
     """log ||T^n_lambda u - v_t|| for rows lambda, a block of boxes at a time.
 
@@ -665,18 +586,20 @@ class _ShiftErrors:
     (module docstring) reaches the smallest near-term maximum among the rows of
     its box, so no skipped term can be a row's maximum and every error is exact.
     Rows with a coordinate below 0 skip nothing. u's entries are read in blocks
-    of _BLOCK. The steps are the elementwise steps of product_apply(...).minus(vt).
+    of _BLOCK. The steps are the elementwise steps of product_apply(...) and then
+    _log_abs_diff against v_t.
     """
 
     def __init__(self, u: FiniteVector, fam: WeightFamily, vt: FiniteVector) -> None:
-        self.u, self.vt, self.C0, self.alpha = u, vt, fam.C0, fam.alpha
+        self.u, self.C0, self.alpha = u, fam.C0, fam.alpha
         self.at = _log_products_at(fam)
-        self.v_cols = np.union1d(vt.cols[(vt.sign != 0.0).any(axis=0)], [0])
+        self.v_cols = np.union1d(vt.cols[(vt.logmag > NEG_INF).any(axis=0)], [0])
+        self.v_log = vt.at(self.v_cols)
         n, blocks = len(u.cols), -(-len(u.cols) // _BLOCK)
         self.cols = np.full(blocks * _BLOCK, u.L + 1)
         self.cols[:n] = u.cols
         self.ulog = np.full((u.d, blocks * _BLOCK), NEG_INF)
-        self.ulog[:, :n] = np.where(u.sign != 0.0, u.logmag, NEG_INF)
+        self.ulog[:, :n] = u.logmag
         self.block_max = self.ulog.reshape(u.d, blocks, _BLOCK).max(axis=2)
         self.block_end = self.cols[_BLOCK - 1 :: _BLOCK]
         self.log_scale = 1.0 + float(np.abs(u.logmag[np.isfinite(u.logmag)]).max(initial=0.0))
@@ -692,10 +615,9 @@ class _ShiftErrors:
         v_src = v + ns[:, None]
         near_cols = np.concatenate([np.minimum(v_src, L), np.broadcast_to(v, v_src.shape)], axis=1)
         f = self.at(lam, near_cols)
-        u_sign, near = (a.transpose(1, 0, 2) for a in u.at(v_src))
+        near = u.at(v_src).transpose(1, 0, 2)
         near += f[..., : len(v)] - f[..., len(v) :]
-        v_sign, v_logmag = self.vt.at(v)
-        _, near = slog_add(u_sign, near, -v_sign, v_logmag)
+        near = _log_abs_diff(near, self.v_log)
         near_max = near.max(axis=(1, 2))
 
         n = ns[starts]
@@ -884,9 +806,12 @@ def run_dynamics_experiment(
     The constant-weight family is allowed with any geometry through the
     finite-horizon closed-form envelope (exact for it); growth families
     require alpha <= 1/gamma, otherwise no summable bound exists and the
-    run is refused. Bad inputs (check_dynamics_inputs) are refused first.
+    run is refused. Bad inputs (check_dynamics_inputs) and a d other than 1 or 2
+    are refused first.
     """
     check_dynamics_inputs(interval, eta)
+    if d not in (1, 2):
+        raise ValueError(f"d must be 1 or 2, got {d}")
     alpha_g = 1.0 / ifs.gamma
     constant_weights = fam.name == "rolewicz"
     if not constant_weights and fam.alpha > alpha_g + 1e-12:
@@ -960,10 +885,11 @@ def run_dynamics_experiment(
     L = max(L_MIN, q * N + vt_support + 1)
     cfg = DynamicsConfig(d=d, interval=interval, L=L, eta=eta, kappa=kappa, bigN=N)
     u0 = FiniteVector.basis(d, L, 0, 1.0)
-    vt = FiniteVector(np.arange(vt_support + 1), *slog_from_values(vt_values), L)
+    vt = FiniteVector(np.arange(vt_support + 1), np.log(vt_values), L)
 
     u = build_common_vector(scaled, fam, cfg, u0, vt)
-    u_minus_u0 = u.minus(u0).norm()
+    # the terms of u follow u_0's entries and never meet them
+    u_minus_u0 = math.exp(float(u.logmag[:, len(u0.cols) :].max(initial=NEG_INF)))
     uni = verify_universality(u, scaled, fam, cfg, vt)
     cs2 = check_cs2_lipschitz(fam, interval, n_max=L)
 

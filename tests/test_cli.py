@@ -458,6 +458,23 @@ def test_bad_cover_option_is_usage_error_naming_the_flag(
     assert not (tmp_path / "unused.svg").exists()
 
 
+@pytest.mark.parametrize("command", [["cover", "build"], ["cover", "verify"]])
+def test_cover_without_tau_or_stage_is_usage_error(command, capsys):
+    assert main([*command, "--name", "sierpinski"]) == 2
+    assert capsys.readouterr() == ("", "error: cover needs --tau or --s\n")
+
+
+@pytest.mark.parametrize("options", [["--s", "1"], ["--tau", "0.5"]])
+def test_render_of_a_covering_lists_only_systems(options, tmp_path, capsys):
+    # a covering needs a system: a curve name is unknown, and is not listed as known
+    out = tmp_path / "unused.svg"
+    assert main(["render", "--name", "holder-diag", *options, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown zoo name 'holder-diag'; known: ")
+    assert "sierpinski" in err and "holder-diag" not in err.split("known: ")[1]
+    assert not out.exists()
+
+
 def test_dyn_stage_below_one_is_usage_error(capsys):
     assert main(["dyn", "--name", "sierpinski", "--s", "0"]) == 2
     assert capsys.readouterr() == ("", "error: --s must be >= 1, got 0\n")

@@ -10,6 +10,7 @@ from orderedcover import shifts
 from orderedcover.shifts import (
     FiniteVector,
     TruncationOverflowError,
+    _log_abs_diff,
     backward_power,
     build_common_vector,
     check_cs2_lipschitz,
@@ -21,9 +22,6 @@ from orderedcover.shifts import (
     product_apply,
     rolewicz_family,
     run_dynamics_experiment,
-    slog_add,
-    slog_from_values,
-    slog_to_values,
     weight_family,
 )
 from orderedcover.tagging import BuilderParams, build_tagged_covering
@@ -58,103 +56,99 @@ def dense_forward(fam, x, n, values):
     return out
 
 
-small = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+def logs(values):
+    """The log magnitudes of nonnegative values, -inf at a zero."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(values, dtype=float))
 
 
-@given(a=small, b=small)
-def test_slog_add_matches_float_addition(a, b):
-    s, m = slog_add(*slog_from_values(np.array([a])), *slog_from_values(np.array([b])))
-    got = slog_to_values(s, m)[0]
-    assert got == pytest.approx(a + b, rel=1e-12, abs=1e-12)
+@given(a=st.floats(0.0, 50.0), b=st.floats(0.0, 50.0))
+def test_log_abs_diff_matches_float_subtraction(a, b):
+    got = math.exp(float(_log_abs_diff(logs([a]), logs([b]))[0]))
+    assert got == pytest.approx(abs(a - b), rel=0.0, abs=1e-12 * max(a, b))
 
 
-def test_slog_add_exact_cancellation():
-    s, m = slog_add(*slog_from_values(np.array([3.5])), *slog_from_values(np.array([-3.5])))
-    assert s[0] == 0.0 and np.isneginf(m[0])
+def test_log_abs_diff_of_equal_or_zero_operands():
+    a = np.array([3.5, -math.inf, -math.inf, 2.7, -1.25])
+    b = np.array([3.5, -math.inf, 2.7, -math.inf, -1.25])
+    assert _log_abs_diff(a, b).tolist() == [-math.inf, -math.inf, 2.7, 2.7, -math.inf]
 
 
-def test_slog_zero_operands():
-    s, m = slog_add(
-        *slog_from_values(np.array([0.0, 0.0, 2.0])),
-        *slog_from_values(np.array([0.0, -1.0, 0.0])),
-    )
-    assert slog_to_values(s, m) == pytest.approx([0.0, -1.0, 2.0])
-
-
-def test_vector_roundtrip_and_norms():
-    values = np.array([[1.0, -0.5, 0.0, 0.25], [0.0, 2.0, -0.125, 0.0]])
+def test_vector_roundtrip_keeps_nonzero_columns():
+    values = np.array([[1.0, 0.5, 0.0, 0.25, 0.0], [0.0, 2.0, 0.125, 0.0, 0.0]])
     vec = FiniteVector.from_values(values)
-    assert np.allclose(vec.to_values(), values, atol=1e-14)
-    assert vec.norm() == pytest.approx(2.0)
-
-
-def test_vector_plus_minus_match_dense():
-    a = np.array([[1.0, -2.0, 0.5, 0.0]])
-    b = np.array([[0.25, 2.0, -0.5, -1.0]])
-    va, vb = FiniteVector.from_values(a), FiniteVector.from_values(b)
-    assert np.allclose(va.plus(vb).to_values(), a + b, atol=1e-12)
-    assert np.allclose(va.minus(vb).to_values(), a - b, atol=1e-12)
+    assert vec.cols.tolist() == [0, 1, 2, 3] and vec.L == 4
+    assert np.allclose(np.exp(vec.dense()), values, atol=1e-14)
 
 
 def test_basis_and_support():
-    e = FiniteVector.basis(2, 10, 3, -2.0)
-    vals = e.to_values()
-    assert vals[0][3] == pytest.approx(-2.0) and vals[1][3] == pytest.approx(-2.0)
+    e = FiniteVector.basis(2, 10, 3, 2.0)
+    vals = np.exp(e.dense())
+    assert vals[0][3] == pytest.approx(2.0) and vals[1][3] == pytest.approx(2.0)
     assert e.support_max() == 3
-    assert FiniteVector.zeros(1, 5).support_max() == -1
+    assert FiniteVector.from_values(np.zeros((1, 6))).support_max() == -1
+
+
+@pytest.mark.parametrize("value", [0.0, -2.0, math.nan])
+def test_basis_refuses_a_value_not_above_zero(value):
+    with pytest.raises(ValueError, match="basis value must be > 0"):
+        FiniteVector.basis(1, 10, 3, value)
+
+
+@pytest.mark.parametrize("bad", [-0.5, -math.inf, math.nan])
+def test_from_values_refuses_a_negative_entry(bad):
+    with pytest.raises(ValueError, match="entries must be >= 0"):
+        FiniteVector.from_values(np.array([[1.0, bad, 0.0]]))
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
 @pytest.mark.parametrize("n", [0, 1, 3, 5])
 def test_backward_power_matches_iterated_steps(fam, n):
     rng = np.random.default_rng(3)
-    values = rng.uniform(-1.0, 1.0, size=13)
+    values = np.where(np.arange(13) % 4 == 2, 0.0, rng.uniform(0.0, 1.0, size=13))
     x = 1.7
     expected = dense_backward(fam, x, n, values)
-    sign, logmag = backward_power(fam, x, n, slog_from_values(values))
-    assert np.allclose(slog_to_values(sign, logmag), expected, rtol=1e-10, atol=1e-12)
+    got = np.exp(backward_power(fam, x, n, logs(values)))
+    assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
 @pytest.mark.parametrize("n", [0, 1, 4])
 def test_forward_power_matches_iterated_steps(fam, n):
     rng = np.random.default_rng(4)
-    values = np.concatenate([rng.uniform(-1.0, 1.0, size=9 - n), np.zeros(n)])
+    values = np.concatenate([rng.uniform(0.0, 1.0, size=9 - n), np.zeros(n)])
     x = 1.3
     expected = dense_forward(fam, x, n, values)
-    sign, logmag = forward_power(fam, x, n, slog_from_values(values))
-    assert np.allclose(slog_to_values(sign, logmag), expected, rtol=1e-10, atol=1e-12)
+    got = np.exp(forward_power(fam, x, n, logs(values)))
+    assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
 def test_backward_inverts_forward_on_support(fam):
-    values = np.array([0.5, -0.25, 1.0, 0.0, 0.0, 0.0, 0.0])
-    fwd = forward_power(fam, 1.5, 4, slog_from_values(values))
-    back_sign, back_logmag = backward_power(fam, 1.5, 4, fwd)
-    assert np.allclose(slog_to_values(back_sign, back_logmag), values, rtol=1e-9, atol=1e-12)
+    values = np.array([0.5, 0.25, 1.0, 0.0, 0.0, 0.0, 0.0])
+    back = backward_power(fam, 1.5, 4, forward_power(fam, 1.5, 4, logs(values)))
+    assert np.allclose(np.exp(back), values, rtol=1e-9, atol=1e-12)
 
 
 def test_forward_power_guards_truncation():
     values = np.zeros(6)
     values[4] = 1.0
     with pytest.raises(TruncationOverflowError):
-        forward_power(rolewicz_family(), 1.0, 3, slog_from_values(values))
+        forward_power(rolewicz_family(), 1.0, 3, logs(values))
 
 
 def test_backward_power_beyond_support_is_zero():
     fam = rolewicz_family()
-    sign, logmag = backward_power(fam, 1.0, 9, slog_from_values(np.ones(5)))
-    assert (sign == 0.0).all() and np.isneginf(logmag).all()
+    assert np.isneginf(backward_power(fam, 1.0, 9, np.zeros(5))).all()
 
 
 def test_product_apply_uses_per_factor_parameters():
     fam = rolewicz_family()
-    values = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, -2.0, 0.0, 0.0]])
+    values = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
     u = FiniteVector.from_values(values)
-    out = product_apply(fam, (1.0, 2.0), 1, u, "backward")
-    got = out.to_values()
+    got = np.exp(product_apply(fam, (1.0, 2.0), 1, u, "backward").dense())
     assert got[0][0] == pytest.approx(math.e * 1.0)
-    assert got[1][0] == pytest.approx(-2.0 * math.e**2)
+    assert got[1][0] == pytest.approx(2.0 * math.e**2)
     with pytest.raises(ValueError):
         product_apply(fam, (1.0,), 1, u, "backward")
     with pytest.raises(ValueError):
@@ -395,6 +389,17 @@ def test_plus_power_past_the_cell_budget_is_refused_before_it_allocates():
     assert peak < 8 * shifts.CUMULATIVE_BUDGET / 100
 
 
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("d", [0, 3, -1])
+def test_a_factor_count_other_than_one_or_two_is_refused_before_any_work(fam, d, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the covering was built")
+
+    monkeypatch.setattr(shifts, "build_tagged_covering", no_build)
+    with pytest.raises(ValueError, match=f"d must be 1 or 2, got {d}"):
+        run_dynamics_experiment(hilbert_square(), fam, d=d)
+
+
 def test_single_factor_run_on_the_line():
     line = unit_interval()
     report = run_dynamics_experiment(line, rolewicz_family(), eta=0.1, d=1)
@@ -424,7 +429,8 @@ def test_common_vector_certificate_bounds_measurement():
     env = cs1_envelope_closed_form(
         rep.D_scaled, cfg.interval, 1.0 / ifs.gamma, horizon=cov.q * cfg.bigN
     )
-    measured = build_common_vector(scaled, fam, cfg, u0, vt).minus(u0).norm()
+    u = build_common_vector(scaled, fam, cfg, u0, vt)
+    measured = float(np.abs(np.exp(u.dense()) - np.exp(u0.dense())).max())
     envelope_sum = sum(math.exp(env(i * cfg.bigN)) for i in range(1, cov.q + 1))
     assert measured <= envelope_sum * (1.0 + 1e-9)
     assert measured == pytest.approx(rep.u_minus_u0, rel=1e-12)
@@ -439,3 +445,19 @@ def test_truncation_too_short_is_rejected():
     vt = FiniteVector.from_values(np.tile([1.0, 0.5, 0.25] + [0.0] * 48, (2, 1)))
     with pytest.raises(TruncationOverflowError):
         build_common_vector(scaled, rolewicz_family(), cfg, u0, vt)
+
+
+def test_a_u0_or_target_reaching_column_n_is_refused():
+    # below column N the terms of u never meet u_0 or each other
+    ifs = sierpinski_gasket()
+    cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
+    scaled = cov.affine_scaled(0.005, (1.0 - 0.005 * -0.5, 1.0 - 0.005 * -0.28867513459481287))
+    L = cov.q * 3 + 3
+    cfg = DynamicsConfig(d=2, interval=(1.0, 2.0), L=L, eta=0.1, kappa=3, bigN=3)
+    vt = FiniteVector.from_values(np.tile([1.0, 0.5, 0.25] + [0.0] * (L - 2), (2, 1)))
+    wide = FiniteVector.from_values(np.tile([1.0, 0.5, 0.25, 0.125] + [0.0] * (L - 3), (2, 1)))
+    for u0, target in ((FiniteVector.basis(2, L, 3), vt), (FiniteVector.basis(2, L, 0), wide)):
+        with pytest.raises(ValueError, match="must lie below column N=3"):
+            build_common_vector(scaled, rolewicz_family(), cfg, u0, target)
+    u = build_common_vector(scaled, rolewicz_family(), cfg, FiniteVector.basis(2, L, 2), vt)
+    assert u.cols.tolist() == [2] + list(range(3, 3 * cov.q + 3))
