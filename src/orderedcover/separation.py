@@ -28,12 +28,10 @@ blocks: about 6 ms, against 50 ms without the band and 1.4 s for every
 pair. Its worst case remains O(q^2).
 
 The jump lemma fails only on a pair closer in rank than it requires, so
-the jump check reads only that band of short rank gaps, in 64-rank row
-tiles that skip the 16-rank column blocks whose union box cannot reach a
-threshold. On the gasket at m = 9 (19,683 tags, 1.9e8 pairs, 2.1e7 of
-them in the band) it computes 1.2e6 distances in about 0.03 s (2-core
-x86-64 VM). It refuses a band of more than JUMP_PAIR_BUDGET pairs up
-front.
+the jump check reads only that band of short rank gaps, through each row's
+sliding-window extremes in x and y: O(q) per resolution n, and exact. On
+the gasket at m = 12 (531,441 tags, 1.5e10 band pairs) it takes about 1 s
+(2-core x86-64 VM).
 
 coverage_check, which tests sample points against the squares, is the
 sampled reference that verify_coverage replaced; no verdict rests on it.
@@ -166,11 +164,9 @@ _BLOCK = 64
 _BAND = 16
 
 
-def _block_boxes(
-    lo: np.ndarray, hi: np.ndarray, size: int = _BLOCK
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block starts and the union box (lo, hi) of each block of size ranks."""
-    starts = np.arange(0, len(lo), size)
+def _block_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block starts and the union box (lo, hi) of each block of _BLOCK ranks."""
+    starts = np.arange(0, len(lo), _BLOCK)
     return starts, np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
 
 
@@ -289,81 +285,58 @@ def coverage_check(cov: TaggedCovering, points: np.ndarray) -> bool:
     return True
 
 
-# Limit on the jump check's band pairs, b q - b(b + 1)/2 with
-# b = min(max(short), q - 1): every pair the band could compare before a
-# block bound prunes it. The gasket at m = 11 (1.7e9 band pairs) and
-# hilbert-square at m = 9 (1.4e9) fit, in under 1 s and 50 MB peak RSS end
-# to end each on a 2-core x86-64 VM. It also keeps b below 2^16, so one
-# row tile of band distances stays under 32 MB.
-JUMP_PAIR_BUDGET = 2**31
-
-# Rank tiles of the jump check: rows of _JUMP_ROWS ranks against later
-# column blocks of _JUMP_COLS ranks.
-_JUMP_ROWS, _JUMP_COLS = 64, 16
+def _window_max(v: np.ndarray, w: int) -> np.ndarray:
+    """max(v[j + 1 .. j + w]) for every rank j, over the ranks below len(v);
+    -inf where that window is empty. In blocks of w ranks with a running max
+    forward and backward, a window meets at most two blocks, whose backward
+    max at its first rank and forward max at its last cover it: O(len(v))
+    (van Herk, 1992; Gil and Werman, 1993)."""
+    q = len(v)
+    w = min(w, q)
+    if w < 1:
+        return np.full(q, -np.inf)
+    blocks = np.full((-(-(q + w) // w), w), -np.inf)
+    blocks.flat[:q] = v
+    forward = np.maximum.accumulate(blocks, axis=1).ravel()
+    backward = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(backward[1 : q + 1], forward[w : q + w])
 
 
 def _jump_pass(
     x: np.ndarray, y: np.ndarray, threshold: list[float], short: list[int]
 ) -> tuple[list[tuple[int, int, float] | None], int]:
-    """First short-gap premise hit of each threshold, and the pairs compared.
+    """First short-gap premise hit of each threshold, and the band's pair count.
 
     Over the pairs j < l of points (x_k, y_k), with distance
     d = max(|x_j - x_l|, |y_j - y_l|): first_bad[n] is the first pair in
     (j, l) order with l - j <= short[n] and d >= threshold[n], as (j, l, d),
-    or None. compared counts the pairs l < len(x) whose distance was
-    computed; the NaN padding past the last rank is not counted.
+    or None. compared counts the pairs j < l < len(x) with l - j <=
+    max(short), every one of which the pass covers exactly.
 
-    Rows go _JUMP_ROWS ranks at a time, against their band l - j <= short[n].
-    The union boxes of a row tile A and of a later column block B bound
-    every pair's distance per axis by bhi_B - blo_A (or bhi_A - blo_B), and
-    rounding is monotone, so a block whose bound stays below threshold n
-    misses it in all its pairs. The band of n stops after the last block
-    within short[n] whose bound reaches threshold n; only the blocks within
-    max(short) of the tile are bounded. np.abs(x_j - x_l) is
-    max(x_j - x_l, x_l - x_j) bit for bit, so distances match a scan of
-    every pair exactly. Memory is O(q + _JUMP_ROWS max(short)).
+    Row j's largest distance over l = j + 1 .. j + short[n] is the largest of
+    max x_l - x_j, x_j - min x_l and the same two in y, from sliding-window
+    extremes. Rounding is monotone, so fl(max x_l - x_j) is the largest
+    fl(x_l - x_j), and fl(x_j - x_l) is -fl(x_l - x_j): each row's reach is
+    its pairs' largest distance bit for bit. The first row whose reach hits
+    threshold n holds the first bad pair, which its short[n] distances name.
+    Memory is O(len(x)).
     """
-    q, t = len(x), np.asarray(threshold, dtype=float)[:, None]
-    first_bad, compared = [None] * len(threshold), 0
-    _, xlo, xhi = _block_boxes(x, x, _JUMP_COLS)
-    _, ylo, yhi = _block_boxes(y, y, _JUMP_COLS)
-    band = max(short, default=0)
-    # row k of wx, wy holds the band's points k + 1 .. k + band; past the
-    # last rank it reads NaN, which hits no threshold
-    wx, wy = (
-        np.lib.stride_tricks.sliding_window_view(np.append(v[1:], np.full(band, np.nan)), band)
-        for v in (x, y)
-    )
-    for a in range(0, q, _JUMP_ROWS):
-        tx, ty = x[a : a + _JUMP_ROWS], y[a : a + _JUMP_ROWS]
-        rows, first = len(tx), -(-(a + len(tx)) // _JUMP_COLS)
-        # the later blocks within max(short) of the tile's last row
-        stop = (a + rows - 1 + band) // _JUMP_COLS + 1
-        bxlo, bxhi, bylo, byhi = (v[first:stop] for v in (xlo, xhi, ylo, yhi))
-        hi = np.maximum(
-            np.maximum(bxhi - tx.min(), tx.max() - bxlo),
-            np.maximum(byhi - ty.min(), ty.max() - bylo),
-        )
-        reach = hi >= t
-        # the band of n ends at the last later block within short[n] that can hit n
-        width = {}
-        for n in (n for n in range(len(threshold)) if first_bad[n] is None and short[n] > 0):
-            ahead = np.flatnonzero(reach[n, : (a + rows - 1 + short[n]) // _JUMP_COLS + 1 - first])
-            last = (first + ahead[-1] + 1) * _JUMP_COLS - 1 if ahead.size else a
-            width[n] = min(short[n], max(rows - 1, last - a))
-        w = max(width.values(), default=0)
-        if w == 0:
+    q = len(x)
+    first_bad = []
+    for t, s in zip(threshold, short):
+        reach = np.full(q, -np.inf)
+        for v in (x, -x, y, -y):
+            np.maximum(reach, _window_max(v, s) - v, out=reach)
+        rows = np.flatnonzero(reach >= t)
+        if rows.size == 0:
+            first_bad.append(None)
             continue
-        # row i, column g: the pair (a + i, a + i + 1 + g), real while it is < q
-        compared += int(np.minimum(w, q - 1 - np.arange(a, a + rows)).sum())
-        band_x, band_y = wx[a : a + rows, :w], wy[a : a + rows, :w]
-        d = np.maximum(np.abs(tx[:, None] - band_x), np.abs(ty[:, None] - band_y))
-        for n, wn in width.items():
-            hit = d[:, :wn] >= threshold[n]
-            if hit.any():
-                i, g = divmod(int(np.argmax(hit)), wn)
-                first_bad[n] = (a + i, a + i + 1 + g, float(d[i, g]))
-    return first_bad, compared
+        j = int(rows[0])
+        d = np.maximum(np.abs(x[j] - x[j + 1 : j + 1 + s]), np.abs(y[j] - y[j + 1 : j + 1 + s]))
+        g = int(np.argmax(d >= t))
+        first_bad.append((j, j + 1 + g, float(d[g])))
+    b = min(max(short, default=0), max(q - 1, 0))
+    return first_bad, b * q - b * (b + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -393,26 +366,24 @@ def verify_jump_lemma(
     The report is that of checking n = 0, 1, ... in turn up to the first n
     with a bad pair, whose first bad pair in (j, l) order is the
     counterexample. One pass over the band, _jump_pass, finds the first bad
-    pair of every n; pairs_checked counts the pairs whose distance it
-    computed. A band of more than JUMP_PAIR_BUDGET pairs is refused with
-    BudgetExceededError before any level is built. gamma and rho must be
+    pair of every n; pairs_checked counts the band's pairs, b q - b(b + 1)/2
+    with b = min(max(short), q - 1), all of which it decides exactly. A
+    resolution past the part budget is refused with BudgetExceededError
+    before any level or required gap is formed. gamma and rho must be
     finite and > 0 (ValueError).
     """
     gamma = ifs.gamma if gamma is None else gamma
     rho = ifs.rho if rho is None else rho
     geometry.check_positive(gamma=gamma, rho=rho)
-    r, q = ifs.r, ifs.r**m
+    # checks the budget now, before r^(n-1) can overflow a float
+    stream = geometry.iter_levels(ifs, m, budget)
+    r = ifs.r
     c = r ** (-1.0 / gamma)
     required = [(r ** (n - 1) + r - 2) / (r - 1) for n in range(m)]
     threshold = [c ** (m - n) * rho * (1.0 - 1e-9) for n in range(m)]
     # the gaps l - j below required[n] are 1 .. short[n]
     short = [math.ceil(x) - 1 for x in required]
-    # the pairs j < l < q with l - j <= b (short[n] < required[n] <= r^n, so b < q)
-    b = max(short, default=0)
-    pairs = b * q - b * (b + 1) // 2
-    if pairs > JUMP_PAIR_BUDGET:
-        raise geometry.BudgetExceededError(f"{pairs} band pairs exceed budget {JUMP_PAIR_BUDGET}")
-    for level in geometry.iter_levels(ifs, m, budget):
+    for level in stream:
         pass
     x, y = np.ascontiguousarray(level.corners[:, 0]), np.ascontiguousarray(level.corners[:, 1])
     first_bad, compared = _jump_pass(x, y, threshold, short)

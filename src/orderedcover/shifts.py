@@ -31,8 +31,8 @@ or the corner tag + side, in every d. And for 0 <= x <= x_hi and c >= n
 so the shifted coordinate c of T^n u is at most u_c e^(f(x_hi, n)). The error
 evaluates f only at index arrays: the near terms (coordinates 0 and v_t's support),
 and each shifted column whose bound u_c + f(x_hi, n), plus a rounding margin,
-reaches the smallest near-term maximum among its box's rows, x_hi being the box's
-upper corner. No skipped column can be a row's maximum, so the sup is exact.
+reaches the smaller near-term maximum of its box's two corners, x_hi being the
+upper corner. No skipped column can be a corner's maximum, so the sup is exact.
 
 The N search takes the least step N = step kappa whose envelope tail is below
 min(TAIL_BUDGET eta, eta). Its pass falls monotonically with N: sigma is
@@ -71,7 +71,8 @@ from .tagging import BuilderParams, TaggedCovering, build_tagged_covering
 from .separation import verify_separation
 
 NEG_INF = float("-inf")
-# Rows (tags, boxes) and entries of u per array block.
+# Boxes per universality sweep call: one call over all q would pad every box to
+# the most candidate entries any box keeps.
 _BLOCK = 64
 # Cells (rows x factors x columns) of a row-chunked temporary, unless one row is wider.
 _CELLS = 1 << 16
@@ -578,15 +579,17 @@ def _log_abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _ShiftErrors:
-    """log ||T^n_lambda u - v_t|| for rows lambda, a block of boxes at a time.
+    """log ||T^n_lambda u - v_t|| at the two corners lo <= hi of boxes in lambda >= 0.
 
     Coordinate l of T^n u - v_t is a near term when l is 0 or in v_t's support,
     and the shifted term e^(f(x, c) - f(x, c - n)) u_c, c = l + n, otherwise.
-    Near terms are evaluated for every row; a shifted entry of u only if its bound
-    (module docstring) reaches the smallest near-term maximum among the rows of
-    its box, so no skipped term can be a row's maximum and every error is exact.
-    Rows with a coordinate below 0 skip nothing. u's entries are read in blocks
-    of _BLOCK. The steps are the elementwise steps of product_apply(...) and then
+    Near terms are evaluated at both corners; a shifted entry of u only if its
+    bound (module docstring) reaches the smaller near-term maximum of its box's
+    corners, so no skipped term can be a corner's maximum and every error is
+    exact. That test reads u_c >= need = floor - gain, gain being f(x_hi, n) plus
+    the margin; it rounds once, as u_c + gain >= floor would. A box's scan stops
+    where the suffix maximum of u's logs falls below its need in every factor.
+    The steps are the elementwise steps of product_apply(...) and then
     _log_abs_diff against v_t.
     """
 
@@ -595,13 +598,8 @@ class _ShiftErrors:
         self.at = _log_products_at(fam)
         self.v_cols = np.union1d(vt.cols[(vt.logmag > NEG_INF).any(axis=0)], [0])
         self.v_log = vt.at(self.v_cols)
-        n, blocks = len(u.cols), -(-len(u.cols) // _BLOCK)
-        self.cols = np.full(blocks * _BLOCK, u.L + 1)
-        self.cols[:n] = u.cols
-        self.ulog = np.full((u.d, blocks * _BLOCK), NEG_INF)
-        self.ulog[:, :n] = u.logmag
-        self.block_max = self.ulog.reshape(u.d, blocks, _BLOCK).max(axis=2)
-        self.block_end = self.cols[_BLOCK - 1 :: _BLOCK]
+        # the largest log of entries i.. per factor, negated so that it rises
+        self.neg_suffix = -np.maximum.accumulate(u.logmag[:, ::-1], axis=1)[:, ::-1]
         self.log_scale = 1.0 + float(np.abs(u.logmag[np.isfinite(u.logmag)]).max(initial=0.0))
 
     def margin(self, x_max: float) -> float:
@@ -609,10 +607,12 @@ class _ShiftErrors:
         scale, as |f(x, n)| <= C0 n^alpha |x| with f(0, n) = 0."""
         return _rounding_margin(self.u.L, self.log_scale + self.C0 * x_max * self.u.L**self.alpha)
 
-    def log_errors(self, lam: np.ndarray, ns: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """Rows lam (R, d) at shifts ns (R,); box k's rows begin at starts[k]."""
+    def log_errors(self, lo: np.ndarray, hi: np.ndarray, ns: np.ndarray) -> np.ndarray:
+        """Corners lo <= hi (B, d) at shifts ns (B,): the logs (B, 2) at lo and at hi."""
         u, v, L = self.u, self.v_cols, self.u.L
-        v_src = v + ns[:, None]
+        lam = np.stack([lo, hi], axis=1).reshape(-1, lo.shape[1])
+        row_ns = np.repeat(ns, 2)
+        v_src = v + row_ns[:, None]
         near_cols = np.concatenate([np.minimum(v_src, L), np.broadcast_to(v, v_src.shape)], axis=1)
         f = self.at(lam, near_cols)
         near = u.at(v_src).transpose(1, 0, 2)
@@ -620,50 +620,43 @@ class _ShiftErrors:
         near = _log_abs_diff(near, self.v_log)
         near_max = near.max(axis=(1, 2))
 
-        n = ns[starts]
-        prune = lam.min() >= 0.0  # the bound holds for x >= 0
-        floor = np.minimum.reduceat(near_max, starts) if prune else np.full(len(n), NEG_INF)
-        # A shifted column lies below u_c + f(x_hi, n) + margin; past L there is none.
-        x_hi = np.maximum.reduceat(lam, starts, axis=0)
+        # A shifted column lies below u_c + f(hi, n) + margin; past L there is none.
+        floor = near_max.reshape(-1, 2).min(axis=1)
         margin = self.margin(float(np.abs(lam).max()))
-        gain = self.at(x_hi, np.minimum(n, L)[:, None])[:, :, 0] + margin
-        cand, real = self._candidates(n, gain, floor)
+        gain = self.at(hi, np.minimum(ns, L)[:, None])[:, :, 0] + margin
+        cand, real = self._candidates(ns, floor[:, None] - gain)
 
-        box = np.repeat(np.arange(len(n)), np.diff(np.append(starts, len(lam))))
+        box = np.arange(len(lam)) // 2
         k = cand.shape[1]
         log_norm = np.empty(len(lam))
         step = _rows_per_chunk(lam.shape[1] * (2 * k + len(v)))
-        for lo in range(0, len(lam), step):
-            rows = slice(lo, lo + step)
+        for r in range(0, len(lam), step):
+            rows = slice(r, r + step)
             e, ok = cand[box[rows]], real[box[rows]]
-            c = self.cols[e]
-            f = self.at(lam[rows], np.concatenate([c, np.where(ok, c - ns[rows, None], 0)], axis=1))
+            c = u.cols[e]
+            back = np.where(ok, c - row_ns[rows, None], 0)
+            f = self.at(lam[rows], np.concatenate([c, back], axis=1))
             shifted = f[..., :k]
             shifted -= f[..., k:]
-            shifted += self.ulog[:, e].transpose(1, 0, 2)
+            shifted += u.logmag[:, e].transpose(1, 0, 2)
             shifted = np.where(ok[:, None], shifted, NEG_INF)
             log_norm[rows] = np.maximum(shifted.max(axis=(1, 2), initial=NEG_INF), near_max[rows])
-        return log_norm
+        return log_norm.reshape(-1, 2)
 
-    def _candidates(
-        self, n: np.ndarray, gain: np.ndarray, floor: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _candidates(self, n: np.ndarray, need: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per box, the entries of u at columns c >= n, c - n off v_t's columns, with
-        u_c + gain >= floor in some factor: (boxes, K) entry indices, padded with 0,
-        and the mask of real ones. Entries come in blocks of _BLOCK: first the
-        blocks whose maxima pass for the block of boxes, then for each box."""
-        blk = np.arange(np.searchsorted(self.cols, n.min()) // _BLOCK, self.block_max.shape[1])
-        bm = self.block_max[:, blk]
-        blk = blk[((bm + gain.max(axis=0)[:, None] >= floor.min()) & (bm > NEG_INF)).any(axis=0)]
-        bm = self.block_max[:, blk]
-        hit = ((bm + gain[:, :, None] >= floor[:, None, None]) & (bm > NEG_INF)).any(axis=1)
-        box, j = np.nonzero(hit & (self.block_end[blk] >= n[:, None]))
-        entries = blk[j, None] * _BLOCK + np.arange(_BLOCK)
-        cols, vals = self.cols[entries], self.ulog[:, entries].transpose(1, 0, 2)
-        hit = ((vals + gain[box, :, None] >= floor[box, None, None]) & (vals > NEG_INF)).any(axis=1)
-        hit &= (cols >= n[box, None]) & ~np.isin(cols - n[box, None], self.v_cols)
-        pair, slot = np.nonzero(hit)
-        box, entries = box[pair], entries[pair, slot]
+        a log of at least need in some factor: (boxes, K) entry indices, padded with 0,
+        and the mask of real ones. A box's run of entries starts at its first column
+        c >= n and ends where the suffix maximum falls below need in every factor."""
+        first = np.searchsorted(self.u.cols, n)
+        ends = [np.searchsorted(s, -t, "right") for s, t in zip(self.neg_suffix, need.T)]
+        run = np.maximum(np.max(ends, axis=0) - first, 0)
+        box = np.repeat(np.arange(len(n)), run)
+        entries = np.arange(len(box)) - (np.cumsum(run) - run)[box] + first[box]
+        vals, cols = self.u.logmag[:, entries], self.u.cols[entries]
+        hit = ((vals >= need[box].T) & (vals > NEG_INF)).any(axis=0)
+        hit &= ~np.isin(cols - n[box], self.v_cols)
+        box, entries = box[hit], entries[hit]
         count = np.bincount(box, minlength=len(n))
         cand = np.zeros((len(n), int(count.max(initial=0))), dtype=int)
         cand[box, np.arange(len(box)) - (np.cumsum(count) - count)[box]] = entries
@@ -677,22 +670,23 @@ def verify_universality(
 
     Over a box in lambda >= 0 the error peaks at the corner tag or the corner
     tag + side (module docstring), so those two are its only rows; _ShiftErrors
-    takes them _BLOCK boxes at a time. The run passes when the worst corner error
-    times e^margin is below 3 eta, margin bounding the rounding of its logs. A box
-    reaching below 0 is refused.
+    takes _BLOCK boxes at a time, each call padding its boxes to the most
+    candidate entries one of them keeps. The run passes when the worst corner error times
+    e^margin is below 3 eta, margin bounding the rounding of its logs. A box
+    reaching below 0 is refused: there the corners need not bound the box.
     """
     lo = tag_params(cov, cfg.d)
     if lo.min() < 0.0:
         b = int(np.argmin(lo.min(axis=1)))
         raise ValueError(f"box {b + 1} at {tuple(lo[b].tolist())} reaches below 0")
-    corners = np.stack([lo, lo + cov.sides[:, None]], axis=1).reshape(-1, cfg.d)
-    ns = np.repeat(np.arange(1, cov.q + 1) * cfg.bigN, 2)
+    hi = lo + cov.sides[:, None]
+    ns = np.arange(1, cov.q + 1) * cfg.bigN
     errors = _ShiftErrors(u, fam, vt)
     logs = []
-    for r in range(0, len(corners), 2 * _BLOCK):
-        rows = slice(r, r + 2 * _BLOCK)
-        starts = np.arange(0, len(ns[rows]), 2)
-        logs += errors.log_errors(corners[rows], ns[rows], starts).tolist()
+    for b in range(0, cov.q, _BLOCK):
+        box = slice(b, b + _BLOCK)
+        logs += errors.log_errors(lo[box], hi[box], ns[box]).ravel().tolist()
+    corners = np.stack([lo, hi], axis=1).reshape(-1, cfg.d)
     errs = [math.exp(v) for v in logs]
     j = int(np.argmax(errs))
     margin = errors.margin(float(corners.max()))

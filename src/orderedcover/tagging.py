@@ -89,15 +89,20 @@ class BuilderParams:
 
 
 def _stage_counts(r: int, s: int, budget: int | None) -> tuple[int, int]:
-    """(t, q) for (r, s); refuses q over the part budget."""
+    """(t, q) for (r, s); refuses q over the part budget before it forms r^t,
+    which t = r + r^2 + ... + r^s makes too large to print or to compute."""
     if r < 2 or s < 1:
         raise ValueError("need r >= 2 and s >= 1")
-    t = r * (r**s - 1) // (r - 1)
-    q = r**t
     limit = part_budget(budget)
-    if q > limit:
-        raise BudgetExceededError(f"q = r^t = {q} exceeds budget {limit}")
-    return t, q
+    e = 0  # the largest e with r^e <= limit
+    while r ** (e + 1) <= limit:
+        e += 1
+    if s > e:  # then t > s > e
+        raise BudgetExceededError(f"q = r^t with t > s = {s} exceeds budget {limit}")
+    t = r * (r**s - 1) // (r - 1)
+    if t > e:
+        raise BudgetExceededError(f"q = r^t = {r}^{t} exceeds budget {limit}")
+    return t, r**t
 
 
 def _stage_spans(r: int, s: int, t: int) -> list[tuple[int, int, int, int]]:

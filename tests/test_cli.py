@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -391,17 +392,39 @@ def test_curve_runs_honour_the_part_budget(capsys):
     assert "16 parts exceed budget 10" in capsys.readouterr().err
 
 
-def test_verify_jump_refuses_an_over_budget_pair_count(capsys, monkeypatch):
-    # 3^12 = 531,441 parts fit the part budget; the 1.5e10 pairs of their
-    # short-gap band do not, and the refusal comes before any level is built
-    def no_levels(*args, **kwargs):
-        raise AssertionError("levels built before the pair budget check")
+@pytest.mark.parametrize(
+    "argv, s",
+    [
+        (["cover", "build", "--name", "koch", "--s", "40"], 40),
+        (["cover", "build", "--name", "koch", "--tau", "1e-300"], 630),
+        (["cover", "build", "--name", "koch", "--tau", "1e-6"], 13),
+        (["dyn", "--name", "unit-interval", "--s", "30"], 30),
+    ],
+)
+def test_a_stage_past_the_part_budget_is_refused_at_once(argv, s, capsys, monkeypatch):
+    # t = r + ... + r^s is past log_r(budget) once s is: refused before r^t is
+    # formed, which at s = 40 took unbounded time and at s = 30 passed the
+    # 4300-digit limit of int to str
+    monkeypatch.delenv("HBD_COVER_BUDGET", raising=False)
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr() == (
+        "", f"error: q = r^t with t > s = {s} exceeds budget 1000000\n"
+    )
 
+
+def test_verify_jump_refuses_a_resolution_past_the_part_budget(capsys, monkeypatch):
+    # refused before any level is built, and before (r^(n-1) + r - 2)/(r - 1)
+    # is formed: at m = 1100 r^1024 used to overflow a float
+    def no_levels(*args, **kwargs):
+        raise AssertionError("levels built before the part budget check")
+
+    monkeypatch.delenv("HBD_COVER_BUDGET", raising=False)
     monkeypatch.setattr("orderedcover.geometry._part_boxes", no_levels)
-    assert main(["verify-jump", "--name", "sierpinski", "--m", "12"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: 15254416034 band pairs exceed budget 2147483648\n"
+    for name, m, parts in (("unit-interval", "1100", 2**20), ("sierpinski", "13", 3**13)):
+        assert main(["verify-jump", "--name", name, "--m", m]) == 1
+        assert capsys.readouterr() == ("", f"error: {parts} parts exceed budget 1000000\n")
 
 
 @pytest.mark.parametrize(

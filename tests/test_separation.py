@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from orderedcover import geometry, separation, tagging
 from orderedcover.separation import (
     _jump_pass,
+    _window_max,
     coverage_check,
     verify_coverage,
     verify_form,
@@ -610,7 +611,7 @@ def test_jump_lemma_holds_on_zoo_systems(make, m):
     report = verify_jump_lemma(ifs, m)
     assert report.passed
     assert report.counterexample is None
-    assert 0 < report.pairs_checked <= jump_band_pairs(ifs.r, m)
+    assert report.pairs_checked == jump_band_pairs(ifs.r, m)
 
 
 @pytest.mark.parametrize(
@@ -631,8 +632,8 @@ def test_jump_lemma_record_shape():
 
 
 def band_pairs(q, short):
-    """The pairs j < l < q with l - j <= max(short): at most the pairs the
-    jump check compares."""
+    """The pairs j < l < q with l - j <= max(short): the pairs the jump
+    check covers."""
     b = min(max(short, default=0), max(q - 1, 0))
     return b * q - b * (b + 1) // 2
 
@@ -688,8 +689,8 @@ def a_paper():
 
 
 # gamma and rho as factors of the system's own; the last entry is the n of
-# the counterexample, None for a pass. The gasket at m = 7 has q = 2187:
-# 35 row tiles of 64 ranks, the last one partial.
+# the counterexample, None for a pass. The gasket at m = 7 has q = 2187 and
+# windows of 1, 4, 13, 40 and 121 ranks.
 JUMP_CASES = [
     *[(gap_dust, m, 1.0, 1.0, None if m < 3 else 2) for m in range(1, 7)],
     (sierpinski_gasket, 4, 1.0, 1.0, None),
@@ -719,15 +720,22 @@ def test_jump_lemma_matches_all_pairs_reference(case):
     pairs_checked = record.pop("pairs_checked")
     assert record == jump_reference(ifs, m, gamma=gamma, rho=rho)
     assert record.get("counterexample", {}).get("n") == expected_n
-    pairs = jump_band_pairs(ifs.r, m)
-    assert 0 < pairs_checked <= pairs if pairs else pairs_checked == 0
+    assert pairs_checked == jump_band_pairs(ifs.r, m)
 
 
 def test_jump_lemma_holds_on_the_gasket_at_m_11():
     # 177,147 tags: 1.57e10 pairs, of which the band holds 1.69e9
     report = verify_jump_lemma(sierpinski_gasket(), 11)
     assert report.passed
-    assert 0 < report.pairs_checked <= jump_band_pairs(3, 11) == 1_694_876_066
+    assert report.pairs_checked == jump_band_pairs(3, 11) == 1_694_876_066
+
+
+def test_jump_lemma_holds_on_the_gasket_at_m_12():
+    # 531,441 tags, the last resolution inside the part budget: its band of
+    # 1.5e10 pairs needs no pair budget
+    report = verify_jump_lemma(sierpinski_gasket(), 12)
+    assert report.passed
+    assert report.pairs_checked == jump_band_pairs(3, 12) == 15_254_416_034
 
 
 def test_jump_lemma_fails_on_the_a_paper_rectangle():
@@ -758,17 +766,16 @@ def jump_pass_reference(x, y, threshold, short):
 
 def check_jump_pass(x, y, threshold, short):
     """_jump_pass's first bad pairs, checked against the reference, and its
-    count of compared pairs against the band's: at least one pair when the
-    band holds any, and never a padded one past the last rank."""
+    count of compared pairs against the band's."""
     first_bad, compared = _jump_pass(x, y, threshold, short)
     assert first_bad == jump_pass_reference(x, y, threshold, short)
-    pairs = band_pairs(len(x), short)
-    assert 0 < compared <= pairs if pairs else compared == 0
+    assert compared == band_pairs(len(x), short)
     return first_bad
 
 
-# q = 1 is a single tile with no pair; 16 a single column block; 65 and 300
-# end in a partial tile and a partial block; 130 and 300 plant a bad pair.
+# q = 1 has no pair; at q = 16 windows of 17 ranks and more reach past the
+# last rank from every row; 65 leaves one rank past 64-rank window blocks;
+# 130 and 300 plant a bad pair.
 @example(q=1, kind="walk", seed=0, count=2, plant=False)
 @example(q=16, kind="grid", seed=1, count=3, plant=False)
 @example(q=65, kind="walk", seed=2, count=4, plant=False)
@@ -811,30 +818,28 @@ def test_jump_pass_matches_all_pairs_reference(q, kind, seed, count, plant):
 def test_jump_pass_finds_a_far_point_at_the_end_of_the_band(j, s, axis, sign, threshold):
     # every point at the origin but p = j + s, one unit off along either
     # axis in either direction, so the bad pairs are (i, p) for
-    # p - s <= i < p; the first, (j, p), pairs the last row of a tile with
-    # the last column block its band reaches. A threshold of 1 ties the
-    # block bound.
+    # p - s <= i < p; the first, (j, p), is the last rank of row j's window,
+    # which spans two blocks of s ranks unless s divides j + 1. A threshold
+    # of 1 ties the row's reach.
     q = 300
     points = np.zeros((2, q))
     points[axis, j + s] = sign
     assert check_jump_pass(*points, [threshold], [s]) == [(j, j + s, 1.0)]
 
 
-def test_jump_lemma_refuses_an_over_budget_pair_count(monkeypatch):
-    def no_levels(*args, **kwargs):
-        raise AssertionError("levels built before the pair budget check")
-
-    # q = 16 tags with gaps up to b = 3 make 3 * 16 - 6 = 42 band pairs: at
-    # the limit they run, one pair less is refused
-    assert jump_band_pairs(2, 4) == 42
-    monkeypatch.setattr(separation, "JUMP_PAIR_BUDGET", 42)
-    assert verify_jump_lemma(unit_interval(), 4).pairs_checked > 0
-    monkeypatch.setattr(separation, "JUMP_PAIR_BUDGET", 41)
-    monkeypatch.setattr(geometry, "_part_boxes", no_levels)
-    with pytest.raises(BudgetExceededError, match="^42 band pairs exceed budget 41$"):
-        verify_jump_lemma(unit_interval(), 4)
-    monkeypatch.undo()
-    monkeypatch.setattr(geometry, "_part_boxes", no_levels)
-    # the gasket at m = 12 is inside the part budget but its band is past 2^31 pairs
-    with pytest.raises(BudgetExceededError, match="^15254416034 band pairs exceed budget 2147483648$"):
-        verify_jump_lemma(sierpinski_gasket(), 12)
+@example(q=1, w=1, distinct=2, seed=0)
+@example(q=5, w=5, distinct=1, seed=0)
+@example(q=7, w=3, distinct=3, seed=0)
+@example(q=300, w=400, distinct=4, seed=0)
+@given(
+    q=st.integers(1, 300),
+    w=st.integers(1, 400),
+    distinct=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_window_max_matches_a_max_per_window(q, w, distinct, seed):
+    # few distinct values, so windows tie; w >= q reaches past the last rank
+    v = np.random.default_rng(seed).integers(0, distinct, size=q).astype(float)
+    want = [v[j + 1 : j + 1 + w].max(initial=-np.inf) for j in range(q)]
+    assert _window_max(v, w).tolist() == want

@@ -109,44 +109,45 @@ def test_common_vector_matches_dense_additions(case):
     assert (np.diff(u.cols) > 0).all()
 
 
-def sweep_errors(u, fam, vt, lam, ns, starts=(0,)):
-    """The sweep's errors for rows lam at shifts ns; box k's rows begin at starts[k]."""
-    log_norm = _ShiftErrors(u, fam, vt).log_errors(lam, np.asarray(ns), np.asarray(starts))
-    return [math.exp(v) for v in log_norm.tolist()]
+def sweep_errors(u, fam, vt, lo, hi, ns):
+    """The sweep's errors at the corners lo and hi of boxes at shifts ns, in the
+    order lo, hi of the first box, then of the next."""
+    log_norm = _ShiftErrors(u, fam, vt).log_errors(np.asarray(lo), np.asarray(hi), np.asarray(ns))
+    return [math.exp(v) for v in log_norm.ravel().tolist()]
 
 
 @settings(max_examples=40, deadline=None)
 @given(scenarios(), st.data())
 def test_box_errors_match_product_apply(case, data):
-    # a block of up to four boxes, each its own shift, one sweep call
+    # up to four covering boxes, each with up to 75 random boxes at its shift, one call
     cov, fam, cfg, u0, vt = case
     u = build_common_vector(cov, fam, cfg, u0, vt)
     boxes = data.draw(st.lists(st.integers(0, cov.q), min_size=1, max_size=4))  # 0 leaves u
-    lam, ns, starts = [], [], []
+    lo, hi, ns = [], [], []
     for i in boxes:
         tag, side = cov.tags[i - 1], cov.sides[i - 1]
-        extra = 1.0 + np.random.default_rng(i).random((data.draw(st.integers(0, 150)), 2))
-        pts = np.concatenate([[tag, tag + side], extra])
-        starts.append(sum(map(len, lam)))
-        lam.append(pts[:, : cfg.d])
-        ns += [i * cfg.bigN] * len(pts)
-    lam = np.concatenate(lam)
-    got = sweep_errors(u, fam, vt, lam, ns, starts)
-    assert len(got) == len(lam)
-    for g, row, n in zip(got, lam, ns):
+        a, b = 1.0 + np.random.default_rng(i).random((2, data.draw(st.integers(0, 75)), 2))
+        lo.append(np.concatenate([[tag], np.minimum(a, b)])[:, : cfg.d])
+        hi.append(np.concatenate([[tag + side], np.maximum(a, b)])[:, : cfg.d])
+        ns += [i * cfg.bigN] * len(lo[-1])
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    got = sweep_errors(u, fam, vt, lo, hi, ns)
+    assert len(got) == 2 * len(lo)
+    for g, row, n in zip(got, np.stack([lo, hi], axis=1).reshape(-1, cfg.d), np.repeat(ns, 2)):
         assert g == reference_error(u, fam, row, n, vt)
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
 def test_box_errors_at_the_truncation_edge(fam):
-    # u lives at L only: T^n u reaches v_t's support for n = L - 2 .. L
+    # u lives at L only: T^n u reaches v_t's support for n = L - 2 .. L; the two
+    # points are not ordered, so each is a box of its own
     L = 12
     u = FiniteVector.from_values(np.array([[0.0] * L + [3.0], [0.0] * L + [2.0]]))
     vt = FiniteVector.from_values(np.array([[0.25, 0.0, 0.5] + [0.0] * (L - 2)] * 2))
     lam = np.array([[1.2, 1.7], [1.9, 1.0]])
     for n in range(L - 3, L + 2):
         want = [reference_error(u, fam, row, n, vt) for row in lam]
-        assert sweep_errors(u, fam, vt, lam, [n, n]) == want
+        assert sweep_errors(u, fam, vt, lam, lam, [n, n]) == [want[0]] * 2 + [want[1]] * 2
 
 
 LINEAR_IN_N = [rolewicz_family(), power_family(1.0), plus_power_family(1.0)]
@@ -177,18 +178,18 @@ def test_a_shifted_column_at_the_bound_sets_the_maximum(fam, monkeypatch):
     lam = np.array([[x]])
     want = reference_error(u, fam, lam[0], n, vt)
     assert want > 1.0
-    assert sweep_errors(u, fam, vt, lam, [n]) == [want]
+    assert sweep_errors(u, fam, vt, lam, lam, [n]) == [want, want]
     monkeypatch.setattr(shifts, "_rounding_margin", lambda top, scale: 0.0)
-    assert sweep_errors(u, fam, vt, lam, [n]) == [1.0]
+    assert sweep_errors(u, fam, vt, lam, lam, [n]) == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
 def test_each_box_bound_is_read_at_its_top_row(fam):
-    # Box B has rows x = 1 and x = 2 at shift n = 70, and u_71 = e^-m with
+    # Box B has corners x = 1 and x = 2 at shift n = 70, and u_71 = e^-m with
     # f(1, 70) < m < f(2, 71) - f(2, 1): the shifted term sets the maximum of the
-    # row x = 2, while a bound read at x = 1 would drop it. Box A, first in the
-    # block, has the smaller shift, 2, and the larger floor: its near term is
-    # about e^50. Its u_2 lies in the 64-column block before u_71.
+    # corner x = 2, while a bound read at x = 1 would drop it. Box A, the point
+    # x = 1 first in the call, has the smaller shift, 2, and the larger floor: its
+    # near term is about e^50, so its run of entries stops before u_71.
     n, n_a, L = 70, 2, 80
     f = lambda x, k: float(fam.log_products(x, L)[k])
     m = (f(1.0, n) + f(2.0, n + 1) - f(2.0, 1)) / 2
@@ -197,18 +198,7 @@ def test_each_box_bound_is_read_at_its_top_row(fam):
     lam, ns = np.array([[1.0], [1.0], [2.0]]), [n_a, n, n]
     want = [reference_error(u, fam, row, k, vt) for row, k in zip(lam, ns)]
     assert want[0] > want[2] > 1.0
-    assert sweep_errors(u, fam, vt, lam, ns, starts=(0, 1)) == want
-
-
-def test_negative_parameters_skip_no_column():
-    # at x = -1 the power weights rise in k: f(-1, 5) - f(-1, 1) = 1 - 5^(1/2) is
-    # above f(-1, 4) = -2, so u_5 = e^1.6 sets the maximum past the bound
-    fam, n = power_family(0.5), 4
-    u = sparse(8, {5: 1.6})
-    vt = FiniteVector.basis(1, 8, 0)
-    want = reference_error(u, fam, [-1.0], n, vt)
-    assert want > 1.0
-    assert sweep_errors(u, fam, vt, np.array([[-1.0]]), [n]) == [want]
+    assert sweep_errors(u, fam, vt, lam[:2], lam[[0, 2]], [n_a, n]) == [want[0], *want]
 
 
 @settings(max_examples=30, deadline=None)
@@ -227,10 +217,9 @@ def test_log_products_at_index_arrays_match_the_table(fam, data):
 
 
 def corner_rows(cov, cfg):
-    """Both corners of every box, tag first, at their shifts, and each box's first row."""
+    """Both corners of every box, tag then tag + side, and the boxes' shifts."""
     lo = cov.tags[:, : cfg.d]
-    corners = np.stack([lo, lo + cov.sides[:, None]], axis=1).reshape(-1, cfg.d)
-    return corners, np.repeat(np.arange(1, cov.q + 1) * cfg.bigN, 2), np.arange(0, 2 * cov.q, 2)
+    return lo, lo + cov.sides[:, None], np.arange(1, cov.q + 1) * cfg.bigN
 
 
 @settings(max_examples=15, deadline=None)
@@ -251,8 +240,8 @@ def test_sweep_matches_per_point_loop(case):
     assert (report.worst_error, report.worst_box, report.worst_lambda) == (
         worst, worst_box, worst_lambda
     )
-    corners, _, _ = corner_rows(cov, cfg)
-    assert report.rounding_margin == _ShiftErrors(u, fam, vt).margin(float(corners.max()))
+    _, hi, _ = corner_rows(cov, cfg)
+    assert report.rounding_margin == _ShiftErrors(u, fam, vt).margin(float(hi.max()))
     assert report.passed == (worst * math.exp(report.rounding_margin) < 3 * cfg.eta)
 
 
@@ -271,9 +260,9 @@ def test_corners_bound_every_point_of_their_box(case, seed):
     # error at random points of the box, and it is the old stencil's maximum exactly.
     cov, fam, cfg, u0, vt = case
     u = build_common_vector(cov, fam, cfg, u0, vt)
-    corners, ns, starts = corner_rows(cov, cfg)
-    got = sweep_errors(u, fam, vt, corners, ns, starts)
-    slack = math.exp(_ShiftErrors(u, fam, vt).margin(float(corners.max())))
+    lo, hi, ns = corner_rows(cov, cfg)
+    got = sweep_errors(u, fam, vt, lo, hi, ns)
+    slack = math.exp(_ShiftErrors(u, fam, vt).margin(float(hi.max())))
     rng = np.random.default_rng(seed)
     for i, (tag, side) in enumerate(zip(cov.tags, cov.sides), start=1):
         corner_max, n = max(got[2 * i - 2 : 2 * i]), i * cfg.bigN
@@ -284,24 +273,23 @@ def test_corners_bound_every_point_of_their_box(case, seed):
 
 
 def test_sweep_takes_every_box_corner_in_order(monkeypatch):
-    # q = 256 boxes in four 64-box blocks, two rows per box
+    # q = 256 boxes in four calls of 64 boxes, two corners per box
     cov = _covering(hilbert_square())
     seen = []
 
-    def record(self, lam, ns, starts):
-        seen.append((lam, ns, starts))
-        return np.zeros(len(lam))
+    def record(self, lo, hi, ns):
+        seen.append((lo, hi, ns))
+        return np.zeros((len(lo), 2))
 
     monkeypatch.setattr(shifts._ShiftErrors, "log_errors", record)
     cfg = DynamicsConfig(d=2, interval=(1.0, 2.0), L=cov.q + 3, eta=0.1, kappa=1, bigN=1)
     u = FiniteVector.from_values(np.zeros((2, cfg.L + 1)))
     report = verify_universality(u, cov, rolewicz_family(), cfg, u)
-    assert [len(lam) for lam, _, _ in seen] == [128] * 4
-    assert all(starts.tolist() == list(range(0, 128, 2)) for _, _, starts in seen)
-    lam, ns = np.concatenate([s[0] for s in seen]), np.concatenate([s[1] for s in seen])
-    assert np.array_equal(lam[0::2], cov.tags)
-    assert np.array_equal(lam[1::2], cov.tags + cov.sides[:, None])
-    assert ns.tolist() == [i for i in range(1, cov.q + 1) for _ in range(2)]
+    assert [len(lo) for lo, _, _ in seen] == [64] * 4
+    lo, hi, ns = (np.concatenate(col) for col in zip(*seen))
+    assert np.array_equal(lo, cov.tags)
+    assert np.array_equal(hi, cov.tags + cov.sides[:, None])
+    assert ns.tolist() == list(range(1, cov.q + 1))
     assert (report.samples, report.worst_box, report.worst_lambda) == (512, 1, tuple(cov.tags[0]))
 
 
