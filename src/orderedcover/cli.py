@@ -48,17 +48,26 @@ SCHEMA = "ordered-cover/2"
 # record plumbing
 
 
+class _UsageError(Exception):
+    """A bad option value; the command exits 2."""
+
+
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it; a path that
+    cannot be written is a usage error and leaves no temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _params_of(args: argparse.Namespace) -> dict:
@@ -74,10 +83,6 @@ def _params_of(args: argparse.Namespace) -> dict:
 def _fail(message: str, code: int = 1) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-class _UsageError(Exception):
-    """A bad option value; the command exits 2."""
 
 
 def _at_least(flag: str, value: int, least: int) -> int:
@@ -122,36 +127,36 @@ def _run(
     records every parsed option but --out, and the --seed if there is one.
 
     An unknown zoo name (KeyError, listed against ``names``) and a usage
-    error exit 2; ``errors`` exit 1 with their message.
+    error, an unwritable --out too, exit 2; ``errors`` exit 1 with their message.
     """
     t0 = time.perf_counter()
     try:
         body_record, code, notes = body()
+        if body_record is None:
+            return code
+        manifest = {
+            "command": command,
+            "seed": getattr(args, "seed", None),
+            "parameters": _params_of(args),
+            "versions": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "orderedcover": __version__,
+            },
+            "wall_time_s": time.perf_counter() - t0,
+        }
+        payload = {"schema": SCHEMA, "record": body_record, "manifest": manifest}
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            _atomic_write(args.out, text)
     except KeyError:
         return _fail(f"unknown zoo name {args.name!r}; known: {', '.join(names)}", 2)
     except _UsageError as exc:
         return _fail(str(exc), 2)
     except errors as exc:
         return _fail(str(exc))
-    if body_record is None:
-        return code
-    manifest = {
-        "command": command,
-        "seed": getattr(args, "seed", None),
-        "parameters": _params_of(args),
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "orderedcover": __version__,
-        },
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    payload = {"schema": SCHEMA, "record": body_record, "manifest": manifest}
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _atomic_write(args.out, text)
     for note in notes:
         print(note, file=sys.stderr)
     return code
@@ -291,7 +296,7 @@ def cmd_dyn(args: argparse.Namespace) -> int:
         try:
             fam = weight_family(args.family, args.alpha)
             check_dynamics_inputs(tuple(args.interval), args.eta)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise _UsageError(str(exc)) from exc
         s = 1 if args.s is None else _at_least("s", args.s, 1)
         report = run_dynamics_experiment(

@@ -29,9 +29,9 @@ pair. Its worst case remains O(q^2).
 
 The jump lemma fails only on a pair closer in rank than it requires, so
 the jump check reads only that band of short rank gaps, through each row's
-sliding-window extremes in x and y: O(q) per resolution n, and exact. On
-the gasket at m = 12 (531,441 tags, 1.5e10 band pairs) it takes about 1 s
-(2-core x86-64 VM).
+sliding-window extremes in each coordinate: O(q) per resolution n, exact,
+and up to the first n with a bad pair. On the gasket at m = 12 (531,441
+tags, 1.5e10 band pairs) it takes about 1 s (2-core x86-64 VM).
 
 coverage_check, which tests sample points against the squares, is the
 sampled reference that verify_coverage replaced; no verdict rests on it.
@@ -93,7 +93,7 @@ def verify_coverage(ifs: OrderedIFS, cov: TaggedCovering) -> CoverageReport:
     code, an integer Kraft sum of 1. Then A is the union of the covered
     parts sim_w(A), each inside sim_w(B).
     (c) each covered part's box lies in its square [tag, tag + side]^2,
-    with the build's slack tagging._S_TOL. The boxes are recomputed from
+    with the build's slack GEOM_TOL. The boxes are recomputed from
     ifs, not read from the covering: the vertex images of each stage's
     words, one rank slice of a level. sim_w(B) is the hull of its vertex
     images, so it lies in that box.
@@ -131,12 +131,11 @@ def verify_coverage(ifs: OrderedIFS, cov: TaggedCovering) -> CoverageReport:
                 kept.append(boxes[:, first : first + count].copy())
     lo_x, lo_y, hi_x, hi_y = np.concatenate(kept, axis=1)
     tag_x, tag_y = cov.tags.T
-    tol = tagging._S_TOL
     contained = bool(
-        (lo_x >= tag_x - tol).all()
-        and (lo_y >= tag_y - tol).all()
-        and (hi_x <= tag_x + cov.sides + tol).all()
-        and (hi_y <= tag_y + cov.sides + tol).all()
+        (lo_x >= tag_x - GEOM_TOL).all()
+        and (lo_y >= tag_y - GEOM_TOL).all()
+        and (hi_x <= tag_x + cov.sides + GEOM_TOL).all()
+        and (hi_y <= tag_y + cov.sides + GEOM_TOL).all()
     )
     part_sides = np.maximum(hi_x - lo_x, hi_y - lo_y)  # as geometry.levels
     return CoverageReport(
@@ -302,41 +301,23 @@ def _window_max(v: np.ndarray, w: int) -> np.ndarray:
     return np.maximum(backward[1 : q + 1], forward[w : q + w])
 
 
-def _jump_pass(
-    x: np.ndarray, y: np.ndarray, threshold: list[float], short: list[int]
-) -> tuple[list[tuple[int, int, float] | None], int]:
-    """First short-gap premise hit of each threshold, and the band's pair count.
-
-    Over the pairs j < l of points (x_k, y_k), with distance
-    d = max(|x_j - x_l|, |y_j - y_l|): first_bad[n] is the first pair in
-    (j, l) order with l - j <= short[n] and d >= threshold[n], as (j, l, d),
-    or None. compared counts the pairs j < l < len(x) with l - j <=
-    max(short), every one of which the pass covers exactly.
-
-    Row j's largest distance over l = j + 1 .. j + short[n] is the largest of
-    max x_l - x_j, x_j - min x_l and the same two in y, from sliding-window
-    extremes. Rounding is monotone, so fl(max x_l - x_j) is the largest
-    fl(x_l - x_j), and fl(x_j - x_l) is -fl(x_l - x_j): each row's reach is
-    its pairs' largest distance bit for bit. The first row whose reach hits
-    threshold n holds the first bad pair, which its short[n] distances name.
-    Memory is O(len(x)).
-    """
-    q = len(x)
-    first_bad = []
-    for t, s in zip(threshold, short):
-        reach = np.full(q, -np.inf)
-        for v in (x, -x, y, -y):
-            np.maximum(reach, _window_max(v, s) - v, out=reach)
-        rows = np.flatnonzero(reach >= t)
-        if rows.size == 0:
-            first_bad.append(None)
-            continue
-        j = int(rows[0])
-        d = np.maximum(np.abs(x[j] - x[j + 1 : j + 1 + s]), np.abs(y[j] - y[j + 1 : j + 1 + s]))
-        g = int(np.argmax(d >= t))
-        first_bad.append((j, j + 1 + g, float(d[g])))
-    b = min(max(short, default=0), max(q - 1, 0))
-    return first_bad, b * q - b * (b + 1) // 2
+def _first_far_pair(tags: np.ndarray, threshold: float, short: int) -> tuple | None:
+    """The first pair (j, l, distance) in (j, l) order with l - j <= short
+    and distance >= threshold, or None. tags is (d, q), one contiguous row
+    per coordinate, and distances are sup norms over them: row j's reach,
+    its largest over l = j + 1 .. j + short, is the largest max v_l - v_j
+    over the rows v of tags and -tags, from sliding-window maxima, exact
+    bit for bit since rounding is monotone."""
+    reach = np.full(tags.shape[1], -np.inf)
+    for v in (*tags, *-tags):
+        np.maximum(reach, _window_max(v, short) - v, out=reach)
+    rows = np.flatnonzero(reach >= threshold)
+    if rows.size == 0:
+        return None
+    j = int(rows[0])
+    distance = np.abs(tags[:, j, None] - tags[:, j + 1 : j + 1 + short]).max(axis=0)
+    g = int(np.argmax(distance >= threshold))
+    return j, j + 1 + g, float(distance[g])
 
 
 @dataclass(frozen=True)
@@ -356,51 +337,47 @@ def verify_jump_lemma(
 ) -> JumpReport:
     """Check the jump lemma on the tags of resolution m, from its short-gap band.
 
-    For each n < m, tags at least c^(m-n) rho apart must be at least
-    required[n] = (r^(n-1) + r - 2)/(r - 1) ranks apart, so a counterexample
-    is a pair with l - j <= short[n], the largest gap below required[n], and
-    the verdict needs no pair past that band. The premise threshold keeps a
-    hair of slack (1 - 1e-9), so pairs sitting exactly on it are not lost to
-    rounding; the conclusion is discrete and unaffected.
-
-    The report is that of checking n = 0, 1, ... in turn up to the first n
-    with a bad pair, whose first bad pair in (j, l) order is the
-    counterexample. One pass over the band, _jump_pass, finds the first bad
-    pair of every n; pairs_checked counts the band's pairs, b q - b(b + 1)/2
-    with b = min(max(short), q - 1), all of which it decides exactly. A
-    resolution past the part budget is refused with BudgetExceededError
-    before any level or required gap is formed. gamma and rho must be
-    finite and > 0 (ValueError).
+    For n = 0, 1, ... < m in turn, tags at least c^(m-n) rho apart must be
+    at least required = (r^(n-1) + r - 2)/(r - 1) ranks apart, so a
+    counterexample is a pair with l - j <= short, the largest gap below
+    required: _first_far_pair decides each n from that band alone, and the
+    first bad pair of the first n that has one is the counterexample. The
+    premise threshold keeps a hair of slack (1 - 1e-9) against rounding.
+    pairs_checked counts the band of the last n decided, b q - b(b + 1)/2
+    with b = min(short, q - 1); short never falls as n rises. A resolution
+    past the part budget is refused with BudgetExceededError before any
+    level is formed; gamma and rho must be finite and > 0 (ValueError).
     """
     gamma = ifs.gamma if gamma is None else gamma
     rho = ifs.rho if rho is None else rho
     geometry.check_positive(gamma=gamma, rho=rho)
-    # checks the budget now, before r^(n-1) can overflow a float
-    stream = geometry.iter_levels(ifs, m, budget)
-    r = ifs.r
-    c = r ** (-1.0 / gamma)
-    required = [(r ** (n - 1) + r - 2) / (r - 1) for n in range(m)]
-    threshold = [c ** (m - n) * rho * (1.0 - 1e-9) for n in range(m)]
-    # the gaps l - j below required[n] are 1 .. short[n]
-    short = [math.ceil(x) - 1 for x in required]
-    for level in stream:
+    for level in geometry.iter_levels(ifs, m, budget):  # refuses past the budget first
         pass
-    x, y = np.ascontiguousarray(level.corners[:, 0]), np.ascontiguousarray(level.corners[:, 1])
-    first_bad, compared = _jump_pass(x, y, threshold, short)
-    bad_n = next((n for n in range(m) if first_bad[n] is not None), None)
-    if bad_n is None:
-        return JumpReport(m=m, pairs_checked=compared, passed=True)
-    j, l, distance = first_bad[bad_n]
+    tags = np.ascontiguousarray(level.corners.T)
+    r, q = ifs.r, len(level)
+    c = r ** (-1.0 / gamma)
+    short, bad = 0, None
+    for n in range(m):
+        required = (r ** (n - 1) + r - 2) / (r - 1)
+        short = math.ceil(required) - 1  # the gaps l - j below required are 1 .. short
+        bad = _first_far_pair(tags, c ** (m - n) * rho * (1.0 - 1e-9), short)
+        if bad is not None:
+            break
+    b = min(short, q - 1)
+    pairs_checked = b * q - b * (b + 1) // 2
+    if bad is None:
+        return JumpReport(m=m, pairs_checked=pairs_checked, passed=True)
+    j, l, distance = bad
     return JumpReport(
         m=m,
-        pairs_checked=compared,
+        pairs_checked=pairs_checked,
         passed=False,
         counterexample={
             "j": level.index(j),
             "l": level.index(l),
-            "n": bad_n,
+            "n": n,
             "distance": distance,
             "gap": l - j,
-            "required": required[bad_n],
+            "required": required,
         },
     )

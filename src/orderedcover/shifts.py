@@ -173,7 +173,7 @@ def weight_family(name: str, alpha: float | None = None) -> WeightFamily:
         if alpha is None:
             raise ValueError("plus-power family needs alpha")
         return plus_power_family(alpha)
-    raise KeyError(name)
+    raise ValueError(f"unknown weight family {name!r}; known: rolewicz, power, plus-power")
 
 
 def _rows_per_chunk(cells_per_row: int) -> int:

@@ -31,10 +31,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry
-from .geometry import BudgetExceededError, OrderedIFS, Record, part_budget
+from .geometry import GEOM_TOL, BudgetExceededError, OrderedIFS, Record, part_budget
 from .hbd import hbd_report
-
-_S_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ class BuilderParams:
         target = tau / bigN**alpha
         margin = 3.0 * (ifs.r - 1) ** alpha
         s = 1  # s = 0 never passes: the margin is at least 3
-        while not (c**s * ifs.rho <= target * (1.0 + _S_TOL) and margin * c**s <= 1.0 + _S_TOL):
+        while not (c**s * ifs.rho <= target * (1.0 + GEOM_TOL) and margin * c**s <= 1.0 + GEOM_TOL):
             s += 1
         return cls.from_stage(ifs, s, bigN, D)
 
@@ -153,8 +151,8 @@ class TaggedCovering(Record):
         """The safe margin 3(r-1)^alpha c^s <= 1 and D >= rho/c^3. The
         construction only needs the exact side relation, and the worked
         small-q examples run with proof_safe False."""
-        margin_ok = 3.0 * (self.r - 1) ** self.alpha * self.c**self.s <= 1.0 + _S_TOL
-        d_ok = self.D >= self.rho / self.c**3 - _S_TOL
+        margin_ok = 3.0 * (self.r - 1) ** self.alpha * self.c**self.s <= 1.0 + GEOM_TOL
+        d_ok = self.D >= self.rho / self.c**3 - GEOM_TOL
         return margin_ok and d_ok
 
     def affine_scaled(self, sigma: float, offset: tuple[float, float]) -> "TaggedCovering":
@@ -188,7 +186,7 @@ def build_tagged_covering(
     c = ifs.r ** (-alpha)
     s, bigN = params.s, params.bigN
     tau = c**s * ifs.rho * bigN**alpha
-    if params.D < ifs.rho / c**3 - _S_TOL:
+    if params.D < ifs.rho / c**3 - GEOM_TOL:
         raise ValueError(
             f"D={params.D} below rho/c^3={ifs.rho / c ** 3}; "
             "the separation bound needs the full constant (no recursive splitting here)"
@@ -215,7 +213,7 @@ def build_tagged_covering(
     sides = tau / geometry._pow(np.arange(1, q + 1, dtype=float) * bigN, alpha)
     k0 = 0
     for (stage, *_, count), (_, part_sides) in zip(spans, parts, strict=True):
-        if (part_sides > sides[k0 : k0 + count] + _S_TOL).any():
+        if (part_sides > sides[k0 : k0 + count] + GEOM_TOL).any():
             raise AssertionError(f"stage {stage} has a square smaller than its covered part")
         k0 += count
     assert k0 == q

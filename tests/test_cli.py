@@ -122,6 +122,30 @@ def test_out_files_are_written_atomically(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, out, reason",
+    [
+        (["verify-hbd", "--name", "koch", "--m", "2"], "missing/x.json", "No such file or directory"),
+        (["render", "--name", "koch"], "missing/x.svg", "No such file or directory"),
+        (["zoo", "emit", "--name", "koch"], "existing", "Is a directory"),
+    ],
+    ids=["verify-hbd", "render", "zoo-emit"],
+)
+def test_an_unwritable_out_is_usage_error(argv, out, reason, tmp_path):
+    # in a child process, so that a traceback would show on its stderr
+    (tmp_path / "existing").mkdir()
+    out = str(tmp_path / out)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "orderedcover.cli", *argv, "--out", out],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: cannot write {out}: {reason}\n"
+    assert "Traceback" not in proc.stderr
+    assert [p for p in os.listdir(tmp_path) if p.endswith(".part")] == []
+
+
 def test_cover_build_normalizes_tau(capsys):
     code, record, _ = run_json(
         capsys,
@@ -272,7 +296,9 @@ def test_dyn_runs_and_refuses(tmp_path, capsys):
 
 def test_dyn_rejects_unknown_family(capsys):
     assert main(["dyn", "--name", "sierpinski", "--family", "geometric"]) == 2
-    capsys.readouterr()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: unknown weight family 'geometric'; known: rolewicz, power, plus-power\n"
 
 
 def test_dyn_refuses_alpha_for_rolewicz(capsys):
@@ -425,6 +451,14 @@ def test_verify_jump_refuses_a_resolution_past_the_part_budget(capsys, monkeypat
     for name, m, parts in (("unit-interval", "1100", 2**20), ("sierpinski", "13", 3**13)):
         assert main(["verify-jump", "--name", name, "--m", m]) == 1
         assert capsys.readouterr() == ("", f"error: {parts} parts exceed budget 1000000\n")
+
+
+def test_a_failing_verify_jump_counts_the_band_it_decided(capsys):
+    # gap dust fails at n = 2, whose band is the 2^10 - 1 pairs at rank gap 1
+    code, record, err = run_json(capsys, ["verify-jump", "--name", "gap-dust", "--m", "10"])
+    assert (code, err) == (1, "jump m=10: FAIL\n")
+    assert record["record"]["counterexample"]["n"] == 2
+    assert record["record"]["pairs_checked"] == 1023
 
 
 @pytest.mark.parametrize(

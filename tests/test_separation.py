@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from orderedcover import geometry, separation, tagging
 from orderedcover.separation import (
-    _jump_pass,
+    _first_far_pair,
     _window_max,
     coverage_check,
     verify_coverage,
@@ -500,7 +500,7 @@ def test_coverage_audit_fails_a_covering_of_another_system(name, other):
 
 @given(
     axis=st.integers(0, 1),
-    shift=st.floats(2.0 * tagging._S_TOL, 5.0),
+    shift=st.floats(2.0 * geometry.GEOM_TOL, 5.0),
     sign=st.sampled_from([-1, 1]),
 )
 @settings(max_examples=40, deadline=None)
@@ -513,7 +513,7 @@ def test_coverage_audit_fails_squares_moved_off_their_parts(axis, shift, sign):
     offset[axis] = sign * shift
     report = verify_coverage(ifs, cov.affine_scaled(1.0, tuple(offset)))
     assert report.base_inside and report.prefix_code and not report.passed
-    assert verify_coverage(ifs, cov.affine_scaled(1.0, (0.5 * tagging._S_TOL,) * 2)).passed
+    assert verify_coverage(ifs, cov.affine_scaled(1.0, (0.5 * geometry.GEOM_TOL,) * 2)).passed
 
 
 @pytest.mark.parametrize("name,s", [("sierpinski", 1), ("hilbert-square", 1), ("unit-interval", 2)])
@@ -597,7 +597,7 @@ def test_coverage_audit_allows_the_builds_tolerance(gasket_cov):
     gasket = sierpinski_gasket()
     parts = part_sides(gasket, gasket_cov)
     for slack, passed in ((0.5, True), (2.0, False)):
-        cov = dataclasses.replace(gasket_cov, sides=parts - slack * tagging._S_TOL)
+        cov = dataclasses.replace(gasket_cov, sides=parts - slack * geometry.GEOM_TOL)
         assert verify_coverage(gasket, cov).passed is passed
 
 
@@ -632,16 +632,18 @@ def test_jump_lemma_record_shape():
 
 
 def band_pairs(q, short):
-    """The pairs j < l < q with l - j <= max(short): the pairs the jump
-    check covers."""
-    b = min(max(short, default=0), max(q - 1, 0))
+    """The pairs j < l < q with l - j <= short: the band one threshold's
+    pass covers."""
+    b = min(short, q - 1)
     return b * q - b * (b + 1) // 2
 
 
-def jump_band_pairs(r, m):
-    """band_pairs of the r^m tags of resolution m, whose short gaps are those
-    below (r^(n-1) + r - 2)/(r - 1) for n < m."""
-    return band_pairs(r**m, [math.ceil((r ** (n - 1) + r - 2) / (r - 1)) - 1 for n in range(m)])
+def jump_band_pairs(r, m, n=None):
+    """band_pairs of the r^m tags of resolution m at threshold n, by default
+    the last, m - 1, whose short gap is the largest below (r^(n-1) + r - 2)
+    / (r - 1): the pairs decided up to n."""
+    n = m - 1 if n is None else n
+    return band_pairs(r**m, math.ceil((r ** (n - 1) + r - 2) / (r - 1)) - 1)
 
 
 def jump_reference(ifs, m, gamma=None, rho=None):
@@ -720,7 +722,8 @@ def test_jump_lemma_matches_all_pairs_reference(case):
     pairs_checked = record.pop("pairs_checked")
     assert record == jump_reference(ifs, m, gamma=gamma, rho=rho)
     assert record.get("counterexample", {}).get("n") == expected_n
-    assert pairs_checked == jump_band_pairs(ifs.r, m)
+    # a failure counts the band of its counterexample's n, a pass that of n = m - 1
+    assert pairs_checked == jump_band_pairs(ifs.r, m, expected_n)
 
 
 def test_jump_lemma_holds_on_the_gasket_at_m_11():
@@ -750,26 +753,21 @@ def test_jump_lemma_fails_on_the_a_paper_rectangle():
     }
 
 
-def jump_pass_reference(x, y, threshold, short):
-    """Every pair at once: the first premise hit of each threshold in (j, l)
-    order with l - j <= short, as (j, l, distance)."""
+def jump_pass_reference(tags, threshold, short):
+    """Every pair at once: the first premise hit of one threshold in (j, l)
+    order with l - j <= short, as (j, l, distance), or None."""
+    x, y = tags
     jj, ll = np.triu_indices(len(x), k=1)
     dist = np.maximum(np.abs(x[jj] - x[ll]), np.abs(y[jj] - y[ll]))
-    first_bad = []
-    for t, s in zip(threshold, short):
-        bad = np.flatnonzero((dist >= t) & (ll - jj <= s))
-        first_bad.append(
-            None if bad.size == 0 else (int(jj[bad[0]]), int(ll[bad[0]]), float(dist[bad[0]]))
-        )
-    return first_bad
+    bad = np.flatnonzero((dist >= threshold) & (ll - jj <= short))
+    return None if bad.size == 0 else (int(jj[bad[0]]), int(ll[bad[0]]), float(dist[bad[0]]))
 
 
-def check_jump_pass(x, y, threshold, short):
-    """_jump_pass's first bad pairs, checked against the reference, and its
-    count of compared pairs against the band's."""
-    first_bad, compared = _jump_pass(x, y, threshold, short)
-    assert first_bad == jump_pass_reference(x, y, threshold, short)
-    assert compared == band_pairs(len(x), short)
+def check_jump_pass(tags, threshold, short):
+    """_first_far_pair's first bad pair of one threshold, checked against the
+    reference."""
+    first_bad = _first_far_pair(tags, threshold, short)
+    assert first_bad == jump_pass_reference(tags, threshold, short)
     return first_bad
 
 
@@ -791,8 +789,8 @@ def check_jump_pass(x, y, threshold, short):
 @settings(max_examples=80, deadline=None)
 def test_jump_pass_matches_all_pairs_reference(q, kind, seed, count, plant):
     rng = np.random.default_rng(seed)
-    tags = layout(kind, q, rng)[0]
-    x, y = np.ascontiguousarray(tags[:, 0]), np.ascontiguousarray(tags[:, 1])
+    tags = np.ascontiguousarray(layout(kind, q, rng)[0].T)
+    x, y = tags
     jj, ll = np.triu_indices(q, k=1)
     dist = np.maximum(np.abs(x[jj] - x[ll]), np.abs(y[jj] - y[ll]))
     # thresholds on some pair's distance, so ties with the bounds occur, or free
@@ -804,12 +802,14 @@ def test_jump_pass_matches_all_pairs_reference(q, kind, seed, count, plant):
         # hits, and the first of them is (p - s, p), at j >= 64
         p = int(rng.integers(65, q))
         s = int(rng.integers(1, p - 63))
-        x, y = x * 1e-3, y * 1e-3
+        tags = tags * 1e-3
+        x, y = tags
         x[p] += 10.0
         threshold.append(float(max(abs(x[p - s] - x[p]), abs(y[p - s] - y[p]))))
         short.append(s)
-        assert jump_pass_reference(x, y, threshold, short)[-1][:2] == (p - s, p)
-    check_jump_pass(x, y, threshold, short)
+        assert jump_pass_reference(tags, threshold[-1], s)[:2] == (p - s, p)
+    for t, s in zip(threshold, short):
+        check_jump_pass(tags, t, s)
 
 
 @pytest.mark.parametrize("j, s", [(63, 100), (63, 64), (127, 65), (64, 1), (191, 108)])
@@ -822,9 +822,25 @@ def test_jump_pass_finds_a_far_point_at_the_end_of_the_band(j, s, axis, sign, th
     # which spans two blocks of s ranks unless s divides j + 1. A threshold
     # of 1 ties the row's reach.
     q = 300
-    points = np.zeros((2, q))
-    points[axis, j + s] = sign
-    assert check_jump_pass(*points, [threshold], [s]) == [(j, j + s, 1.0)]
+    tags = np.zeros((2, q))
+    tags[axis, j + s] = sign
+    assert check_jump_pass(tags, threshold, s) == (j, j + s, 1.0)
+
+
+def test_a_failing_jump_check_stops_at_the_first_bad_threshold(monkeypatch):
+    # gap dust fails at n = 2, whose largest short gap is 1; the thresholds
+    # past it, with windows of up to 255 ranks, are never decided
+    widths = []
+
+    def spy(v, w):
+        widths.append(w)
+        return _window_max(v, w)
+
+    monkeypatch.setattr(separation, "_window_max", spy)
+    report = verify_jump_lemma(gap_dust(), 10)
+    assert report.counterexample["n"] == 2
+    assert widths and max(widths) == 1
+    assert report.pairs_checked == band_pairs(2**10, 1) == 1023
 
 
 @example(q=1, w=1, distinct=2, seed=0)

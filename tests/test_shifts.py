@@ -159,7 +159,8 @@ def test_weight_family_lookup():
     assert weight_family("rolewicz").name == "rolewicz"
     assert weight_family("power", 0.7).alpha == pytest.approx(0.7)
     assert weight_family("plus-power", 0.5).C0 == pytest.approx(2.0)
-    with pytest.raises(KeyError):
+    unknown = "unknown weight family 'geometric'; known: rolewicz, power, plus-power"
+    with pytest.raises(ValueError, match=unknown):
         weight_family("geometric")
     with pytest.raises(ValueError):
         weight_family("power")
