@@ -102,9 +102,9 @@ def _exponents(args: argparse.Namespace, gamma: float, rho: float) -> tuple[floa
     return gamma, rho
 
 
-def _zoo_source(name: str) -> OrderedIFS | CurveEvaluator:
-    """The named system or curve; KeyError for an unknown name."""
-    return zoo_ifs(name) if name in IFS_NAMES else zoo_curve(name)
+def _zoo_source(name: str, budget: int | None) -> OrderedIFS | CurveEvaluator:
+    """The named system or curve, built within the part budget; KeyError for an unknown name."""
+    return zoo_ifs(name) if name in IFS_NAMES else zoo_curve(name, budget)
 
 
 def _level(source: OrderedIFS | CurveEvaluator, m: int, budget: int | None) -> Level:
@@ -184,7 +184,7 @@ def cmd_zoo_emit(args: argparse.Namespace) -> int:
 
 
 def _zoo_body(args: argparse.Namespace) -> dict:
-    source = _zoo_source(args.name)
+    source = _zoo_source(args.name, args.budget)
     if isinstance(source, OrderedIFS):
         body = _ifs_record(source)
     else:
@@ -211,7 +211,7 @@ def _zoo_body(args: argparse.Namespace) -> dict:
 
 def cmd_verify_hbd(args: argparse.Namespace) -> int:
     def body() -> tuple:
-        source = _zoo_source(args.name)
+        source = _zoo_source(args.name, args.budget)
         _at_least("m", args.m, 1)
         if isinstance(source, OrderedIFS):
             gamma, rho = _exponents(args, source.gamma, source.rho)
@@ -358,7 +358,7 @@ def cmd_render(args: argparse.Namespace) -> int:
             _, cov, _ = _build_for_args(args)
             corners, sides = cov.tags, cov.sides
         else:
-            source = _zoo_source(args.name)
+            source = _zoo_source(args.name, args.budget)
             m = args.m if args.m is not None else 4 if isinstance(source, OrderedIFS) else 6
             level = _level(source, m, args.budget)
             corners, sides = level.corners, level.sides

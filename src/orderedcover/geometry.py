@@ -12,7 +12,7 @@ Conventions used throughout the package:
   are ordered lexicographically, and ``lex_unrank`` turns a rank into its
   word as a list.
 - A resolution is a ``Level``: the parts' bounding squares as corners
-  (r^m, 2) and sides (r^m,), indexed by lexicographic rank.
+  (r^m, d) and sides (r^m,), indexed by lexicographic rank; d = 2 for a system.
   ``iter_levels`` yields resolutions 0..m_max in turn, building
   resolution m from resolution m - 1 by applying phi_1..phi_r to its
   vertex images (the Hutchinson recursion), on separate x and y arrays,
@@ -235,9 +235,9 @@ class OrderedIFS:
 class Level:
     """Resolution m as arrays indexed by lexicographic rank.
 
-    corners (n, 2) and sides (n,) are the parts' bounding squares. For a
-    system, part w is the base set's image under sim_w; for a curve
-    (``zoo.holder_levels``), the curve over a dyadic parameter interval.
+    corners (n, d) and sides (n,) are the parts' bounding squares. For a
+    system (d = 2), part w is the base set's image under sim_w; for a curve
+    in R^d (``zoo.holder_levels``), the curve over a dyadic parameter interval.
     ``iter_levels`` builds corners as the transpose of the lo rows of a
     (4, n) box array, so each coordinate column is contiguous.
     """

@@ -7,8 +7,8 @@ coverings (r^m parts each, lexicographic order) must satisfy:
   (ii)  each resolution-(m+1) part sits inside its length-m prefix part,
   (iii) parts (i, j-1, r) and (i, j, 1) intersect for consecutive j.
 
-Each condition is one expression over both coordinates of a rank-indexed
-``Level`` at once: ``level.corners.T`` is the (2, n) pair of lo rows. A
+Each condition is one expression over every coordinate of a rank-indexed
+``Level`` at once: ``level.corners.T`` holds the lo rows (d, n). A
 comparison with nan fails. A counterexample is the first failing rank. Only
 the decision "at most gamma" is implemented; the infimum itself has no
 algorithm here.
@@ -86,10 +86,10 @@ def check_nesting(parent: Level, child: Level) -> ConditionResult:
     """Condition (ii): the part at rank k // r contains the child at rank k."""
     if child.m != parent.m + 1:
         raise ValueError("child level must be one resolution deeper")
-    # child rank k = parent rank * r + j: the lo rows (2, n) reshaped to
-    # (2, n / r, r) hold the children of parent i at [:, i]
-    r = child.r
-    lo, side = child.corners.T.reshape(2, -1, r), child.sides.reshape(-1, r)
+    # child rank k = parent rank * r + j: the lo rows (d, n) reshaped to
+    # (d, n / r, r) hold the children of parent i at [:, i]
+    r, d = child.r, child.corners.shape[1]
+    lo, side = child.corners.T.reshape(d, -1, r), child.sides.reshape(-1, r)
     parent_lo, parent_side = parent.corners.T[:, :, None], parent.sides[:, None]
     children = min(max(-(-len(child) // 2), _NESTING_MIN), _NESTING_MAX)
     step = -(-children // r)  # parents per block
@@ -99,7 +99,7 @@ def check_nesting(parent: Level, child: Level) -> ConditionResult:
         high = parent_lo_b + parent_side[rows] + GEOM_TOL
         inside = lo_b >= parent_lo_b - GEOM_TOL
         inside &= lo_b + side[rows] <= high
-        k = _first_false(inside[0] & inside[1])
+        k = _first_false(inside.all(axis=0))
         if k is not None:
             k += start * r
             cex = {"index": child.index(k), "parent": parent.index(k // r)}
@@ -115,15 +115,16 @@ def check_adjacency(level: Level) -> ConditionResult:
         raise ValueError("adjacency needs resolution >= 2")
     if len(level) != r**m:
         raise ValueError(f"expected {r ** m} parts, got {len(level)}")
-    # the lo rows (2, n) reshaped to (2, r^(m-2), r, r) hold rank (i, j, k) at
+    # the lo rows (d, n) reshaped to (d, r^(m-2), r, r) hold rank (i, j, k) at
     # [:, i, j, k]: the pairs (i, j-1, r) and (i, j, 1) are the views
     # [..., :-1, -1] and [..., 1:, 0]
-    lo, side = level.corners.T.reshape(2, -1, r, r), level.sides.reshape(-1, r, r)
+    lo = level.corners.T.reshape(level.corners.shape[1], -1, r, r)
+    side = level.sides.reshape(-1, r, r)
     left, right = lo[..., :-1, -1], lo[..., 1:, 0]
     meets = (left <= right + side[:, 1:, 0] + GEOM_TOL) & (
         right <= left + side[:, :-1, -1] + GEOM_TOL
     )
-    k = _first_false(meets[0] & meets[1])
+    k = _first_false(meets.all(axis=0))
     if k is not None:
         i, j = divmod(k, r - 1)
         a = (i * r + j) * r + r - 1

@@ -38,6 +38,7 @@ sampled reference that verify_coverage replaced; no verdict rests on it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -124,20 +125,17 @@ def verify_coverage(ifs: OrderedIFS, cov: TaggedCovering) -> CoverageReport:
     if not prefix_code:
         return CoverageReport(False, base_inside, False, None)
 
-    kept = []  # per stage: lo x, lo y, hi x, hi y of its parts
+    kept = []  # per stage: the lo rows, then the hi rows, of its parts
     for level, boxes in enumerate(geometry._part_boxes(ifs, vertices, m_max)):
         for _, m, first, count in spans:
             if m == level:
                 kept.append(boxes[:, first : first + count].copy())
-    lo_x, lo_y, hi_x, hi_y = np.concatenate(kept, axis=1)
-    tag_x, tag_y = cov.tags.T
+    lo, hi = np.split(np.concatenate(kept, axis=1), 2)  # (d, q) each
+    tags = cov.tags.T
     contained = bool(
-        (lo_x >= tag_x - GEOM_TOL).all()
-        and (lo_y >= tag_y - GEOM_TOL).all()
-        and (hi_x <= tag_x + cov.sides + GEOM_TOL).all()
-        and (hi_y <= tag_y + cov.sides + GEOM_TOL).all()
+        (lo >= tags - GEOM_TOL).all() and (hi <= tags + cov.sides + GEOM_TOL).all()
     )
-    part_sides = np.maximum(hi_x - lo_x, hi_y - lo_y)  # as geometry.levels
+    part_sides = (hi - lo).max(axis=0)  # as geometry.levels
     return CoverageReport(
         passed=base_inside and contained,
         base_inside=base_inside,
@@ -189,14 +187,14 @@ def verify_separation(cov: TaggedCovering, seed: int = 0) -> SeparationReport:
     # seed is unused: the audit draws nothing; bench/jobs.py still passes it
     D, gamma = cov.D, cov.gamma
     geometry.check_positive(D=D, gamma=gamma)
-    columns = np.concatenate([cov.tags.T, cov.tags.T + cov.sides])  # lo x, lo y, hi x, hi y
+    d = cov.tags.shape[1]
+    columns = np.concatenate([cov.tags.T, cov.tags.T + cov.sides])  # d lo rows, d hi rows
     worst_ratio, worst_pair = -np.inf, (0, 0)
 
     def ratio(jj, ll, box_j, box_l):
-        """The ratios of boxes (lo x, lo y, hi x, hi y) at the 1-based ranks jj < ll."""
-        (xj, yj, hxj, hyj), (xl, yl, hxl, hyl) = box_j, box_l
-        sup = np.maximum(np.maximum(hxj - xl, hxl - xj), np.maximum(hyj - yl, hyl - yj))
-        return sup / (D * ((ll - jj) / ll) ** (1.0 / gamma))
+        """The ratios of boxes (d lo rows, then d hi rows) at the 1-based ranks jj < ll."""
+        gaps = (np.maximum(box_j[d + a] - box_l[a], box_l[d + a] - box_j[a]) for a in range(d))
+        return functools.reduce(np.maximum, gaps) / (D * ((ll - jj) / ll) ** (1.0 / gamma))
 
     def fold(value, pair):
         nonlocal worst_ratio, worst_pair
@@ -205,7 +203,7 @@ def verify_separation(cov: TaggedCovering, seed: int = 0) -> SeparationReport:
 
     # The band, in row steps: row g - 1 of the window holds the ranks g + 1 ..
     # g + q; past the last rank lo = +inf and hi = -inf, so those pairs give -inf
-    pad = np.repeat([[np.inf], [np.inf], [-np.inf], [-np.inf]], _BAND, axis=1)
+    pad = np.repeat([[np.inf], [-np.inf]], d, axis=0).repeat(_BAND, axis=1)
     padded = np.concatenate([columns[:, 1:], pad], axis=1)
     window = np.lib.stride_tricks.sliding_window_view(padded, cov.q, axis=1)
     step = 2**14 // _BAND
@@ -218,7 +216,7 @@ def verify_separation(cov: TaggedCovering, seed: int = 0) -> SeparationReport:
 
     # The bounds: past the band l - j >= _BAND + 1, so (l - j)/l is least
     # at the last such j of A and then the first such l of B
-    starts, blo, bhi = _block_boxes(columns[:2].T, columns[2:].T)
+    starts, blo, bhi = _block_boxes(columns[:d].T, columns[d:].T)
     ends = np.append(starts[1:], cov.q)
     blocks = np.concatenate([blo.T, bhi.T])
     bounds, pairs = [], []
@@ -260,12 +258,12 @@ def coverage_check(cov: TaggedCovering, points: np.ndarray) -> bool:
     The sampled reference of verify_coverage. Points go 64 at a time, each
     block against the squares of the rank blocks whose union box meets the
     points' bounding box: a square outside that union box cannot hold any
-    of the points. Points and squares are tested as separate x and y
-    columns. Memory is O(q).
+    of the points. Points and squares are tested one coordinate column at
+    a time. Memory is O(q).
     """
     pts = np.atleast_2d(points)
     columns = []  # per axis: square lo and hi, their block union lo and hi, the points
-    for axis in (0, 1):
+    for axis in range(cov.tags.shape[1]):
         lo, hi = cov.tags[:, axis] - GEOM_TOL, cov.tags[:, axis] + cov.sides + GEOM_TOL
         _, blo, bhi = _block_boxes(lo, hi)
         columns.append((lo, hi, blo, bhi, np.ascontiguousarray(pts[:, axis])))

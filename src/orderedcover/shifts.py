@@ -506,7 +506,7 @@ class DynamicsConfig(Record):
 
 def tag_params(cov: TaggedCovering, d: int) -> np.ndarray:
     """Per-square operator parameters (q, d): the tags, truncated to d coordinates."""
-    if d not in (1, 2):
+    if not 1 <= d <= cov.tags.shape[1]:
         raise ValueError("tags provide at most two coordinates")
     return cov.tags[:, :d]
 
@@ -713,7 +713,7 @@ class DynamicsReport(Record):
     fractal: str
     q: int
     sigma: float
-    offset: tuple[float, float]
+    offset: tuple[float, ...]
     D_scaled: float
     envelope_tail: float
     u_minus_u0: float
@@ -801,7 +801,7 @@ def run_dynamics_experiment(
     finite-horizon closed-form envelope (exact for it); growth families
     require alpha <= 1/gamma, otherwise no summable bound exists and the
     run is refused. Bad inputs (check_dynamics_inputs) and a d other than 1 or 2
-    are refused first.
+    (a system's tags are planar) are refused first.
     """
     check_dynamics_inputs(interval, eta)
     if d not in (1, 2):
@@ -872,7 +872,7 @@ def run_dynamics_experiment(
     sigma, D_scaled, envelope = scaled_envelope(N)
     tail = _envelope_tail(envelope, N)
 
-    offset = (a - sigma * lo[0], a - sigma * lo[1])
+    offset = tuple((a - sigma * lo).tolist())
     scaled = cov_geo.affine_scaled(sigma, offset)
     sep = verify_separation(scaled)
 
@@ -894,7 +894,7 @@ def run_dynamics_experiment(
         fractal=ifs.name,
         q=q,
         sigma=sigma,
-        offset=(float(offset[0]), float(offset[1])),
+        offset=offset,
         D_scaled=D_scaled,
         envelope_tail=tail,
         u_minus_u0=u_minus_u0,

@@ -155,7 +155,7 @@ class TaggedCovering(Record):
         d_ok = self.D >= self.rho / self.c**3 - GEOM_TOL
         return margin_ok and d_ok
 
-    def affine_scaled(self, sigma: float, offset: tuple[float, float]) -> "TaggedCovering":
+    def affine_scaled(self, sigma: float, offset: tuple[float, ...]) -> "TaggedCovering":
         """Map every square by p -> offset + sigma * p; D and rho scale by sigma."""
         if sigma <= 0:
             raise ValueError("sigma must be positive")

@@ -5,9 +5,9 @@ whose lexicographic part order traces the classical curve orderings
 (arrowhead order on the gasket, pseudo-Hilbert order on the square, path
 order on the Koch curve and on the eight-edge sausage seed); the unit
 interval and a gap dust that fails adjacency on purpose complete the set.
-A Holder curve is linear between its breakpoints; its resolution m is the
-level of exact bounding squares over its 2^m dyadic parameter intervals
-(``holder_levels``).
+A Holder curve is its vertex array in R^d, linear between equally spaced
+parameters; its resolution m is the level of exact bounding squares over
+its 2^m dyadic parameter intervals (``holder_levels``).
 """
 
 from __future__ import annotations
@@ -154,62 +154,50 @@ def gap_dust() -> OrderedIFS:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurveEvaluator:
-    """A piecewise linear curve f: [0,1] -> R^2 with a Holder certificate.
+    """The polyline f: [0,1] -> R^d through vertices (n + 1, d) at the
+    parameters k/n, with a Holder certificate.
 
     holder_beta/holder_rho certify ||f(x)-f(y)||_inf <= rho |x-y|^beta.
-    f is linear between consecutive breakpoints, so its bounding box over
-    an interval is that of the interval's ends and its inner breakpoints.
+    breakpoints (n + 1,) holds the parameters k/n. f is linear between
+    them, so its bounding box over an interval is that of the interval's
+    ends and its inner vertices.
     """
 
-    eval: Callable[[np.ndarray], np.ndarray]
+    vertices: np.ndarray = field(repr=False)
     holder_beta: float
     holder_rho: float
-    breakpoints: np.ndarray = field(repr=False)
     name: str = ""
+    breakpoints: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
+        object.__setattr__(self, "breakpoints", np.linspace(0.0, 1.0, len(self.vertices)))
 
     def __call__(self, ts: np.ndarray) -> np.ndarray:
-        return self.eval(np.asarray(ts, dtype=float))
+        ts = np.asarray(ts, dtype=float)
+        return np.stack([np.interp(ts, self.breakpoints, v) for v in self.vertices.T], axis=-1)
 
 
 def diagonal_curve() -> CurveEvaluator:
     """f(t) = (t, t): the Lipschitz sanity curve."""
-
-    def f(ts: np.ndarray) -> np.ndarray:
-        return np.stack([ts, ts], axis=-1)
-
-    ends = np.array([0.0, 1.0])
-    return CurveEvaluator(f, holder_beta=1.0, holder_rho=1.0, breakpoints=ends, name="holder-diag")
+    return CurveEvaluator([[0.0, 0.0], [1.0, 1.0]], 1.0, 1.0, "holder-diag")
 
 
-def _polyline_evaluator(
-    vertices: np.ndarray, beta: float, rho: float, name: str
-) -> CurveEvaluator:
-    """Uniform-speed polygonal interpolant through equally spaced vertices."""
-    n_seg = len(vertices) - 1
-    ts_grid = np.linspace(0.0, 1.0, n_seg + 1)
-
-    def f(ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        x = np.interp(ts, ts_grid, vertices[:, 0])
-        y = np.interp(ts, ts_grid, vertices[:, 1])
-        return np.stack([x, y], axis=-1)
-
-    return CurveEvaluator(f, holder_beta=beta, holder_rho=rho, name=name, breakpoints=ts_grid)
-
-
-def _chain_vertices(ifs: OrderedIFS, start: np.ndarray, end: np.ndarray, order: int) -> np.ndarray:
+def _chain_vertices(
+    ifs: OrderedIFS, start: np.ndarray, end: np.ndarray, order: int, budget: int | None
+) -> np.ndarray:
     """Entry points of all depth-`order` parts in lexicographic order, plus the exit.
 
     Valid for systems whose maps chain phi_j(end) = phi_(j+1)(start); the
     returned polyline then visits the parts in covering order with segments
     of equal length ratio^order * |end - start|.
     """
-    return np.vstack([geometry.images_under_words(ifs, start, order), end])
+    return np.vstack([geometry.images_under_words(ifs, start, order, budget), end])
 
 
-def arrowhead_pseudo(order: int) -> CurveEvaluator:
+def arrowhead_pseudo(order: int, budget: int | None = None) -> CurveEvaluator:
     """Order-m arrowhead polyline through the gasket parts, uniform speed.
 
     beta = log2/log3; rho = 4: parameter intervals of length 3^-k map into
@@ -221,28 +209,28 @@ def arrowhead_pseudo(order: int) -> CurveEvaluator:
         raise ValueError("order must be >= 1")
     ifs = sierpinski_gasket(1.0)
     verts = ifs.base_vertices()
-    vertices = _chain_vertices(ifs, verts[0], verts[1], order)
+    vertices = _chain_vertices(ifs, verts[0], verts[1], order, budget)
     beta = math.log(2.0) / math.log(3.0)
-    return _polyline_evaluator(vertices, beta, 4.0, f"arrowhead-pseudo:{order}")
+    return CurveEvaluator(vertices, beta, 4.0, f"arrowhead-pseudo:{order}")
 
 
-def hilbert_pseudo(order: int) -> CurveEvaluator:
+def hilbert_pseudo(order: int, budget: int | None = None) -> CurveEvaluator:
     """Order-m pseudo-Hilbert polyline; beta = 1/2, rho = 4."""
     if order < 1:
         raise ValueError("order must be >= 1")
     ifs = hilbert_square()
     start = np.array([-0.5, -0.5])
     end = np.array([0.5, -0.5])
-    vertices = _chain_vertices(ifs, start, end, order)
-    return _polyline_evaluator(vertices, 0.5, 4.0, f"hilbert-pseudo:{order}")
+    vertices = _chain_vertices(ifs, start, end, order, budget)
+    return CurveEvaluator(vertices, 0.5, 4.0, f"hilbert-pseudo:{order}")
 
 
 def holder_levels(curve: CurveEvaluator, m_max: int, budget: int | None = None) -> Iterator[Level]:
     """Bounding squares of f over the 2^m dyadic intervals, for m = 0..m_max in turn.
 
     Rank j of resolution m is the interval [j 2^-m, (j+1) 2^-m]. f is
-    linear between breakpoints, so its box there is exactly that of the two
-    ends and the breakpoints strictly inside. Each side is at most
+    linear between its vertices, so its box there is exactly that of the two
+    ends and the inner vertices strictly inside. Each side is at most
     rho * (2^-beta)^m by the Holder certificate. Every level is checked
     against the budget before this returns, and, as geometry.iter_levels
     does, a level is evaluated only when the next one is asked for.
@@ -250,16 +238,14 @@ def holder_levels(curve: CurveEvaluator, m_max: int, budget: int | None = None) 
     if m_max < 0:
         raise ValueError(f"resolution must be >= 0, got {m_max}")
     geometry.check_level_budget(2, m_max, budget)
-    bp = np.sort(curve.breakpoints[(curve.breakpoints > 0.0) & (curve.breakpoints < 1.0)])
-    bp_points = curve(bp)
-    return (_holder_level(curve, bp, bp_points, m) for m in range(m_max + 1))
+    return (_holder_level(curve, m) for m in range(m_max + 1))
 
 
-def _holder_level(curve: CurveEvaluator, bp: np.ndarray, bp_points: np.ndarray, m: int) -> Level:
-    n = 2**m
+def _holder_level(curve: CurveEvaluator, m: int) -> Level:
+    n, bp, bp_points = 2**m, curve.breakpoints[1:-1], curve.vertices[1:-1]
     ends = curve(np.arange(n + 1) * 0.5**m)
     lo, hi = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
-    # fold each run of breakpoints into its interval; one on an
+    # fold each run of inner vertices into its interval; one on an
     # interval's left end repeats that end
     owner = (bp * n).astype(np.intp)
     first = np.flatnonzero(np.diff(owner, prepend=-1))
@@ -272,32 +258,30 @@ def _holder_level(curve: CurveEvaluator, bp: np.ndarray, bp_points: np.ndarray, 
     return Level(m, 2, lo, np.subtract(hi, lo, out=hi).max(axis=1))
 
 
-IFS_NAMES = ("sierpinski", "hilbert-square", "koch", "minkowski", "unit-interval", "gap-dust")
+_SYSTEMS: dict[str, Callable[[], OrderedIFS]] = {
+    "sierpinski": sierpinski_gasket,
+    "hilbert-square": hilbert_square,
+    "koch": koch_curve,
+    "minkowski": minkowski_sausage,
+    "unit-interval": unit_interval,
+    "gap-dust": gap_dust,
+}
+IFS_NAMES = tuple(_SYSTEMS)
 
 
 def zoo_ifs(name: str) -> OrderedIFS:
     """Look up a named system; raises KeyError for unknown names."""
-    registry: dict[str, Callable[[], OrderedIFS]] = {
-        "sierpinski": sierpinski_gasket,
-        "hilbert-square": hilbert_square,
-        "koch": koch_curve,
-        "minkowski": minkowski_sausage,
-        "unit-interval": unit_interval,
-        "gap-dust": gap_dust,
-    }
-    if name not in registry:
-        raise KeyError(name)
-    return registry[name]()
+    return _SYSTEMS[name]()
 
 
-def zoo_curve(name: str) -> CurveEvaluator:
+def zoo_curve(name: str, budget: int | None = None) -> CurveEvaluator:
     """Look up a named curve evaluator ("holder-diag", "<arrowhead|hilbert>-pseudo:<order>")."""
     if name == "holder-diag":
         return diagonal_curve()
     family, _, order = name.partition(":")
     builders = {"arrowhead-pseudo": arrowhead_pseudo, "hilbert-pseudo": hilbert_pseudo}
     if family in builders and order.isdecimal() and int(order) >= 1:
-        return builders[family](int(order))
+        return builders[family](int(order), budget)
     raise KeyError(name)  # also an order that is not a positive integer
 
 

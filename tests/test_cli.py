@@ -254,6 +254,26 @@ def test_malformed_budget_env_var_is_usage_error(argv, tmp_path, capsys, monkeyp
     assert not (tmp_path / "unused.svg").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zoo", "emit", "--name", "hilbert-pseudo:9"],
+        ["render", "--name", "hilbert-pseudo:9", "--out", "unused.svg"],
+        ["verify-hbd", "--name", "hilbert-pseudo:9", "--m", "2"],
+    ],
+)
+def test_budget_flag_and_env_var_refuse_a_large_curve_alike(argv, tmp_path, capsys, monkeypatch):
+    # the polyline's 4^9 parts are checked against the budget before it is built
+    argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
+    monkeypatch.delenv("HBD_COVER_BUDGET", raising=False)
+    assert main([*argv, "--budget", "100"]) == 1
+    flag = capsys.readouterr()
+    monkeypatch.setenv("HBD_COVER_BUDGET", "100")
+    assert main(argv) == 1
+    assert capsys.readouterr() == flag == ("", "error: 256 parts exceed budget 100\n")
+    assert not (tmp_path / "unused.svg").exists()
+
+
 def test_budget_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("HBD_COVER_BUDGET", "10")
     code = main(["zoo", "emit", "--name", "sierpinski", "--m", "4", "--budget", "100"])

@@ -12,6 +12,7 @@ from orderedcover.hbd import (
     hbd_report,
 )
 from orderedcover.zoo import (
+    CurveEvaluator,
     diagonal_curve,
     gap_dust,
     hilbert_square,
@@ -209,6 +210,20 @@ def test_report_is_the_same_over_a_stream_and_a_list(name, deflate, m):
     assert not records[0]["pass"]
     assert all(record == records[0] for record in records)
 
+
+
+def test_a_diagonal_in_three_dimensions_repeats_the_planar_one():
+    # (t, t, t) has holder-diag's boxes with the x column once more, and the
+    # same conditions
+    diag3 = CurveEvaluator([[0, 0, 0], [1, 1, 1]], 1, 1, "diag3")
+    planar, spatial = list(holder_levels(diagonal_curve(), 8)), list(holder_levels(diag3, 8))
+    for flat, level in zip(planar, spatial):
+        want = np.column_stack([flat.corners, flat.corners[:, 0]])
+        assert level.corners.tobytes() == want.tobytes()
+        assert level.sides.tobytes() == flat.sides.tobytes()
+    report = hbd_report(spatial, 1.0, 1.0, 8)
+    assert report.passed
+    assert report.conditions == hbd_report(planar, 1.0, 1.0, 8).conditions
 
 
 def test_curve_levels_stream_through_the_report():

@@ -340,12 +340,12 @@ def test_holder_levels_match_per_interval_reference(family, order, m):
     assert (pts <= (lv[m].corners + lv[m].sides[:, None])[:, None] + 1e-15).all()
 
 
-def test_holder_levels_refuse_before_sampling():
-    def no_samples(ts):
+def test_holder_levels_refuse_before_sampling(monkeypatch):
+    def no_samples(self, ts):
         raise AssertionError("the curve was sampled")
 
-    curve = CurveEvaluator(no_samples, holder_beta=1.0, holder_rho=1.0,
-                           breakpoints=np.array([0.0, 0.5, 1.0]))
+    curve = CurveEvaluator([[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]], holder_beta=1.0, holder_rho=2.0)
+    monkeypatch.setattr(CurveEvaluator, "__call__", no_samples)
     with pytest.raises(BudgetExceededError, match="^1048576 parts exceed budget 1000000$"):
         holder_levels(curve, 20)
     with pytest.raises(BudgetExceededError, match="^16 parts exceed budget 10$"):

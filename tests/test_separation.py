@@ -18,6 +18,7 @@ from orderedcover.separation import (
     verify_jump_lemma,
     verify_separation,
 )
+from orderedcover.hbd import check_adjacency, check_diameters, check_nesting
 from orderedcover.tagging import BuilderParams, build_tagged_covering
 from orderedcover.zoo import (
     IFS_NAMES,
@@ -30,6 +31,7 @@ from orderedcover.zoo import (
 )
 from orderedcover.geometry import (
     BudgetExceededError,
+    Level,
     OrderedIFS,
     Similarity,
     attractor_points,
@@ -416,6 +418,49 @@ def part_sides(ifs, cov):
     lv = geometry.levels(ifs, cov.s + cov.t)
     spans = tagging._stage_spans(cov.r, cov.s, cov.t)
     return np.concatenate([lv[m].sides[first : first + count] for _, m, first, count in spans])
+
+
+def with_x_again(rows):
+    """The coordinate rows (d, n) with a copy of the first row appended."""
+    return np.vstack([rows, rows[:1]])
+
+
+@pytest.mark.parametrize("name", IFS_NAMES)
+def test_a_copied_coordinate_changes_nothing_on_zoo_levels(name):
+    # every condition and the jump check's sup norm fold over the coordinates,
+    # so a third coordinate that repeats x changes no verdict or counterexample
+    ifs = zoo_ifs(name)
+    r, c = ifs.r, ifs.r ** (-1.0 / ifs.gamma)
+    lv = levels(ifs, 6)
+    wide = [Level(level.m, r, with_x_again(level.corners.T).T, level.sides) for level in lv]
+    far = []
+    for m in range(len(lv)):
+        assert check_diameters(wide[m], ifs.rho, c) == check_diameters(lv[m], ifs.rho, c)
+        if m >= 1:
+            assert check_nesting(wide[m - 1], wide[m]) == check_nesting(lv[m - 1], lv[m])
+        if m >= 2:
+            assert check_adjacency(wide[m]) == check_adjacency(lv[m])
+        tags = np.ascontiguousarray(lv[m].corners.T)
+        for n in range(m):
+            short = math.ceil((r ** (n - 1) + r - 2) / (r - 1)) - 1
+            for threshold in (c ** (m - n) * ifs.rho, lv[m].sides.max() / 4):
+                far.append(_first_far_pair(tags, threshold, short))
+                assert _first_far_pair(with_x_again(tags), threshold, short) == far[-1]
+    assert any(far)
+
+
+@pytest.mark.parametrize("name", [name for name, s in ZOO_COVERINGS if s == 1])
+def test_a_copied_coordinate_changes_nothing_on_s1_coverings(name):
+    _, cov = zoo_covering(name, 1)
+    wide = dataclasses.replace(cov, tags=with_x_again(cov.tags.T).T)
+    for D in (cov.D, cov.D / 64):  # passing, then failing
+        narrow = verify_separation(dataclasses.replace(cov, D=D))
+        assert verify_separation(dataclasses.replace(wide, D=D)) == narrow
+    assert not narrow.passed
+    tags = np.ascontiguousarray(cov.tags.T)
+    for short, threshold in itertools.product((1, 4, 16), cov.sides[[0, -1]]):
+        far = _first_far_pair(tags, threshold, short)
+        assert _first_far_pair(with_x_again(tags), threshold, short) == far
 
 
 def test_zoo_coverings_list_every_system_that_builds_at_s1():
