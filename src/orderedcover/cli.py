@@ -394,6 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget", type=int, default=None, help=f"part budget override (also {BUDGET_ENV_VAR})"
         )
 
+    def add_covering(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--tau", type=float, default=None, help="coarsest allowed side")
+        p.add_argument("--bigN", type=int, default=1, help="index stride N")
+        p.add_argument("--D", type=float, default=None, help="separation constant override")
+        p.add_argument("--s", type=int, default=None, help="skip normalization, use this stage")
+
     zoo = sub.add_parser("zoo", help="emit zoo system descriptions")
     zoo_sub = zoo.add_subparsers(dest="zoo_command", required=True)
     emit = zoo_sub.add_parser("emit", help="emit one system, optionally with a covering")
@@ -415,10 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     for verb in ("build", "verify"):
         p = cover_sub.add_parser(verb)
         p.add_argument("--name", required=True)
-        p.add_argument("--tau", type=float, default=None, help="coarsest allowed side")
-        p.add_argument("--bigN", type=int, default=1, help="index stride N")
-        p.add_argument("--D", type=float, default=None, help="separation constant override")
-        p.add_argument("--s", type=int, default=None, help="skip normalization, use this stage")
+        add_covering(p)
         if verb == "verify":
             p.add_argument("--seed", type=int, default=0)  # unused; bench jobs pass it
         add_common(p)
@@ -438,10 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     render = sub.add_parser("render", help="deterministic SVG of a covering")
     render.add_argument("--name", required=True)
     render.add_argument("--m", type=int, default=None)
-    render.add_argument("--tau", type=float, default=None)
-    render.add_argument("--bigN", type=int, default=1)
-    render.add_argument("--D", type=float, default=None)
-    render.add_argument("--s", type=int, default=None)
+    add_covering(render)
     render.add_argument("--out", required=True)
     render.add_argument("--budget", type=int, default=None)
     render.set_defaults(handler="cmd_render")

@@ -64,14 +64,6 @@ def _first_false(ok: np.ndarray) -> int | None:
     return None if ok.flat[k] else k
 
 
-# Children per block of the nesting check: half the level, clamped to
-# [_NESTING_MIN, _NESTING_MAX]. Both coordinates of half a level take about
-# the scratch of one coordinate of the whole level, so from 2 * _NESTING_MIN
-# children on the check needs no more memory than one that takes the level
-# one coordinate at a time.
-_NESTING_MIN, _NESTING_MAX = 4096, 16384
-
-
 def check_diameters(level: Level, rho: float, c: float) -> ConditionResult:
     """Condition (i): every side <= rho * c^m, c = r^(-1/gamma). A nan side fails."""
     bound = rho * c**level.m
@@ -91,8 +83,7 @@ def check_nesting(parent: Level, child: Level) -> ConditionResult:
     r, d = child.r, child.corners.shape[1]
     lo, side = child.corners.T.reshape(d, -1, r), child.sides.reshape(-1, r)
     parent_lo, parent_side = parent.corners.T[:, :, None], parent.sides[:, None]
-    children = min(max(-(-len(child) // 2), _NESTING_MIN), _NESTING_MAX)
-    step = -(-children // r)  # parents per block
+    step = -(-geometry._BLOCK_PARTS // r)  # parents per block: the level pipeline's block
     for start in range(0, len(parent), step):
         rows = slice(start, start + step)
         lo_b, parent_lo_b = lo[:, rows], parent_lo[:, rows]

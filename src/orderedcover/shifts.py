@@ -34,6 +34,10 @@ and each shifted column whose bound u_c + f(x_hi, n), plus a rounding margin,
 reaches the smaller near-term maximum of its box's two corners, x_hi being the
 upper corner. No skipped column can be a corner's maximum, so the sup is exact.
 
+The weight law chooses the envelope: f(x, n) = x n, constant weights e^x (rolewicz, or
+power at alpha = 1), takes the finite-horizon closed form on any geometry; every other
+law, plus-power at alpha = 1 with log-weight log(1 + x) too, takes the uniform one.
+
 The N search takes the least step N = step kappa whose envelope tail is below
 min(TAIL_BUDGET eta, eta). Its pass falls monotonically with N: sigma is
 min(sigma_cs2, 0.99 sigma_fit) with sigma_cs2 proportional to N^-alpha, so D = sigma D_geo
@@ -118,27 +122,27 @@ class WeightFamily:
         return math.exp(float(table[n] - table[n - 1]))
 
 
-def _linear_family(name: str, alpha: float, slope) -> WeightFamily:
+def _linear_family(name: str, alpha: float) -> WeightFamily:
     """f(x, n) = x n^alpha, C0 = 1."""
     g = lambda n: np.asarray(n, dtype=float) ** alpha
 
     def table(x: float | np.ndarray, n_max: int) -> np.ndarray:
         return np.asarray(x, dtype=float)[..., None] * g(np.arange(n_max + 1))
 
+    slope = lambda x, n_max: _pow(np.arange(n_max + 1, dtype=float), alpha)
     return WeightFamily(name, alpha, 1.0, table, slope, g)
 
 
 def rolewicz_family() -> WeightFamily:
-    """Constant weights e^x: f(x, n) = x n (the classical scalar multiple)."""
-    return _linear_family("rolewicz", 1.0, lambda x, n_max: np.arange(n_max + 1, dtype=float))
+    """Constant weights e^x: f(x, n) = x n, the linear law at alpha = 1."""
+    return _linear_family("rolewicz", 1.0)
 
 
 def power_family(alpha: float) -> WeightFamily:
     """f(x, n) = x n^alpha: the exactly-C0=1 Lipschitz family."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
-    slope = lambda x, n_max: _pow(np.arange(n_max + 1, dtype=float), alpha)
-    return _linear_family(f"power:{alpha}", alpha, slope)
+    return _linear_family(f"power:{alpha}", alpha)
 
 
 def plus_power_family(alpha: float) -> WeightFamily:
@@ -797,17 +801,16 @@ def run_dynamics_experiment(
 ) -> DynamicsReport:
     """Full pipeline: covering -> scaling -> N selection -> u -> 3 eta certificate.
 
-    The constant-weight family is allowed with any geometry through the
-    finite-horizon closed-form envelope (exact for it); growth families
-    require alpha <= 1/gamma, otherwise no summable bound exists and the
-    run is refused. Bad inputs (check_dynamics_inputs) and a d other than 1 or 2
-    (a system's tags are planar) are refused first.
+    The weight law picks the certificate: f(x, n) = x n (constant weights e^x) takes the exact
+    finite-horizon closed-form envelope on any geometry; any other law needs alpha <= 1/gamma,
+    or no summable bound exists and the run is refused. Bad inputs (check_dynamics_inputs)
+    and a d other than 1 or 2 (a system's tags are planar) are refused first.
     """
     check_dynamics_inputs(interval, eta)
     if d not in (1, 2):
         raise ValueError(f"d must be 1 or 2, got {d}")
     alpha_g = 1.0 / ifs.gamma
-    constant_weights = fam.name == "rolewicz"
+    constant_weights = fam.g is not None and fam.alpha == 1.0  # f(x, n) = x n
     if not constant_weights and fam.alpha > alpha_g + 1e-12:
         raise ValueError(
             f"family exponent alpha={fam.alpha} exceeds 1/gamma={alpha_g:.6g}; "
@@ -832,8 +835,10 @@ def run_dynamics_experiment(
     eps = math.log1p(CS2_BUDGET * eta / max_abs_vt)
     ii = np.arange(1, q + 1, dtype=float)
     sigma_fit = (b - a) / span
-    if not constant_weights:
-        envelopes = _generic_envelopes(fam, interval, vt_support, max_abs_vt)
+    if constant_weights:
+        envelopes = lambda D, N: cs1_envelope_closed_form(D, interval, alpha_g, q * N, max_abs_vt)
+    else:
+        envelopes = lambda D, N: _generic_envelopes(fam, interval, vt_support, max_abs_vt)(D)
 
     def sigma_cs2(N: int) -> float:
         # worst CS2 exponent: C0 * max_i (iN)^alpha_w * side_i, sides sigma-scaled
@@ -842,13 +847,7 @@ def run_dynamics_experiment(
     def scaled_envelope(N: int) -> tuple[float, float, Callable[[float], float]]:
         sigma = min(sigma_cs2(N), 0.99 * sigma_fit)
         D_scaled = sigma * cov_geo.D
-        if constant_weights:
-            envelope = cs1_envelope_closed_form(
-                D_scaled, interval, alpha_g, horizon=q * N, max_abs=max_abs_vt
-            )
-        else:
-            envelope = envelopes(D_scaled)
-        return sigma, D_scaled, envelope
+        return sigma, D_scaled, envelopes(D_scaled, N)
 
     limit = min(TAIL_BUDGET * eta, eta)
 

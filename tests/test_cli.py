@@ -309,9 +309,34 @@ def test_dyn_runs_and_refuses(tmp_path, capsys):
     assert record["record"]["pass"] is True
     assert record["record"]["universality"]["worst_error"] < 0.3
 
+    capsys.readouterr()
+    # a growth law above 1/gamma is still refused
     assert main(["dyn", "--name", "sierpinski", "--family", "power", "--alpha", "0.9"]) == 1
-    err = capsys.readouterr().err
-    assert "1/gamma" in err
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err.startswith("error: family exponent alpha=0.9 exceeds 1/gamma=0.63093;")
+
+
+def dyn_record_apart_from_family(capsys, argv):
+    """The exit code, the record without its family fields or manifest, and stderr."""
+    code, payload, err = run_json(capsys, argv)
+    record = payload["record"]
+    assert record.pop("family") == record["cs2"].pop("family")
+    return code, record, err
+
+
+@pytest.mark.parametrize(
+    "system",
+    [["sierpinski"], ["hilbert-square"], ["koch"], ["unit-interval"], ["unit-interval", "--s", "2"]],
+)
+def test_dyn_power_weights_at_alpha_one_are_rolewicz(capsys, system):
+    # f(x, n) = x n is Rolewicz's law whatever the family is called, so it takes the
+    # finite-horizon certificate on every geometry, past alpha = 1/gamma too
+    argv = ["dyn", "--name", *system]
+    rolewicz = dyn_record_apart_from_family(capsys, [*argv, "--family", "rolewicz"])
+    power = dyn_record_apart_from_family(capsys, [*argv, "--family", "power", "--alpha", "1"])
+    assert power == rolewicz
+    assert power[0] == 0 and power[1]["certificate"] == "finite-horizon"
 
 
 def test_dyn_rejects_unknown_family(capsys):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderedcover import geometry, hbd
+from orderedcover import geometry
 from orderedcover.geometry import (
     GEOM_TOL,
     BudgetExceededError,
@@ -459,9 +459,8 @@ def assert_conditions_match_loops(parent, child, data):
     parent = edit_level(parent, data, None, rho * c**parent.m)
     child = edit_level(child, data, parent, rho * c**child.m)
     # small blocks split the nesting check into many, the last one ragged
-    blocks = [(1, 1), (1, 5), (4, 16), (hbd._NESTING_MIN, hbd._NESTING_MAX)]
-    least, most = data.draw(st.sampled_from(blocks))
-    with mock.patch.multiple(hbd, _NESTING_MIN=least, _NESTING_MAX=most):
+    block = data.draw(st.sampled_from([1, 5, 16, geometry._BLOCK_PARTS]))
+    with mock.patch.object(geometry, "_BLOCK_PARTS", block):
         nesting = check_nesting(parent, child)
     pairs = [
         (check_diameters(parent, rho, c), diameters_loop(parent, rho, c)),

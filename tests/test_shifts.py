@@ -416,6 +416,13 @@ def test_compatible_growth_family_runs_on_the_line():
     assert report.passed
 
 
+def test_plus_power_at_alpha_one_keeps_the_uniform_certificate():
+    # its weights 1 + x are constant in n, but its log-weight is log(1 + x), not x
+    report = run_dynamics_experiment(unit_interval(), plus_power_family(1.0))
+    assert report.certificate == "uniform"
+    assert report.passed
+
+
 def test_common_vector_certificate_bounds_measurement():
     ifs = sierpinski_gasket()
     rep = run_dynamics_experiment(ifs, rolewicz_family(), eta=0.1)
