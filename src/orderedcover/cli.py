@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: zoo emit, verify-hbd, verify-jump, cover build, cover verify,
-dyn, render.
+dyn, render. Each takes any zoo name, a system or a Holder curve, through one
+lookup; only zoo emit's kind and render's default --m tell the two apart.
 Every JSON record carries schema "ordered-cover/2" and a manifest, and is
 written on one line with sorted keys by json's C encoder; reruns with the
 same arguments are byte-identical apart from wall_time_s. Large outputs are
@@ -32,14 +33,13 @@ from .geometry import (
     Level,
     OrderedIFS,
     check_positive,
-    iter_levels,
     part_budget,
 )
 from .hbd import hbd_report
 from .separation import verify_coverage, verify_form, verify_jump_lemma, verify_separation
 from .shifts import check_dynamics_inputs, run_dynamics_experiment, weight_family
 from .tagging import BuilderParams, build_tagged_covering
-from .zoo import IFS_NAMES, CurveEvaluator, holder_levels, zoo_curve, zoo_ifs, zoo_names
+from .zoo import zoo_names, zoo_source
 
 SCHEMA = "ordered-cover/2"
 
@@ -102,15 +102,9 @@ def _exponents(args: argparse.Namespace, gamma: float, rho: float) -> tuple[floa
     return gamma, rho
 
 
-def _zoo_source(name: str, budget: int | None) -> OrderedIFS | CurveEvaluator:
-    """The named system or curve, built within the part budget; KeyError for an unknown name."""
-    return zoo_ifs(name) if name in IFS_NAMES else zoo_curve(name, budget)
-
-
-def _level(source: OrderedIFS | CurveEvaluator, m: int, budget: int | None) -> Level:
+def _level(source, m: int, budget: int | None) -> Level:
     """Resolution m of a system or a curve, after the budget check."""
-    build = iter_levels if isinstance(source, OrderedIFS) else holder_levels
-    for level in build(source, _at_least("m", m, 0), budget):
+    for level in source.iter_levels(_at_least("m", m, 0), budget):
         pass
     return level
 
@@ -119,14 +113,13 @@ def _run(
     args: argparse.Namespace,
     command: str,
     body,
-    names: list[str],
     errors: tuple[type[Exception], ...] = (BudgetExceededError,),
 ) -> int:
     """Emit the record of body() -> (record, exit code, stderr lines); a body
     that writes its own output (render) returns no record. The manifest
     records every parsed option but --out, and the --seed if there is one.
 
-    An unknown zoo name (KeyError, listed against ``names``) and a usage
+    An unknown zoo name (KeyError, listed against zoo_names()) and a usage
     error, an unwritable --out too, exit 2; ``errors`` exit 1 with their message.
     """
     t0 = time.perf_counter()
@@ -152,7 +145,7 @@ def _run(
         else:
             _atomic_write(args.out, text)
     except KeyError:
-        return _fail(f"unknown zoo name {args.name!r}; known: {', '.join(names)}", 2)
+        return _fail(f"unknown zoo name {args.name!r}; known: {', '.join(zoo_names())}", 2)
     except _UsageError as exc:
         return _fail(str(exc), 2)
     except errors as exc:
@@ -179,30 +172,28 @@ def _ifs_record(ifs: OrderedIFS) -> dict:
 
 
 def cmd_zoo_emit(args: argparse.Namespace) -> int:
-    body = lambda: (_zoo_body(args), 0, [])
-    return _run(args, "zoo emit", body, zoo_names())
+    def body() -> tuple:
+        source = zoo_source(args.name, args.budget)
+        if isinstance(source, OrderedIFS):
+            record = _ifs_record(source)
+        else:
+            record = {
+                "kind": "curve",
+                "name": source.name,
+                "r": source.r,  # 2: a curve's levels are dyadic
+                "holder_beta": source.holder_beta,
+                "holder_rho": source.holder_rho,
+            }
+        if args.m is not None:
+            level = _level(source, args.m, args.budget)
+            record["covering"] = {
+                "m": args.m,
+                "corners": level.corners.tolist(),
+                "sides": level.sides.tolist(),
+            }
+        return record, 0, []
 
-
-def _zoo_body(args: argparse.Namespace) -> dict:
-    source = _zoo_source(args.name, args.budget)
-    if isinstance(source, OrderedIFS):
-        body = _ifs_record(source)
-    else:
-        body = {
-            "kind": "curve",
-            "name": source.name,
-            "r": 2,  # a curve's levels are dyadic
-            "holder_beta": source.holder_beta,
-            "holder_rho": source.holder_rho,
-        }
-    if args.m is not None:
-        level = _level(source, args.m, args.budget)
-        body["covering"] = {
-            "m": args.m,
-            "corners": level.corners.tolist(),
-            "sides": level.sides.tolist(),
-        }
-    return body
+    return _run(args, "zoo emit", body)
 
 
 # ---------------------------------------------------------------------------
@@ -211,22 +202,19 @@ def _zoo_body(args: argparse.Namespace) -> dict:
 
 def cmd_verify_hbd(args: argparse.Namespace) -> int:
     def body() -> tuple:
-        source = _zoo_source(args.name, args.budget)
+        source = zoo_source(args.name, args.budget)
         _at_least("m", args.m, 1)
-        if isinstance(source, OrderedIFS):
-            gamma, rho = _exponents(args, source.gamma, source.rho)
-            lv = source
-        else:
-            gamma, rho = _exponents(args, 1.0 / source.holder_beta, source.holder_rho)
-            lv = holder_levels(source, args.m, args.budget)
-        report = hbd_report(lv, gamma, rho, args.m, name=source.name, budget=args.budget)
+        gamma, rho = _exponents(args, source.gamma, source.rho)
+        # a stream, not the source: bench/tracer.py lists a source that has no maps
+        lv = source.iter_levels(args.m, args.budget)
+        report = hbd_report(lv, gamma, rho, args.m, name=source.name)
         notes = [
             f"condition ({c.condition}) m={c.m}: {'PASS' if c.passed else 'FAIL'}"
             for c in report.conditions
         ]
         return report.to_record(), 0 if report.passed else 1, notes
 
-    return _run(args, "verify-hbd", body, zoo_names())
+    return _run(args, "verify-hbd", body)
 
 
 # ---------------------------------------------------------------------------
@@ -234,22 +222,22 @@ def cmd_verify_hbd(args: argparse.Namespace) -> int:
 
 
 def _build_for_args(args: argparse.Namespace) -> tuple:
-    ifs = zoo_ifs(args.name)
+    source = zoo_source(args.name, args.budget)
     for flag in ("tau", "D"):
         value = getattr(args, flag)
         if value is not None and not 0 < value < math.inf:
             raise _UsageError(f"--{flag} must be finite and > 0, got {value}")
     _at_least("bigN", args.bigN, 1)
     if args.s is not None:
-        params = BuilderParams.from_stage(ifs, _at_least("s", args.s, 1), args.bigN, D=args.D)
+        params = BuilderParams.from_stage(source, _at_least("s", args.s, 1), args.bigN, D=args.D)
     elif args.tau is None:
         raise _UsageError("cover needs --tau or --s")
     else:
-        params = BuilderParams.from_tau(ifs, args.tau, args.bigN, D=args.D)
-    cov = build_tagged_covering(ifs, params, budget=args.budget)
+        params = BuilderParams.from_tau(source, args.tau, args.bigN, D=args.D)
+    cov = build_tagged_covering(source, params, budget=args.budget)
     if args.s is not None:
-        return ifs, cov, None
-    return ifs, cov, {"tau_requested": args.tau, "s": cov.s, "tau": cov.tau}
+        return source, cov, None
+    return source, cov, {"tau_requested": args.tau, "s": cov.s, "tau": cov.tau}
 
 
 def cmd_cover_build(args: argparse.Namespace) -> int:
@@ -260,15 +248,14 @@ def cmd_cover_build(args: argparse.Namespace) -> int:
             record["normalized"] = normalized
         return record, 0, []
 
-    errors = (BudgetExceededError, ValueError)
-    return _run(args, "cover build", body, IFS_NAMES, errors)
+    return _run(args, "cover build", body, (BudgetExceededError, ValueError))
 
 
 def cmd_cover_verify(args: argparse.Namespace) -> int:
     def body() -> tuple:
-        ifs, cov, _ = _build_for_args(args)
+        source, cov, _ = _build_for_args(args)
         form = verify_form(cov)
-        coverage = verify_coverage(ifs, cov)
+        coverage = verify_coverage(source, cov, budget=args.budget)
         sep = verify_separation(cov)
         checks = {"form": form.passed, "coverage": coverage.passed, "separation": sep.passed}
         record = {
@@ -282,8 +269,7 @@ def cmd_cover_verify(args: argparse.Namespace) -> int:
         notes = [f"{key}: {'PASS' if ok else 'FAIL'}" for key, ok in checks.items()]
         return record, 0 if all(checks.values()) else 1, notes
 
-    errors = (BudgetExceededError, ValueError)
-    return _run(args, "cover verify", body, IFS_NAMES, errors)
+    return _run(args, "cover verify", body, (BudgetExceededError, ValueError))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +278,7 @@ def cmd_cover_verify(args: argparse.Namespace) -> int:
 
 def cmd_dyn(args: argparse.Namespace) -> int:
     def body() -> tuple:
-        ifs = zoo_ifs(args.name)
+        source = zoo_source(args.name, args.budget)
         try:
             fam = weight_family(args.family, args.alpha)
             check_dynamics_inputs(tuple(args.interval), args.eta)
@@ -300,7 +286,7 @@ def cmd_dyn(args: argparse.Namespace) -> int:
             raise _UsageError(str(exc)) from exc
         s = 1 if args.s is None else _at_least("s", args.s, 1)
         report = run_dynamics_experiment(
-            ifs, fam, interval=tuple(args.interval), eta=args.eta, s=s, budget=args.budget
+            source, fam, interval=tuple(args.interval), eta=args.eta, s=s, budget=args.budget
         )
         note = (
             f"universality worst={report.universality.worst_error:.6f} "
@@ -308,8 +294,7 @@ def cmd_dyn(args: argparse.Namespace) -> int:
         )
         return report.to_record(), 0 if report.passed else 1, [note]
 
-    errors = (ValueError, RuntimeError, BudgetExceededError)
-    return _run(args, "dyn", body, IFS_NAMES, errors)
+    return _run(args, "dyn", body, (ValueError, RuntimeError, BudgetExceededError))
 
 
 # ---------------------------------------------------------------------------
@@ -351,22 +336,19 @@ def _svg_of_boxes(corners: np.ndarray, sides: np.ndarray) -> str:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    covering = args.tau is not None or args.s is not None
-
     def body() -> tuple:
-        if covering:
+        if args.tau is not None or args.s is not None:
             _, cov, _ = _build_for_args(args)
             corners, sides = cov.tags, cov.sides
         else:
-            source = _zoo_source(args.name, args.budget)
+            source = zoo_source(args.name, args.budget)
             m = args.m if args.m is not None else 4 if isinstance(source, OrderedIFS) else 6
             level = _level(source, m, args.budget)
             corners, sides = level.corners, level.sides
         _atomic_write(args.out, _svg_of_boxes(corners, sides))
         return None, 0, []
 
-    errors = (BudgetExceededError, ValueError)
-    return _run(args, "render", body, IFS_NAMES if covering else zoo_names(), errors)
+    return _run(args, "render", body, (BudgetExceededError, ValueError))
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(parent, verb: str, handler: str, **kwargs) -> argparse.ArgumentParser:
+        """A subcommand that runs cmd_<handler> on the source --name."""
+        p = parent.add_parser(verb, **kwargs)
+        p.add_argument("--name", required=True)
+        p.set_defaults(handler=f"cmd_{handler}")
+        return p
+
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="write the JSON record here (atomic)")
         p.add_argument(
@@ -402,33 +391,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     zoo = sub.add_parser("zoo", help="emit zoo system descriptions")
     zoo_sub = zoo.add_subparsers(dest="zoo_command", required=True)
-    emit = zoo_sub.add_parser("emit", help="emit one system, optionally with a covering")
-    emit.add_argument("--name", required=True)
+    emit = command(zoo_sub, "emit", "zoo_emit", help="emit one system, optionally with a covering")
     emit.add_argument("--m", type=int, default=None, help="covering resolution to include")
     add_common(emit)
-    emit.set_defaults(handler="cmd_zoo_emit")
 
-    hbd = sub.add_parser("verify-hbd", help="check the ordered-covering conditions")
-    hbd.add_argument("--name", required=True)
+    hbd = command(sub, "verify-hbd", "verify_hbd", help="check the ordered-covering conditions")
     hbd.add_argument("--m", type=int, required=True, help="largest resolution checked")
     hbd.add_argument("--gamma", type=float, default=None, help="candidate dimension exponent")
     hbd.add_argument("--rho", type=float, default=None)
     add_common(hbd)
-    hbd.set_defaults(handler="cmd_verify_hbd")
 
     cover = sub.add_parser("cover", help="tagged covering construction")
     cover_sub = cover.add_subparsers(dest="cover_command", required=True)
     for verb in ("build", "verify"):
-        p = cover_sub.add_parser(verb)
-        p.add_argument("--name", required=True)
+        p = command(cover_sub, verb, f"cover_{verb}")
         add_covering(p)
         if verb == "verify":
             p.add_argument("--seed", type=int, default=0)  # unused; bench jobs pass it
         add_common(p)
-        p.set_defaults(handler=f"cmd_cover_{verb}")
 
-    dyn = sub.add_parser("dyn", help="run the universality experiment end to end")
-    dyn.add_argument("--name", required=True)
+    dyn = command(sub, "dyn", "dyn", help="run the universality experiment end to end")
     dyn.add_argument("--family", default="rolewicz")
     dyn.add_argument("--alpha", type=float, default=None, help="growth exponent for power families")
     dyn.add_argument("--interval", type=float, nargs=2, default=(1.0, 2.0), metavar=("A", "B"))
@@ -436,36 +418,31 @@ def build_parser() -> argparse.ArgumentParser:
     dyn.add_argument("--s", type=int, default=None)
     dyn.add_argument("--seed", type=int, default=0)
     add_common(dyn)
-    dyn.set_defaults(handler="cmd_dyn")
 
-    render = sub.add_parser("render", help="deterministic SVG of a covering")
-    render.add_argument("--name", required=True)
+    render = command(sub, "render", "render", help="deterministic SVG of a covering")
     render.add_argument("--m", type=int, default=None)
     add_covering(render)
     render.add_argument("--out", required=True)
     render.add_argument("--budget", type=int, default=None)
-    render.set_defaults(handler="cmd_render")
 
-    jump = sub.add_parser("verify-jump", help="index gap lower bound from distances")
-    jump.add_argument("--name", required=True)
+    jump = command(sub, "verify-jump", "verify_jump", help="index gap lower bound from distances")
     jump.add_argument("--m", type=int, required=True)
     jump.add_argument("--gamma", type=float, default=None)
     jump.add_argument("--rho", type=float, default=None)
     add_common(jump)
-    jump.set_defaults(handler="cmd_verify_jump")
 
     return parser
 
 
 def cmd_verify_jump(args: argparse.Namespace) -> int:
     def body() -> tuple:
-        ifs, m = zoo_ifs(args.name), _at_least("m", args.m, 0)
-        gamma, rho = _exponents(args, ifs.gamma, ifs.rho)
-        report = verify_jump_lemma(ifs, m, gamma=gamma, rho=rho, budget=args.budget)
+        source, m = zoo_source(args.name, args.budget), _at_least("m", args.m, 0)
+        gamma, rho = _exponents(args, source.gamma, source.rho)
+        report = verify_jump_lemma(source, m, gamma=gamma, rho=rho, budget=args.budget)
         status = "PASS" if report.passed else "FAIL"
         return report.to_record(), 0 if report.passed else 1, [f"jump m={args.m}: {status}"]
 
-    return _run(args, "verify-jump", body, IFS_NAMES)
+    return _run(args, "verify-jump", body)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -20,6 +20,9 @@ Conventions used throughout the package:
   last resolution's vertex images are never held whole, so a caller that
   keeps one level at a time needs about two levels' memory. ``levels``
   is the list. Curve levels (``zoo.holder_levels``) are the same type.
+- A level source is an ``OrderedIFS`` or a ``zoo.CurveEvaluator``: r, gamma,
+  rho, name, the coordinate count d and iter_levels(m_max, budget) are all
+  that hbd, tagging, separation and shifts read of either.
 """
 
 from __future__ import annotations
@@ -183,9 +186,10 @@ class OrderedIFS:
 
     coefficients (r, 6), read-only, holds each map's a, b, c, d, tx, ty: the
     entries of Similarity.matrix() and the shift, so that map k sends (x, y)
-    to (a x + b y + tx, c x + d y + ty).
+    to (a x + b y + tx, c x + d y + ty). It is a level source (d = 2).
     """
 
+    d = 2  # planar
     maps: tuple[Similarity, ...]
     shape: str
     corner: tuple[float, float]
@@ -222,6 +226,9 @@ class OrderedIFS:
     @property
     def ratio(self) -> float:
         return self.maps[0].ratio
+
+    def iter_levels(self, m_max: int, budget: int | None = None) -> Iterator[Level]:
+        return iter_levels(self, m_max, budget)
 
     def base_vertices(self) -> np.ndarray:
         x, y = self.corner

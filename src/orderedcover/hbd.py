@@ -1,7 +1,8 @@
 """Checks for the three ordered-box-dimension conditions.
 
 For a candidate exponent gamma and constant rho, a family of resolution-m
-coverings (r^m parts each, lexicographic order) must satisfy:
+coverings (r^m parts each, lexicographic order), the levels of a system or
+of a curve, must satisfy:
 
   (i)   every part side <= rho * r^(-m/gamma),
   (ii)  each resolution-(m+1) part sits inside its length-m prefix part,
@@ -18,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable
 
 import numpy as np
 
 from . import geometry
-from .geometry import GEOM_TOL, Level, OrderedIFS, Record
+from .geometry import GEOM_TOL, Level, Record
 
 
 @dataclass(frozen=True)
@@ -125,29 +125,22 @@ def check_adjacency(level: Level) -> ConditionResult:
 
 
 def hbd_report(
-    source: OrderedIFS | Iterable[Level],
-    gamma: float,
-    rho: float,
-    m_max: int,
-    name: str | None = None,
-    budget: int | None = None,
+    source, gamma: float, rho: float, m_max: int, name: str | None = None, budget: int | None = None
 ) -> HbdReport:
     """Run all three checks for every resolution up to m_max.
 
-    source is either an ordered system (its levels are generated one at a
-    time, after the budget check) or any iterable of its levels for
-    resolutions 0..m_max in order, such as the stream of
-    ``zoo.holder_levels`` or of ``geometry.iter_levels``. Only
-    the level before the current one is kept. gamma and rho must be finite
-    and > 0 (ValueError).
+    source is a level source, an ordered system or a curve (its
+    iter_levels(m_max, budget) generates the levels one at a time, after the
+    budget check), or any iterable of levels for resolutions 0..m_max in
+    order, such as that stream. Only the level before the current one is
+    kept. gamma and rho must be finite and > 0 (ValueError).
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     geometry.check_positive(gamma=gamma, rho=rho)
-    if isinstance(source, OrderedIFS):
-        source, label = geometry.iter_levels(source, m_max, budget), name or source.name
-    else:
-        label = name or ""
+    label = name or getattr(source, "name", "")
+    if hasattr(source, "iter_levels"):
+        source = source.iter_levels(m_max, budget)
     diameters, nesting, adjacency = [], [], []
     for m, level in enumerate(islice(source, m_max + 1)):
         if m == 0:

@@ -3,12 +3,12 @@
 Four checks, none by sampling:
 
 - verify_form: every square side equals tau/(kN)^(1/gamma).
-- verify_coverage: the squares cover the attractor, by containment. Every
-  map sends the base set into itself, the covered words form a complete
-  prefix code, and every covered part's box, recomputed from the system,
-  lies inside its square; then the attractor, the union of its covered
-  parts, lies in the union of the squares (Hutchinson, 1981). It reads no
-  attractor point.
+- verify_coverage: the squares cover the attractor, or a curve's image, by
+  containment. Every map of a system sends the base set into itself, the
+  covered words form a complete prefix code, and every covered part's
+  bounding square in R^d, recomputed from the source's levels, lies inside
+  its square; then the attractor, the union of its covered parts, lies in
+  the union of the squares (Hutchinson, 1981). It reads no attractor point.
 - verify_separation: for every pair j < l and all points lambda in Gamma_j,
   mu in Gamma_l, the max-norm distance stays below D((l-j)/l)^(1/gamma).
   The supremum over two boxes is attained at corners under the max norm, so
@@ -76,44 +76,48 @@ def verify_form(cov: TaggedCovering) -> FormReport:
 @dataclass(frozen=True)
 class CoverageReport(Record):
     passed: bool
-    base_inside: bool
     prefix_code: bool
     worst_fill: float | None  # None when (b) fails: (c) needs its words
+    base_inside: bool | None = None  # fact (a), a system's only
 
 
-def verify_coverage(ifs: OrderedIFS, cov: TaggedCovering) -> CoverageReport:
-    """Show that the squares cover the attractor of ifs from three facts.
+def verify_coverage(source, cov: TaggedCovering, budget: int | None = None) -> CoverageReport:
+    """Show that the squares cover the attractor of a system, or the image
+    of a curve, from three facts.
 
-    (a) base_inside: each map's vertex images lie in the base set B, a
-    convex polygon with counter-clockwise vertices, within GEOM_TOL of the
-    inner side of each edge. Then every map sends B into B, and the
-    attractor A lies in B.
+    (a) base_inside, a system's only: each map's vertex images lie in the
+    base set B, a convex polygon with counter-clockwise vertices, within
+    GEOM_TOL of the inner side of each edge. Then every map sends B into B,
+    and the attractor A lies in B. A curve's record leaves (a) out.
     (b) prefix_code: the rank ranges of the covered words, lifted to
     resolution s + t in Python ints, are nonempty, tile [0, r^(s+t))
     exactly in k order, and number q words: they form a complete prefix
     code, an integer Kraft sum of 1. Then A is the union of the covered
-    parts sim_w(A), each inside sim_w(B).
-    (c) each covered part's box lies in its square [tag, tag + side]^2,
-    with the build's slack GEOM_TOL. The boxes are recomputed from
-    ifs, not read from the covering: the vertex images of each stage's
-    words, one rank slice of a level. sim_w(B) is the hull of its vertex
-    images, so it lies in that box.
+    parts sim_w(A), each inside sim_w(B); a curve's image is the union of
+    its parts over the covered dyadic intervals, which tile [0, 1].
+    (c) each covered part's bounding square [corner, corner + side]^d, which
+    holds the part, lies in its square [tag, tag + side]^d, with the build's
+    slack GEOM_TOL. The parts are recomputed from the source, not read from
+    the covering: the stage slices of its levels, through the build's own
+    filter (tagging._keep_stages).
 
     worst_fill, the largest part side over square side, says how tight the
     squares are; a built covering's tags are its parts' corners, so there
     (c) comes down to part side <= side + tol. It is None when (b) fails,
     as (c) is then not tried. Like the build, (c) generates every level
-    up to s + t, O(r^(s+t)) time, but keeps only the stages' boxes.
+    up to s + t, O(r^(s+t)) time, after the budget check, but keeps only
+    the stages' parts.
     """
-    if ifs.r != cov.r:
-        raise ValueError(f"covering has r={cov.r} but system has r={ifs.r}")
-    vertices = ifs.base_vertices()
-    edges = np.roll(vertices, -1, axis=0) - vertices
-    inward = np.stack([-edges[:, 1], edges[:, 0]], axis=1) / np.hypot(*edges.T)[:, None]
-    images = np.concatenate([sim.apply(vertices) for sim in ifs.maps])
-    depth = ((images[:, None] - vertices) * inward).sum(axis=2)  # (image, edge)
-    base_inside = bool((depth >= -GEOM_TOL).all())
-
+    if source.r != cov.r:
+        raise ValueError(f"covering has r={cov.r} but system has r={source.r}")
+    base_inside = None
+    if isinstance(source, OrderedIFS):
+        vertices = source.base_vertices()
+        edges = np.roll(vertices, -1, axis=0) - vertices
+        inward = np.stack([-edges[:, 1], edges[:, 0]], axis=1) / np.hypot(*edges.T)[:, None]
+        images = np.concatenate([sim.apply(vertices) for sim in source.maps])
+        depth = ((images[:, None] - vertices) * inward).sum(axis=2)  # (image, edge)
+        base_inside = bool((depth >= -GEOM_TOL).all())
     r, m_max = cov.r, cov.s + cov.t
     spans = tagging._stage_spans(r, cov.s, cov.t)
     end, prefix_code = 0, sum(count for *_, count in spans) == cov.q
@@ -123,24 +127,21 @@ def verify_coverage(ifs: OrderedIFS, cov: TaggedCovering) -> CoverageReport:
         end = (first + count) * lift
     prefix_code = prefix_code and end == r**m_max
     if not prefix_code:
-        return CoverageReport(False, base_inside, False, None)
+        return CoverageReport(False, False, None, base_inside)
 
-    kept = []  # per stage: the lo rows, then the hi rows, of its parts
-    for level, boxes in enumerate(geometry._part_boxes(ifs, vertices, m_max)):
-        for _, m, first, count in spans:
-            if m == level:
-                kept.append(boxes[:, first : first + count].copy())
-    lo, hi = np.split(np.concatenate(kept, axis=1), 2)  # (d, q) each
-    tags = cov.tags.T
+    parts = []  # per stage: the corners and sides of its parts
+    for _ in tagging._keep_stages(source.iter_levels(m_max, budget), spans, parts):
+        pass
+    corners, part_sides = map(np.concatenate, zip(*parts))
+    lo, tags = corners.T, cov.tags.T  # (d, q) each
     contained = bool(
-        (lo >= tags - GEOM_TOL).all() and (hi <= tags + cov.sides + GEOM_TOL).all()
+        (lo >= tags - GEOM_TOL).all() and (lo + part_sides <= tags + cov.sides + GEOM_TOL).all()
     )
-    part_sides = (hi - lo).max(axis=0)  # as geometry.levels
     return CoverageReport(
-        passed=base_inside and contained,
-        base_inside=base_inside,
+        passed=base_inside is not False and contained,
         prefix_code=True,
         worst_fill=float((part_sides / cov.sides).max()),
+        base_inside=base_inside,
     )
 
 
@@ -327,13 +328,10 @@ class JumpReport(Record):
 
 
 def verify_jump_lemma(
-    ifs: OrderedIFS,
-    m: int,
-    gamma: float | None = None,
-    rho: float | None = None,
-    budget: int | None = None,
+    ifs, m: int, gamma: float | None = None, rho: float | None = None, budget: int | None = None
 ) -> JumpReport:
-    """Check the jump lemma on the tags of resolution m, from its short-gap band.
+    """Check the jump lemma on the tags of resolution m of a level source,
+    a system or a curve, from its short-gap band.
 
     For n = 0, 1, ... < m in turn, tags at least c^(m-n) rho apart must be
     at least required = (r^(n-1) + r - 2)/(r - 1) ranks apart, so a
@@ -349,7 +347,7 @@ def verify_jump_lemma(
     gamma = ifs.gamma if gamma is None else gamma
     rho = ifs.rho if rho is None else rho
     geometry.check_positive(gamma=gamma, rho=rho)
-    for level in geometry.iter_levels(ifs, m, budget):  # refuses past the budget first
+    for level in ifs.iter_levels(m, budget):  # refuses past the budget first
         pass
     tags = np.ascontiguousarray(level.corners.T)
     r, q = ifs.r, len(level)

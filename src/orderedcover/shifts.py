@@ -11,6 +11,8 @@ families, the d-fold product shifts T (backward) and S (forward, inverse
 weights, a right inverse of T), the Lipschitz and summability checks, the
 common-vector construction u = u_0 + sum_i S_{iN, lambda_i} v_t, and the
 3-eta universality certificate over a tagged covering. Norms are sup norms.
+The covering comes from any level source, and its tags give the d factors'
+parameters: d is at most 2 for a planar system, the vertex width for a curve.
 Vectors keep only their nonzero columns. With u_0 and v_t below column N the
 terms of u fill disjoint blocks iN + supp v_t, so u is placed, not summed: it
 has at most 1 + q |supp v_t| columns, and a run holds O(q kappa) numbers
@@ -511,7 +513,7 @@ class DynamicsConfig(Record):
 def tag_params(cov: TaggedCovering, d: int) -> np.ndarray:
     """Per-square operator parameters (q, d): the tags, truncated to d coordinates."""
     if not 1 <= d <= cov.tags.shape[1]:
-        raise ValueError("tags provide at most two coordinates")
+        raise ValueError(f"d must be in 1..{cov.tags.shape[1]}, the tags' width, got {d}")
     return cov.tags[:, :d]
 
 
@@ -791,7 +793,7 @@ def check_dynamics_inputs(interval: tuple[float, float], eta: float) -> None:
 
 
 def run_dynamics_experiment(
-    ifs,
+    source,
     fam: WeightFamily,
     interval: tuple[float, float] = (1.0, 2.0),
     eta: float = 0.1,
@@ -801,15 +803,17 @@ def run_dynamics_experiment(
 ) -> DynamicsReport:
     """Full pipeline: covering -> scaling -> N selection -> u -> 3 eta certificate.
 
-    The weight law picks the certificate: f(x, n) = x n (constant weights e^x) takes the exact
-    finite-horizon closed-form envelope on any geometry; any other law needs alpha <= 1/gamma,
-    or no summable bound exists and the run is refused. Bad inputs (check_dynamics_inputs)
-    and a d other than 1 or 2 (a system's tags are planar) are refused first.
+    source is a level source, an ordered system or a Holder curve. The weight law picks the
+    certificate: f(x, n) = x n (constant weights e^x) takes the exact finite-horizon
+    closed-form envelope on any geometry; any other law needs alpha <= 1/gamma, or no
+    summable bound exists and the run is refused. Bad inputs (check_dynamics_inputs) and a
+    factor count d outside 1..source.d (2 for a planar system, the vertex width for a curve)
+    are refused first.
     """
     check_dynamics_inputs(interval, eta)
-    if d not in (1, 2):
-        raise ValueError(f"d must be 1 or 2, got {d}")
-    alpha_g = 1.0 / ifs.gamma
+    if not 1 <= d <= source.d:
+        raise ValueError(f"d must be in 1..{source.d}, got {d}")
+    alpha_g = 1.0 / source.gamma
     constant_weights = fam.g is not None and fam.alpha == 1.0  # f(x, n) = x n
     if not constant_weights and fam.alpha > alpha_g + 1e-12:
         raise ValueError(
@@ -818,7 +822,8 @@ def run_dynamics_experiment(
         )
     a, b = interval
 
-    cov_geo = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, s, 1), budget=budget)
+    params = BuilderParams.from_stage(source, s, 1)
+    cov_geo = build_tagged_covering(source, params, budget=budget)
     q = cov_geo.q
 
     tags, sides = cov_geo.tags, cov_geo.sides
@@ -890,7 +895,7 @@ def run_dynamics_experiment(
     return DynamicsReport(
         config=cfg,
         family=fam.name,
-        fractal=ifs.name,
+        fractal=source.name,
         q=q,
         sigma=sigma,
         offset=offset,

@@ -1,6 +1,7 @@
 """Constructive tagged covering with side schedule tau/(kN)^(1/gamma).
 
-The system's (r, gamma, rho) fix c = r^(-1/gamma); the builder chooses only
+The source is any level source, an ordered system or a Holder curve: its
+(r, gamma, rho) fix c = r^(-1/gamma); the builder chooses only
 the stage s, the index stride N and the separation constant D
 (BuilderParams). build_tagged_covering turns them into tau = c^s rho N^alpha,
 alpha = 1/gamma, and the sides, and is the only place that does.
@@ -15,30 +16,32 @@ part corners, with t = r(r^s - 1)/(r - 1):
   order. Sides shrink monotonically and land exactly on c^(s+j) rho at the
   stage ends k = r^j.
 
-A TaggedCovering holds the squares as two arrays in k order: cov.tags (q, 2),
+A TaggedCovering holds the squares as two arrays in k order: cov.tags (q, d),
 the bottom-left corners of the covered parts, and cov.sides (q,), the
 scheduled sides tau/(kN)^alpha. Each stage is one rank slice of a level, so
-the build copies one slice from each level of geometry.iter_levels as
-hbd_report checks the stream, and keeps no whole level. Each square's covered
-word, stage and fineness groups follow from (r, s, k); the record writes the
-stage spans they are read from, not a row per square.
+the build copies one slice from each level of the source's iter_levels as
+hbd_report checks the stream (_keep_stages, which the coverage audit shares),
+and keeps no whole level. Each square's covered word, stage and fineness
+groups follow from (r, s, k); the record writes the stage spans they are read
+from, not a row per square.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import geometry
-from .geometry import GEOM_TOL, BudgetExceededError, OrderedIFS, Record, part_budget
+from .geometry import GEOM_TOL, BudgetExceededError, Level, Record, part_budget
 from .hbd import hbd_report
 
 
 @dataclass(frozen=True)
 class BuilderParams:
     """What the builder chooses: the stage s, the index stride N and the
-    separation constant D. The system's (r, gamma, rho) fix the rest: c =
+    separation constant D. The source's (r, gamma, rho) fix the rest: c =
     r^(-1/gamma) and the side schedule tau/(kN)^(1/gamma) with tau = c^s rho
     N^(1/gamma), which build_tagged_covering computes.
 
@@ -56,18 +59,14 @@ class BuilderParams:
         geometry.check_positive(D=self.D)
 
     @classmethod
-    def from_stage(
-        cls, ifs: OrderedIFS, s: int, bigN: int, D: float | None = None
-    ) -> "BuilderParams":
-        """Stage s of the system; D defaults to rho/c^3."""
+    def from_stage(cls, source, s: int, bigN: int, D: float | None = None) -> "BuilderParams":
+        """Stage s of the source; D defaults to rho/c^3."""
         if D is None:
-            D = ifs.rho / (ifs.r ** (-1.0 / ifs.gamma)) ** 3
+            D = source.rho / (source.r ** (-1.0 / source.gamma)) ** 3
         return cls(s=s, bigN=bigN, D=D)
 
     @classmethod
-    def from_tau(
-        cls, ifs: OrderedIFS, tau: float, bigN: int, D: float | None = None
-    ) -> "BuilderParams":
+    def from_tau(cls, source, tau: float, bigN: int, D: float | None = None) -> "BuilderParams":
         """The smallest stage s with c^s rho <= tau/N^alpha and the safe margin
         3(r-1)^alpha c^s <= 1, so the covering's tau = c^s rho N^alpha is at
         most tau. tau must be finite and > 0 and bigN >= 1 (ValueError): with
@@ -76,14 +75,14 @@ class BuilderParams:
         geometry.check_positive(tau=tau)
         if bigN < 1:
             raise ValueError(f"bigN >= 1 required, got {bigN}")
-        alpha = 1.0 / ifs.gamma
-        c = ifs.r ** (-alpha)
+        alpha = 1.0 / source.gamma
+        c, rho = source.r ** (-alpha), source.rho
         target = tau / bigN**alpha
-        margin = 3.0 * (ifs.r - 1) ** alpha
+        margin = 3.0 * (source.r - 1) ** alpha
         s = 1  # s = 0 never passes: the margin is at least 3
-        while not (c**s * ifs.rho <= target * (1.0 + GEOM_TOL) and margin * c**s <= 1.0 + GEOM_TOL):
+        while not (c**s * rho <= target * (1.0 + GEOM_TOL) and margin * c**s <= 1.0 + GEOM_TOL):
             s += 1
-        return cls.from_stage(ifs, s, bigN, D)
+        return cls.from_stage(source, s, bigN, D)
 
 
 def _stage_counts(r: int, s: int, budget: int | None) -> tuple[int, int]:
@@ -116,11 +115,23 @@ def _stage_spans(r: int, s: int, t: int) -> list[tuple[int, int, int, int]]:
     ]
 
 
+def _keep_stages(levels: Iterable[Level], spans: list, parts: list) -> Iterator[Level]:
+    """Pass the levels on, first appending to parts a copy of each stage's
+    (corners, sides) rank slice of the level: the build and the coverage audit
+    read the covered parts through this one filter."""
+    for level in levels:
+        for _, m, first, count in spans:
+            if m == level.m:
+                window = slice(first, first + count)
+                parts.append((level.corners[window].copy(), level.sides[window].copy()))
+        yield level
+
+
 @dataclass(frozen=True, eq=False)
 class TaggedCovering(Record):
-    """The q squares Gamma_k = [tag, tag + side]^2 plus schedule parameters.
+    """The q squares Gamma_k = [tag, tag + side]^d plus schedule parameters.
 
-    Row k-1 of tags (q, 2) and sides (q,) is square k. The covered part,
+    Row k-1 of tags (q, d) and sides (q,) is square k. The covered part,
     stage and fineness groups of each square follow from (r, s, k);
     to_record writes the stage spans they are read from, beside the arrays.
     """
@@ -169,7 +180,7 @@ class TaggedCovering(Record):
         )
 
     def to_record(self) -> dict:
-        """The fields, tags (q, 2) and sides (q,) as lists, and the stage spans
+        """The fields, tags (q, d) and sides (q,) as lists, and the stage spans
         as [stage, m, first, count] rows: the square at offset i of a stage
         covers the part with word lex_unrank(first + i, m, r)."""
         stages = [list(span) for span in _stage_spans(self.r, self.s, self.t)]
@@ -177,35 +188,25 @@ class TaggedCovering(Record):
 
 
 def build_tagged_covering(
-    ifs: OrderedIFS,
-    params: BuilderParams,
-    budget: int | None = None,
+    source, params: BuilderParams, budget: int | None = None
 ) -> TaggedCovering:
-    """Run the construction; raises on bad parameters or budget overrun."""
-    alpha = 1.0 / ifs.gamma
-    c = ifs.r ** (-alpha)
+    """Run the construction on a level source, a system or a curve; raises
+    on bad parameters or budget overrun."""
+    r, gamma, rho = source.r, source.gamma, source.rho
+    alpha = 1.0 / gamma
+    c = r ** (-alpha)
     s, bigN = params.s, params.bigN
-    tau = c**s * ifs.rho * bigN**alpha
-    if params.D < ifs.rho / c**3 - GEOM_TOL:
+    tau = c**s * rho * bigN**alpha
+    if params.D < rho / c**3 - GEOM_TOL:
         raise ValueError(
-            f"D={params.D} below rho/c^3={ifs.rho / c ** 3}; "
+            f"D={params.D} below rho/c^3={rho / c ** 3}; "
             "the separation bound needs the full constant (no recursive splitting here)"
         )
-    r = ifs.r
     t, q = _stage_counts(r, s, budget)
     spans = _stage_spans(r, s, t)
     parts = []  # per stage, copies of its parts' corners and sides
-
-    def keep_stages(levels):
-        for level in levels:
-            if level.m >= s:  # stage level.m - s is one rank slice of this level
-                _, _, first, count = spans[level.m - s]
-                window = slice(first, first + count)
-                parts.append((level.corners[window].copy(), level.sides[window].copy()))
-            yield level
-
-    lv = geometry.iter_levels(ifs, s + t, budget)
-    report = hbd_report(keep_stages(lv), ifs.gamma, ifs.rho, s + t)
+    lv = _keep_stages(source.iter_levels(s + t, budget), spans, parts)
+    report = hbd_report(lv, gamma, rho, s + t)
     if not report.passed:
         fail = report.first_failure()
         raise ValueError(f"system fails dimension condition {fail.condition} at m={fail.m}")
@@ -219,13 +220,13 @@ def build_tagged_covering(
     assert k0 == q
 
     return TaggedCovering(
-        fractal=ifs.name,
+        fractal=source.name,
         tau=tau,
         bigN=bigN,
         D=params.D,
-        gamma=ifs.gamma,
+        gamma=gamma,
         r=r,
-        rho=ifs.rho,
+        rho=rho,
         s=s,
         t=t,
         q=q,

@@ -7,7 +7,8 @@ order on the Koch curve and on the eight-edge sausage seed); the unit
 interval and a gap dust that fails adjacency on purpose complete the set.
 A Holder curve is its vertex array in R^d, linear between equally spaced
 parameters; its resolution m is the level of exact bounding squares over
-its 2^m dyadic parameter intervals (``holder_levels``).
+its 2^m dyadic parameter intervals (``holder_levels``). Both are level
+sources (see ``geometry``), and ``zoo_source`` looks either up by name.
 """
 
 from __future__ import annotations
@@ -163,8 +164,12 @@ class CurveEvaluator:
     breakpoints (n + 1,) holds the parameters k/n. f is linear between
     them, so its bounding box over an interval is that of the interval's
     ends and its inner vertices.
+
+    A level source, as an ``OrderedIFS`` is: dyadic levels (r = 2), gamma =
+    1/beta and rho = holder_rho for condition (i), and d the vertex width.
     """
 
+    r = 2
     vertices: np.ndarray = field(repr=False)
     holder_beta: float
     holder_rho: float
@@ -178,6 +183,13 @@ class CurveEvaluator:
     def __call__(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         return np.stack([np.interp(ts, self.breakpoints, v) for v in self.vertices.T], axis=-1)
+
+    gamma = property(lambda self: 1.0 / self.holder_beta)
+    rho = property(lambda self: self.holder_rho)
+    d = property(lambda self: self.vertices.shape[1])
+
+    def iter_levels(self, m_max: int, budget: int | None = None) -> Iterator[Level]:
+        return holder_levels(self, m_max, budget)
 
 
 def diagonal_curve() -> CurveEvaluator:
@@ -272,6 +284,11 @@ IFS_NAMES = tuple(_SYSTEMS)
 def zoo_ifs(name: str) -> OrderedIFS:
     """Look up a named system; raises KeyError for unknown names."""
     return _SYSTEMS[name]()
+
+
+def zoo_source(name: str, budget: int | None = None) -> OrderedIFS | CurveEvaluator:
+    """Look up a named system or curve (see zoo_names); raises KeyError for unknown names."""
+    return zoo_ifs(name) if name in _SYSTEMS else zoo_curve(name, budget)
 
 
 def zoo_curve(name: str, budget: int | None = None) -> CurveEvaluator:

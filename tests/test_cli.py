@@ -9,6 +9,7 @@ import pytest
 
 from orderedcover.cli import build_parser, main
 from orderedcover.geometry import lex_unrank
+from orderedcover.zoo import IFS_NAMES
 
 
 def run_json(capsys, argv):
@@ -317,6 +318,42 @@ def test_dyn_runs_and_refuses(tmp_path, capsys):
     assert err.startswith("error: family exponent alpha=0.9 exceeds 1/gamma=0.63093;")
 
 
+def test_a_curve_runs_every_command(tmp_path, capsys):
+    # holder-diag is a level source like any system: cover, dyn, the jump
+    # check and a covering's render all take it
+    code, record, err = run_json(capsys, ["cover", "verify", "--name", "holder-diag", "--s", "2"])
+    assert (code, err) == (0, "form: PASS\ncoverage: PASS\nseparation: PASS\n")
+    assert record["record"]["checks"] == {"form": True, "coverage": True, "separation": True}
+    assert record["record"]["q"] == 64
+    assert "base_inside" not in record["record"]["coverage"]  # fact (a) is a system's
+    code, record, err = run_json(capsys, ["dyn", "--name", "holder-diag"])
+    assert (code, record["record"]["pass"], record["record"]["fractal"]) == (0, True, "holder-diag")
+    assert err == "universality worst=0.080000 bound=0.300000: PASS\n"
+    code, record, err = run_json(capsys, ["verify-jump", "--name", "holder-diag", "--m", "10"])
+    assert (code, record["record"]["pass"], err) == (0, True, "jump m=10: PASS\n")
+    out = tmp_path / "diag.svg"
+    assert main(["render", "--name", "holder-diag", "--s", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes().count(b"<rect") == 1 + 4  # the background and q = 4 squares
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "build", "--name", "hilbert-pseudo:6", "--s", "1"],
+        ["cover", "verify", "--name", "arrowhead-pseudo:6", "--s", "1"],
+        ["dyn", "--name", "hilbert-pseudo:9", "--s", "2"],
+        ["render", "--name", "hilbert-pseudo:6", "--s", "1", "--out", "unused.svg"],
+    ],
+)
+def test_a_pseudo_curve_reaches_the_build_and_fails_its_hbd_audit(argv, tmp_path, capsys):
+    # its bottom-left anchored squares escape their parents from m = 1
+    argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: system fails dimension condition ii at m=1\n")
+    assert not (tmp_path / "unused.svg").exists()
+
+
 def dyn_record_apart_from_family(capsys, argv):
     """The exit code, the record without its family fields or manifest, and stderr."""
     code, payload, err = run_json(capsys, argv)
@@ -566,15 +603,17 @@ def test_cover_without_tau_or_stage_is_usage_error(command, capsys):
     assert capsys.readouterr() == ("", "error: cover needs --tau or --s\n")
 
 
-@pytest.mark.parametrize("options", [["--s", "1"], ["--tau", "0.5"]])
-def test_render_of_a_covering_lists_only_systems(options, tmp_path, capsys):
-    # a covering needs a system: a curve name is unknown, and is not listed as known
-    out = tmp_path / "unused.svg"
-    assert main(["render", "--name", "holder-diag", *options, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: unknown zoo name 'holder-diag'; known: ")
-    assert "sierpinski" in err and "holder-diag" not in err.split("known: ")[1]
-    assert not out.exists()
+@pytest.mark.parametrize(
+    "argv", [*SUBCOMMANDS, ["render", "--name", "koch", "--s", "1", "--out", "unused.svg"]]
+)
+def test_every_unknown_name_message_lists_the_systems_and_the_curves(argv, tmp_path, capsys):
+    # every command resolves --name through one lookup, a covering's too
+    argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
+    argv[argv.index("--name") + 1] = "dragon"
+    assert main(argv) == 2
+    known = ", ".join([*IFS_NAMES, "holder-diag", "arrowhead-pseudo:<order>", "hilbert-pseudo:<order>"])
+    assert capsys.readouterr() == ("", f"error: unknown zoo name 'dragon'; known: {known}\n")
+    assert not (tmp_path / "unused.svg").exists()
 
 
 def test_dyn_stage_below_one_is_usage_error(capsys):

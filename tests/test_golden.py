@@ -35,6 +35,9 @@ covering.sides, each column holding the floats the old rows held. The three
 ordered-cover/1 files are kept as *_v1.json, and a test rebuilds their rows
 from the columns. When a curve's record came to carry its arity, "r": 2 was
 added to the arrowhead zoo-emit reference; its *_v1.json copy has no "r".
+The cover-verify and dyn references on holder-diag were written when the
+build first took a curve as its level source; their coverage block has no
+base_inside, which is a system's fact.
 Apart from the manifest's wall_time_s and versions, records agree exactly,
 except floats: to 1e-12 relative, or to 1e-15 absolute for coordinates that
 are zero in exact arithmetic. The reference computed tagged-square corners
@@ -73,6 +76,8 @@ CLI_CASES = (
     "zoo_emit_arrowhead_pseudo4_m5",
     "verify_hbd_hilbert_pseudo6_m9",
     "verify_hbd_holder_diag_m8",
+    "cover_verify_holder_diag_s2",
+    "dyn_holder_diag",
 )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderedcover.geometry import GEOM_TOL, Level, iter_levels, levels
+from orderedcover.geometry import GEOM_TOL, BudgetExceededError, Level, levels
 from orderedcover.hbd import (
     check_adjacency,
     check_diameters,
@@ -22,7 +22,7 @@ from orderedcover.zoo import (
     sierpinski_gasket,
     unit_interval,
     zoo_curve,
-    zoo_ifs,
+    zoo_source,
 )
 
 SYSTEMS = [sierpinski_gasket(), hilbert_square(), koch_curve(), minkowski_sausage()]
@@ -196,19 +196,27 @@ def test_meaningless_exponent_is_rejected(gamma, rho):
     [("gap-dust", 1.0, 6), ("koch", 0.9, 6), ("arrowhead-pseudo:6", 1.0, 6)],
 )
 def test_report_is_the_same_over_a_stream_and_a_list(name, deflate, m):
-    if name.startswith("arrowhead"):
-        curve = zoo_curve(name)
-        gamma, rho = deflate / curve.holder_beta, curve.holder_rho
-        listed = list(holder_levels(curve, m))
-        sources = [listed, iter(holder_levels(curve, m))]
-    else:
-        ifs = zoo_ifs(name)
-        gamma, rho = deflate * ifs.gamma, ifs.rho
-        listed = levels(ifs, m)
-        sources = [listed, iter_levels(ifs, m), ifs]
+    # a system and a curve alike: the source itself, its level stream and their list
+    source = zoo_source(name)
+    gamma, rho = deflate * source.gamma, source.rho
+    listed = list(source.iter_levels(m))
+    sources = [listed, source.iter_levels(m), source]
     records = [hbd_report(src, gamma, rho, m, name=name).to_record() for src in sources]
     assert not records[0]["pass"]
     assert all(record == records[0] for record in records)
+
+
+@pytest.mark.parametrize("name", ["holder-diag", "arrowhead-pseudo:3", "hilbert-pseudo:3"])
+def test_a_curve_answers_the_level_source_interface(name):
+    curve = zoo_curve(name)
+    assert (curve.r, curve.d, curve.rho) == (2, 2, curve.holder_rho)
+    assert curve.gamma == 1.0 / curve.holder_beta  # bit for bit, as verify-hbd's records need
+    for got, want in zip(curve.iter_levels(4, budget=16), holder_levels(curve, 4)):
+        assert got.corners.tobytes() == want.corners.tobytes()
+        assert got.sides.tobytes() == want.sides.tobytes()
+    with pytest.raises(BudgetExceededError, match="^32 parts exceed budget 16$"):
+        curve.iter_levels(5, budget=16)
+    assert hbd_report(curve, curve.gamma, curve.rho, 4).name == name
 
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orderedcover import geometry, separation, tagging
+from orderedcover import geometry, separation, tagging, zoo
 from orderedcover.separation import (
     _first_far_pair,
     _window_max,
@@ -22,6 +22,7 @@ from orderedcover.hbd import check_adjacency, check_diameters, check_nesting
 from orderedcover.tagging import BuilderParams, build_tagged_covering
 from orderedcover.zoo import (
     IFS_NAMES,
+    diagonal_curve,
     gap_dust,
     hilbert_square,
     koch_curve,
@@ -644,6 +645,88 @@ def test_coverage_audit_allows_the_builds_tolerance(gasket_cov):
     for slack, passed in ((0.5, True), (2.0, False)):
         cov = dataclasses.replace(gasket_cov, sides=parts - slack * geometry.GEOM_TOL)
         assert verify_coverage(gasket, cov).passed is passed
+
+
+def box_containment(ifs, cov):
+    """Fact (c) on each covered part's tight box instead of its bounding
+    square, boxes from geometry._part_boxes: (contained, worst_fill)."""
+    spans = tagging._stage_spans(cov.r, cov.s, cov.t)
+    kept = []
+    for level, boxes in enumerate(geometry._part_boxes(ifs, ifs.base_vertices(), cov.s + cov.t)):
+        kept += [boxes[:, first : first + count] for _, m, first, count in spans if m == level]
+    lo, hi = np.split(np.concatenate(kept, axis=1), 2)
+    tags, tol = cov.tags.T, geometry.GEOM_TOL
+    contained = bool((lo >= tags - tol).all() and (hi <= tags + cov.sides + tol).all())
+    return contained, float(((hi - lo).max(axis=0) / cov.sides).max())
+
+
+@pytest.mark.parametrize(
+    "name,s",
+    [("sierpinski", 1), ("hilbert-square", 1), ("koch", 1), ("unit-interval", 1),
+     ("unit-interval", 2), ("unit-interval", 3)],
+)
+@pytest.mark.parametrize("dx", [0.0, 4e-9, -0.5])
+def test_the_square_test_agrees_with_the_box_test_on_zoo_coverings(name, s, dx):
+    # a part's bounding square holds its box, so the square test is the stricter;
+    # on the built coverings, and with every square moved along x, the two agree
+    ifs, cov = zoo_covering(name, s)
+    moved = cov.affine_scaled(1.0, (dx, 0.0))
+    report = verify_coverage(ifs, moved)
+    assert (report.passed, report.worst_fill) == box_containment(ifs, moved)
+    assert report.passed is (dx == 0.0)
+
+
+def test_the_square_test_is_stricter_than_the_box_test():
+    # a gasket part's box is sqrt(3)/2 as high as wide: squares moved down by a
+    # tenth of the least side still hold every part's box, but not its bounding square
+    ifs, cov = zoo_covering("sierpinski", 1)
+    moved = cov.affine_scaled(1.0, (0.0, -0.1 * cov.sides.min()))
+    assert box_containment(ifs, moved)[0]
+    report = verify_coverage(ifs, moved)
+    assert report.base_inside and report.prefix_code and not report.passed
+
+
+@pytest.fixture(scope="module")
+def diagonal_cov():
+    curve = diagonal_curve()
+    return build_tagged_covering(curve, BuilderParams.from_stage(curve, 2, 1))
+
+
+def test_a_curve_covering_passes_coverage_on_facts_b_and_c(diagonal_cov):
+    report = verify_coverage(diagonal_curve(), diagonal_cov)
+    assert (report.passed, report.prefix_code, report.base_inside) == (True, True, None)
+    assert sorted(report.to_record()) == ["pass", "prefix_code", "worst_fill"]
+    assert report.worst_fill == 1.0  # the stage ends' squares equal their parts
+
+
+@given(
+    k=st.integers(0, 63),
+    axis=st.integers(0, 1),
+    factor=st.floats(1.0, 4.0),
+    sign=st.sampled_from([-1, 1]),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_curve_covering_with_one_square_moved_off_its_part_fails(diagonal_cov, k, axis, factor, sign):
+    # moved by at least its own side, the square no longer meets its part
+    tags = diagonal_cov.tags.copy()
+    tags[k, axis] += sign * factor * diagonal_cov.sides[k]
+    report = verify_coverage(diagonal_curve(), dataclasses.replace(diagonal_cov, tags=tags))
+    assert report.prefix_code and not report.passed
+    assert report.worst_fill == 1.0
+
+
+@pytest.mark.parametrize("source", [unit_interval(), diagonal_curve()], ids=lambda s: s.name)
+def test_coverage_is_refused_before_any_level_past_the_budget(source, monkeypatch):
+    # s = 2 reaches resolution 8: 256 parts
+    cov = build_tagged_covering(source, BuilderParams.from_stage(source, 2, 1))
+
+    def no_levels(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(geometry, "_part_boxes", no_levels)
+    monkeypatch.setattr(zoo, "_holder_level", no_levels)
+    with pytest.raises(BudgetExceededError, match="^256 parts exceed budget 255$"):
+        verify_coverage(source, cov, budget=255)
 
 
 @pytest.mark.parametrize(

@@ -22,11 +22,12 @@ from orderedcover.shifts import (
     product_apply,
     rolewicz_family,
     run_dynamics_experiment,
+    tag_params,
     weight_family,
 )
 from orderedcover.tagging import BuilderParams, build_tagged_covering
 from orderedcover.geometry import BudgetExceededError
-from orderedcover.zoo import hilbert_square, sierpinski_gasket, unit_interval
+from orderedcover.zoo import CurveEvaluator, hilbert_square, sierpinski_gasket, unit_interval
 
 from cs1_reference import check_cs1_bounds, cs1_envelope_generic
 
@@ -393,12 +394,43 @@ def test_plus_power_past_the_cell_budget_is_refused_before_it_allocates():
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
 @pytest.mark.parametrize("d", [0, 3, -1])
 def test_a_factor_count_other_than_one_or_two_is_refused_before_any_work(fam, d, monkeypatch):
+    # a system's tags are planar: d runs over 1..2, the source's coordinate count
     def no_build(*args, **kwargs):
         raise AssertionError("the covering was built")
 
     monkeypatch.setattr(shifts, "build_tagged_covering", no_build)
-    with pytest.raises(ValueError, match=f"d must be 1 or 2, got {d}"):
+    with pytest.raises(ValueError, match=rf"^d must be in 1\.\.2, got {d}$"):
         run_dynamics_experiment(hilbert_square(), fam, d=d)
+
+
+@pytest.mark.parametrize("d", [0, 4, -1])
+def test_a_curve_bounds_the_factor_count_by_its_vertex_width(d, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the covering was built")
+
+    monkeypatch.setattr(shifts, "build_tagged_covering", no_build)
+    diag3 = CurveEvaluator([[0, 0, 0], [1, 1, 1]], 1, 1, "diag3")
+    with pytest.raises(ValueError, match=rf"^d must be in 1\.\.3, got {d}$"):
+        run_dynamics_experiment(diag3, rolewicz_family(), d=d)
+
+
+@pytest.mark.parametrize("fam", [rolewicz_family(), power_family(0.5)], ids=lambda f: f.name)
+@pytest.mark.parametrize("s, q", [(1, 4), (2, 64)])
+def test_three_factors_run_on_the_diagonal_in_three_dimensions(fam, s, q):
+    # a curve keeps r = 2, so q = 2^t, t = 2(2^s - 1), in every dimension
+    diag3 = CurveEvaluator([[0, 0, 0], [1, 1, 1]], 1, 1, "diag3")
+    report = run_dynamics_experiment(diag3, fam, s=s, d=3)
+    assert report.passed
+    assert (report.config.d, report.q, report.fractal) == (3, q, "diag3")
+    assert len(report.offset) == 3
+
+
+def test_tag_params_names_the_tags_width():
+    line = unit_interval()
+    cov = build_tagged_covering(line, BuilderParams.from_stage(line, 1, 1))
+    assert tag_params(cov, 2).shape == (4, 2)
+    with pytest.raises(ValueError, match=r"^d must be in 1\.\.2, the tags' width, got 3$"):
+        tag_params(cov, 3)
 
 
 def test_single_factor_run_on_the_line():
