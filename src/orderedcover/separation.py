@@ -25,7 +25,8 @@ to rank gap 16, so its block bounds, the diagonal included, assume a gap
 of 17 or more. On the unit-interval s=3 covering (q = 16,384,
 134,209,536 pairs) that is the band and 12 of 32,896 pairs of 64-rank
 blocks: about 6 ms, against 50 ms without the band and 1.4 s for every
-pair. Its worst case remains O(q^2).
+pair. Its worst case remains O(q^2). One block (q <= 64) is its own
+diagonal tile, which holds the band too, so it takes that tile alone.
 
 The jump lemma fails only on a pair closer in rank than it requires, so
 the jump check reads only that band of short rank gaps, through each row's
@@ -202,38 +203,40 @@ def verify_separation(cov: TaggedCovering, seed: int = 0) -> SeparationReport:
         if value > worst_ratio or (value == worst_ratio and pair < worst_pair):
             worst_ratio, worst_pair = float(value), pair
 
-    # The band, in row steps: row g - 1 of the window holds the ranks g + 1 ..
-    # g + q; past the last rank lo = +inf and hi = -inf, so those pairs give -inf
-    pad = np.repeat([[np.inf], [-np.inf]], d, axis=0).repeat(_BAND, axis=1)
-    padded = np.concatenate([columns[:, 1:], pad], axis=1)
-    window = np.lib.stride_tricks.sliding_window_view(padded, cov.q, axis=1)
-    step = 2**14 // _BAND
-    for a in range(0, cov.q, step):
-        jj = np.arange(a + 1.0, min(a + step, cov.q) + 1.0)
-        ll = jj + np.arange(1.0, _BAND + 1.0)[:, None]
-        near = ratio(jj, ll, columns[:, a : a + step], window[:, :, a : a + step])
-        i, g = divmod(int(np.argmax(near.T)), _BAND)  # the first maximum in (j, l) order
-        fold(near[g, i], (a + i + 1, a + i + g + 2))
-
-    # The bounds: past the band l - j >= _BAND + 1, so (l - j)/l is least
-    # at the last such j of A and then the first such l of B
     starts, blo, bhi = _block_boxes(columns[:d].T, columns[d:].T)
     ends = np.append(starts[1:], cov.q)
-    blocks = np.concatenate([blo.T, bhi.T])
-    bounds, pairs = [], []
-    step = max(1, 2**14 // len(starts))
-    for a0 in range(0, len(starts), step):
-        a, b = np.arange(a0, min(a0 + step, len(starts)))[:, None], slice(a0, None)
-        jj = np.minimum(ends[a], ends[b] - _BAND - 1).astype(float)
-        ll = np.maximum(starts[b] + 1.0, jj + _BAND + 1)
-        bound = ratio(jj, ll, blocks[:, a], blocks[:, b])
-        keep = (jj >= starts[a] + 1) & (bound >= worst_ratio * (1.0 - 1e-12))
-        bounds.append(bound[keep])
-        pairs.append(np.argwhere(keep) + [a0, a0])
+    bound, pairs = np.zeros(1), np.zeros((1, 2), dtype=int)  # one block: its own tile
+    if len(starts) > 1:
+        # The band, in row steps: row g - 1 of the window holds the ranks g + 1 ..
+        # g + q; past the last rank lo = +inf and hi = -inf, so those pairs give -inf
+        pad = np.repeat([[np.inf], [-np.inf]], d, axis=0).repeat(_BAND, axis=1)
+        padded = np.concatenate([columns[:, 1:], pad], axis=1)
+        window = np.lib.stride_tricks.sliding_window_view(padded, cov.q, axis=1)
+        step = 2**14 // _BAND
+        for a in range(0, cov.q, step):
+            jj = np.arange(a + 1.0, min(a + step, cov.q) + 1.0)
+            ll = jj + np.arange(1.0, _BAND + 1.0)[:, None]
+            near = ratio(jj, ll, columns[:, a : a + step], window[:, :, a : a + step])
+            i, g = divmod(int(np.argmax(near.T)), _BAND)  # the first maximum in (j, l) order
+            fold(near[g, i], (a + i + 1, a + i + g + 2))
+
+        # The bounds: past the band l - j >= _BAND + 1, so (l - j)/l is least
+        # at the last such j of A and then the first such l of B
+        blocks = np.concatenate([blo.T, bhi.T])
+        bounds, pairs = [], []
+        step = max(1, 2**14 // len(starts))
+        for a0 in range(0, len(starts), step):
+            a, b = np.arange(a0, min(a0 + step, len(starts)))[:, None], slice(a0, None)
+            jj = np.minimum(ends[a], ends[b] - _BAND - 1).astype(float)
+            ll = np.maximum(starts[b] + 1.0, jj + _BAND + 1)
+            bound = ratio(jj, ll, blocks[:, a], blocks[:, b])
+            keep = (jj >= starts[a] + 1) & (bound >= worst_ratio * (1.0 - 1e-12))
+            bounds.append(bound[keep])
+            pairs.append(np.argwhere(keep) + [a0, a0])
+        bound, pairs = np.concatenate(bounds), np.concatenate(pairs)
 
     # The tiles, in descending bound order; on the diagonal jj is clipped
     # below ll, so that no pair l <= j divides by zero, and gives -inf
-    bound, pairs = np.concatenate(bounds), np.concatenate(pairs)
     for n in np.argsort(-bound):
         if bound[n] < worst_ratio * (1.0 - 1e-12):
             break

@@ -77,9 +77,6 @@ from .tagging import BuilderParams, TaggedCovering, build_tagged_covering
 from .separation import verify_separation
 
 NEG_INF = float("-inf")
-# Boxes per universality sweep call: one call over all q would pad every box to
-# the most candidate entries any box keeps.
-_BLOCK = 64
 # Cells (rows x factors x columns) of a row-chunked temporary, unless one row is wider.
 _CELLS = 1 << 16
 # run_dynamics_experiment: the least truncation length, and the shares of eta spent
@@ -88,9 +85,9 @@ L_MIN, CS2_BUDGET, TAIL_BUDGET = 200, 0.8, 0.5
 # The most envelope terms a tail sums before it adds the remainder bound.
 HEAD_TERMS = 1 << 22
 # plus-power has no closed-form f(x, n): its cumulative log-weights cost rows x factors x
-# columns cells, the rows being the q terms of u and the 2q box corners. A run needing
-# more is refused: sierpinski at alpha = 0.1 needs 84% of it and takes 12.6 s at a
-# 134 MB peak RSS on a 2-core x86-64 VM.
+# columns cells, the rows being the q terms of u and the 2q box corners, each corner's row
+# built once. A run needing more is refused: sierpinski at alpha = 0.1 needs 84% of it and
+# takes 2.4 s at a 116 MB peak RSS on a 2-core x86-64 VM.
 CUMULATIVE_BUDGET = 2**28
 
 
@@ -105,9 +102,10 @@ class WeightFamily:
     alpha is the growth exponent; C0 certifies |f(x,n) - f(y,n)| <=
     C0 n^alpha |x - y| for x, y >= 0.
     log_products(x, n_max) returns the table [f(x, 0), ..., f(x, n_max)], or
-    for a 1-d array of x one such row per x; dlog_products(x, n_max) returns
+    for an array of x one such row per x; dlog_products(x, n_max) returns
     [df/dx(x, 0), ..., df/dx(x, n_max)] for one x. A family linear in x,
-    f(x, n) = x n^alpha, also gives g(n) = n^alpha at an int array of n.
+    f(x, n) = x n^alpha, also gives g(n) = n^alpha at an int array of n; any other fills
+    columns start..n_max of a table out, continuing its running sum, bit for bit.
     """
 
     name: str
@@ -152,11 +150,16 @@ def plus_power_family(alpha: float) -> WeightFamily:
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
 
-    def table(x: float | np.ndarray, n_max: int) -> np.ndarray:
+    def table(x, n_max: int, out: np.ndarray | None = None, start: int = 0) -> np.ndarray:
         x = np.asarray(x, dtype=float)[..., None]
-        out = np.zeros(x.shape[:-1] + (n_max + 1,))
-        increments = x / np.arange(1, n_max + 1, dtype=float) ** (1.0 - alpha)
-        np.cumsum(np.log1p(increments, out=increments), axis=-1, out=out[..., 1:])
+        out = np.empty(x.shape[:-1] + (n_max + 1,)) if out is None else out
+        if start == 0:
+            out[..., 0], start = 0.0, 1
+        run = out[..., start - 1 : n_max + 1]  # the last value held, then the new log-weights
+        k = np.arange(start, n_max + 1, dtype=float)
+        k **= 1.0 - alpha
+        np.log1p(np.divide(x, k, out=run[..., 1:]), out=run[..., 1:])
+        np.cumsum(run, axis=-1, out=run)
         return out
 
     def slope(x: float, n_max: int) -> np.ndarray:
@@ -186,11 +189,29 @@ def _rows_per_chunk(cells_per_row: int) -> int:
     return max(1, _CELLS // max(cells_per_row, 1))
 
 
+def _cumulative_rows(fam: WeightFamily, x, width: int = 1) -> Callable[[int], np.ndarray]:
+    """top -> a table of f(x, 0..top), a row per x, for a family without g: each column
+    is cumulated once, in place; past width the table moves to one just wide enough."""
+    shape, filled = np.shape(x), 0
+    table = np.empty(shape + (width,))
+
+    def upto(top: int) -> np.ndarray:
+        nonlocal table, filled
+        if top >= table.shape[-1]:  # a doubled table would hold up to twice the cells
+            table = np.concatenate([table[..., :filled], np.empty(shape + (top + 1 - filled,))], -1)
+        if top >= filled:
+            fam.log_products(x, top, table, filled)
+            filled = top + 1
+        return table
+
+    return upto
+
+
 def _log_products_at(fam: WeightFamily) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """(x (R, d), int cols (R, K)) -> f(x, cols) of shape (R, d, K), bit for bit the
     entries of fam.log_products(x, cols.max()). A family linear in x evaluates g at
-    the columns only; plus-power cumulates a table per chunk of rows, out to the
-    chunk's largest column."""
+    the columns only; plus-power cumulates a table per chunk of rows, in place, out
+    to the chunk's largest column."""
     if fam.g is not None:
         return lambda x, cols: x[:, :, None] * fam.g(cols)[:, None, :]
 
@@ -199,8 +220,7 @@ def _log_products_at(fam: WeightFamily) -> Callable[[np.ndarray, np.ndarray], np
         step = _rows_per_chunk(x.shape[1] * (int(cols.max(initial=0)) + 1))
         for lo in range(0, len(x), step):
             c = cols[lo : lo + step]
-            tab = fam.log_products(x[lo : lo + step].ravel(), int(c.max(initial=0)))
-            tab = tab.reshape(len(c), x.shape[1], -1)
+            tab = fam.log_products(x[lo : lo + step], int(c.max(initial=0)))
             out[lo : lo + step] = np.take_along_axis(tab, c[:, None], 2)
         return out
 
@@ -420,14 +440,14 @@ def cs1_envelope_closed_form(
     return env
 
 
-def _gain_floor(fam: WeightFamily, a: float, L: int, k: np.ndarray) -> np.ndarray:
+def _gain_floor(fam: WeightFamily, a: float, L: int, k: np.ndarray, upto=None) -> np.ndarray:
     """min over l <= L of f(a, k+l) - f(a, l) at an int array k. Each gain is a sum of
     log-weights, which rise in x, so this is the floor over x >= a; they do not rise in
     n, so in exact arithmetic the min is the gain at l = L. Taking the least of the L + 1
-    computed gains keeps the floor at the least rounded one."""
+    computed gains keeps the floor at the least rounded one. upto: _cumulative_rows(fam, a)."""
     lo, top = int(k.min()), int(k.max()) + L
     if fam.g is None:
-        full = fam.log_products(a, top)
+        full = (upto or _cumulative_rows(fam, a))(top)
         row, base = full[lo:], full[: L + 1]
     else:
         # f(a, .) once per column from the least k on, as the tail asks for runs of k
@@ -447,8 +467,8 @@ def _generic_envelopes(
 ) -> Callable[[float], Callable[[float], float]]:
     """D -> log c_k = log((L+1)(M+1)) + 2 C0 D (L^alpha + k^alpha) - min over l <= L,
     x in I of (f(x, l+k) - f(x, l)), for L = support_max, M = max_abs and an int or
-    int array of k; valid for any shift count when fam.alpha <= the geometric exponent
-    of D's premise.
+    int array of k; valid for any shift count (a step N passed is ignored) when fam.alpha
+    <= the geometric exponent of D's premise. A factory's envelopes share one row f(a, .).
 
     remainder(K, env(K)) bounds the terms from K on. Past K the floor F rises at least as
     s ((k + L + delta)^alpha - (K + L + delta)^alpha): exactly, with s = a and delta = 0,
@@ -460,14 +480,16 @@ def _generic_envelopes(
     """
     a, L, alpha, C0 = interval[0], support_max, fam.alpha, fam.C0
     log_size = math.log((L + 1) * (max_abs + 1.0))
+    upto = _cumulative_rows(fam, a) if fam.g is None else None
 
-    def envelope(D: float) -> Callable[[float], float]:
+    def envelope(D: float, N: int | None = None) -> Callable[[float], float]:
         prefactor = log_size + 2.0 * C0 * D * L**alpha
 
         def env(k):
             ki = np.asarray(k).astype(int)
             k1 = ki.reshape(-1)
-            out = prefactor + 2.0 * C0 * D * k1.astype(float) ** alpha - _gain_floor(fam, a, L, k1)
+            out = prefactor + 2.0 * C0 * D * k1.astype(float) ** alpha
+            out -= _gain_floor(fam, a, L, k1, upto)
             return out.reshape(ki.shape) if ki.ndim else float(out[0])
 
         def remainder(K: int, log_K: float) -> float:
@@ -600,8 +622,7 @@ class _ShiftErrors:
     """
 
     def __init__(self, u: FiniteVector, fam: WeightFamily, vt: FiniteVector) -> None:
-        self.u, self.C0, self.alpha = u, fam.C0, fam.alpha
-        self.at = _log_products_at(fam)
+        self.u, self.fam, self.C0, self.alpha = u, fam, fam.C0, fam.alpha
         self.v_cols = np.union1d(vt.cols[(vt.logmag > NEG_INF).any(axis=0)], [0])
         self.v_log = vt.at(self.v_cols)
         # the largest log of entries i.. per factor, negated so that it rises
@@ -615,12 +636,16 @@ class _ShiftErrors:
 
     def log_errors(self, lo: np.ndarray, hi: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """Corners lo <= hi (B, d) at shifts ns (B,): the logs (B, 2) at lo and at hi."""
-        u, v, L = self.u, self.v_cols, self.u.L
+        u, v, L, fam = self.u, self.v_cols, self.u.L, self.fam
         lam = np.stack([lo, hi], axis=1).reshape(-1, lo.shape[1])
+        upto = None if fam.g is not None else _cumulative_rows(fam, lam, L + 1)
+        at = lambda cols, rows=slice(None): (  # f(lam[rows], cols), from one row per corner
+            _log_products_at(fam)(lam[rows], cols) if upto is None
+            else np.take_along_axis(upto(int(cols.max(initial=0)))[rows], cols[:, None], 2))
         row_ns = np.repeat(ns, 2)
         v_src = v + row_ns[:, None]
         near_cols = np.concatenate([np.minimum(v_src, L), np.broadcast_to(v, v_src.shape)], axis=1)
-        f = self.at(lam, near_cols)
+        f = at(near_cols)
         near = u.at(v_src).transpose(1, 0, 2)
         near += f[..., : len(v)] - f[..., len(v) :]
         near = _log_abs_diff(near, self.v_log)
@@ -629,7 +654,7 @@ class _ShiftErrors:
         # A shifted column lies below u_c + f(hi, n) + margin; past L there is none.
         floor = near_max.reshape(-1, 2).min(axis=1)
         margin = self.margin(float(np.abs(lam).max()))
-        gain = self.at(hi, np.minimum(ns, L)[:, None])[:, :, 0] + margin
+        gain = f[1::2, :, 0] + margin  # v holds 0: the first near column is min(n, L)
         cand, real = self._candidates(ns, floor[:, None] - gain)
 
         box = np.arange(len(lam)) // 2
@@ -641,7 +666,7 @@ class _ShiftErrors:
             e, ok = cand[box[rows]], real[box[rows]]
             c = u.cols[e]
             back = np.where(ok, c - row_ns[rows, None], 0)
-            f = self.at(lam[rows], np.concatenate([c, back], axis=1))
+            f = at(np.concatenate([c, back], axis=1), rows)
             shifted = f[..., :k]
             shifted -= f[..., k:]
             shifted += u.logmag[:, e].transpose(1, 0, 2)
@@ -675,11 +700,11 @@ def verify_universality(
     """Certify ||T_{iN, lambda} u - v_t|| < 3 eta over every box [tag, tag + side]^d.
 
     Over a box in lambda >= 0 the error peaks at the corner tag or the corner
-    tag + side (module docstring), so those two are its only rows; _ShiftErrors
-    takes _BLOCK boxes at a time, each call padding its boxes to the most
-    candidate entries one of them keeps. The run passes when the worst corner error times
-    e^margin is below 3 eta, margin bounding the rounding of its logs. A box
-    reaching below 0 is refused: there the corners need not bound the box.
+    tag + side (module docstring), so those two are its only rows. _ShiftErrors takes
+    whole boxes in chunks of _CELLS cells, a corner's being d times the L + 1 columns of
+    its row f(x, .) for a family without g, else of its near terms. The run passes when
+    the worst corner error times e^margin is below 3 eta, margin bounding the rounding of
+    its logs. A box reaching below 0 is refused: there the corners need not bound the box.
     """
     lo = tag_params(cov, cfg.d)
     if lo.min() < 0.0:
@@ -688,9 +713,10 @@ def verify_universality(
     hi = lo + cov.sides[:, None]
     ns = np.arange(1, cov.q + 1) * cfg.bigN
     errors = _ShiftErrors(u, fam, vt)
-    logs = []
-    for b in range(0, cov.q, _BLOCK):
-        box = slice(b, b + _BLOCK)
+    width = cfg.L + 1 if fam.g is None else 2 * len(errors.v_cols)
+    step, logs = _rows_per_chunk(2 * cfg.d * width), []
+    for b in range(0, cov.q, step):
+        box = slice(b, b + step)
         logs += errors.log_errors(lo[box], hi[box], ns[box]).ravel().tolist()
     corners = np.stack([lo, hi], axis=1).reshape(-1, cfg.d)
     errs = [math.exp(v) for v in logs]
@@ -842,8 +868,8 @@ def run_dynamics_experiment(
     sigma_fit = (b - a) / span
     if constant_weights:
         envelopes = lambda D, N: cs1_envelope_closed_form(D, interval, alpha_g, q * N, max_abs_vt)
-    else:
-        envelopes = lambda D, N: _generic_envelopes(fam, interval, vt_support, max_abs_vt)(D)
+    else:  # one factory for every probe and the tail: they read one row f(a, .)
+        envelopes = _generic_envelopes(fam, interval, vt_support, max_abs_vt)
 
     def sigma_cs2(N: int) -> float:
         # worst CS2 exponent: C0 * max_i (iN)^alpha_w * side_i, sides sigma-scaled
@@ -875,6 +901,7 @@ def run_dynamics_experiment(
     N = step * kappa
     sigma, D_scaled, envelope = scaled_envelope(N)
     tail = _envelope_tail(envelope, N)
+    del envelope, envelopes  # and with them the row f(a, .), before the sweep fills its own
 
     offset = tuple((a - sigma * lo).tolist())
     scaled = cov_geo.affine_scaled(sigma, offset)
@@ -882,6 +909,7 @@ def run_dynamics_experiment(
 
     L = max(L_MIN, q * N + vt_support + 1)
     cfg = DynamicsConfig(d=d, interval=interval, L=L, eta=eta, kappa=kappa, bigN=N)
+    cs2 = check_cs2_lipschitz(fam, interval, n_max=L)  # its O(L) arrays go before u's rows
     u0 = FiniteVector.basis(d, L, 0, 1.0)
     vt = FiniteVector(np.arange(vt_support + 1), np.log(vt_values), L)
 
@@ -889,7 +917,6 @@ def run_dynamics_experiment(
     # the terms of u follow u_0's entries and never meet them
     u_minus_u0 = math.exp(float(u.logmag[:, len(u0.cols) :].max(initial=NEG_INF)))
     uni = verify_universality(u, scaled, fam, cfg, vt)
-    cs2 = check_cs2_lipschitz(fam, interval, n_max=L)
 
     passed = uni.passed and u_minus_u0 < eta and sep.passed and cs2.passed and tail < eta
     return DynamicsReport(

@@ -38,6 +38,11 @@ added to the arrowhead zoo-emit reference; its *_v1.json copy has no "r".
 The cover-verify and dyn references on holder-diag were written when the
 build first took a curve as its level source; their coverage block has no
 base_inside, which is a system's fact.
+The dyn reference on hilbert-square with plus-power weights at alpha = 0.5
+(q = 256, L = 13,059) was written by the sweep that took 64 boxes per call
+and rebuilt each corner's cumulative row for its near terms, its gain and
+its shifted terms; the sweep that reads one row per corner, in chunks of
+whole boxes, must match it.
 Apart from the manifest's wall_time_s and versions, records agree exactly,
 except floats: to 1e-12 relative, or to 1e-15 absolute for coordinates that
 are zero in exact arithmetic. The reference computed tagged-square corners
@@ -78,6 +83,7 @@ CLI_CASES = (
     "verify_hbd_holder_diag_m8",
     "cover_verify_holder_diag_s2",
     "dyn_holder_diag",
+    "dyn_hilbert_square_plus_power_alpha0.5",
 )
 
 

@@ -133,6 +133,8 @@ def test_separation_fails_under_tight_constant(gasket_cov):
 def separation_reference(tags, sides, D, gamma, tol=1e-9):
     """Every pair at once, as verify_separation did before it streamed rows."""
     jj, ll = np.triu_indices(len(sides), k=1)
+    if not len(jj):  # a single square: no pair, and the audit's fold never moves
+        return -np.inf, (0, 0), True, 0
     sup = box_sup_distance(tags[jj], sides[jj], tags[ll], sides[ll])
     bound = D * (((ll + 1).astype(float) - (jj + 1)) / (ll + 1)) ** (1.0 / gamma)
     ratio = sup / bound
@@ -145,6 +147,14 @@ grid_boxes = st.tuples(
     st.integers(0, 2).map(float), st.integers(0, 2).map(float), st.sampled_from([0.5, 1.0])
 )
 free_boxes = st.tuples(box_vals, box_vals, box_sides)
+# q = 1..64 boxes of each layout kind: one 64-rank block, audited as its own
+# diagonal tile in one pass; q = 1 has no pair
+one_block_layouts = st.builds(
+    lambda q, kind, seed: np.column_stack(layout(kind, q, np.random.default_rng(seed))).tolist(),
+    st.integers(1, 64),
+    st.sampled_from(["walk", "grid", "free", "outlier", "coincident"]),
+    st.integers(0, 2**32 - 1),
+)
 
 
 # the first example ties the maximum within row 2, at (2, 3) and (2, 4),
@@ -156,13 +166,16 @@ free_boxes = st.tuples(box_vals, box_vals, box_sides)
 @example(
     boxes=[(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], D=1.0, gamma=1.0
 )
+@example(boxes=[(0.5, 0.5, 1.0)], D=1.0, gamma=1.0)
+@example(boxes=[(0.5, 0.5, 0.25)] * 64, D=1e-9, gamma=2.0)
 @given(
     boxes=st.one_of(st.lists(grid_boxes, min_size=2, max_size=60),
-                    st.lists(free_boxes, min_size=2, max_size=60)),
-    D=st.sampled_from([0.5, 1.0, 3.0, 40.0]),
+                    st.lists(free_boxes, min_size=2, max_size=60),
+                    one_block_layouts),
+    D=st.sampled_from([1e-9, 0.5, 1.0, 3.0, 40.0]),
     gamma=st.sampled_from([1.0, 2.0, 1.5849625007211563, 1.2618595071429148]),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 def test_separation_matches_all_pairs_reference(gasket_cov, boxes, D, gamma):
     arr = np.array(boxes, dtype=float)
     tags, sides = arr[:, :2].copy(), arr[:, 2].copy()

@@ -15,6 +15,7 @@ import functools
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -216,6 +217,42 @@ def test_log_products_at_index_arrays_match_the_table(fam, data):
             assert got[r, j].tolist() == fam.log_products(x[r, j], top)[cols[r]].tolist()
 
 
+def summed_whole(alpha, x, n_max):
+    """plus-power's table as one cumsum of all its log-weights into a zeroed row."""
+    x = np.asarray(x, dtype=float)[..., None]
+    out = np.zeros(x.shape[:-1] + (n_max + 1,))
+    increments = x / np.arange(1, n_max + 1, dtype=float) ** (1.0 - alpha)
+    np.cumsum(np.log1p(increments), axis=-1, out=out[..., 1:])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0.1, 0.25, 0.5, 0.9, 1.0]), st.data())
+def test_rows_grown_in_steps_match_the_table(alpha, data):
+    # a row built in place, and one extended step by step by continuing its running
+    # sum, both equal log_products(x, c) and the whole cumsum bit for bit
+    fam = plus_power_family(alpha)
+    shape = data.draw(st.sampled_from([(), (3,), (2, 2)]))
+    x = np.array(data.draw(st.lists(st.floats(0.0, 3.0), min_size=math.prod(shape),
+                                    max_size=math.prod(shape)))).reshape(shape)
+    tops = sorted(data.draw(st.lists(st.integers(0, 4000), min_size=1, max_size=6)))
+    width = data.draw(st.sampled_from([1, tops[-1] + 1, tops[-1] + 50]))
+    want = fam.log_products(x, tops[-1])
+    assert np.array_equal(want, summed_whole(alpha, x, tops[-1]))
+    upto, out, start = shifts._cumulative_rows(fam, x, width), np.empty(want.shape), 0
+    for top in tops:
+        assert np.array_equal(upto(top)[..., : top + 1], want[..., : top + 1])
+        fam.log_products(x, top, out, start)
+        start = top + 1
+        assert np.array_equal(out[..., :start], want[..., :start])
+    # the left-end row of the N search, asked for runs of k in any order
+    k = np.array(data.draw(st.lists(st.integers(0, 3000), min_size=1, max_size=4)))
+    upto = shifts._cumulative_rows(fam, 1.25)
+    for run in (k, k + 500, k):
+        assert np.array_equal(shifts._gain_floor(fam, 1.25, 2, run, upto),
+                              shifts._gain_floor(fam, 1.25, 2, run))
+
+
 def corner_rows(cov, cfg):
     """Both corners of every box, tag then tag + side, and the boxes' shifts."""
     lo = cov.tags[:, : cfg.d]
@@ -272,8 +309,12 @@ def test_corners_bound_every_point_of_their_box(case, seed):
         assert max(reference_error(u, fam, p, n, vt) for p in stencil) == corner_max
 
 
+# A chunk of one box, and one of all q boxes: _CELLS = 1 leaves one box per chunk
+CHUNK_CELLS = (1, 2**62)
+
+
 def test_sweep_takes_every_box_corner_in_order(monkeypatch):
-    # q = 256 boxes in four calls of 64 boxes, two corners per box
+    # q = 256 boxes in chunks of one box, then of all q, two corners per box, in order
     cov = _covering(hilbert_square())
     seen = []
 
@@ -284,13 +325,30 @@ def test_sweep_takes_every_box_corner_in_order(monkeypatch):
     monkeypatch.setattr(shifts._ShiftErrors, "log_errors", record)
     cfg = DynamicsConfig(d=2, interval=(1.0, 2.0), L=cov.q + 3, eta=0.1, kappa=1, bigN=1)
     u = FiniteVector.from_values(np.zeros((2, cfg.L + 1)))
-    report = verify_universality(u, cov, rolewicz_family(), cfg, u)
-    assert [len(lo) for lo, _, _ in seen] == [64] * 4
-    lo, hi, ns = (np.concatenate(col) for col in zip(*seen))
-    assert np.array_equal(lo, cov.tags)
-    assert np.array_equal(hi, cov.tags + cov.sides[:, None])
-    assert ns.tolist() == list(range(1, cov.q + 1))
-    assert (report.samples, report.worst_box, report.worst_lambda) == (512, 1, tuple(cov.tags[0]))
+    for cells, chunks in zip(CHUNK_CELLS, ([1] * cov.q, [cov.q])):
+        seen.clear()
+        monkeypatch.setattr(shifts, "_CELLS", cells)
+        report = verify_universality(u, cov, rolewicz_family(), cfg, u)
+        assert [len(lo) for lo, _, _ in seen] == chunks
+        lo, hi, ns = (np.concatenate(col) for col in zip(*seen))
+        assert np.array_equal(lo, cov.tags)
+        assert np.array_equal(hi, cov.tags + cov.sides[:, None])
+        assert ns.tolist() == list(range(1, cov.q + 1))
+        assert (report.samples, report.worst_box, report.worst_lambda) == (
+            512, 1, tuple(cov.tags[0])
+        )
+
+
+@settings(max_examples=15, deadline=None)
+@given(scenarios())
+def test_universality_record_does_not_depend_on_the_chunk(case):
+    # the same record from one box per chunk, all boxes in one chunk and the default
+    cov, fam, cfg, u0, vt = case
+    u = build_common_vector(cov, fam, cfg, u0, vt)
+    want = verify_universality(u, cov, fam, cfg, vt).to_record()
+    for cells in CHUNK_CELLS:
+        with mock.patch.object(shifts, "_CELLS", cells):
+            assert verify_universality(u, cov, fam, cfg, vt).to_record() == want
 
 
 def test_a_box_below_zero_is_refused():
