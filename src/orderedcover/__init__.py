@@ -13,8 +13,8 @@ The package is organized around one pipeline:
   stage spans.
 - ``separation``: audits of the tagged covering's form, its attractor
   coverage by containment and the pairwise separation inequality,
-  block-pruned by rank-block bounding boxes, and the exhaustive
-  jump-counting check.
+  block-pruned by rank-block bounding boxes, and the jump check over the
+  short rank-gap band, which stops at the first resolution with a bad pair.
 - ``shifts``: weighted backward/forward shift powers on truncated sequence
   spaces, the summability/Lipschitz checks, and the common-vector experiment.
 - ``cli``: command-line front end (``orderedcover --help``).

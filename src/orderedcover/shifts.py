@@ -35,6 +35,8 @@ evaluates f only at index arrays: the near terms (coordinates 0 and v_t's suppor
 and each shifted column whose bound u_c + f(x_hi, n), plus a rounding margin,
 reaches the smaller near-term maximum of its box's two corners, x_hi being the
 upper corner. No skipped column can be a corner's maximum, so the sup is exact.
+The build of u, the sweep and the gain floor read f through one _evaluator: x g(n) at
+the asked columns for the laws linear in x, one cumulative row per x for plus-power.
 
 The weight law chooses the envelope: f(x, n) = x n, constant weights e^x (rolewicz, or
 power at alpha = 1), takes the finite-horizon closed form on any geometry; every other
@@ -84,9 +86,9 @@ _CELLS = 1 << 16
 L_MIN, CS2_BUDGET, TAIL_BUDGET = 200, 0.8, 0.5
 # The most envelope terms a tail sums before it adds the remainder bound.
 HEAD_TERMS = 1 << 22
-# plus-power has no closed-form f(x, n): its cumulative log-weights cost rows x factors x
-# columns cells, the rows being the q terms of u and the 2q box corners, each corner's row
-# built once. A run needing more is refused: sierpinski at alpha = 0.1 needs 84% of it and
+# plus-power has no closed-form f(x, n): _evaluator's cumulative rows cost rows x factors
+# x columns cells, the rows being the q terms of u and the 2q box corners, each row built
+# once. A run needing more is refused: sierpinski at alpha = 0.1 needs 84% of it and
 # takes 2.4 s at a 116 MB peak RSS on a 2-core x86-64 VM.
 CUMULATIVE_BUDGET = 2**28
 
@@ -104,8 +106,10 @@ class WeightFamily:
     log_products(x, n_max) returns the table [f(x, 0), ..., f(x, n_max)], or
     for an array of x one such row per x; dlog_products(x, n_max) returns
     [df/dx(x, 0), ..., df/dx(x, n_max)] for one x. A family linear in x,
-    f(x, n) = x n^alpha, also gives g(n) = n^alpha at an int array of n; any other fills
-    columns start..n_max of a table out, continuing its running sum, bit for bit.
+    f(x, n) = x n^alpha, also gives g(n) = n^alpha at an int array of n. plus-power has
+    no closed form, each f(x, n) being a running sum of log-weights, so its log_products
+    also takes (out, start): it fills columns start..n_max of a table out, continuing that
+    sum bit for bit, which lets _evaluator grow one row per x in place.
     """
 
     name: str
@@ -189,42 +193,41 @@ def _rows_per_chunk(cells_per_row: int) -> int:
     return max(1, _CELLS // max(cells_per_row, 1))
 
 
-def _cumulative_rows(fam: WeightFamily, x, width: int = 1) -> Callable[[int], np.ndarray]:
-    """top -> a table of f(x, 0..top), a row per x, for a family without g: each column
-    is cumulated once, in place; past width the table moves to one just wide enough."""
-    shape, filled = np.shape(x), 0
+def _evaluator(fam: WeightFamily, x: np.ndarray, width: int = 1) -> Callable[..., np.ndarray]:
+    """at(cols, rows=slice(None)) -> f(x[rows], cols) for x (R, d), of shape (R', d, K), bit
+    for bit the entries of fam.log_products. cols is int (R', K), or a slice of K columns
+    that every row reads, a view where f is held. Every reader of f in the build of u, the
+    sweep and the gain floor goes through it. A family with g multiplies x by g at the
+    columns only and holds no row. plus-power holds one cumulative row per x, width columns
+    at first: each column is cumulated once, in place, and past the width the table moves
+    to one just wide enough for the largest column asked for."""
+    if fam.g is not None:
+
+        def at(cols, rows=slice(None)):
+            n = np.arange(cols.start, cols.stop) if isinstance(cols, slice) else cols[:, None]
+            return x[rows, :, None] * fam.g(n)
+
+        return at
+    shape, filled = x.shape, 0
     table = np.empty(shape + (width,))
 
-    def upto(top: int) -> np.ndarray:
+    def at(cols, rows=slice(None)):
         nonlocal table, filled
+        run = isinstance(cols, slice)
+        top = cols.stop - 1 if run else int(cols.max(initial=0))
         if top >= table.shape[-1]:  # a doubled table would hold up to twice the cells
             table = np.concatenate([table[..., :filled], np.empty(shape + (top + 1 - filled,))], -1)
         if top >= filled:
             fam.log_products(x, top, table, filled)
             filled = top + 1
-        return table
-
-    return upto
-
-
-def _log_products_at(fam: WeightFamily) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """(x (R, d), int cols (R, K)) -> f(x, cols) of shape (R, d, K), bit for bit the
-    entries of fam.log_products(x, cols.max()). A family linear in x evaluates g at
-    the columns only; plus-power cumulates a table per chunk of rows, in place, out
-    to the chunk's largest column."""
-    if fam.g is not None:
-        return lambda x, cols: x[:, :, None] * fam.g(cols)[:, None, :]
-
-    def at(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        out = np.empty(x.shape + cols.shape[1:])
-        step = _rows_per_chunk(x.shape[1] * (int(cols.max(initial=0)) + 1))
-        for lo in range(0, len(x), step):
-            c = cols[lo : lo + step]
-            tab = fam.log_products(x[lo : lo + step], int(c.max(initial=0)))
-            out[lo : lo + step] = np.take_along_axis(tab, c[:, None], 2)
-        return out
+        return table[rows, :, cols] if run else np.take_along_axis(table[rows], cols[:, None], 2)
 
     return at
+
+
+def _row_width(fam: WeightFamily, top: int, k: int) -> int:
+    """Cells per factor of a row of x in _evaluator, asked for k columns up to top."""
+    return k if fam.g is not None else max(k, top + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -440,18 +443,14 @@ def cs1_envelope_closed_form(
     return env
 
 
-def _gain_floor(fam: WeightFamily, a: float, L: int, k: np.ndarray, upto=None) -> np.ndarray:
-    """min over l <= L of f(a, k+l) - f(a, l) at an int array k. Each gain is a sum of
-    log-weights, which rise in x, so this is the floor over x >= a; they do not rise in
-    n, so in exact arithmetic the min is the gain at l = L. Taking the least of the L + 1
-    computed gains keeps the floor at the least rounded one. upto: _cumulative_rows(fam, a)."""
-    lo, top = int(k.min()), int(k.max()) + L
-    if fam.g is None:
-        full = (upto or _cumulative_rows(fam, a))(top)
-        row, base = full[lo:], full[: L + 1]
-    else:
-        # f(a, .) once per column from the least k on, as the tail asks for runs of k
-        row, base = a * fam.g(np.arange(lo, top + 1)), a * fam.g(np.arange(L + 1))
+def _gain_floor(at: Callable[..., np.ndarray], base: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """min over l <= L of f(a, k+l) - f(a, l) at an int array k, for at an _evaluator of
+    x = [[a]] and base = f(a, 0..L). Gains are sums of log-weights, which rise in x, so this
+    is the floor over x >= a; they do not rise in n, so in exact arithmetic the min is at
+    l = L, but computed gains round apart: the floor is the least of all L + 1. f(a, .) is
+    read as one contiguous row from the least k on, as the tail asks for runs of k."""
+    L, lo = len(base) - 1, int(k.min())
+    row = at(slice(lo, int(k.max()) + L + 1))[0, 0]
     i = k - lo
     out = row[i + L] - base[L]
     for l in range(L):
@@ -480,7 +479,8 @@ def _generic_envelopes(
     """
     a, L, alpha, C0 = interval[0], support_max, fam.alpha, fam.C0
     log_size = math.log((L + 1) * (max_abs + 1.0))
-    upto = _cumulative_rows(fam, a) if fam.g is None else None
+    at = _evaluator(fam, np.array([[a]]))
+    base = at(slice(0, L + 1))[0, 0]  # f(a, 0..L), the same for every k
 
     def envelope(D: float, N: int | None = None) -> Callable[[float], float]:
         prefactor = log_size + 2.0 * C0 * D * L**alpha
@@ -489,7 +489,7 @@ def _generic_envelopes(
             ki = np.asarray(k).astype(int)
             k1 = ki.reshape(-1)
             out = prefactor + 2.0 * C0 * D * k1.astype(float) ** alpha
-            out -= _gain_floor(fam, a, L, k1, upto)
+            out -= _gain_floor(at, base, k1)
             return out.reshape(ki.shape) if ki.ndim else float(out[0])
 
         def remainder(K: int, log_K: float) -> float:
@@ -524,8 +524,7 @@ class DynamicsConfig(Record):
     bigN: int
 
     def __post_init__(self) -> None:
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        check_dynamics_inputs(self.interval, self.eta)
         if self.d < 1 or self.L < 1 or self.kappa < 1 or self.bigN < 1:
             raise ValueError("d, L, kappa, bigN must be >= 1")
         if self.bigN % self.kappa != 0:
@@ -568,9 +567,12 @@ def build_common_vector(
     _check_in_interval(params, cfg.interval)
     supp = vt.cols
     cols = np.arange(1, cov.q + 1)[:, None] * cfg.bigN + supp
-    at = _log_products_at(fam)
-    f = at(params, np.concatenate([cols, np.broadcast_to(supp, cols.shape)], axis=1))
-    w = f[..., : len(supp)] - f[..., len(supp) :]
+    both = np.concatenate([cols, np.broadcast_to(supp, cols.shape)], axis=1)
+    w, top = np.empty((cov.q, cfg.d, len(supp))), int(both.max(initial=0))
+    step = _rows_per_chunk(cfg.d * _row_width(fam, top, both.shape[1]))
+    for r in range(0, cov.q, step):
+        f = _evaluator(fam, params[r : r + step], top + 1)(both[r : r + step])
+        w[r : r + step] = f[..., : len(supp)] - f[..., len(supp) :]
     add_logmag = (vt.logmag - w).transpose(1, 0, 2).reshape(cfg.d, -1)
     logmag = np.concatenate([u0.logmag, add_logmag], axis=1)
     return FiniteVector(np.concatenate([u0.cols, cols.ravel()]), logmag, cfg.L)
@@ -638,10 +640,7 @@ class _ShiftErrors:
         """Corners lo <= hi (B, d) at shifts ns (B,): the logs (B, 2) at lo and at hi."""
         u, v, L, fam = self.u, self.v_cols, self.u.L, self.fam
         lam = np.stack([lo, hi], axis=1).reshape(-1, lo.shape[1])
-        upto = None if fam.g is not None else _cumulative_rows(fam, lam, L + 1)
-        at = lambda cols, rows=slice(None): (  # f(lam[rows], cols), from one row per corner
-            _log_products_at(fam)(lam[rows], cols) if upto is None
-            else np.take_along_axis(upto(int(cols.max(initial=0)))[rows], cols[:, None], 2))
+        at = _evaluator(fam, lam, L + 1)  # plus-power: one row per corner for every read
         row_ns = np.repeat(ns, 2)
         v_src = v + row_ns[:, None]
         near_cols = np.concatenate([np.minimum(v_src, L), np.broadcast_to(v, v_src.shape)], axis=1)
@@ -701,8 +700,8 @@ def verify_universality(
 
     Over a box in lambda >= 0 the error peaks at the corner tag or the corner
     tag + side (module docstring), so those two are its only rows. _ShiftErrors takes
-    whole boxes in chunks of _CELLS cells, a corner's being d times the L + 1 columns of
-    its row f(x, .) for a family without g, else of its near terms. The run passes when
+    whole boxes in chunks of _CELLS cells, a corner's being d times its _row_width: the
+    L + 1 columns of plus-power's row f(x, .), else its near terms. The run passes when
     the worst corner error times e^margin is below 3 eta, margin bounding the rounding of
     its logs. A box reaching below 0 is refused: there the corners need not bound the box.
     """
@@ -713,8 +712,7 @@ def verify_universality(
     hi = lo + cov.sides[:, None]
     ns = np.arange(1, cov.q + 1) * cfg.bigN
     errors = _ShiftErrors(u, fam, vt)
-    width = cfg.L + 1 if fam.g is None else 2 * len(errors.v_cols)
-    step, logs = _rows_per_chunk(2 * cfg.d * width), []
+    step, logs = _rows_per_chunk(2 * cfg.d * _row_width(fam, cfg.L, 2 * len(errors.v_cols))), []
     for b in range(0, cov.q, step):
         box = slice(b, b + step)
         logs += errors.log_errors(lo[box], hi[box], ns[box]).ravel().tolist()
@@ -886,12 +884,13 @@ def run_dynamics_experiment(
         return _envelope_tail(scaled_envelope(kappa * step)[2], kappa * step, limit) < limit
 
     # Columns stay below 2^53, where float64 holds every integer; plus-power's stay within
-    # CUMULATIVE_BUDGET cells. Constant weights try the steps where sigma_fit binds in turn.
+    # CUMULATIVE_BUDGET cells, a cap that refuses the run when no step below it passes.
+    # Constant weights try the steps where sigma_fit binds in turn.
     columns = 2**53 if fam.g is not None else CUMULATIVE_BUDGET // (3 * q * d)
     top = (columns - kappa) // (q * kappa)
     first = math.ceil(sigma_cs2(kappa) / (0.99 * sigma_fit)) if constant_weights else 1
     step = _least_step(passes, max(1, min(first, top)), top) if top >= 1 else None
-    if step is None and fam.g is None:
+    if step is None and columns < 2**53:
         cells = 3 * q * d * (q * (top + 1) * kappa + kappa)
         raise BudgetExceededError(
             f"{cells} cumulative log-weight cells exceed budget {CUMULATIVE_BUDGET}"

@@ -26,8 +26,8 @@ from orderedcover.shifts import (
     FiniteVector,
     _ShiftErrors,
     _envelope_tail,
+    _evaluator,
     _log_abs_diff,
-    _log_products_at,
     build_common_vector,
     cs1_envelope_closed_form,
     plus_power_family,
@@ -108,6 +108,26 @@ def test_common_vector_matches_dense_additions(case):
     assert np.array_equal(u.dense(), reference_common_vector(cov, fam, cfg, u0, vt))
     assert len(u.cols) == len(u0.cols) + cov.q * len(vt.cols)
     assert (np.diff(u.cols) > 0).all()
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
+def test_common_vector_does_not_depend_on_the_chunk(fam):
+    # one term of u per chunk, then all q terms in one: the same u bit for bit, and
+    # the dense reference's, so a chunk that drops or shifts rows cannot pass
+    cov = COVERINGS["sierpinski"]
+    cfg = DynamicsConfig(d=2, interval=(1.0, 2.0), L=cov.q * 4 + 3, eta=0.1, kappa=1, bigN=4)
+    u0 = FiniteVector.basis(2, cfg.L, 0)
+    vt = np.zeros((2, cfg.L + 1))
+    vt[:, :3] = [[1.0, 0.5, 0.25], [0.75, 0.0, 2.0]]
+    vt = FiniteVector.from_values(vt)
+    want = reference_common_vector(cov, fam, cfg, u0, vt)
+    got = []
+    for cells in (1, 2**62):
+        with mock.patch.object(shifts, "_CELLS", cells):
+            got.append(build_common_vector(cov, fam, cfg, u0, vt))
+    for u in got:
+        assert np.array_equal(u.cols, got[0].cols) and np.array_equal(u.logmag, got[0].logmag)
+        assert np.array_equal(u.dense(), want)
 
 
 def sweep_errors(u, fam, vt, lo, hi, ns):
@@ -205,16 +225,25 @@ def test_each_box_bound_is_read_at_its_top_row(fam):
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(FAMILIES + LINEAR_IN_N), st.data())
 def test_log_products_at_index_arrays_match_the_table(fam, data):
+    # every row of x at index arrays, then a run of its rows at them and at a span of
+    # columns, from one evaluator
     top = data.draw(st.integers(0, 3000))
     rows, width = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 6))
     x = np.array(data.draw(st.lists(st.floats(0.0, 3.0), min_size=2 * rows, max_size=2 * rows)))
     x = x.reshape(rows, 2)
     cols = np.array(data.draw(st.lists(st.integers(0, top), min_size=rows * width,
                                        max_size=rows * width)), dtype=int).reshape(rows, width)
-    got = _log_products_at(fam)(x, cols)
+    at = _evaluator(fam, x)
+    got = at(cols)
     for r in range(rows):
         for j in range(2):
             assert got[r, j].tolist() == fam.log_products(x[r, j], top)[cols[r]].tolist()
+    run = slice(data.draw(st.integers(0, rows - 1)), data.draw(st.integers(1, rows)))
+    assert np.array_equal(at(cols[run], run), got[run])
+    lo = data.draw(st.integers(0, top))
+    span = at(slice(lo, top + 1), run)
+    want = np.stack([fam.log_products(x[r], top)[:, lo:] for r in range(rows)])[run]
+    assert span.tolist() == want.tolist()
 
 
 def summed_whole(alpha, x, n_max):
@@ -239,18 +268,23 @@ def test_rows_grown_in_steps_match_the_table(alpha, data):
     width = data.draw(st.sampled_from([1, tops[-1] + 1, tops[-1] + 50]))
     want = fam.log_products(x, tops[-1])
     assert np.array_equal(want, summed_whole(alpha, x, tops[-1]))
-    upto, out, start = shifts._cumulative_rows(fam, x, width), np.empty(want.shape), 0
+    # the evaluator takes x as rows of factors: () and (3,) are one row
+    x2 = x.reshape(-1, shape[-1] if len(shape) == 2 else x.size)
+    at, out, start = _evaluator(fam, x2, width), np.empty(want.shape), 0
     for top in tops:
-        assert np.array_equal(upto(top)[..., : top + 1], want[..., : top + 1])
+        every = np.broadcast_to(np.arange(top + 1), (len(x2), top + 1))
+        assert np.array_equal(at(every).reshape(want[..., : top + 1].shape), want[..., : top + 1])
         fam.log_products(x, top, out, start)
         start = top + 1
         assert np.array_equal(out[..., :start], want[..., :start])
     # the left-end row of the N search, asked for runs of k in any order
     k = np.array(data.draw(st.lists(st.integers(0, 3000), min_size=1, max_size=4)))
-    upto = shifts._cumulative_rows(fam, 1.25)
+    at = _evaluator(fam, np.array([[1.25]]))
+    base = at(slice(0, 3))[0, 0]
     for run in (k, k + 500, k):
-        assert np.array_equal(shifts._gain_floor(fam, 1.25, 2, run, upto),
-                              shifts._gain_floor(fam, 1.25, 2, run))
+        fresh = _evaluator(fam, np.array([[1.25]]))
+        assert np.array_equal(shifts._gain_floor(at, base, run),
+                              shifts._gain_floor(fresh, fresh(slice(0, 3))[0, 0], run))
 
 
 def corner_rows(cov, cfg):

@@ -267,7 +267,8 @@ def test_left_end_gain_floor_equals_grid_floor(fam, interval):
         row = fam.log_products(float(x), n + L)
         for l in range(L + 1):
             grid = np.minimum(grid, row[l : l + n + 1] - row[l])
-    assert np.array_equal(shifts._gain_floor(fam, interval[0], L, np.arange(n + 1)), grid)
+    at = shifts._evaluator(fam, np.array([[interval[0]]]))
+    assert np.array_equal(shifts._gain_floor(at, at(slice(0, L + 1))[0, 0], np.arange(n + 1)), grid)
 
 
 def test_closed_form_envelope_limits():
@@ -370,6 +371,16 @@ def test_bad_dynamics_inputs_are_refused_before_any_work(interval, eta):
     # no system is given: the refusal comes before it is read
     with pytest.raises(ValueError, match="0 < A < B|eta must be positive"):
         run_dynamics_experiment(None, rolewicz_family(), interval=interval, eta=eta)
+
+
+@pytest.mark.parametrize(
+    "interval, eta",
+    [((1.0, 2.0), math.nan), ((1.0, 2.0), math.inf), ((1.0, 2.0), 0.0), ((0.0, 2.0), 0.1)],
+)
+def test_a_config_with_bad_eta_or_interval_is_refused(interval, eta):
+    # with a nan eta, error < 3 eta is False at every box, so the run would fail silently
+    with pytest.raises(ValueError, match="0 < A < B|eta must be positive and finite"):
+        DynamicsConfig(d=2, interval=interval, L=50, eta=eta, kappa=3, bigN=6)
 
 
 def test_growth_family_beyond_exponent_is_refused():
