@@ -2,7 +2,8 @@
 """Show how a requested box size is snapped to the nearest feasible schedule."""
 
 from orderedcover import zoo
-from orderedcover.tagging import BudgetExceededError, BuilderParams, build_tagged_covering
+from orderedcover.geometry import BudgetExceededError
+from orderedcover.tagging import BuilderParams, build_tagged_covering
 
 
 def main() -> None:
@@ -39,7 +40,8 @@ def main() -> None:
           f"side(rk)/side(k) = {side(r) / side(1):.10f} = c = {c}")
 
     # At s = 3 the schedule needs t = r (r^s - 1) / (r - 1) = 39 stages,
-    # so q = 3^39 squares: fine arithmetically, hopeless in memory.
+    # so q = 3^39 squares and an audit down to resolution 42: fine
+    # arithmetically, hopeless in memory.
     try:
         build_tagged_covering(ifs, params)
     except BudgetExceededError as exc:

@@ -31,7 +31,6 @@ from .geometry import (
     Similarity,
     attractor_points,
     iter_levels,
-    levels,
     lex_unrank,
     part_budget,
 )
@@ -49,7 +48,7 @@ from .shifts import (
     weight_family,
 )
 from .tagging import BuilderParams, build_tagged_covering
-from .zoo import zoo_curve, zoo_ifs, zoo_names
+from .zoo import zoo_names, zoo_source
 
 __all__ = [
     "BudgetExceededError",
@@ -63,7 +62,6 @@ __all__ = [
     "coverage_check",
     "hbd_report",
     "iter_levels",
-    "levels",
     "lex_unrank",
     "part_budget",
     "run_dynamics_experiment",
@@ -72,8 +70,7 @@ __all__ = [
     "verify_jump_lemma",
     "verify_separation",
     "weight_family",
-    "zoo_curve",
-    "zoo_ifs",
     "zoo_names",
+    "zoo_source",
     "__version__",
 ]

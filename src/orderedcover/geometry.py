@@ -18,8 +18,8 @@ Conventions used throughout the package:
   vertex images (the Hutchinson recursion), on separate x and y arrays,
   and taking each part's box as the min and max over its vertices. The
   last resolution's vertex images are never held whole, so a caller that
-  keeps one level at a time needs about two levels' memory. ``levels``
-  is the list. Curve levels (``zoo.holder_levels``) are the same type.
+  keeps one level at a time needs about two levels' memory. Curve levels
+  (``zoo.holder_levels``) are the same type.
 - A level source is an ``OrderedIFS`` or a ``zoo.CurveEvaluator``: r, gamma,
   rho, name, the coordinate count d and iter_levels(m_max, budget) are all
   that hbd, tagging, separation and shifts read of either.
@@ -341,11 +341,6 @@ def iter_levels(ifs: OrderedIFS, m_max: int, budget: int | None = None) -> Itera
     check_level_budget(ifs.r, m_max, budget)
     boxes = _part_boxes(ifs, ifs.base_vertices(), m_max)
     return (_level(m, ifs.r, b) for m, b in enumerate(boxes))
-
-
-def levels(ifs: OrderedIFS, m_max: int, budget: int | None = None) -> list[Level]:
-    """Resolutions 0..m_max as a list; see iter_levels."""
-    return list(iter_levels(ifs, m_max, budget))
 
 
 def images_under_words(

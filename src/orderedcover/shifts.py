@@ -402,34 +402,23 @@ def _tail_bound(log_first: float, B: float, beta: float, M: float) -> float:
 def cs1_envelope_closed_form(
     D: float,
     interval: tuple[float, float],
-    alpha_g: float = 1.0,
-    horizon: int | None = None,
-    max_abs: float = 1.0,
+    alpha_g: float,
+    horizon: int,
+    max_abs: float,
 ) -> Callable[[float], float]:
-    """log c_k for constant-weight families (f linear in n).
+    """log c_k for constant-weight families (f linear in n), over shift counts n <= horizon.
 
     sup over x, y admissible of x n - y (n + k) equals
-    D n (k/(n+k))^alpha_g - a k, increasing in n. With alpha_g = 1 the
-    n -> infinity limit (D - a) k exists; otherwise a finite horizon
-    n <= horizon is required (the exponent pairing is then only
-    finite-range summable). The envelope takes an int or an int array of k.
-    Its remainder(K, env(K)) bounds the sum of e^env(k) over k >= K: D n (k/(n+k))^alpha_g
-    is concave in k for alpha_g <= 1, so past K env lies below its tangent at K,
-    a geometric series.
+    D n (k/(n+k))^alpha_g - a k, increasing in n, so it is taken at n = horizon
+    (the pipeline's qN); alpha_g <= 1 is required. The envelope takes an int or an
+    int array of k. Its remainder(K, env(K)) bounds the sum of e^env(k) over k >= K:
+    D n (k/(n+k))^alpha_g is concave in k for alpha_g <= 1, so past K env lies below
+    its tangent at K, a geometric series.
     """
-    a = interval[0]
-    log_m = math.log(max_abs) if max_abs > 0 else NEG_INF
-    if horizon is None:
-        if abs(alpha_g - 1.0) > 1e-12:
-            raise ValueError("infinite-horizon closed form needs alpha_g = 1")
-
-        def env(k):
-            return (D - a) * k + log_m
-
-        env.remainder = lambda K, log_K: _tail_bound(log_K, a - D, 1.0, K)
-        return env
     if alpha_g > 1.0:
         raise ValueError("the finite-horizon tail bound needs alpha_g <= 1")
+    a = interval[0]
+    log_m = math.log(max_abs) if max_abs > 0 else NEG_INF
     n_star = float(horizon)
 
     def env(k):
@@ -855,11 +844,10 @@ def run_dynamics_experiment(
     hi = (tags + sides[:, None]).max(axis=0)
     span = float((hi - lo).max())
 
-    u0_support = 0
     vt_values = np.tile(np.array([1.0, 0.5, 0.25]), (d, 1))
-    max_abs_vt = 1.0
+    max_abs_vt = float(np.abs(vt_values).max())
     vt_support = vt_values.shape[1] - 1
-    kappa = max(u0_support, vt_support) + 1
+    kappa = vt_support + 1  # u_0 sits at column 0, inside vt's support
 
     eps = math.log1p(CS2_BUDGET * eta / max_abs_vt)
     ii = np.arange(1, q + 1, dtype=float)

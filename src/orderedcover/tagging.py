@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import geometry
-from .geometry import GEOM_TOL, BudgetExceededError, Level, Record, part_budget
+from .geometry import GEOM_TOL, Level, Record
 from .hbd import hbd_report
 
 
@@ -83,23 +83,6 @@ class BuilderParams:
         while not (c**s * rho <= target * (1.0 + GEOM_TOL) and margin * c**s <= 1.0 + GEOM_TOL):
             s += 1
         return cls.from_stage(source, s, bigN, D)
-
-
-def _stage_counts(r: int, s: int, budget: int | None) -> tuple[int, int]:
-    """(t, q) for (r, s); refuses q over the part budget before it forms r^t,
-    which t = r + r^2 + ... + r^s makes too large to print or to compute."""
-    if r < 2 or s < 1:
-        raise ValueError("need r >= 2 and s >= 1")
-    limit = part_budget(budget)
-    e = 0  # the largest e with r^e <= limit
-    while r ** (e + 1) <= limit:
-        e += 1
-    if s > e:  # then t > s > e
-        raise BudgetExceededError(f"q = r^t with t > s = {s} exceeds budget {limit}")
-    t = r * (r**s - 1) // (r - 1)
-    if t > e:
-        raise BudgetExceededError(f"q = r^t = {r}^{t} exceeds budget {limit}")
-    return t, r**t
 
 
 def _stage_spans(r: int, s: int, t: int) -> list[tuple[int, int, int, int]]:
@@ -202,11 +185,16 @@ def build_tagged_covering(
             f"D={params.D} below rho/c^3={rho / c ** 3}; "
             "the separation bound needs the full constant (no recursive splitting here)"
         )
-    t, q = _stage_counts(r, s, budget)
-    spans = _stage_spans(r, s, t)
+    if r < 2:
+        raise ValueError(f"need r >= 2, got {r}")
+    # t = r + r^2 + ... + r^s is formed only once r^s fits the budget, and the
+    # spans and q = r^t < r^(s+t) only once every level up to s + t does
+    geometry.check_level_budget(r, s, budget)
+    t = r * (r**s - 1) // (r - 1)
+    levels = source.iter_levels(s + t, budget)
+    spans, q = _stage_spans(r, s, t), r**t
     parts = []  # per stage, copies of its parts' corners and sides
-    lv = _keep_stages(source.iter_levels(s + t, budget), spans, parts)
-    report = hbd_report(lv, gamma, rho, s + t)
+    report = hbd_report(_keep_stages(levels, spans, parts), gamma, rho, s + t)
     if not report.passed:
         fail = report.first_failure()
         raise ValueError(f"system fails dimension condition {fail.condition} at m={fail.m}")

@@ -177,8 +177,12 @@ class CurveEvaluator:
     breakpoints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
-        object.__setattr__(self, "breakpoints", np.linspace(0.0, 1.0, len(self.vertices)))
+        geometry.check_positive(holder_beta=self.holder_beta, holder_rho=self.holder_rho)
+        vertices = np.asarray(self.vertices, dtype=float)
+        if vertices.ndim != 2 or 0 in vertices.shape or not np.isfinite(vertices).all():
+            raise ValueError(f"vertices must be a finite (n + 1, d) array, got {vertices.shape}")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "breakpoints", np.linspace(0.0, 1.0, len(vertices)))
 
     def __call__(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -281,25 +285,18 @@ _SYSTEMS: dict[str, Callable[[], OrderedIFS]] = {
 IFS_NAMES = tuple(_SYSTEMS)
 
 
-def zoo_ifs(name: str) -> OrderedIFS:
-    """Look up a named system; raises KeyError for unknown names."""
-    return _SYSTEMS[name]()
-
-
 def zoo_source(name: str, budget: int | None = None) -> OrderedIFS | CurveEvaluator:
-    """Look up a named system or curve (see zoo_names); raises KeyError for unknown names."""
-    return zoo_ifs(name) if name in _SYSTEMS else zoo_curve(name, budget)
-
-
-def zoo_curve(name: str, budget: int | None = None) -> CurveEvaluator:
-    """Look up a named curve evaluator ("holder-diag", "<arrowhead|hilbert>-pseudo:<order>")."""
+    """Look up a named system or curve (see zoo_names); raises KeyError for unknown names,
+    and for a curve order that is not a positive integer."""
+    if name in _SYSTEMS:
+        return _SYSTEMS[name]()
     if name == "holder-diag":
         return diagonal_curve()
     family, _, order = name.partition(":")
     builders = {"arrowhead-pseudo": arrowhead_pseudo, "hilbert-pseudo": hilbert_pseudo}
     if family in builders and order.isdecimal() and int(order) >= 1:
         return builders[family](int(order), budget)
-    raise KeyError(name)  # also an order that is not a positive integer
+    raise KeyError(name)
 
 
 def zoo_names() -> list[str]:

@@ -6,8 +6,7 @@ range from tagging._stage_spans, and a covering's record carries those spans.
 
 from dataclasses import dataclass
 
-from orderedcover.geometry import Record, lex_unrank
-from orderedcover.tagging import _stage_counts
+from orderedcover.geometry import Record, check_level_budget, lex_unrank
 
 
 def pending_after_stage(r: int, s: int, j: int) -> int:
@@ -38,9 +37,13 @@ def fineness_schedule(
     Stage j contributes, for each of its (r-1) rank-(s+1) parts, one group of
     fineness r^(j-1) plus sub-groups at each deeper rank down to fineness 1.
     Ordinals count groups within each (rank, fineness) class. The group count
-    scales with q, so the part budget is enforced before anything is built.
+    scales with q, so the part budget is enforced before anything is built,
+    and before t = r + r^2 + ... + r^s is formed.
     """
-    t, q = _stage_counts(r, s, budget)
+    check_level_budget(r, s, budget)
+    t = sum(r**j for j in range(1, s + 1))
+    check_level_budget(r, t, budget)
+    q = r**t
     groups: list[FinenessGroup] = [FinenessGroup(s, 1, 1, 1, 1)]
     ordinals: dict[tuple[int, int], int] = {}
     k = 2

@@ -150,7 +150,7 @@ def test_criterion_5_side_schedule_self_similar():
     rng = np.random.default_rng(5)
     failures = []
     for name in sorted(zoo.IFS_NAMES):
-        ifs = zoo.zoo_ifs(name)
+        ifs = zoo.zoo_source(name)
         # the stage-1 schedule at N = 3, from the system: minkowski's s = 1
         # build exceeds the part budget and gap-dust's fails its audit
         r, bigN = ifs.r, 3
@@ -196,9 +196,9 @@ def test_criterion_6_dynamics_accuracy():
 
 
 def test_criterion_7_constant_weight_envelope():
-    # Constant weights, D = 0.5 on [1, 2]: every measured mixed-shift
-    # norm stays under e^((D-1)k) and the series tails vanish.
-    env = cs1_envelope_closed_form(0.5, (1.0, 2.0))
+    # Constant weights, D = 0.5 on [1, 2], shift counts n <= 50: every measured
+    # mixed-shift norm stays under e^(50 D k/(50 + k) - k) and the series tails vanish.
+    env = cs1_envelope_closed_form(0.5, (1.0, 2.0), 1.0, 50, 1.0)
     rep = check_cs1_bounds(
         rolewicz_family(), gamma=1.0, D=0.5, interval=(1.0, 2.0),
         k_max=50, n_max=50, envelope=env,

@@ -501,25 +501,32 @@ def test_curve_runs_honour_the_part_budget(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, s",
+    "argv, parts",
     [
-        (["cover", "build", "--name", "koch", "--s", "40"], 40),
-        (["cover", "build", "--name", "koch", "--tau", "1e-300"], 630),
-        (["cover", "build", "--name", "koch", "--tau", "1e-6"], 13),
-        (["dyn", "--name", "unit-interval", "--s", "30"], 30),
+        (["cover", "build", "--name", "koch", "--s", "40"], 4**10),
+        (["cover", "build", "--name", "koch", "--tau", "1e-300"], 4**10),
+        (["cover", "build", "--name", "koch", "--tau", "1e-6"], 4**10),
+        (["dyn", "--name", "unit-interval", "--s", "30"], 2**20),
+        (["cover", "build", "--name", "minkowski", "--s", "13", "--budget", "1000000000000"], 8**14),
+        (["cover", "build", "--name", "hilbert-square", "--s", "19", "--budget", "1000000000000"], 4**20),
+        (["dyn", "--name", "unit-interval", "--s", "39", "--budget", "1000000000000"], 2**40),
     ],
 )
-def test_a_stage_past_the_part_budget_is_refused_at_once(argv, s, capsys, monkeypatch):
-    # t = r + ... + r^s is past log_r(budget) once s is: refused before r^t is
-    # formed, which at s = 40 took unbounded time and at s = 30 passed the
+def test_a_stage_past_the_part_budget_is_refused_at_once(argv, parts, capsys, monkeypatch):
+    # t = r + ... + r^s is past log_r(budget) once s is, and r^s alone fits a budget
+    # of 10^12 while t reaches 6.3e11: refused before r^t, the stage spans or any
+    # level is formed, which at s = 40 took unbounded time and at s = 30 passed the
     # 4300-digit limit of int to str
+    def no_levels(*args, **kwargs):
+        raise AssertionError("levels built before the part budget check")
+
     monkeypatch.delenv("HBD_COVER_BUDGET", raising=False)
+    monkeypatch.setattr("orderedcover.geometry._part_boxes", no_levels)
+    limit = int(argv[argv.index("--budget") + 1]) if "--budget" in argv else 10**6
     start = time.perf_counter()
     assert main(argv) == 1
     assert time.perf_counter() - start < 5.0
-    assert capsys.readouterr() == (
-        "", f"error: q = r^t with t > s = {s} exceeds budget 1000000\n"
-    )
+    assert capsys.readouterr() == ("", f"error: {parts} parts exceed budget {limit}\n")
 
 
 def test_verify_jump_refuses_a_resolution_past_the_part_budget(capsys, monkeypatch):

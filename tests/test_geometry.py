@@ -18,11 +18,11 @@ from orderedcover.geometry import (
     Record,
     Similarity,
     attractor_points,
-    levels,
+    iter_levels,
     lex_unrank,
     part_budget,
 )
-from orderedcover.zoo import IFS_NAMES, sierpinski_gasket, unit_interval, zoo_ifs
+from orderedcover.zoo import IFS_NAMES, sierpinski_gasket, unit_interval, zoo_source
 
 from geometry_reference import MultiIndex, compose_part, lex_rank
 
@@ -101,7 +101,7 @@ def test_compose_part_applies_maps_outside_in():
 def test_resolution_covering_counts_and_order():
     ifs = sierpinski_gasket()
     for m in range(4):
-        level = levels(ifs, m)[-1]
+        level = list(iter_levels(ifs, m))[-1]
         assert len(level) == 3**m and level.m == m
         words = [tuple(level.index(k)) for k in range(len(level))]
         assert words == sorted(words) == list(itertools.product((1, 2, 3), repeat=m))
@@ -109,7 +109,7 @@ def test_resolution_covering_counts_and_order():
 
 def test_resolution_covering_agrees_with_compose_part():
     ifs = sierpinski_gasket()
-    level = levels(ifs, 3)[-1]
+    level = list(iter_levels(ifs, 3))[-1]
     for k in range(0, 27, 5):
         corner, side = compose_part(ifs, MultiIndex(lex_unrank(k, 3, 3), 3))
         assert np.allclose(level.corners[k], corner, atol=1e-12)
@@ -119,9 +119,9 @@ def test_resolution_covering_agrees_with_compose_part():
 def test_budget_stops_large_enumerations():
     ifs = sierpinski_gasket()
     with pytest.raises(BudgetExceededError):
-        levels(ifs, 20)
+        list(iter_levels(ifs, 20))
     with pytest.raises(BudgetExceededError):
-        levels(ifs, 3, budget=10)
+        list(iter_levels(ifs, 3, budget=10))
 
 
 def test_budget_env_var_override(monkeypatch):
@@ -129,7 +129,7 @@ def test_budget_env_var_override(monkeypatch):
     assert part_budget() == 12
     ifs = sierpinski_gasket()
     with pytest.raises(BudgetExceededError):
-        levels(ifs, 3)
+        list(iter_levels(ifs, 3))
     monkeypatch.delenv("HBD_COVER_BUDGET")
     assert part_budget() == 10**6
 
@@ -207,7 +207,7 @@ def test_ifs_allows_geom_tol_and_not_one_ulp_more(edge, reach, outward):
 
 @pytest.mark.parametrize("name", IFS_NAMES)
 def test_coefficient_table_is_each_maps_matrix_and_shift_bit_for_bit(name):
-    ifs = zoo_ifs(name)
+    ifs = zoo_source(name)
     want = np.array([[*sim.matrix().ravel(), *sim.shift] for sim in ifs.maps])
     assert ifs.coefficients.shape == (ifs.r, 6)
     assert ifs.coefficients.tobytes() == want.tobytes()
@@ -218,7 +218,7 @@ def test_coefficient_table_is_each_maps_matrix_and_shift_bit_for_bit(name):
 @settings(max_examples=10, deadline=None)
 def test_prefix_parts_contain_descendants(depth):
     ifs = sierpinski_gasket()
-    lv = levels(ifs, depth)
+    lv = list(iter_levels(ifs, depth))
     if depth == 0:
         assert len(lv[0]) == 1
         return

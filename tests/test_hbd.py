@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderedcover.geometry import GEOM_TOL, BudgetExceededError, Level, levels
+from orderedcover.geometry import GEOM_TOL, BudgetExceededError, Level, iter_levels
 from orderedcover.hbd import (
     check_adjacency,
     check_diameters,
@@ -21,7 +21,6 @@ from orderedcover.zoo import (
     minkowski_sausage,
     sierpinski_gasket,
     unit_interval,
-    zoo_curve,
     zoo_source,
 )
 
@@ -158,7 +157,7 @@ def test_adjacency_matches_rank_arithmetic_reference(r, m, seed, gap, moved):
 
 @pytest.mark.parametrize("ifs", [*SYSTEMS, gap_dust(), unit_interval()], ids=lambda s: s.name)
 def test_adjacency_matches_rank_arithmetic_reference_on_zoo_levels(ifs):
-    for level in levels(ifs, 3 if ifs.r == 8 else 5)[2:]:
+    for level in list(iter_levels(ifs, 3 if ifs.r == 8 else 5))[2:]:
         result = check_adjacency(level)
         assert (result.passed, result.counterexample) == adjacency_reference(level)
 
@@ -208,7 +207,7 @@ def test_report_is_the_same_over_a_stream_and_a_list(name, deflate, m):
 
 @pytest.mark.parametrize("name", ["holder-diag", "arrowhead-pseudo:3", "hilbert-pseudo:3"])
 def test_a_curve_answers_the_level_source_interface(name):
-    curve = zoo_curve(name)
+    curve = zoo_source(name)
     assert (curve.r, curve.d, curve.rho) == (2, 2, curve.holder_rho)
     assert curve.gamma == 1.0 / curve.holder_beta  # bit for bit, as verify-hbd's records need
     for got, want in zip(curve.iter_levels(4, budget=16), holder_levels(curve, 4)):

@@ -30,7 +30,7 @@ from orderedcover.geometry import (
     Similarity,
     attractor_points,
     images_under_words,
-    levels,
+    iter_levels,
     lex_unrank,
 )
 from orderedcover.hbd import (
@@ -71,7 +71,7 @@ MAX_DEPTH = 6
 @functools.lru_cache(maxsize=None)
 def system_levels(name):
     ifs = SYSTEMS[name]()
-    return ifs, levels(ifs, MAX_DEPTH)
+    return ifs, list(iter_levels(ifs, MAX_DEPTH))
 
 
 @given(name=st.sampled_from(sorted(SYSTEMS)), depth=st.integers(0, MAX_DEPTH), data=st.data())
@@ -107,7 +107,7 @@ def test_levels_refuse_before_building(monkeypatch):
 
     monkeypatch.setattr(geometry, "_part_boxes", no_images)
     with pytest.raises(BudgetExceededError, match="^243 parts exceed budget 100$"):
-        levels(sierpinski_gasket(), 7, budget=100)
+        list(iter_levels(sierpinski_gasket(), 7, budget=100))
     with pytest.raises(BudgetExceededError, match="^243 parts exceed budget 100$"):
         attractor_points(sierpinski_gasket(), 7, budget=100)
     with pytest.raises(BudgetExceededError, match="^1024 parts exceed budget 1000$"):
@@ -195,7 +195,7 @@ ZOO_DEPTH = {name: 6 if name == "minkowski" else 8 for name in SYSTEMS}
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_levels_match_vertex_reference_bit_for_bit(name):
     ifs = SYSTEMS[name]()
-    got, want = levels(ifs, ZOO_DEPTH[name]), reference_levels(ifs, ZOO_DEPTH[name])
+    got, want = list(iter_levels(ifs, ZOO_DEPTH[name])), reference_levels(ifs, ZOO_DEPTH[name])
     for level, ref in zip(got, want, strict=True):
         assert_same_bits(level, ref)
     points = np.vstack([ifs.base_vertices(), [[0.3, -0.7], [1e-3, 2.5]]])
@@ -246,7 +246,7 @@ def test_levels_of_drawn_systems_match_vertex_reference_bit_for_bit(ifs, data):
     xy = st.floats(-3.0, 3.0)
     points = np.array(data.draw(st.lists(st.tuples(xy, xy), min_size=1, max_size=4)))
     with mock.patch.object(geometry, "_BLOCK_PARTS", block):
-        got, want = levels(ifs, depth), reference_levels(ifs, depth)
+        got, want = list(iter_levels(ifs, depth)), reference_levels(ifs, depth)
         for level, ref in zip(got, want, strict=True):
             assert_same_bits(level, ref)
         assert_images_same_bits(ifs, points, depth)
@@ -478,7 +478,7 @@ def assert_conditions_match_loops(parent, child, data):
 @settings(max_examples=80, deadline=None)
 def test_conditions_match_per_part_loops_on_drawn_systems(ifs, data):
     m = data.draw(st.integers(2, {2: 6, 3: 4, 4: 3}[ifs.r]))
-    lv = levels(ifs, m)
+    lv = list(iter_levels(ifs, m))
     assert_conditions_match_loops(lv[m - 1], lv[m], data)
 
 

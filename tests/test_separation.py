@@ -28,7 +28,7 @@ from orderedcover.zoo import (
     koch_curve,
     sierpinski_gasket,
     unit_interval,
-    zoo_ifs,
+    zoo_source,
 )
 from orderedcover.geometry import (
     BudgetExceededError,
@@ -36,7 +36,7 @@ from orderedcover.geometry import (
     OrderedIFS,
     Similarity,
     attractor_points,
-    levels,
+    iter_levels,
 )
 
 
@@ -423,13 +423,13 @@ ZOO_COVERINGS = [
 
 @functools.lru_cache
 def zoo_covering(name, s):
-    ifs = zoo_ifs(name)
+    ifs = zoo_source(name)
     return ifs, build_tagged_covering(ifs, BuilderParams.from_stage(ifs, s, 1))
 
 
 def part_sides(ifs, cov):
     """The covered parts' sides in k order, sliced from geometry.levels."""
-    lv = geometry.levels(ifs, cov.s + cov.t)
+    lv = list(geometry.iter_levels(ifs, cov.s + cov.t))
     spans = tagging._stage_spans(cov.r, cov.s, cov.t)
     return np.concatenate([lv[m].sides[first : first + count] for _, m, first, count in spans])
 
@@ -443,9 +443,9 @@ def with_x_again(rows):
 def test_a_copied_coordinate_changes_nothing_on_zoo_levels(name):
     # every condition and the jump check's sup norm fold over the coordinates,
     # so a third coordinate that repeats x changes no verdict or counterexample
-    ifs = zoo_ifs(name)
+    ifs = zoo_source(name)
     r, c = ifs.r, ifs.r ** (-1.0 / ifs.gamma)
-    lv = levels(ifs, 6)
+    lv = list(iter_levels(ifs, 6))
     wide = [Level(level.m, r, with_x_again(level.corners.T).T, level.sides) for level in lv]
     far = []
     for m in range(len(lv)):
@@ -794,7 +794,7 @@ def jump_reference(ifs, m, gamma=None, rho=None):
     rho = ifs.rho if rho is None else rho
     r = ifs.r
     c = r ** (-1.0 / gamma)
-    level = levels(ifs, m)[-1]
+    level = list(iter_levels(ifs, m))[-1]
     jj, ll = np.triu_indices(len(level), k=1)
     dist = np.abs(level.corners[jj] - level.corners[ll]).max(axis=1)
     gaps = (ll - jj).astype(float)

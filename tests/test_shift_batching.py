@@ -40,7 +40,7 @@ from orderedcover.shifts import (
     weight_family,
 )
 from orderedcover.tagging import BuilderParams, build_tagged_covering
-from orderedcover.zoo import hilbert_square, koch_curve, sierpinski_gasket, unit_interval, zoo_ifs
+from orderedcover.zoo import hilbert_square, koch_curve, sierpinski_gasket, unit_interval, zoo_source
 from orderedcover import shifts
 
 from cs1_reference import cs1_envelope_generic
@@ -434,10 +434,10 @@ def golden_envelopes():
                  "dyn_sierpinski_plus_power_alpha0.5", "dynamics_unit_interval_power0.5_eta0.2"):
         ref = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
         record = ref["output"]["record"] if "output" in ref else ref
-        ifs = zoo_ifs(record["fractal"])
+        ifs = zoo_source(record["fractal"])
         N, D = record["config"]["bigN"], record["D_scaled"]
         if record["family"] == "rolewicz":
-            env = cs1_envelope_closed_form(D, (1.0, 2.0), 1.0 / ifs.gamma, record["q"] * N)
+            env = cs1_envelope_closed_form(D, (1.0, 2.0), 1.0 / ifs.gamma, record["q"] * N, 1.0)
         else:
             name, alpha = record["family"].split(":")
             fam = weight_family(name, float(alpha))
@@ -474,16 +474,25 @@ def test_early_exit_n_search_picks_the_full_sum_step(fam, monkeypatch):
     assert fast.to_record() == full.to_record()
 
 
+def linear_envelope(D):
+    """log c_k = (D - 1) k, with the geometric remainder of its tail past K."""
+
+    def env(k):
+        return (D - 1.0) * k
+
+    env.remainder = lambda K, log_K: shifts._tail_bound(log_K, 1.0 - D, 1.0, K)
+    return env
+
+
 def test_envelope_tail_without_small_term_is_not_summable():
-    constant = cs1_envelope_closed_form(1.0, (1.0, 2.0))  # log c_k = 0 for every k
-    assert _envelope_tail(constant, 1) == math.inf
-    decaying = cs1_envelope_closed_form(0.5, (1.0, 2.0))  # log c_k = -k/2
+    assert _envelope_tail(linear_envelope(1.0), 1) == math.inf  # log c_k = 0 for every k
+    decaying = linear_envelope(0.5)  # log c_k = -k/2
     head = sum(math.exp(-k / 2) for k in range(5, 84))  # the first term below 1e-18 is k=83
     assert _envelope_tail(decaying, 5) == pytest.approx(head, rel=1e-15)
 
 
 def test_envelope_tail_with_overflowing_term_is_not_summable():
-    assert _envelope_tail(cs1_envelope_closed_form(800.0, (1.0, 2.0)), 1) == math.inf
+    assert _envelope_tail(linear_envelope(800.0), 1) == math.inf
 
 
 def test_envelope_tail_whose_sum_overflows_is_not_summable():

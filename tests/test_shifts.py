@@ -272,12 +272,10 @@ def test_left_end_gain_floor_equals_grid_floor(fam, interval):
 
 
 def test_closed_form_envelope_limits():
-    env = cs1_envelope_closed_form(0.5, (1.0, 2.0))
-    assert env(10.0) == pytest.approx(-5.0)
-    finite = cs1_envelope_closed_form(0.5, (1.0, 2.0), alpha_g=1.0, horizon=100)
-    assert finite(10.0) < env(10.0)  # finite horizon is strictly tighter
-    with pytest.raises(ValueError):
-        cs1_envelope_closed_form(0.5, (1.0, 2.0), alpha_g=0.7, horizon=None)
+    finite = cs1_envelope_closed_form(0.5, (1.0, 2.0), 1.0, 100, 1.0)
+    # D n k/(n + k) - a k at n = 100, strictly below its n -> infinity limit (D - a) k
+    assert finite(10.0) == pytest.approx(0.5 * 100 * 10 / 110 - 10)
+    assert finite(10.0) < -5.0
 
 
 def test_cs1_bounds_match_dense_ops():
@@ -306,7 +304,7 @@ def test_cs1_bounds_match_dense_ops():
 
 
 def test_cs1_bounds_rolewicz_under_closed_form():
-    env = cs1_envelope_closed_form(0.5, (1.0, 2.0))
+    env = cs1_envelope_closed_form(0.5, (1.0, 2.0), 1.0, 20, 1.0)  # horizon n_max
     report = check_cs1_bounds(
         rolewicz_family(),
         gamma=1.0,
@@ -319,7 +317,9 @@ def test_cs1_bounds_rolewicz_under_closed_form():
     )
     assert report.passed
     assert report.worst_log_margin <= 0.0
-    assert report.ratio_margin == pytest.approx(1.0 - math.exp(-0.5), rel=1e-9)
+    # log c_k = 10 k/(20 + k) - k is concave, so its ratio window k = 40..80 decays least
+    # at its first step
+    assert report.ratio_margin == pytest.approx(1.0 - math.exp(410 / 61 - 400 / 60 - 1.0), rel=1e-9)
     assert report.tail_sums["1"] < 2.0
 
 
@@ -478,7 +478,7 @@ def test_common_vector_certificate_bounds_measurement():
         np.tile(np.array([1.0, 0.5, 0.25, *([0.0] * (cfg.L - 2))]), (cfg.d, 1))
     )
     env = cs1_envelope_closed_form(
-        rep.D_scaled, cfg.interval, 1.0 / ifs.gamma, horizon=cov.q * cfg.bigN
+        rep.D_scaled, cfg.interval, 1.0 / ifs.gamma, horizon=cov.q * cfg.bigN, max_abs=1.0
     )
     u = build_common_vector(scaled, fam, cfg, u0, vt)
     measured = float(np.abs(np.exp(u.dense()) - np.exp(u0.dense())).max())

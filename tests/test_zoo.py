@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from orderedcover.geometry import GEOM_TOL, levels
+from orderedcover.geometry import GEOM_TOL, iter_levels
 from orderedcover.zoo import (
+    CurveEvaluator,
     arrowhead_pseudo,
     diagonal_curve,
     gap_dust,
@@ -15,9 +16,8 @@ from orderedcover.zoo import (
     minkowski_sausage,
     sierpinski_gasket,
     unit_interval,
-    zoo_curve,
-    zoo_ifs,
     zoo_names,
+    zoo_source,
 )
 
 from geometry_reference import MultiIndex, compose_part
@@ -57,7 +57,7 @@ def test_gasket_all_maps_send_triangle_to_point_up_halves():
 
 def test_gasket_part_sides_are_exact_dyadics():
     ifs = sierpinski_gasket()
-    for level in levels(ifs, 5):
+    for level in list(iter_levels(ifs, 5)):
         assert level.sides == pytest.approx(np.full(3**level.m, 0.5**level.m), rel=1e-14)
 
 
@@ -101,7 +101,7 @@ def test_koch_level_one_boxes():
 
 def test_koch_rho_matches_worst_box_inflation():
     ifs = koch_curve()
-    worst = levels(ifs, 1)[-1].sides.max()
+    worst = list(iter_levels(ifs, 1))[-1].sides.max()
     assert worst == pytest.approx(ifs.rho / 3.0, rel=1e-12)
 
 
@@ -109,7 +109,7 @@ def test_minkowski_images_stay_inside_base_box():
     ifs = minkowski_sausage()
     lo = np.asarray(ifs.corner)
     hi = lo + ifs.side
-    level = levels(ifs, 1)[-1]
+    level = list(iter_levels(ifs, 1))[-1]
     assert (level.corners >= lo - 1e-12).all()
     assert (level.corners + level.sides[:, None] <= hi + 1e-12).all()
     assert level.sides == pytest.approx(np.full(8, 5.0 / 12.0), rel=1e-12)
@@ -125,23 +125,41 @@ def test_minkowski_has_eight_quarter_maps():
 def test_interval_and_dust_helpers():
     line = unit_interval()
     assert line.r == 2 and line.gamma == pytest.approx(1.0)
-    corners = sorted(levels(line, 3)[-1].corners[:, 0])
+    corners = sorted(list(iter_levels(line, 3))[-1].corners[:, 0])
     assert corners == pytest.approx([k / 8.0 for k in range(8)])
 
     dust = gap_dust()
     assert dust.gamma == pytest.approx(0.5)
-    level = levels(dust, 1)[-1]
+    level = list(iter_levels(dust, 1))[-1]
     # the two pieces leave a gap: consecutive parts cannot touch
     assert level.corners[0, 0] + level.sides[0] < level.corners[1, 0] - 1e-6
 
 
 def test_zoo_lookup_and_unknown_name():
-    assert {zoo_ifs(n).name for n in ("sierpinski", "hilbert-square", "koch", "minkowski")}
+    assert {zoo_source(n).name for n in ("sierpinski", "hilbert-square", "koch", "minkowski")}
     with pytest.raises(KeyError):
-        zoo_ifs("dragon")
-    with pytest.raises(KeyError):
-        zoo_curve("dragon")
+        zoo_source("dragon")
     assert "sierpinski" in zoo_names()
+
+
+@pytest.mark.parametrize(
+    "vertices, beta, rho, field",
+    [
+        ([[0.0, 0.0], [1.0, 1.0]], 0.0, 1.0, "holder_beta"),
+        ([[0.0, 0.0], [1.0, 1.0]], -0.5, 1.0, "holder_beta"),
+        ([[0.0, 0.0], [1.0, 1.0]], 1.0, math.nan, "holder_rho"),
+        ([[0.0, 0.0], [1.0, 1.0]], 1.0, math.inf, "holder_rho"),
+        ([0.0, 1.0, 2.0], 1.0, 1.0, "vertices"),
+        (np.zeros((0, 2)), 1.0, 1.0, "vertices"),
+        (np.zeros((2, 0)), 1.0, 1.0, "vertices"),
+        ([[0.0, 0.0], [math.nan, 1.0]], 1.0, 1.0, "vertices"),
+        ([[0.0, 0.0], [1.0, math.inf]], 1.0, 1.0, "vertices"),
+    ],
+)
+def test_curve_refuses_bad_inputs_naming_the_field(vertices, beta, rho, field):
+    # refused when built, not later as a division by zero, an index error or nan sides
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        CurveEvaluator(vertices, beta, rho)
 
 
 def test_diagonal_curve_is_the_identity_pairing():
@@ -166,7 +184,7 @@ def test_arrowhead_endpoints_and_vertex_count():
 def test_arrowhead_vertices_lie_on_gasket_parts():
     order = 3
     curve = arrowhead_pseudo(order)
-    level = levels(sierpinski_gasket(), order)[-1]
+    level = list(iter_levels(sierpinski_gasket(), order))[-1]
     lo = level.corners - GEOM_TOL
     hi = level.corners + level.sides[:, None] + GEOM_TOL
     vertices = curve(curve.breakpoints)[:, None, :]
