@@ -203,6 +203,8 @@ class OrderedIFS:
         if self.shape not in ("square", "triangle"):
             raise ValueError(f"unknown base shape {self.shape!r}")
         check_positive(side=self.side, gamma=self.gamma, rho=self.rho)
+        if len(self.maps) < 2:
+            raise ValueError(f"an ordered system needs at least 2 maps, got {len(self.maps)}")
         ratios = [m.ratio for m in self.maps]
         if max(ratios) - min(ratios) > 1e-12:
             raise ValueError("maps must share one contraction ratio")
@@ -354,14 +356,14 @@ def images_under_words(
     return np.stack(boxes[:2], axis=1)
 
 
-def attractor_points(ifs: OrderedIFS, depth: int, budget: int | None = None) -> np.ndarray:
+def attractor_points(ifs: OrderedIFS, depth: int) -> np.ndarray:
     """The fixed point of phi_1 under every word of the given depth.
 
     One point per depth-level part, in rank order, each on the attractor up
-    to rounding.
+    to rounding, after the check against part_budget().
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     first = ifs.maps[0]
     fixed = np.linalg.solve(np.eye(2) - first.matrix(), np.asarray(first.shift))
-    return images_under_words(ifs, fixed, depth, budget)
+    return images_under_words(ifs, fixed, depth)

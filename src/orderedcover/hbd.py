@@ -124,23 +124,22 @@ def check_adjacency(level: Level) -> ConditionResult:
     return ConditionResult("iii", m, True)
 
 
-def hbd_report(
-    source, gamma: float, rho: float, m_max: int, name: str | None = None, budget: int | None = None
-) -> HbdReport:
+def hbd_report(source, gamma: float, rho: float, m_max: int, name: str | None = None) -> HbdReport:
     """Run all three checks for every resolution up to m_max.
 
     source is a level source, an ordered system or a curve (its
-    iter_levels(m_max, budget) generates the levels one at a time, after the
-    budget check), or any iterable of levels for resolutions 0..m_max in
-    order, such as that stream. Only the level before the current one is
-    kept. gamma and rho must be finite and > 0 (ValueError).
+    iter_levels(m_max) generates the levels one at a time, after the check
+    against geometry.part_budget(): HBD_COVER_BUDGET, else 10^6), or any
+    iterable of levels for resolutions 0..m_max in order, such as a stream
+    under another budget. Only the level before the current one is kept.
+    gamma and rho must be finite and > 0 (ValueError).
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     geometry.check_positive(gamma=gamma, rho=rho)
     label = name or getattr(source, "name", "")
     if hasattr(source, "iter_levels"):
-        source = source.iter_levels(m_max, budget)
+        source = source.iter_levels(m_max)
     diameters, nesting, adjacency = [], [], []
     for m, level in enumerate(islice(source, m_max + 1)):
         if m == 0:

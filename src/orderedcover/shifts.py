@@ -258,18 +258,13 @@ class FiniteVector:
         return cls(np.array([position]), np.full((d, 1), np.log(float(value))), L)
 
     @classmethod
-    def from_dense(cls, logmag: np.ndarray) -> "FiniteVector":
-        logmag = np.atleast_2d(logmag)
-        cols = np.flatnonzero((logmag > NEG_INF).any(axis=0))
-        return cls(cols, logmag[:, cols], logmag.shape[1] - 1)
-
-    @classmethod
     def from_values(cls, values: np.ndarray) -> "FiniteVector":
         values = np.atleast_2d(np.asarray(values, dtype=float))
         if not (values >= 0.0).all():
             raise ValueError("vector entries must be >= 0")
+        cols = np.flatnonzero((values > 0.0).any(axis=0))
         with np.errstate(divide="ignore"):
-            return cls.from_dense(np.log(values))
+            return cls(cols, np.log(values[:, cols]), values.shape[1] - 1)
 
     def dense(self) -> np.ndarray:
         """logmag on every coordinate 0..L, (d, L + 1)."""
@@ -293,41 +288,8 @@ class FiniteVector:
 # shift powers
 
 
-def _weight_diffs(fam: WeightFamily, x: float, n: int, L: int) -> np.ndarray:
-    """f(x, l+n) - f(x, l) for l = 0..L-n."""
-    table = fam.log_products(x, L)
-    return table[n : L + 1] - table[0 : L + 1 - n]
-
-
-def backward_power(fam: WeightFamily, x: float, n: int, logmag: np.ndarray) -> np.ndarray:
-    """(B^n u)_l = e^(f(x,l+n) - f(x,l)) u_(l+n) on one factor's log magnitudes;
-    coordinates past L-n vanish."""
-    L = len(logmag) - 1
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return logmag.copy()
-    if n > L:
-        return np.full(L + 1, NEG_INF)
-    return np.concatenate([logmag[n:] + _weight_diffs(fam, x, n, L), np.full(n, NEG_INF)])
-
-
 class TruncationOverflowError(RuntimeError):
     """A forward power would push support past the truncation length."""
-
-
-def forward_power(fam: WeightFamily, x: float, n: int, logmag: np.ndarray) -> np.ndarray:
-    """(F^n u)_(l+n) = e^(-(f(x,l+n) - f(x,l))) u_l, weights inverted."""
-    L = len(logmag) - 1
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return logmag.copy()
-    if n > L or (logmag[L - n + 1 :] > NEG_INF).any():
-        raise TruncationOverflowError(
-            f"support would exceed L={L} after a forward power of {n}"
-        )
-    return np.concatenate([np.full(n, NEG_INF), logmag[: L - n + 1] - _weight_diffs(fam, x, n, L)])
 
 
 def product_apply(
@@ -337,14 +299,24 @@ def product_apply(
     u: FiniteVector,
     direction: str,
 ) -> FiniteVector:
-    """Apply the d-fold power: backward is T^n_lambda, forward is S^n_lambda."""
+    """Apply the d-fold power to u's stored columns, with f(x, .) = fam.log_products(x, L)
+    per factor. backward is T^n_lambda: column c >= n moves to c - n and gains
+    f(x, c) - f(x, c - n); the others fall off. forward is S^n_lambda: column c moves to
+    c + n and loses f(x, c + n) - f(x, c); support pushed past L is refused."""
     if len(lam) != u.d:
         raise ValueError(f"parameter has {len(lam)} coordinates, vector has d={u.d}")
     if direction not in ("backward", "forward"):
         raise ValueError("direction must be 'backward' or 'forward'")
-    op = backward_power if direction == "backward" else forward_power
-    rows = [op(fam, float(x), n, row) for x, row in zip(lam, u.dense())]
-    return FiniteVector.from_dense(np.stack(rows))
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    back = direction == "backward"
+    if not back and (n > u.L or u.support_max() + n > u.L):
+        raise TruncationOverflowError(f"support would exceed L={u.L} after a forward power of {n}")
+    keep = u.cols >= n if back else u.cols <= u.L - n
+    lo = u.cols[keep] - n if back else u.cols[keep]  # each entry moves between lo and lo + n
+    table = np.stack([fam.log_products(float(x), u.L) for x in lam])
+    gain, logmag = table[:, lo + n] - table[:, lo], u.logmag[:, keep]
+    return FiniteVector(lo if back else lo + n, logmag + gain if back else logmag - gain, u.L)
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +783,7 @@ def run_dynamics_experiment(
     interval: tuple[float, float] = (1.0, 2.0),
     eta: float = 0.1,
     s: int = 1,
-    d: int = 2,
+    d: int | None = None,
     budget: int | None = None,
 ) -> DynamicsReport:
     """Full pipeline: covering -> scaling -> N selection -> u -> 3 eta certificate.
@@ -819,11 +791,12 @@ def run_dynamics_experiment(
     source is a level source, an ordered system or a Holder curve. The weight law picks the
     certificate: f(x, n) = x n (constant weights e^x) takes the exact finite-horizon
     closed-form envelope on any geometry; any other law needs alpha <= 1/gamma, or no
-    summable bound exists and the run is refused. Bad inputs (check_dynamics_inputs) and a
-    factor count d outside 1..source.d (2 for a planar system, the vertex width for a curve)
-    are refused first.
+    summable bound exists and the run is refused. The factor count d defaults to source.d (2
+    for a planar system, the vertex width for a curve). Bad inputs (check_dynamics_inputs)
+    and a d outside 1..source.d are refused first.
     """
     check_dynamics_inputs(interval, eta)
+    d = source.d if d is None else d
     if not 1 <= d <= source.d:
         raise ValueError(f"d must be in 1..{source.d}, got {d}")
     alpha_g = 1.0 / source.gamma

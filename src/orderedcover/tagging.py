@@ -200,12 +200,12 @@ def build_tagged_covering(
         raise ValueError(f"system fails dimension condition {fail.condition} at m={fail.m}")
 
     sides = tau / geometry._pow(np.arange(1, q + 1, dtype=float) * bigN, alpha)
-    k0 = 0
-    for (stage, *_, count), (_, part_sides) in zip(spans, parts, strict=True):
-        if (part_sides > sides[k0 : k0 + count] + GEOM_TOL).any():
-            raise AssertionError(f"stage {stage} has a square smaller than its covered part")
-        k0 += count
-    assert k0 == q
+    corners, part_sides = map(np.concatenate, zip(*parts))
+    if len(part_sides) != q:  # a lone part would broadcast against every side
+        raise AssertionError(f"the stages hold {len(part_sides)} parts, not q={q}")
+    bad = np.flatnonzero(part_sides > sides + GEOM_TOL)
+    if bad.size:
+        raise AssertionError(f"square {bad[0] + 1} is smaller than its covered part")
 
     return TaggedCovering(
         fractal=source.name,
@@ -218,6 +218,6 @@ def build_tagged_covering(
         s=s,
         t=t,
         q=q,
-        tags=np.concatenate([corners for corners, _ in parts]),
+        tags=corners,
         sides=sides,
     )

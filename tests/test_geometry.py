@@ -160,6 +160,14 @@ def test_ifs_rejects_mixed_ratios():
         OrderedIFS(maps, "square", (0.0, 0.0), 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_ifs_refuses_fewer_than_two_maps(count):
+    # one map leaves the build with c = 1 and the audits with an empty pair set
+    maps = (Similarity(0.5, 0.0, False, (0.0, 0.0)),) * count
+    with pytest.raises(ValueError, match=rf"^an ordered system needs at least 2 maps, got {count}"):
+        OrderedIFS(maps, "square", (0.0, 0.0), 1.0, 1.0, 1.0)
+
+
 def test_ifs_rejects_escaping_maps():
     maps = (
         Similarity(0.5, 0.0, False, (0.0, 0.0)),

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from orderedcover import geometry
 from orderedcover.geometry import (
+    BUDGET_ENV_VAR,
     GEOM_TOL,
     BudgetExceededError,
     Level,
@@ -108,10 +109,12 @@ def test_levels_refuse_before_building(monkeypatch):
     monkeypatch.setattr(geometry, "_part_boxes", no_images)
     with pytest.raises(BudgetExceededError, match="^243 parts exceed budget 100$"):
         list(iter_levels(sierpinski_gasket(), 7, budget=100))
+    monkeypatch.setenv(BUDGET_ENV_VAR, "100")
     with pytest.raises(BudgetExceededError, match="^243 parts exceed budget 100$"):
-        attractor_points(sierpinski_gasket(), 7, budget=100)
+        attractor_points(sierpinski_gasket(), 7)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
     with pytest.raises(BudgetExceededError, match="^1024 parts exceed budget 1000$"):
-        hbd_report(koch_curve(), 1.2, 1.4, 6, budget=1000)
+        hbd_report(koch_curve(), 1.2, 1.4, 6)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -224,7 +227,7 @@ def random_systems(draw):
     angles = st.one_of(st.sampled_from([0.0, math.pi / 3, math.pi / 2, math.pi, -math.pi / 2]),
                        st.floats(-7.0, 7.0))
     fix_corner = Similarity(ratio, 0.0, False, tuple((1.0 - ratio) * np.asarray(corner)))
-    base = OrderedIFS((fix_corner,), shape, corner, side, 1.0, 1.0).base_vertices()
+    base = OrderedIFS((fix_corner,) * 2, shape, corner, side, 1.0, 1.0).base_vertices()
     maps = []
     for _ in range(r):
         angle, reflect = draw(angles), draw(st.booleans())

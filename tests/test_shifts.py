@@ -11,12 +11,10 @@ from orderedcover.shifts import (
     FiniteVector,
     TruncationOverflowError,
     _log_abs_diff,
-    backward_power,
     build_common_vector,
     check_cs2_lipschitz,
     cs1_envelope_closed_form,
     DynamicsConfig,
-    forward_power,
     plus_power_family,
     power_family,
     product_apply,
@@ -102,6 +100,12 @@ def test_from_values_refuses_a_negative_entry(bad):
         FiniteVector.from_values(np.array([[1.0, bad, 0.0]]))
 
 
+def power(fam, x, n, values, direction):
+    """product_apply on one factor, taking and giving values rather than logs."""
+    u = FiniteVector.from_values(values)
+    return np.exp(product_apply(fam, (x,), n, u, direction).dense()[0])
+
+
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
 @pytest.mark.parametrize("n", [0, 1, 3, 5])
 def test_backward_power_matches_iterated_steps(fam, n):
@@ -109,7 +113,7 @@ def test_backward_power_matches_iterated_steps(fam, n):
     values = np.where(np.arange(13) % 4 == 2, 0.0, rng.uniform(0.0, 1.0, size=13))
     x = 1.7
     expected = dense_backward(fam, x, n, values)
-    got = np.exp(backward_power(fam, x, n, logs(values)))
+    got = power(fam, x, n, values, "backward")
     assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
 
 
@@ -120,27 +124,49 @@ def test_forward_power_matches_iterated_steps(fam, n):
     values = np.concatenate([rng.uniform(0.0, 1.0, size=9 - n), np.zeros(n)])
     x = 1.3
     expected = dense_forward(fam, x, n, values)
-    got = np.exp(forward_power(fam, x, n, logs(values)))
+    got = power(fam, x, n, values, "forward")
     assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
 def test_backward_inverts_forward_on_support(fam):
     values = np.array([0.5, 0.25, 1.0, 0.0, 0.0, 0.0, 0.0])
-    back = backward_power(fam, 1.5, 4, forward_power(fam, 1.5, 4, logs(values)))
-    assert np.allclose(np.exp(back), values, rtol=1e-9, atol=1e-12)
+    back = power(fam, 1.5, 4, power(fam, 1.5, 4, values, "forward"), "backward")
+    assert np.allclose(back, values, rtol=1e-9, atol=1e-12)
 
 
 def test_forward_power_guards_truncation():
     values = np.zeros(6)
     values[4] = 1.0
     with pytest.raises(TruncationOverflowError):
-        forward_power(rolewicz_family(), 1.0, 3, logs(values))
+        power(rolewicz_family(), 1.0, 3, values, "forward")
 
 
 def test_backward_power_beyond_support_is_zero():
     fam = rolewicz_family()
-    assert np.isneginf(backward_power(fam, 1.0, 9, np.zeros(5))).all()
+    assert (power(fam, 1.0, 9, np.ones(5), "backward") == 0.0).all()
+
+
+def test_forward_power_past_the_truncation_refuses_a_zero_vector():
+    zero = FiniteVector.from_values(np.zeros(6))
+    message = "^support would exceed L=5 after a forward power of 6$"
+    with pytest.raises(TruncationOverflowError, match=message):
+        product_apply(rolewicz_family(), (1.0,), 6, zero, "forward")
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
+def test_backward_power_past_the_support_keeps_no_column(fam):
+    u = FiniteVector.from_values(np.array([[0.5, 0.0, 2.0] + [0.0] * 8] * 2))
+    got = product_apply(fam, (1.0, 1.5), 3, u, "backward")
+    assert got.cols.size == 0 and got.logmag.shape == (2, 0) and got.L == 10
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+def test_a_zeroth_power_returns_the_vectors_own_entries(fam, direction):
+    u = FiniteVector.from_values(np.array([[0.5, 0.0, 2.0, 0.25], [0.0, 0.0, 1.0, 3.0]]))
+    got = product_apply(fam, (1.2, 1.9), 0, u, direction)
+    assert np.array_equal(got.cols, u.cols) and np.array_equal(got.logmag, u.logmag)
 
 
 def test_product_apply_uses_per_factor_parameters():
@@ -442,6 +468,14 @@ def test_tag_params_names_the_tags_width():
     assert tag_params(cov, 2).shape == (4, 2)
     with pytest.raises(ValueError, match=r"^d must be in 1\.\.2, the tags' width, got 3$"):
         tag_params(cov, 3)
+
+
+def test_a_curve_runs_on_its_own_factor_count_by_default():
+    # d defaults to source.d: one factor on a curve in R^1, three on the diagonal of R^3
+    line = run_dynamics_experiment(CurveEvaluator([[0.0], [1.0]], 1.0, 1.0), rolewicz_family())
+    assert line.passed and line.config.d == 1
+    diag3 = CurveEvaluator([[0, 0, 0], [1, 1, 1]], 1, 1, "diag3")
+    assert run_dynamics_experiment(diag3, rolewicz_family()).to_record()["config"]["d"] == 3
 
 
 def test_single_factor_run_on_the_line():
