@@ -185,13 +185,10 @@ def verify_separation(cov: TaggedCovering, seed: int = 0) -> SeparationReport:
     a slack that keeps ties and absorbs the bound's rounding. Every sup
     distance is max(hi_j - lo_l, hi_l - lo_j) per axis, so worst_ratio is
     the exhaustive maximum bit for bit. Memory is O(q + 2^14) plus the
-    list of undecided block pairs. cov.D and cov.gamma must be finite and
-    > 0 (ValueError): a covering made by dataclasses.replace skips the
-    builder's checks.
+    list of undecided block pairs.
     """
     # seed is unused: the audit draws nothing; bench/jobs.py still passes it
     D, gamma = cov.D, cov.gamma
-    geometry.check_positive(D=D, gamma=gamma)
     d = cov.tags.shape[1]
     columns = np.concatenate([cov.tags.T, cov.tags.T + cov.sides])  # d lo rows, d hi rows
     worst_ratio, worst_pair = -np.inf, (0, 0)

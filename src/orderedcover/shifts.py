@@ -167,8 +167,9 @@ def plus_power_family(alpha: float) -> WeightFamily:
         return out
 
     def slope(x: float, n_max: int) -> np.ndarray:
-        k = np.arange(1, n_max + 1, dtype=float)
-        return np.concatenate([[0.0], np.cumsum(1.0 / (_pow(k, 1.0 - alpha) + x))])
+        k = _pow(np.arange(1, n_max + 1, dtype=float), 1.0 - alpha)
+        k += x
+        return np.concatenate([[0.0], np.cumsum(np.reciprocal(k, out=k), out=k)])
 
     return WeightFamily(f"plus-power:{alpha}", alpha, 1.0 / alpha, table, slope)
 
@@ -338,12 +339,14 @@ def check_cs2_lipschitz(
 ) -> CS2Report:
     """The exact sup of |f(x,n) - f(y,n)| / (n^alpha |x - y|) over x != y in [a, b] and
     1 <= n <= n_max, against C0 (1 + 1e-9): f(., n) rises, linearly or concavely, so it is
-    at x = y = a.
+    at x = y = a. An n_max below 0 is refused (ValueError); n_max = 0 passes vacuously.
     For f = x n^alpha the quotient is 1 at every n. Otherwise the scale n^alpha and the
     slopes take Python's float pow (_pow), so the measured sup is the same on every CPU."""
     a, b = interval
     if not a < b:
         raise ValueError(f"interval needs a < b, got [{a}, {b}]")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if fam.g is not None:
         measured = 1.0 if n_max >= 1 else 0.0
     else:

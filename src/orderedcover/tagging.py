@@ -117,6 +117,10 @@ class TaggedCovering(Record):
     Row k-1 of tags (q, d) and sides (q,) is square k. The covered part,
     stage and fineness groups of each square follow from (r, s, k);
     to_record writes the stage spans they are read from, beside the arrays.
+    Construction, dataclasses.replace and affine_scaled included, refuses
+    (ValueError, naming the field) a tau, D, gamma or rho that is not finite
+    and > 0, tags not (q, d) or sides not (q,), and a nan or inf in either:
+    the audits then never fold a nan into a verdict.
     """
 
     fractal: str
@@ -131,6 +135,15 @@ class TaggedCovering(Record):
     q: int
     tags: np.ndarray = field(repr=False)
     sides: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        geometry.check_positive(tau=self.tau, D=self.D, gamma=self.gamma, rho=self.rho)
+        for label, ndim, shape in (("tags", 2, "(q, d)"), ("sides", 1, "(q,)")):
+            value = getattr(self, label)
+            if np.ndim(value) != ndim or len(value) != self.q:
+                raise ValueError(f"{label} must be {shape} with q={self.q}, got {np.shape(value)}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{label} must be finite")
 
     @property
     def alpha(self) -> float:
@@ -150,9 +163,8 @@ class TaggedCovering(Record):
         return margin_ok and d_ok
 
     def affine_scaled(self, sigma: float, offset: tuple[float, ...]) -> "TaggedCovering":
-        """Map every square by p -> offset + sigma * p; D and rho scale by sigma."""
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        """Map every square by p -> offset + sigma * p; D and rho scale by sigma. The
+        scaled covering checks itself, so sigma must be finite and > 0."""
         return replace(
             self,
             tau=sigma * self.tau,
@@ -201,23 +213,11 @@ def build_tagged_covering(
 
     sides = tau / geometry._pow(np.arange(1, q + 1, dtype=float) * bigN, alpha)
     corners, part_sides = map(np.concatenate, zip(*parts))
-    if len(part_sides) != q:  # a lone part would broadcast against every side
-        raise AssertionError(f"the stages hold {len(part_sides)} parts, not q={q}")
+    cov = TaggedCovering(  # refuses stages that hold other than q parts
+        fractal=source.name, tau=tau, bigN=bigN, D=params.D, gamma=gamma,
+        r=r, rho=rho, s=s, t=t, q=q, tags=corners, sides=sides,
+    )
     bad = np.flatnonzero(part_sides > sides + GEOM_TOL)
     if bad.size:
         raise AssertionError(f"square {bad[0] + 1} is smaller than its covered part")
-
-    return TaggedCovering(
-        fractal=source.name,
-        tau=tau,
-        bigN=bigN,
-        D=params.D,
-        gamma=gamma,
-        r=r,
-        rho=rho,
-        s=s,
-        t=t,
-        q=q,
-        tags=corners,
-        sides=sides,
-    )
+    return cov

@@ -17,6 +17,7 @@ from orderedcover.geometry import (
     OrderedIFS,
     Record,
     Similarity,
+    _pow,
     attractor_points,
     iter_levels,
     lex_unrank,
@@ -289,3 +290,12 @@ def test_the_record_format_lives_in_one_place():
                     own[cls.__name__] = [line.strip() for line in lines]
     assert sorted(own) == ["HbdReport", "TaggedCovering"]
     assert own["HbdReport"][1:] == ['return {**super().to_record(), "pass": self.passed}']
+
+
+@pytest.mark.parametrize("exponent", [0.1, 0.5, 1 / 3, math.log(2) / math.log(3), 2.0])
+def test_pow_is_python_pow_bit_for_bit_across_its_chunks(exponent):
+    # 2 x 65,536 + 3 values: two whole chunks of the stream and a partial third
+    base = np.arange(1.0, 2 * 65536 + 4.0) * 1.37
+    whole = np.fromiter(map(pow, base.tolist(), itertools.repeat(exponent)), float, len(base))
+    assert _pow(base, exponent).tobytes() == whole.tobytes()
+    assert _pow(base[:0], exponent).shape == (0,)

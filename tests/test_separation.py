@@ -118,7 +118,7 @@ def test_separation_exhaustive_on_small_covering(gasket_cov):
 def test_separation_refuses_a_meaningless_bound(gasket_cov, D, gamma):
     # with a nan D or gamma every ratio is nan and none folds into the
     # maximum, so the audit would pass with worst_ratio -inf at (0, 0);
-    # dataclasses.replace skips the builder's checks
+    # the covering that dataclasses.replace builds refuses them itself
     given = {key: value for key, value in (("D", D), ("gamma", gamma)) if value is not None}
     with pytest.raises(ValueError, match="must be finite and > 0"):
         verify_separation(dataclasses.replace(gasket_cov, **given))

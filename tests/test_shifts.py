@@ -261,6 +261,15 @@ def test_cs2_needs_an_interval_with_a_below_b():
             check_cs2_lipschitz(rolewicz_family(), interval)
 
 
+@pytest.mark.parametrize("fam", [rolewicz_family(), power_family(0.5), plus_power_family(0.5)],
+                         ids=lambda f: f.name)
+def test_cs2_refuses_a_negative_n_max(fam):
+    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+        check_cs2_lipschitz(fam, (1.0, 2.0), n_max=-1)
+    report = check_cs2_lipschitz(fam, (1.0, 2.0), n_max=0)  # no n to check: a vacuous pass
+    assert (report.measured, report.samples, report.passed) == (0.0, 0, True)
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_cs2_measured_is_python_pow_bit_for_bit(alpha):
     # the same running sums and quotients in plain Python floats: no power

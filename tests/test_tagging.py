@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -271,3 +272,54 @@ def test_builder_params_refuse_a_D_that_is_not_finite_and_positive(make, value):
 def test_builder_params_refuse_a_stage_or_stride_below_one(make):
     with pytest.raises(ValueError, match="bigN >= 1 required"):
         make(sierpinski_gasket())
+
+
+@pytest.fixture(scope="module")
+def gasket_cov():
+    ifs = sierpinski_gasket()
+    return build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
+
+
+def with_value(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+@pytest.mark.parametrize(
+    "label, make",
+    [("tags", lambda cov: replace(cov, tags=with_value(cov.tags, (5, 0), math.nan))),
+     ("tags", lambda cov: replace(cov, tags=with_value(cov.tags, (5, 1), math.inf))),
+     ("sides", lambda cov: replace(cov, sides=with_value(cov.sides, 5, math.nan))),
+     ("tags", lambda cov: cov.affine_scaled(1.0, (math.nan, 0.0)))],
+    ids=["nan-tag", "inf-tag", "nan-side", "nan-offset"],
+)
+def test_a_covering_refuses_a_tag_or_side_that_is_not_finite(gasket_cov, label, make):
+    # verify_separation once passed the first three with worst_ratio -inf:
+    # numpy's argmax picks a nan ratio, and a nan never folds into the maximum
+    with pytest.raises(ValueError, match=f"^{label} must be finite$"):
+        make(gasket_cov)
+
+
+@pytest.mark.parametrize("label", ["tau", "D", "gamma", "rho"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_a_covering_refuses_a_parameter_that_is_not_finite_and_positive(gasket_cov, label, value):
+    with pytest.raises(ValueError, match=f"{label} must be finite and > 0, got {value}"):
+        replace(gasket_cov, **{label: value})
+
+
+@pytest.mark.parametrize(
+    "label, cut",
+    [("tags", lambda a: a[:-1]), ("tags", lambda a: a[:, 0]), ("sides", lambda a: a[1:]),
+     ("sides", lambda a: a[:, None])],
+    ids=["tags-short", "tags-flat", "sides-short", "sides-column"],
+)
+def test_a_covering_refuses_arrays_of_another_shape(gasket_cov, label, cut):
+    with pytest.raises(ValueError, match=f"{label} must be \\(q"):
+        replace(gasket_cov, **{label: cut(getattr(gasket_cov, label))})
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -0.5])
+def test_affine_scaling_refuses_a_factor_that_is_not_finite_and_positive(gasket_cov, sigma):
+    with pytest.raises(ValueError, match="tau must be finite and > 0"):
+        gasket_cov.affine_scaled(sigma, (1.0, 1.0))
