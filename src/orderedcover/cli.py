@@ -102,9 +102,9 @@ def _exponents(args: argparse.Namespace, gamma: float, rho: float) -> tuple[floa
     return gamma, rho
 
 
-def _level(source, m: int, budget: int | None) -> Level:
+def _level(source, m: int) -> Level:
     """Resolution m of a system or a curve, after the budget check."""
-    for level in source.iter_levels(_at_least("m", m, 0), budget):
+    for level in source.iter_levels(_at_least("m", m, 0)):
         pass
     return level
 
@@ -173,7 +173,7 @@ def _ifs_record(ifs: OrderedIFS) -> dict:
 
 def cmd_zoo_emit(args: argparse.Namespace) -> int:
     def body() -> tuple:
-        source = zoo_source(args.name, args.budget)
+        source = zoo_source(args.name)
         if isinstance(source, OrderedIFS):
             record = _ifs_record(source)
         else:
@@ -185,7 +185,7 @@ def cmd_zoo_emit(args: argparse.Namespace) -> int:
                 "holder_rho": source.holder_rho,
             }
         if args.m is not None:
-            level = _level(source, args.m, args.budget)
+            level = _level(source, args.m)
             record["covering"] = {
                 "m": args.m,
                 "corners": level.corners.tolist(),
@@ -202,11 +202,11 @@ def cmd_zoo_emit(args: argparse.Namespace) -> int:
 
 def cmd_verify_hbd(args: argparse.Namespace) -> int:
     def body() -> tuple:
-        source = zoo_source(args.name, args.budget)
+        source = zoo_source(args.name)
         _at_least("m", args.m, 1)
         gamma, rho = _exponents(args, source.gamma, source.rho)
         # a stream, not the source: bench/tracer.py lists a source that has no maps
-        lv = source.iter_levels(args.m, args.budget)
+        lv = source.iter_levels(args.m)
         report = hbd_report(lv, gamma, rho, args.m, name=source.name)
         notes = [
             f"condition ({c.condition}) m={c.m}: {'PASS' if c.passed else 'FAIL'}"
@@ -222,7 +222,7 @@ def cmd_verify_hbd(args: argparse.Namespace) -> int:
 
 
 def _build_for_args(args: argparse.Namespace) -> tuple:
-    source = zoo_source(args.name, args.budget)
+    source = zoo_source(args.name)
     for flag in ("tau", "D"):
         value = getattr(args, flag)
         if value is not None and not 0 < value < math.inf:
@@ -234,7 +234,7 @@ def _build_for_args(args: argparse.Namespace) -> tuple:
         raise _UsageError("cover needs --tau or --s")
     else:
         params = BuilderParams.from_tau(source, args.tau, args.bigN, D=args.D)
-    cov = build_tagged_covering(source, params, budget=args.budget)
+    cov = build_tagged_covering(source, params)
     if args.s is not None:
         return source, cov, None
     return source, cov, {"tau_requested": args.tau, "s": cov.s, "tau": cov.tau}
@@ -255,7 +255,7 @@ def cmd_cover_verify(args: argparse.Namespace) -> int:
     def body() -> tuple:
         source, cov, _ = _build_for_args(args)
         form = verify_form(cov)
-        coverage = verify_coverage(source, cov, budget=args.budget)
+        coverage = verify_coverage(source, cov)
         sep = verify_separation(cov)
         checks = {"form": form.passed, "coverage": coverage.passed, "separation": sep.passed}
         record = {
@@ -278,16 +278,14 @@ def cmd_cover_verify(args: argparse.Namespace) -> int:
 
 def cmd_dyn(args: argparse.Namespace) -> int:
     def body() -> tuple:
-        source = zoo_source(args.name, args.budget)
+        source, interval = zoo_source(args.name), tuple(args.interval)
         try:
             fam = weight_family(args.family, args.alpha)
-            check_dynamics_inputs(tuple(args.interval), args.eta)
+            check_dynamics_inputs(interval, args.eta)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
         s = 1 if args.s is None else _at_least("s", args.s, 1)
-        report = run_dynamics_experiment(
-            source, fam, interval=tuple(args.interval), eta=args.eta, s=s, budget=args.budget
-        )
+        report = run_dynamics_experiment(source, fam, interval=interval, eta=args.eta, s=s)
         note = (
             f"universality worst={report.universality.worst_error:.6f} "
             f"bound={3 * args.eta:.6f}: {'PASS' if report.passed else 'FAIL'}"
@@ -341,9 +339,9 @@ def cmd_render(args: argparse.Namespace) -> int:
             _, cov, _ = _build_for_args(args)
             corners, sides = cov.tags, cov.sides
         else:
-            source = zoo_source(args.name, args.budget)
+            source = zoo_source(args.name)
             m = args.m if args.m is not None else 4 if isinstance(source, OrderedIFS) else 6
-            level = _level(source, m, args.budget)
+            level = _level(source, m)
             corners, sides = level.corners, level.sides
         _atomic_write(args.out, _svg_of_boxes(corners, sides))
         return None, 0, []
@@ -379,9 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="write the JSON record here (atomic)")
-        p.add_argument(
-            "--budget", type=int, default=None, help=f"part budget override (also {BUDGET_ENV_VAR})"
-        )
+        p.add_argument("--budget", type=int, help=f"sets {BUDGET_ENV_VAR} for this command")
 
     def add_covering(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tau", type=float, default=None, help="coarsest allowed side")
@@ -423,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--m", type=int, default=None)
     add_covering(render)
     render.add_argument("--out", required=True)
-    render.add_argument("--budget", type=int, default=None)
+    render.add_argument("--budget", type=int, help=f"sets {BUDGET_ENV_VAR} for this command")
 
     jump = command(sub, "verify-jump", "verify_jump", help="index gap lower bound from distances")
     jump.add_argument("--m", type=int, required=True)
@@ -436,9 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_verify_jump(args: argparse.Namespace) -> int:
     def body() -> tuple:
-        source, m = zoo_source(args.name, args.budget), _at_least("m", args.m, 0)
+        source, m = zoo_source(args.name), _at_least("m", args.m, 0)
         gamma, rho = _exponents(args, source.gamma, source.rho)
-        report = verify_jump_lemma(source, m, gamma=gamma, rho=rho, budget=args.budget)
+        report = verify_jump_lemma(source, m, gamma=gamma, rho=rho)
         status = "PASS" if report.passed else "FAIL"
         return report.to_record(), 0 if report.passed else 1, [f"jump m={args.m}: {status}"]
 
@@ -448,15 +444,25 @@ def cmd_verify_jump(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; may be called repeatedly in one process.
 
-    A --budget or HBD_COVER_BUDGET that part_budget refuses is a usage
-    error, refused before any work.
+    --budget N sets HBD_COVER_BUDGET=N for this command only. A --budget below 1,
+    or a variable that part_budget refuses, is a usage error, refused before any work.
     """
     args = build_parser().parse_args(argv)
+    saved = os.environ.get(BUDGET_ENV_VAR)
+    if args.budget is not None:
+        if args.budget < 1:
+            return _fail(f"budget must be >= 1, got {args.budget}", 2)
+        os.environ[BUDGET_ENV_VAR] = str(args.budget)
     try:
-        part_budget(args.budget)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    return globals()[args.handler](args)
+        try:
+            part_budget()
+        except ValueError as exc:
+            return _fail(str(exc), 2)
+        return globals()[args.handler](args)
+    finally:
+        os.environ.pop(BUDGET_ENV_VAR, None)
+        if saved is not None:
+            os.environ[BUDGET_ENV_VAR] = saved
 
 
 if __name__ == "__main__":

@@ -21,8 +21,9 @@ Conventions used throughout the package:
   keeps one level at a time needs about two levels' memory. Curve levels
   (``zoo.holder_levels``) are the same type.
 - A level source is an ``OrderedIFS`` or a ``zoo.CurveEvaluator``: r, gamma,
-  rho, name, the coordinate count d and iter_levels(m_max, budget) are all
-  that hbd, tagging, separation and shifts read of either.
+  rho, name, the coordinate count d and iter_levels(m_max) are all that
+  hbd, tagging, separation and shifts read of either. Every level source
+  refuses a level past part_budget() up front, in check_level_budget.
 """
 
 from __future__ import annotations
@@ -50,24 +51,21 @@ class InvalidIndexError(ValueError):
     """A rank falls outside 0..arity^length - 1."""
 
 
-def part_budget(override: int | None = None) -> int:
-    """Active part budget: explicit override, else env var, else default.
+def part_budget() -> int:
+    """Active part budget: HBD_COVER_BUDGET, else DEFAULT_PART_BUDGET.
 
-    A value of the env var that is not an integer, and a budget below 1,
-    raise ValueError naming where the budget came from.
+    A value that is not an integer, or is below 1, raises ValueError
+    naming the variable.
     """
-    if override is not None:
-        budget, source = int(override), "budget"
-    else:
-        env = os.environ.get(BUDGET_ENV_VAR)
-        if not env:
-            return DEFAULT_PART_BUDGET
-        try:
-            budget, source = int(env), BUDGET_ENV_VAR
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+    env = os.environ.get(BUDGET_ENV_VAR)
+    if not env:
+        return DEFAULT_PART_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
     if budget < 1:
-        raise ValueError(f"{source} must be >= 1, got {budget}")
+        raise ValueError(f"{BUDGET_ENV_VAR} must be >= 1, got {budget}")
     return budget
 
 
@@ -114,9 +112,9 @@ def _record_value(value):
     return value
 
 
-def check_level_budget(r: int, m_max: int, budget: int | None = None) -> None:
-    """Refuse resolutions 0..m_max up front, naming the first level over budget."""
-    limit = part_budget(budget)
+def check_level_budget(r: int, m_max: int) -> None:
+    """Refuse resolutions 0..m_max up front, naming the first level over part_budget()."""
+    limit = part_budget()
     for m in range(m_max + 1):
         if r**m > limit:
             raise BudgetExceededError(f"{r ** m} parts exceed budget {limit}")
@@ -229,8 +227,8 @@ class OrderedIFS:
     def ratio(self) -> float:
         return self.maps[0].ratio
 
-    def iter_levels(self, m_max: int, budget: int | None = None) -> Iterator[Level]:
-        return iter_levels(self, m_max, budget)
+    def iter_levels(self, m_max: int) -> Iterator[Level]:
+        return iter_levels(self, m_max)
 
     def base_vertices(self) -> np.ndarray:
         x, y = self.corner
@@ -334,7 +332,7 @@ def _level(m: int, r: int, boxes: np.ndarray) -> Level:
     return Level(m, r, lo.T, np.maximum(hi[0], hi[1], out=hi[0]))
 
 
-def iter_levels(ifs: OrderedIFS, m_max: int, budget: int | None = None) -> Iterator[Level]:
+def iter_levels(ifs: OrderedIFS, m_max: int) -> Iterator[Level]:
     """Resolutions 0..m_max in turn, each part the bounding square of its
     base vertices' images. Every level is checked against the budget before
     this returns, and a level is built only when the next one is asked for:
@@ -342,17 +340,15 @@ def iter_levels(ifs: OrderedIFS, m_max: int, budget: int | None = None) -> Itera
     levels and the vertex images of the one before the last."""
     if m_max < 0:
         raise ValueError(f"resolution must be >= 0, got {m_max}")
-    check_level_budget(ifs.r, m_max, budget)
+    check_level_budget(ifs.r, m_max)
     boxes = _part_boxes(ifs, ifs.base_vertices(), m_max)
     return (_level(m, ifs.r, b) for m, b in enumerate(boxes))
 
 
-def images_under_words(
-    ifs: OrderedIFS, point: np.ndarray, m: int, budget: int | None = None
-) -> np.ndarray:
+def images_under_words(ifs: OrderedIFS, point: np.ndarray, m: int) -> np.ndarray:
     """Images (r^m, 2) of one point under every word of length m, in rank
     order, after the budget check: the boxes of one vertex."""
-    check_level_budget(ifs.r, m, budget)
+    check_level_budget(ifs.r, m)
     for boxes in _part_boxes(ifs, [point], m):
         pass
     return np.stack(boxes[:2], axis=1)

@@ -129,9 +129,8 @@ def hbd_report(source, gamma: float, rho: float, m_max: int, name: str | None = 
 
     source is a level source, an ordered system or a curve (its
     iter_levels(m_max) generates the levels one at a time, after the check
-    against geometry.part_budget(): HBD_COVER_BUDGET, else 10^6), or any
-    iterable of levels for resolutions 0..m_max in order, such as a stream
-    under another budget. Only the level before the current one is kept.
+    against geometry.part_budget()), or any iterable of levels for
+    resolutions 0..m_max in order. Only the level before the current one is kept.
     gamma and rho must be finite and > 0 (ValueError).
     """
     if m_max < 1:

@@ -82,7 +82,7 @@ class CoverageReport(Record):
     base_inside: bool | None = None  # fact (a), a system's only
 
 
-def verify_coverage(source, cov: TaggedCovering, budget: int | None = None) -> CoverageReport:
+def verify_coverage(source, cov: TaggedCovering) -> CoverageReport:
     """Show that the squares cover the attractor of a system, or the image
     of a curve, from three facts.
 
@@ -109,8 +109,8 @@ def verify_coverage(source, cov: TaggedCovering, budget: int | None = None) -> C
     squares are; a built covering's tags are its parts' corners, so there
     (c) comes down to part side <= side + tol. It is None when (b) fails,
     as (c) is then not tried. Like the build, (c) generates every level
-    up to s + t, O(r^(s+t)) time, after the budget check, but keeps only
-    the stages' parts.
+    up to s + t, O(r^(s+t)) time, after the check against part_budget()
+    (HBD_COVER_BUDGET), but keeps only the stages' parts.
     """
     if source.r != cov.r:
         raise ValueError(f"covering has r={cov.r} but system has r={source.r}")
@@ -134,7 +134,7 @@ def verify_coverage(source, cov: TaggedCovering, budget: int | None = None) -> C
         return CoverageReport(False, False, None, base_inside)
 
     parts = []  # per stage: the corners and sides of its parts
-    for _ in tagging._keep_stages(source.iter_levels(m_max, budget), spans, parts):
+    for _ in tagging._keep_stages(source.iter_levels(m_max), spans, parts):
         pass
     corners, part_sides = map(np.concatenate, zip(*parts))
     lo, tags = corners.T, cov.tags.T  # (d, q) each
@@ -331,7 +331,7 @@ class JumpReport(Record):
 
 
 def verify_jump_lemma(
-    ifs, m: int, gamma: float | None = None, rho: float | None = None, budget: int | None = None
+    ifs, m: int, gamma: float | None = None, rho: float | None = None
 ) -> JumpReport:
     """Check the jump lemma on the tags of resolution m of a level source,
     a system or a curve, from its short-gap band.
@@ -344,13 +344,13 @@ def verify_jump_lemma(
     premise threshold keeps a hair of slack (1 - 1e-9) against rounding.
     pairs_checked counts the band of the last n decided, b q - b(b + 1)/2
     with b = min(short, q - 1); short never falls as n rises. A resolution
-    past the part budget is refused with BudgetExceededError before any
-    level is formed; gamma and rho must be finite and > 0 (ValueError).
+    past part_budget() (HBD_COVER_BUDGET) is refused with BudgetExceededError
+    before any level is formed; gamma and rho must be finite and > 0 (ValueError).
     """
     gamma = ifs.gamma if gamma is None else gamma
     rho = ifs.rho if rho is None else rho
     geometry.check_positive(gamma=gamma, rho=rho)
-    for level in ifs.iter_levels(m, budget):  # refuses past the budget first
+    for level in ifs.iter_levels(m):  # refuses past the budget first
         pass
     tags = np.ascontiguousarray(level.corners.T)
     r, q = ifs.r, len(level)

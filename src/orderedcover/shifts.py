@@ -119,12 +119,6 @@ class WeightFamily:
     dlog_products: Callable[[float, int], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def weight(self, x: float, n: int) -> float:
-        if n < 1:
-            raise ValueError("weights start at n = 1")
-        table = self.log_products(x, n)
-        return math.exp(float(table[n] - table[n - 1]))
-
 
 def _linear_family(name: str, alpha: float) -> WeightFamily:
     """f(x, n) = x n^alpha, C0 = 1."""
@@ -257,21 +251,6 @@ class FiniteVector:
         if not value > 0.0:
             raise ValueError(f"basis value must be > 0, got {value}")
         return cls(np.array([position]), np.full((d, 1), np.log(float(value))), L)
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "FiniteVector":
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if not (values >= 0.0).all():
-            raise ValueError("vector entries must be >= 0")
-        cols = np.flatnonzero((values > 0.0).any(axis=0))
-        with np.errstate(divide="ignore"):
-            return cls(cols, np.log(values[:, cols]), values.shape[1] - 1)
-
-    def dense(self) -> np.ndarray:
-        """logmag on every coordinate 0..L, (d, L + 1)."""
-        logmag = np.full((self.d, self.L + 1), NEG_INF)
-        logmag[:, self.cols] = self.logmag
-        return logmag
 
     def at(self, cols: np.ndarray) -> np.ndarray:
         """logmag at an int array of columns, (d,) + cols.shape."""
@@ -787,7 +766,6 @@ def run_dynamics_experiment(
     eta: float = 0.1,
     s: int = 1,
     d: int | None = None,
-    budget: int | None = None,
 ) -> DynamicsReport:
     """Full pipeline: covering -> scaling -> N selection -> u -> 3 eta certificate.
 
@@ -812,7 +790,7 @@ def run_dynamics_experiment(
     a, b = interval
 
     params = BuilderParams.from_stage(source, s, 1)
-    cov_geo = build_tagged_covering(source, params, budget=budget)
+    cov_geo = build_tagged_covering(source, params)
     q = cov_geo.q
 
     tags, sides = cov_geo.tags, cov_geo.sides

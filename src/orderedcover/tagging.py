@@ -182,9 +182,7 @@ class TaggedCovering(Record):
         return {**super().to_record(), "stages": stages}
 
 
-def build_tagged_covering(
-    source, params: BuilderParams, budget: int | None = None
-) -> TaggedCovering:
+def build_tagged_covering(source, params: BuilderParams) -> TaggedCovering:
     """Run the construction on a level source, a system or a curve; raises
     on bad parameters or budget overrun."""
     r, gamma, rho = source.r, source.gamma, source.rho
@@ -201,9 +199,9 @@ def build_tagged_covering(
         raise ValueError(f"need r >= 2, got {r}")
     # t = r + r^2 + ... + r^s is formed only once r^s fits the budget, and the
     # spans and q = r^t < r^(s+t) only once every level up to s + t does
-    geometry.check_level_budget(r, s, budget)
+    geometry.check_level_budget(r, s)
     t = r * (r**s - 1) // (r - 1)
-    levels = source.iter_levels(s + t, budget)
+    levels = source.iter_levels(s + t)
     spans, q = _stage_spans(r, s, t), r**t
     parts = []  # per stage, copies of its parts' corners and sides
     report = hbd_report(_keep_stages(levels, spans, parts), gamma, rho, s + t)

@@ -192,8 +192,8 @@ class CurveEvaluator:
     rho = property(lambda self: self.holder_rho)
     d = property(lambda self: self.vertices.shape[1])
 
-    def iter_levels(self, m_max: int, budget: int | None = None) -> Iterator[Level]:
-        return holder_levels(self, m_max, budget)
+    def iter_levels(self, m_max: int) -> Iterator[Level]:
+        return holder_levels(self, m_max)
 
 
 def diagonal_curve() -> CurveEvaluator:
@@ -201,19 +201,17 @@ def diagonal_curve() -> CurveEvaluator:
     return CurveEvaluator([[0.0, 0.0], [1.0, 1.0]], 1.0, 1.0, "holder-diag")
 
 
-def _chain_vertices(
-    ifs: OrderedIFS, start: np.ndarray, end: np.ndarray, order: int, budget: int | None
-) -> np.ndarray:
+def _chain_vertices(ifs: OrderedIFS, start: np.ndarray, end: np.ndarray, order: int) -> np.ndarray:
     """Entry points of all depth-`order` parts in lexicographic order, plus the exit.
 
     Valid for systems whose maps chain phi_j(end) = phi_(j+1)(start); the
     returned polyline then visits the parts in covering order with segments
     of equal length ratio^order * |end - start|.
     """
-    return np.vstack([geometry.images_under_words(ifs, start, order, budget), end])
+    return np.vstack([geometry.images_under_words(ifs, start, order), end])
 
 
-def arrowhead_pseudo(order: int, budget: int | None = None) -> CurveEvaluator:
+def arrowhead_pseudo(order: int) -> CurveEvaluator:
     """Order-m arrowhead polyline through the gasket parts, uniform speed.
 
     beta = log2/log3; rho = 4: parameter intervals of length 3^-k map into
@@ -225,23 +223,23 @@ def arrowhead_pseudo(order: int, budget: int | None = None) -> CurveEvaluator:
         raise ValueError("order must be >= 1")
     ifs = sierpinski_gasket(1.0)
     verts = ifs.base_vertices()
-    vertices = _chain_vertices(ifs, verts[0], verts[1], order, budget)
+    vertices = _chain_vertices(ifs, verts[0], verts[1], order)
     beta = math.log(2.0) / math.log(3.0)
     return CurveEvaluator(vertices, beta, 4.0, f"arrowhead-pseudo:{order}")
 
 
-def hilbert_pseudo(order: int, budget: int | None = None) -> CurveEvaluator:
+def hilbert_pseudo(order: int) -> CurveEvaluator:
     """Order-m pseudo-Hilbert polyline; beta = 1/2, rho = 4."""
     if order < 1:
         raise ValueError("order must be >= 1")
     ifs = hilbert_square()
     start = np.array([-0.5, -0.5])
     end = np.array([0.5, -0.5])
-    vertices = _chain_vertices(ifs, start, end, order, budget)
+    vertices = _chain_vertices(ifs, start, end, order)
     return CurveEvaluator(vertices, 0.5, 4.0, f"hilbert-pseudo:{order}")
 
 
-def holder_levels(curve: CurveEvaluator, m_max: int, budget: int | None = None) -> Iterator[Level]:
+def holder_levels(curve: CurveEvaluator, m_max: int) -> Iterator[Level]:
     """Bounding squares of f over the 2^m dyadic intervals, for m = 0..m_max in turn.
 
     Rank j of resolution m is the interval [j 2^-m, (j+1) 2^-m]. f is
@@ -253,7 +251,7 @@ def holder_levels(curve: CurveEvaluator, m_max: int, budget: int | None = None) 
     """
     if m_max < 0:
         raise ValueError(f"resolution must be >= 0, got {m_max}")
-    geometry.check_level_budget(2, m_max, budget)
+    geometry.check_level_budget(2, m_max)
     return (_holder_level(curve, m) for m in range(m_max + 1))
 
 
@@ -285,7 +283,7 @@ _SYSTEMS: dict[str, Callable[[], OrderedIFS]] = {
 IFS_NAMES = tuple(_SYSTEMS)
 
 
-def zoo_source(name: str, budget: int | None = None) -> OrderedIFS | CurveEvaluator:
+def zoo_source(name: str) -> OrderedIFS | CurveEvaluator:
     """Look up a named system or curve (see zoo_names); raises KeyError for unknown names,
     and for a curve order that is not a positive integer."""
     if name in _SYSTEMS:
@@ -295,7 +293,7 @@ def zoo_source(name: str, budget: int | None = None) -> OrderedIFS | CurveEvalua
     family, _, order = name.partition(":")
     builders = {"arrowhead-pseudo": arrowhead_pseudo, "hilbert-pseudo": hilbert_pseudo}
     if family in builders and order.isdecimal() and int(order) >= 1:
-        return builders[family](int(order), budget)
+        return builders[family](int(order))
     raise KeyError(name)
 
 

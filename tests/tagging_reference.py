@@ -29,9 +29,7 @@ class FinenessGroup(Record):
         return self.k_to - self.k_from + 1
 
 
-def fineness_schedule(
-    r: int, s: int, budget: int | None = None
-) -> tuple[list[FinenessGroup], int, int]:
+def fineness_schedule(r: int, s: int) -> tuple[list[FinenessGroup], int, int]:
     """Group bookkeeping for (r, s): returns (groups, t, q).
 
     Stage j contributes, for each of its (r-1) rank-(s+1) parts, one group of
@@ -40,9 +38,9 @@ def fineness_schedule(
     scales with q, so the part budget is enforced before anything is built,
     and before t = r + r^2 + ... + r^s is formed.
     """
-    check_level_budget(r, s, budget)
+    check_level_budget(r, s)
     t = sum(r**j for j in range(1, s + 1))
-    check_level_budget(r, t, budget)
+    check_level_budget(r, t)
     q = r**t
     groups: list[FinenessGroup] = [FinenessGroup(s, 1, 1, 1, 1)]
     ordinals: dict[tuple[int, int], int] = {}

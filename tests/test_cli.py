@@ -282,6 +282,46 @@ def test_budget_flag_overrides_env(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("env", [None, "5000"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["zoo", "emit", "--name", "koch", "--m", "2", "--budget", "100"], 0),
+        (["zoo", "emit", "--name", "sierpinski", "--m", "4", "--budget", "10"], 1),
+        (["zoo", "emit", "--name", "koch", "--budget", "100", "--out", "missing/rec.json"], 2),
+    ],
+)
+def test_main_leaves_the_environment_as_it_found_it(argv, code, env, tmp_path, capsys, monkeypatch):
+    # --budget sets HBD_COVER_BUDGET for its one command only, whatever the exit
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    if env is None:
+        monkeypatch.delenv("HBD_COVER_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("HBD_COVER_BUDGET", env)
+    before = dict(os.environ)
+    assert main(argv) == code
+    capsys.readouterr()
+    assert dict(os.environ) == before
+    assert os.environ.get("HBD_COVER_BUDGET") == env
+
+
+def test_a_handler_error_is_not_taken_for_a_budget_usage_error(capsys, monkeypatch):
+    # only the budget check maps a ValueError to exit 2: the build's own exits 1,
+    # and one that escapes a handler propagates, with the variable restored
+    argv = ["cover", "build", "--name", "hilbert-pseudo:6", "--s", "1", "--budget", "100000"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: system fails dimension condition ii at m=1\n")
+
+    def escapes(args):
+        raise ValueError("not a usage error")
+
+    monkeypatch.delenv("HBD_COVER_BUDGET", raising=False)
+    monkeypatch.setattr("orderedcover.cli.cmd_verify_hbd", escapes)
+    with pytest.raises(ValueError, match="^not a usage error$"):
+        main(["verify-hbd", "--name", "koch", "--m", "3", "--budget", "100"])
+    assert "HBD_COVER_BUDGET" not in os.environ
+
+
 @pytest.mark.parametrize(
     "argv",
     [

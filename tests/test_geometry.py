@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orderedcover
+from orderedcover.cli import main
 from orderedcover.geometry import (
     GEOM_TOL,
     BudgetExceededError,
@@ -117,12 +118,13 @@ def test_resolution_covering_agrees_with_compose_part():
         assert math.isclose(level.sides[k], side, rel_tol=1e-12)
 
 
-def test_budget_stops_large_enumerations():
+def test_budget_stops_large_enumerations(monkeypatch):
     ifs = sierpinski_gasket()
     with pytest.raises(BudgetExceededError):
         list(iter_levels(ifs, 20))
+    monkeypatch.setenv("HBD_COVER_BUDGET", "10")
     with pytest.raises(BudgetExceededError):
-        list(iter_levels(ifs, 3, budget=10))
+        list(iter_levels(ifs, 3))
 
 
 def test_budget_env_var_override(monkeypatch):
@@ -136,11 +138,13 @@ def test_budget_env_var_override(monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["abc", "1e6", "10.5"])
-def test_malformed_budget_env_var_is_named(monkeypatch, value):
+def test_malformed_budget_env_var_is_named(monkeypatch, capsys, value):
     monkeypatch.setenv("HBD_COVER_BUDGET", value)
     with pytest.raises(ValueError, match=f"HBD_COVER_BUDGET must be an integer, got '{value}'"):
         part_budget()
-    assert part_budget(100) == 100
+    # an explicit --budget beats a malformed variable for its one command
+    assert main(["verify-hbd", "--name", "koch", "--m", "3", "--budget", "100"]) == 0
+    assert capsys.readouterr().err.startswith("condition (i) m=0: PASS\n")
 
 
 def test_attractor_points_stay_in_base_box():
@@ -240,9 +244,9 @@ def test_prefix_parts_contain_descendants(depth):
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
-def test_budget_below_one_is_refused_and_named(monkeypatch, value):
-    with pytest.raises(ValueError, match=f"budget must be >= 1, got {value}"):
-        part_budget(int(value))
+def test_budget_below_one_is_refused_and_named(monkeypatch, capsys, value):
+    assert main(["verify-hbd", "--name", "koch", "--m", "3", "--budget", value]) == 2
+    assert capsys.readouterr().err == f"error: budget must be >= 1, got {value}\n"
     monkeypatch.setenv("HBD_COVER_BUDGET", value)
     with pytest.raises(ValueError, match=f"HBD_COVER_BUDGET must be >= 1, got {value}"):
         part_budget()

@@ -125,7 +125,9 @@ def v1_view(output):
     record = dict(output["record"])
     if "stages" in record:
         record["squares"] = squares_of(record)
-        groups, _, _ = fineness_schedule(record["r"], record["s"], budget=record["q"])
+        with pytest.MonkeyPatch.context() as mp:  # at the budget its q passed
+            mp.setenv("HBD_COVER_BUDGET", str(record["q"]))
+            groups, _, _ = fineness_schedule(record["r"], record["s"])
         record["groups"] = [g.to_record() for g in groups]
         for key in ("tags", "sides", "stages"):
             del record[key]

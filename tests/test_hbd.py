@@ -206,15 +206,16 @@ def test_report_is_the_same_over_a_stream_and_a_list(name, deflate, m):
 
 
 @pytest.mark.parametrize("name", ["holder-diag", "arrowhead-pseudo:3", "hilbert-pseudo:3"])
-def test_a_curve_answers_the_level_source_interface(name):
+def test_a_curve_answers_the_level_source_interface(name, monkeypatch):
     curve = zoo_source(name)
     assert (curve.r, curve.d, curve.rho) == (2, 2, curve.holder_rho)
     assert curve.gamma == 1.0 / curve.holder_beta  # bit for bit, as verify-hbd's records need
-    for got, want in zip(curve.iter_levels(4, budget=16), holder_levels(curve, 4)):
+    monkeypatch.setenv("HBD_COVER_BUDGET", "16")
+    for got, want in zip(curve.iter_levels(4), holder_levels(curve, 4)):
         assert got.corners.tobytes() == want.corners.tobytes()
         assert got.sides.tobytes() == want.sides.tobytes()
     with pytest.raises(BudgetExceededError, match="^32 parts exceed budget 16$"):
-        curve.iter_levels(5, budget=16)
+        curve.iter_levels(5)
     assert hbd_report(curve, curve.gamma, curve.rho, 4).name == name
 
 

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderedcover import geometry
+from orderedcover import geometry, zoo
 from orderedcover.geometry import (
     BUDGET_ENV_VAR,
     GEOM_TOL,
@@ -41,6 +41,8 @@ from orderedcover.hbd import (
     check_nesting,
     hbd_report,
 )
+from orderedcover.separation import verify_coverage, verify_jump_lemma
+from orderedcover.shifts import rolewicz_family, run_dynamics_experiment
 from orderedcover.tagging import BuilderParams, build_tagged_covering
 from orderedcover.zoo import (
     CurveEvaluator,
@@ -54,6 +56,7 @@ from orderedcover.zoo import (
     minkowski_sausage,
     sierpinski_gasket,
     unit_interval,
+    zoo_source,
 )
 
 from geometry_reference import (
@@ -107,14 +110,46 @@ def test_levels_refuse_before_building(monkeypatch):
         raise AssertionError("a level was built")
 
     monkeypatch.setattr(geometry, "_part_boxes", no_images)
-    with pytest.raises(BudgetExceededError, match="^243 parts exceed budget 100$"):
-        list(iter_levels(sierpinski_gasket(), 7, budget=100))
     monkeypatch.setenv(BUDGET_ENV_VAR, "100")
+    with pytest.raises(BudgetExceededError, match="^243 parts exceed budget 100$"):
+        list(iter_levels(sierpinski_gasket(), 7))
     with pytest.raises(BudgetExceededError, match="^243 parts exceed budget 100$"):
         attractor_points(sierpinski_gasket(), 7)
     monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
     with pytest.raises(BudgetExceededError, match="^1024 parts exceed budget 1000$"):
         hbd_report(koch_curve(), 1.2, 1.4, 6)
+
+
+# each library call that enumerates levels, on the unit interval at stage s = 2
+# (resolution 8) or its like, under a budget of 255; hilbert-pseudo:9 reaches 4^4
+OVERRUNS = {
+    "build_tagged_covering": lambda line, cov: build_tagged_covering(
+        line, BuilderParams.from_stage(line, 2, 1)
+    ),
+    "verify_coverage": lambda line, cov: verify_coverage(line, cov),
+    "verify_jump_lemma": lambda line, cov: verify_jump_lemma(line, 8),
+    "run_dynamics_experiment": lambda line, cov: run_dynamics_experiment(
+        line, rolewicz_family(), s=2
+    ),
+    "zoo_source": lambda line, cov: zoo_source("hilbert-pseudo:9"),
+    "holder_levels": lambda line, cov: holder_levels(diagonal_curve(), 8),
+    "images_under_words": lambda line, cov: images_under_words(line, np.zeros(2), 8),
+}
+
+
+@pytest.mark.parametrize("call", OVERRUNS.values(), ids=OVERRUNS)
+def test_every_level_call_refuses_under_the_budget_variable_first(call, monkeypatch):
+    def no_levels(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    line = unit_interval()
+    cov = build_tagged_covering(line, BuilderParams.from_stage(line, 2, 1))  # at 10^6
+    monkeypatch.setattr(geometry, "_part_boxes", no_levels)
+    monkeypatch.setattr(zoo, "_holder_level", no_levels)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "255")
+    with pytest.raises(BudgetExceededError, match="^256 parts exceed budget 255$"):
+        call(line, cov)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -351,8 +386,9 @@ def test_holder_levels_refuse_before_sampling(monkeypatch):
     monkeypatch.setattr(CurveEvaluator, "__call__", no_samples)
     with pytest.raises(BudgetExceededError, match="^1048576 parts exceed budget 1000000$"):
         holder_levels(curve, 20)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "10")
     with pytest.raises(BudgetExceededError, match="^16 parts exceed budget 10$"):
-        holder_levels(curve, 5, budget=10)
+        holder_levels(curve, 5)
 
 
 @pytest.mark.parametrize("family", sorted(CURVES))

@@ -738,8 +738,9 @@ def test_coverage_is_refused_before_any_level_past_the_budget(source, monkeypatc
 
     monkeypatch.setattr(geometry, "_part_boxes", no_levels)
     monkeypatch.setattr(zoo, "_holder_level", no_levels)
+    monkeypatch.setenv("HBD_COVER_BUDGET", "255")
     with pytest.raises(BudgetExceededError, match="^256 parts exceed budget 255$"):
-        verify_coverage(source, cov, budget=255)
+        verify_coverage(source, cov)
 
 
 @pytest.mark.parametrize(

@@ -44,6 +44,7 @@ from orderedcover.zoo import hilbert_square, koch_curve, sierpinski_gasket, unit
 from orderedcover import shifts
 
 from cs1_reference import cs1_envelope_generic
+from shifts_reference import dense, from_values
 
 FAMILIES = [rolewicz_family(), power_family(0.5), plus_power_family(0.5)]
 
@@ -76,22 +77,22 @@ def scenarios(draw):
     u0[:, draw(st.integers(1, bigN - 1))] = draw(st.lists(values, min_size=d, max_size=d))
     vt = np.zeros((d, L + 1))
     vt[:, :3] = np.reshape(draw(st.lists(values, min_size=3 * d, max_size=3 * d)), (d, 3))
-    return cov, fam, cfg, FiniteVector.from_values(u0), FiniteVector.from_values(vt)
+    return cov, fam, cfg, from_values(u0), from_values(vt)
 
 
 def reference_common_vector(cov, fam, cfg, u0, vt):
     """Dense logmag of u, adding each S^(iN) v_t on every coordinate: np.logaddexp
     with a -inf operand gives the other operand exactly, so disjoint terms add exactly."""
-    logmag = u0.dense()
+    logmag = dense(u0)
     for i, lam in enumerate(tag_params(cov, cfg.d), start=1):
         term = product_apply(fam, lam, i * cfg.bigN, vt, "forward")
-        logmag = np.logaddexp(logmag, term.dense())
+        logmag = np.logaddexp(logmag, dense(term))
     return logmag
 
 
 def reference_error(u, fam, lam, n, vt):
-    logmag = product_apply(fam, tuple(float(c) for c in lam), n, u, "backward").dense()
-    return math.exp(_log_abs_diff(logmag, vt.dense()).max())
+    logmag = dense(product_apply(fam, tuple(float(c) for c in lam), n, u, "backward"))
+    return math.exp(_log_abs_diff(logmag, dense(vt)).max())
 
 
 def sparse(L, entries):
@@ -105,7 +106,7 @@ def sparse(L, entries):
 def test_common_vector_matches_dense_additions(case):
     cov, fam, cfg, u0, vt = case
     u = build_common_vector(cov, fam, cfg, u0, vt)
-    assert np.array_equal(u.dense(), reference_common_vector(cov, fam, cfg, u0, vt))
+    assert np.array_equal(dense(u), reference_common_vector(cov, fam, cfg, u0, vt))
     assert len(u.cols) == len(u0.cols) + cov.q * len(vt.cols)
     assert (np.diff(u.cols) > 0).all()
 
@@ -119,7 +120,7 @@ def test_common_vector_does_not_depend_on_the_chunk(fam):
     u0 = FiniteVector.basis(2, cfg.L, 0)
     vt = np.zeros((2, cfg.L + 1))
     vt[:, :3] = [[1.0, 0.5, 0.25], [0.75, 0.0, 2.0]]
-    vt = FiniteVector.from_values(vt)
+    vt = from_values(vt)
     want = reference_common_vector(cov, fam, cfg, u0, vt)
     got = []
     for cells in (1, 2**62):
@@ -127,7 +128,7 @@ def test_common_vector_does_not_depend_on_the_chunk(fam):
             got.append(build_common_vector(cov, fam, cfg, u0, vt))
     for u in got:
         assert np.array_equal(u.cols, got[0].cols) and np.array_equal(u.logmag, got[0].logmag)
-        assert np.array_equal(u.dense(), want)
+        assert np.array_equal(dense(u), want)
 
 
 def sweep_errors(u, fam, vt, lo, hi, ns):
@@ -163,8 +164,8 @@ def test_box_errors_at_the_truncation_edge(fam):
     # u lives at L only: T^n u reaches v_t's support for n = L - 2 .. L; the two
     # points are not ordered, so each is a box of its own
     L = 12
-    u = FiniteVector.from_values(np.array([[0.0] * L + [3.0], [0.0] * L + [2.0]]))
-    vt = FiniteVector.from_values(np.array([[0.25, 0.0, 0.5] + [0.0] * (L - 2)] * 2))
+    u = from_values(np.array([[0.0] * L + [3.0], [0.0] * L + [2.0]]))
+    vt = from_values(np.array([[0.25, 0.0, 0.5] + [0.0] * (L - 2)] * 2))
     lam = np.array([[1.2, 1.7], [1.9, 1.0]])
     for n in range(L - 3, L + 2):
         want = [reference_error(u, fam, row, n, vt) for row in lam]
@@ -358,7 +359,7 @@ def test_sweep_takes_every_box_corner_in_order(monkeypatch):
 
     monkeypatch.setattr(shifts._ShiftErrors, "log_errors", record)
     cfg = DynamicsConfig(d=2, interval=(1.0, 2.0), L=cov.q + 3, eta=0.1, kappa=1, bigN=1)
-    u = FiniteVector.from_values(np.zeros((2, cfg.L + 1)))
+    u = from_values(np.zeros((2, cfg.L + 1)))
     for cells, chunks in zip(CHUNK_CELLS, ([1] * cov.q, [cov.q])):
         seen.clear()
         monkeypatch.setattr(shifts, "_CELLS", cells)

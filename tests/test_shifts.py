@@ -28,6 +28,7 @@ from orderedcover.geometry import BudgetExceededError
 from orderedcover.zoo import CurveEvaluator, hilbert_square, sierpinski_gasket, unit_interval
 
 from cs1_reference import check_cs1_bounds, cs1_envelope_generic
+from shifts_reference import dense, from_values, weight
 
 FAMILIES = [rolewicz_family(), power_family(0.5), plus_power_family(0.5)]
 
@@ -39,7 +40,7 @@ def dense_backward(fam, x, n, values):
     for _ in range(n):
         nxt = np.zeros_like(out)
         for l in range(L):
-            nxt[l] = fam.weight(x, l + 1) * out[l + 1]
+            nxt[l] = weight(fam, x, l + 1) * out[l + 1]
         out = nxt
     return out
 
@@ -50,7 +51,7 @@ def dense_forward(fam, x, n, values):
     for _ in range(n):
         nxt = np.zeros_like(out)
         for l in range(L):
-            nxt[l + 1] = out[l] / fam.weight(x, l + 1)
+            nxt[l + 1] = out[l] / weight(fam, x, l + 1)
         out = nxt
     return out
 
@@ -75,17 +76,17 @@ def test_log_abs_diff_of_equal_or_zero_operands():
 
 def test_vector_roundtrip_keeps_nonzero_columns():
     values = np.array([[1.0, 0.5, 0.0, 0.25, 0.0], [0.0, 2.0, 0.125, 0.0, 0.0]])
-    vec = FiniteVector.from_values(values)
+    vec = from_values(values)
     assert vec.cols.tolist() == [0, 1, 2, 3] and vec.L == 4
-    assert np.allclose(np.exp(vec.dense()), values, atol=1e-14)
+    assert np.allclose(np.exp(dense(vec)), values, atol=1e-14)
 
 
 def test_basis_and_support():
     e = FiniteVector.basis(2, 10, 3, 2.0)
-    vals = np.exp(e.dense())
+    vals = np.exp(dense(e))
     assert vals[0][3] == pytest.approx(2.0) and vals[1][3] == pytest.approx(2.0)
     assert e.support_max() == 3
-    assert FiniteVector.from_values(np.zeros((1, 6))).support_max() == -1
+    assert from_values(np.zeros((1, 6))).support_max() == -1
 
 
 @pytest.mark.parametrize("value", [0.0, -2.0, math.nan])
@@ -97,13 +98,13 @@ def test_basis_refuses_a_value_not_above_zero(value):
 @pytest.mark.parametrize("bad", [-0.5, -math.inf, math.nan])
 def test_from_values_refuses_a_negative_entry(bad):
     with pytest.raises(ValueError, match="entries must be >= 0"):
-        FiniteVector.from_values(np.array([[1.0, bad, 0.0]]))
+        from_values(np.array([[1.0, bad, 0.0]]))
 
 
 def power(fam, x, n, values, direction):
     """product_apply on one factor, taking and giving values rather than logs."""
-    u = FiniteVector.from_values(values)
-    return np.exp(product_apply(fam, (x,), n, u, direction).dense()[0])
+    u = from_values(values)
+    return np.exp(dense(product_apply(fam, (x,), n, u, direction))[0])
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
@@ -148,7 +149,7 @@ def test_backward_power_beyond_support_is_zero():
 
 
 def test_forward_power_past_the_truncation_refuses_a_zero_vector():
-    zero = FiniteVector.from_values(np.zeros(6))
+    zero = from_values(np.zeros(6))
     message = "^support would exceed L=5 after a forward power of 6$"
     with pytest.raises(TruncationOverflowError, match=message):
         product_apply(rolewicz_family(), (1.0,), 6, zero, "forward")
@@ -156,7 +157,7 @@ def test_forward_power_past_the_truncation_refuses_a_zero_vector():
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
 def test_backward_power_past_the_support_keeps_no_column(fam):
-    u = FiniteVector.from_values(np.array([[0.5, 0.0, 2.0] + [0.0] * 8] * 2))
+    u = from_values(np.array([[0.5, 0.0, 2.0] + [0.0] * 8] * 2))
     got = product_apply(fam, (1.0, 1.5), 3, u, "backward")
     assert got.cols.size == 0 and got.logmag.shape == (2, 0) and got.L == 10
 
@@ -164,7 +165,7 @@ def test_backward_power_past_the_support_keeps_no_column(fam):
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
 @pytest.mark.parametrize("direction", ["backward", "forward"])
 def test_a_zeroth_power_returns_the_vectors_own_entries(fam, direction):
-    u = FiniteVector.from_values(np.array([[0.5, 0.0, 2.0, 0.25], [0.0, 0.0, 1.0, 3.0]]))
+    u = from_values(np.array([[0.5, 0.0, 2.0, 0.25], [0.0, 0.0, 1.0, 3.0]]))
     got = product_apply(fam, (1.2, 1.9), 0, u, direction)
     assert np.array_equal(got.cols, u.cols) and np.array_equal(got.logmag, u.logmag)
 
@@ -172,8 +173,8 @@ def test_a_zeroth_power_returns_the_vectors_own_entries(fam, direction):
 def test_product_apply_uses_per_factor_parameters():
     fam = rolewicz_family()
     values = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
-    u = FiniteVector.from_values(values)
-    got = np.exp(product_apply(fam, (1.0, 2.0), 1, u, "backward").dense())
+    u = from_values(values)
+    got = np.exp(dense(product_apply(fam, (1.0, 2.0), 1, u, "backward")))
     assert got[0][0] == pytest.approx(math.e * 1.0)
     assert got[1][0] == pytest.approx(2.0 * math.e**2)
     with pytest.raises(ValueError):
@@ -517,14 +518,14 @@ def test_common_vector_certificate_bounds_measurement():
     cfg = rep.config
     fam = rolewicz_family()
     u0 = FiniteVector.basis(cfg.d, cfg.L, 0, 1.0)
-    vt = FiniteVector.from_values(
+    vt = from_values(
         np.tile(np.array([1.0, 0.5, 0.25, *([0.0] * (cfg.L - 2))]), (cfg.d, 1))
     )
     env = cs1_envelope_closed_form(
         rep.D_scaled, cfg.interval, 1.0 / ifs.gamma, horizon=cov.q * cfg.bigN, max_abs=1.0
     )
     u = build_common_vector(scaled, fam, cfg, u0, vt)
-    measured = float(np.abs(np.exp(u.dense()) - np.exp(u0.dense())).max())
+    measured = float(np.abs(np.exp(dense(u)) - np.exp(dense(u0))).max())
     envelope_sum = sum(math.exp(env(i * cfg.bigN)) for i in range(1, cov.q + 1))
     assert measured <= envelope_sum * (1.0 + 1e-9)
     assert measured == pytest.approx(rep.u_minus_u0, rel=1e-12)
@@ -536,7 +537,7 @@ def test_truncation_too_short_is_rejected():
     scaled = cov.affine_scaled(0.005, (1.0 - 0.005 * -0.5, 1.0 - 0.005 * -0.28867513459481287))
     cfg = DynamicsConfig(d=2, interval=(1.0, 2.0), L=50, eta=0.1, kappa=3, bigN=6)
     u0 = FiniteVector.basis(2, 50, 0)
-    vt = FiniteVector.from_values(np.tile([1.0, 0.5, 0.25] + [0.0] * 48, (2, 1)))
+    vt = from_values(np.tile([1.0, 0.5, 0.25] + [0.0] * 48, (2, 1)))
     with pytest.raises(TruncationOverflowError):
         build_common_vector(scaled, rolewicz_family(), cfg, u0, vt)
 
@@ -548,8 +549,8 @@ def test_a_u0_or_target_reaching_column_n_is_refused():
     scaled = cov.affine_scaled(0.005, (1.0 - 0.005 * -0.5, 1.0 - 0.005 * -0.28867513459481287))
     L = cov.q * 3 + 3
     cfg = DynamicsConfig(d=2, interval=(1.0, 2.0), L=L, eta=0.1, kappa=3, bigN=3)
-    vt = FiniteVector.from_values(np.tile([1.0, 0.5, 0.25] + [0.0] * (L - 2), (2, 1)))
-    wide = FiniteVector.from_values(np.tile([1.0, 0.5, 0.25, 0.125] + [0.0] * (L - 3), (2, 1)))
+    vt = from_values(np.tile([1.0, 0.5, 0.25] + [0.0] * (L - 2), (2, 1)))
+    wide = from_values(np.tile([1.0, 0.5, 0.25, 0.125] + [0.0] * (L - 3), (2, 1)))
     for u0, target in ((FiniteVector.basis(2, L, 3), vt), (FiniteVector.basis(2, L, 0), wide)):
         with pytest.raises(ValueError, match="must lie below column N=3"):
             build_common_vector(scaled, rolewicz_family(), cfg, u0, target)

@@ -233,7 +233,8 @@ def test_record_of_a_built_covering_is_never_refused(monkeypatch):
     assert sum(count for *_, count in record["stages"]) == len(record["sides"]) == 27
     assert len(squares_of(record)) == 27
     # the groups follow from the record's (r, s), at the budget its q passed
-    groups, _, q = fineness_schedule(record["r"], record["s"], budget=record["q"])
+    monkeypatch.setenv("HBD_COVER_BUDGET", str(record["q"]))
+    groups, _, q = fineness_schedule(record["r"], record["s"])
     assert q == 27 and groups[-1].k_to == q
 
 
