@@ -47,7 +47,7 @@ def main() -> None:
     print()
     print(f"side schedule exact:   {form.passed} (max rel err {form.max_rel_err:.2e})")
     print(f"attractor covered:     {coverage.passed} (maps keep the triangle: "
-          f"{coverage.base_inside}, complete prefix code: {coverage.prefix_code}, "
+          f"by construction, complete prefix code: {coverage.prefix_code}, "
           f"worst fill {coverage.worst_fill:.6f})")
     print(f"separation (D = {cov.D}): {sep.passed}, "
           f"{sep.pairs_checked} pairs, worst ratio {sep.worst_ratio:.6f} "

@@ -152,11 +152,6 @@ class Similarity(Record):
             rot = rot @ np.array([[1.0, 0.0], [0.0, -1.0]])
         return self.ratio * rot
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Apply to one point (2,) or a stack of points (..., 2)."""
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.matrix().T + np.asarray(self.shift)
-
 
 def lex_unrank(rank: int, length: int, arity: int) -> list[int]:
     """The word (i_1, ..., i_length) over {1..arity} at this lexicographic rank,
@@ -181,6 +176,9 @@ class OrderedIFS:
     (shape "square") or the equilateral triangle on the bottom edge of that
     square (shape "triangle"). gamma is a dimension certificate (diameters
     decay like rho * r^(-m/gamma)); rho absorbs bounding-box inflation.
+    Every map keeps the convex base: one whose base vertex images lie more
+    than GEOM_TOL outside an edge is refused, so the attractor lies in the
+    base (Hutchinson, 1981), a fact the coverage audit relies on.
 
     coefficients (r, 6), read-only, holds each map's a, b, c, d, tx, ty: the
     entries of Similarity.matrix() and the shift, so that map k sends (x, y)
@@ -211,13 +209,21 @@ class OrderedIFS:
         object.__setattr__(self, "coefficients", table)
         # the base vertices' images under every map as a x + b y + tx and
         # c x + d y + ty, rows x and y, (2, r, k)
+        vertices = self.base_vertices()
         coef = table.T[:, :, None]
-        x, y = self.base_vertices().T
-        images = coef[[0, 2]] * x + coef[[1, 3]] * y + coef[4:]
-        lo = np.asarray(self.corner, dtype=float)[:, None, None]
-        kept = ((images >= lo - GEOM_TOL) & (images <= lo + self.side + GEOM_TOL)).all(axis=(0, 2))
+        images = coef[[0, 2]] * vertices[:, 0] + coef[[1, 3]] * vertices[:, 1] + coef[4:]
+        # image p keeps the base when n . p >= n . v - GEOM_TOL on each edge v -> w,
+        # n its inward unit normal: (0, +-1) or (+-1, 0) on a square, a box test
+        corners, planes = vertices.tolist(), []
+        for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
+            length = math.hypot(x1 - x0, y1 - y0)
+            nx, ny = (y0 - y1) / length, (x1 - x0) / length
+            planes.append((nx, ny, nx * x0 + ny * y0 - GEOM_TOL))
+        planes = np.array(planes)
+        inside = planes[:, :2] @ images.reshape(2, -1) >= planes[:, 2:]  # (edge, r k)
+        kept = inside.reshape(len(planes), self.r, -1).all(axis=(0, 2))
         if not kept.all():
-            raise ValueError(f"map {int(kept.argmin()) + 1} does not keep the base inside its box")
+            raise ValueError(f"map {int(kept.argmin()) + 1} does not keep the base")
 
     @property
     def r(self) -> int:

@@ -4,11 +4,11 @@ Four checks, none by sampling:
 
 - verify_form: every square side equals tau/(kN)^(1/gamma).
 - verify_coverage: the squares cover the attractor, or a curve's image, by
-  containment. Every map of a system sends the base set into itself, the
-  covered words form a complete prefix code, and every covered part's
-  bounding square in R^d, recomputed from the source's levels, lies inside
-  its square; then the attractor, the union of its covered parts, lies in
-  the union of the squares (Hutchinson, 1981). It reads no attractor point.
+  containment. The covered words form a complete prefix code, and every
+  covered part's bounding square in R^d, recomputed from the source's
+  levels, lies inside its square; then the attractor, the union of its
+  covered parts, lies in the union of the squares (Hutchinson, 1981). It
+  reads only the source's r and levels, and no attractor point.
 - verify_separation: for every pair j < l and all points lambda in Gamma_j,
   mu in Gamma_l, the max-norm distance stays below D((l-j)/l)^(1/gamma).
   The supremum over two boxes is attained at corners under the max norm, so
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, tagging
-from .geometry import GEOM_TOL, OrderedIFS, Record
+from .geometry import GEOM_TOL, Record
 from .tagging import TaggedCovering
 
 
@@ -79,17 +79,13 @@ class CoverageReport(Record):
     passed: bool
     prefix_code: bool
     worst_fill: float | None  # None when (b) fails: (c) needs its words
-    base_inside: bool | None = None  # fact (a), a system's only
 
 
 def verify_coverage(source, cov: TaggedCovering) -> CoverageReport:
     """Show that the squares cover the attractor of a system, or the image
-    of a curve, from three facts.
-
-    (a) base_inside, a system's only: each map's vertex images lie in the
-    base set B, a convex polygon with counter-clockwise vertices, within
-    GEOM_TOL of the inner side of each edge. Then every map sends B into B,
-    and the attractor A lies in B. A curve's record leaves (a) out.
+    of a curve, from facts (b) and (c). Fact (a), that every map sends the
+    base set B into B, so the attractor A lies in B, holds for every system:
+    geometry refuses to build one with a map that does not keep its base.
     (b) prefix_code: the rank ranges of the covered words, lifted to
     resolution s + t in Python ints, are nonempty, tile [0, r^(s+t))
     exactly in k order, and number q words: they form a complete prefix
@@ -114,14 +110,6 @@ def verify_coverage(source, cov: TaggedCovering) -> CoverageReport:
     """
     if source.r != cov.r:
         raise ValueError(f"covering has r={cov.r} but system has r={source.r}")
-    base_inside = None
-    if isinstance(source, OrderedIFS):
-        vertices = source.base_vertices()
-        edges = np.roll(vertices, -1, axis=0) - vertices
-        inward = np.stack([-edges[:, 1], edges[:, 0]], axis=1) / np.hypot(*edges.T)[:, None]
-        images = np.concatenate([sim.apply(vertices) for sim in source.maps])
-        depth = ((images[:, None] - vertices) * inward).sum(axis=2)  # (image, edge)
-        base_inside = bool((depth >= -GEOM_TOL).all())
     r, m_max = cov.r, cov.s + cov.t
     spans = tagging._stage_spans(r, cov.s, cov.t)
     end, prefix_code = 0, sum(count for *_, count in spans) == cov.q
@@ -131,7 +119,7 @@ def verify_coverage(source, cov: TaggedCovering) -> CoverageReport:
         end = (first + count) * lift
     prefix_code = prefix_code and end == r**m_max
     if not prefix_code:
-        return CoverageReport(False, False, None, base_inside)
+        return CoverageReport(False, False, None)
 
     parts = []  # per stage: the corners and sides of its parts
     for _ in tagging._keep_stages(source.iter_levels(m_max), spans, parts):
@@ -141,12 +129,7 @@ def verify_coverage(source, cov: TaggedCovering) -> CoverageReport:
     contained = bool(
         (lo >= tags - GEOM_TOL).all() and (lo + part_sides <= tags + cov.sides + GEOM_TOL).all()
     )
-    return CoverageReport(
-        passed=base_inside is not False and contained,
-        prefix_code=True,
-        worst_fill=float((part_sides / cov.sides).max()),
-        base_inside=base_inside,
-    )
+    return CoverageReport(contained, True, float((part_sides / cov.sides).max()))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from orderedcover.geometry import InvalidIndexError, Level, OrderedIFS
+from orderedcover.geometry import GEOM_TOL, InvalidIndexError, Level, OrderedIFS, Similarity
 
 
 @dataclass(frozen=True)
@@ -40,17 +40,32 @@ def lex_rank(index: MultiIndex) -> int:
     return rank
 
 
+def apply(sim: Similarity, points: np.ndarray) -> np.ndarray:
+    """sim applied to one point (2,) or a stack of points (..., 2), as one
+    small matrix product with Similarity.matrix()."""
+    return np.asarray(points, dtype=float) @ sim.matrix().T + np.asarray(sim.shift)
+
+
+def leaves_base(points: np.ndarray, vertices: np.ndarray) -> bool:
+    """Whether any of the points (k, 2) lies more than GEOM_TOL outside an
+    edge of the convex polygon of these counter-clockwise vertices, by its
+    depth along each edge's inward unit normal."""
+    edges = np.roll(vertices, -1, axis=0) - vertices
+    inward = np.stack([-edges[:, 1], edges[:, 0]], axis=1) / np.hypot(*edges.T)[:, None]
+    depth = ((np.asarray(points)[:, None] - vertices) * inward).sum(axis=2)  # (point, edge)
+    return bool((depth < -GEOM_TOL).any())
+
+
 def compose_part(ifs: OrderedIFS, index: MultiIndex) -> tuple[np.ndarray, float]:
     """Bounding square (corner, side) of the base under phi_{i_1} o ... o phi_{i_m}.
 
-    The maps act on the base vertices innermost first, each through
-    Similarity.apply.
+    The maps act on the base vertices innermost first, each through apply.
     """
     if index.arity != ifs.r:
         raise InvalidIndexError(f"index arity {index.arity} != system arity {ifs.r}")
     vertices = ifs.base_vertices()
     for i in reversed(index.entries):
-        vertices = ifs.maps[i - 1].apply(vertices)
+        vertices = apply(ifs.maps[i - 1], vertices)
     lo = vertices.min(axis=0)
     return lo, float((vertices.max(axis=0) - lo).max())
 

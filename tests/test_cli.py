@@ -147,6 +147,16 @@ def test_an_unwritable_out_is_usage_error(argv, out, reason, tmp_path):
     assert [p for p in os.listdir(tmp_path) if p.endswith(".part")] == []
 
 
+def test_a_failed_rename_removes_the_temporary_file(tmp_path, capsys):
+    # in process, unlike the test above: the temporary file is written, the
+    # rename onto a directory fails, and the file is removed before exit 2
+    (tmp_path / "existing").mkdir()
+    out = str(tmp_path / "existing")
+    assert main(["zoo", "emit", "--name", "koch", "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["existing"]
+
+
 def test_cover_build_normalizes_tau(capsys):
     code, record, _ = run_json(
         capsys,
@@ -201,7 +211,6 @@ def test_cover_verify_passes_and_reports(capsys):
     # stage-end squares are exactly as large as their parts
     assert record["record"]["coverage"] == {
         "pass": True,
-        "base_inside": True,
         "prefix_code": True,
         "worst_fill": 1.0,
     }
@@ -365,7 +374,7 @@ def test_a_curve_runs_every_command(tmp_path, capsys):
     assert (code, err) == (0, "form: PASS\ncoverage: PASS\nseparation: PASS\n")
     assert record["record"]["checks"] == {"form": True, "coverage": True, "separation": True}
     assert record["record"]["q"] == 64
-    assert "base_inside" not in record["record"]["coverage"]  # fact (a) is a system's
+    assert sorted(record["record"]["coverage"]) == ["pass", "prefix_code", "worst_fill"]
     code, record, err = run_json(capsys, ["dyn", "--name", "holder-diag"])
     assert (code, record["record"]["pass"], record["record"]["fractal"]) == (0, True, "holder-diag")
     assert err == "universality worst=0.080000 bound=0.300000: PASS\n"
@@ -428,6 +437,13 @@ def test_dyn_refuses_alpha_for_rolewicz(capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err == "error: rolewicz weights take no alpha\n"
+
+
+def test_dyn_on_a_narrow_interval_finds_a_step_below_the_monotone_range(capsys):
+    # the N search tries steps 1, 2, ... below its monotone range (227 here)
+    argv = ["dyn", "--name", "unit-interval", "--interval", "1", "1.001", "--eta", "0.5"]
+    code, record, _ = run_json(capsys, argv)
+    assert (code, record["record"]["pass"], record["record"]["config"]["bigN"]) == (0, True, 3)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import math
 import pkgutil
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,12 +27,12 @@ from orderedcover.geometry import (
 )
 from orderedcover.zoo import IFS_NAMES, sierpinski_gasket, unit_interval, zoo_source
 
-from geometry_reference import MultiIndex, compose_part, lex_rank
+from geometry_reference import MultiIndex, apply, compose_part, lex_rank
 
 
 def test_rotation_moves_unit_vector():
     sim = Similarity(0.5, math.pi / 2.0, False, (0.0, 0.0))
-    out = sim.apply(np.array([1.0, 0.0]))
+    out = apply(sim, np.array([1.0, 0.0]))
     assert np.allclose(out, [0.0, 0.5], atol=1e-12)
 
 
@@ -91,9 +92,9 @@ def test_compose_part_applies_maps_outside_in():
     ifs = sierpinski_gasket()
     idx = MultiIndex((1, 3, 2), 3)
     vertices = ifs.base_vertices()
-    vertices = ifs.maps[1].apply(vertices)
-    vertices = ifs.maps[2].apply(vertices)
-    vertices = ifs.maps[0].apply(vertices)
+    vertices = apply(ifs.maps[1], vertices)
+    vertices = apply(ifs.maps[2], vertices)
+    vertices = apply(ifs.maps[0], vertices)
     lo = vertices.min(axis=0)
     corner, side = compose_part(ifs, idx)
     assert np.allclose(corner, lo, atol=1e-12)
@@ -185,13 +186,40 @@ def test_ifs_rejects_escaping_maps():
 def test_ifs_names_the_first_map_that_leaves_the_base():
     inside = Similarity(0.5, 0.0, False, (0.0, 0.0))
     right, below = Similarity(0.5, 0.0, False, (0.9, 0.0)), Similarity(0.5, 0.0, False, (0.0, -0.9))
-    with pytest.raises(ValueError, match="^map 2 does not keep the base inside its box$"):
+    with pytest.raises(ValueError, match="^map 2 does not keep the base$"):
         OrderedIFS((inside, right, below), "square", (0.0, 0.0), 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="^map 3 does not keep the base inside its box$"):
+    with pytest.raises(ValueError, match="^map 3 does not keep the base$"):
         OrderedIFS((inside, inside, below), "square", (0.0, 0.0), 1.0, 1.0, 1.0)
     # a nan base corner puts nan in every image, which no box holds
-    with pytest.raises(ValueError, match="^map 1 does not keep the base inside its box$"):
+    with pytest.raises(ValueError, match="^map 1 does not keep the base$"):
         OrderedIFS((inside, inside), "square", (math.nan, 0.0), 1.0, 1.0, 1.0)
+
+
+@given(
+    ratio=st.floats(0.05, 0.5),
+    angle=st.floats(-math.pi, math.pi),
+    reflect=st.booleans(),
+    right=st.booleans(),
+    at=st.integers(0, 2),
+)
+@settings(max_examples=40, deadline=None)
+def test_ifs_refuses_a_map_that_leaves_the_triangle(ratio, angle, reflect, right, at):
+    # The bad image's box sits in a top corner of the base box, where the
+    # triangle does not reach: its leftmost (or rightmost) vertex lies on the
+    # box's side at least 1 - ratio above the base, outside the triangle.
+    # The other two maps shrink the triangle towards its bottom vertices, and
+    # keep it. The old box test let every such system build.
+    gasket = sierpinski_gasket()
+    vertices = gasket.base_vertices()
+    (x0, y0), side = gasket.corner, gasket.side
+    image = apply(Similarity(ratio, angle, reflect, (0.0, 0.0)), vertices)
+    x = x0 + side - image[:, 0].max() if right else x0 - image[:, 0].min()
+    bad = Similarity(ratio, angle, reflect, (x, y0 + side - image[:, 1].max()))
+    inner = [Similarity(ratio, 0.0, False, (1.0 - ratio) * v) for v in vertices[:2]]
+    maps = tuple(inner[:at] + [bad] + inner[at:])
+    with pytest.raises(ValueError, match=f"^map {at + 1} does not keep the base$"):
+        OrderedIFS(maps, "triangle", gasket.corner, side, gasket.gamma, gasket.rho)
+    OrderedIFS(tuple(inner), "triangle", gasket.corner, side, gasket.gamma, gasket.rho)
 
 
 @pytest.mark.parametrize("label", ["side", "gamma", "rho"])
@@ -214,7 +242,7 @@ def test_ifs_allows_geom_tol_and_not_one_ulp_more(edge, reach, outward):
     on = Similarity(0.5, 0.0, False, (edge - reach, 0.0))
     OrderedIFS((inside, on), "square", (0.0, 0.0), 1.0, 1.0, 1.0)
     past = Similarity(0.5, 0.0, False, (math.nextafter(edge, outward) - reach, 0.0))
-    with pytest.raises(ValueError, match="^map 2 does not keep the base inside its box$"):
+    with pytest.raises(ValueError, match="^map 2 does not keep the base$"):
         OrderedIFS((inside, past), "square", (0.0, 0.0), 1.0, 1.0, 1.0)
 
 
@@ -303,3 +331,18 @@ def test_pow_is_python_pow_bit_for_bit_across_its_chunks(exponent):
     whole = np.fromiter(map(pow, base.tolist(), itertools.repeat(exponent)), float, len(base))
     assert _pow(base, exponent).tobytes() == whole.tobytes()
     assert _pow(base[:0], exponent).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: lex_unrank(8, 3, 2), InvalidIndexError, "rank 8 outside 0..7"),
+        (lambda: replace(sierpinski_gasket(), shape="disc"), ValueError, "unknown base shape 'disc'"),
+        (lambda: iter_levels(unit_interval(), -1), ValueError, "resolution must be >= 0, got -1"),
+        (lambda: attractor_points(unit_interval(), 0), ValueError, "depth must be >= 1, got 0"),
+    ],
+    ids=["lex-unrank", "base-shape", "iter-levels", "attractor-points"],
+)
+def test_geometry_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

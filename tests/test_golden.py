@@ -23,7 +23,10 @@ worst_lambda became the corner tag + side that now holds the maximum, and
 rounding_margin was added; worst_error and worst_box are the sampled sweep's.
 In the two cover-verify references, the sampled check's coverage_points
 count was then replaced by hand with the coverage block of the containment
-audit (pass, base_inside, prefix_code, worst_fill).
+audit (pass, base_inside, prefix_code, worst_fill). base_inside was then
+deleted from both by hand when OrderedIFS came to refuse any map that does
+not keep its convex base: every system keeps it, so the audit no longer
+reports it, and its record has the curve's shape.
 In the verify-jump reference, pairs_checked was then rewritten from 107,958
 premise hits over every pair to 1,265, the pairs of the short-gap band that
 the jump check compares once it stopped counting hits.
@@ -36,8 +39,7 @@ ordered-cover/1 files are kept as *_v1.json, and a test rebuilds their rows
 from the columns. When a curve's record came to carry its arity, "r": 2 was
 added to the arrowhead zoo-emit reference; its *_v1.json copy has no "r".
 The cover-verify and dyn references on holder-diag were written when the
-build first took a curve as its level source; their coverage block has no
-base_inside, which is a system's fact.
+build first took a curve as its level source.
 The dyn reference on hilbert-square with plus-power weights at alpha = 0.5
 (q = 256, L = 13,059) was written by the sweep that took 64 boxes per call
 and rebuilt each corner's cumulative row for its near terms, its gain and
@@ -46,9 +48,9 @@ whole boxes, must match it.
 Apart from the manifest's wall_time_s and versions, records agree exactly,
 except floats: to 1e-12 relative, or to 1e-15 absolute for coordinates that
 are zero in exact arithmetic. The reference computed tagged-square corners
-by applying the maps to the base through Similarity.apply, a small matrix
-product; the levels apply each map as a x + b y + t, and the two round such
-zeros to different specks below 3e-17.
+by applying the maps to the base through a small matrix product (as
+geometry_reference.apply does); the levels apply each map as a x + b y + t,
+and the two round such zeros to different specks below 3e-17.
 """
 
 import contextlib

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -250,3 +251,25 @@ def test_curve_levels_stream_through_the_report():
     streamed = peak(lambda: holder_levels(curve, m))
     listed = peak(lambda: list(holder_levels(curve, m)))
     assert streamed <= listed - 0.9 * 24 * (2 ** (m - 1) - 1)
+
+
+def _gasket_levels():
+    return list(iter_levels(sierpinski_gasket(), 2))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda levels: check_nesting(levels[0], levels[2]), "child level must be one resolution deeper"),
+        (lambda levels: check_adjacency(levels[1]), "adjacency needs resolution >= 2"),
+        (
+            lambda levels: check_adjacency(Level(2, 3, levels[2].corners[:-1], levels[2].sides[:-1])),
+            "expected 9 parts, got 8",
+        ),
+        (lambda levels: hbd_report(levels, 1.0, 1.0, 3), "need levels for every resolution 0..m_max"),
+    ],
+    ids=["nesting-depth", "adjacency-resolution", "adjacency-count", "short-stream"],
+)
+def test_hbd_refusals_name_their_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(_gasket_levels())

@@ -489,7 +489,7 @@ def test_zoo_coverings_list_every_system_that_builds_at_s1():
 def test_coverage_audit_agrees_with_the_sampled_reference(name, s):
     ifs, cov = zoo_covering(name, s)
     report = verify_coverage(ifs, cov)
-    assert (report.passed, report.base_inside, report.prefix_code) == (True, True, True)
+    assert (report.passed, report.prefix_code) == (True, True)
     assert 0.0 < report.worst_fill <= 1.0 + 1e-9
     assert coverage_check(cov, attractor_points(ifs, min(cov.s + cov.t + 2, 10)))
 
@@ -497,7 +497,7 @@ def test_coverage_audit_agrees_with_the_sampled_reference(name, s):
 def test_coverage_record_names_the_three_facts(gasket_cov):
     gasket = sierpinski_gasket()
     record = verify_coverage(gasket, gasket_cov).to_record()
-    assert sorted(record) == ["base_inside", "pass", "prefix_code", "worst_fill"]
+    assert sorted(record) == ["pass", "prefix_code", "worst_fill"]
     assert record["worst_fill"] == float(np.max(part_sides(gasket, gasket_cov) / gasket_cov.sides))
 
 
@@ -506,46 +506,16 @@ def test_coverage_audit_refuses_a_covering_of_another_arity(gasket_cov):
         verify_coverage(unit_interval(), gasket_cov)
 
 
-@given(
-    ratio=st.floats(0.05, 0.5),
-    angle=st.floats(-math.pi, math.pi),
-    reflect=st.booleans(),
-    right=st.booleans(),
-    at=st.integers(0, 2),
-)
-@settings(max_examples=40, deadline=None)
-def test_coverage_audit_fails_a_map_that_leaves_the_triangle(
-    gasket_cov, ratio, angle, reflect, right, at
-):
-    # The bad image's box sits in a top corner of the base box, where the
-    # triangle does not reach: its leftmost (or rightmost) vertex lies on the
-    # box's side at least 1 - ratio above the base, outside the triangle.
-    # The other two maps shrink the triangle towards its bottom vertices.
-    gasket = sierpinski_gasket()
-    vertices = gasket.base_vertices()
-    (x0, y0), side = gasket.corner, gasket.side
-    image = Similarity(ratio, angle, reflect, (0.0, 0.0)).apply(vertices)
-    x = x0 + side - image[:, 0].max() if right else x0 - image[:, 0].min()
-    bad = Similarity(ratio, angle, reflect, (x, y0 + side - image[:, 1].max()))
-    inner = [Similarity(ratio, 0.0, False, (1.0 - ratio) * v) for v in vertices[:2]]
-    maps = tuple(inner[:at] + [bad] + inner[at:])
-    # the box test of OrderedIFS accepts the system
-    ifs = OrderedIFS(maps, "triangle", gasket.corner, side, gasket.gamma, gasket.rho)
-    report = verify_coverage(ifs, gasket_cov)
-    assert not report.base_inside and not report.passed
-    assert report.prefix_code
-
-
 def test_coverage_audit_allows_geom_tol_on_the_square_base(gasket_cov):
-    # OrderedIFS refuses a map that leaves the square by more than GEOM_TOL;
-    # the audit keeps the same slack, so one within it passes both. The
-    # gasket's squares do not hold this system's parts.
+    # OrderedIFS accepts a map that leaves the square by less than GEOM_TOL,
+    # and the audit then decides on facts (b) and (c) alone. The gasket's
+    # squares do not hold this system's parts.
     maps = (Similarity(0.5, 0.0, False, (0.0, 0.0)),) * 2 + (
         Similarity(0.5, 0.0, False, (0.5 + 0.5e-9, 0.5)),
     )
     ifs = OrderedIFS(maps, "square", (0.0, 0.0), 1.0, 1.0, 1.0)
     report = verify_coverage(ifs, gasket_cov)
-    assert report.base_inside and report.prefix_code and not report.passed
+    assert report.prefix_code and not report.passed
 
 
 @pytest.mark.parametrize("name,other", [("hilbert-square", "koch"), ("koch", "hilbert-square")])
@@ -554,7 +524,7 @@ def test_coverage_audit_fails_a_covering_of_another_system(name, other):
     ifs, _ = zoo_covering(name, 1)
     _, cov = zoo_covering(other, 1)
     report = verify_coverage(ifs, cov)
-    assert report.base_inside and report.prefix_code and not report.passed
+    assert report.prefix_code and not report.passed
 
 
 @given(
@@ -571,7 +541,7 @@ def test_coverage_audit_fails_squares_moved_off_their_parts(axis, shift, sign):
     offset = [0.0, 0.0]
     offset[axis] = sign * shift
     report = verify_coverage(ifs, cov.affine_scaled(1.0, tuple(offset)))
-    assert report.base_inside and report.prefix_code and not report.passed
+    assert report.prefix_code and not report.passed
     assert verify_coverage(ifs, cov.affine_scaled(1.0, (0.5 * geometry.GEOM_TOL,) * 2)).passed
 
 
@@ -586,7 +556,7 @@ def test_coverage_audit_fails_a_build_with_an_off_by_one_window(name, s):
     with mock.patch.object(tagging, "_stage_spans", lambda r, s, t: early):
         bad = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, s, 1))
     report = verify_coverage(ifs, bad)
-    assert report.base_inside and report.prefix_code and not report.passed
+    assert report.prefix_code and not report.passed
 
 
 @given(
@@ -618,7 +588,6 @@ def test_coverage_audit_fails_when_a_stage_is_dropped(data, name_s, mutation):
     with mock.patch.object(tagging, "_stage_spans", lambda r, s, t: bad):
         report = verify_coverage(ifs, cov)
     assert not report.prefix_code and not report.passed
-    assert report.base_inside
     assert verify_coverage(ifs, cov).passed
 
 
@@ -648,7 +617,7 @@ def test_coverage_audit_fails_a_square_smaller_than_its_part(gasket_cov, k, shri
     sides[k] = parts[k] * shrink
     report = verify_coverage(gasket, dataclasses.replace(gasket_cov, sides=sides))
     assert not report.passed
-    assert report.base_inside and report.prefix_code
+    assert report.prefix_code
     assert report.worst_fill == parts[k] / sides[k] > 1.0
 
 
@@ -696,7 +665,7 @@ def test_the_square_test_is_stricter_than_the_box_test():
     moved = cov.affine_scaled(1.0, (0.0, -0.1 * cov.sides.min()))
     assert box_containment(ifs, moved)[0]
     report = verify_coverage(ifs, moved)
-    assert report.base_inside and report.prefix_code and not report.passed
+    assert report.prefix_code and not report.passed
 
 
 @pytest.fixture(scope="module")
@@ -707,7 +676,7 @@ def diagonal_cov():
 
 def test_a_curve_covering_passes_coverage_on_facts_b_and_c(diagonal_cov):
     report = verify_coverage(diagonal_curve(), diagonal_cov)
-    assert (report.passed, report.prefix_code, report.base_inside) == (True, True, None)
+    assert (report.passed, report.prefix_code) == (True, True)
     assert sorted(report.to_record()) == ["pass", "prefix_code", "worst_fill"]
     assert report.worst_fill == 1.0  # the stage ends' squares equal their parts
 

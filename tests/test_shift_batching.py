@@ -552,6 +552,33 @@ def test_galloping_finds_the_least_passing_step(ifs, monkeypatch):
     assert len(found) == 15 and all(got == want for got, want in found)
 
 
+@pytest.mark.parametrize(
+    "name,interval,eta,first",
+    [
+        ("unit-interval", (1.0, 1.01), 0.1, 6),
+        ("sierpinski", (1.0, 1.0001), 0.1, 154),
+        ("unit-interval", (1.0, 1.001), 0.5, 227),
+    ],
+)
+def test_a_narrow_interval_tries_the_steps_below_first_in_turn(name, interval, eta, first, monkeypatch):
+    # On a narrow interval the monotone range starts late, so the least step
+    # is found by trying 1, 2, ... in turn; brute force confirms it is least.
+    # passes is probed inside the search: the experiment frees its envelopes after.
+    least_step, searched = shifts._least_step, []
+
+    def spy(passes, first, top):
+        step = least_step(passes, first, top)
+        searched.append((first, step, [passes(k) for k in range(1, step + 1)]))
+        return step
+
+    monkeypatch.setattr(shifts, "_least_step", spy)
+    report = run_dynamics_experiment(zoo_source(name), rolewicz_family(), interval=interval, eta=eta)
+    assert report.passed
+    [(got_first, step, verdicts)] = searched
+    assert got_first == first and step < first
+    assert verdicts == [False] * (step - 1) + [True]
+
+
 @pytest.mark.parametrize("ifs", ZOO, ids=lambda s: s.name)
 def test_power_weights_pass_for_every_alpha_up_to_the_exponent(ifs):
     top = 1.0 / ifs.gamma

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -556,3 +557,50 @@ def test_a_u0_or_target_reaching_column_n_is_refused():
             build_common_vector(scaled, rolewicz_family(), cfg, u0, target)
     u = build_common_vector(scaled, rolewicz_family(), cfg, FiniteVector.basis(2, L, 2), vt)
     assert u.cols.tolist() == [2] + list(range(3, 3 * cov.q + 3))
+
+
+def _escaping_parameters():
+    # the unit interval's s = 1 tags lie in [0, 1]^2, below the interval [1, 2]
+    ifs = unit_interval()
+    cov = build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 1, 1))
+    cfg = DynamicsConfig(d=2, interval=(1.0, 2.0), L=10, eta=0.1, kappa=1, bigN=1)
+    basis = FiniteVector.basis(2, cfg.L, 0)
+    build_common_vector(cov, rolewicz_family(), cfg, basis, basis)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: power_family(0.0), "alpha must be in (0, 1]"),
+        (lambda: power_family(1.5), "alpha must be in (0, 1]"),
+        (lambda: plus_power_family(0.0), "alpha must be in (0, 1]"),
+        (lambda: plus_power_family(1.5), "alpha must be in (0, 1]"),
+        (lambda: weight_family("plus-power"), "plus-power family needs alpha"),
+        (lambda: FiniteVector.basis(1, 4, 5), "basis position outside 0..L"),
+        (
+            lambda: product_apply(rolewicz_family(), (1.0,), -1, FiniteVector.basis(1, 4, 0), "backward"),
+            "n must be >= 0",
+        ),
+        (
+            lambda: cs1_envelope_closed_form(0.5, (1.0, 2.0), 1.5, 100, 1.0),
+            "the finite-horizon tail bound needs alpha_g <= 1",
+        ),
+        (
+            lambda: DynamicsConfig(d=0, interval=(1.0, 2.0), L=10, eta=0.1, kappa=1, bigN=1),
+            "d, L, kappa, bigN must be >= 1",
+        ),
+        (
+            lambda: DynamicsConfig(d=1, interval=(1.0, 2.0), L=10, eta=0.1, kappa=3, bigN=4),
+            "bigN must be a multiple of kappa",
+        ),
+        (_escaping_parameters, "parameter (0.0, 0.0) escapes interval [1.0, 2.0]"),
+    ],
+    ids=[
+        "power-alpha-0", "power-alpha-1.5", "plus-power-alpha-0", "plus-power-alpha-1.5",
+        "plus-power-no-alpha", "basis-position", "negative-power", "alpha-g", "config-field",
+        "config-kappa", "escaping-parameter",
+    ],
+)
+def test_shift_refusals_name_their_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

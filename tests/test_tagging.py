@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 from dataclasses import replace
 from pathlib import Path
 
@@ -324,3 +325,10 @@ def test_a_covering_refuses_arrays_of_another_shape(gasket_cov, label, cut):
 def test_affine_scaling_refuses_a_factor_that_is_not_finite_and_positive(gasket_cov, sigma):
     with pytest.raises(ValueError, match="tau must be finite and > 0"):
         gasket_cov.affine_scaled(sigma, (1.0, 1.0))
+
+
+def test_the_build_refuses_a_source_of_one_map():
+    # r = 1 gives c = 1, so D = rho meets the separation floor and only r is wrong
+    stub = SimpleNamespace(r=1, gamma=1.0, rho=1.0)
+    with pytest.raises(ValueError, match="^need r >= 2, got 1$"):
+        build_tagged_covering(stub, BuilderParams(1, 1, 1.0))

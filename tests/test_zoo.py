@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from orderedcover.zoo import (
     zoo_source,
 )
 
-from geometry_reference import MultiIndex, compose_part
+from geometry_reference import MultiIndex, apply, compose_part
 
 SQRT3 = math.sqrt(3.0)
 
@@ -35,7 +36,7 @@ def gasket_vertices(side=1.0):
 def test_gasket_first_map_fixes_bottom_left_vertex():
     ifs = sierpinski_gasket()
     a, b, c = gasket_vertices()
-    img = ifs.maps[0].apply(np.stack([a, b, c]))
+    img = apply(ifs.maps[0], np.stack([a, b, c]))
     assert np.allclose(img[0], a, atol=1e-12)
     assert np.allclose(img[1], (a + c) / 2.0, atol=1e-12)
     assert np.allclose(img[2], (a + b) / 2.0, atol=1e-12)
@@ -51,7 +52,7 @@ def test_gasket_all_maps_send_triangle_to_point_up_halves():
         {tuple(np.round(b, 12)), tuple(np.round((a + b) / 2.0, 12)), tuple(np.round((b + c) / 2.0, 12))},
     ]
     for sim, want in zip(ifs.maps, expected):
-        got = {tuple(np.round(p, 12)) for p in sim.apply(tri)}
+        got = {tuple(np.round(p, 12)) for p in apply(sim, tri)}
         assert got == want
 
 
@@ -80,7 +81,7 @@ def test_hilbert_maps_tile_the_four_quadrants():
 def test_hilbert_first_map_sends_entry_corner_to_itself():
     ifs = hilbert_square()
     entry = np.array([-0.5, -0.5])
-    img = ifs.maps[0].apply(entry)
+    img = apply(ifs.maps[0], entry)
     assert np.allclose(img, entry, atol=1e-12)
 
 
@@ -224,3 +225,18 @@ def test_covering_family_nests_by_prefix():
         hi = lo + np.repeat(parent.sides, 2)[:, None]
         assert (child.corners >= lo - GEOM_TOL).all()
         assert (child.corners + child.sides[:, None] <= hi + GEOM_TOL).all()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: sierpinski_gasket(0.0), "side must be positive"),
+        (lambda: arrowhead_pseudo(0), "order must be >= 1"),
+        (lambda: hilbert_pseudo(0), "order must be >= 1"),
+        (lambda: holder_levels(diagonal_curve(), -1), "resolution must be >= 0, got -1"),
+    ],
+    ids=["gasket-side", "arrowhead-order", "hilbert-order", "holder-levels"],
+)
+def test_zoo_refusals_name_their_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
