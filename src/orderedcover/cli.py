@@ -8,8 +8,10 @@ written on one line with sorted keys by json's C encoder; reruns with the
 same arguments are byte-identical apart from wall_time_s. Large outputs are
 columns: a tagged covering's tags, sides and stage spans, and a zoo level's
 corners and sides, whose part k has the word lex_unrank(k, m, r) (r = 2 for
-a curve). Exit status: 0 verified pass, 1 verified failure or infeasible
-build, 2 usage.
+a curve). Exit status, on every subcommand: 0 a verified pass; 1 a verified
+failure or any library refusal (a ValueError or RuntimeError, the part and
+cell budgets' included); 2 a usage error. Anything else is a bug and shows
+its traceback.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 from . import __version__
 from .geometry import (
     BUDGET_ENV_VAR,
-    BudgetExceededError,
     Level,
     OrderedIFS,
     check_positive,
@@ -42,6 +43,7 @@ from .tagging import BuilderParams, build_tagged_covering
 from .zoo import zoo_names, zoo_source
 
 SCHEMA = "ordered-cover/2"
+_COMMAND_FIELDS = ("command", "zoo_command", "cover_command")
 
 
 # ---------------------------------------------------------------------------
@@ -68,16 +70,6 @@ def _atomic_write(path: str, text: str) -> None:
             raise
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc.strerror}") from exc
-
-
-def _params_of(args: argparse.Namespace) -> dict:
-    """Every parsed option but --out, tuples as lists; an unset one is left out."""
-    skip = ("out", "handler", "command", "zoo_command", "cover_command")
-    return {
-        key: list(value) if isinstance(value, tuple) else value
-        for key, value in vars(args).items()
-        if key not in skip and value is not None
-    }
 
 
 def _fail(message: str, code: int = 1) -> int:
@@ -109,50 +101,30 @@ def _level(source, m: int) -> Level:
     return level
 
 
-def _run(
-    args: argparse.Namespace,
-    command: str,
-    body,
-    errors: tuple[type[Exception], ...] = (BudgetExceededError,),
-) -> int:
-    """Emit the record of body() -> (record, exit code, stderr lines); a body
-    that writes its own output (render) returns no record. The manifest
-    records every parsed option but --out, and the --seed if there is one.
-
-    An unknown zoo name (KeyError, listed against zoo_names()) and a usage
-    error, an unwritable --out too, exit 2; ``errors`` exit 1 with their message.
-    """
-    t0 = time.perf_counter()
-    try:
-        body_record, code, notes = body()
-        if body_record is None:
-            return code
-        manifest = {
-            "command": command,
-            "seed": getattr(args, "seed", None),
-            "parameters": _params_of(args),
-            "versions": {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "orderedcover": __version__,
-            },
-            "wall_time_s": time.perf_counter() - t0,
-        }
-        payload = {"schema": SCHEMA, "record": body_record, "manifest": manifest}
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            _atomic_write(args.out, text)
-    except KeyError:
-        return _fail(f"unknown zoo name {args.name!r}; known: {', '.join(zoo_names())}", 2)
-    except _UsageError as exc:
-        return _fail(str(exc), 2)
-    except errors as exc:
-        return _fail(str(exc))
-    for note in notes:
-        print(note, file=sys.stderr)
-    return code
+def _emit(args: argparse.Namespace, record: dict, t0: float) -> None:
+    """Write record and its manifest (the subcommand, its options and --seed) to
+    stdout or --out."""
+    manifest = {
+        "command": " ".join(getattr(args, key) for key in _COMMAND_FIELDS if hasattr(args, key)),
+        "seed": getattr(args, "seed", None),
+        "parameters": {  # every parsed option but --out, tuples as lists; unset ones left out
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in vars(args).items()
+            if key not in ("out", "handler", *_COMMAND_FIELDS) and value is not None
+        },
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "orderedcover": __version__,
+        },
+        "wall_time_s": time.perf_counter() - t0,
+    }
+    payload = {"schema": SCHEMA, "record": record, "manifest": manifest}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        _atomic_write(args.out, text)
 
 
 # ---------------------------------------------------------------------------
@@ -171,58 +143,57 @@ def _ifs_record(ifs: OrderedIFS) -> dict:
     }
 
 
-def cmd_zoo_emit(args: argparse.Namespace) -> int:
-    def body() -> tuple:
-        source = zoo_source(args.name)
-        if isinstance(source, OrderedIFS):
-            record = _ifs_record(source)
-        else:
-            record = {
-                "kind": "curve",
-                "name": source.name,
-                "r": source.r,  # 2: a curve's levels are dyadic
-                "holder_beta": source.holder_beta,
-                "holder_rho": source.holder_rho,
-            }
-        if args.m is not None:
-            level = _level(source, args.m)
-            record["covering"] = {
-                "m": args.m,
-                "corners": level.corners.tolist(),
-                "sides": level.sides.tolist(),
-            }
-        return record, 0, []
-
-    return _run(args, "zoo emit", body)
+def cmd_zoo_emit(args: argparse.Namespace, source) -> tuple:
+    if isinstance(source, OrderedIFS):
+        record = _ifs_record(source)
+    else:
+        record = {
+            "kind": "curve",
+            "name": source.name,
+            "r": source.r,  # 2: a curve's levels are dyadic
+            "holder_beta": source.holder_beta,
+            "holder_rho": source.holder_rho,
+        }
+    if args.m is not None:
+        level = _level(source, args.m)
+        record["covering"] = {
+            "m": args.m,
+            "corners": level.corners.tolist(),
+            "sides": level.sides.tolist(),
+        }
+    return record, 0, []
 
 
 # ---------------------------------------------------------------------------
-# verify-hbd
+# verify-hbd / verify-jump
 
 
-def cmd_verify_hbd(args: argparse.Namespace) -> int:
-    def body() -> tuple:
-        source = zoo_source(args.name)
-        _at_least("m", args.m, 1)
-        gamma, rho = _exponents(args, source.gamma, source.rho)
-        # a stream, not the source: bench/tracer.py lists a source that has no maps
-        lv = source.iter_levels(args.m)
-        report = hbd_report(lv, gamma, rho, args.m, name=source.name)
-        notes = [
-            f"condition ({c.condition}) m={c.m}: {'PASS' if c.passed else 'FAIL'}"
-            for c in report.conditions
-        ]
-        return report.to_record(), 0 if report.passed else 1, notes
+def cmd_verify_hbd(args: argparse.Namespace, source) -> tuple:
+    _at_least("m", args.m, 1)
+    gamma, rho = _exponents(args, source.gamma, source.rho)
+    # a stream, not the source: bench/tracer.py lists a source that has no maps
+    lv = source.iter_levels(args.m)
+    report = hbd_report(lv, gamma, rho, args.m, name=source.name)
+    notes = [
+        f"condition ({c.condition}) m={c.m}: {'PASS' if c.passed else 'FAIL'}"
+        for c in report.conditions
+    ]
+    return report.to_record(), 0 if report.passed else 1, notes
 
-    return _run(args, "verify-hbd", body)
+
+def cmd_verify_jump(args: argparse.Namespace, source) -> tuple:
+    m = _at_least("m", args.m, 0)
+    gamma, rho = _exponents(args, source.gamma, source.rho)
+    report = verify_jump_lemma(source, m, gamma=gamma, rho=rho)
+    status = "PASS" if report.passed else "FAIL"
+    return report.to_record(), 0 if report.passed else 1, [f"jump m={args.m}: {status}"]
 
 
 # ---------------------------------------------------------------------------
 # cover build / cover verify
 
 
-def _build_for_args(args: argparse.Namespace) -> tuple:
-    source = zoo_source(args.name)
+def _build_for_args(args: argparse.Namespace, source) -> tuple:
     for flag in ("tau", "D"):
         value = getattr(args, flag)
         if value is not None and not 0 < value < math.inf:
@@ -236,63 +207,54 @@ def _build_for_args(args: argparse.Namespace) -> tuple:
         params = BuilderParams.from_tau(source, args.tau, args.bigN, D=args.D)
     cov = build_tagged_covering(source, params)
     if args.s is not None:
-        return source, cov, None
-    return source, cov, {"tau_requested": args.tau, "s": cov.s, "tau": cov.tau}
+        return cov, None
+    return cov, {"tau_requested": args.tau, "s": cov.s, "tau": cov.tau}
 
 
-def cmd_cover_build(args: argparse.Namespace) -> int:
-    def body() -> tuple:
-        _, cov, normalized = _build_for_args(args)
-        record = cov.to_record()
-        if normalized is not None:
-            record["normalized"] = normalized
-        return record, 0, []
-
-    return _run(args, "cover build", body, (BudgetExceededError, ValueError))
+def cmd_cover_build(args: argparse.Namespace, source) -> tuple:
+    cov, normalized = _build_for_args(args, source)
+    record = cov.to_record()
+    if normalized is not None:
+        record["normalized"] = normalized
+    return record, 0, []
 
 
-def cmd_cover_verify(args: argparse.Namespace) -> int:
-    def body() -> tuple:
-        source, cov, _ = _build_for_args(args)
-        form = verify_form(cov)
-        coverage = verify_coverage(source, cov)
-        sep = verify_separation(cov)
-        checks = {"form": form.passed, "coverage": coverage.passed, "separation": sep.passed}
-        record = {
-            "fractal": cov.fractal,
-            "q": cov.q,
-            "checks": checks,
-            "form": form.to_record(),
-            "separation": sep.to_record(),
-            "coverage": coverage.to_record(),
-        }
-        notes = [f"{key}: {'PASS' if ok else 'FAIL'}" for key, ok in checks.items()]
-        return record, 0 if all(checks.values()) else 1, notes
-
-    return _run(args, "cover verify", body, (BudgetExceededError, ValueError))
+def cmd_cover_verify(args: argparse.Namespace, source) -> tuple:
+    cov, _ = _build_for_args(args, source)
+    form = verify_form(cov)
+    coverage = verify_coverage(source, cov)
+    sep = verify_separation(cov)
+    checks = {"form": form.passed, "coverage": coverage.passed, "separation": sep.passed}
+    record = {
+        "fractal": cov.fractal,
+        "q": cov.q,
+        "checks": checks,
+        "form": form.to_record(),
+        "separation": sep.to_record(),
+        "coverage": coverage.to_record(),
+    }
+    notes = [f"{key}: {'PASS' if ok else 'FAIL'}" for key, ok in checks.items()]
+    return record, 0 if all(checks.values()) else 1, notes
 
 
 # ---------------------------------------------------------------------------
 # dyn
 
 
-def cmd_dyn(args: argparse.Namespace) -> int:
-    def body() -> tuple:
-        source, interval = zoo_source(args.name), tuple(args.interval)
-        try:
-            fam = weight_family(args.family, args.alpha)
-            check_dynamics_inputs(interval, args.eta)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
-        s = 1 if args.s is None else _at_least("s", args.s, 1)
-        report = run_dynamics_experiment(source, fam, interval=interval, eta=args.eta, s=s)
-        note = (
-            f"universality worst={report.universality.worst_error:.6f} "
-            f"bound={3 * args.eta:.6f}: {'PASS' if report.passed else 'FAIL'}"
-        )
-        return report.to_record(), 0 if report.passed else 1, [note]
-
-    return _run(args, "dyn", body, (ValueError, RuntimeError, BudgetExceededError))
+def cmd_dyn(args: argparse.Namespace, source) -> tuple:
+    interval = tuple(args.interval)
+    try:
+        fam = weight_family(args.family, args.alpha)
+        check_dynamics_inputs(interval, args.eta)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    s = 1 if args.s is None else _at_least("s", args.s, 1)
+    report = run_dynamics_experiment(source, fam, interval=interval, eta=args.eta, s=s)
+    note = (
+        f"universality worst={report.universality.worst_error:.6f} "
+        f"bound={3 * args.eta:.6f}: {'PASS' if report.passed else 'FAIL'}"
+    )
+    return report.to_record(), 0 if report.passed else 1, [note]
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +295,16 @@ def _svg_of_boxes(corners: np.ndarray, sides: np.ndarray) -> str:
     return "\n".join(pieces) + "\n"
 
 
-def cmd_render(args: argparse.Namespace) -> int:
-    def body() -> tuple:
-        if args.tau is not None or args.s is not None:
-            _, cov, _ = _build_for_args(args)
-            corners, sides = cov.tags, cov.sides
-        else:
-            source = zoo_source(args.name)
-            m = args.m if args.m is not None else 4 if isinstance(source, OrderedIFS) else 6
-            level = _level(source, m)
-            corners, sides = level.corners, level.sides
-        _atomic_write(args.out, _svg_of_boxes(corners, sides))
-        return None, 0, []
-
-    return _run(args, "render", body, (BudgetExceededError, ValueError))
+def cmd_render(args: argparse.Namespace, source) -> tuple:
+    if args.tau is not None or args.s is not None:
+        cov, _ = _build_for_args(args, source)
+        corners, sides = cov.tags, cov.sides
+    else:
+        m = args.m if args.m is not None else 4 if isinstance(source, OrderedIFS) else 6
+        level = _level(source, m)
+        corners, sides = level.corners, level.sides
+    _atomic_write(args.out, _svg_of_boxes(corners, sides))
+    return None, 0, []
 
 
 # ---------------------------------------------------------------------------
@@ -430,39 +388,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_verify_jump(args: argparse.Namespace) -> int:
-    def body() -> tuple:
-        source, m = zoo_source(args.name), _at_least("m", args.m, 0)
-        gamma, rho = _exponents(args, source.gamma, source.rho)
-        report = verify_jump_lemma(source, m, gamma=gamma, rho=rho)
-        status = "PASS" if report.passed else "FAIL"
-        return report.to_record(), 0 if report.passed else 1, [f"jump m={args.m}: {status}"]
-
-    return _run(args, "verify-jump", body)
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one command; may be called repeatedly in one process.
 
     --budget N sets HBD_COVER_BUDGET=N for this command only. A --budget below 1,
     or a variable that part_budget refuses, is a usage error, refused before any work.
+    cmd_<x>(args, source) returns (record or None, exit code, stderr lines); main
+    alone maps an error to its exit code (see the module docstring).
     """
     args = build_parser().parse_args(argv)
     saved = os.environ.get(BUDGET_ENV_VAR)
-    if args.budget is not None:
-        if args.budget < 1:
-            return _fail(f"budget must be >= 1, got {args.budget}", 2)
-        os.environ[BUDGET_ENV_VAR] = str(args.budget)
+    t0 = time.perf_counter()
     try:
+        if args.budget is not None:
+            if args.budget < 1:
+                raise _UsageError(f"budget must be >= 1, got {args.budget}")
+            os.environ[BUDGET_ENV_VAR] = str(args.budget)
         try:
             part_budget()
         except ValueError as exc:
-            return _fail(str(exc), 2)
-        return globals()[args.handler](args)
+            raise _UsageError(str(exc)) from exc
+        try:
+            source = zoo_source(args.name)
+        except KeyError:
+            known = ", ".join(zoo_names())
+            raise _UsageError(f"unknown zoo name {args.name!r}; known: {known}") from None
+        record, code, notes = globals()[args.handler](args, source)
+        if record is not None:
+            _emit(args, record, t0)
+    except _UsageError as exc:
+        return _fail(str(exc), 2)
+    except (ValueError, RuntimeError) as exc:
+        return _fail(str(exc))
     finally:
         os.environ.pop(BUDGET_ENV_VAR, None)
         if saved is not None:
             os.environ[BUDGET_ENV_VAR] = saved
+    for note in notes:
+        print(note, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -73,7 +73,7 @@ def test_reruns_are_identical_apart_from_wall_time(capsys):
 def test_the_parser_is_built_once(monkeypatch):
     assert build_parser() is build_parser()
     # the shared parser still dispatches to the command bound at call time
-    monkeypatch.setattr("orderedcover.cli.cmd_verify_hbd", lambda args: 7)
+    monkeypatch.setattr("orderedcover.cli.cmd_verify_hbd", lambda args, source: (None, 7, []))
     assert main(["verify-hbd", "--name", "koch", "--m", "3"]) == 7
 
 
@@ -316,19 +316,69 @@ def test_main_leaves_the_environment_as_it_found_it(argv, code, env, tmp_path, c
 
 def test_a_handler_error_is_not_taken_for_a_budget_usage_error(capsys, monkeypatch):
     # only the budget check maps a ValueError to exit 2: the build's own exits 1,
-    # and one that escapes a handler propagates, with the variable restored
+    # and so does one raised by any handler, with the variable restored
     argv = ["cover", "build", "--name", "hilbert-pseudo:6", "--s", "1", "--budget", "100000"]
     assert main(argv) == 1
     assert capsys.readouterr() == ("", "error: system fails dimension condition ii at m=1\n")
 
-    def escapes(args):
+    def refuses(args, source):
         raise ValueError("not a usage error")
 
     monkeypatch.delenv("HBD_COVER_BUDGET", raising=False)
-    monkeypatch.setattr("orderedcover.cli.cmd_verify_hbd", escapes)
-    with pytest.raises(ValueError, match="^not a usage error$"):
-        main(["verify-hbd", "--name", "koch", "--m", "3", "--budget", "100"])
+    monkeypatch.setattr("orderedcover.cli.cmd_verify_hbd", refuses)
+    assert main(["verify-hbd", "--name", "koch", "--m", "3", "--budget", "100"]) == 1
+    assert capsys.readouterr() == ("", "error: not a usage error\n")
     assert "HBD_COVER_BUDGET" not in os.environ
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+@pytest.mark.parametrize(
+    "call, argv",
+    [
+        ("zoo_source", ["zoo", "emit", "--name", "koch"]),
+        ("hbd_report", ["verify-hbd", "--name", "koch", "--m", "3"]),
+        ("verify_jump_lemma", ["verify-jump", "--name", "koch", "--m", "3"]),
+        ("build_tagged_covering", ["cover", "build", "--name", "sierpinski", "--s", "1"]),
+        ("verify_separation", ["cover", "verify", "--name", "sierpinski", "--s", "1"]),
+        ("run_dynamics_experiment", ["dyn", "--name", "sierpinski"]),
+        ("build_tagged_covering", ["render", "--name", "koch", "--s", "1", "--out", "x.svg"]),
+    ],
+)
+def test_a_library_refusal_exits_1_on_every_subcommand(
+    call, argv, error, tmp_path, capsys, monkeypatch
+):
+    # one exit policy: a ValueError or RuntimeError from the library is a refusal
+    def refuses(*args, **kwargs):
+        raise error("x")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(f"orderedcover.cli.{call}", refuses)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: x\n")
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_a_key_error_inside_a_command_is_not_an_unknown_name(capsys, monkeypatch):
+    # only the name lookup maps a KeyError to exit 2; any other is a bug
+    def raises(*args, **kwargs):
+        raise KeyError("x")
+
+    monkeypatch.delenv("HBD_COVER_BUDGET", raising=False)
+    monkeypatch.setattr("orderedcover.cli.hbd_report", raises)
+    with pytest.raises(KeyError, match="^'x'$"):
+        main(["verify-hbd", "--name", "koch", "--m", "3", "--budget", "100"])
+    assert capsys.readouterr() == ("", "")
+    assert "HBD_COVER_BUDGET" not in os.environ
+
+
+def test_dyn_refuses_a_step_search_that_finds_no_summable_tail(capsys):
+    # power weights at alpha = 0.05 on the line: no step below 2^53 columns passes
+    argv = ["dyn", "--name", "unit-interval", "--family", "power", "--alpha", "0.05"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: no shift step below 2^53 columns gave a summable tail\n",
+    )
 
 
 @pytest.mark.parametrize(

@@ -9,10 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orderedcover import geometry
+from orderedcover import geometry, tagging
 from orderedcover.geometry import BudgetExceededError
 from orderedcover.tagging import BuilderParams, build_tagged_covering
-from orderedcover.zoo import hilbert_square, minkowski_sausage, sierpinski_gasket, unit_interval
+from orderedcover.zoo import (
+    hilbert_square,
+    koch_curve,
+    minkowski_sausage,
+    sierpinski_gasket,
+    unit_interval,
+)
 
 from geometry_reference import MultiIndex, compose_part
 from tagging_reference import fineness_schedule, pending_after_stage, squares_of
@@ -181,6 +187,21 @@ def test_deep_audit_is_refused_before_any_level_is_built(monkeypatch):
     ifs = sierpinski_gasket()
     with pytest.raises(BudgetExceededError, match="^1594323 parts exceed budget 1000000$"):
         build_tagged_covering(ifs, BuilderParams.from_stage(ifs, 2, 1))
+
+
+def test_the_build_checks_each_square_covers_its_part(monkeypatch):
+    # with the hbd audit forced to pass, a deflated gamma shrinks the squares
+    # below their parts, and the build's own side check refuses the covering
+    real = tagging.hbd_report
+
+    def passing(*args, **kwargs):
+        return replace(real(*args, **kwargs), conditions=())
+
+    monkeypatch.setattr(tagging, "hbd_report", passing)
+    koch = koch_curve()
+    src = replace(koch, gamma=0.9 * koch.gamma)
+    with pytest.raises(AssertionError, match="^square 11 is smaller than its covered part$"):
+        build_tagged_covering(src, BuilderParams.from_stage(src, 1, 1))
 
 
 def test_unit_interval_two_stage_covering():
