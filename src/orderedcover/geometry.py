@@ -32,7 +32,6 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field, fields
-from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
@@ -268,14 +267,11 @@ class Level:
 
 
 def _pow(base, exponent: float):
-    """base ** exponent by Python's float pow (libm), elementwise over a 1-d array:
-    numpy's ``**`` picks a vector kernel by CPU, and its last bit may differ from
-    machine to machine. It streams the array through lists of at most 65,536
-    floats, so it never holds a Python float for every value at once."""
-    if np.ndim(base) == 0:
-        return base**exponent
-    chunks = (base[i : i + 65536].tolist() for i in range(0, len(base), 65536))
-    return np.fromiter(map(pow, chain.from_iterable(chunks), repeat(exponent)), float, len(base))
+    """base ** exponent for a nonnegative base (scalar or array), elementwise by the C
+    library's pow, as Python's float pow computes it. numpy's float64 ``float_power``
+    loop calls that pow on each value; ``**`` instead picks a vector kernel by CPU, and
+    its last bit may differ from machine to machine and from pow."""
+    return np.float_power(base, exponent)
 
 
 # Parent parts per block when the last level's images are reduced to boxes.

@@ -59,8 +59,8 @@ class FormReport(Record):
 
 
 def verify_form(cov: TaggedCovering) -> FormReport:
-    """Recompute tau/(kN)^alpha for every k, with Python's float pow as the
-    build does (numpy's ``**`` rounds by CPU), and compare to a relative 1e-12."""
+    """Recompute tau/(kN)^alpha for every k, with the C library's pow through _pow as
+    the build does (numpy's ``**`` rounds by CPU), and compare to a relative 1e-12."""
     tau, bigN, alpha = cov.tau, cov.bigN, cov.alpha
     expected = tau / geometry._pow(np.arange(1, cov.q + 1, dtype=float) * bigN, alpha)
     rel = np.abs(cov.sides - expected) / expected

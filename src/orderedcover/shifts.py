@@ -89,7 +89,7 @@ HEAD_TERMS = 1 << 22
 # plus-power has no closed-form f(x, n): _evaluator's cumulative rows cost rows x factors
 # x columns cells, the rows being the q terms of u and the 2q box corners, each row built
 # once. A run needing more is refused: sierpinski at alpha = 0.1 needs 84% of it and
-# takes 2.4 s at a 116 MB peak RSS on a 2-core x86-64 VM.
+# takes 2.6-3.4 s at a 107.5 MB peak RSS on a 2-core x86-64 VM.
 CUMULATIVE_BUDGET = 2**28
 
 
@@ -320,7 +320,7 @@ def check_cs2_lipschitz(
     1 <= n <= n_max, against C0 (1 + 1e-9): f(., n) rises, linearly or concavely, so it is
     at x = y = a. An n_max below 0 is refused (ValueError); n_max = 0 passes vacuously.
     For f = x n^alpha the quotient is 1 at every n. Otherwise the scale n^alpha and the
-    slopes take Python's float pow (_pow), so the measured sup is the same on every CPU."""
+    slopes take the C library's pow through _pow, so the measured sup is the same on any CPU."""
     a, b = interval
     if not a < b:
         raise ValueError(f"interval needs a < b, got [{a}, {b}]")

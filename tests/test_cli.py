@@ -593,7 +593,7 @@ def test_bad_curve_order_is_usage_error(argv, tmp_path, capsys):
 
 
 def test_cover_verify_form_error_is_exactly_zero(capsys):
-    # sides and their check both use Python's float pow, whatever the CPU
+    # sides and their check both use the C library's pow (_pow), whatever the CPU
     code, record, _ = run_json(capsys, ["cover", "verify", "--name", "koch", "--s", "1"])
     assert code == 0
     assert record["record"]["form"]["max_rel_err"] == 0.0

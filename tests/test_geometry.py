@@ -324,13 +324,20 @@ def test_the_record_format_lives_in_one_place():
     assert own["HbdReport"][1:] == ['return {**super().to_record(), "pass": self.passed}']
 
 
-@pytest.mark.parametrize("exponent", [0.1, 0.5, 1 / 3, math.log(2) / math.log(3), 2.0])
-def test_pow_is_python_pow_bit_for_bit_across_its_chunks(exponent):
-    # 2 x 65,536 + 3 values: two whole chunks of the stream and a partial third
-    base = np.arange(1.0, 2 * 65536 + 4.0) * 1.37
+@pytest.mark.parametrize("exponent", [0.1, 0.5, 1 / 3, math.log(2) / math.log(3), 2.0, 1.0, 0.0])
+def test_pow_is_python_pow_bit_for_bit(exponent):
+    # zero, integer-valued floats up to 2^53 (every power of two and the top 64), and
+    # non-integers; each value compared by its bytes with Python's float pow, under the
+    # suite's error::RuntimeWarning filter (pyproject.toml)
+    base = np.concatenate(
+        [[0.0], 2.0 ** np.arange(54), np.arange(2.0**53 - 64, 2.0**53 + 1), np.arange(1.0, 4097.0) * 1.37]
+    )
     whole = np.fromiter(map(pow, base.tolist(), itertools.repeat(exponent)), float, len(base))
     assert _pow(base, exponent).tobytes() == whole.tobytes()
-    assert _pow(base[:0], exponent).shape == (0,)
+    scalar = _pow(1.37, exponent)
+    assert np.ndim(scalar) == 0 and np.float64(scalar).tobytes() == np.float64(pow(1.37, exponent)).tobytes()
+    empty = _pow(base[:0], exponent)
+    assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 @pytest.mark.parametrize(
